@@ -8,13 +8,12 @@ speaker-verification evaluator (EER / minDCF).
 from . import batching, errors, evaluate, geometry, losses, model, synthdata, training
 from .losses import (
     DenominatorConvention,
-    IndexSets,
     LossInputs,
     LossKind,
     LossOutput,
     aamsupcon_loss,
     arcface_loss,
-    build_index_sets,
+    contrast_masks,
     grad_check,
     softmax_loss,
     supcon_loss,
@@ -30,13 +29,12 @@ __all__ = [
     "synthdata",
     "training",
     "DenominatorConvention",
-    "IndexSets",
     "LossInputs",
     "LossKind",
     "LossOutput",
     "aamsupcon_loss",
     "arcface_loss",
-    "build_index_sets",
+    "contrast_masks",
     "grad_check",
     "softmax_loss",
     "supcon_loss",

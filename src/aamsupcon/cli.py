@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     DegenerateTrials,
     DivergenceDetected,
+    InvalidMargin,
     InvalidSpec,
     IoError,
     ToleranceExceeded,
@@ -204,11 +205,17 @@ def _train_config(config, seed_override=None) -> TrainConfig:
     )
     try:
         cfg.validate()
-    except Exception as exc:
-        raise ConfigError(f"training: {exc}") from exc
-    if cfg.steps < 0:
-        raise ConfigError("training.steps: must be >= 0")
+    except (ValueError, InvalidMargin) as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def _check_mask_max(cfg: TrainConfig, train_set) -> None:
+    """The upper bound of augment.mask_max depends on the loaded data."""
+    d_in = train_set[0].features.shape[0]
+    if cfg.mask_max is not None and cfg.mask_max > d_in:
+        raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
+                          f"dataset's d_in), got {cfg.mask_max}")
 
 
 def _dcf_params(config) -> DcfParams:
@@ -290,6 +297,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     cfg = _train_config(config, args.seed)
     _, train_set, _ = _load_train_split(config, args.data)
+    _check_mask_max(cfg, train_set)
     _ensure_out(args.out)
     params, log = train(cfg, train_set)
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
@@ -409,6 +417,7 @@ def cmd_sweep_batch(args) -> int:
     dcf = _dcf_params(config)
     eval_cfg = config["eval"]
     samples, train_set, heldout = _load_train_split(config, args.data)
+    _check_mask_max(base, train_set)
     eval_set = heldout if heldout else samples
     _ensure_out(args.out)
 

@@ -37,6 +37,11 @@ class LossKind(Enum):
     SUPCON = "supcon"
     AAMSUPCON = "aamsupcon"
 
+    @property
+    def contrastive(self) -> bool:
+        """Whether the loss has a supervised-contrastive term."""
+        return self in (LossKind.SUPCON, LossKind.AAMSUPCON)
+
 
 class DenominatorConvention(Enum):
     """Which indices enter the contrastive denominator for anchor i.
@@ -80,14 +85,6 @@ class LossOutput:
 
 
 @dataclass
-class IndexSets:
-    """Per-anchor positive and denominator index lists (anchor excluded)."""
-
-    positives: list
-    candidates: list
-
-
-@dataclass
 class GradCheckReport:
     max_rel_error: float
     mean_rel_error: float
@@ -119,63 +116,35 @@ def validate_inputs(inputs: LossInputs) -> None:
         raise InvalidMargin(f"margin must be in [0, pi/2), got {inputs.margin}")
 
 
-def build_index_sets(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> IndexSets:
-    """Construct P(i) and the denominator set A(i) for every anchor.
+def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
+    """P(i) and the denominator set A(i) for every anchor, as (N, N) masks.
 
-    P(i) holds all j != i sharing the anchor's label; A(i) depends on the
-    convention. Raises BatchTooSmall for N < 2, AnchorWithoutPositive when
-    some anchor has no same-label partner, and AnchorWithoutCandidate when
-    the strict-negatives convention leaves a denominator empty.
+    pos[i, j] = (labels[i] == labels[j]) and i != j; cand[i, j] is i != j,
+    or labels[i] != labels[j] under strict negatives. Raises BatchTooSmall
+    for N < 2, AnchorWithoutPositive when some anchor has no same-label
+    partner, and AnchorWithoutCandidate when the strict-negatives convention
+    leaves a denominator empty.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     if n < 2:
         raise BatchTooSmall(f"need at least 2 samples, got {n}")
-    everyone = np.arange(n)
-    positives, candidates = [], []
-    for i in range(n):
-        same = everyone[(labels == labels[i]) & (everyone != i)]
-        if same.size == 0:
-            raise AnchorWithoutPositive(f"anchor {i} (label {labels[i]}) has no positive")
-        if convention is DenominatorConvention.ALL_NON_ANCHOR:
-            cand = everyone[everyone != i]
-        else:
-            cand = everyone[labels != labels[i]]
-            if cand.size == 0:
-                raise AnchorWithoutCandidate(
-                    f"anchor {i}: no negatives in a single-class batch")
-        positives.append(same)
-        candidates.append(cand)
-    return IndexSets(positives, candidates)
-
-
-def _check_sets(sets: IndexSets, n: int) -> None:
-    if len(sets.positives) != n or len(sets.candidates) != n:
-        raise ValueError(f"index sets cover {len(sets.positives)} anchors, batch has {n}")
-    for i in range(n):
-        pos = np.asarray(sets.positives[i])
-        cand = np.asarray(sets.candidates[i])
-        if pos.size == 0:
-            raise AnchorWithoutPositive(f"anchor {i} has no positive")
-        if cand.size == 0:
-            raise AnchorWithoutCandidate(f"anchor {i} has no candidates")
-        if np.any(pos == i) or np.any(cand == i):
-            raise ValueError(f"anchor {i} appears in its own index sets")
-
-
-def _masks_from_sets(sets: IndexSets, n: int):
-    pos = np.zeros((n, n), dtype=bool)
-    cand = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        pos[i, np.asarray(sets.positives[i], dtype=np.int64)] = True
-        cand[i, np.asarray(sets.candidates[i], dtype=np.int64)] = True
+    same = labels[:, None] == labels[None, :]
+    off_diag = ~np.eye(n, dtype=bool)
+    pos = same & off_diag
+    cand = off_diag if convention is DenominatorConvention.ALL_NON_ANCHOR else ~same
+    lonely = ~pos.any(axis=1)
+    if lonely.any():
+        i = int(np.argmax(lonely))
+        raise AnchorWithoutPositive(f"anchor {i} (label {labels[i]}) has no positive")
+    if not cand.any(axis=1).all():
+        raise AnchorWithoutCandidate("no negatives in a single-class batch")
     return pos, cand
 
 
-def _supcon_raw(z: np.ndarray, sets: IndexSets, tau: float):
-    """Value and d/dz of the contrastive sum, no input validation."""
-    n = z.shape[0]
-    pos_mask, cand_mask = _masks_from_sets(sets, n)
+def _supcon_raw(z: np.ndarray, masks, tau: float):
+    """Value and d/dz of the contrastive sum over (pos, cand) masks."""
+    pos_mask, cand_mask = masks
     pcount = pos_mask.sum(axis=1).astype(np.float64)
 
     sims = (z @ z.T) / tau
@@ -198,7 +167,7 @@ def _supcon_raw(z: np.ndarray, sets: IndexSets, tau: float):
 def _margin_softmax_raw(z, labels, w, margin, scale):
     """Cross-entropy over scaled cosine logits with the target column
     penalized by the angular margin; margin == 0 is the plain softmax path.
-    Returns (value, grad_z, grad_w) without input validation."""
+    Returns (value, grad_z, grad_w)."""
     n = z.shape[0]
     rows = np.arange(n)
     cosines = z @ w.T
@@ -224,16 +193,50 @@ def _margin_softmax_raw(z, labels, w, margin, scale):
     return value, grad_z, grad_w
 
 
-def supcon_loss(inputs: LossInputs, sets: IndexSets) -> LossOutput:
+def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
+               scale: float, masks=None, lam: float = 1.0):
+    """(value, grad_z, grad_w) of one loss, with no input validation.
+
+    masks is the contrast_masks pair, required by the contrastive kinds.
+    Callers that own their invariants (the trainer, finite-difference
+    probes that step off the unit sphere) call this directly; everyone
+    else goes through evaluate_loss.
+    """
+    if kind is LossKind.SUPCON:
+        value, grad_z = _supcon_raw(z, masks, temperature)
+        return value, grad_z, np.zeros_like(w)
+    if kind is LossKind.SOFTMAX:
+        margin = 0.0
+    elif kind not in (LossKind.ARCFACE, LossKind.AAMSUPCON):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    value, grad_z, grad_w = _margin_softmax_raw(z, labels, w, margin, scale)
+    if kind is LossKind.AAMSUPCON and lam != 0.0:
+        sup_value, sup_grad = _supcon_raw(z, masks, temperature)
+        value += lam * sup_value
+        grad_z = grad_z + lam * sup_grad
+    return value, grad_z, grad_w
+
+
+def evaluate_loss(kind: LossKind, inputs: LossInputs,
+                  convention=DenominatorConvention.ALL_NON_ANCHOR,
+                  lam: float = 1.0) -> LossOutput:
+    """Validate the inputs once, build the contrast masks if the kind needs
+    them, and evaluate one of the four losses."""
+    validate_inputs(inputs)
+    masks = contrast_masks(inputs.labels, convention) if kind.contrastive else None
+    return LossOutput(*loss_terms(kind, inputs.embeddings, inputs.labels,
+                                  inputs.class_weights, inputs.temperature,
+                                  inputs.margin, inputs.scale, masks, lam))
+
+
+def supcon_loss(inputs: LossInputs,
+                convention=DenominatorConvention.ALL_NON_ANCHOR) -> LossOutput:
     """Supervised contrastive loss summed over anchors.
 
     value = sum_i (-1/|P(i)|) sum_{p in P(i)}
             log[ exp(z_i.z_p / tau) / sum_{a in A(i)} exp(z_i.z_a / tau) ]
     """
-    validate_inputs(inputs)
-    _check_sets(sets, inputs.embeddings.shape[0])
-    value, grad_z = _supcon_raw(inputs.embeddings, sets, inputs.temperature)
-    return LossOutput(value, grad_z, np.zeros_like(inputs.class_weights))
+    return evaluate_loss(LossKind.SUPCON, inputs, convention)
 
 
 def arcface_loss(inputs: LossInputs) -> LossOutput:
@@ -242,81 +245,41 @@ def arcface_loss(inputs: LossInputs) -> LossOutput:
     value = -(1/N) sum_i log[ e^{s cos(theta_yi + m)} /
             (e^{s cos(theta_yi + m)} + sum_{j != yi} e^{s cos theta_j}) ]
     """
-    validate_inputs(inputs)
-    value, grad_z, grad_w = _margin_softmax_raw(
-        inputs.embeddings, inputs.labels, inputs.class_weights,
-        inputs.margin, inputs.scale)
-    return LossOutput(value, grad_z, grad_w)
+    return evaluate_loss(LossKind.ARCFACE, inputs)
 
 
 def softmax_loss(inputs: LossInputs) -> LossOutput:
     """Plain cross-entropy over logits s * (z . W^T); the no-margin baseline."""
-    validate_inputs(inputs)
-    value, grad_z, grad_w = _margin_softmax_raw(
-        inputs.embeddings, inputs.labels, inputs.class_weights, 0.0, inputs.scale)
-    return LossOutput(value, grad_z, grad_w)
+    return evaluate_loss(LossKind.SOFTMAX, inputs)
 
 
-def aamsupcon_loss(inputs: LossInputs, sets: IndexSets, lam: float = 1.0) -> LossOutput:
+def aamsupcon_loss(inputs: LossInputs,
+                   convention=DenominatorConvention.ALL_NON_ANCHOR,
+                   lam: float = 1.0) -> LossOutput:
     """Margin softmax plus lam times the contrastive term (lam = 1 default).
 
-    lam = 0 degenerates to arcface_loss exactly; the index sets are still
-    validated so malformed batches fail regardless of lam.
+    lam = 0 degenerates to arcface_loss exactly; the contrast masks are
+    still built so malformed batches fail regardless of lam.
     """
-    validate_inputs(inputs)
-    _check_sets(sets, inputs.embeddings.shape[0])
-    arc = arcface_loss(inputs)
-    if lam == 0.0:
-        return arc
-    sup = supcon_loss(inputs, sets)
-    return LossOutput(
-        arc.value + lam * sup.value,
-        arc.grad_embeddings + lam * sup.grad_embeddings,
-        arc.grad_class_weights + lam * sup.grad_class_weights,
-    )
+    return evaluate_loss(LossKind.AAMSUPCON, inputs, convention, lam)
 
 
-def evaluate_loss(kind: LossKind, inputs: LossInputs, sets: IndexSets | None = None,
-                  lam: float = 1.0) -> LossOutput:
-    """Dispatch one of the four losses; builds default index sets if the
-    contrastive term needs them and none were supplied."""
-    if kind in (LossKind.SUPCON, LossKind.AAMSUPCON) and sets is None:
-        sets = build_index_sets(inputs.labels)
-    if kind is LossKind.SOFTMAX:
-        return softmax_loss(inputs)
-    if kind is LossKind.ARCFACE:
-        return arcface_loss(inputs)
-    if kind is LossKind.SUPCON:
-        return supcon_loss(inputs, sets)
-    if kind is LossKind.AAMSUPCON:
-        return aamsupcon_loss(inputs, sets, lam)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def loss_value_unchecked(kind: LossKind, embeddings, labels, class_weights,
-                         temperature: float = 0.07, margin: float = 0.2,
-                         scale: float = 30.0, sets: IndexSets | None = None,
-                         lam: float = 1.0) -> float:
-    """Scalar loss value with no invariant validation.
-
-    Exists for finite-difference harnesses, which perturb raw entries and
-    therefore evaluate slightly off the unit sphere. sets must be supplied
-    for the contrastive kinds (they depend only on labels, so a harness
-    builds them once).
-    """
-    z = np.asarray(embeddings, dtype=np.float64)
-    w = None if class_weights is None else np.asarray(class_weights, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if kind is LossKind.SUPCON:
-        return _supcon_raw(z, sets, temperature)[0]
-    if kind is LossKind.SOFTMAX:
-        return _margin_softmax_raw(z, y, w, 0.0, scale)[0]
-    if kind is LossKind.ARCFACE:
-        return _margin_softmax_raw(z, y, w, margin, scale)[0]
-    if kind is LossKind.AAMSUPCON:
-        arc = _margin_softmax_raw(z, y, w, margin, scale)[0]
-        return arc + lam * _supcon_raw(z, sets, temperature)[0]
-    raise ValueError(f"unknown loss kind {kind!r}")
+def _central_diff(value_fn, arrays, step: float) -> list:
+    """Central finite differences of value_fn() w.r.t. every entry of each
+    array, perturbing the arrays in place and restoring them."""
+    grads = []
+    for arr in arrays:
+        grad = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + step
+            hi = value_fn()
+            arr[idx] = orig - step
+            lo = value_fn()
+            arr[idx] = orig
+            grad[idx] = (hi - lo) / (2.0 * step)
+        grads.append(grad)
+    return grads
 
 
 def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
@@ -354,37 +317,18 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     validate_inputs(inputs)
-    sets = None
-    if kind in (LossKind.SUPCON, LossKind.AAMSUPCON):
-        sets = build_index_sets(inputs.labels, convention)
-    analytic = evaluate_loss(kind, inputs, sets, lam)
-    if corrupt != 0.0:
-        analytic.grad_embeddings = analytic.grad_embeddings.copy()
-        analytic.grad_embeddings[0, 0] += corrupt
+    masks = contrast_masks(inputs.labels, convention) if kind.contrastive else None
+    z, w = inputs.embeddings, inputs.class_weights
 
-    def value_at(z, w):
-        return loss_value_unchecked(kind, z, inputs.labels, w,
-                                    inputs.temperature, inputs.margin,
-                                    inputs.scale, sets, lam)
+    def terms():
+        return loss_terms(kind, z, inputs.labels, w, inputs.temperature,
+                          inputs.margin, inputs.scale, masks, lam)
 
-    def central_diff(base):
-        grad = np.zeros_like(base)
-        for idx in np.ndindex(base.shape):
-            orig = base[idx]
-            base[idx] = orig + step
-            hi = value_at(inputs.embeddings, inputs.class_weights)
-            base[idx] = orig - step
-            lo = value_at(inputs.embeddings, inputs.class_weights)
-            base[idx] = orig
-            grad[idx] = (hi - lo) / (2.0 * step)
-        return grad
-
-    fd_z = central_diff(inputs.embeddings)
-    fd_w = central_diff(inputs.class_weights)
-    errors = np.concatenate([
-        relative_errors(analytic.grad_embeddings, fd_z),
-        relative_errors(analytic.grad_class_weights, fd_w),
-    ])
+    _, grad_z, grad_w = terms()
+    grad_z[0, 0] += corrupt
+    fd_z, fd_w = _central_diff(lambda: terms()[0], [z, w], step)
+    errors = np.concatenate([relative_errors(grad_z, fd_z),
+                             relative_errors(grad_w, fd_w)])
     return GradCheckReport(
         max_rel_error=float(errors.max()),
         mean_rel_error=float(errors.mean()),

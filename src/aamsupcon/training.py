@@ -17,18 +17,15 @@ from .geometry import normalize_rows
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
-    LossInputs,
     LossKind,
     LossOutput,
-    build_index_sets,
-    evaluate_loss,
-    loss_value_unchecked,
+    _central_diff,
+    contrast_masks,
+    loss_terms,
     relative_errors,
-    supcon_loss,
 )
 from .model import (
     NetworkParams,
-    ParamGrads,
     backward,
     encoder_embeddings,
     forward,
@@ -60,19 +57,29 @@ class TrainConfig:
     classifier_space: str = "projection"
 
     def validate(self) -> None:
+        """Check every field's domain once per run; messages name the
+        config-file key."""
         if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ValueError(f"training.temperature must be > 0, got {self.temperature}")
         if not (0.0 <= self.margin < np.pi / 2):
-            raise InvalidMargin(f"margin must be in [0, pi/2), got {self.margin}")
+            raise InvalidMargin(f"training.margin must be in [0, pi/2), got {self.margin}")
         if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.classifier_space not in ("projection", "encoder"):
+            raise ValueError(f"training.scale must be > 0, got {self.scale}")
+        if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(
-                f"classifier_space must be projection|encoder, got {self.classifier_space!r}")
+                f"training.learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"training.momentum must be in [0, 1), got {self.momentum}")
+        if self.steps < 0:
+            raise ValueError(f"training.steps must be >= 0, got {self.steps}")
+        if self.classifier_space not in ("projection", "encoder"):
+            raise ValueError("training.classifier_space must be projection|encoder, "
+                             f"got {self.classifier_space!r}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(
+                f"augment.noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.mask_max is not None and self.mask_max < 0:
+            raise ValueError(f"augment.mask_max must be >= 0, got {self.mask_max}")
 
     def class_dim(self) -> int | None:
         return self.encoder_hidden[-1] if self.classifier_space == "encoder" else None
@@ -102,66 +109,46 @@ def _label_mapper(dataset):
     return ids, lambda labels: np.searchsorted(ids, labels)
 
 
-def _build_sets(config: TrainConfig, dense_labels):
-    if config.loss_kind in (LossKind.SUPCON, LossKind.AAMSUPCON):
-        return build_index_sets(dense_labels, config.convention)
-    return None
-
-
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
                 dense_labels: np.ndarray):
-    """Evaluate the configured loss on a forward trace.
+    """Evaluate the configured loss on a forward trace, without input
+    validation: the config was validated once per run, forward() yields
+    unit rows and the class weights are renormalized after every update.
 
     Returns (value, grad_projection, grad_encoder, grad_class_weights); the
     encoder slot is None unless the classifier term runs in encoder space."""
     kind = config.loss_kind
     z = trace.embeddings
-    sets = _build_sets(config, dense_labels)
+    w = params.class_weights
+    hyper = (config.temperature, config.margin, config.scale)
+    masks = contrast_masks(dense_labels, config.convention) if kind.contrastive else None
     if config.classifier_space == "projection" or kind is LossKind.SUPCON:
-        inputs = LossInputs(z, dense_labels, params.class_weights,
-                            config.temperature, config.margin, config.scale)
-        out = evaluate_loss(kind, inputs, sets, config.lam)
-        return out.value, out.grad_embeddings, None, out.grad_class_weights
+        value, grad_z, grad_w = loss_terms(kind, z, dense_labels, w, *hyper,
+                                           masks, config.lam)
+        return value, grad_z, None, grad_w
 
-    z_enc = encoder_embeddings(trace)
-    cls_inputs = LossInputs(z_enc, dense_labels, params.class_weights,
-                            config.temperature, config.margin, config.scale)
     cls_kind = LossKind.SOFTMAX if kind is LossKind.SOFTMAX else LossKind.ARCFACE
-    cls = evaluate_loss(cls_kind, cls_inputs)
+    value, grad_enc, grad_w = loss_terms(cls_kind, encoder_embeddings(trace),
+                                         dense_labels, w, *hyper)
     if kind is not LossKind.AAMSUPCON:
-        return cls.value, None, cls.grad_embeddings, cls.grad_class_weights
-    # contrastive term stays in projection space; its class-weight slot is a
-    # unit-row placeholder that supcon ignores
-    dummy = np.eye(z.shape[1])[np.arange(params.num_classes) % z.shape[1]]
-    sup_inputs = LossInputs(z, dense_labels, dummy,
-                            config.temperature, config.margin, config.scale)
-    sup = supcon_loss(sup_inputs, sets)
-    return (cls.value + config.lam * sup.value,
-            config.lam * sup.grad_embeddings,
-            cls.grad_embeddings,
-            cls.grad_class_weights)
+        return value, None, grad_enc, grad_w
+    # the contrastive term stays in projection space
+    sup_value, sup_grad, _ = loss_terms(LossKind.SUPCON, z, dense_labels, w,
+                                        *hyper, masks)
+    return value + config.lam * sup_value, config.lam * sup_grad, grad_enc, grad_w
 
 
-def _trace_value_unchecked(config: TrainConfig, params: NetworkParams, trace,
-                           dense_labels, sets) -> float:
-    """Loss value without input validation, for finite-difference probes."""
-    kind = config.loss_kind
-    z = trace.embeddings
-    if config.classifier_space == "projection" or kind is LossKind.SUPCON:
-        return loss_value_unchecked(kind, z, dense_labels, params.class_weights,
-                                    config.temperature, config.margin,
-                                    config.scale, sets, config.lam)
-    h = trace.encoder_act[-1] if trace.encoder_act else trace.inputs
-    z_enc = h / np.linalg.norm(h, axis=1, keepdims=True)
-    cls_kind = LossKind.SOFTMAX if kind is LossKind.SOFTMAX else LossKind.ARCFACE
-    value = loss_value_unchecked(cls_kind, z_enc, dense_labels,
-                                 params.class_weights, config.temperature,
-                                 config.margin, config.scale)
-    if kind is LossKind.AAMSUPCON:
-        value += config.lam * loss_value_unchecked(
-            LossKind.SUPCON, z, dense_labels, None, config.temperature,
-            config.margin, config.scale, sets)
-    return value
+def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
+                     dense_labels):
+    """Forward, loss and backward: (value, ParamGrads) for one batch."""
+    trace = forward(params, features)
+    value, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace,
+                                                     dense_labels)
+    if grad_proj is None:
+        grad_proj = np.zeros_like(trace.embeddings)
+    grads = backward(params, trace, grad_proj, grad_enc)
+    grads.class_weights = grad_w
+    return value, grads
 
 
 def loss_on_batch(config: TrainConfig, params: NetworkParams,
@@ -192,7 +179,7 @@ def train(config: TrainConfig, dataset):
     params = init_params([d_in, *config.encoder_hidden], config.proj_hidden,
                          config.embedding_dim, len(ids), config.seed,
                          class_dim=config.class_dim())
-    velocity = _zeros_like_params(params)
+    velocity = [np.zeros_like(a) for a in _param_arrays(params)]
     policy = config.augment_policy()
     rng = np.random.default_rng(config.seed)
     log = RunLog(config=config_as_dict(config))
@@ -203,47 +190,23 @@ def train(config: TrainConfig, dataset):
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
-                trace = forward(params, batch.features)
-                value, grad_proj, grad_enc, grad_w = _trace_loss(
-                    config, params, trace, to_dense(batch.labels))
+                value, grads = _value_and_grads(config, params, batch.features,
+                                                to_dense(batch.labels))
             except ZeroVector as exc:
                 raise DivergenceDetected(step, f"projection collapsed at step {step}") from exc
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
-            if grad_proj is None:
-                grad_proj = np.zeros_like(trace.embeddings)
-            grads = backward(params, trace, grad_proj, grad_enc)
-            grads.class_weights = grad_w
-
             grad_norm = _global_norm(grads)
-            for (vw, vb), (gw, gb) in zip(velocity.encoder_layers, grads.encoder_layers):
-                vw *= config.momentum
-                vw += gw
-                vb *= config.momentum
-                vb += gb
-            velocity.proj_w1 = config.momentum * velocity.proj_w1 + grads.proj_w1
-            velocity.proj_w2 = config.momentum * velocity.proj_w2 + grads.proj_w2
-            velocity.class_weights = (config.momentum * velocity.class_weights
-                                      + grads.class_weights)
+            for v, g in zip(velocity, _param_arrays(grads)):
+                v *= config.momentum
+                v += g
             if config.learning_rate != 0.0:
-                lr = config.learning_rate
-                for (w, b), (vw, vb) in zip(params.encoder_layers, velocity.encoder_layers):
-                    w -= lr * vw
-                    b -= lr * vb
-                params.proj_w1 -= lr * velocity.proj_w1
-                params.proj_w2 -= lr * velocity.proj_w2
-                params.class_weights -= lr * velocity.class_weights
+                for p, v in zip(_param_arrays(params), velocity):
+                    p -= config.learning_rate * v
                 params.class_weights = normalize_rows(params.class_weights)
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
     return params, log
-
-
-def _zeros_like_params(params: NetworkParams) -> ParamGrads:
-    return ParamGrads(
-        [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder_layers],
-        np.zeros_like(params.proj_w1), np.zeros_like(params.proj_w2),
-        np.zeros_like(params.class_weights))
 
 
 def _global_norm(grads) -> float:
@@ -311,47 +274,20 @@ def end_to_end_grad_check(config: TrainConfig, dataset, step: float = 1e-6,
                         config.augment_policy(), rng)
     labels = to_dense(batch.labels)
     features = batch.features
-    sets = _build_sets(config, labels)
 
-    trace = forward(params, features)
-    _, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace, labels)
-    if grad_proj is None:
-        grad_proj = np.zeros_like(trace.embeddings)
-    grads = backward(params, trace, grad_proj, grad_enc)
-    grads.class_weights = grad_w
-
-    def value() -> float:
-        return _trace_value_unchecked(config, params, forward(params, features),
-                                      labels, sets)
-
-    pairs = list(zip(_param_arrays(params), _param_arrays_of_grads(grads)))
-    errors = []
-    for arr, analytic in pairs:
-        fd = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + step
-            hi = value()
-            arr[idx] = orig - step
-            lo = value()
-            arr[idx] = orig
-            fd[idx] = (hi - lo) / (2.0 * step)
-        errors.append(relative_errors(analytic, fd))
-    flat = np.concatenate(errors)
+    _, grads = _value_and_grads(config, params, features, labels)
+    fds = _central_diff(
+        lambda: _trace_loss(config, params, forward(params, features), labels)[0],
+        _param_arrays(params), step)
+    flat = np.concatenate([relative_errors(analytic, fd)
+                           for analytic, fd in zip(_param_arrays(grads), fds)])
     return GradCheckReport(float(flat.max()), float(flat.mean()), int(flat.size))
 
 
-def _param_arrays(params: NetworkParams):
+def _param_arrays(params) -> list:
+    """Every array of a NetworkParams or ParamGrads, in checkpoint order."""
     arrays = []
     for w, b in params.encoder_layers:
         arrays.extend([w, b])
     arrays.extend([params.proj_w1, params.proj_w2, params.class_weights])
-    return arrays
-
-
-def _param_arrays_of_grads(grads) -> list:
-    arrays = []
-    for gw, gb in grads.encoder_layers:
-        arrays.extend([gw, gb])
-    arrays.extend([grads.proj_w1, grads.proj_w2, grads.class_weights])
     return arrays

@@ -29,7 +29,7 @@ from aamsupcon.losses import (
     LossKind,
     aamsupcon_loss,
     arcface_loss,
-    build_index_sets,
+    contrast_masks,
     grad_check,
     softmax_loss,
     supcon_loss,
@@ -106,20 +106,18 @@ def test_criterion_2_identity_suite():
     worst = 0.0
     for _ in range(5):
         inputs = random_batch(rng, 8, 6, 3)
-        sets = build_index_sets(inputs.labels, ALL)
-
         inputs.margin = 0.0
         arc0, soft = arcface_loss(inputs), softmax_loss(inputs)
         worst = max(worst, abs(arc0.value - soft.value),
                     float(np.max(np.abs(arc0.grad_embeddings - soft.grad_embeddings))))
         inputs.margin = 0.2
 
-        arc, sup = arcface_loss(inputs), supcon_loss(inputs, sets)
+        arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
         for lam in (0.5, 1.0):
-            total = aamsupcon_loss(inputs, sets, lam=lam)
+            total = aamsupcon_loss(inputs, ALL, lam=lam)
             worst = max(worst, abs(total.value - (arc.value + lam * sup.value)))
 
-        degenerate = aamsupcon_loss(inputs, sets, lam=0.0)
+        degenerate = aamsupcon_loss(inputs, ALL, lam=0.0)
         worst = max(worst, abs(degenerate.value - arc.value))
 
     for c in np.linspace(-1.0, 1.0, 101):
@@ -141,10 +139,10 @@ def test_criterion_3_oracle_equivalence():
         inputs = random_batch(rng, n, int(rng.integers(3, 9)), int(rng.integers(2, 5)))
         for convention in (ALL, STRICT):
             try:
-                sets = build_index_sets(inputs.labels, convention)
+                contrast_masks(inputs.labels, convention)
             except Exception:
                 continue  # single-class batch under STRICT has no denominator
-            got = supcon_loss(inputs, sets).value
+            got = supcon_loss(inputs, convention).value
             want = oracle_supcon(inputs.embeddings, inputs.labels, 0.07, convention)
             worst_supcon = max(worst_supcon, abs(got - want))
 

@@ -170,6 +170,30 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("training_extra, augment, key", [
+    ("learning_rate = nan", "", "training.learning_rate"),
+    ("momentum = -5", "", "training.momentum"),
+    ("", "noise_sigma = -1", "augment.noise_sigma"),
+    ("", "mask_max = 999", "augment.mask_max"),
+])
+def test_train_rejects_out_of_domain_value(tmp_path, capsys, training_extra,
+                                           augment, key):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", write_config(tmp_path),
+                 "--out", str(gen)]) == 0
+    bad = write_config(tmp_path, training_extra=training_extra, name="bad.ini")
+    if augment:
+        with open(bad, "a") as fh:
+            fh.write(f"\n[augment]\n{augment}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", bad, "--data", str(gen / "dataset.txt"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_bad_checkpoint_is_io_error(tmp_path):
     cfg = write_config(tmp_path)
     gen = tmp_path / "gen"

@@ -13,14 +13,13 @@ from aamsupcon.errors import (
 from aamsupcon.geometry import normalize_rows
 from aamsupcon.losses import (
     DenominatorConvention,
-    IndexSets,
     LossInputs,
     LossKind,
     aamsupcon_loss,
     arcface_loss,
-    build_index_sets,
+    contrast_masks,
     grad_check,
-    loss_value_unchecked,
+    loss_terms,
     softmax_loss,
     supcon_loss,
 )
@@ -89,34 +88,70 @@ def random_batch(rng, n, d, c):
 
 
 # ---------------------------------------------------------------------------
-# index sets
+# contrast masks
+
+
+def oracle_masks(labels, convention):
+    """P(i) and A(i) as masks, one anchor at a time."""
+    n = len(labels)
+    pos = np.zeros((n, n), dtype=bool)
+    cand = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            pos[i, j] = labels[j] == labels[i]
+            cand[i, j] = convention is ALL or labels[j] != labels[i]
+    return pos, cand
 
 
 def test_index_sets_conventions():
-    sets = build_index_sets([0, 0, 1, 1], ALL)
-    assert list(sets.positives[0]) == [1]
-    assert list(sets.candidates[0]) == [1, 2, 3]
-    sets = build_index_sets([0, 0, 1, 1], STRICT)
-    assert list(sets.positives[0]) == [1]
-    assert list(sets.candidates[0]) == [2, 3]
+    pos, cand = contrast_masks([0, 0, 1, 1], ALL)
+    assert list(np.flatnonzero(pos[0])) == [1]
+    assert list(np.flatnonzero(cand[0])) == [1, 2, 3]
+    pos, cand = contrast_masks([0, 0, 1, 1], STRICT)
+    assert list(np.flatnonzero(pos[0])) == [1]
+    assert list(np.flatnonzero(cand[0])) == [2, 3]
 
 
 def test_index_sets_positives_subset_of_candidates_under_default():
     rng = np.random.default_rng(0)
     for _ in range(10):
         labels = np.repeat(rng.integers(0, 3, size=4), 2)
-        sets = build_index_sets(labels, ALL)
-        for pos, cand in zip(sets.positives, sets.candidates):
-            assert set(pos) <= set(cand)
+        pos, cand = contrast_masks(labels, ALL)
+        for p, c in zip(pos, cand):
+            assert set(np.flatnonzero(p)) <= set(np.flatnonzero(c))
 
 
 def test_index_sets_errors():
     with pytest.raises(AnchorWithoutPositive):
-        build_index_sets([0, 1])
+        contrast_masks([0, 1])
     with pytest.raises(BatchTooSmall):
-        build_index_sets([0])
+        contrast_masks([0])
     with pytest.raises(AnchorWithoutCandidate):
-        build_index_sets([0, 0, 0], STRICT)
+        contrast_masks([0, 0, 0], STRICT)
+
+
+@pytest.mark.parametrize("convention", [ALL, STRICT])
+def test_contrast_masks_match_oracle_on_random_labels(convention):
+    rng = np.random.default_rng(28)
+    compared = 0
+    for _ in range(160):
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(2, 13)))
+        want_pos, want_cand = oracle_masks(labels, convention)
+        if not want_pos.any(axis=1).all():
+            with pytest.raises(AnchorWithoutPositive):
+                contrast_masks(labels, convention)
+        elif not want_cand.any(axis=1).all():
+            with pytest.raises(AnchorWithoutCandidate):
+                contrast_masks(labels, convention)
+        else:
+            pos, cand = contrast_masks(labels, convention)
+            assert pos.dtype == bool and cand.dtype == bool
+            assert np.array_equal(pos, want_pos)
+            assert np.array_equal(cand, want_cand)
+            compared += 1
+    assert compared >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +161,7 @@ def test_index_sets_errors():
 def test_supcon_two_identical_embeddings_is_exactly_zero():
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
     inputs = LossInputs(z, [0, 0], np.eye(2), temperature=0.07)
-    out = supcon_loss(inputs, build_index_sets([0, 0], ALL))
+    out = supcon_loss(inputs, ALL)
     assert out.value == 0.0
     assert np.all(out.grad_class_weights == 0.0)
 
@@ -140,15 +175,15 @@ def _four_point_batch(degrees):
 def test_supcon_four_point_frozen_values():
     # expected values computed once with oracle_supcon and frozen
     well_separated = _four_point_batch([0.0, 10.0, 170.0, 180.0])
-    out = supcon_loss(well_separated, build_index_sets(well_separated.labels, ALL))
+    out = supcon_loss(well_separated, ALL)
     assert out.value == pytest.approx(5.6772364587274495e-12, abs=1e-10)
-    out = supcon_loss(well_separated, build_index_sets(well_separated.labels, STRICT))
+    out = supcon_loss(well_separated, STRICT)
     assert out.value == pytest.approx(-109.23554967729262, abs=1e-10)
 
     overlapping = _four_point_batch([0.0, 30.0, 60.0, 90.0])
-    out = supcon_loss(overlapping, build_index_sets(overlapping.labels, ALL))
+    out = supcon_loss(overlapping, ALL)
     assert out.value == pytest.approx(1.40234470220702, abs=1e-10)
-    out = supcon_loss(overlapping, build_index_sets(overlapping.labels, STRICT))
+    out = supcon_loss(overlapping, STRICT)
     assert out.value == pytest.approx(-10.445598475866696, abs=1e-10)
 
 
@@ -157,7 +192,7 @@ def test_supcon_matches_oracle_on_random_batches(convention):
     rng = np.random.default_rng(11)
     for _ in range(15):
         inputs = random_batch(rng, 8, 5, 3)
-        got = supcon_loss(inputs, build_index_sets(inputs.labels, convention)).value
+        got = supcon_loss(inputs, convention).value
         want = oracle_supcon(inputs.embeddings, inputs.labels, 0.07, convention)
         assert got == pytest.approx(want, abs=1e-10)
         assert np.isfinite(got)
@@ -167,14 +202,14 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     rng = np.random.default_rng(12)
     inputs = random_batch(rng, 6, 4, 3)
     z, labels = inputs.embeddings, inputs.labels
-    base_sets = build_index_sets(labels, ALL)
-    base_terms = per_anchor_supcon_terms(z, labels, 0.07, base_sets.candidates)
-    assert supcon_loss(inputs, base_sets).value == pytest.approx(sum(base_terms), abs=1e-10)
+    base_candidates = [np.flatnonzero(row) for row in contrast_masks(labels, ALL)[1]]
+    base_terms = per_anchor_supcon_terms(z, labels, 0.07, base_candidates)
+    assert supcon_loss(inputs, ALL).value == pytest.approx(sum(base_terms), abs=1e-10)
 
     # enlarging each denominator with one fresh negative raises every term
     extra = normalize_rows(rng.standard_normal((1, 4)))
     z_ext = np.vstack([z, extra])
-    wider = [list(c) + [6] for c in base_sets.candidates]
+    wider = [list(c) + [6] for c in base_candidates]
     wider_terms = per_anchor_supcon_terms(z_ext, labels, 0.07, wider)
     assert all(w >= b for w, b in zip(wider_terms, base_terms))
 
@@ -186,8 +221,8 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     weights_pair = np.vstack([inputs.class_weights,
                               normalize_rows(rng.standard_normal((1, 4)))])
     bigger = LossInputs(z_pair, labels_pair, weights_pair, temperature=0.07)
-    total_small = supcon_loss(inputs, base_sets).value
-    total_big = supcon_loss(bigger, build_index_sets(labels_pair, ALL)).value
+    total_small = supcon_loss(inputs, ALL).value
+    total_big = supcon_loss(bigger, ALL).value
     assert total_big >= total_small - 1e-12
 
 
@@ -264,9 +299,8 @@ def test_aamsupcon_is_sum_of_parts():
     rng = np.random.default_rng(16)
     for _ in range(10):
         inputs = random_batch(rng, 8, 5, 3)
-        sets = build_index_sets(inputs.labels, ALL)
-        total = aamsupcon_loss(inputs, sets)
-        arc, sup = arcface_loss(inputs), supcon_loss(inputs, sets)
+        total = aamsupcon_loss(inputs, ALL)
+        arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
         assert total.value == pytest.approx(arc.value + sup.value, abs=1e-12)
         assert np.max(np.abs(total.grad_embeddings - arc.grad_embeddings
                              - sup.grad_embeddings)) < 1e-12
@@ -276,8 +310,7 @@ def test_aamsupcon_is_sum_of_parts():
 def test_aamsupcon_lambda_zero_degenerates_to_arcface():
     rng = np.random.default_rng(17)
     inputs = random_batch(rng, 6, 4, 3)
-    sets = build_index_sets(inputs.labels, ALL)
-    total = aamsupcon_loss(inputs, sets, lam=0.0)
+    total = aamsupcon_loss(inputs, ALL, lam=0.0)
     arc = arcface_loss(inputs)
     assert total.value == arc.value
     assert np.array_equal(total.grad_embeddings, arc.grad_embeddings)
@@ -286,10 +319,9 @@ def test_aamsupcon_lambda_zero_degenerates_to_arcface():
 def test_aamsupcon_lambda_weights_the_contrastive_term():
     rng = np.random.default_rng(18)
     inputs = random_batch(rng, 6, 4, 3)
-    sets = build_index_sets(inputs.labels, ALL)
-    arc, sup = arcface_loss(inputs), supcon_loss(inputs, sets)
+    arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
     for lam in (0.5, 2.0):
-        total = aamsupcon_loss(inputs, sets, lam=lam)
+        total = aamsupcon_loss(inputs, ALL, lam=lam)
         assert total.value == pytest.approx(arc.value + lam * sup.value, abs=1e-12)
 
 
@@ -336,7 +368,7 @@ def test_symmetric_batch_gives_symmetric_gradients():
     z = np.tile(np.array([[0.6, 0.8]]), (4, 1))
     w = np.tile(np.array([[1.0, 0.0]]), (2, 1))
     inputs = LossInputs(z, [0, 0, 1, 1], w)
-    out = aamsupcon_loss(inputs, build_index_sets(inputs.labels, ALL))
+    out = aamsupcon_loss(inputs, ALL)
     # anchors 0/1 and 2/3 are indistinguishable, as are the two classes
     assert np.array_equal(out.grad_embeddings[0], out.grad_embeddings[1])
     assert np.array_equal(out.grad_embeddings[2], out.grad_embeddings[3])
@@ -346,12 +378,11 @@ def test_symmetric_batch_gives_symmetric_gradients():
 def test_permutation_equivariance():
     rng = np.random.default_rng(23)
     inputs = random_batch(rng, 8, 5, 3)
-    sets = build_index_sets(inputs.labels, ALL)
-    base = aamsupcon_loss(inputs, sets)
+    base = aamsupcon_loss(inputs, ALL)
     perm = rng.permutation(8)
     permuted = LossInputs(inputs.embeddings[perm], inputs.labels[perm],
                           inputs.class_weights)
-    out = aamsupcon_loss(permuted, build_index_sets(permuted.labels, ALL))
+    out = aamsupcon_loss(permuted, ALL)
     assert out.value == pytest.approx(base.value, abs=1e-12)
     assert np.max(np.abs(out.grad_embeddings - base.grad_embeddings[perm])) < 1e-12
 
@@ -363,11 +394,10 @@ def test_permutation_equivariance():
 def test_validation_rejects_bad_inputs():
     rng = np.random.default_rng(24)
     good = random_batch(rng, 4, 4, 2)
-    sets = build_index_sets(good.labels, ALL)
 
     off_sphere = LossInputs(good.embeddings * 1.001, good.labels, good.class_weights)
     with pytest.raises(ValueError):
-        supcon_loss(off_sphere, sets)
+        supcon_loss(off_sphere, ALL)
 
     bad_label = LossInputs(good.embeddings, [0, 0, 5, 5], good.class_weights)
     with pytest.raises(ValueError):
@@ -375,7 +405,7 @@ def test_validation_rejects_bad_inputs():
 
     good.temperature = -1.0
     with pytest.raises(ValueError):
-        supcon_loss(good, sets)
+        supcon_loss(good, ALL)
     good.temperature = 0.07
 
     good.scale = 0.0
@@ -388,21 +418,13 @@ def test_validation_rejects_bad_inputs():
         arcface_loss(good)
 
 
-def test_custom_index_sets_are_checked():
-    rng = np.random.default_rng(25)
-    inputs = random_batch(rng, 4, 4, 2)
-    with pytest.raises(AnchorWithoutPositive):
-        supcon_loss(inputs, IndexSets([[1], [], [1], [2]], [[1], [0], [3], [2]]))
-    with pytest.raises(ValueError):
-        supcon_loss(inputs, IndexSets([[0], [0], [3], [2]], [[1], [0], [3], [2]]))
-
-
 def test_loss_value_unchecked_matches_public_api():
     rng = np.random.default_rng(26)
     inputs = random_batch(rng, 6, 4, 3)
-    sets = build_index_sets(inputs.labels, ALL)
-    assert loss_value_unchecked(LossKind.SUPCON, inputs.embeddings, inputs.labels,
-                                inputs.class_weights, sets=sets) \
-        == supcon_loss(inputs, sets).value
-    assert loss_value_unchecked(LossKind.ARCFACE, inputs.embeddings, inputs.labels,
-                                inputs.class_weights) == arcface_loss(inputs).value
+    hyper = (inputs.temperature, inputs.margin, inputs.scale)
+    masks = contrast_masks(inputs.labels, ALL)
+    assert loss_terms(LossKind.SUPCON, inputs.embeddings, inputs.labels,
+                      inputs.class_weights, *hyper, masks)[0] \
+        == supcon_loss(inputs, ALL).value
+    assert loss_terms(LossKind.ARCFACE, inputs.embeddings, inputs.labels,
+                      inputs.class_weights, *hyper)[0] == arcface_loss(inputs).value
