@@ -1,32 +1,17 @@
 """Multiview batch construction.
 
-A batch holds B original samples followed by their B augmentations, aligned
-by index, so every anchor is guaranteed at least one positive. Augmentation
-works in feature space: additive Gaussian noise, then a contiguous run of
+A dataset is a feature matrix (N, d_in) plus a speaker id per row. A batch
+holds B original rows followed by their B augmentations, aligned by index,
+so every anchor is guaranteed at least one positive. Augmentation works in
+feature space: additive Gaussian noise, then a contiguous run of
 coordinates zeroed (the desk-scale analog of time/frequency masking).
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyAugmented, InsufficientSpeakers, InsufficientUtterances
-
-
-class ViewTag(Enum):
-    ORIGINAL = "original"
-    AUGMENTED = "augmented"
-
-
-@dataclass
-class Sample:
-    features: np.ndarray
-    speaker_id: int
-    view_tag: ViewTag = ViewTag.ORIGINAL
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+from .errors import InsufficientSpeakers, InsufficientUtterances
 
 
 @dataclass
@@ -41,75 +26,66 @@ class AugmentPolicy:
         return d_in // 8 if self.mask_max is None else self.mask_max
 
 
-@dataclass
-class MultiviewBatch:
-    """2B samples: B originals then their B augmentations, index-aligned."""
+def group_by_speaker(speaker_ids):
+    """Rows of each speaker: (ids, groups).
 
-    samples: list
-    labels: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.labels = np.array([s.speaker_id for s in self.samples], dtype=np.int64)
-
-    @property
-    def features(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
-
-    def __len__(self) -> int:
-        return len(self.samples)
+    ids holds the distinct speaker ids in ascending order; groups[k] holds
+    the row indices of speaker ids[k], in row order. k is the speaker's
+    dense class index."""
+    ids, dense, counts = np.unique(np.asarray(speaker_ids, dtype=np.int64),
+                                   return_inverse=True, return_counts=True)
+    order = np.argsort(dense, kind="stable")
+    return ids, (np.split(order, np.cumsum(counts)[:-1]) if ids.size else [])
 
 
-def augment(x: Sample, policy: AugmentPolicy, rng: np.random.Generator) -> Sample:
-    """One stochastic view of an original sample.
+def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
+    """One stochastic view of every row of x (N, d_in), drawn row by row.
 
-    Adds noise_sigma * N(0, I) to the features, then zeroes k contiguous
-    coordinates with k drawn uniformly from [0, mask_max]. Speaker id and
-    dimension are preserved. Raises AlreadyAugmented for non-original input.
-    """
-    if x.view_tag is not ViewTag.ORIGINAL:
-        raise AlreadyAugmented(f"sample of speaker {x.speaker_id} is already augmented")
-    d_in = x.features.shape[0]
+    For each row in turn: add noise_sigma * N(0, I), draw k uniformly from
+    [0, mask_max], and when k > 0 draw the start of the k contiguous
+    coordinates to zero. The draws interleave per row, so they cannot be
+    batched without changing the random stream."""
+    x = np.asarray(x, dtype=np.float64)
+    d_in = x.shape[1]
     mask_max = policy.resolved_mask_max(d_in)
     if not 0 <= mask_max <= d_in:
         raise ValueError(f"mask_max {mask_max} outside [0, {d_in}]")
-    feats = x.features + policy.noise_sigma * rng.standard_normal(d_in)
-    k = int(rng.integers(0, mask_max + 1))
-    if k > 0:
-        start = int(rng.integers(0, d_in - k + 1))
-        feats[start:start + k] = 0.0
-    return Sample(feats, x.speaker_id, ViewTag.AUGMENTED)
+    out = np.empty_like(x)
+    for i, row in enumerate(x):
+        out[i] = row + policy.noise_sigma * rng.standard_normal(d_in)
+        k = int(rng.integers(0, mask_max + 1))
+        if k > 0:
+            start = int(rng.integers(0, d_in - k + 1))
+            out[i, start:start + k] = 0.0
+    return out
 
 
-def build_batch(dataset, batch_speakers: int, views_per_speaker: int,
-                policy: AugmentPolicy, rng: np.random.Generator) -> MultiviewBatch:
-    """Sample a multiview batch from a list of original samples.
+def build_batch(features, groups, batch_speakers: int, views_per_speaker: int,
+                policy: AugmentPolicy, rng: np.random.Generator):
+    """Sample a multiview batch: (batch_features (2BV, d_in), labels (2BV,)).
 
-    Draws batch_speakers speakers uniformly without replacement among those
-    with at least views_per_speaker originals, then views_per_speaker
-    originals per speaker without replacement, then appends one augmentation
-    per original. Raises InsufficientSpeakers / InsufficientUtterances when
-    the dataset cannot satisfy the request.
+    groups is group_by_speaker's row-index list and labels are positions in
+    it. Draws batch_speakers speakers uniformly without replacement among
+    those with at least views_per_speaker rows, then views_per_speaker rows
+    per speaker without replacement, then one augmentation per row (see
+    augment). Raises InsufficientSpeakers / InsufficientUtterances when the
+    groups cannot satisfy the request.
     """
     if batch_speakers < 1 or views_per_speaker < 1:
         raise ValueError("batch_speakers and views_per_speaker must be >= 1")
-    by_speaker: dict[int, list[int]] = {}
-    for idx, s in enumerate(dataset):
-        if s.view_tag is ViewTag.ORIGINAL:
-            by_speaker.setdefault(s.speaker_id, []).append(idx)
-    if len(by_speaker) < batch_speakers:
+    if len(groups) < batch_speakers:
         raise InsufficientSpeakers(
-            f"need {batch_speakers} speakers, dataset has {len(by_speaker)}")
-    eligible = sorted(sid for sid, idxs in by_speaker.items()
-                      if len(idxs) >= views_per_speaker)
+            f"need {batch_speakers} speakers, dataset has {len(groups)}")
+    eligible = [k for k, rows in enumerate(groups) if len(rows) >= views_per_speaker]
     if len(eligible) < batch_speakers:
         raise InsufficientUtterances(
-            f"only {len(eligible)} speakers have >= {views_per_speaker} originals")
+            f"only {len(eligible)} speakers have >= {views_per_speaker} rows")
 
     chosen = rng.choice(np.array(eligible), size=batch_speakers, replace=False)
-    originals: list[Sample] = []
-    for sid in chosen:
-        idxs = by_speaker[int(sid)]
-        picks = rng.choice(len(idxs), size=views_per_speaker, replace=False)
-        originals.extend(dataset[idxs[int(p)]] for p in picks)
-    augmented = [augment(s, policy, rng) for s in originals]
-    return MultiviewBatch(originals + augmented)
+    rows = np.concatenate([
+        groups[k][rng.choice(len(groups[k]), size=views_per_speaker, replace=False)]
+        for k in chosen])
+    originals = features[rows]
+    labels = np.repeat(chosen, views_per_speaker)
+    return (np.concatenate([originals, augment(originals, policy, rng)]),
+            np.concatenate([labels, labels]))

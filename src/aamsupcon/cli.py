@@ -11,6 +11,7 @@ Exit codes: 0 success; 1 usage or config error; 2 numerical failure
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -38,6 +39,7 @@ from .evaluate import (
     save_trials,
     score_trials,
 )
+from .batching import group_by_speaker
 from .geometry import normalize_rows
 from .losses import (
     DenominatorConvention,
@@ -203,6 +205,10 @@ def _train_config(config, seed_override=None) -> TrainConfig:
         mask_max=a["mask_max"],
         classifier_space=t["classifier_space"],
     )
+    return _validated(cfg)
+
+
+def _validated(cfg: TrainConfig) -> TrainConfig:
     try:
         cfg.validate()
     except (ValueError, InvalidMargin) as exc:
@@ -210,12 +216,19 @@ def _train_config(config, seed_override=None) -> TrainConfig:
     return cfg
 
 
-def _check_mask_max(cfg: TrainConfig, train_set) -> None:
-    """The upper bound of augment.mask_max depends on the loaded data."""
-    d_in = train_set[0].features.shape[0]
+def _check_data_fit(cfg: TrainConfig, features, speaker_ids) -> None:
+    """Check the keys whose valid range depends on the training rows."""
+    d_in = features.shape[1]
     if cfg.mask_max is not None and cfg.mask_max > d_in:
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
                           f"dataset's d_in), got {cfg.mask_max}")
+    _, groups = group_by_speaker(speaker_ids)
+    eligible = sum(len(rows) >= cfg.views_per_speaker for rows in groups)
+    if eligible < cfg.batch_speakers:
+        raise ConfigError(
+            f"training.batch_speakers = {cfg.batch_speakers} needs that many speakers "
+            f"with training.views_per_speaker = {cfg.views_per_speaker} or more "
+            f"training utterances; the data has {eligible}")
 
 
 def _dcf_params(config) -> DcfParams:
@@ -273,33 +286,38 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     spec = _dataset_spec(config, args.seed)
     _ensure_out(args.out)
-    samples, _ = generate(spec)
+    features, speaker_ids, _ = generate(spec)
     dataset_path = os.path.join(args.out, "dataset.txt")
-    save_dataset(dataset_path, spec, samples)
+    save_dataset(dataset_path, spec, features, speaker_ids)
     _write_manifest(args.out, "generate", config, args.seed, {},
                     {"dataset": dataset_path})
-    print(f"wrote {dataset_path}: {len(samples)} samples, "
+    print(f"wrote {dataset_path}: {len(speaker_ids)} samples, "
           f"{spec.num_speakers} speakers, d_in={spec.d_in}")
     return 0
 
 
-def _load_train_split(config, data_path):
-    _, samples = load_dataset(data_path)
-    holdout = config["dataset"]["holdout_per_speaker"]
+def _load_split(config, data_path):
+    """((features, speaker_ids) to train on, (features, speaker_ids) to
+    evaluate): the held-out rows are evaluated, or every row when nothing
+    is held out."""
+    _, features, speaker_ids = load_dataset(data_path)
     try:
-        train_set, heldout = split_holdout(samples, holdout)
+        train_rows, held_rows = split_holdout(
+            speaker_ids, config["dataset"]["holdout_per_speaker"])
     except InvalidSpec as exc:
         raise ConfigError(f"dataset.holdout_per_speaker: {exc}") from exc
-    return samples, train_set, heldout
+    eval_rows = held_rows if held_rows.size else train_rows
+    return ((features[train_rows], speaker_ids[train_rows]),
+            (features[eval_rows], speaker_ids[eval_rows]))
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
     cfg = _train_config(config, args.seed)
-    _, train_set, _ = _load_train_split(config, args.data)
-    _check_mask_max(cfg, train_set)
+    train_set, _ = _load_split(config, args.data)
+    _check_data_fit(cfg, *train_set)
     _ensure_out(args.out)
-    params, log = train(cfg, train_set)
+    params, log = train(cfg, *train_set)
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
     runlog_path = os.path.join(args.out, "runlog.txt")
     save_checkpoint(ckpt_path, params)
@@ -321,12 +339,11 @@ def cmd_evaluate(args) -> int:
     eval_cfg = config["eval"]
     trial_seed = eval_cfg["seed"] if args.seed is None else args.seed
     params = load_checkpoint(args.checkpoint)
-    samples, _, heldout = _load_train_split(config, args.data)
-    eval_set = heldout if heldout else samples
+    _, (features, speaker_ids) = _load_split(config, args.data)
     _ensure_out(args.out)
 
-    trials = build_trials(eval_set, eval_cfg["trials_per_speaker"], trial_seed)
-    scored = score_trials(params, eval_set, trials, eval_cfg["space"])
+    trials = build_trials(speaker_ids, eval_cfg["trials_per_speaker"], trial_seed)
+    scored = score_trials(params, features, trials, eval_cfg["space"])
     eer_value, eer_thr = eer(scored)
     dcf_value, dcf_thr = min_dcf(scored, dcf)
     metrics = {
@@ -337,8 +354,8 @@ def cmd_evaluate(args) -> int:
         "min_dcf_threshold": dcf_thr,
         "num_target": int(np.sum(scored.is_target)),
         "num_nontarget": int(np.sum(~scored.is_target)),
-        "num_trials": len(trials),
-        "evaluated_samples": len(eval_set),
+        "num_trials": len(trials[0]),
+        "evaluated_samples": len(speaker_ids),
     }
     trials_path = os.path.join(args.out, "trials.txt")
     scores_path = os.path.join(args.out, "scores.txt")
@@ -386,8 +403,8 @@ def cmd_gradcheck(args) -> int:
     e2e_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, encoder_hidden=(16,),
                           proj_hidden=16, embedding_dim=8, batch_speakers=3,
                           views_per_speaker=2, seed=g["seed"])
-    e2e_data, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=g["seed"] + 1))
-    e2e = end_to_end_grad_check(e2e_cfg, e2e_data, step=g["step"],
+    e2e_features, e2e_ids, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=g["seed"] + 1))
+    e2e = end_to_end_grad_check(e2e_cfg, e2e_features, e2e_ids, step=g["step"],
                                 batch_seed=g["seed"])
     rows.append({"check": "end_to_end", "max_rel_error": e2e.max_rel_error,
                  "tolerance": g["e2e_tolerance"],
@@ -416,20 +433,18 @@ def cmd_sweep_batch(args) -> int:
     base = _train_config(config, args.seed)
     dcf = _dcf_params(config)
     eval_cfg = config["eval"]
-    samples, train_set, heldout = _load_train_split(config, args.data)
-    _check_mask_max(base, train_set)
-    eval_set = heldout if heldout else samples
+    train_set, (eval_features, eval_ids) = _load_split(config, args.data)
+    configs = [_validated(dataclasses.replace(base, batch_speakers=size))
+               for size in args.sizes]
+    for cfg in configs:
+        _check_data_fit(cfg, *train_set)
     _ensure_out(args.out)
 
+    trials = build_trials(eval_ids, eval_cfg["trials_per_speaker"], eval_cfg["seed"])
     rows = []
-    for size in args.sizes:
-        if size < 1:
-            raise ConfigError(f"sweep-batch: invalid batch size {size}")
-        cfg = TrainConfig(**{**vars(base), "batch_speakers": size})
-        params, _ = train(cfg, train_set)
-        trials = build_trials(eval_set, eval_cfg["trials_per_speaker"],
-                              eval_cfg["seed"])
-        scored = score_trials(params, eval_set, trials, eval_cfg["space"])
+    for size, cfg in zip(args.sizes, configs):
+        params, _ = train(cfg, *train_set)
+        scored = score_trials(params, eval_features, trials, eval_cfg["space"])
         eer_value, _ = eer(scored)
         dcf_value, _ = min_dcf(scored, dcf)
         rows.append({"batch_speakers": size,

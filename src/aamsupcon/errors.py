@@ -39,10 +39,6 @@ class AnchorWithoutCandidate(AamSupConError):
     convention on a single-class batch)."""
 
 
-class AlreadyAugmented(AamSupConError):
-    """Augmentation applied to a sample that is not an original view."""
-
-
 class InsufficientSpeakers(AamSupConError):
     """Dataset has fewer distinct speakers than the batch requires."""
 

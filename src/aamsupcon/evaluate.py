@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batching import group_by_speaker
 from .errors import (
     DegenerateTrials,
     IndexOutOfRange,
@@ -28,17 +29,6 @@ from .errors import (
 from .model import NetworkParams, encoder_embeddings, forward
 
 _FLOAT_FMT = "%.17g"
-
-
-@dataclass(frozen=True)
-class Trial:
-    enroll_index: int
-    test_index: int
-    is_target: bool
-
-    def __post_init__(self):
-        if self.enroll_index == self.test_index:
-            raise ValueError(f"trial pairs a sample with itself (index {self.enroll_index})")
 
 
 @dataclass
@@ -68,68 +58,66 @@ class DcfParams:
             raise ValueError("c_miss and c_fa must be > 0")
 
 
-def build_trials(dataset, trials_per_speaker: int, seed: int) -> list:
-    """Per speaker: trials_per_speaker same-speaker (target) pairs and as
-    many cross-speaker (non-target) pairs, sampled without replacement where
-    the pair space allows. Deterministic per seed."""
+def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
+    """Trial list (enroll, test, is_target) of row indices into speaker_ids.
+
+    Per speaker, in ascending id order: trials_per_speaker same-speaker
+    (target) pairs, then as many cross-speaker (non-target) pairs, sampled
+    with _sample_k. Target pair k is the k-th (a, b), a < b, over the
+    speaker's rows; non-target pair k is divmod(k, number of other rows)."""
     if trials_per_speaker < 1:
         raise ValueError(f"trials_per_speaker must be >= 1, got {trials_per_speaker}")
-    by_speaker: dict[int, list[int]] = {}
-    for idx, s in enumerate(dataset):
-        by_speaker.setdefault(s.speaker_id, []).append(idx)
-    if len(by_speaker) < 2:
+    ids, groups = group_by_speaker(speaker_ids)
+    if len(groups) < 2:
         raise InsufficientSpeakers("non-target trials need at least 2 speakers")
-    for sid, idxs in by_speaker.items():
-        if len(idxs) < 2:
-            raise InsufficientUtterances(f"speaker {sid} has {len(idxs)} utterance(s), needs >= 2")
+    for sid, own in zip(ids.tolist(), groups):
+        if len(own) < 2:
+            raise InsufficientUtterances(f"speaker {sid} has {len(own)} utterance(s), needs >= 2")
 
     rng = np.random.default_rng(seed)
-    all_indices = np.arange(len(dataset))
-    trials: list[Trial] = []
-    for sid in sorted(by_speaker):
-        own = np.array(by_speaker[sid])
-        pairs = [(int(own[a]), int(own[b]))
-                 for a in range(len(own)) for b in range(a + 1, len(own))]
-        for k in _sample_k(rng, len(pairs), trials_per_speaker):
-            trials.append(Trial(pairs[k][0], pairs[k][1], True))
+    enroll, test = [], []
+    for own in groups:
+        first, second = np.triu_indices(len(own), k=1)
+        k = _sample_k(rng, first.size, trials_per_speaker)
+        enroll.append(own[first[k]])
+        test.append(own[second[k]])
 
-        others = all_indices[~np.isin(all_indices, own)]
-        space = len(own) * len(others)
-        for k in _sample_k(rng, space, trials_per_speaker):
-            e, o = divmod(k, len(others))
-            trials.append(Trial(int(own[e]), int(others[o]), False))
-    return trials
+        others = np.setdiff1d(np.arange(len(speaker_ids)), own, assume_unique=True)
+        e, o = np.divmod(_sample_k(rng, len(own) * len(others), trials_per_speaker),
+                         len(others))
+        enroll.append(own[e])
+        test.append(others[o])
+    block = np.repeat([True, False], trials_per_speaker)
+    return np.concatenate(enroll), np.concatenate(test), np.tile(block, len(groups))
 
 
-def _sample_k(rng, space: int, count: int):
+def _sample_k(rng, space: int, count: int) -> np.ndarray:
     """count draws from range(space): without replacement while possible,
     then uniformly with replacement for the excess."""
     if count <= space:
-        return [int(k) for k in rng.choice(space, size=count, replace=False)]
-    extra = rng.integers(0, space, size=count - space)
-    return list(range(space)) + [int(k) for k in extra]
+        return rng.choice(space, size=count, replace=False)
+    return np.concatenate([np.arange(space), rng.integers(0, space, size=count - space)])
 
 
-def score_trials(params: NetworkParams, dataset, trials,
+def score_trials(params: NetworkParams, features, trials,
                  space: str = "projection") -> ScoredTrials:
-    """Cosine scores from one cached forward pass over the whole dataset.
+    """Cosine scores of the (enroll, test, is_target) trials from one cached
+    forward pass over the feature matrix.
 
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output)."""
     if space not in ("projection", "encoder"):
         raise ValueError(f"space must be projection|encoder, got {space!r}")
-    n = len(dataset)
-    for t in trials:
-        if not (0 <= t.enroll_index < n and 0 <= t.test_index < n):
-            raise IndexOutOfRange(
-                f"trial ({t.enroll_index}, {t.test_index}) outside dataset of {n}")
-    feats = np.stack([s.features for s in dataset])
-    trace = forward(params, feats)
+    enroll, test, is_target = (np.asarray(a) for a in trials)
+    n = len(features)
+    outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise IndexOutOfRange(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
+    trace = forward(params, features)
     emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
-    enroll = np.array([t.enroll_index for t in trials])
-    test = np.array([t.test_index for t in trials])
     scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
-    return ScoredTrials(scores, np.array([t.is_target for t in trials]))
+    return ScoredTrials(scores, is_target)
 
 
 def _roc_points(scored: ScoredTrials):
@@ -247,54 +235,67 @@ def min_dcf_threshold_sweep(scored: ScoredTrials, params: DcfParams | None = Non
 
 def save_trials(path, trials) -> None:
     """One trial per line: enroll_index test_index 0|1."""
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for t in trials:
-                fh.write(f"{t.enroll_index} {t.test_index} {int(t.is_target)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write trials to {path}: {exc}") from exc
+    _write_lines(path, "trials", (f"{e} {t} {int(g)}\n" for e, t, g in _rows(trials)))
 
 
-def load_trials(path) -> list:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read trials from {path}: {exc}") from exc
-    trials = []
-    for ln, line in enumerate(lines, start=1):
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise IoError(f"{path}:{ln}: expected 'enroll test 0|1'")
-        trials.append(Trial(int(parts[0]), int(parts[1]), parts[2] == "1"))
-    return trials
+def load_trials(path):
+    """Inverse of save_trials: (enroll, test, is_target) arrays."""
+    return _parse_trials(path, "enroll test 0|1")[0]
 
 
 def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
     """Trial-list format with the score appended to each line."""
-    if len(trials) != scored.scores.size:
+    if len(trials[0]) != scored.scores.size:
         raise ValueError("trials and scores differ in length")
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for t, s in zip(trials, scored.scores):
-                fh.write(f"{t.enroll_index} {t.test_index} {int(t.is_target)} "
-                         + (_FLOAT_FMT % s) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write scores to {path}: {exc}") from exc
+    _write_lines(path, "scores", (f"{e} {t} {int(g)} " + (_FLOAT_FMT % s) + "\n"
+                                  for (e, t, g), s in zip(_rows(trials), scored.scores.tolist())))
 
 
 def load_scored_trials(path):
+    """Inverse of save_scored_trials: (trials, ScoredTrials)."""
+    trials, scores = _parse_trials(path, "enroll test 0|1 score")
+    return trials, ScoredTrials(scores, trials[2])
+
+
+def _rows(trials):
+    """The trials as Python scalars, which format faster than numpy ones."""
+    return zip(*(np.asarray(a).tolist() for a in trials))
+
+
+def _write_lines(path, what, lines) -> None:
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _parse_trials(path, layout: str):
+    """((enroll, test, is_target), scores) of a trial or score file; raises
+    IoError naming file:line for a malformed line or a self-pair."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise IoError(f"cannot read scores from {path}: {exc}") from exc
-    trials, scores, flags = [], [], []
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not ASCII text (byte {exc.start})") from exc
+    width = len(layout.split())
+    enroll, test, flags, scores = [], [], [], []
     for ln, line in enumerate(lines, start=1):
         parts = line.split()
-        if len(parts) != 4 or parts[2] not in ("0", "1"):
-            raise IoError(f"{path}:{ln}: expected 'enroll test 0|1 score'")
-        trials.append(Trial(int(parts[0]), int(parts[1]), parts[2] == "1"))
-        scores.append(float(parts[3]))
+        if len(parts) != width or parts[2] not in ("0", "1"):
+            raise IoError(f"{path}:{ln}: expected '{layout}'")
+        try:
+            e, t = int(parts[0]), int(parts[1])
+            scores.extend(map(float, parts[3:]))
+        except ValueError as exc:
+            raise IoError(f"{path}:{ln}: {exc}") from exc
+        if e == t:
+            raise IoError(f"{path}:{ln}: trial pairs index {e} with itself")
+        enroll.append(e)
+        test.append(t)
         flags.append(parts[2] == "1")
-    return trials, ScoredTrials(np.array(scores), np.array(flags))
+    trials = (np.array(enroll, dtype=np.int64), np.array(test, dtype=np.int64),
+              np.array(flags, dtype=bool))
+    return trials, np.array(scores, dtype=np.float64)

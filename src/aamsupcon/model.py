@@ -107,11 +107,10 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
 def forward(params: NetworkParams, features) -> ForwardTrace:
     """Run the encoder and projection, ending in row normalization.
 
-    Accepts an (N, d_in) matrix or any object with a .features attribute
-    (e.g. a MultiviewBatch). Raises ShapeMismatch on a wrong input width and
-    ZeroVector if any projection output has (near-)zero norm.
+    features is an (N, d_in) matrix. Raises ShapeMismatch on a wrong input
+    width and ZeroVector if any projection output has (near-)zero norm.
     """
-    x = np.asarray(getattr(features, "features", features), dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise ShapeMismatch(f"expected (N, {params.d_in}) inputs, got {x.shape}")
     act = x

@@ -6,11 +6,11 @@ Ground truth is exact, so verification metrics have a known easy/hard dial
 (spread) at desk scale. Datasets round-trip through a plain text format.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batching import Sample, ViewTag
+from .batching import group_by_speaker
 from .errors import InvalidSpec, IoError
 from .geometry import normalize
 
@@ -33,66 +33,59 @@ class DatasetSpec:
                               f"got {self.utterances_per_speaker}")
         if self.d_in < 2:
             raise InvalidSpec(f"d_in must be >= 2, got {self.d_in}")
-        if self.spread < 0:
-            raise InvalidSpec(f"spread must be >= 0, got {self.spread}")
+        if not 0.0 <= self.spread < np.inf:
+            raise InvalidSpec(f"spread must be finite and >= 0, got {self.spread}")
 
 
 def generate(spec: DatasetSpec):
     """Draw the dataset described by spec.
 
-    Returns (samples, centroids) where samples is a flat list of ORIGINAL
-    Sample entries ordered speaker-major and centroids is the
-    (num_speakers, d_in) ground-truth matrix. Deterministic per seed.
+    Returns (features, speaker_ids, centroids): features (N, d_in) ordered
+    speaker-major, speaker_ids (N,) and the (num_speakers, d_in)
+    ground-truth centroids. Deterministic per seed.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    centroids = np.stack([normalize(rng.standard_normal(spec.d_in))
-                          for _ in range(spec.num_speakers)])
-    samples: list[Sample] = []
-    for sid in range(spec.num_speakers):
-        for _ in range(spec.utterances_per_speaker):
-            noise = rng.standard_normal(spec.d_in)
-            if spec.spread == 0.0:
-                feats = centroids[sid].copy()
-            else:
-                feats = normalize(centroids[sid] + spec.spread * noise)
-            samples.append(Sample(feats, sid, ViewTag.ORIGINAL))
-    return samples, centroids
+    # rows are normalized one by one: a batched norm sums in another order
+    # and would change the last bits of the stored features
+    centroids = np.stack([normalize(c) for c in
+                          rng.standard_normal((spec.num_speakers, spec.d_in))])
+    speaker_ids = np.repeat(np.arange(spec.num_speakers), spec.utterances_per_speaker)
+    noise = rng.standard_normal((speaker_ids.size, spec.d_in))
+    if spec.spread == 0.0:
+        return centroids[speaker_ids], speaker_ids, centroids
+    features = np.stack([normalize(c + spec.spread * n)
+                         for c, n in zip(centroids[speaker_ids], noise)])
+    return features, speaker_ids, centroids
 
 
-def split_holdout(samples, holdout_per_speaker: int):
-    """Deterministically reserve the last k utterances of every speaker.
+def split_holdout(speaker_ids, holdout_per_speaker: int):
+    """Deterministically reserve the last k rows of every speaker.
 
-    Returns (train_samples, heldout_samples); order within each part follows
-    the input order. k = 0 returns (samples, [])."""
+    Returns (train_rows, heldout_rows), ascending row-index arrays; k = 0
+    holds out nothing."""
     if holdout_per_speaker < 0:
         raise InvalidSpec(f"holdout_per_speaker must be >= 0, got {holdout_per_speaker}")
-    if holdout_per_speaker == 0:
-        return list(samples), []
-    positions: dict[int, list[int]] = {}
-    for idx, s in enumerate(samples):
-        positions.setdefault(s.speaker_id, []).append(idx)
-    held = set()
-    for sid, idxs in positions.items():
-        if len(idxs) <= holdout_per_speaker:
+    ids, groups = group_by_speaker(speaker_ids)
+    held = np.zeros(len(speaker_ids), dtype=bool)
+    for sid, rows in zip(ids.tolist(), groups):
+        if len(rows) <= holdout_per_speaker:
             raise InvalidSpec(
-                f"speaker {sid} has {len(idxs)} utterances, cannot hold out "
+                f"speaker {sid} has {len(rows)} utterances, cannot hold out "
                 f"{holdout_per_speaker}")
-        held.update(idxs[-holdout_per_speaker:])
-    train = [s for i, s in enumerate(samples) if i not in held]
-    heldout = [s for i, s in enumerate(samples) if i in held]
-    return train, heldout
+        held[rows[len(rows) - holdout_per_speaker:]] = True
+    return np.flatnonzero(~held), np.flatnonzero(held)
 
 
-def save_dataset(path, spec: DatasetSpec, samples) -> None:
+def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     """Write the text dump: one header line with the spec fields, then one
-    line per sample: speaker_id view_tag features..."""
+    line per row: speaker_id original features..."""
     lines = ["num_speakers=%d utterances_per_speaker=%d d_in=%d spread=%s seed=%d"
              % (spec.num_speakers, spec.utterances_per_speaker, spec.d_in,
                 _FLOAT_FMT % spec.spread, spec.seed)]
-    for s in samples:
-        feats = " ".join(_FLOAT_FMT % x for x in s.features)
-        lines.append(f"{s.speaker_id} {s.view_tag.value} {feats}")
+    row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1])
+    for sid, row in zip(speaker_ids.tolist(), features.tolist()):
+        lines.append(row_fmt % (sid, *row))
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -101,30 +94,55 @@ def save_dataset(path, spec: DatasetSpec, samples) -> None:
 
 
 def load_dataset(path):
-    """Inverse of save_dataset. Returns (spec, samples)."""
+    """Inverse of save_dataset: (spec, features, speaker_ids). Raises
+    IoError naming file:line for anything save_dataset would not write."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read dataset from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not ASCII text (byte {exc.start})") from exc
     if not lines:
         raise IoError(f"dataset file {path} is empty")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    try:
-        spec = DatasetSpec(
-            num_speakers=int(fields["num_speakers"]),
-            utterances_per_speaker=int(fields["utterances_per_speaker"]),
-            d_in=int(fields["d_in"]),
-            spread=float(fields["spread"]),
-            seed=int(fields["seed"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise IoError(f"malformed dataset header in {path}: {exc}") from exc
-    samples = []
+    spec = _parse_header(path, lines[0])
+    ids, features = [], np.empty((len(lines) - 1, spec.d_in))
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2 + spec.d_in:
             raise IoError(f"{path}:{ln}: expected {2 + spec.d_in} fields, got {len(parts)}")
-        feats = np.array([float(x) for x in parts[2:]], dtype=np.float64)
-        samples.append(Sample(feats, int(parts[0]), ViewTag(parts[1])))
-    return spec, samples
+        if parts[1] != "original":
+            raise IoError(f"{path}:{ln}: view tag must be 'original', got {parts[1]!r}")
+        try:
+            ids.append(int(parts[0]))
+            features[ln - 2] = list(map(float, parts[2:]))
+        except ValueError as exc:
+            raise IoError(f"{path}:{ln}: {exc}") from exc
+    expected = spec.num_speakers * spec.utterances_per_speaker
+    if len(ids) != expected:
+        raise IoError(f"{path}:1: header declares {expected} rows ({spec.num_speakers} "
+                      f"speakers x {spec.utterances_per_speaker}), body has {len(ids)}")
+    speaker_ids = np.array(ids, dtype=np.int64)
+    for bad, what in (((speaker_ids < 0) | (speaker_ids >= spec.num_speakers),
+                       f"speaker id outside [0, {spec.num_speakers})"),
+                      (~np.isfinite(features).all(axis=1), "non-finite feature")):
+        if bad.any():
+            raise IoError(f"{path}:{2 + int(np.argmax(bad))}: {what}")
+    return spec, features, speaker_ids
+
+
+def _parse_header(path, line) -> DatasetSpec:
+    header = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise IoError(f"{path}:1: header token {token!r} is not key=value")
+        header[key] = value
+    try:
+        spec = DatasetSpec(**{f.name: f.type(header[f.name]) for f in fields(DatasetSpec)})
+        spec.validate()
+    except KeyError as exc:
+        raise IoError(f"{path}:1: dataset header lacks {exc}") from exc
+    except (ValueError, InvalidSpec) as exc:
+        raise IoError(f"{path}:1: malformed dataset header: {exc}") from exc
+    return spec

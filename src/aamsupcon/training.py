@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import AugmentPolicy, MultiviewBatch, build_batch
+from .batching import AugmentPolicy, build_batch, group_by_speaker
 from .errors import DivergenceDetected, InvalidMargin, IoError, ZeroVector
 from .geometry import normalize_rows
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
     LossKind,
-    LossOutput,
     _central_diff,
     contrast_masks,
     loss_terms,
@@ -59,12 +58,15 @@ class TrainConfig:
     def validate(self) -> None:
         """Check every field's domain once per run; messages name the
         config-file key."""
-        if not self.temperature > 0:
-            raise ValueError(f"training.temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError(
+                f"training.temperature must be finite and > 0, got {self.temperature}")
         if not (0.0 <= self.margin < np.pi / 2):
             raise InvalidMargin(f"training.margin must be in [0, pi/2), got {self.margin}")
-        if not self.scale > 0:
-            raise ValueError(f"training.scale must be > 0, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"training.scale must be finite and > 0, got {self.scale}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"training.lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(
                 f"training.learning_rate must be finite and >= 0, got {self.learning_rate}")
@@ -72,6 +74,14 @@ class TrainConfig:
             raise ValueError(f"training.momentum must be in [0, 1), got {self.momentum}")
         if self.steps < 0:
             raise ValueError(f"training.steps must be >= 0, got {self.steps}")
+        for key in ("batch_speakers", "views_per_speaker"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)}")
+        if (self.loss_kind.contrastive and self.batch_speakers < 2
+                and self.convention is DenominatorConvention.STRICT_NEGATIVES):
+            raise ValueError("training.convention = strict_negatives needs "
+                             "training.batch_speakers >= 2: a one-speaker batch "
+                             "has no negatives")
         if self.classifier_space not in ("projection", "encoder"):
             raise ValueError("training.classifier_space must be projection|encoder, "
                              f"got {self.classifier_space!r}")
@@ -80,6 +90,13 @@ class TrainConfig:
                 f"augment.noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.mask_max is not None and self.mask_max < 0:
             raise ValueError(f"augment.mask_max must be >= 0, got {self.mask_max}")
+        if not all(width >= 1 for width in self.encoder_hidden):
+            raise ValueError("model.encoder_hidden entries must be >= 1, "
+                             f"got {list(self.encoder_hidden)}")
+        if self.proj_hidden < 1:
+            raise ValueError(f"model.proj_hidden must be >= 1, got {self.proj_hidden}")
+        if self.embedding_dim < 2:
+            raise ValueError(f"model.embedding_dim must be >= 2, got {self.embedding_dim}")
 
     def class_dim(self) -> int | None:
         return self.encoder_hidden[-1] if self.classifier_space == "encoder" else None
@@ -99,14 +116,6 @@ class StepRecord:
 @dataclass
 class RunLog:
     records: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    checkpoint_path: str | None = None
-
-
-def _label_mapper(dataset):
-    """Map raw speaker ids onto dense [0, C) indices, sorted by id."""
-    ids = np.unique(np.array([s.speaker_id for s in dataset], dtype=np.int64))
-    return ids, lambda labels: np.searchsorted(ids, labels)
 
 
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
@@ -151,47 +160,39 @@ def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
     return value, grads
 
 
-def loss_on_batch(config: TrainConfig, params: NetworkParams,
-                  batch: MultiviewBatch) -> LossOutput:
-    """Forward the batch and evaluate the configured loss on the resulting
-    embeddings. Batch speaker ids must already be dense in [0, C).
-
-    grad_embeddings covers the projection-space gradient; when the
-    classifier term runs in encoder space its embedding gradient lives on
-    the trainer's internal path, not here."""
-    trace = forward(params, batch.features)
-    value, grad_proj, _, grad_w = _trace_loss(config, params, trace, batch.labels)
-    if grad_proj is None:
-        grad_proj = np.zeros_like(trace.embeddings)
-    return LossOutput(value, grad_proj, grad_w)
+def _start(config: TrainConfig, features, speaker_ids):
+    """Validate the config, group the rows by speaker once and seed the
+    parameters: (features, groups, params); class k is the k-th smallest id."""
+    config.validate()
+    features = np.asarray(features, dtype=np.float64)
+    _, groups = group_by_speaker(speaker_ids)
+    params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
+                         config.embedding_dim, len(groups), config.seed,
+                         class_dim=config.class_dim())
+    return features, groups, params
 
 
-def train(config: TrainConfig, dataset):
-    """Run config.steps SGD-with-momentum updates and return (params, log).
+def train(config: TrainConfig, features, speaker_ids):
+    """Run config.steps SGD-with-momentum updates on the rows of features
+    (N, d_in) labelled by speaker_ids (N,) and return (params, log).
 
     Class weights are re-normalized after every update so the margin loss's
     cosine reading stays valid. A non-finite loss (or a collapsed projection
     output) aborts with DivergenceDetected carrying the step index.
     """
-    config.validate()
-    ids, to_dense = _label_mapper(dataset)
-    d_in = dataset[0].features.shape[0]
-    params = init_params([d_in, *config.encoder_hidden], config.proj_hidden,
-                         config.embedding_dim, len(ids), config.seed,
-                         class_dim=config.class_dim())
+    features, groups, params = _start(config, features, speaker_ids)
     velocity = [np.zeros_like(a) for a in _param_arrays(params)]
     policy = config.augment_policy()
     rng = np.random.default_rng(config.seed)
-    log = RunLog(config=config_as_dict(config))
+    log = RunLog()
 
     for step in range(config.steps):
-        batch = build_batch(dataset, config.batch_speakers,
-                            config.views_per_speaker, policy, rng)
+        batch, labels = build_batch(features, groups, config.batch_speakers,
+                                    config.views_per_speaker, policy, rng)
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
-                value, grads = _value_and_grads(config, params, batch.features,
-                                                to_dense(batch.labels))
+                value, grads = _value_and_grads(config, params, batch, labels)
             except ZeroVector as exc:
                 raise DivergenceDetected(step, f"projection collapsed at step {step}") from exc
             if not np.isfinite(value):
@@ -217,18 +218,6 @@ def _global_norm(grads) -> float:
     total += float(np.sum(grads.proj_w2 ** 2))
     total += float(np.sum(grads.class_weights ** 2))
     return float(np.sqrt(total))
-
-
-def config_as_dict(config: TrainConfig) -> dict:
-    out = {}
-    for key, value in vars(config).items():
-        if isinstance(value, (LossKind, DenominatorConvention)):
-            out[key] = value.value
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
 
 
 def save_runlog(path, log: RunLog) -> None:
@@ -259,25 +248,18 @@ def load_runlog(path) -> RunLog:
     return log
 
 
-def end_to_end_grad_check(config: TrainConfig, dataset, step: float = 1e-6,
-                          batch_seed: int = 0) -> GradCheckReport:
+def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
+                          step: float = 1e-6, batch_seed: int = 0) -> GradCheckReport:
     """Finite-difference check of d(loss)/d(params) through the whole
     network (forward -> loss -> backward) on one sampled batch."""
-    config.validate()
-    ids, to_dense = _label_mapper(dataset)
-    d_in = dataset[0].features.shape[0]
-    params = init_params([d_in, *config.encoder_hidden], config.proj_hidden,
-                         config.embedding_dim, len(ids), config.seed,
-                         class_dim=config.class_dim())
+    features, groups, params = _start(config, features, speaker_ids)
     rng = np.random.default_rng(batch_seed)
-    batch = build_batch(dataset, config.batch_speakers, config.views_per_speaker,
-                        config.augment_policy(), rng)
-    labels = to_dense(batch.labels)
-    features = batch.features
+    batch, labels = build_batch(features, groups, config.batch_speakers,
+                                config.views_per_speaker, config.augment_policy(), rng)
 
-    _, grads = _value_and_grads(config, params, features, labels)
+    _, grads = _value_and_grads(config, params, batch, labels)
     fds = _central_diff(
-        lambda: _trace_loss(config, params, forward(params, features), labels)[0],
+        lambda: _trace_loss(config, params, forward(params, batch), labels)[0],
         _param_arrays(params), step)
     flat = np.concatenate([relative_errors(analytic, fd)
                            for analytic, fd in zip(_param_arrays(grads), fds)])

@@ -85,12 +85,13 @@ def test_criterion_1_gradient_correctness():
             worst_loss = max(worst_loss, err)
 
     worst_e2e = 0.0
-    data, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=102))
+    features, speaker_ids, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=102))
     for kind in LossKind:
         cfg = TrainConfig(loss_kind=kind, encoder_hidden=(16,), proj_hidden=16,
                           embedding_dim=8, batch_speakers=3, views_per_speaker=2,
                           seed=103)
-        err = end_to_end_grad_check(cfg, data, step=1e-6, batch_seed=104).max_rel_error
+        err = end_to_end_grad_check(cfg, features, speaker_ids, step=1e-6,
+                                    batch_seed=104).max_rel_error
         worst_e2e = max(worst_e2e, err)
 
     elapsed = time.perf_counter() - started
@@ -198,16 +199,18 @@ def _train_and_eval(loss_kind, seed, batch_speakers, steps, train_set, heldout):
     cfg = TrainConfig(loss_kind=loss_kind, steps=steps,
                       batch_speakers=batch_speakers, views_per_speaker=2,
                       seed=seed)
-    params, _ = train(cfg, train_set)
-    trials = build_trials(heldout, 40, seed=100)
-    scored = score_trials(params, heldout, trials)
+    params, _ = train(cfg, *train_set)
+    heldout_features, heldout_ids = heldout
+    trials = build_trials(heldout_ids, 40, seed=100)
+    scored = score_trials(params, heldout_features, trials)
     return eer(scored)[0]
 
 
 @pytest.fixture(scope="module")
 def holdout_split():
-    samples, _ = generate(DatasetSpec(16, 20, 40, 0.2, seed=21))
-    return split_holdout(samples, 5)
+    features, speaker_ids, _ = generate(DatasetSpec(16, 20, 40, 0.2, seed=21))
+    return tuple((features[rows], speaker_ids[rows])
+                 for rows in split_holdout(speaker_ids, 5))
 
 
 def test_criterion_5_end_to_end_separation(holdout_split):

@@ -1,9 +1,16 @@
+import configparser
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aamsupcon.cli import SWEEP_FOOTER, main
 from aamsupcon.model import init_params, load_checkpoint
@@ -170,21 +177,40 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("training_extra, augment, key", [
+@pytest.mark.parametrize("training_extra, setting, key", [
     ("learning_rate = nan", "", "training.learning_rate"),
     ("momentum = -5", "", "training.momentum"),
     ("", "noise_sigma = -1", "augment.noise_sigma"),
     ("", "mask_max = 999", "augment.mask_max"),
+    ("", "batch_speakers = 7", "training.batch_speakers"),
+    ("", "batch_speakers = 0", "training.batch_speakers"),
+    ("", "views_per_speaker = 99", "training.views_per_speaker"),
+    ("convention = strict_negatives", "batch_speakers = 1", "training.convention"),
+    ("", "embedding_dim = 1", "model.embedding_dim"),
+    ("", "proj_hidden = 0", "model.proj_hidden"),
+    ("", "encoder_hidden = 24 0", "model.encoder_hidden"),
+    ("temperature = inf", "", "training.temperature"),
+    ("scale = inf", "", "training.scale"),
+    ("lambda = nan", "", "training.lambda"),
+    ("lambda = -3", "", "training.lambda"),
 ])
 def test_train_rejects_out_of_domain_value(tmp_path, capsys, training_extra,
-                                           augment, key):
+                                           setting, key):
+    """setting is one `name = value` line for the section that key names."""
     gen = tmp_path / "gen"
     assert main(["generate", "--config", write_config(tmp_path),
                  "--out", str(gen)]) == 0
     bad = write_config(tmp_path, training_extra=training_extra, name="bad.ini")
-    if augment:
-        with open(bad, "a") as fh:
-            fh.write(f"\n[augment]\n{augment}\n")
+    if setting:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(bad)
+        section = key.split(".")[0]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        name, value = (part.strip() for part in setting.split("=", 1))
+        parser[section][name] = value
+        with open(bad, "w") as fh:
+            parser.write(fh)
     capsys.readouterr()
     assert main(["train", "--config", bad, "--data", str(gen / "dataset.txt"),
                  "--out", str(tmp_path / "run")]) == 1
@@ -270,3 +296,57 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+@pytest.fixture(scope="module")
+def clean_dataset(tmp_path_factory):
+    """(config path, dataset text) of a small generated dataset."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(root, steps=2)
+    assert main(["generate", "--config", cfg, "--out", str(root / "gen")]) == 0
+    return cfg, (root / "gen" / "dataset.txt").read_text()
+
+
+# tokens that parse as numbers but break the format, or do not parse at all
+_GARBAGE = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "0", "5", "99", "2.5",
+                     "0x10", "1_0", "=", "seed=x", "d_in=0", "num_speakers=600",
+                     "augmented", "original"]),
+    st.text(min_size=0, max_size=6))
+
+
+@st.composite
+def _corrupt(draw, text):
+    """Drop or duplicate a line, replace one token with garbage, or truncate."""
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["drop", "duplicate", "replace", "truncate"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_GARBAGE)
+        lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupted_dataset_is_trained_or_named(clean_dataset, data):
+    cfg, text = clean_dataset
+    corrupted = data.draw(_corrupt(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.txt"
+        path.write_bytes(corrupted.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", cfg, "--data", str(path),
+                         "--out", str(Path(tmp) / "run")])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert str(path) in err.getvalue()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,11 @@ from aamsupcon.errors import (
     IndexOutOfRange,
     InsufficientSpeakers,
     InsufficientUtterances,
+    IoError,
 )
-from aamsupcon.batching import Sample
 from aamsupcon.evaluate import (
     DcfParams,
     ScoredTrials,
-    Trial,
     build_trials,
     eer,
     eer_threshold_sweep,
@@ -39,45 +40,111 @@ def _random_scored(rng, n=40, ties=True):
     return ScoredTrials(scores, flags)
 
 
+def _trial_list(trials):
+    """(enroll, test, is_target) arrays as a list of Python triples."""
+    return list(zip(*(np.asarray(a).tolist() for a in trials)))
+
+
 # ---------------------------------------------------------------------------
 # trials
 
 
-def test_trial_rejects_self_pair():
-    with pytest.raises(ValueError):
-        Trial(3, 3, True)
+def test_trial_rejects_self_pair(tmp_path):
+    path = tmp_path / "trials.txt"
+    path.write_text("0 1 1\n3 3 1\n")
+    with pytest.raises(IoError, match=re.escape(f"{path}:2: ")):
+        load_trials(path)
+    path.write_text("0 1 1 0.5\n3 3 1 0.5\n")
+    with pytest.raises(IoError, match=re.escape(f"{path}:2: ")):
+        load_scored_trials(path)
+
+
+@pytest.mark.parametrize("text", ["0 1 1\n0 x 1", "0 1 1\n1.5 2 0",
+                                  "0 1 1 0.5\n0 2 1 high", "0 1 1 0.5\n0 2.0 1 0.5"])
+def test_trial_files_name_line_of_non_numeric_field(tmp_path, text):
+    path = tmp_path / "trials.txt"
+    path.write_text(text + "\n")
+    loader = load_scored_trials if len(text.split("\n")[0].split()) == 4 else load_trials
+    with pytest.raises(IoError, match=re.escape(f"{path}:2: ")):
+        loader(path)
 
 
 def test_build_trials_counts():
-    data, _ = generate(DatasetSpec(2, 2, 8, 0.1, seed=0))
-    trials = build_trials(data, 1, seed=0)
-    targets = [t for t in trials if t.is_target]
-    nontargets = [t for t in trials if not t.is_target]
+    _, speaker_ids, _ = generate(DatasetSpec(2, 2, 8, 0.1, seed=0))
+    _, _, is_target = build_trials(speaker_ids, 1, seed=0)
+    targets = [t for t in is_target if t]
+    nontargets = [t for t in is_target if not t]
     assert len(targets) == 2 and len(nontargets) == 2
 
 
 def test_target_trials_share_speaker():
-    data, _ = generate(DatasetSpec(5, 4, 8, 0.1, seed=1))
-    for t in build_trials(data, 6, seed=3):
-        same = data[t.enroll_index].speaker_id == data[t.test_index].speaker_id
-        assert same == t.is_target
-        assert t.enroll_index != t.test_index
+    _, speaker_ids, _ = generate(DatasetSpec(5, 4, 8, 0.1, seed=1))
+    for enroll, test, is_target in _trial_list(build_trials(speaker_ids, 6, seed=3)):
+        same = speaker_ids[enroll] == speaker_ids[test]
+        assert same == is_target
+        assert enroll != test
 
 
 def test_build_trials_deterministic():
-    data, _ = generate(DatasetSpec(4, 3, 8, 0.1, seed=2))
-    assert build_trials(data, 5, seed=9) == build_trials(data, 5, seed=9)
-    assert build_trials(data, 5, seed=9) != build_trials(data, 5, seed=10)
+    _, speaker_ids, _ = generate(DatasetSpec(4, 3, 8, 0.1, seed=2))
+    assert _trial_list(build_trials(speaker_ids, 5, seed=9)) \
+        == _trial_list(build_trials(speaker_ids, 5, seed=9))
+    assert _trial_list(build_trials(speaker_ids, 5, seed=9)) \
+        != _trial_list(build_trials(speaker_ids, 5, seed=10))
 
 
 def test_build_trials_errors():
-    one_speaker = [Sample(np.ones(4), 0), Sample(np.ones(4), 0)]
+    one_speaker = np.array([0, 0])
     with pytest.raises(InsufficientSpeakers):
         build_trials(one_speaker, 1, seed=0)
-    lone_utterance = [Sample(np.ones(4), 0), Sample(np.ones(4), 0),
-                      Sample(np.ones(4), 1)]
+    lone_utterance = np.array([0, 0, 1])
     with pytest.raises(InsufficientUtterances):
         build_trials(lone_utterance, 1, seed=0)
+
+
+def reference_trials(speaker_ids, trials_per_speaker, seed):
+    """Per-trial reference for build_trials, spelling out its random draw
+    order. Per speaker in ascending id order: the target draws over the
+    (a, b), a < b pairs of its rows in row-major order, then the non-target
+    draws over (own row, other row) pairs read as divmod(k, len(others)).
+    Each draws without replacement while the pair space allows, then
+    uniformly with replacement for the excess."""
+    rng = np.random.default_rng(seed)
+
+    def sample_k(space, count):
+        if count <= space:
+            return [int(k) for k in rng.choice(space, size=count, replace=False)]
+        return list(range(space)) + [int(k) for k in
+                                     rng.integers(0, space, size=count - space)]
+
+    by_speaker = {}
+    for row, sid in enumerate(speaker_ids):
+        by_speaker.setdefault(int(sid), []).append(row)
+    trials = []
+    for sid in sorted(by_speaker):
+        own = by_speaker[sid]
+        pairs = [(own[a], own[b]) for a in range(len(own)) for b in range(a + 1, len(own))]
+        for k in sample_k(len(pairs), trials_per_speaker):
+            trials.append((pairs[k][0], pairs[k][1], True))
+        others = [row for row in range(len(speaker_ids)) if row not in own]
+        for k in sample_k(len(own) * len(others), trials_per_speaker):
+            e, o = divmod(k, len(others))
+            trials.append((own[e], others[o], False))
+    return trials
+
+
+def test_build_trials_matches_per_trial_reference():
+    rng = np.random.default_rng(0)
+    for seed in range(60):
+        # unequal, shuffled speaker blocks; small speakers and large
+        # trials_per_speaker push the target draws into the excess
+        counts = rng.integers(2, 7, size=int(rng.integers(2, 6)))
+        speaker_ids = rng.permutation(np.repeat(rng.choice(100, counts.size, replace=False),
+                                                counts))
+        per_speaker = int(rng.integers(1, 25))
+        got = build_trials(speaker_ids, per_speaker, seed)
+        assert _trial_list(got) == reference_trials(speaker_ids, per_speaker, seed), seed
+        assert got[0].dtype == got[1].dtype == np.int64 and got[2].dtype == bool
 
 
 # ---------------------------------------------------------------------------
@@ -95,40 +162,39 @@ def _antipodal_params():
 
 def test_score_trials_identical_and_antipodal():
     params = _antipodal_params()
-    data = [Sample(np.array([1.0]), 0), Sample(np.array([1.0]), 0),
-            Sample(np.array([-1.0]), 1), Sample(np.array([-1.0]), 1)]
-    trials = [Trial(0, 1, True), Trial(0, 2, False)]
-    scored = score_trials(params, data, trials)
+    features = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    trials = (np.array([0, 0]), np.array([1, 2]), np.array([True, False]))
+    scored = score_trials(params, features, trials)
     assert scored.scores[0] == 1.0
     assert scored.scores[1] == -1.0
 
 
 def test_scores_lie_in_cosine_range():
-    data, _ = generate(DatasetSpec(10, 10, 12, 0.5, seed=3))
+    features, speaker_ids, _ = generate(DatasetSpec(10, 10, 12, 0.5, seed=3))
     params = init_params([12, 16], 16, 8, 10, seed=0)
-    trials = build_trials(data, 50, seed=1)
-    scored = score_trials(params, data, trials)
-    assert len(trials) == 1000
+    trials = build_trials(speaker_ids, 50, seed=1)
+    scored = score_trials(params, features, trials)
+    assert len(trials[0]) == 1000
     assert np.all(scored.scores >= -1.0) and np.all(scored.scores <= 1.0)
 
 
 def test_score_trials_checks_indices():
     params = _antipodal_params()
-    data = [Sample(np.array([1.0]), 0), Sample(np.array([-1.0]), 1)]
+    features = np.array([[1.0], [-1.0]])
     with pytest.raises(IndexOutOfRange):
-        score_trials(params, data, [Trial(0, 5, False)])
+        score_trials(params, features, (np.array([0]), np.array([5]), np.array([False])))
 
 
 def test_score_trials_encoder_space():
-    data, _ = generate(DatasetSpec(6, 4, 12, 0.3, seed=9))
+    features, speaker_ids, _ = generate(DatasetSpec(6, 4, 12, 0.3, seed=9))
     params = init_params([12, 16], 16, 8, 6, seed=2)
-    trials = build_trials(data, 5, seed=4)
-    proj = score_trials(params, data, trials, space="projection")
-    enc = score_trials(params, data, trials, space="encoder")
+    trials = build_trials(speaker_ids, 5, seed=4)
+    proj = score_trials(params, features, trials, space="projection")
+    enc = score_trials(params, features, trials, space="encoder")
     assert np.all(enc.scores >= -1.0) and np.all(enc.scores <= 1.0)
     assert not np.array_equal(proj.scores, enc.scores)
     with pytest.raises(ValueError):
-        score_trials(params, data, trials, space="latent")
+        score_trials(params, features, trials, space="latent")
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +350,20 @@ def test_eer_invariant_under_role_swap_with_negation():
 
 
 def test_trial_file_round_trip(tmp_path):
-    trials = [Trial(0, 3, True), Trial(2, 7, False), Trial(5, 1, True)]
+    trials = (np.array([0, 2, 5]), np.array([3, 7, 1]), np.array([True, False, True]))
     path = tmp_path / "trials.txt"
     save_trials(path, trials)
-    assert load_trials(path) == trials
+    assert _trial_list(load_trials(path)) == _trial_list(trials)
     assert path.read_text() == "0 3 1\n2 7 0\n5 1 1\n"
 
 
 def test_scored_file_round_trip(tmp_path):
-    trials = [Trial(0, 3, True), Trial(2, 7, False)]
+    trials = (np.array([0, 2]), np.array([3, 7]), np.array([True, False]))
     scored = ScoredTrials(np.array([0.12345678901234567, -0.5]),
                           np.array([True, False]))
     path = tmp_path / "scores.txt"
     save_scored_trials(path, trials, scored)
     loaded_trials, loaded_scored = load_scored_trials(path)
-    assert loaded_trials == trials
+    assert _trial_list(loaded_trials) == _trial_list(trials)
     assert np.array_equal(loaded_scored.scores, scored.scores)
     assert np.array_equal(loaded_scored.is_target, scored.is_target)

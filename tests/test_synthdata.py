@@ -1,7 +1,8 @@
+import re
+
 import numpy as np
 import pytest
 
-from aamsupcon.batching import ViewTag
 from aamsupcon.errors import InvalidSpec, IoError
 from aamsupcon.synthdata import (
     DatasetSpec,
@@ -13,35 +14,32 @@ from aamsupcon.synthdata import (
 
 
 def test_counts_and_labels():
-    samples, centroids = generate(DatasetSpec(16, 20, 40, 0.2, seed=0))
-    assert len(samples) == 320
+    features, speaker_ids, centroids = generate(DatasetSpec(16, 20, 40, 0.2, seed=0))
+    assert len(features) == len(speaker_ids) == 320
     assert centroids.shape == (16, 40)
-    assert sorted(set(s.speaker_id for s in samples)) == list(range(16))
-    assert all(s.view_tag is ViewTag.ORIGINAL for s in samples)
+    assert sorted(set(speaker_ids.tolist())) == list(range(16))
 
 
 def test_spread_zero_reproduces_centroids_exactly():
-    samples, centroids = generate(DatasetSpec(4, 3, 10, 0.0, seed=1))
-    for s in samples:
-        assert np.array_equal(s.features, centroids[s.speaker_id])
+    features, speaker_ids, centroids = generate(DatasetSpec(4, 3, 10, 0.0, seed=1))
+    for row, sid in zip(features, speaker_ids):
+        assert np.array_equal(row, centroids[sid])
 
 
 def test_unit_norm_and_determinism():
     spec = DatasetSpec(6, 5, 12, 0.3, seed=5)
-    a, ca = generate(spec)
-    b, cb = generate(spec)
+    a, _, ca = generate(spec)
+    b, _, cb = generate(spec)
     assert np.array_equal(ca, cb)
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.features, sb.features)
-        assert abs(np.linalg.norm(sa.features) - 1.0) < 1e-9
-    c, _ = generate(DatasetSpec(6, 5, 12, 0.3, seed=6))
-    assert any(not np.array_equal(sa.features, sc.features) for sa, sc in zip(a, c))
+        assert np.array_equal(sa, sb)
+        assert abs(np.linalg.norm(sa) - 1.0) < 1e-9
+    c, _, _ = generate(DatasetSpec(6, 5, 12, 0.3, seed=6))
+    assert any(not np.array_equal(sa, sc) for sa, sc in zip(a, c))
 
 
 def test_nearest_centroid_oracle_on_tight_clusters():
-    samples, centroids = generate(DatasetSpec(16, 20, 40, 0.05, seed=3))
-    feats = np.stack([s.features for s in samples])
-    labels = np.array([s.speaker_id for s in samples])
+    feats, labels, centroids = generate(DatasetSpec(16, 20, 40, 0.05, seed=3))
     predicted = np.argmax(feats @ centroids.T, axis=1)
     assert np.mean(predicted == labels) > 0.99
 
@@ -49,8 +47,8 @@ def test_nearest_centroid_oracle_on_tight_clusters():
 def test_within_speaker_cosine_decreases_with_spread():
     means = []
     for spread in (0.05, 0.2, 0.5):
-        samples, centroids = generate(DatasetSpec(2, 500, 24, spread, seed=7))
-        feats = np.stack([s.features for s in samples if s.speaker_id == 0])
+        features, speaker_ids, centroids = generate(DatasetSpec(2, 500, 24, spread, seed=7))
+        feats = features[speaker_ids == 0]
         sims = feats @ feats.T
         means.append(np.mean(sims[np.triu_indices(len(feats), k=1)]))
     assert means[0] > means[1] > means[2]
@@ -69,27 +67,27 @@ def test_invalid_specs_rejected(bad):
 
 def test_dump_round_trip_is_exact(tmp_path):
     spec = DatasetSpec(5, 4, 9, 0.37, seed=11)
-    samples, _ = generate(spec)
+    features, speaker_ids, _ = generate(spec)
     path = tmp_path / "data.txt"
-    save_dataset(path, spec, samples)
-    spec2, samples2 = load_dataset(path)
+    save_dataset(path, spec, features, speaker_ids)
+    spec2, features2, speaker_ids2 = load_dataset(path)
     assert spec2 == spec
-    assert len(samples2) == len(samples)
-    for a, b in zip(samples, samples2):
-        assert np.array_equal(a.features, b.features)
-        assert a.speaker_id == b.speaker_id and a.view_tag == b.view_tag
+    assert len(features2) == len(features)
+    for a, b in zip(features, features2):
+        assert np.array_equal(a, b)
+    assert np.array_equal(speaker_ids, speaker_ids2)
 
     # rewriting the loaded data reproduces the file byte for byte
     path2 = tmp_path / "data2.txt"
-    save_dataset(path2, spec2, samples2)
+    save_dataset(path2, spec2, features2, speaker_ids2)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_dump_header_carries_spec_fields(tmp_path):
     spec = DatasetSpec(3, 2, 4, 0.125, seed=2)
-    samples, _ = generate(spec)
+    features, speaker_ids, _ = generate(spec)
     path = tmp_path / "data.txt"
-    save_dataset(path, spec, samples)
+    save_dataset(path, spec, features, speaker_ids)
     header = path.read_text().splitlines()[0]
     assert "num_speakers=3" in header and "spread=0.125" in header and "seed=2" in header
 
@@ -105,19 +103,51 @@ def test_load_rejects_malformed_files(tmp_path):
 
 
 def test_split_holdout():
-    samples, _ = generate(DatasetSpec(4, 5, 8, 0.2, seed=0))
-    train, held = split_holdout(samples, 2)
+    features, speaker_ids, _ = generate(DatasetSpec(4, 5, 8, 0.2, seed=0))
+    train, held = split_holdout(speaker_ids, 2)
     assert len(train) == 12 and len(held) == 8
     for sid in range(4):
-        assert sum(1 for s in held if s.speaker_id == sid) == 2
+        assert sum(1 for s in speaker_ids[held] if s == sid) == 2
     # held-out utterances are the trailing ones per speaker
-    expected = [samples[sid * 5 + k] for sid in range(4) for k in (3, 4)]
-    assert all(np.array_equal(h.features, e.features)
+    expected = [sid * 5 + k for sid in range(4) for k in (3, 4)]
+    assert all(np.array_equal(features[h], features[e])
                for h, e in zip(held, expected))
 
-    same, empty = split_holdout(samples, 0)
-    assert len(same) == len(samples) and empty == []
+    same, empty = split_holdout(speaker_ids, 0)
+    assert len(same) == len(speaker_ids) and empty.size == 0
     with pytest.raises(InvalidSpec):
-        split_holdout(samples, 5)
+        split_holdout(speaker_ids, 5)
     with pytest.raises(InvalidSpec):
-        split_holdout(samples, -1)
+        split_holdout(speaker_ids, -1)
+
+
+_HEADER = "num_speakers=2 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0"
+_ROW = "0 original 1.0 0.0 0.0"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("num_speakers=2 utterances_per_speaker 2 d_in=3 spread=0.1 seed=0", 1),
+    ("num_speakers=two utterances_per_speaker=2 d_in=3 spread=0.1 seed=0", 1),
+    ("num_speakers=2 d_in=3 spread=0.1 seed=0", 1),
+    ("num_speakers=1 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0", 1),
+    (f"{_HEADER}\n{_ROW}\n0 weird 1.0 0.0 0.0", 3),
+    (f"{_HEADER}\n{_ROW}\n0 augmented 1.0 0.0 0.0", 3),
+    (f"{_HEADER}\n{_ROW}\nzero original 1.0 0.0 0.0", 3),
+    (f"{_HEADER}\n{_ROW}\n0 original 1.0 0.0 abc", 3),
+    (f"{_HEADER}\n{_ROW}\n0 original 1.0 nan 0.0\n{_ROW}\n{_ROW}", 3),
+    (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}\n2 original 1.0 0.0 0.0", 5),
+    (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}", 1),
+    (f"{_HEADER}\n" + "\n".join([_ROW] * 5), 1),
+])
+def test_load_names_line_of_malformed_input(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(IoError, match=re.escape(f"{path}:{line}: ")):
+        load_dataset(path)
+
+
+def test_load_rejects_non_ascii(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_HEADER.encode() + b"\n0 original \xff 0 0\n")
+    with pytest.raises(IoError, match=re.escape(str(path))):
+        load_dataset(path)
