@@ -11,11 +11,12 @@ Exit codes: 0 success; 1 usage or config error; 2 numerical failure
 
 import argparse
 import configparser
-import dataclasses
+import enum
 import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,12 +42,7 @@ from .evaluate import (
 )
 from .batching import group_by_speaker
 from .geometry import normalize_rows
-from .losses import (
-    DenominatorConvention,
-    LossInputs,
-    LossKind,
-    grad_check,
-)
+from .losses import LossInputs, LossKind, grad_check
 from .model import load_checkpoint, save_checkpoint
 from .synthdata import DatasetSpec, generate, load_dataset, save_dataset, split_holdout
 from .training import TrainConfig, end_to_end_grad_check, save_runlog, train
@@ -55,96 +51,108 @@ from .training import TrainConfig, end_to_end_grad_check, save_runlog, train
 SWEEP_FOOTER = ("full-scale anchor (not reproducible at this scale): "
                 "batch 128 -> EER 13.64%, minDCF 0.71")
 
-_LOSS_KINDS = {k.value: k for k in LossKind}
-_CONVENTIONS = {c.value: c for c in DenominatorConvention}
 
-# section -> key -> (parser, default); None default means "absent".
-_SCHEMA = {
-    "dataset": {
-        "num_speakers": (int, 16),
-        "utterances_per_speaker": (int, 20),
-        "d_in": (int, 40),
-        "spread": (float, 0.2),
-        "seed": (int, 7),
-        "holdout_per_speaker": (int, 0),
-    },
-    "augment": {
-        "noise_sigma": (float, 0.1),
-        "mask_max": ("int_or_none", None),
-    },
-    "model": {
-        "encoder_hidden": ("int_list", [64, 64]),
-        "proj_hidden": (int, 128),
-        "embedding_dim": (int, 128),
-    },
-    "training": {
-        "loss": ("loss_kind", "aamsupcon"),
-        "temperature": (float, 0.07),
-        "margin": (float, 0.2),
-        "scale": (float, 30.0),
-        "lambda": (float, 1.0),
-        "convention": ("convention", "all_non_anchor"),
-        "learning_rate": (float, 0.003),
-        "momentum": (float, 0.9),
-        "steps": (int, 1000),
-        "batch_speakers": (int, 8),
-        "views_per_speaker": (int, 2),
-        "seed": (int, 0),
-        "classifier_space": ("space", "projection"),
-    },
-    "eval": {
-        "trials_per_speaker": (int, 40),
-        "seed": (int, 100),
-        "p_target": (float, 0.01),
-        "c_miss": (float, 1.0),
-        "c_fa": (float, 1.0),
-        "space": ("space", "projection"),
-    },
-    "gradcheck": {
-        "seed": (int, 0),
-        "step": (float, 1e-6),
-        "tolerance": (float, 1e-5),
-        "e2e_tolerance": (float, 1e-4),
-    },
-}
+@dataclass
+class _Holdout:
+    """dataset.holdout_per_speaker: the last k utterances of every speaker
+    are kept out of training and evaluated (k = 0 evaluates every row)."""
+
+    holdout_per_speaker: int = 0
+
+    def validate(self) -> None:
+        if self.holdout_per_speaker < 0:
+            raise ValueError(
+                f"holdout_per_speaker must be >= 0, got {self.holdout_per_speaker}")
 
 
-def _parse_value(section, key, raw, parser):
-    where = f"{section}.{key}"
+@dataclass
+class _Trials:
+    """The [eval] keys that build and score the trial list."""
+
+    trials_per_speaker: int = 40
+    seed: int = 100
+    space: str = "projection"
+
+    def validate(self) -> None:
+        if self.trials_per_speaker < 1:
+            raise ValueError(
+                f"trials_per_speaker must be >= 1, got {self.trials_per_speaker}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.space not in ("projection", "encoder"):
+            raise ValueError(f"space must be projection|encoder, got {self.space!r}")
+
+
+@dataclass
+class _GradCheck:
+    """The [gradcheck] section."""
+
+    seed: int = 0
+    step: float = 1e-6
+    tolerance: float = 1e-5
+    e2e_tolerance: float = 1e-4
+
+    def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("step", "tolerance", "e2e_tolerance"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+
+
+# Every config key is one field of one of these classes. Its key is
+# <section>.<field>, unless the field's metadata names another key.
+_SECTIONS = (("dataset", DatasetSpec), ("dataset", _Holdout), ("training", TrainConfig),
+             ("eval", DcfParams), ("eval", _Trials), ("gradcheck", _GradCheck))
+# key -> (class, field)
+_KEYS = {f.metadata.get("key", f"{section}.{f.name}"): (cls, f)
+         for section, cls in _SECTIONS for f in fields(cls)}
+
+
+def _parse(key, raw, kind):
+    """raw as a value of the field type kind."""
     try:
-        if parser is int:
-            return int(raw)
-        if parser is float:
-            return float(raw)
-        if parser == "int_or_none":
+        if kind == int | None:
             return None if raw.strip() == "" else int(raw)
-        if parser == "int_list":
-            values = [int(tok) for tok in raw.split()]
-            if not values:
+        if kind == tuple[int, ...]:
+            if not raw.split():
                 raise ValueError("empty list")
-            return values
-        if parser == "loss_kind":
-            if raw not in _LOSS_KINDS:
-                raise ValueError(f"expected one of {sorted(_LOSS_KINDS)}")
-            return raw
-        if parser == "convention":
-            if raw not in _CONVENTIONS:
-                raise ValueError(f"expected one of {sorted(_CONVENTIONS)}")
-            return raw
-        if parser == "space":
-            if raw not in ("projection", "encoder"):
-                raise ValueError("expected projection or encoder")
-            return raw
+            return tuple(int(tok) for tok in raw.split())
+        if isinstance(kind, enum.EnumMeta):
+            choices = [member.value for member in kind]
+            if raw not in choices:
+                raise ValueError(f"expected one of {choices}")
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} ({exc})") from exc
-    raise AssertionError(f"unknown parser for {where}")
+        raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
 
 
-def load_config(path) -> dict:
-    """Parse and fully validate a config file against the schema.
+def _echo(value):
+    """value as the config echo of a manifest writes it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
-    Unknown sections or keys are errors, as are unparsable values. Returns
-    {section: {key: value}} with defaults filled in."""
+
+def _checked(section, cls, values):
+    """cls(**values), validated. A failed check is a ConfigError naming the
+    key: TrainConfig spans three sections, so its messages name whole keys;
+    the other classes name the field, and the section is prefixed."""
+    try:
+        obj = cls(**values)
+        obj.validate()
+    except (ValueError, InvalidMargin, InvalidSpec) as exc:
+        raise ConfigError(str(exc) if cls is TrainConfig else f"{section}.{exc}") from exc
+    return obj
+
+
+def load_config(path):
+    """Read, parse, default and validate every key of a config file.
+
+    Unknown sections or keys, unparsable values and values outside their
+    domain are ConfigErrors naming the key. Returns ({class: validated
+    instance} for every class of _SECTIONS, the config echo {section: {key:
+    value}} with the defaults filled in)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -154,66 +162,34 @@ def load_config(path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    config = {sect: {key: default for key, (_, default) in keys.items()}
-              for sect, keys in _SCHEMA.items()}
+    values = {cls: {} for _, cls in _SECTIONS}
     for sect in parser.sections():
-        if sect not in _SCHEMA:
+        if not any(key.startswith(f"{sect}.") for key in _KEYS):
             raise ConfigError(f"unknown config section [{sect}]")
-        for key, raw in parser.items(sect):
-            if key not in _SCHEMA[sect]:
-                raise ConfigError(f"unknown config key {sect}.{key}")
-            config[sect][key] = _parse_value(sect, key, raw, _SCHEMA[sect][key][0])
-    return config
-
-
-def _dataset_spec(config, seed_override=None) -> DatasetSpec:
-    d = config["dataset"]
-    spec = DatasetSpec(d["num_speakers"], d["utterances_per_speaker"],
-                       d["d_in"], d["spread"],
-                       d["seed"] if seed_override is None else seed_override)
-    try:
-        spec.validate()
-    except InvalidSpec as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    if d["holdout_per_speaker"] < 0:
-        raise ConfigError("dataset.holdout_per_speaker: must be >= 0")
-    if d["holdout_per_speaker"] >= d["utterances_per_speaker"]:
+        for name, raw in parser.items(sect):
+            key = f"{sect}.{name}"
+            if key not in _KEYS:
+                raise ConfigError(f"unknown config key {key}")
+            cls, f = _KEYS[key]
+            values[cls][f.name] = _parse(key, raw, f.type)
+    config = {cls: _checked(section, cls, values[cls]) for section, cls in _SECTIONS}
+    if config[_Holdout].holdout_per_speaker >= config[DatasetSpec].utterances_per_speaker:
         raise ConfigError("dataset.holdout_per_speaker: must leave at least "
                           "one training utterance per speaker")
-    return spec
+    echo = {}
+    for key, (cls, f) in _KEYS.items():
+        sect, name = key.split(".")
+        echo.setdefault(sect, {})[name] = _echo(getattr(config[cls], f.name))
+    return config, echo
 
 
-def _train_config(config, seed_override=None) -> TrainConfig:
-    t, m, a = config["training"], config["model"], config["augment"]
-    cfg = TrainConfig(
-        loss_kind=_LOSS_KINDS[t["loss"]],
-        temperature=t["temperature"],
-        margin=t["margin"],
-        scale=t["scale"],
-        lam=t["lambda"],
-        convention=_CONVENTIONS[t["convention"]],
-        learning_rate=t["learning_rate"],
-        momentum=t["momentum"],
-        steps=t["steps"],
-        batch_speakers=t["batch_speakers"],
-        views_per_speaker=t["views_per_speaker"],
-        seed=t["seed"] if seed_override is None else seed_override,
-        encoder_hidden=tuple(m["encoder_hidden"]),
-        proj_hidden=m["proj_hidden"],
-        embedding_dim=m["embedding_dim"],
-        noise_sigma=a["noise_sigma"],
-        mask_max=a["mask_max"],
-        classifier_space=t["classifier_space"],
-    )
-    return _validated(cfg)
-
-
-def _validated(cfg: TrainConfig) -> TrainConfig:
-    try:
-        cfg.validate()
-    except (ValueError, InvalidMargin) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+def _seeded(obj, seed):
+    """obj with --seed, when given, as its seed."""
+    if seed is None:
+        return obj
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return replace(obj, seed=seed)
 
 
 def _check_data_fit(cfg: TrainConfig, features, speaker_ids) -> None:
@@ -229,14 +205,6 @@ def _check_data_fit(cfg: TrainConfig, features, speaker_ids) -> None:
             f"training.batch_speakers = {cfg.batch_speakers} needs that many speakers "
             f"with training.views_per_speaker = {cfg.views_per_speaker} or more "
             f"training utterances; the data has {eligible}")
-
-
-def _dcf_params(config) -> DcfParams:
-    e = config["eval"]
-    try:
-        return DcfParams(e["p_target"], e["c_miss"], e["c_fa"])
-    except ValueError as exc:
-        raise ConfigError(f"eval: {exc}") from exc
 
 
 def _sha256(path) -> str:
@@ -283,13 +251,13 @@ def _ensure_out(out_dir) -> None:
 
 
 def cmd_generate(args) -> int:
-    config = load_config(args.config)
-    spec = _dataset_spec(config, args.seed)
+    config, echo = load_config(args.config)
+    spec = _seeded(config[DatasetSpec], args.seed)
     _ensure_out(args.out)
     features, speaker_ids, _ = generate(spec)
     dataset_path = os.path.join(args.out, "dataset.txt")
     save_dataset(dataset_path, spec, features, speaker_ids)
-    _write_manifest(args.out, "generate", config, args.seed, {},
+    _write_manifest(args.out, "generate", echo, args.seed, {},
                     {"dataset": dataset_path})
     print(f"wrote {dataset_path}: {len(speaker_ids)} samples, "
           f"{spec.num_speakers} speakers, d_in={spec.d_in}")
@@ -303,7 +271,7 @@ def _load_split(config, data_path):
     _, features, speaker_ids = load_dataset(data_path)
     try:
         train_rows, held_rows = split_holdout(
-            speaker_ids, config["dataset"]["holdout_per_speaker"])
+            speaker_ids, config[_Holdout].holdout_per_speaker)
     except InvalidSpec as exc:
         raise ConfigError(f"dataset.holdout_per_speaker: {exc}") from exc
     eval_rows = held_rows if held_rows.size else train_rows
@@ -311,9 +279,18 @@ def _load_split(config, data_path):
             (features[eval_rows], speaker_ids[eval_rows]))
 
 
+def _build_trials(config, speaker_ids, trial_spec):
+    """The trial list over the evaluated rows of _load_split."""
+    if config[_Holdout].holdout_per_speaker == 1:
+        raise ConfigError("dataset.holdout_per_speaker = 1 leaves one evaluated "
+                          "utterance per speaker, so no target trial; evaluating "
+                          "needs 0 or >= 2")
+    return build_trials(speaker_ids, trial_spec.trials_per_speaker, trial_spec.seed)
+
+
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    cfg = _train_config(config, args.seed)
+    config, echo = load_config(args.config)
+    cfg = _seeded(config[TrainConfig], args.seed)
     train_set, _ = _load_split(config, args.data)
     _check_data_fit(cfg, *train_set)
     _ensure_out(args.out)
@@ -322,7 +299,7 @@ def cmd_train(args) -> int:
     runlog_path = os.path.join(args.out, "runlog.txt")
     save_checkpoint(ckpt_path, params)
     save_runlog(runlog_path, log)
-    _write_manifest(args.out, "train", config, args.seed, {"dataset": args.data},
+    _write_manifest(args.out, "train", echo, args.seed, {"dataset": args.data},
                     {"checkpoint": ckpt_path, "runlog": runlog_path})
     if log.records:
         print(f"trained {cfg.steps} steps: loss {log.records[0].loss:.6g} -> "
@@ -334,16 +311,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    dcf = _dcf_params(config)
-    eval_cfg = config["eval"]
-    trial_seed = eval_cfg["seed"] if args.seed is None else args.seed
+    config, echo = load_config(args.config)
+    trial_spec = _seeded(config[_Trials], args.seed)
+    dcf = config[DcfParams]
     params = load_checkpoint(args.checkpoint)
     _, (features, speaker_ids) = _load_split(config, args.data)
+    trials = _build_trials(config, speaker_ids, trial_spec)
     _ensure_out(args.out)
 
-    trials = build_trials(speaker_ids, eval_cfg["trials_per_speaker"], trial_seed)
-    scored = score_trials(params, features, trials, eval_cfg["space"])
+    scored = score_trials(params, features, trials, trial_spec.space)
     eer_value, eer_thr = eer(scored)
     dcf_value, dcf_thr = min_dcf(scored, dcf)
     metrics = {
@@ -363,7 +339,7 @@ def cmd_evaluate(args) -> int:
     save_trials(trials_path, trials)
     save_scored_trials(scores_path, trials, scored)
     _write_json(metrics_path, metrics)
-    _write_manifest(args.out, "evaluate", config, args.seed,
+    _write_manifest(args.out, "evaluate", echo, args.seed,
                     {"checkpoint": args.checkpoint, "dataset": args.data},
                     {"trials": trials_path, "scores": scores_path,
                      "metrics": metrics_path},
@@ -384,31 +360,30 @@ def _gradcheck_batch(rng, n_per_class, num_classes, dim):
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_config(args.config)
-    g = config["gradcheck"]
+    config, echo = load_config(args.config)
+    g = _seeded(config[_GradCheck], args.seed)
     corrupt = 0.05 if args.corrupt else 0.0
-    rng = np.random.default_rng(g["seed"])
+    rng = np.random.default_rng(g.seed)
     rows = []
     for kind in LossKind:
         worst = 0.0
         for n_per_class, num_classes, dim in ((2, 2, 4), (4, 3, 8), (2, 5, 16)):
             report = grad_check(kind, _gradcheck_batch(rng, n_per_class,
                                                        num_classes, dim),
-                                step=g["step"], corrupt=corrupt)
+                                step=g.step, corrupt=corrupt)
             worst = max(worst, report.max_rel_error)
         rows.append({"check": kind.value, "max_rel_error": worst,
-                     "tolerance": g["tolerance"],
-                     "passed": worst < g["tolerance"]})
+                     "tolerance": g.tolerance, "passed": worst < g.tolerance})
 
     e2e_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, encoder_hidden=(16,),
                           proj_hidden=16, embedding_dim=8, batch_speakers=3,
-                          views_per_speaker=2, seed=g["seed"])
-    e2e_features, e2e_ids, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=g["seed"] + 1))
-    e2e = end_to_end_grad_check(e2e_cfg, e2e_features, e2e_ids, step=g["step"],
-                                batch_seed=g["seed"])
+                          views_per_speaker=2, seed=g.seed)
+    e2e_features, e2e_ids, _ = generate(DatasetSpec(4, 4, 10, 0.3, seed=g.seed + 1))
+    e2e = end_to_end_grad_check(e2e_cfg, e2e_features, e2e_ids, step=g.step,
+                                batch_seed=g.seed)
     rows.append({"check": "end_to_end", "max_rel_error": e2e.max_rel_error,
-                 "tolerance": g["e2e_tolerance"],
-                 "passed": e2e.max_rel_error < g["e2e_tolerance"]})
+                 "tolerance": g.e2e_tolerance,
+                 "passed": e2e.max_rel_error < g.e2e_tolerance})
 
     for row in rows:
         print(f"{row['check']:12s} max rel error {row['max_rel_error']:.3e} "
@@ -418,7 +393,7 @@ def cmd_gradcheck(args) -> int:
         _ensure_out(args.out)
         report_path = os.path.join(args.out, "gradcheck.json")
         _write_json(report_path, {"rows": rows})
-        _write_manifest(args.out, "gradcheck", config, args.seed, {},
+        _write_manifest(args.out, "gradcheck", echo, args.seed, {},
                         {"report": report_path})
     failed = [row["check"] for row in rows if not row["passed"]]
     if failed:
@@ -427,26 +402,22 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep_batch(args) -> int:
-    config = load_config(args.config)
-    if not args.sizes:
-        raise ConfigError("sweep-batch: at least one --sizes value required")
-    base = _train_config(config, args.seed)
-    dcf = _dcf_params(config)
-    eval_cfg = config["eval"]
+    config, echo = load_config(args.config)
+    base = _seeded(config[TrainConfig], args.seed)
     train_set, (eval_features, eval_ids) = _load_split(config, args.data)
-    configs = [_validated(dataclasses.replace(base, batch_speakers=size))
+    configs = [_checked("training", TrainConfig, {**vars(base), "batch_speakers": size})
                for size in args.sizes]
     for cfg in configs:
         _check_data_fit(cfg, *train_set)
+    trials = _build_trials(config, eval_ids, config[_Trials])
     _ensure_out(args.out)
 
-    trials = build_trials(eval_ids, eval_cfg["trials_per_speaker"], eval_cfg["seed"])
     rows = []
     for size, cfg in zip(args.sizes, configs):
         params, _ = train(cfg, *train_set)
-        scored = score_trials(params, eval_features, trials, eval_cfg["space"])
+        scored = score_trials(params, eval_features, trials, config[_Trials].space)
         eer_value, _ = eer(scored)
-        dcf_value, _ = min_dcf(scored, dcf)
+        dcf_value, _ = min_dcf(scored, config[DcfParams])
         rows.append({"batch_speakers": size,
                      "batch_size": 2 * size * cfg.views_per_speaker,
                      "eer_percent": 100.0 * eer_value,
@@ -461,7 +432,7 @@ def cmd_sweep_batch(args) -> int:
     sweep_path = os.path.join(args.out, "sweep.json")
     _write_json(sweep_path, {"rows": rows, "footer": SWEEP_FOOTER,
                              "steps": base.steps, "seed": base.seed})
-    _write_manifest(args.out, "sweep-batch", config, args.seed,
+    _write_manifest(args.out, "sweep-batch", echo, args.seed,
                     {"dataset": args.data}, {"sweep": sweep_path},
                     {"rows": rows})
     return 0

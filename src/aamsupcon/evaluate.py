@@ -47,15 +47,22 @@ class ScoredTrials:
 
 @dataclass
 class DcfParams:
+    """The minDCF operating point: the eval.p_target, eval.c_miss and
+    eval.c_fa config keys."""
+
     p_target: float = 0.01
     c_miss: float = 1.0
     c_fa: float = 1.0
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 < self.p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("c_miss and c_fa must be > 0")
+        for name in ("c_miss", "c_fa"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def build_trials(speaker_ids, trials_per_speaker: int, seed: int):

@@ -19,11 +19,14 @@ _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
 
 @dataclass
 class DatasetSpec:
-    num_speakers: int
-    utterances_per_speaker: int
-    d_in: int
-    spread: float
-    seed: int
+    """The dataset header; also the [dataset] config keys other than
+    holdout_per_speaker."""
+
+    num_speakers: int = 16
+    utterances_per_speaker: int = 20
+    d_in: int = 40
+    spread: float = 0.2
+    seed: int = 7
 
     def validate(self) -> None:
         if self.num_speakers < 2:
@@ -35,6 +38,8 @@ class DatasetSpec:
             raise InvalidSpec(f"d_in must be >= 2, got {self.d_in}")
         if not 0.0 <= self.spread < np.inf:
             raise InvalidSpec(f"spread must be finite and >= 0, got {self.spread}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(spec: DatasetSpec):
@@ -128,6 +133,11 @@ def load_dataset(path):
                       (~np.isfinite(features).all(axis=1), "non-finite feature")):
         if bad.any():
             raise IoError(f"{path}:{2 + int(np.argmax(bad))}: {what}")
+    counts = np.bincount(speaker_ids, minlength=spec.num_speakers)
+    if (counts != spec.utterances_per_speaker).any():
+        sid = int(np.argmax(counts != spec.utterances_per_speaker))
+        raise IoError(f"{path}:1: header declares {spec.utterances_per_speaker} rows per "
+                      f"speaker, speaker {sid} has {counts[sid]}")
     return spec, features, speaker_ids
 
 

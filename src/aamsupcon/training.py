@@ -34,11 +34,14 @@ from .model import (
 
 @dataclass
 class TrainConfig:
-    loss_kind: LossKind = LossKind.AAMSUPCON
+    """The [training], [model] and [augment] config sections. A field's
+    config key is training.<field> unless its metadata names another."""
+
+    loss_kind: LossKind = field(default=LossKind.AAMSUPCON, metadata={"key": "training.loss"})
     temperature: float = 0.07
     margin: float = 0.2
     scale: float = 30.0
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "training.lambda"})
     convention: DenominatorConvention = DenominatorConvention.ALL_NON_ANCHOR
     learning_rate: float = 0.003
     momentum: float = 0.9
@@ -46,11 +49,12 @@ class TrainConfig:
     batch_speakers: int = 8
     views_per_speaker: int = 2
     seed: int = 0
-    encoder_hidden: tuple = (64, 64)
-    proj_hidden: int = 128
-    embedding_dim: int = 128
-    noise_sigma: float = 0.1
-    mask_max: int | None = None
+    encoder_hidden: tuple[int, ...] = field(default=(64, 64),
+                                            metadata={"key": "model.encoder_hidden"})
+    proj_hidden: int = field(default=128, metadata={"key": "model.proj_hidden"})
+    embedding_dim: int = field(default=128, metadata={"key": "model.embedding_dim"})
+    noise_sigma: float = field(default=0.1, metadata={"key": "augment.noise_sigma"})
+    mask_max: int | None = field(default=None, metadata={"key": "augment.mask_max"})
     # which representation the softmax/margin classifier term consumes:
     # "projection" (the contrastive embedding z) or "encoder" (normalized h)
     classifier_space: str = "projection"
@@ -74,6 +78,8 @@ class TrainConfig:
             raise ValueError(f"training.momentum must be in [0, 1), got {self.momentum}")
         if self.steps < 0:
             raise ValueError(f"training.steps must be >= 0, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"training.seed must be >= 0, got {self.seed}")
         for key in ("batch_speakers", "views_per_speaker"):
             if getattr(self, key) < 1:
                 raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aamsupcon.cli import SWEEP_FOOTER, main
@@ -42,11 +42,76 @@ seed = 9
 """
 
 
+# Every config key and its default, as a manifest echoes them.
+DEFAULTS = {
+    ("dataset", "num_speakers"): 16,
+    ("dataset", "utterances_per_speaker"): 20,
+    ("dataset", "d_in"): 40,
+    ("dataset", "spread"): 0.2,
+    ("dataset", "seed"): 7,
+    ("dataset", "holdout_per_speaker"): 0,
+    ("augment", "noise_sigma"): 0.1,
+    ("augment", "mask_max"): None,
+    ("model", "encoder_hidden"): [64, 64],
+    ("model", "proj_hidden"): 128,
+    ("model", "embedding_dim"): 128,
+    ("training", "loss"): "aamsupcon",
+    ("training", "temperature"): 0.07,
+    ("training", "margin"): 0.2,
+    ("training", "scale"): 30.0,
+    ("training", "lambda"): 1.0,
+    ("training", "convention"): "all_non_anchor",
+    ("training", "learning_rate"): 0.003,
+    ("training", "momentum"): 0.9,
+    ("training", "steps"): 1000,
+    ("training", "batch_speakers"): 8,
+    ("training", "views_per_speaker"): 2,
+    ("training", "seed"): 0,
+    ("training", "classifier_space"): "projection",
+    ("eval", "trials_per_speaker"): 40,
+    ("eval", "seed"): 100,
+    ("eval", "p_target"): 0.01,
+    ("eval", "c_miss"): 1.0,
+    ("eval", "c_fa"): 1.0,
+    ("eval", "space"): "projection",
+    ("gradcheck", "seed"): 0,
+    ("gradcheck", "step"): 1e-6,
+    ("gradcheck", "tolerance"): 1e-5,
+    ("gradcheck", "e2e_tolerance"): 1e-4,
+}
+
+
 def write_config(tmp_path, steps=60, holdout=0, training_extra="", name="config.ini"):
     path = tmp_path / name
     path.write_text(BASE_CONFIG.format(steps=steps, holdout=holdout,
                                        training_extra=training_extra))
     return str(path)
+
+
+def override(src, dst, key, value):
+    """Write config src to dst with the line `name = value` set in the
+    section that key (section.name) names; returns dst as a str."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(src)
+    section, name = key.split(".")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][name] = value
+    with open(dst, "w") as fh:
+        parser.write(fh)
+    return str(dst)
+
+
+def command_argv(command, cfg, data, checkpoint, out):
+    """argv running command with every input it needs."""
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command in ("train", "evaluate", "sweep-batch"):
+        argv += ["--data", str(data)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(checkpoint)]
+    if command == "sweep-batch":
+        argv += ["--sizes", "2"]
+    return argv
 
 
 def run_pipeline(tmp_path, tag, cfg):
@@ -202,15 +267,8 @@ def test_train_rejects_out_of_domain_value(tmp_path, capsys, training_extra,
                  "--out", str(gen)]) == 0
     bad = write_config(tmp_path, training_extra=training_extra, name="bad.ini")
     if setting:
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read(bad)
-        section = key.split(".")[0]
-        if not parser.has_section(section):
-            parser.add_section(section)
         name, value = (part.strip() for part in setting.split("=", 1))
-        parser[section][name] = value
-        with open(bad, "w") as fh:
-            parser.write(fh)
+        override(bad, bad, f"{key.split('.')[0]}.{name}", value)
     capsys.readouterr()
     assert main(["train", "--config", bad, "--data", str(gen / "dataset.txt"),
                  "--out", str(tmp_path / "run")]) == 1
@@ -218,6 +276,81 @@ def test_train_rejects_out_of_domain_value(tmp_path, capsys, training_extra,
     assert key in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_empty_config_echoes_every_default(tmp_path):
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    assert main(["generate", "--config", str(empty), "--out", str(tmp_path / "gen")]) == 0
+    echo = json.loads((tmp_path / "gen" / "manifest.json").read_text())["config"]
+    flat = {(section, key): value for section, keys in echo.items()
+            for key, value in keys.items()}
+    # repr tells 30.0 from 30 and a list from a tuple
+    assert {k: repr(v) for k, v in flat.items()} == {k: repr(v) for k, v in DEFAULTS.items()}
+
+
+@pytest.fixture(scope="module")
+def holdout_one_run(tmp_path_factory):
+    """(config, dataset, checkpoint): a config holding nothing out, its
+    dataset, and a checkpoint that train wrote with holdout_per_speaker = 1,
+    which training accepts (only evaluating the held-out rows needs two)."""
+    root = tmp_path_factory.mktemp("holdout")
+    cfg = write_config(root, steps=2)
+    data = root / "gen" / "dataset.txt"
+    assert main(["generate", "--config", cfg, "--out", str(root / "gen")]) == 0
+    held = override(cfg, root / "held.ini", "dataset.holdout_per_speaker", "1")
+    assert main(["train", "--config", held, "--data", str(data),
+                 "--out", str(root / "run")]) == 0
+    return cfg, data, root / "run" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("evaluate", "eval.trials_per_speaker", "0"),
+    ("generate", "dataset.seed", "-1"),
+    ("train", "training.seed", "-1"),
+    ("evaluate", "eval.seed", "-1"),
+    ("gradcheck", "gradcheck.seed", "-1"),
+    ("evaluate", "eval.c_miss", "nan"),
+    ("evaluate", "eval.c_fa", "inf"),
+    ("gradcheck", "gradcheck.step", "0"),
+    ("gradcheck", "gradcheck.step", "nan"),
+    ("gradcheck", "gradcheck.tolerance", "nan"),
+    ("gradcheck", "gradcheck.tolerance", "-1"),
+    ("gradcheck", "gradcheck.e2e_tolerance", "nan"),
+    ("gradcheck", "gradcheck.e2e_tolerance", "-1"),
+    ("evaluate", "dataset.holdout_per_speaker", "1"),
+    ("sweep-batch", "dataset.holdout_per_speaker", "1"),
+    ("generate", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+    ("evaluate", "--seed", "-1"),
+    ("gradcheck", "--seed", "-1"),
+    ("sweep-batch", "--seed", "-1"),
+])
+def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, capsys,
+                                                     command, key, value):
+    """key is a config key (section.name) or a command-line flag."""
+    cfg, data, checkpoint = holdout_one_run
+    out = tmp_path / "out"
+    if key.startswith("--"):
+        argv = command_argv(command, cfg, data, checkpoint, out) + [key, value]
+    else:
+        bad = override(cfg, tmp_path / "bad.ini", key, value)
+        argv = command_argv(command, bad, data, checkpoint, out)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count(key) == 1, err
+    assert not out.exists()
+
+
+def test_gradcheck_seed_flag_sets_gradcheck_seed(tmp_path):
+    cfg = write_config(tmp_path)
+    keyed = override(cfg, tmp_path / "keyed.ini", "gradcheck.seed", "1")
+    assert main(["gradcheck", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert main(["gradcheck", "--config", keyed, "--out", str(tmp_path / "key")]) == 0
+    assert (tmp_path / "flag" / "gradcheck.json").read_bytes() \
+        == (tmp_path / "key" / "gradcheck.json").read_bytes()
 
 
 def test_evaluate_bad_checkpoint_is_io_error(tmp_path):
@@ -350,3 +483,33 @@ def test_corrupted_dataset_is_trained_or_named(clean_dataset, data):
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert str(path) in err.getvalue()
+
+
+# boundary and garbage values for any key
+_CONFIG_TOKENS = ["0", "-1", "1", "2", "99", "nan", "inf", "1e999", "", "x", "0.5"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(key=("eval", "trials_per_speaker"), value="0")
+@example(key=("training", "seed"), value="-1")
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=st.sampled_from(_CONFIG_TOKENS))
+def test_config_value_is_run_or_named(clean_dataset, key, value):
+    """One key set to one boundary or garbage value: train, then evaluate
+    the checkpoint, end in a documented exit code without a traceback, and
+    a config error names the key."""
+    cfg, text = clean_dataset
+    name = ".".join(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "dataset.txt").write_text(text)
+        bad = override(cfg, tmp / "config.ini", name, value)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(command_argv("train", bad, tmp / "dataset.txt", None, tmp / "run"))
+            if code == 0:
+                code = main(command_argv("evaluate", bad, tmp / "dataset.txt",
+                                         tmp / "run" / "checkpoint.bin", tmp / "eval"))
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert name in err.getvalue()

@@ -138,6 +138,7 @@ _ROW = "0 original 1.0 0.0 0.0"
     (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}\n2 original 1.0 0.0 0.0", 5),
     (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}", 1),
     (f"{_HEADER}\n" + "\n".join([_ROW] * 5), 1),
+    (f"{_HEADER}\n" + "\n".join([_ROW] * 4), 1),
 ])
 def test_load_names_line_of_malformed_input(tmp_path, text, line):
     path = tmp_path / "bad.txt"
