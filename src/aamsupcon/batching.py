@@ -60,6 +60,46 @@ def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def batch_layout(batch_speakers: int, views_per_speaker: int) -> np.ndarray:
+    """Which chosen speaker each row of a build_batch batch belongs to:
+    speaker k's views_per_speaker original rows, for k = 0 .. B-1 in turn,
+    then their augmentations in the same order."""
+    return np.tile(np.repeat(np.arange(batch_speakers), views_per_speaker), 2)
+
+
+# Generator.choice(n, size=k, replace=False) draws by Floyd's algorithm and
+# a shuffle, except above these limits where it shuffles the tail of
+# arange(n) instead (numpy 2.4.6, numpy/random/_generator.pyx).
+_TAIL_SHUFFLE_MIN_N = 10000
+_TAIL_SHUFFLE_FRACTION = 50
+
+
+def _choose_rows(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(len(sizes), k) positions: row g is rng.choice(sizes[g], size=k,
+    replace=False) for each g in turn, bit for bit and leaving rng in the
+    same state, from one rng.integers call.
+
+    For each group, Floyd's algorithm draws j_t in [0, n - k + t] for
+    t = 0 .. k-1 and keeps it unless already kept, else takes n - k + t;
+    the shuffle then draws i_s in [0, s] for s = k-1 .. 1 and swaps
+    positions s and i_s. A group in numpy's tail-shuffle range sends every
+    group through rng.choice."""
+    if ((sizes > _TAIL_SHUFFLE_MIN_N) & (k > sizes // _TAIL_SHUFFLE_FRACTION)).any():
+        return np.array([rng.choice(n, size=k, replace=False) for n in sizes])
+    floyd = sizes[:, None] - k + np.arange(k)
+    swaps = np.arange(k - 1, 0, -1)
+    bounds = np.concatenate([floyd, np.broadcast_to(swaps, (sizes.size, k - 1))], axis=1)
+    draws = rng.integers(0, bounds, endpoint=True)
+    picked = np.empty_like(floyd)
+    for t in range(k):
+        seen = (picked[:, :t] == draws[:, t:t + 1]).any(axis=1)
+        picked[:, t] = np.where(seen, floyd[:, t], draws[:, t])
+    groups = np.arange(sizes.size)
+    for s, i in zip(swaps, draws[:, k:].T):
+        picked[groups, s], picked[groups, i] = picked[groups, i], picked[groups, s]
+    return picked
+
+
 def build_batch(features, groups, batch_speakers: int, views_per_speaker: int,
                 policy: AugmentPolicy, rng: np.random.Generator):
     """Sample a multiview batch: (batch_features (2BV, d_in), labels (2BV,)).
@@ -67,9 +107,10 @@ def build_batch(features, groups, batch_speakers: int, views_per_speaker: int,
     groups is group_by_speaker's row-index list and labels are positions in
     it. Draws batch_speakers speakers uniformly without replacement among
     those with at least views_per_speaker rows, then views_per_speaker rows
-    per speaker without replacement, then one augmentation per row (see
-    augment). Raises InsufficientSpeakers / InsufficientUtterances when the
-    groups cannot satisfy the request.
+    per speaker without replacement (as rng.choice would, speaker by
+    speaker), then one augmentation per row (see augment). The rows follow
+    batch_layout. Raises InsufficientSpeakers / InsufficientUtterances when
+    the groups cannot satisfy the request.
     """
     if batch_speakers < 1 or views_per_speaker < 1:
         raise ValueError("batch_speakers and views_per_speaker must be >= 1")
@@ -82,10 +123,8 @@ def build_batch(features, groups, batch_speakers: int, views_per_speaker: int,
             f"only {len(eligible)} speakers have >= {views_per_speaker} rows")
 
     chosen = rng.choice(np.array(eligible), size=batch_speakers, replace=False)
-    rows = np.concatenate([
-        groups[k][rng.choice(len(groups[k]), size=views_per_speaker, replace=False)]
-        for k in chosen])
+    picks = _choose_rows(np.array([len(groups[k]) for k in chosen]), views_per_speaker, rng)
+    rows = np.concatenate([groups[k][p] for k, p in zip(chosen, picks)])
     originals = features[rows]
-    labels = np.repeat(chosen, views_per_speaker)
     return (np.concatenate([originals, augment(originals, policy, rng)]),
-            np.concatenate([labels, labels]))
+            chosen[batch_layout(batch_speakers, views_per_speaker)])

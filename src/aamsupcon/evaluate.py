@@ -25,6 +25,7 @@ from .errors import (
     InsufficientSpeakers,
     InsufficientUtterances,
     IoError,
+    ZeroVector,
 )
 from .model import NetworkParams, encoder_embeddings, forward
 
@@ -112,7 +113,9 @@ def score_trials(params: NetworkParams, features, trials,
     forward pass over the feature matrix.
 
     space selects the representation: "projection" (the final contrastive
-    embedding) or "encoder" (the normalized pre-projection output)."""
+    embedding) or "encoder" (the normalized pre-projection output). A row
+    that the network maps to a zero vector raises DegenerateTrials naming
+    it."""
     if space not in ("projection", "encoder"):
         raise ValueError(f"space must be projection|encoder, got {space!r}")
     enroll, test, is_target = (np.asarray(a) for a in trials)
@@ -121,8 +124,11 @@ def score_trials(params: NetworkParams, features, trials,
     if outside.any():
         k = int(np.argmax(outside))
         raise IndexOutOfRange(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
-    trace = forward(params, features)
-    emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+    try:
+        trace = forward(params, features)
+        emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+    except ZeroVector as exc:
+        raise DegenerateTrials(f"cannot score trials: the embedding of evaluated {exc}") from exc
     scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
     return ScoredTrials(scores, is_target)
 

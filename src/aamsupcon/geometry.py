@@ -31,17 +31,26 @@ def normalize(v) -> np.ndarray:
     return v / norm
 
 
+def row_norms(mat) -> np.ndarray:
+    """The (N, 1) Euclidean norms of the rows of a 2-D float64 array.
+
+    Raises ZeroVector naming the first shortest row if any norm is
+    <= EPS_NORM (or NaN).
+    """
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    if not np.all(norms > EPS_NORM):
+        bad = int(np.argmin(norms))
+        raise ZeroVector(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
+    return norms
+
+
 def normalize_rows(mat) -> np.ndarray:
     """Normalize each row of a 2-D array to unit length.
 
     Raises ZeroVector if any row norm is <= EPS_NORM.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if not np.all(norms > EPS_NORM):
-        bad = int(np.argmin(norms))
-        raise ZeroVector(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
-    return mat / norms
+    return mat / row_norms(mat)
 
 
 def cosine(a, b) -> float:

@@ -15,6 +15,7 @@ All softmax-shaped expressions use max-subtracted log-sum-exp.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,63 +143,87 @@ def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
     return pos, cand
 
 
-def _supcon_raw(z: np.ndarray, masks, tau: float):
-    """Value and d/dz of the contrastive sum over (pos, cand) masks."""
-    pos_mask, cand_mask = masks
-    pcount = pos_mask.sum(axis=1).astype(np.float64)
+class SupconMasks(NamedTuple):
+    """contrast_masks in the form _supcon_raw reads: P(i) as a mask, |P(i)|
+    as float64, P(i) / |P(i)| and the complement of A(i). A batch layout
+    fixes all four, so a trainer builds them once per run."""
 
-    sims = (z @ z.T) / tau
-    masked = np.where(cand_mask, sims, -np.inf)
-    row_max = masked.max(axis=1)
-    shifted_exp = np.exp(masked - row_max[:, None])
-    denom = shifted_exp.sum(axis=1)
+    pos: np.ndarray
+    pcount: np.ndarray
+    pos_frac: np.ndarray
+    not_cand: np.ndarray
+
+
+def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> SupconMasks:
+    """contrast_masks(labels, convention), raising as it does, and what the
+    contrastive kernel derives from it."""
+    pos, cand = contrast_masks(labels, convention)
+    pcount = pos.sum(axis=1).astype(np.float64)
+    return SupconMasks(pos, pcount, pos / pcount[:, None], ~cand)
+
+
+def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float):
+    """Value and d/dz of the contrastive sum over the masks.
+
+    One (N, N) buffer holds the similarities, then the shifted exponentials,
+    then the softmax and finally the gradient w.r.t. the similarities."""
+    buf = z @ z.T
+    buf /= tau
+    # summed before the candidate mask hides the positives strict negatives exclude
+    pos_sums = np.where(masks.pos, buf, 0.0).sum(axis=1)
+    np.copyto(buf, -np.inf, where=masks.not_cand)
+    row_max = buf.max(axis=1)
+    buf -= row_max[:, None]
+    np.exp(buf, out=buf)
+    denom = buf.sum(axis=1)
     lse = row_max + np.log(denom)
-
-    pos_sums = np.where(pos_mask, sims, 0.0).sum(axis=1)
-    value = float(np.sum(lse - pos_sums / pcount))
+    value = float(np.sum(lse - pos_sums / masks.pcount))
 
     # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
-    soft = shifted_exp / denom[:, None]
-    g = (soft - pos_mask / pcount[:, None]) / tau
-    grad_z = (g + g.T) @ z
-    return value, grad_z
+    buf /= denom[:, None]
+    buf -= masks.pos_frac
+    buf /= tau
+    buf += buf.T.copy()
+    return value, buf @ z
 
 
 def _margin_softmax_raw(z, labels, w, margin, scale):
     """Cross-entropy over scaled cosine logits with the target column
     penalized by the angular margin; margin == 0 is the plain softmax path.
-    Returns (value, grad_z, grad_w)."""
+    Returns (value, grad_z, grad_w).
+
+    One (N, C) buffer holds the cosines, then the logits, the shifted
+    exponentials, the softmax and finally the gradient w.r.t. the logits."""
     n = z.shape[0]
     rows = np.arange(n)
-    cosines = z @ w.T
-    logits = cosines.copy()
+    buf = z @ w.T
+    target_cos = buf[rows, labels]
     if margin != 0.0:
-        logits[rows, labels] = geometry.margin_logit(cosines[rows, labels], margin)
-    logits *= scale
+        buf[rows, labels] = geometry.margin_logit(target_cos, margin)
+    buf *= scale
+    target_logits = buf[rows, labels]
 
-    row_max = logits.max(axis=1)
-    shifted = logits - row_max[:, None]
-    exp_shifted = np.exp(shifted)
-    sumexp = exp_shifted.sum(axis=1)
+    row_max = buf.max(axis=1)
+    buf -= row_max[:, None]
+    np.exp(buf, out=buf)
+    sumexp = buf.sum(axis=1)
     lse = row_max + np.log(sumexp)
-    value = float(np.mean(lse - logits[rows, labels]))
+    value = float(np.mean(lse - target_logits))
 
-    d = exp_shifted / sumexp[:, None]
-    d[rows, labels] -= 1.0
-    d *= scale / n
+    buf /= sumexp[:, None]
+    buf[rows, labels] -= 1.0
+    buf *= scale / n
     if margin != 0.0:
-        d[rows, labels] *= geometry.margin_logit_grad(cosines[rows, labels], margin)
-    grad_z = d @ w
-    grad_w = d.T @ z
-    return value, grad_z, grad_w
+        buf[rows, labels] *= geometry.margin_logit_grad(target_cos, margin)
+    return value, buf @ w, buf.T @ z
 
 
 def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
-               scale: float, masks=None, lam: float = 1.0):
+               scale: float, masks: SupconMasks | None = None, lam: float = 1.0):
     """(value, grad_z, grad_w) of one loss, with no input validation.
 
-    masks is the contrast_masks pair, required by the contrastive kinds.
-    Callers that own their invariants (the trainer, finite-difference
+    masks is the supcon_masks of the labels, required by the contrastive
+    kinds. Callers that own their invariants (the trainer, finite-difference
     probes that step off the unit sphere) call this directly; everyone
     else goes through evaluate_loss.
     """
@@ -213,7 +238,8 @@ def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
     if kind is LossKind.AAMSUPCON and lam != 0.0:
         sup_value, sup_grad = _supcon_raw(z, masks, temperature)
         value += lam * sup_value
-        grad_z = grad_z + lam * sup_grad
+        sup_grad *= lam
+        grad_z += sup_grad
     return value, grad_z, grad_w
 
 
@@ -223,7 +249,7 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
     """Validate the inputs once, build the contrast masks if the kind needs
     them, and evaluate one of the four losses."""
     validate_inputs(inputs)
-    masks = contrast_masks(inputs.labels, convention) if kind.contrastive else None
+    masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     return LossOutput(*loss_terms(kind, inputs.embeddings, inputs.labels,
                                   inputs.class_weights, inputs.temperature,
                                   inputs.margin, inputs.scale, masks, lam))
@@ -317,7 +343,7 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     validate_inputs(inputs)
-    masks = contrast_masks(inputs.labels, convention) if kind.contrastive else None
+    masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     z, w = inputs.embeddings, inputs.class_weights
 
     def terms():

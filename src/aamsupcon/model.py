@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, InvalidDims, IoError, ShapeMismatch, TraceMismatch
-from .geometry import EPS_NORM, normalize_rows
+from .geometry import normalize_rows, row_norms
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
 
@@ -42,12 +42,6 @@ class NetworkParams:
     @property
     def encoder_dims(self) -> list:
         return [self.d_in] + [w.shape[0] for w, _ in self.encoder_layers]
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [(w.copy(), b.copy()) for w, b in self.encoder_layers],
-            self.proj_w1.copy(), self.proj_w2.copy(),
-            self.class_weights.copy(), self.seed)
 
 
 @dataclass
@@ -116,17 +110,17 @@ def forward(params: NetworkParams, features) -> ForwardTrace:
     act = x
     encoder_pre, encoder_act = [], []
     for w, b in params.encoder_layers:
-        pre = act @ w.T + b
+        pre = act @ w.T
+        pre += b
         act = np.maximum(pre, 0.0)
         encoder_pre.append(pre)
         encoder_act.append(act)
     proj_pre = act @ params.proj_w1.T
     proj_act = np.maximum(proj_pre, 0.0)
     proj_out = proj_act @ params.proj_w2.T
-    norms = np.linalg.norm(proj_out, axis=1, keepdims=True)
-    embeddings = normalize_rows(proj_out)
+    norms = row_norms(proj_out)
     return ForwardTrace(x, encoder_pre, encoder_act, proj_pre, proj_act,
-                        proj_out, norms, embeddings)
+                        proj_out, norms, proj_out / norms)
 
 
 def encoder_embeddings(trace: ForwardTrace) -> np.ndarray:
@@ -139,7 +133,8 @@ def encoder_embeddings(trace: ForwardTrace) -> np.ndarray:
 
 def backward(params: NetworkParams, trace: ForwardTrace,
              grad_embeddings: np.ndarray,
-             grad_encoder_embeddings: np.ndarray | None = None) -> ParamGrads:
+             grad_encoder_embeddings: np.ndarray | None = None,
+             out: ParamGrads | None = None) -> ParamGrads:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
     The normalization layer contributes (g - (g.z) z) / ||u|| per row; relu
@@ -150,6 +145,10 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     grad_encoder_embeddings, when given, is d(loss)/d(normalized encoder
     output) for losses that classify in the pre-projection space; it joins
     the projection gradient at the encoder output.
+
+    out, when given, is a ParamGrads shaped like params whose arrays are
+    overwritten with the gradients and returned (the trainer passes views of
+    one flat vector); otherwise new arrays are returned.
     """
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != trace.embeddings.shape:
@@ -159,14 +158,22 @@ def backward(params: NetworkParams, trace: ForwardTrace,
             or trace.proj_pre.shape[1] != params.proj_w1.shape[0] \
             or trace.inputs.shape[1] != params.d_in:
         raise TraceMismatch("trace does not match these parameters")
+    if out is None:
+        out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
 
+    # Relu gates multiply by the mask rather than zero-fill: a gated entry
+    # keeps the sign of its gradient (-0.0) and a NaN stays NaN, bit for bit
+    # as when each gate made a new array.
     z = trace.embeddings
-    d_out = (g - np.sum(g * z, axis=1, keepdims=True) * z) / trace.norms
-    g_proj_w2 = d_out.T @ trace.proj_act
-    d_act = d_out @ params.proj_w2
-    d_pre = d_act * (trace.proj_pre > 0.0)
+    d_out = g * z
+    np.multiply(d_out.sum(axis=1, keepdims=True), z, out=d_out)
+    np.subtract(g, d_out, out=d_out)
+    d_out /= trace.norms
+    np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
+    d_pre = d_out @ params.proj_w2
+    d_pre *= trace.proj_pre > 0.0
     h = trace.encoder_act[-1] if trace.encoder_act else trace.inputs
-    g_proj_w1 = d_pre.T @ h
+    np.matmul(d_pre.T, h, out=out.proj_w1)
     d_h = d_pre @ params.proj_w1
     if grad_encoder_embeddings is not None:
         ge = np.asarray(grad_encoder_embeddings, dtype=np.float64)
@@ -175,29 +182,23 @@ def backward(params: NetworkParams, trace: ForwardTrace,
                 f"encoder grad shape {ge.shape} != encoder output shape {h.shape}")
         norms_h = np.linalg.norm(h, axis=1, keepdims=True)
         zn = h / norms_h
-        d_h = d_h + (ge - np.sum(ge * zn, axis=1, keepdims=True) * zn) / norms_h
+        d_h += (ge - np.sum(ge * zn, axis=1, keepdims=True) * zn) / norms_h
 
-    layer_grads: list = [None] * len(params.encoder_layers)
     for li in range(len(params.encoder_layers) - 1, -1, -1):
         w, _ = params.encoder_layers[li]
-        d_pre_l = d_h * (trace.encoder_pre[li] > 0.0)
+        grad_w, grad_b = out.encoder_layers[li]
+        d_h *= trace.encoder_pre[li] > 0.0
         below = trace.encoder_act[li - 1] if li > 0 else trace.inputs
-        layer_grads[li] = (d_pre_l.T @ below, d_pre_l.sum(axis=0))
-        d_h = d_pre_l @ w
-    return ParamGrads(layer_grads, g_proj_w1, g_proj_w2,
-                      np.zeros_like(params.class_weights))
+        np.matmul(d_h.T, below, out=grad_w)
+        np.sum(d_h, axis=0, out=grad_b)
+        d_h = d_h @ w
+    out.class_weights.fill(0.0)
+    return out
 
 
-def normalize_jacobian(u) -> np.ndarray:
-    """d(u/||u||)/du for one vector: (I - z z^T) / ||u||."""
-    u = np.asarray(u, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    z = u / norm
-    return (np.eye(u.shape[0]) - np.outer(z, z)) / norm
-
-
-def _array_entries(params: NetworkParams):
-    """(name, array) pairs in the fixed checkpoint order."""
+def _array_entries(params):
+    """(name, array) pairs of a NetworkParams or ParamGrads in the fixed
+    checkpoint order."""
     entries = []
     for i, (w, b) in enumerate(params.encoder_layers):
         entries.append((f"encoder.{i}.weight", w))
@@ -206,6 +207,31 @@ def _array_entries(params: NetworkParams):
     entries.append(("proj_w2", params.proj_w2))
     entries.append(("class_weights", params.class_weights))
     return entries
+
+
+def param_arrays(params) -> list:
+    """Every array of a NetworkParams or ParamGrads, in checkpoint order."""
+    return [arr for _, arr in _array_entries(params)]
+
+
+def _assemble(cls, arrays):
+    """A NetworkParams or ParamGrads from its arrays in checkpoint order."""
+    return cls(list(zip(arrays[:-3:2], arrays[1:-3:2])), *arrays[-3:])
+
+
+def flat_copy(params, cls=NetworkParams):
+    """(flat, copy) of a NetworkParams or ParamGrads: flat is one new float64
+    vector holding every array in checkpoint order, and copy is a cls whose
+    arrays are views of flat. An in-place operation on flat therefore
+    updates every array of copy at once; reassigning an attribute of copy
+    detaches it. A NetworkParams copy keeps the seed of params."""
+    arrays = param_arrays(params)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    pieces = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    copy = _assemble(cls, [piece.reshape(a.shape) for piece, a in zip(pieces, arrays)])
+    if isinstance(copy, NetworkParams):
+        copy.seed = params.seed
+    return flat, copy
 
 
 def save_checkpoint(path, params: NetworkParams) -> None:

@@ -11,24 +11,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import AugmentPolicy, build_batch, group_by_speaker
+from .batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker
 from .errors import DivergenceDetected, InvalidMargin, IoError, ZeroVector
 from .geometry import normalize_rows
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
     LossKind,
+    SupconMasks,
     _central_diff,
-    contrast_masks,
     loss_terms,
     relative_errors,
+    supcon_masks,
 )
 from .model import (
     NetworkParams,
+    ParamGrads,
     backward,
     encoder_embeddings,
+    flat_copy,
     forward,
     init_params,
+    param_arrays,
 )
 
 
@@ -124,11 +128,24 @@ class RunLog:
     records: list = field(default_factory=list)
 
 
+def run_masks(config: TrainConfig) -> SupconMasks | None:
+    """The contrast masks of every batch a run draws, or None when the loss
+    has no contrastive term. build_batch puts each chosen speaker's rows at
+    the positions batch_layout gives, and its speakers are distinct, so the
+    masks depend on batch_speakers and views_per_speaker alone."""
+    if not config.loss_kind.contrastive:
+        return None
+    return supcon_masks(batch_layout(config.batch_speakers, config.views_per_speaker),
+                        config.convention)
+
+
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
-                dense_labels: np.ndarray):
+                dense_labels: np.ndarray, masks: SupconMasks | None):
     """Evaluate the configured loss on a forward trace, without input
     validation: the config was validated once per run, forward() yields
     unit rows and the class weights are renormalized after every update.
+    masks is the supcon_masks of dense_labels (None for a loss without a
+    contrastive term).
 
     Returns (value, grad_projection, grad_encoder, grad_class_weights); the
     encoder slot is None unless the classifier term runs in encoder space."""
@@ -136,7 +153,6 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
     z = trace.embeddings
     w = params.class_weights
     hyper = (config.temperature, config.margin, config.scale)
-    masks = contrast_masks(dense_labels, config.convention) if kind.contrastive else None
     if config.classifier_space == "projection" or kind is LossKind.SUPCON:
         value, grad_z, grad_w = loss_terms(kind, z, dense_labels, w, *hyper,
                                            masks, config.lam)
@@ -154,15 +170,17 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
 
 
 def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
-                     dense_labels):
-    """Forward, loss and backward: (value, ParamGrads) for one batch."""
+                     dense_labels, masks: SupconMasks | None,
+                     out: ParamGrads | None = None):
+    """Forward, loss and backward: (value, ParamGrads) for one batch. The
+    gradients are written into out when it is given (see model.backward)."""
     trace = forward(params, features)
     value, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace,
-                                                     dense_labels)
+                                                     dense_labels, masks)
     if grad_proj is None:
         grad_proj = np.zeros_like(trace.embeddings)
-    grads = backward(params, trace, grad_proj, grad_enc)
-    grads.class_weights = grad_w
+    grads = backward(params, trace, grad_proj, grad_enc, out)
+    np.copyto(grads.class_weights, grad_w)
     return value, grads
 
 
@@ -185,9 +203,16 @@ def train(config: TrainConfig, features, speaker_ids):
     Class weights are re-normalized after every update so the margin loss's
     cosine reading stays valid. A non-finite loss (or a collapsed projection
     output) aborts with DivergenceDetected carrying the step index.
+
+    The parameters, their gradients and the momentum each live in one flat
+    vector (the returned params are views of it), so the update is three
+    in-place operations whatever the depth of the network.
     """
-    features, groups, params = _start(config, features, speaker_ids)
-    velocity = [np.zeros_like(a) for a in _param_arrays(params)]
+    features, groups, init = _start(config, features, speaker_ids)
+    flat_params, params = flat_copy(init)
+    flat_grads, grads = flat_copy(init, ParamGrads)
+    velocity = np.zeros_like(flat_params)
+    masks = run_masks(config)
     policy = config.augment_policy()
     rng = np.random.default_rng(config.seed)
     log = RunLog()
@@ -198,19 +223,17 @@ def train(config: TrainConfig, features, speaker_ids):
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
-                value, grads = _value_and_grads(config, params, batch, labels)
+                value, _ = _value_and_grads(config, params, batch, labels, masks, grads)
             except ZeroVector as exc:
                 raise DivergenceDetected(step, f"projection collapsed at step {step}") from exc
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
             grad_norm = _global_norm(grads)
-            for v, g in zip(velocity, _param_arrays(grads)):
-                v *= config.momentum
-                v += g
+            velocity *= config.momentum
+            velocity += flat_grads
             if config.learning_rate != 0.0:
-                for p, v in zip(_param_arrays(params), velocity):
-                    p -= config.learning_rate * v
-                params.class_weights = normalize_rows(params.class_weights)
+                flat_params -= config.learning_rate * velocity
+                params.class_weights[...] = normalize_rows(params.class_weights)
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
     return params, log
@@ -262,20 +285,12 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
     rng = np.random.default_rng(batch_seed)
     batch, labels = build_batch(features, groups, config.batch_speakers,
                                 config.views_per_speaker, config.augment_policy(), rng)
+    masks = run_masks(config)
 
-    _, grads = _value_and_grads(config, params, batch, labels)
+    _, grads = _value_and_grads(config, params, batch, labels, masks)
     fds = _central_diff(
-        lambda: _trace_loss(config, params, forward(params, batch), labels)[0],
-        _param_arrays(params), step)
+        lambda: _trace_loss(config, params, forward(params, batch), labels, masks)[0],
+        param_arrays(params), step)
     flat = np.concatenate([relative_errors(analytic, fd)
-                           for analytic, fd in zip(_param_arrays(grads), fds)])
+                           for analytic, fd in zip(param_arrays(grads), fds)])
     return GradCheckReport(float(flat.max()), float(flat.mean()), int(flat.size))
-
-
-def _param_arrays(params) -> list:
-    """Every array of a NetworkParams or ParamGrads, in checkpoint order."""
-    arrays = []
-    for w, b in params.encoder_layers:
-        arrays.extend([w, b])
-    arrays.extend([params.proj_w1, params.proj_w2, params.class_weights])
-    return arrays

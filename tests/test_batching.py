@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from aamsupcon.batching import AugmentPolicy, augment, build_batch, group_by_speaker
+from aamsupcon import batching
+from aamsupcon.batching import (
+    AugmentPolicy,
+    _choose_rows,
+    augment,
+    build_batch,
+    group_by_speaker,
+)
 from aamsupcon.errors import (
     AnchorWithoutPositive,
     InsufficientSpeakers,
@@ -163,6 +170,34 @@ def test_build_batch_matches_per_row_reference(mask_max):
                                np.random.default_rng(seed))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
         assert got[1].dtype == want[1].dtype
+
+
+@pytest.mark.parametrize("views", [1, 2, 3, 4, 5])
+def test_batched_row_draw_equals_per_group_choice(views):
+    rng = np.random.default_rng(views)
+    for n in range(views, views + 41):
+        # group n among others of random sizes, so the draw bounds vary per group
+        sizes = rng.integers(views, views + 41, size=6)
+        sizes[int(rng.integers(0, 6))] = n
+        seed = int(rng.integers(0, 2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _choose_rows(sizes, views, got_rng)
+        want = [want_rng.choice(size, size=views, replace=False) for size in sizes]
+        assert np.array_equal(got, want), (views, n)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_batched_row_draw_falls_back_in_numpys_tail_shuffle_range(monkeypatch):
+    # n > 10000 and k > n // 50: numpy shuffles the tail of arange(n)
+    sizes = np.array([20000])
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got = _choose_rows(sizes, 401, got_rng)
+    assert np.array_equal(got, [want_rng.choice(20000, size=401, replace=False)])
+    assert got_rng.random() == want_rng.random()
+    # Floyd's algorithm draws other rows there, so the fallback is what matches
+    monkeypatch.setattr(batching, "_TAIL_SHUFFLE_MIN_N", 10**9)
+    floyd = _choose_rows(sizes, 401, np.random.default_rng(4))
+    assert not np.array_equal(floyd, got)
 
 
 def test_group_by_speaker():

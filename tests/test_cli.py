@@ -242,6 +242,21 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_collapsed_row_at_scoring_exits_2_naming_it(tmp_path, capsys):
+    # with two projection units, evaluated row 21 maps to the zero vector
+    # after two steps of training
+    cfg = override(write_config(tmp_path, steps=2), tmp_path / "narrow.ini",
+                   "model.proj_hidden", "2")
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert main(command_argv("sweep-batch", cfg, gen / "dataset.txt", None,
+                             tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert "row 21 has norm 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("training_extra, setting, key", [
     ("learning_rate = nan", "", "training.learning_rate"),
     ("momentum = -5", "", "training.momentum"),
@@ -314,6 +329,9 @@ def holdout_one_run(tmp_path_factory):
     ("evaluate", "eval.c_fa", "inf"),
     ("gradcheck", "gradcheck.step", "0"),
     ("gradcheck", "gradcheck.step", "nan"),
+    ("gradcheck", "gradcheck.step", "0.5"),
+    ("gradcheck", "gradcheck.step", "1"),
+    ("gradcheck", "gradcheck.step", "99"),
     ("gradcheck", "gradcheck.tolerance", "nan"),
     ("gradcheck", "gradcheck.tolerance", "-1"),
     ("gradcheck", "gradcheck.e2e_tolerance", "nan"),

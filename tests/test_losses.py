@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from aamsupcon.batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker
 
 from aamsupcon.errors import (
     AnchorWithoutCandidate,
@@ -10,7 +13,7 @@ from aamsupcon.errors import (
     InvalidMargin,
     InvalidScale,
 )
-from aamsupcon.geometry import normalize_rows
+from aamsupcon.geometry import margin_logit, margin_logit_grad, normalize_rows
 from aamsupcon.losses import (
     DenominatorConvention,
     LossInputs,
@@ -22,7 +25,10 @@ from aamsupcon.losses import (
     loss_terms,
     softmax_loss,
     supcon_loss,
+    supcon_masks,
 )
+from aamsupcon.synthdata import DatasetSpec, generate
+from aamsupcon.training import TrainConfig, run_masks
 
 ALL = DenominatorConvention.ALL_NON_ANCHOR
 STRICT = DenominatorConvention.STRICT_NEGATIVES
@@ -326,6 +332,123 @@ def test_aamsupcon_lambda_weights_the_contrastive_term():
 
 
 # ---------------------------------------------------------------------------
+# bit-for-bit kernel reference: the allocate-per-temporary kernels that the
+# in-place ones in losses replace, kept verbatim
+
+
+def reference_supcon_raw(z: np.ndarray, masks, tau: float):
+    """Value and d/dz of the contrastive sum over (pos, cand) masks."""
+    pos_mask, cand_mask = masks
+    pcount = pos_mask.sum(axis=1).astype(np.float64)
+
+    sims = (z @ z.T) / tau
+    masked = np.where(cand_mask, sims, -np.inf)
+    row_max = masked.max(axis=1)
+    shifted_exp = np.exp(masked - row_max[:, None])
+    denom = shifted_exp.sum(axis=1)
+    lse = row_max + np.log(denom)
+
+    pos_sums = np.where(pos_mask, sims, 0.0).sum(axis=1)
+    value = float(np.sum(lse - pos_sums / pcount))
+
+    # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
+    soft = shifted_exp / denom[:, None]
+    g = (soft - pos_mask / pcount[:, None]) / tau
+    grad_z = (g + g.T) @ z
+    return value, grad_z
+
+
+def reference_margin_softmax_raw(z, labels, w, margin, scale):
+    """Cross-entropy over scaled cosine logits with the target column
+    penalized by the angular margin; margin == 0 is the plain softmax path.
+    Returns (value, grad_z, grad_w)."""
+    n = z.shape[0]
+    rows = np.arange(n)
+    cosines = z @ w.T
+    logits = cosines.copy()
+    if margin != 0.0:
+        logits[rows, labels] = margin_logit(cosines[rows, labels], margin)
+    logits *= scale
+
+    row_max = logits.max(axis=1)
+    shifted = logits - row_max[:, None]
+    exp_shifted = np.exp(shifted)
+    sumexp = exp_shifted.sum(axis=1)
+    lse = row_max + np.log(sumexp)
+    value = float(np.mean(lse - logits[rows, labels]))
+
+    d = exp_shifted / sumexp[:, None]
+    d[rows, labels] -= 1.0
+    d *= scale / n
+    if margin != 0.0:
+        d[rows, labels] *= margin_logit_grad(cosines[rows, labels], margin)
+    grad_z = d @ w
+    grad_w = d.T @ z
+    return value, grad_z, grad_w
+
+
+def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
+    """loss_terms composed from the reference kernels."""
+    masks = contrast_masks(labels, convention) if kind.contrastive else None
+    if kind is LossKind.SUPCON:
+        value, grad_z = reference_supcon_raw(z, masks, tau)
+        return value, grad_z, np.zeros_like(w)
+    if kind is LossKind.SOFTMAX:
+        margin = 0.0
+    value, grad_z, grad_w = reference_margin_softmax_raw(z, labels, w, margin, scale)
+    if kind is LossKind.AAMSUPCON and lam != 0.0:
+        sup_value, sup_grad = reference_supcon_raw(z, masks, tau)
+        value += lam * sup_value
+        grad_z = grad_z + lam * sup_grad
+    return value, grad_z, grad_w
+
+
+# (batch_speakers, views_per_speaker, embedding dim): N = 2BV runs from 4 to 256;
+# in 2 dimensions some target angles saturate the margin at pi
+ALIGNED_SHAPES = [(2, 1, 2), (3, 2, 8), (5, 3, 16), (8, 2, 128), (32, 2, 128), (64, 2, 128)]
+
+
+@pytest.mark.parametrize("convention", [ALL, STRICT])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
+    rng = np.random.default_rng(33)
+    for speakers, views, dim in ALIGNED_SHAPES:
+        classes = speakers + 3
+        labels = rng.permutation(classes)[:speakers][batch_layout(speakers, views)]
+        masks = supcon_masks(batch_layout(speakers, views), convention)
+        for margin in (0.0, 0.2):
+            for lam in (0.7, 1.0):
+                z = normalize_rows(rng.standard_normal((labels.size, dim)))
+                w = normalize_rows(rng.standard_normal((classes, dim)))
+                got = loss_terms(kind, z, labels, w, 0.07, margin, 30.0, masks, lam)
+                want = reference_terms(kind, z, labels, w, 0.07, margin, 30.0,
+                                       convention, lam)
+                assert got[0] == want[0], (speakers, views, margin, lam)
+                assert np.array_equal(got[1], want[1]), (speakers, views, margin, lam)
+                assert np.array_equal(got[2], want[2]), (speakers, views, margin, lam)
+
+
+@pytest.mark.parametrize("convention", [ALL, STRICT])
+@pytest.mark.parametrize("views", [1, 2, 3])
+def test_run_masks_equal_contrast_masks_of_every_drawn_batch(views, convention):
+    features, speaker_ids, _ = generate(DatasetSpec(7, 4, 8, 0.2, seed=views))
+    _, groups = group_by_speaker(speaker_ids)
+    rng = np.random.default_rng(views)
+    for speakers in (2, 3, 7):
+        config = TrainConfig(batch_speakers=speakers, views_per_speaker=views,
+                             convention=convention)
+        masks = run_masks(config)
+        for _ in range(5):
+            _, labels = build_batch(features, groups, speakers, views, AugmentPolicy(), rng)
+            pos, cand = contrast_masks(labels, convention)
+            assert np.array_equal(masks.pos, pos)
+            assert np.array_equal(~masks.not_cand, cand)
+            assert np.array_equal(masks.pcount, pos.sum(axis=1))
+            assert np.array_equal(masks.pos_frac, pos / pos.sum(axis=1)[:, None])
+        assert run_masks(replace(config, loss_kind=LossKind.ARCFACE)) is None
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 
@@ -422,7 +545,7 @@ def test_loss_value_unchecked_matches_public_api():
     rng = np.random.default_rng(26)
     inputs = random_batch(rng, 6, 4, 3)
     hyper = (inputs.temperature, inputs.margin, inputs.scale)
-    masks = contrast_masks(inputs.labels, ALL)
+    masks = supcon_masks(inputs.labels, ALL)
     assert loss_terms(LossKind.SUPCON, inputs.embeddings, inputs.labels,
                       inputs.class_weights, *hyper, masks)[0] \
         == supcon_loss(inputs, ALL).value

@@ -10,13 +10,23 @@ from aamsupcon.errors import (
 )
 from aamsupcon.model import (
     NetworkParams,
+    ParamGrads,
     backward,
+    flat_copy,
     forward,
     init_params,
     load_checkpoint,
-    normalize_jacobian,
+    param_arrays,
     save_checkpoint,
 )
+
+
+def normalize_jacobian(u) -> np.ndarray:
+    """d(u/||u||)/du for one vector: (I - z z^T) / ||u||."""
+    u = np.asarray(u, dtype=np.float64)
+    norm = np.linalg.norm(u)
+    z = u / norm
+    return (np.eye(u.shape[0]) - np.outer(z, z)) / norm
 
 
 def _identity_params(d):
@@ -124,6 +134,43 @@ def test_backward_relu_gate_blocks_dead_units():
     grads = backward(params, trace, np.ones_like(trace.embeddings))
     assert np.all(grads.encoder_layers[0][0][1] == 0.0)
     assert grads.encoder_layers[0][1][1] == 0.0
+
+
+def test_backward_gate_multiplies_so_nan_reaches_dead_units():
+    # the relu gates multiply by the mask: a NaN upstream gradient stays NaN
+    # at a dead unit (NaN * 0), where zero-filling would report 0 and hide it
+    params = _identity_params(3)
+    w = np.eye(3)
+    w[1] = -1.0
+    params.encoder_layers = [(w, np.zeros(3))]
+    trace = forward(params, np.abs(np.random.default_rng(4).normal(size=(5, 3))) + 0.1)
+    with np.errstate(invalid="ignore"):
+        grads = backward(params, trace, np.full((5, 3), np.nan))
+    assert np.isnan(grads.encoder_layers[0][1][1])
+    assert np.isnan(grads.encoder_layers[0][0][1]).all()
+
+
+def test_backward_into_flat_views_equals_fresh_arrays():
+    params = init_params([10, 16, 8], 12, 6, 4, seed=9)
+    rng = np.random.default_rng(10)
+    trace = forward(params, rng.normal(size=(7, 10)))
+    upstream = rng.normal(size=trace.embeddings.shape)
+    fresh = backward(params, trace, upstream)
+    flat, out = flat_copy(params, ParamGrads)
+    assert backward(params, trace, upstream, out=out) is out
+    for a, b in zip(param_arrays(fresh), param_arrays(out)):
+        assert np.array_equal(a, b) and np.shares_memory(b, flat)
+    assert np.array_equal(flat, np.concatenate([a.ravel() for a in param_arrays(fresh)]))
+
+
+def test_flat_copy_views_follow_in_place_updates():
+    params = init_params([10, 16], 8, 6, 4, seed=12)
+    flat, copy = flat_copy(params)
+    assert copy.seed == 12
+    assert all(np.array_equal(a, b) for a, b in zip(param_arrays(params), param_arrays(copy)))
+    flat *= 2.0
+    assert np.array_equal(copy.proj_w2, 2.0 * params.proj_w2)
+    assert np.array_equal(copy.encoder_layers[0][1], 2.0 * params.encoder_layers[0][1])
 
 
 def test_backward_rejects_mismatched_trace():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker
-from aamsupcon.errors import DivergenceDetected
-from aamsupcon.losses import LossKind
+from aamsupcon.errors import DivergenceDetected, ZeroVector
+from aamsupcon.losses import LossKind, supcon_masks
 from aamsupcon.model import forward, init_params
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
@@ -93,6 +93,17 @@ def test_divergence_detection_reports_step():
     assert 0 <= excinfo.value.step < 20
 
 
+def test_collapse_during_training_is_divergence():
+    # a single projection unit: its relu is zero for some row of the first batch
+    data = _dataset()
+    cfg = TrainConfig(steps=5, batch_speakers=4, seed=0, encoder_hidden=(32, 32),
+                      proj_hidden=1, embedding_dim=16)
+    with pytest.raises(DivergenceDetected, match="collapsed") as excinfo:
+        train(cfg, *data)
+    assert excinfo.value.step == 0
+    assert isinstance(excinfo.value.__cause__, ZeroVector)
+
+
 def test_class_weights_stay_unit_norm():
     data = _dataset()
     cfg = TrainConfig(steps=50, batch_speakers=4, seed=3, **SMALL_NET)
@@ -112,9 +123,10 @@ def test_loss_on_batch_dispatch_identities():
     features, labels = _fixed_batch(data, 4)
     params = init_params([20, 32, 32], 32, 16, 6, seed=1)
     trace = forward(params, features)
+    masks = supcon_masks(labels)
 
     def value(config):
-        return _trace_loss(config, params, trace, labels)[0]
+        return _trace_loss(config, params, trace, labels, masks)[0]
 
     softmax_cfg = TrainConfig(loss_kind=LossKind.SOFTMAX, **SMALL_NET)
     arcface_m0 = TrainConfig(loss_kind=LossKind.ARCFACE, margin=0.0, **SMALL_NET)
