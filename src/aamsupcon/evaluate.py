@@ -1,9 +1,9 @@
 """Speaker-verification evaluation: trial lists, cosine scoring, EER and
 minDCF.
 
-Both metrics come in two independent routes: a fast sorted/vectorized
-implementation and a brute-force threshold sweep that recounts errors for
-every candidate threshold. Both apply the same documented conventions:
+Both metrics are sorted/vectorized; the tests check them against
+brute-force threshold sweeps that recount errors for every candidate
+threshold. Both routes apply the same documented conventions:
 
 * a trial is accepted when score >= threshold, so tied scores flip together;
 * candidate operating points are the distinct observed scores (plus the
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import NetworkParams, encoder_embeddings, forward
 
-_FLOAT_FMT = "%.17g"
+_SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
 
 
 @dataclass
@@ -115,7 +115,12 @@ def score_trials(params: NetworkParams, features, trials,
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output). A row
     that the network maps to a zero vector raises DegenerateTrials naming
-    it."""
+    it.
+
+    The trials are scored _SCORE_BLOCK at a time, so the (block, D)
+    products stay small. The scores are bit-identical to scoring all trials
+    at once: np.sum over the last axis of a C-contiguous block reduces each
+    row with the same pairwise routine, however many rows the block holds."""
     if space not in ("projection", "encoder"):
         raise ValueError(f"space must be projection|encoder, got {space!r}")
     enroll, test, is_target = (np.asarray(a) for a in trials)
@@ -129,7 +134,13 @@ def score_trials(params: NetworkParams, features, trials,
         emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
     except ZeroVector as exc:
         raise DegenerateTrials(f"cannot score trials: the embedding of evaluated {exc}") from exc
-    scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
+    scores = np.empty(len(enroll))
+    for start in range(0, len(enroll), _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        rows = emb[enroll[block]]
+        rows *= emb[test[block]]
+        np.sum(rows, axis=1, out=scores[block])
+    np.clip(scores, -1.0, 1.0, out=scores)
     return ScoredTrials(scores, is_target)
 
 
@@ -168,35 +179,6 @@ def eer(scored: ScoredTrials):
     return float(rate), float(threshold)
 
 
-def eer_threshold_sweep(scored: ScoredTrials):
-    """Brute-force EER oracle: recount both error rates for every candidate
-    threshold in O(n^2) and interpolate the crossing with the same rule as
-    eer(). Kept free of shared code with the fast route."""
-    scores = [float(s) for s in scored.scores]
-    labels = [bool(t) for t in scored.is_target]
-    if all(s == scores[0] for s in scores):
-        raise DegenerateTrials("all trial scores are equal")
-    targets = [s for s, t in zip(scores, labels) if t]
-    nons = [s for s, t in zip(scores, labels) if not t]
-    candidates = sorted(set(scores))
-    points = []
-    for u in candidates:
-        frr = sum(1 for s in targets if s < u) / len(targets)
-        far = sum(1 for s in nons if s >= u) / len(nons)
-        points.append((frr, far, u))
-    points.append((1.0, 0.0, candidates[-1]))
-    for (frr0, far0, t0), (frr1, far1, t1) in zip(points, points[1:]):
-        d0, d1 = frr0 - far0, frr1 - far1
-        if d0 >= 0.0:
-            return frr0, t0
-        if d1 >= 0.0:
-            if d1 == 0.0:
-                return frr1, t1
-            alpha = -d0 / (d1 - d0)
-            return frr0 + alpha * (frr1 - frr0), t0 + alpha * (t1 - t0)
-    raise AssertionError("no EER crossing found")  # unreachable: d spans -1..1
-
-
 def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
     """Minimum normalized detection cost and the threshold attaining it.
 
@@ -222,33 +204,9 @@ def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
     return float(dcf[idx] / normalizer), float(thresholds[idx])
 
 
-def min_dcf_threshold_sweep(scored: ScoredTrials, params: DcfParams | None = None):
-    """Brute-force minDCF oracle: same candidate enumeration as min_dcf but
-    recounting misses and false accepts trial by trial."""
-    params = params or DcfParams()
-    scores = [float(s) for s in scored.scores]
-    labels = [bool(t) for t in scored.is_target]
-    if all(s == scores[0] for s in scores):
-        raise DegenerateTrials("all trial scores are equal")
-    targets = [s for s, t in zip(scores, labels) if t]
-    nons = [s for s, t in zip(scores, labels) if not t]
-    candidates = [float("-inf")] + sorted(set(scores)) + [float("inf")]
-    best = None
-    for u in candidates:
-        p_miss = sum(1 for s in targets if s < u) / len(targets)
-        p_fa = sum(1 for s in nons if s >= u) / len(nons)
-        cost = (params.c_miss * p_miss * params.p_target
-                + params.c_fa * p_fa * (1.0 - params.p_target))
-        if best is None or cost < best[0]:
-            best = (cost, u)
-    normalizer = min(params.c_miss * params.p_target,
-                     params.c_fa * (1.0 - params.p_target))
-    return best[0] / normalizer, best[1]
-
-
 def save_trials(path, trials) -> None:
     """One trial per line: enroll_index test_index 0|1."""
-    _write_lines(path, "trials", (f"{e} {t} {int(g)}\n" for e, t, g in _rows(trials)))
+    _write_lines(path, "trials", "%d %d %d\n", trials)
 
 
 def load_trials(path):
@@ -258,10 +216,7 @@ def load_trials(path):
 
 def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
     """Trial-list format with the score appended to each line."""
-    if len(trials[0]) != scored.scores.size:
-        raise ValueError("trials and scores differ in length")
-    _write_lines(path, "scores", (f"{e} {t} {int(g)} " + (_FLOAT_FMT % s) + "\n"
-                                  for (e, t, g), s in zip(_rows(trials), scored.scores.tolist())))
+    _write_lines(path, "scores", "%d %d %d %.17g\n", (*trials, scored.scores))
 
 
 def load_scored_trials(path):
@@ -270,15 +225,19 @@ def load_scored_trials(path):
     return trials, ScoredTrials(scores, trials[2])
 
 
-def _rows(trials):
-    """The trials as Python scalars, which format faster than numpy ones."""
-    return zip(*(np.asarray(a).tolist() for a in trials))
-
-
-def _write_lines(path, what, lines) -> None:
+def _write_lines(path, what, line_fmt, columns) -> None:
+    """One line_fmt line per row of the equal-length columns, formatted in a
+    single %-call over the interleaved column values as Python scalars."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"{what} columns differ in length")
+    flat = [None] * (rows * len(columns))
+    for j, col in enumerate(columns):
+        flat[j::len(columns)] = col
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(lines)
+            fh.write(line_fmt * rows % tuple(flat))
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 

@@ -4,7 +4,9 @@ backward pass. Checkpoints round-trip bit-exactly through a small binary
 container.
 """
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,8 +263,11 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Inverse of save_checkpoint. Raises CheckpointError on any format
-    violation (bad magic, version, truncated or trailing bytes)."""
+    """Inverse of save_checkpoint. Raises CheckpointError naming path on any
+    format violation: bad magic, a header that is not the object
+    save_checkpoint writes (version, integer sizes, the array names and
+    shapes those sizes imply), truncated or trailing bytes, or an array
+    holding a non-finite value."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -277,30 +282,72 @@ def load_checkpoint(path) -> NetworkParams:
         header = json.loads(raw[12:12 + hlen].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("version") != 1:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
 
     offset = 12 + hlen
-    arrays = {}
-    for meta in header["arrays"]:
-        shape = tuple(int(d) for d in meta["shape"])
-        nbytes = 8 * int(np.prod(shape))
+    arrays = []
+    for name, shape in _header_layout(path, header):
+        nbytes = 8 * math.prod(shape)
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array {meta['name']}")
-        arrays[meta["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array {name}")
+        arr = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name} holds a non-finite value")
+        arrays.append(arr)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-
-    dims = header["encoder_dims"]
-    try:
-        layers = [(arrays[f"encoder.{i}.weight"], arrays[f"encoder.{i}.bias"])
-                  for i in range(len(dims) - 1)]
-        params = NetworkParams(layers, arrays["proj_w1"], arrays["proj_w2"],
-                               arrays["class_weights"], int(header["seed"]))
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from exc
-    if params.encoder_dims != [int(d) for d in dims]:
-        raise CheckpointError(f"{path}: header dims {dims} do not match arrays")
+    params = _assemble(NetworkParams, arrays)
+    params.seed = header["seed"]
     return params
+
+
+# integer header key -> its least valid value (as init_params requires)
+_HEADER_INTS = {"seed": 0, "proj_hidden": 1, "d_out": 2, "num_classes": 2}
+
+
+def _header_layout(path, header) -> list:
+    """[(name, shape)] of the arrays a checkpoint header declares, after
+    checking that the header is the object save_checkpoint writes: its keys,
+    integer sizes, and array entries naming the arrays those sizes imply in
+    checkpoint order. The class-weight columns match d_out or the encoder
+    output width (the two classifier spaces)."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("version", "encoder_dims", "arrays", *_HEADER_INTS):
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key!r}")
+    if header["version"] != 1 or not _is_int(header["version"]):
+        raise CheckpointError(f"{path}: unsupported version {header['version']!r}")
+    dims = header["encoder_dims"]
+    for key, least in _HEADER_INTS.items():
+        if not _is_int(header[key]) or header[key] < least:
+            raise CheckpointError(f"{path}: header {key} must be an integer >= {least}, "
+                                  f"got {header[key]!r}")
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(_is_int(d) and d >= 1 for d in dims)):
+        raise CheckpointError(f"{path}: header encoder_dims must list >= 2 positive "
+                              f"integers, got {dims!r}")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: header arrays must be a list")
+
+    hidden, d_out, classes = header["proj_hidden"], header["d_out"], header["num_classes"]
+    layout = []
+    for i in range(len(dims) - 1):
+        layout += [(f"encoder.{i}.weight", [dims[i + 1], dims[i]]),
+                   (f"encoder.{i}.bias", [dims[i + 1]])]
+    layout += [("proj_w1", [hidden, dims[-1]]), ("proj_w2", [d_out, hidden]),
+               ("class_weights", [classes, d_out])]
+    got = [(m.get("name"), m.get("shape")) if isinstance(m, dict) else m
+           for m in header["arrays"]]
+    if got[-1:] == [("class_weights", [classes, dims[-1]])]:
+        layout[-1] = ("class_weights", [classes, dims[-1]])
+    for k, (entry, want) in enumerate(itertools.zip_longest(got, layout)):
+        if entry != want or not all(map(_is_int, entry[1])):
+            raise CheckpointError(f"{path}: header array entry {k} is {entry!r}, "
+                                  f"expected {want!r} from the header sizes")
+    return layout
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -17,9 +17,7 @@ from aamsupcon.evaluate import (
     ScoredTrials,
     build_trials,
     eer,
-    eer_threshold_sweep,
     min_dcf,
-    min_dcf_threshold_sweep,
     score_trials,
 )
 from aamsupcon.geometry import margin_logit, normalize_rows
@@ -36,6 +34,7 @@ from aamsupcon.losses import (
 )
 from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
 from aamsupcon.training import TrainConfig, end_to_end_grad_check, train
+from oracles import eer_threshold_sweep, min_dcf_threshold_sweep
 
 ALL = DenominatorConvention.ALL_NON_ANCHOR
 STRICT = DenominatorConvention.STRICT_NEGATIVES

@@ -531,3 +531,110 @@ def test_config_value_is_run_or_named(clean_dataset, key, value):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert name in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def clean_checkpoint(clean_dataset, tmp_path_factory):
+    """Bytes of a checkpoint that train wrote for clean_dataset's config."""
+    cfg, text = clean_dataset
+    root = tmp_path_factory.mktemp("ckpt")
+    (root / "dataset.txt").write_text(text)
+    assert main(command_argv("train", cfg, root / "dataset.txt", None, root / "run")) == 0
+    return (root / "run" / "checkpoint.bin").read_bytes()
+
+
+_CKPT_ARRAYS = ["encoder.0.weight", "encoder.0.bias", "encoder.1.weight", "encoder.1.bias",
+                "proj_w1", "proj_w2", "class_weights"]
+_CKPT_KEYS = ["version", "seed", "encoder_dims", "proj_hidden", "d_out", "num_classes",
+              "arrays"]
+
+
+def _mutate(blob, mutation):
+    """blob with one mutation: ("truncate", n) keeps n bytes (mod size);
+    ("flip", i, mask) xors header byte i (mod header end); ("drop_key", key)
+    and ("drop_entry_key", k, key) delete a header key or one of array entry
+    k's; ("nan", name, i, value) writes value over element i of that array;
+    ("header", obj) replaces the header with obj."""
+    kind, *args = mutation
+    hlen = int.from_bytes(blob[8:12], "little")
+    header, body = json.loads(blob[12:12 + hlen]), bytearray(blob[12 + hlen:])
+    if kind == "truncate":
+        return blob[:args[0] % len(blob)]
+    if kind == "flip":
+        out = bytearray(blob)
+        out[args[0] % (12 + hlen)] ^= args[1]
+        return bytes(out)
+    if kind == "drop_key":
+        del header[args[0]]
+    elif kind == "drop_entry_key":
+        del header["arrays"][args[0] % len(header["arrays"])][args[1]]
+    elif kind == "header":
+        header = args[0]
+    elif kind == "nan":
+        name, i, value = args
+        sizes = [int(np.prod(m["shape"])) for m in header["arrays"]]
+        k = [m["name"] for m in header["arrays"]].index(name)
+        at = 8 * (sum(sizes[:k]) + i % sizes[k])
+        body[at:at + 8] = np.float64(value).tobytes()
+    text = json.dumps(header).encode("ascii")
+    return blob[:8] + len(text).to_bytes(4, "little") + text + bytes(body)
+
+
+def _evaluate_checkpoint(clean_dataset, blob, tmp):
+    """(exit code, stderr, checkpoint path) of evaluate on blob."""
+    cfg, text = clean_dataset
+    (tmp / "dataset.txt").write_text(text)
+    path = tmp / "checkpoint.bin"
+    path.write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(command_argv("evaluate", cfg, tmp / "dataset.txt", path, tmp / "eval"))
+    return code, err.getvalue(), path
+
+
+@pytest.mark.parametrize("mutation, named", [
+    (("drop_key", "encoder_dims"), "'encoder_dims'"),
+    (("drop_key", "arrays"), "'arrays'"),
+    (("drop_entry_key", 0, "name"), "entry 0"),
+    (("header", []), "not a JSON object"),
+    (("nan", "proj_w2", 0, float("nan")), "proj_w2"),
+    (("nan", "class_weights", 3, float("nan")), "class_weights"),
+], ids=["no-encoder-dims", "no-arrays", "entry-without-name", "list-header",
+        "nan-proj-w2", "nan-class-weights"])
+def test_malformed_checkpoint_exits_3_naming_it(clean_dataset, clean_checkpoint, tmp_path,
+                                                mutation, named):
+    code, err, path = _evaluate_checkpoint(clean_dataset, _mutate(clean_checkpoint, mutation),
+                                           tmp_path)
+    assert code == 3, err
+    assert str(path) in err and named in err
+    assert "Traceback" not in err
+
+
+_CKPT_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(1, 255)),
+    st.tuples(st.just("drop_key"), st.sampled_from(_CKPT_KEYS)),
+    st.tuples(st.just("drop_entry_key"), st.integers(0, 6), st.sampled_from(["name", "shape"])),
+    st.tuples(st.just("nan"), st.sampled_from(_CKPT_ARRAYS), st.integers(0, 2**20),
+              st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@example(mutation=("drop_key", "encoder_dims"))
+@example(mutation=("drop_key", "arrays"))
+@example(mutation=("drop_entry_key", 0, "name"))
+@example(mutation=("header", []))
+@example(mutation=("nan", "proj_w2", 0, float("nan")))
+@example(mutation=("nan", "class_weights", 3, float("nan")))
+@given(mutation=_CKPT_MUTATIONS)
+def test_corrupted_checkpoint_is_evaluated_or_named(clean_dataset, clean_checkpoint, mutation):
+    """A truncated checkpoint, a flipped header byte, a dropped header key or
+    a non-finite array entry: evaluate runs it or exits 3 naming the file,
+    never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, path = _evaluate_checkpoint(clean_dataset, _mutate(clean_checkpoint, mutation),
+                                               Path(tmp))
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+    if code == 3:
+        assert str(path) in err

@@ -1,7 +1,11 @@
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from aamsupcon import evaluate
 
 from aamsupcon.errors import (
     DegenerateTrials,
@@ -15,17 +19,16 @@ from aamsupcon.evaluate import (
     ScoredTrials,
     build_trials,
     eer,
-    eer_threshold_sweep,
     load_scored_trials,
     load_trials,
     min_dcf,
-    min_dcf_threshold_sweep,
     save_scored_trials,
     save_trials,
     score_trials,
 )
-from aamsupcon.model import NetworkParams, init_params
+from aamsupcon.model import NetworkParams, encoder_embeddings, forward, init_params
 from aamsupcon.synthdata import DatasetSpec, generate
+from oracles import eer_threshold_sweep, min_dcf_threshold_sweep
 
 
 def _random_scored(rng, n=40, ties=True):
@@ -198,6 +201,122 @@ def test_score_trials_encoder_space():
 
 
 # ---------------------------------------------------------------------------
+# block scoring and one-call writers against the unblocked originals
+
+
+def _rows(trials):
+    """The trials as Python scalars, which format faster than numpy ones."""
+    return zip(*(np.asarray(a).tolist() for a in trials))
+
+
+_FLOAT_FMT = "%.17g"
+
+
+def _reference_outputs(emb, trials, trials_path, scores_path):
+    """Scores of the whole trial list in one expression, and the trial and
+    score files written line by line with f-strings."""
+    enroll, test, _ = trials
+    scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
+    with open(trials_path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines((f"{e} {t} {int(g)}\n" for e, t, g in _rows(trials)))
+    with open(scores_path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines((f"{e} {t} {int(g)} " + (_FLOAT_FMT % s) + "\n"
+                       for (e, t, g), s in zip(_rows(trials), scores.tolist())))
+    return scores
+
+
+def _assert_matches_reference(tmp_path, monkeypatch, params, features, trials, space, emb):
+    """score_trials, save_trials and save_scored_trials reproduce the
+    reference bit for bit (scores compared as raw float64 bits, so a sign
+    flip of a zero counts) and byte for byte, with is_target given as bools
+    and as 0/1 ints. The score holder skips ScoredTrials' check for both
+    classes, so a single trial can be scored."""
+    monkeypatch.setattr(evaluate, "ScoredTrials",
+                        lambda scores, is_target: SimpleNamespace(scores=scores))
+    enroll, test, is_target = trials
+    for flags in (is_target.astype(bool), is_target.astype(np.int64)):
+        got = score_trials(params, features, (enroll, test, flags), space).scores
+        want = _reference_outputs(emb, (enroll, test, flags), tmp_path / "want_trials.txt",
+                                  tmp_path / "want_scores.txt")
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        save_trials(tmp_path / "trials.txt", (enroll, test, flags))
+        save_scored_trials(tmp_path / "scores.txt", (enroll, test, flags),
+                           SimpleNamespace(scores=got))
+        for name in ("trials.txt", "scores.txt"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
+    return want
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+@pytest.mark.parametrize("dim", [2, 8, 9, 128, 129])
+@pytest.mark.parametrize("num_trials", [1, 511, 512, 513, 5000])
+def test_block_scoring_and_writers_match_unblocked(tmp_path, monkeypatch, num_trials,
+                                                  dim, space):
+    """Embeddings of width dim in either space; every fifth trial
+    pairs a row with itself, whose score may round past 1 and be clipped."""
+    rng = np.random.default_rng(1000 * num_trials + dim)
+    params = init_params([6, dim], 16, dim, 3, seed=dim)
+    params.encoder_layers[0][1][:] = 3.0  # no all-dead encoder row at dim = 2
+    features = rng.standard_normal((50, 6))
+    enroll = rng.integers(0, 50, num_trials)
+    test = np.where(np.arange(num_trials) % 5 == 0, enroll, rng.integers(0, 50, num_trials))
+    trace = forward(params, features)
+    emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+    _assert_matches_reference(tmp_path, monkeypatch, params, features,
+                              (enroll, test, rng.random(num_trials) < 0.5), space, emb)
+
+
+def _signed_params(dim):
+    """d_in = dim network whose projection embedding is x / |x|: the
+    encoder keeps (relu(x), relu(-x)) and the head subtracts them."""
+    eye = np.eye(dim)
+    encoder = [(np.vstack([eye, -eye]), np.zeros(2 * dim))]
+    return NetworkParams(encoder, np.eye(2 * dim), np.hstack([eye, -eye]), np.eye(2, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 9, 129])
+def test_block_scoring_keeps_clipped_and_zero_scores(tmp_path, monkeypatch, dim):
+    """Self pairs that round past +1, antipodal pairs past -1, and
+    orthogonal pairs whose every product is -0.0, spread over 3 blocks."""
+    rng = np.random.default_rng(dim)
+    base = rng.standard_normal((20, dim))
+    half = dim // 2
+    neg_low, neg_high = np.zeros((2, dim)), np.zeros((2, dim))
+    neg_low[:, :half], neg_high[:, half:] = -1.0, -1.0
+    features = np.vstack([base, -base, neg_low[:1], neg_high[:1]])
+    kinds = rng.integers(0, 3, 1300)
+    first = rng.integers(0, 20, 1300)
+    enroll = np.where(kinds == 2, 40, first)
+    test = np.choose(kinds, [first, first + 20, np.full(1300, 41)])
+    params = _signed_params(dim)
+    emb = forward(params, features).embeddings
+    products = emb[enroll] * emb[test]
+    raw = np.sum(products, axis=1)
+    assert (raw > 1.0).any() and (raw < -1.0).any()
+    assert np.signbit(products[kinds == 2]).all() and (raw[kinds == 2] == 0.0).all()
+    want = _assert_matches_reference(tmp_path, monkeypatch, params, features,
+                                     (enroll, test, kinds == 0), "projection", emb)
+    assert want.max() == 1.0 and want.min() == -1.0
+
+
+def test_block_scoring_peak_memory():
+    """102400 trials over 1280 rows with the quickstart model: blocks keep
+    the scoring temporaries far below the (T, D) products of one pass."""
+    features, speaker_ids, _ = generate(DatasetSpec(128, 10, 40, 0.2, seed=0))
+    params = init_params([40, 64, 64], 128, 128, 128, seed=0)
+    trials = build_trials(speaker_ids, 400, seed=0)
+    tracemalloc.start()
+    try:
+        scored = score_trials(params, features, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scored.scores.size == 102400
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
 # EER
 
 
@@ -367,3 +486,14 @@ def test_scored_file_round_trip(tmp_path):
     assert _trial_list(loaded_trials) == _trial_list(trials)
     assert np.array_equal(loaded_scored.scores, scored.scores)
     assert np.array_equal(loaded_scored.is_target, scored.is_target)
+
+
+def test_writers_reject_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "trials.txt"
+    with pytest.raises(ValueError, match="differ in length"):
+        save_trials(path, (np.array([0, 1]), np.array([2]), np.array([True, False])))
+    trials = (np.array([0, 2]), np.array([3, 7]), np.array([True, False]))
+    with pytest.raises(ValueError, match="differ in length"):
+        save_scored_trials(path, trials, ScoredTrials(np.array([0.1, 0.2, 0.3]),
+                                                      np.array([True, False, True])))
+    assert not path.exists()
