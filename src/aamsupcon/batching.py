@@ -8,6 +8,7 @@ coordinates zeroed (the desk-scale analog of time/frequency masking).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,25 +39,47 @@ def group_by_speaker(speaker_ids):
     return ids, (np.split(order, np.cumsum(counts)[:-1]) if ids.size else [])
 
 
-def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of every row of x (N, d_in), drawn row by row.
+class SpeakerRows(NamedTuple):
+    """group_by_speaker's groups as one flat array: the rows of speaker k
+    are order[starts[k]:starts[k] + counts[k]]."""
 
-    For each row in turn: add noise_sigma * N(0, I), draw k uniformly from
+    order: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+
+def speaker_rows(groups) -> SpeakerRows:
+    """The SpeakerRows of group_by_speaker's groups, built once per run."""
+    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
+    order = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
+    return SpeakerRows(order, np.cumsum(counts) - counts, counts)
+
+
+def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
+    """One stochastic view of every row of x (N, d_in).
+
+    For each row in turn: draw noise_sigma * N(0, I), draw k uniformly from
     [0, mask_max], and when k > 0 draw the start of the k contiguous
-    coordinates to zero. The draws interleave per row, so they cannot be
-    batched without changing the random stream."""
+    coordinates to zero. The draws interleave per row, so they are taken
+    row by row; the noise is then added and the runs zeroed for all rows
+    at once."""
     x = np.asarray(x, dtype=np.float64)
-    d_in = x.shape[1]
+    n, d_in = x.shape
     mask_max = policy.resolved_mask_max(d_in)
     if not 0 <= mask_max <= d_in:
         raise ValueError(f"mask_max {mask_max} outside [0, {d_in}]")
-    out = np.empty_like(x)
-    for i, row in enumerate(x):
-        out[i] = row + policy.noise_sigma * rng.standard_normal(d_in)
+    noise = np.empty_like(x)
+    runs = np.zeros((n, 2), dtype=np.int64)  # [start, stop) per row
+    for i in range(n):
+        rng.standard_normal(out=noise[i])
         k = int(rng.integers(0, mask_max + 1))
         if k > 0:
             start = int(rng.integers(0, d_in - k + 1))
-            out[i, start:start + k] = 0.0
+            runs[i] = start, start + k
+    noise *= policy.noise_sigma
+    out = np.add(x, noise, out=noise)
+    cols = np.arange(d_in)
+    out[(cols >= runs[:, :1]) & (cols < runs[:, 1:])] = 0.0
     return out
 
 
@@ -100,31 +123,31 @@ def _choose_rows(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return picked
 
 
-def build_batch(features, groups, batch_speakers: int, views_per_speaker: int,
+def build_batch(features, rows: SpeakerRows, batch_speakers: int, views_per_speaker: int,
                 policy: AugmentPolicy, rng: np.random.Generator):
     """Sample a multiview batch: (batch_features (2BV, d_in), labels (2BV,)).
 
-    groups is group_by_speaker's row-index list and labels are positions in
-    it. Draws batch_speakers speakers uniformly without replacement among
-    those with at least views_per_speaker rows, then views_per_speaker rows
-    per speaker without replacement (as rng.choice would, speaker by
-    speaker), then one augmentation per row (see augment). The rows follow
-    batch_layout. Raises InsufficientSpeakers / InsufficientUtterances when
-    the groups cannot satisfy the request.
+    rows is the speaker_rows of group_by_speaker's groups and labels are
+    positions in them. Draws batch_speakers speakers uniformly without
+    replacement among those with at least views_per_speaker rows, then
+    views_per_speaker rows per speaker without replacement (as rng.choice
+    would, speaker by speaker), then one augmentation per row (see augment).
+    The rows follow batch_layout. Raises InsufficientSpeakers /
+    InsufficientUtterances when the rows cannot satisfy the request.
     """
     if batch_speakers < 1 or views_per_speaker < 1:
         raise ValueError("batch_speakers and views_per_speaker must be >= 1")
-    if len(groups) < batch_speakers:
+    if rows.counts.size < batch_speakers:
         raise InsufficientSpeakers(
-            f"need {batch_speakers} speakers, dataset has {len(groups)}")
-    eligible = [k for k, rows in enumerate(groups) if len(rows) >= views_per_speaker]
-    if len(eligible) < batch_speakers:
+            f"need {batch_speakers} speakers, dataset has {rows.counts.size}")
+    eligible = np.flatnonzero(rows.counts >= views_per_speaker)
+    if eligible.size < batch_speakers:
         raise InsufficientUtterances(
-            f"only {len(eligible)} speakers have >= {views_per_speaker} rows")
+            f"only {eligible.size} speakers have >= {views_per_speaker} rows")
 
-    chosen = rng.choice(np.array(eligible), size=batch_speakers, replace=False)
-    picks = _choose_rows(np.array([len(groups[k]) for k in chosen]), views_per_speaker, rng)
-    rows = np.concatenate([groups[k][p] for k, p in zip(chosen, picks)])
-    originals = features[rows]
+    chosen = rng.choice(eligible, size=batch_speakers, replace=False)
+    picks = _choose_rows(rows.counts[chosen], views_per_speaker, rng)
+    picks += rows.starts[chosen][:, None]
+    originals = features[rows.order[picks.ravel()]]
     return (np.concatenate([originals, augment(originals, policy, rng)]),
             chosen[batch_layout(batch_speakers, views_per_speaker)])

@@ -31,13 +31,17 @@ def normalize(v) -> np.ndarray:
     return v / norm
 
 
-def row_norms(mat) -> np.ndarray:
-    """The (N, 1) Euclidean norms of the rows of a 2-D float64 array.
+def row_norms(mat, out=None, squares=None) -> np.ndarray:
+    """The (N, 1) Euclidean norms of the rows of a 2-D float64 array, with
+    the bits of np.linalg.norm(mat, axis=1, keepdims=True). out and squares,
+    when given, receive the norms and the squared entries.
 
     Raises ZeroVector naming the first shortest row if any norm is
     <= EPS_NORM (or NaN).
     """
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    squares = np.multiply(mat, mat, out=squares)
+    norms = np.add.reduce(squares, axis=1, keepdims=True, out=out)
+    np.sqrt(norms, out=norms)
     if not np.all(norms > EPS_NORM):
         bad = int(np.argmin(norms))
         raise ZeroVector(f"row {bad} has norm {float(norms[bad, 0]):.3e}")

@@ -162,15 +162,40 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
     return SupconMasks(pos, pcount, pos / pcount[:, None], ~cand)
 
 
-def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float):
-    """Value and d/dz of the contrastive sum over the masks.
+class KernelBuffers:
+    """The arrays one loss_terms call writes, built once for a batch shape
+    and overwritten by every call: two (N, N) contrastive buffers, the
+    (N, C) margin-softmax buffer, the margin term's d/dz (N, class_dim),
+    the contrastive term's d/dz (N, d) and d/dw (C, class_dim). A trainer
+    passes the class-weight view of its flat gradient vector as grad_w, so
+    the kernel writes that gradient in place."""
 
-    One (N, N) buffer holds the similarities, then the shifted exponentials,
-    then the softmax and finally the gradient w.r.t. the similarities."""
-    buf = z @ z.T
+    __slots__ = ("sims", "sims_t", "logits", "grad_z", "grad_sup", "grad_w")
+
+    def __init__(self, n: int, d: int, num_classes: int, class_dim: int,
+                 grad_w: np.ndarray | None = None):
+        self.sims = np.empty((n, n))
+        self.sims_t = np.empty((n, n))
+        self.logits = np.empty((n, num_classes))
+        self.grad_z = np.empty((n, class_dim))
+        self.grad_sup = np.empty((n, d))
+        self.grad_w = np.empty((num_classes, class_dim)) if grad_w is None else grad_w
+
+
+def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float, bufs: KernelBuffers):
+    """Value and d/dz of the contrastive sum over the masks; d/dz is
+    bufs.grad_sup.
+
+    bufs.sims holds the similarities, then the shifted exponentials, then
+    the softmax and finally the gradient w.r.t. the similarities; bufs.sims_t
+    holds the positive similarities, then the transpose of that gradient."""
+    buf = np.matmul(z, z.T, out=bufs.sims)
     buf /= tau
     # summed before the candidate mask hides the positives strict negatives exclude
-    pos_sums = np.where(masks.pos, buf, 0.0).sum(axis=1)
+    pos_part = bufs.sims_t
+    pos_part.fill(0.0)
+    np.copyto(pos_part, buf, where=masks.pos)
+    pos_sums = pos_part.sum(axis=1)
     np.copyto(buf, -np.inf, where=masks.not_cand)
     row_max = buf.max(axis=1)
     buf -= row_max[:, None]
@@ -183,20 +208,22 @@ def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float):
     buf /= denom[:, None]
     buf -= masks.pos_frac
     buf /= tau
-    buf += buf.T.copy()
-    return value, buf @ z
+    np.copyto(bufs.sims_t, buf.T)
+    buf += bufs.sims_t
+    return value, np.matmul(buf, z, out=bufs.grad_sup)
 
 
-def _margin_softmax_raw(z, labels, w, margin, scale):
+def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
     """Cross-entropy over scaled cosine logits with the target column
     penalized by the angular margin; margin == 0 is the plain softmax path.
-    Returns (value, grad_z, grad_w).
+    Returns (value, grad_z, grad_w), the gradients being bufs.grad_z and
+    bufs.grad_w.
 
-    One (N, C) buffer holds the cosines, then the logits, the shifted
+    bufs.logits holds the cosines, then the logits, the shifted
     exponentials, the softmax and finally the gradient w.r.t. the logits."""
     n = z.shape[0]
     rows = np.arange(n)
-    buf = z @ w.T
+    buf = np.matmul(z, w.T, out=bufs.logits)
     target_cos = buf[rows, labels]
     if margin != 0.0:
         buf[rows, labels] = geometry.margin_logit(target_cos, margin)
@@ -215,28 +242,37 @@ def _margin_softmax_raw(z, labels, w, margin, scale):
     buf *= scale / n
     if margin != 0.0:
         buf[rows, labels] *= geometry.margin_logit_grad(target_cos, margin)
-    return value, buf @ w, buf.T @ z
+    return (value, np.matmul(buf, w, out=bufs.grad_z),
+            np.matmul(buf.T, z, out=bufs.grad_w))
 
 
 def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
-               scale: float, masks: SupconMasks | None = None, lam: float = 1.0):
+               scale: float, masks: SupconMasks | None = None, lam: float = 1.0,
+               bufs: KernelBuffers | None = None):
     """(value, grad_z, grad_w) of one loss, with no input validation.
 
     masks is the supcon_masks of the labels, required by the contrastive
     kinds. Callers that own their invariants (the trainer, finite-difference
     probes that step off the unit sphere) call this directly; everyone
     else goes through evaluate_loss.
+
+    bufs, when given, is a KernelBuffers for this batch shape; the
+    gradients returned are its arrays, so the next call through it
+    overwrites them. Without it the call builds one of its own.
     """
+    if bufs is None:
+        bufs = KernelBuffers(z.shape[0], z.shape[1], *w.shape)
     if kind is LossKind.SUPCON:
-        value, grad_z = _supcon_raw(z, masks, temperature)
-        return value, grad_z, np.zeros_like(w)
+        value, grad_z = _supcon_raw(z, masks, temperature, bufs)
+        bufs.grad_w.fill(0.0)
+        return value, grad_z, bufs.grad_w
     if kind is LossKind.SOFTMAX:
         margin = 0.0
     elif kind not in (LossKind.ARCFACE, LossKind.AAMSUPCON):
         raise ValueError(f"unknown loss kind {kind!r}")
-    value, grad_z, grad_w = _margin_softmax_raw(z, labels, w, margin, scale)
+    value, grad_z, grad_w = _margin_softmax_raw(z, labels, w, margin, scale, bufs)
     if kind is LossKind.AAMSUPCON and lam != 0.0:
-        sup_value, sup_grad = _supcon_raw(z, masks, temperature)
+        sup_value, sup_grad = _supcon_raw(z, masks, temperature, bufs)
         value += lam * sup_value
         sup_grad *= lam
         grad_z += sup_grad

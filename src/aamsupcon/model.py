@@ -57,16 +57,45 @@ class ParamGrads:
 @dataclass
 class ForwardTrace:
     """Caches needed by backward: per-layer pre-activations/activations,
-    the pre-normalization projection output and its row norms."""
+    the row norms of the projection output and the embeddings (that output
+    divided by its norms)."""
 
     inputs: np.ndarray
     encoder_pre: list
     encoder_act: list
     proj_pre: np.ndarray
     proj_act: np.ndarray
-    proj_out: np.ndarray
     norms: np.ndarray
     embeddings: np.ndarray
+
+
+class Workspace:
+    """Every array forward and backward write for one batch size N, built
+    once and overwritten by each call: per encoder layer the pre-activation,
+    the activation, the relu gate and the gradient w.r.t. the activation;
+    the projection's pre-activation, activation and gate; the squared
+    projection output, its row norms, the embeddings; and the gradients
+    w.r.t. the embeddings' pre-normalization rows and the projection
+    pre-activation."""
+
+    __slots__ = ("encoder_pre", "encoder_act", "encoder_gates", "d_h", "proj_pre",
+                 "proj_act", "proj_gate", "d_pre", "squares", "norms", "embeddings", "d_out")
+
+    def __init__(self, params: NetworkParams, n: int):
+        widths = [w.shape[0] for w, _ in params.encoder_layers]
+        self.encoder_pre = [np.empty((n, k)) for k in widths]
+        self.encoder_act = [np.empty((n, k)) for k in widths]
+        self.encoder_gates = [np.empty((n, k), dtype=bool) for k in widths]
+        self.d_h = [np.empty((n, k)) for k in widths]
+        hidden = params.proj_w1.shape[0]
+        self.proj_pre = np.empty((n, hidden))
+        self.proj_act = np.empty((n, hidden))
+        self.proj_gate = np.empty((n, hidden), dtype=bool)
+        self.d_pre = np.empty((n, hidden))
+        self.squares = np.empty((n, params.d_out))
+        self.norms = np.empty((n, 1))
+        self.embeddings = np.empty((n, params.d_out))
+        self.d_out = np.empty((n, params.d_out))
 
 
 def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
@@ -100,29 +129,33 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
     return NetworkParams(layers, proj_w1, proj_w2, class_weights, seed)
 
 
-def forward(params: NetworkParams, features) -> ForwardTrace:
+def forward(params: NetworkParams, features, ws: Workspace | None = None) -> ForwardTrace:
     """Run the encoder and projection, ending in row normalization.
 
     features is an (N, d_in) matrix. Raises ShapeMismatch on a wrong input
     width and ZeroVector if any projection output has (near-)zero norm.
+
+    ws, when given, is a Workspace for N rows; the trace's arrays are its
+    arrays, so the next call through it overwrites them. Without it the
+    call builds one of its own.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise ShapeMismatch(f"expected (N, {params.d_in}) inputs, got {x.shape}")
+    if ws is None:
+        ws = Workspace(params, x.shape[0])
     act = x
-    encoder_pre, encoder_act = [], []
-    for w, b in params.encoder_layers:
-        pre = act @ w.T
+    for (w, b), pre, out in zip(params.encoder_layers, ws.encoder_pre, ws.encoder_act):
+        np.matmul(act, w.T, out=pre)
         pre += b
-        act = np.maximum(pre, 0.0)
-        encoder_pre.append(pre)
-        encoder_act.append(act)
-    proj_pre = act @ params.proj_w1.T
-    proj_act = np.maximum(proj_pre, 0.0)
-    proj_out = proj_act @ params.proj_w2.T
-    norms = row_norms(proj_out)
-    return ForwardTrace(x, encoder_pre, encoder_act, proj_pre, proj_act,
-                        proj_out, norms, proj_out / norms)
+        act = np.maximum(pre, 0.0, out=out)
+    np.matmul(act, params.proj_w1.T, out=ws.proj_pre)
+    np.maximum(ws.proj_pre, 0.0, out=ws.proj_act)
+    z = np.matmul(ws.proj_act, params.proj_w2.T, out=ws.embeddings)
+    norms = row_norms(z, out=ws.norms, squares=ws.squares)
+    z /= norms
+    return ForwardTrace(x, ws.encoder_pre, ws.encoder_act, ws.proj_pre, ws.proj_act,
+                        norms, z)
 
 
 def encoder_embeddings(trace: ForwardTrace) -> np.ndarray:
@@ -136,21 +169,24 @@ def encoder_embeddings(trace: ForwardTrace) -> np.ndarray:
 def backward(params: NetworkParams, trace: ForwardTrace,
              grad_embeddings: np.ndarray,
              grad_encoder_embeddings: np.ndarray | None = None,
-             out: ParamGrads | None = None) -> ParamGrads:
+             out: ParamGrads | None = None, ws: Workspace | None = None) -> ParamGrads:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
     The normalization layer contributes (g - (g.z) z) / ||u|| per row; relu
     gates pass gradient only where the pre-activation was positive. The
-    class-weight slot is returned zero (its gradient comes straight from the
-    loss, not through the network).
+    class-weight gradient comes straight from the loss, not through the
+    network, so backward leaves that slot alone: it is zero in a ParamGrads
+    backward makes, and as it was in out.
 
     grad_encoder_embeddings, when given, is d(loss)/d(normalized encoder
     output) for losses that classify in the pre-projection space; it joins
     the projection gradient at the encoder output.
 
-    out, when given, is a ParamGrads shaped like params whose arrays are
-    overwritten with the gradients and returned (the trainer passes views of
-    one flat vector); otherwise new arrays are returned.
+    out, when given, is a ParamGrads shaped like params whose network arrays
+    are overwritten with the gradients and returned (the trainer passes
+    views of one flat vector); otherwise new arrays are returned. ws, when
+    given, is the Workspace for the trace's N rows and holds the
+    intermediate gradients; without it the call builds one of its own.
     """
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != trace.embeddings.shape:
@@ -162,21 +198,24 @@ def backward(params: NetworkParams, trace: ForwardTrace,
         raise TraceMismatch("trace does not match these parameters")
     if out is None:
         out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
+        out.class_weights.fill(0.0)
+    if ws is None:
+        ws = Workspace(params, g.shape[0])
 
     # Relu gates multiply by the mask rather than zero-fill: a gated entry
     # keeps the sign of its gradient (-0.0) and a NaN stays NaN, bit for bit
     # as when each gate made a new array.
     z = trace.embeddings
-    d_out = g * z
+    d_out = np.multiply(g, z, out=ws.d_out)
     np.multiply(d_out.sum(axis=1, keepdims=True), z, out=d_out)
     np.subtract(g, d_out, out=d_out)
     d_out /= trace.norms
     np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
-    d_pre = d_out @ params.proj_w2
-    d_pre *= trace.proj_pre > 0.0
-    h = trace.encoder_act[-1] if trace.encoder_act else trace.inputs
+    d_pre = np.matmul(d_out, params.proj_w2, out=ws.d_pre)
+    d_pre *= np.greater(trace.proj_pre, 0.0, out=ws.proj_gate)
+    h = trace.encoder_act[-1]
     np.matmul(d_pre.T, h, out=out.proj_w1)
-    d_h = d_pre @ params.proj_w1
+    d_h = np.matmul(d_pre, params.proj_w1, out=ws.d_h[-1])
     if grad_encoder_embeddings is not None:
         ge = np.asarray(grad_encoder_embeddings, dtype=np.float64)
         if ge.shape != h.shape:
@@ -187,14 +226,13 @@ def backward(params: NetworkParams, trace: ForwardTrace,
         d_h += (ge - np.sum(ge * zn, axis=1, keepdims=True) * zn) / norms_h
 
     for li in range(len(params.encoder_layers) - 1, -1, -1):
-        w, _ = params.encoder_layers[li]
         grad_w, grad_b = out.encoder_layers[li]
-        d_h *= trace.encoder_pre[li] > 0.0
+        d_h *= np.greater(trace.encoder_pre[li], 0.0, out=ws.encoder_gates[li])
         below = trace.encoder_act[li - 1] if li > 0 else trace.inputs
         np.matmul(d_h.T, below, out=grad_w)
         np.sum(d_h, axis=0, out=grad_b)
-        d_h = d_h @ w
-    out.class_weights.fill(0.0)
+        if li > 0:  # the gradient w.r.t. the inputs is not needed
+            d_h = np.matmul(d_h, params.encoder_layers[li][0], out=ws.d_h[li - 1])
     return out
 
 

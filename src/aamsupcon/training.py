@@ -11,12 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker
+from .batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker, speaker_rows
 from .errors import DivergenceDetected, InvalidMargin, IoError, ZeroVector
-from .geometry import normalize_rows
+from .geometry import row_norms
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
+    KernelBuffers,
     LossKind,
     SupconMasks,
     _central_diff,
@@ -27,6 +28,7 @@ from .losses import (
 from .model import (
     NetworkParams,
     ParamGrads,
+    Workspace,
     backward,
     encoder_embeddings,
     flat_copy,
@@ -140,12 +142,13 @@ def run_masks(config: TrainConfig) -> SupconMasks | None:
 
 
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
-                dense_labels: np.ndarray, masks: SupconMasks | None):
+                dense_labels: np.ndarray, masks: SupconMasks | None,
+                bufs: KernelBuffers | None = None):
     """Evaluate the configured loss on a forward trace, without input
     validation: the config was validated once per run, forward() yields
     unit rows and the class weights are renormalized after every update.
     masks is the supcon_masks of dense_labels (None for a loss without a
-    contrastive term).
+    contrastive term); bufs is passed on to loss_terms.
 
     Returns (value, grad_projection, grad_encoder, grad_class_weights); the
     encoder slot is None unless the classifier term runs in encoder space."""
@@ -155,45 +158,59 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
     hyper = (config.temperature, config.margin, config.scale)
     if config.classifier_space == "projection" or kind is LossKind.SUPCON:
         value, grad_z, grad_w = loss_terms(kind, z, dense_labels, w, *hyper,
-                                           masks, config.lam)
+                                           masks, config.lam, bufs)
         return value, grad_z, None, grad_w
 
+    if kind is LossKind.AAMSUPCON:
+        # the contrastive term stays in projection space; it runs first
+        # because it zero-fills the class-weight gradient
+        sup_value, sup_grad, _ = loss_terms(LossKind.SUPCON, z, dense_labels, w,
+                                            *hyper, masks, bufs=bufs)
+        sup_grad *= config.lam
     cls_kind = LossKind.SOFTMAX if kind is LossKind.SOFTMAX else LossKind.ARCFACE
     value, grad_enc, grad_w = loss_terms(cls_kind, encoder_embeddings(trace),
-                                         dense_labels, w, *hyper)
+                                         dense_labels, w, *hyper, bufs=bufs)
     if kind is not LossKind.AAMSUPCON:
         return value, None, grad_enc, grad_w
-    # the contrastive term stays in projection space
-    sup_value, sup_grad, _ = loss_terms(LossKind.SUPCON, z, dense_labels, w,
-                                        *hyper, masks)
-    return value + config.lam * sup_value, config.lam * sup_grad, grad_enc, grad_w
+    return value + config.lam * sup_value, sup_grad, grad_enc, grad_w
+
+
+def _step_buffers(params: NetworkParams, n: int):
+    """(flat_grads, grads, ws, bufs): the gradient vector of a run with its
+    ParamGrads views, the Workspace for n rows, and the KernelBuffers that
+    write the class-weight gradient straight into its view."""
+    flat_grads, grads = flat_copy(params, ParamGrads)
+    bufs = KernelBuffers(n, params.d_out, *params.class_weights.shape,
+                         grad_w=grads.class_weights)
+    return flat_grads, grads, Workspace(params, n), bufs
 
 
 def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
-                     dense_labels, masks: SupconMasks | None,
-                     out: ParamGrads | None = None):
-    """Forward, loss and backward: (value, ParamGrads) for one batch. The
-    gradients are written into out when it is given (see model.backward)."""
-    trace = forward(params, features)
-    value, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace,
-                                                     dense_labels, masks)
+                     dense_labels, masks: SupconMasks | None, grads: ParamGrads,
+                     ws: Workspace, bufs: KernelBuffers) -> float:
+    """Forward, loss and backward for one batch: the loss value, with the
+    gradients written into grads. ws and bufs are _step_buffers' for
+    these grads and the batch's rows."""
+    trace = forward(params, features, ws)
+    value, grad_proj, grad_enc, _ = _trace_loss(config, params, trace,
+                                                dense_labels, masks, bufs)
     if grad_proj is None:
         grad_proj = np.zeros_like(trace.embeddings)
-    grads = backward(params, trace, grad_proj, grad_enc, out)
-    np.copyto(grads.class_weights, grad_w)
-    return value, grads
+    backward(params, trace, grad_proj, grad_enc, grads, ws)
+    return value
 
 
 def _start(config: TrainConfig, features, speaker_ids):
     """Validate the config, group the rows by speaker once and seed the
-    parameters: (features, groups, params); class k is the k-th smallest id."""
+    parameters: (features, rows, params), rows being the speaker_rows of
+    the grouping; class k is the k-th smallest id."""
     config.validate()
     features = np.asarray(features, dtype=np.float64)
     _, groups = group_by_speaker(speaker_ids)
     params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
                          config.embedding_dim, len(groups), config.seed,
                          class_dim=config.class_dim())
-    return features, groups, params
+    return features, speaker_rows(groups), params
 
 
 def train(config: TrainConfig, features, speaker_ids):
@@ -206,11 +223,15 @@ def train(config: TrainConfig, features, speaker_ids):
 
     The parameters, their gradients and the momentum each live in one flat
     vector (the returned params are views of it), so the update is three
-    in-place operations whatever the depth of the network.
+    in-place operations whatever the depth of the network. Every array that
+    forward, the loss kernels, backward and the update write is allocated
+    once per run and reused by every step; only the batch is drawn afresh.
     """
-    features, groups, init = _start(config, features, speaker_ids)
+    features, rows, init = _start(config, features, speaker_ids)
     flat_params, params = flat_copy(init)
-    flat_grads, grads = flat_copy(init, ParamGrads)
+    n = 2 * config.batch_speakers * config.views_per_speaker
+    flat_grads, grads, ws, bufs = _step_buffers(init, n)
+    scratch, squares = flat_copy(init, ParamGrads)
     velocity = np.zeros_like(flat_params)
     masks = run_masks(config)
     policy = config.augment_policy()
@@ -218,34 +239,39 @@ def train(config: TrainConfig, features, speaker_ids):
     log = RunLog()
 
     for step in range(config.steps):
-        batch, labels = build_batch(features, groups, config.batch_speakers,
+        batch, labels = build_batch(features, rows, config.batch_speakers,
                                     config.views_per_speaker, policy, rng)
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
-                value, _ = _value_and_grads(config, params, batch, labels, masks, grads)
+                value = _value_and_grads(config, params, batch, labels, masks,
+                                         grads, ws, bufs)
             except ZeroVector as exc:
                 raise DivergenceDetected(step, f"projection collapsed at step {step}") from exc
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
-            grad_norm = _global_norm(grads)
+            np.multiply(flat_grads, flat_grads, out=scratch)
+            grad_norm = _global_norm(squares)
             velocity *= config.momentum
             velocity += flat_grads
             if config.learning_rate != 0.0:
-                flat_params -= config.learning_rate * velocity
-                params.class_weights[...] = normalize_rows(params.class_weights)
+                flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
+                weights = params.class_weights
+                weights /= row_norms(weights, squares=squares.class_weights)
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
     return params, log
 
 
-def _global_norm(grads) -> float:
+def _global_norm(squares: ParamGrads) -> float:
+    """The gradient norm from the squared gradients, summed array by array
+    in checkpoint order (its bits depend on that order)."""
     total = 0.0
-    for gw, gb in grads.encoder_layers:
-        total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
-    total += float(np.sum(grads.proj_w1 ** 2))
-    total += float(np.sum(grads.proj_w2 ** 2))
-    total += float(np.sum(grads.class_weights ** 2))
+    for sw, sb in squares.encoder_layers:
+        total += float(np.sum(sw)) + float(np.sum(sb))
+    total += float(np.sum(squares.proj_w1))
+    total += float(np.sum(squares.proj_w2))
+    total += float(np.sum(squares.class_weights))
     return float(np.sqrt(total))
 
 
@@ -264,30 +290,18 @@ def save_runlog(path, log: RunLog) -> None:
         raise IoError(f"cannot write run log to {path}: {exc}") from exc
 
 
-def load_runlog(path) -> RunLog:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read run log from {path}: {exc}") from exc
-    log = RunLog()
-    for line in lines[1:]:
-        step, loss, grad_norm = line.split()
-        log.records.append(StepRecord(int(step), float(loss), float(grad_norm), 0.0))
-    return log
-
-
 def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
                           step: float = 1e-6, batch_seed: int = 0) -> GradCheckReport:
     """Finite-difference check of d(loss)/d(params) through the whole
     network (forward -> loss -> backward) on one sampled batch."""
-    features, groups, params = _start(config, features, speaker_ids)
+    features, rows, params = _start(config, features, speaker_ids)
     rng = np.random.default_rng(batch_seed)
-    batch, labels = build_batch(features, groups, config.batch_speakers,
+    batch, labels = build_batch(features, rows, config.batch_speakers,
                                 config.views_per_speaker, config.augment_policy(), rng)
     masks = run_masks(config)
 
-    _, grads = _value_and_grads(config, params, batch, labels, masks)
+    _, grads, ws, bufs = _step_buffers(params, len(batch))
+    _value_and_grads(config, params, batch, labels, masks, grads, ws, bufs)
     fds = _central_diff(
         lambda: _trace_loss(config, params, forward(params, batch), labels, masks)[0],
         param_arrays(params), step)

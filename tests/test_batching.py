@@ -8,6 +8,7 @@ from aamsupcon.batching import (
     augment,
     build_batch,
     group_by_speaker,
+    speaker_rows,
 )
 from aamsupcon.errors import (
     AnchorWithoutPositive,
@@ -24,8 +25,9 @@ class StubRng:
     def __init__(self, integer_draws):
         self.integer_draws = list(integer_draws)
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        out.fill(0.0)
+        return out
 
     def integers(self, low, high, size=None):
         return self.integer_draws.pop(0)
@@ -73,7 +75,7 @@ def test_augment_preserves_id_and_dimension():
 
 def test_build_batch_counts_and_alignment():
     features, groups = _dataset()
-    batch, labels = build_batch(features, groups, 4, 2, AugmentPolicy(),
+    batch, labels = build_batch(features, speaker_rows(groups), 4, 2, AugmentPolicy(),
                                 np.random.default_rng(0))
     assert len(batch) == len(labels) == 16
     counts = {}
@@ -89,28 +91,28 @@ def test_build_batch_counts_and_alignment():
 def test_build_batch_errors():
     features, groups = _dataset(num_speakers=3, utterances=2)
     with pytest.raises(InsufficientSpeakers):
-        build_batch(features, groups, 4, 2, AugmentPolicy(), np.random.default_rng(0))
+        build_batch(features, speaker_rows(groups), 4, 2, AugmentPolicy(), np.random.default_rng(0))
     with pytest.raises(InsufficientUtterances):
-        build_batch(features, groups, 3, 3, AugmentPolicy(), np.random.default_rng(0))
+        build_batch(features, speaker_rows(groups), 3, 3, AugmentPolicy(), np.random.default_rng(0))
 
 
 def test_build_batch_deterministic_and_seed_sensitive():
     features, groups = _dataset()
     policy = AugmentPolicy()
-    a_x, a_y = build_batch(features, groups, 4, 2, policy, np.random.default_rng(7))
-    b_x, b_y = build_batch(features, groups, 4, 2, policy, np.random.default_rng(7))
+    a_x, a_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(7))
+    b_x, b_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(7))
     assert np.array_equal(a_x, b_x)
     assert np.array_equal(a_y, b_y)
-    c_x, c_y = build_batch(features, groups, 4, 2, policy, np.random.default_rng(8))
+    c_x, c_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(8))
     assert (not np.array_equal(a_y, c_y)
             or not np.array_equal(a_x, c_x))
 
 
 def test_every_anchor_has_a_positive_across_many_seeds():
     features, groups = _dataset(num_speakers=5, utterances=3)
-    policy = AugmentPolicy()
+    rows, policy = speaker_rows(groups), AugmentPolicy()
     for seed in range(100):
-        _, labels = build_batch(features, groups, 3, 1, policy, np.random.default_rng(seed))
+        _, labels = build_batch(features, rows, 3, 1, policy, np.random.default_rng(seed))
         try:
             pos, _ = contrast_masks(labels)
         except AnchorWithoutPositive:
@@ -153,23 +155,27 @@ def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
     return np.array([features[r] for r in rows] + views), np.array(labels + labels)
 
 
-@pytest.mark.parametrize("mask_max", [0, None, 24])
-def test_build_batch_matches_per_row_reference(mask_max):
+# mask_max 24 is d_in: a run may cover the whole row
+@pytest.mark.parametrize("mask_max,noise_sigma",
+                         [(0, 0.2), (None, 0.2), (24, 0.2), (None, 0.0), (24, 0.0)])
+def test_build_batch_matches_per_row_reference(mask_max, noise_sigma):
     # unsorted, non-contiguous speaker ids with unequal row counts, so that
     # grouping, eligibility and the dense labels are all exercised
     rng = np.random.default_rng(mask_max or 1)
     speaker_ids = rng.permutation(np.repeat([3, 10, 42, 7, 99, 5], [12, 9, 2, 1, 7, 3]))
     features = rng.standard_normal((speaker_ids.size, 24))
     _, groups = group_by_speaker(speaker_ids)
-    policy = AugmentPolicy(noise_sigma=0.2, mask_max=mask_max)
+    policy = AugmentPolicy(noise_sigma=noise_sigma, mask_max=mask_max)
     for seed in range(60):
         speakers, views = 1 + seed % 4, 1 + seed % 3
-        got = build_batch(features, groups, speakers, views, policy,
+        got = build_batch(features, speaker_rows(groups), speakers, views, policy,
                           np.random.default_rng(seed))
         want = reference_batch(features, speaker_ids, speakers, views, policy,
                                np.random.default_rng(seed))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
         assert got[1].dtype == want[1].dtype
+        # bit for bit, so the sign of a zero counts too (sigma 0 times a negative draw)
+        assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64)), seed
 
 
 @pytest.mark.parametrize("views", [1, 2, 3, 4, 5])

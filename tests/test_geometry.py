@@ -38,6 +38,18 @@ def test_normalize_rows_matches_normalize():
         geometry.normalize_rows(mat)
 
 
+def test_row_norms_equal_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for shape in ((1, 1), (5, 3), (64, 128), (256, 128), (9, 1000)):
+        mat = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=(shape[0], 1))
+        want = np.linalg.norm(mat, axis=1, keepdims=True)
+        out, squares = np.empty((shape[0], 1)), np.empty(shape)
+        assert geometry.row_norms(mat, out=out, squares=squares) is out
+        for got in (geometry.row_norms(mat), out):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), shape
+        assert np.array_equal(squares, mat * mat)
+
+
 def test_cosine_basic():
     a = geometry.normalize([0.2, -1.3, 0.4])
     assert geometry.cosine(a, a) == 1.0

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aamsupcon.batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker
+from aamsupcon.batching import (
+    AugmentPolicy,
+    batch_layout,
+    build_batch,
+    group_by_speaker,
+    speaker_rows,
+)
 
 from aamsupcon.errors import (
     AnchorWithoutCandidate,
@@ -16,6 +22,7 @@ from aamsupcon.errors import (
 from aamsupcon.geometry import margin_logit, margin_logit_grad, normalize_rows
 from aamsupcon.losses import (
     DenominatorConvention,
+    KernelBuffers,
     LossInputs,
     LossKind,
     aamsupcon_loss,
@@ -416,16 +423,20 @@ def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
         classes = speakers + 3
         labels = rng.permutation(classes)[:speakers][batch_layout(speakers, views)]
         masks = supcon_masks(batch_layout(speakers, views), convention)
+        # one set of buffers for every call of this shape, as a trainer keeps them
+        bufs = KernelBuffers(labels.size, dim, classes, dim)
         for margin in (0.0, 0.2):
             for lam in (0.7, 1.0):
                 z = normalize_rows(rng.standard_normal((labels.size, dim)))
                 w = normalize_rows(rng.standard_normal((classes, dim)))
-                got = loss_terms(kind, z, labels, w, 0.07, margin, 30.0, masks, lam)
                 want = reference_terms(kind, z, labels, w, 0.07, margin, 30.0,
                                        convention, lam)
-                assert got[0] == want[0], (speakers, views, margin, lam)
-                assert np.array_equal(got[1], want[1]), (speakers, views, margin, lam)
-                assert np.array_equal(got[2], want[2]), (speakers, views, margin, lam)
+                for reuse in (None, bufs):
+                    got = loss_terms(kind, z, labels, w, 0.07, margin, 30.0, masks, lam, reuse)
+                    assert got[0] == want[0], (speakers, views, margin, lam)
+                    assert np.array_equal(got[1], want[1]), (speakers, views, margin, lam)
+                    assert np.array_equal(got[2], want[2]), (speakers, views, margin, lam)
+                assert got[2] is bufs.grad_w
 
 
 @pytest.mark.parametrize("convention", [ALL, STRICT])
@@ -439,7 +450,8 @@ def test_run_masks_equal_contrast_masks_of_every_drawn_batch(views, convention):
                              convention=convention)
         masks = run_masks(config)
         for _ in range(5):
-            _, labels = build_batch(features, groups, speakers, views, AugmentPolicy(), rng)
+            _, labels = build_batch(features, speaker_rows(groups), speakers, views,
+                                    AugmentPolicy(), rng)
             pos, cand = contrast_masks(labels, convention)
             assert np.array_equal(masks.pos, pos)
             assert np.array_equal(~masks.not_cand, cand)

@@ -96,7 +96,7 @@ def test_forward_homogeneity_of_bias_free_network():
     x = np.random.default_rng(2).normal(size=(4, 6))
     one = forward(params, x)
     two = forward(params, 2.0 * x)
-    assert np.allclose(two.proj_out, 2.0 * one.proj_out, atol=1e-12)
+    assert np.allclose(two.norms, 2.0 * one.norms, atol=1e-12)
     assert np.allclose(two.embeddings, one.embeddings, atol=1e-12)
 
 
@@ -157,10 +157,22 @@ def test_backward_into_flat_views_equals_fresh_arrays():
     upstream = rng.normal(size=trace.embeddings.shape)
     fresh = backward(params, trace, upstream)
     flat, out = flat_copy(params, ParamGrads)
+    out.class_weights.fill(0.0)  # the loss's slot, which backward leaves alone
     assert backward(params, trace, upstream, out=out) is out
     for a, b in zip(param_arrays(fresh), param_arrays(out)):
         assert np.array_equal(a, b) and np.shares_memory(b, flat)
     assert np.array_equal(flat, np.concatenate([a.ravel() for a in param_arrays(fresh)]))
+
+
+def test_backward_leaves_the_class_weight_slot_of_out_alone():
+    params = init_params([10, 8], 8, 6, 4, seed=13)
+    rng = np.random.default_rng(14)
+    trace = forward(params, rng.normal(size=(5, 10)))
+    _, out = flat_copy(params, ParamGrads)
+    out.class_weights.fill(7.0)
+    backward(params, trace, rng.normal(size=trace.embeddings.shape), out=out)
+    assert np.all(out.class_weights == 7.0)
+    assert np.all(backward(params, trace, np.ones((5, 6))).class_weights == 0.0)
 
 
 def test_flat_copy_views_follow_in_place_updates():

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker
+from aamsupcon import training
+from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker, speaker_rows
 from aamsupcon.errors import DivergenceDetected, ZeroVector
-from aamsupcon.losses import LossKind, supcon_masks
-from aamsupcon.model import forward, init_params
+from aamsupcon.geometry import normalize_rows
+from aamsupcon.losses import DenominatorConvention, LossKind, supcon_masks
+from aamsupcon.model import backward, forward, init_params, param_arrays
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
+    RunLog,
+    StepRecord,
     TrainConfig,
     _trace_loss,
     end_to_end_grad_check,
-    load_runlog,
+    run_masks,
     save_runlog,
     train,
 )
@@ -22,6 +26,17 @@ def _dataset(spread=0.1, speakers=8, utterances=6, d_in=20, seed=0):
     """(features, speaker_ids) of a generated dataset."""
     features, speaker_ids, _ = generate(DatasetSpec(speakers, utterances, d_in, spread, seed))
     return features, speaker_ids
+
+
+def load_runlog(path) -> RunLog:
+    """Parse save_runlog's text back into a RunLog (wall times read 0)."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    log = RunLog()
+    for line in lines[1:]:
+        step, loss, grad_norm = line.split()
+        log.records.append(StepRecord(int(step), float(loss), float(grad_norm), 0.0))
+    return log
 
 
 def _params_equal(a, b):
@@ -114,7 +129,7 @@ def test_class_weights_stay_unit_norm():
 
 def _fixed_batch(data, speakers, seed=0):
     features, speaker_ids = data
-    return build_batch(features, group_by_speaker(speaker_ids)[1], speakers, 2,
+    return build_batch(features, speaker_rows(group_by_speaker(speaker_ids)[1]), speakers, 2,
                        AugmentPolicy(0.0, 0), np.random.default_rng(seed))
 
 
@@ -192,3 +207,90 @@ def test_runlog_round_trip_and_determinism(tmp_path):
     path2 = tmp_path / "runlog2.txt"
     save_runlog(path2, log2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def reference_train(config, features, speaker_ids):
+    """train without a workspace: forward, _trace_loss and backward build
+    every array of every step, the gradient norm squares each gradient
+    afresh, and the update runs array by array. Returns (params, [(loss,
+    grad_norm) per step])."""
+    _, groups = group_by_speaker(speaker_ids)
+    rows = speaker_rows(groups)
+    params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
+                         config.embedding_dim, len(groups), config.seed,
+                         class_dim=config.class_dim())
+    masks = run_masks(config)
+    velocity = [np.zeros_like(a) for a in param_arrays(params)]
+    rng = np.random.default_rng(config.seed)
+    records = []
+    for _ in range(config.steps):
+        batch, labels = build_batch(features, rows, config.batch_speakers,
+                                    config.views_per_speaker, config.augment_policy(), rng)
+        trace = forward(params, batch)
+        value, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace, labels, masks)
+        if grad_proj is None:
+            grad_proj = np.zeros_like(trace.embeddings)
+        grads = backward(params, trace, grad_proj, grad_enc)
+        grads.class_weights = grad_w
+        total = 0.0
+        for gw, gb in grads.encoder_layers:
+            total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
+        total += float(np.sum(grads.proj_w1 ** 2))
+        total += float(np.sum(grads.proj_w2 ** 2))
+        total += float(np.sum(grads.class_weights ** 2))
+        for param, vel, grad in zip(param_arrays(params), velocity, param_arrays(grads)):
+            vel *= config.momentum
+            vel += grad
+            param -= config.learning_rate * vel
+        params.class_weights[...] = normalize_rows(params.class_weights)
+        records.append((value, float(np.sqrt(total))))
+    return params, records
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+@pytest.mark.parametrize("convention", list(DenominatorConvention))
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_workspace_training_equals_allocating_loop(kind, convention, space):
+    features, speaker_ids = _dataset(speakers=64, utterances=4)
+    # N = 2 * speakers * views rows: 4, 32 and 256
+    for speakers, views in ((2, 1), (8, 2), (64, 2)):
+        cfg = TrainConfig(loss_kind=kind, convention=convention, classifier_space=space,
+                          steps=3, batch_speakers=speakers, views_per_speaker=views,
+                          seed=speakers, **SMALL_NET)
+        params, log = train(cfg, features, speaker_ids)
+        want_params, want_records = reference_train(cfg, features, speaker_ids)
+        got = [(rec.loss, rec.grad_norm) for rec in log.records]
+        assert got == want_records, speakers
+        assert all(_bits_equal(a, b) for a, b in zip(param_arrays(params),
+                                                     param_arrays(want_params))), speakers
+
+
+@pytest.mark.parametrize("kind", [LossKind.AAMSUPCON, LossKind.SUPCON])
+def test_consecutive_steps_reuse_the_workspace(kind, monkeypatch):
+    seen = {"embeddings": [], "grad_z": [], "grad_w": [], "param_grads": []}
+
+    def spy(name, fn, record):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            record(result)
+            return result
+        monkeypatch.setattr(training, name, wrapped)
+
+    spy("forward", training.forward,
+        lambda trace: seen["embeddings"].append(trace.embeddings.ctypes.data))
+    spy("loss_terms", training.loss_terms,
+        lambda out: (seen["grad_z"].append(out[1].ctypes.data),
+                     seen["grad_w"].append(out[2].ctypes.data)))
+    spy("backward", training.backward,
+        lambda grads: seen["param_grads"].append(
+            [a.ctypes.data for a in param_arrays(grads)]))
+    cfg = TrainConfig(loss_kind=kind, steps=4, batch_speakers=4, seed=1, **SMALL_NET)
+    train(cfg, *_dataset())
+    for name, pointers in seen.items():
+        assert len(pointers) == 4 and all(p == pointers[0] for p in pointers), name
+    # the class-weight gradient is written into its slot of the gradient vector
+    assert seen["grad_w"][0] == seen["param_grads"][0][-1]
