@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientSpeakers, InsufficientUtterances
+from .errors import ConfigError
 
 
 @dataclass
@@ -132,17 +132,17 @@ def build_batch(features, rows: SpeakerRows, batch_speakers: int, views_per_spea
     replacement among those with at least views_per_speaker rows, then
     views_per_speaker rows per speaker without replacement (as rng.choice
     would, speaker by speaker), then one augmentation per row (see augment).
-    The rows follow batch_layout. Raises InsufficientSpeakers /
-    InsufficientUtterances when the rows cannot satisfy the request.
+    The rows follow batch_layout. Raises ConfigError when the rows cannot
+    satisfy the request.
     """
     if batch_speakers < 1 or views_per_speaker < 1:
         raise ValueError("batch_speakers and views_per_speaker must be >= 1")
     if rows.counts.size < batch_speakers:
-        raise InsufficientSpeakers(
+        raise ConfigError(
             f"need {batch_speakers} speakers, dataset has {rows.counts.size}")
     eligible = np.flatnonzero(rows.counts >= views_per_speaker)
     if eligible.size < batch_speakers:
-        raise InsufficientUtterances(
+        raise ConfigError(
             f"only {eligible.size} speakers have >= {views_per_speaker} rows")
 
     chosen = rng.choice(eligible, size=batch_speakers, replace=False)

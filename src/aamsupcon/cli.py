@@ -5,8 +5,10 @@ reads one INI-style config file (flat key = value lines under per-module
 sections), writes its artifacts plus a manifest.json into --out, and is
 bit-reproducible under a fixed config and seed.
 
-Exit codes: 0 success; 1 usage or config error; 2 numerical failure
-(divergence, gradient tolerance, degenerate trials); 3 I/O failure.
+Exit codes: 0 success; otherwise the exit code of the error's kind: 1
+usage or config error (ConfigError); 2 numerical failure (NumericalError:
+divergence, gradient tolerance, degenerate trials); 3 I/O failure
+(IoError).
 """
 
 import argparse
@@ -21,16 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DegenerateTrials,
-    DivergenceDetected,
-    InvalidMargin,
-    InvalidSpec,
-    IoError,
-    ToleranceExceeded,
-)
+from .errors import AamSupConError, ConfigError, IoError, NumericalError
 from .evaluate import (
     DcfParams,
     build_trials,
@@ -145,7 +138,7 @@ def _checked(section, cls, values):
     try:
         obj = cls(**values)
         obj.validate()
-    except (ValueError, InvalidMargin, InvalidSpec) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc) if cls is TrainConfig else f"{section}.{exc}") from exc
     return obj
 
@@ -276,7 +269,7 @@ def _load_split(config, data_path):
     try:
         train_rows, held_rows = split_holdout(
             speaker_ids, config[_Holdout].holdout_per_speaker)
-    except InvalidSpec as exc:
+    except ConfigError as exc:
         raise ConfigError(f"dataset.holdout_per_speaker: {exc}") from exc
     eval_rows = held_rows if held_rows.size else train_rows
     return ((features[train_rows], speaker_ids[train_rows]),
@@ -320,6 +313,9 @@ def cmd_evaluate(args) -> int:
     dcf = config[DcfParams]
     params = load_checkpoint(args.checkpoint)
     _, (features, speaker_ids) = _load_split(config, args.data)
+    if features.shape[1] != params.d_in:
+        raise ConfigError(f"checkpoint {args.checkpoint} takes d_in = {params.d_in}, "
+                          f"but dataset {args.data} has d_in = {features.shape[1]}")
     trials = _build_trials(config, speaker_ids, trial_spec)
     _ensure_out(args.out)
 
@@ -401,7 +397,7 @@ def cmd_gradcheck(args) -> int:
                         {"report": report_path})
     failed = [row["check"] for row in rows if not row["passed"]]
     if failed:
-        raise ToleranceExceeded(f"gradient check failed for: {', '.join(failed)}")
+        raise NumericalError(f"gradient check failed for: {', '.join(failed)}")
     return 0
 
 
@@ -493,18 +489,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceDetected as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ToleranceExceeded, DegenerateTrials) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (IoError, CheckpointError) as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 3
+    except AamSupConError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def console_main() -> None:

@@ -1,95 +1,51 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets a named class
-here; modules raise these rather than bare ValueError so that the CLI can
-map them onto exit codes.
+Every package error is one of three kinds, and the kind carries the exit
+code and the stderr label the CLI reports it with: ConfigError (1, a usage
+or config error, or an input the run cannot take), NumericalError (2) and
+IoError (3). A leaf class exists only where a caller catches it by name or
+it carries data.
 """
 
 
 class AamSupConError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raise one of its three kinds."""
+
+    exit_code: int
+    label: str
 
 
-class ZeroVector(AamSupConError):
+class ConfigError(AamSupConError, ValueError):
+    """A config value, flag or argument outside its domain, or inputs that
+    do not fit together. The message names the key, flag or argument."""
+
+    exit_code = 1
+    label = "config error"
+
+
+class NumericalError(AamSupConError):
+    """A computation produced no usable result: divergence, a gradient check
+    beyond tolerance, or trial scores that carry no information."""
+
+    exit_code = 2
+    label = "numerical failure"
+
+
+class IoError(AamSupConError):
+    """A file cannot be read or written, or is malformed (a dataset, trial
+    list or checkpoint). The message names the file."""
+
+    exit_code = 3
+    label = "i/o failure"
+
+
+class ZeroVector(NumericalError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
-class DimensionMismatch(AamSupConError):
-    """Two vectors that must share a dimension do not."""
-
-
-class InvalidMargin(AamSupConError):
-    """Angular margin outside [0, pi/2)."""
-
-
-class InvalidScale(AamSupConError):
-    """Logit scale must be positive."""
-
-
-class BatchTooSmall(AamSupConError):
-    """Contrastive index sets need at least two samples."""
-
-
-class AnchorWithoutPositive(AamSupConError):
-    """An anchor has no same-label partner in the batch."""
-
-
-class AnchorWithoutCandidate(AamSupConError):
-    """An anchor has an empty contrastive denominator (strict-negatives
-    convention on a single-class batch)."""
-
-
-class InsufficientSpeakers(AamSupConError):
-    """Dataset has fewer distinct speakers than the batch requires."""
-
-
-class InsufficientUtterances(AamSupConError):
-    """A speaker has fewer utterances than the batch or trial builder requires."""
-
-
-class ShapeMismatch(AamSupConError):
-    """Network input does not match the parameter shapes."""
-
-
-class TraceMismatch(AamSupConError):
-    """Forward trace is inconsistent with the parameters passed to backward."""
-
-
-class InvalidDims(AamSupConError):
-    """Layer size list does not form a valid chain."""
-
-
-class InvalidSpec(AamSupConError):
-    """Synthetic dataset spec violates its invariants."""
-
-
-class DivergenceDetected(AamSupConError):
+class DivergenceDetected(NumericalError):
     """Training loss became non-finite. Carries the offending step index."""
 
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
-
-
-class DegenerateTrials(AamSupConError):
-    """Trial scores carry no information (all equal, or one class missing)."""
-
-
-class IndexOutOfRange(AamSupConError):
-    """A trial references a sample index outside the dataset."""
-
-
-class ConfigError(AamSupConError):
-    """A config file field is missing or invalid. Message names the field."""
-
-
-class CheckpointError(AamSupConError):
-    """Checkpoint file is missing, corrupt, or has the wrong format version."""
-
-
-class ToleranceExceeded(AamSupConError):
-    """A gradient check exceeded its tolerance."""
-
-
-class IoError(AamSupConError):
-    """Filesystem failure while reading or writing an artifact."""

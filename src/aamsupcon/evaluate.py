@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import (
-    DegenerateTrials,
-    IndexOutOfRange,
-    InsufficientSpeakers,
-    InsufficientUtterances,
-    IoError,
-    ZeroVector,
-)
+from .errors import ConfigError, IoError, NumericalError, ZeroVector
 from .model import NetworkParams, encoder_embeddings, forward
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -43,7 +36,7 @@ class ScoredTrials:
         if self.scores.shape != self.is_target.shape or self.scores.ndim != 1:
             raise ValueError("scores and is_target must be 1-D and equal length")
         if not (self.is_target.any() and (~self.is_target).any()):
-            raise DegenerateTrials("need at least one target and one non-target trial")
+            raise NumericalError("need at least one target and one non-target trial")
 
 
 @dataclass
@@ -77,10 +70,10 @@ def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
         raise ValueError(f"trials_per_speaker must be >= 1, got {trials_per_speaker}")
     ids, groups = group_by_speaker(speaker_ids)
     if len(groups) < 2:
-        raise InsufficientSpeakers("non-target trials need at least 2 speakers")
+        raise ConfigError("non-target trials need at least 2 speakers")
     for sid, own in zip(ids.tolist(), groups):
         if len(own) < 2:
-            raise InsufficientUtterances(f"speaker {sid} has {len(own)} utterance(s), needs >= 2")
+            raise ConfigError(f"speaker {sid} has {len(own)} utterance(s), needs >= 2")
 
     rng = np.random.default_rng(seed)
     enroll, test = [], []
@@ -114,7 +107,7 @@ def score_trials(params: NetworkParams, features, trials,
 
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output). A row
-    that the network maps to a zero vector raises DegenerateTrials naming
+    that the network maps to a zero vector raises NumericalError naming
     it.
 
     The trials are scored _SCORE_BLOCK at a time, so the (block, D)
@@ -128,12 +121,12 @@ def score_trials(params: NetworkParams, features, trials,
     outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
     if outside.any():
         k = int(np.argmax(outside))
-        raise IndexOutOfRange(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
+        raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
     try:
         trace = forward(params, features)
         emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
     except ZeroVector as exc:
-        raise DegenerateTrials(f"cannot score trials: the embedding of evaluated {exc}") from exc
+        raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
     scores = np.empty(len(enroll))
     for start in range(0, len(enroll), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
@@ -148,7 +141,7 @@ def _roc_points(scored: ScoredTrials):
     """FRR/FAR at every candidate threshold (ascending distinct scores, then
     the all-reject point). FRR(t) = P(target < t); FAR(t) = P(non-target >= t)."""
     if np.all(scored.scores == scored.scores[0]):
-        raise DegenerateTrials("all trial scores are equal")
+        raise NumericalError("all trial scores are equal")
     tgt = np.sort(scored.scores[scored.is_target])
     non = np.sort(scored.scores[~scored.is_target])
     uniq = np.unique(scored.scores)
@@ -189,7 +182,7 @@ def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
     """
     params = params or DcfParams()
     if np.all(scored.scores == scored.scores[0]):
-        raise DegenerateTrials("all trial scores are equal")
+        raise NumericalError("all trial scores are equal")
     tgt = np.sort(scored.scores[scored.is_target])
     non = np.sort(scored.scores[~scored.is_target])
     uniq = np.unique(scored.scores)

@@ -1,14 +1,14 @@
 """Primitive operations on the unit hypersphere.
 
-Everything the losses need and nothing more: normalization, cosine
-similarity, angles, and the margin-shifted logit cos(theta + m) with its
-derivative. All functions are pure and operate on float64 arrays; the
-margin helpers broadcast elementwise so callers can pass scalars or arrays.
+Everything the losses need and nothing more: normalization, row norms, and
+the margin-shifted logit cos(theta + m) with its derivative. All functions
+operate on float64 arrays; the margin helpers broadcast elementwise so
+callers can pass scalars or arrays.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMargin, ZeroVector
+from .errors import ConfigError, ZeroVector
 
 # Reject normalization of vectors shorter than this instead of inventing a
 # direction.
@@ -57,28 +57,10 @@ def normalize_rows(mat) -> np.ndarray:
     return mat / row_norms(mat)
 
 
-def cosine(a, b) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1].
-
-    The clamp absorbs floating-point drift so downstream arccos is total.
-    Raises DimensionMismatch if the vectors differ in length.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
-def angle_of(c) -> float:
-    """Angle in [0, pi] whose cosine is c. Clamps c defensively."""
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def _check_margin(m: float) -> float:
     m = float(m)
     if not (0.0 <= m < np.pi / 2):
-        raise InvalidMargin(f"margin must be in [0, pi/2), got {m}")
+        raise ConfigError(f"margin must be in [0, pi/2), got {m}")
     return m
 
 
@@ -89,7 +71,7 @@ def margin_logit(c, m: float):
     than wrapping, keeping the map monotone in c. With m = 0 the input is
     returned unchanged (clipped into [-1, 1]).
 
-    Accepts scalars or arrays; raises InvalidMargin for m outside [0, pi/2).
+    Accepts scalars or arrays; raises ConfigError for m outside [0, pi/2).
     """
     m = _check_margin(m)
     c_arr = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)

@@ -20,13 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import (
-    AnchorWithoutCandidate,
-    AnchorWithoutPositive,
-    BatchTooSmall,
-    InvalidMargin,
-    InvalidScale,
-)
+from .errors import ConfigError
 
 # Embedding and class-weight rows must be unit length to within this.
 UNIT_NORM_TOL = 1e-9
@@ -112,24 +106,23 @@ def validate_inputs(inputs: LossInputs) -> None:
     if not inputs.temperature > 0:
         raise ValueError(f"temperature must be > 0, got {inputs.temperature}")
     if not inputs.scale > 0:
-        raise InvalidScale(f"scale must be > 0, got {inputs.scale}")
+        raise ConfigError(f"scale must be > 0, got {inputs.scale}")
     if not (0.0 <= inputs.margin < np.pi / 2):
-        raise InvalidMargin(f"margin must be in [0, pi/2), got {inputs.margin}")
+        raise ConfigError(f"margin must be in [0, pi/2), got {inputs.margin}")
 
 
 def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
     """P(i) and the denominator set A(i) for every anchor, as (N, N) masks.
 
     pos[i, j] = (labels[i] == labels[j]) and i != j; cand[i, j] is i != j,
-    or labels[i] != labels[j] under strict negatives. Raises BatchTooSmall
-    for N < 2, AnchorWithoutPositive when some anchor has no same-label
-    partner, and AnchorWithoutCandidate when the strict-negatives convention
-    leaves a denominator empty.
+    or labels[i] != labels[j] under strict negatives. Raises ConfigError
+    for N < 2, when some anchor has no same-label partner, and when the
+    strict-negatives convention leaves a denominator empty.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     if n < 2:
-        raise BatchTooSmall(f"need at least 2 samples, got {n}")
+        raise ConfigError(f"need at least 2 samples, got {n}")
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(n, dtype=bool)
     pos = same & off_diag
@@ -137,9 +130,9 @@ def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
     lonely = ~pos.any(axis=1)
     if lonely.any():
         i = int(np.argmax(lonely))
-        raise AnchorWithoutPositive(f"anchor {i} (label {labels[i]}) has no positive")
+        raise ConfigError(f"anchor {i} (label {labels[i]}) has no positive")
     if not cand.any(axis=1).all():
-        raise AnchorWithoutCandidate("no negatives in a single-class batch")
+        raise ConfigError("no negatives in a single-class batch")
     return pos, cand
 
 

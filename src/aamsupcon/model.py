@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, InvalidDims, IoError, ShapeMismatch, TraceMismatch
+from .errors import ConfigError, IoError
 from .geometry import normalize_rows, row_norms
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
@@ -107,15 +107,15 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
     encoder output width when the classifier term runs in that space."""
     dims = [int(d) for d in encoder_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidDims(f"encoder dims must chain >= 2 positive sizes, got {dims}")
+        raise ConfigError(f"encoder dims must chain >= 2 positive sizes, got {dims}")
     if proj_hidden < 1 or d_out < 2 or num_classes < 2:
-        raise InvalidDims(
+        raise ConfigError(
             f"need proj_hidden >= 1, d_out >= 2, num_classes >= 2; "
             f"got {proj_hidden}, {d_out}, {num_classes}")
     if class_dim is None:
         class_dim = d_out
     if class_dim < 2:
-        raise InvalidDims(f"class_dim must be >= 2, got {class_dim}")
+        raise ConfigError(f"class_dim must be >= 2, got {class_dim}")
     rng = np.random.default_rng(seed)
 
     def he(fan_out, fan_in):
@@ -132,7 +132,7 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
 def forward(params: NetworkParams, features, ws: Workspace | None = None) -> ForwardTrace:
     """Run the encoder and projection, ending in row normalization.
 
-    features is an (N, d_in) matrix. Raises ShapeMismatch on a wrong input
+    features is an (N, d_in) matrix. Raises ConfigError on a wrong input
     width and ZeroVector if any projection output has (near-)zero norm.
 
     ws, when given, is a Workspace for N rows; the trace's arrays are its
@@ -141,7 +141,7 @@ def forward(params: NetworkParams, features, ws: Workspace | None = None) -> For
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
-        raise ShapeMismatch(f"expected (N, {params.d_in}) inputs, got {x.shape}")
+        raise ConfigError(f"expected (N, {params.d_in}) inputs, got {x.shape}")
     if ws is None:
         ws = Workspace(params, x.shape[0])
     act = x
@@ -190,12 +190,12 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     """
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != trace.embeddings.shape:
-        raise ShapeMismatch(
+        raise ConfigError(
             f"grad shape {g.shape} != embeddings shape {trace.embeddings.shape}")
     if len(trace.encoder_pre) != len(params.encoder_layers) \
             or trace.proj_pre.shape[1] != params.proj_w1.shape[0] \
             or trace.inputs.shape[1] != params.d_in:
-        raise TraceMismatch("trace does not match these parameters")
+        raise ConfigError("trace does not match these parameters")
     if out is None:
         out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
         out.class_weights.fill(0.0)
@@ -219,7 +219,7 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     if grad_encoder_embeddings is not None:
         ge = np.asarray(grad_encoder_embeddings, dtype=np.float64)
         if ge.shape != h.shape:
-            raise ShapeMismatch(
+            raise ConfigError(
                 f"encoder grad shape {ge.shape} != encoder output shape {h.shape}")
         norms_h = np.linalg.norm(h, axis=1, keepdims=True)
         zn = h / norms_h
@@ -301,7 +301,7 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Inverse of save_checkpoint. Raises CheckpointError naming path on any
+    """Inverse of save_checkpoint. Raises IoError naming path on any
     format violation: bad magic, a header that is not the object
     save_checkpoint writes (version, integer sizes, the array names and
     shapes those sizes imply), truncated or trailing bytes, or an array
@@ -312,14 +312,14 @@ def load_checkpoint(path) -> NetworkParams:
     except OSError as exc:
         raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
     if len(raw) < 12 or raw[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        raise IoError(f"{path}: not a checkpoint (bad magic)")
     hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
     if len(raw) < 12 + hlen:
-        raise CheckpointError(f"{path}: truncated header")
+        raise IoError(f"{path}: truncated header")
     try:
         header = json.loads(raw[12:12 + hlen].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+        raise IoError(f"{path}: unreadable header: {exc}") from exc
 
     offset = 12 + hlen
     arrays = []
@@ -327,14 +327,14 @@ def load_checkpoint(path) -> NetworkParams:
         nbytes = 8 * math.prod(shape)
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array {name}")
+            raise IoError(f"{path}: truncated array {name}")
         arr = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: array {name} holds a non-finite value")
+            raise IoError(f"{path}: array {name} holds a non-finite value")
         arrays.append(arr)
         offset += nbytes
     if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+        raise IoError(f"{path}: {len(raw) - offset} trailing bytes")
     params = _assemble(NetworkParams, arrays)
     params.seed = header["seed"]
     return params
@@ -351,23 +351,23 @@ def _header_layout(path, header) -> list:
     checkpoint order. The class-weight columns match d_out or the encoder
     output width (the two classifier spaces)."""
     if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
+        raise IoError(f"{path}: header is not a JSON object")
     for key in ("version", "encoder_dims", "arrays", *_HEADER_INTS):
         if key not in header:
-            raise CheckpointError(f"{path}: header lacks {key!r}")
+            raise IoError(f"{path}: header lacks {key!r}")
     if header["version"] != 1 or not _is_int(header["version"]):
-        raise CheckpointError(f"{path}: unsupported version {header['version']!r}")
+        raise IoError(f"{path}: unsupported version {header['version']!r}")
     dims = header["encoder_dims"]
     for key, least in _HEADER_INTS.items():
         if not _is_int(header[key]) or header[key] < least:
-            raise CheckpointError(f"{path}: header {key} must be an integer >= {least}, "
-                                  f"got {header[key]!r}")
+            raise IoError(f"{path}: header {key} must be an integer >= {least}, "
+                          f"got {header[key]!r}")
     if not (isinstance(dims, list) and len(dims) >= 2
             and all(_is_int(d) and d >= 1 for d in dims)):
-        raise CheckpointError(f"{path}: header encoder_dims must list >= 2 positive "
-                              f"integers, got {dims!r}")
+        raise IoError(f"{path}: header encoder_dims must list >= 2 positive "
+                      f"integers, got {dims!r}")
     if not isinstance(header["arrays"], list):
-        raise CheckpointError(f"{path}: header arrays must be a list")
+        raise IoError(f"{path}: header arrays must be a list")
 
     hidden, d_out, classes = header["proj_hidden"], header["d_out"], header["num_classes"]
     layout = []
@@ -382,8 +382,8 @@ def _header_layout(path, header) -> list:
         layout[-1] = ("class_weights", [classes, dims[-1]])
     for k, (entry, want) in enumerate(itertools.zip_longest(got, layout)):
         if entry != want or not all(map(_is_int, entry[1])):
-            raise CheckpointError(f"{path}: header array entry {k} is {entry!r}, "
-                                  f"expected {want!r} from the header sizes")
+            raise IoError(f"{path}: header array entry {k} is {entry!r}, "
+                          f"expected {want!r} from the header sizes")
     return layout
 
 

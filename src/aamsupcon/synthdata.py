@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import InvalidSpec, IoError
+from .errors import ConfigError, IoError
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
@@ -30,16 +30,16 @@ class DatasetSpec:
 
     def validate(self) -> None:
         if self.num_speakers < 2:
-            raise InvalidSpec(f"num_speakers must be >= 2, got {self.num_speakers}")
+            raise ConfigError(f"num_speakers must be >= 2, got {self.num_speakers}")
         if self.utterances_per_speaker < 2:
-            raise InvalidSpec("utterances_per_speaker must be >= 2, "
+            raise ConfigError("utterances_per_speaker must be >= 2, "
                               f"got {self.utterances_per_speaker}")
         if self.d_in < 2:
-            raise InvalidSpec(f"d_in must be >= 2, got {self.d_in}")
+            raise ConfigError(f"d_in must be >= 2, got {self.d_in}")
         if not 0.0 <= self.spread < np.inf:
-            raise InvalidSpec(f"spread must be finite and >= 0, got {self.spread}")
+            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
         if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(spec: DatasetSpec):
@@ -70,12 +70,12 @@ def split_holdout(speaker_ids, holdout_per_speaker: int):
     Returns (train_rows, heldout_rows), ascending row-index arrays; k = 0
     holds out nothing."""
     if holdout_per_speaker < 0:
-        raise InvalidSpec(f"holdout_per_speaker must be >= 0, got {holdout_per_speaker}")
+        raise ConfigError(f"holdout_per_speaker must be >= 0, got {holdout_per_speaker}")
     ids, groups = group_by_speaker(speaker_ids)
     held = np.zeros(len(speaker_ids), dtype=bool)
     for sid, rows in zip(ids.tolist(), groups):
         if len(rows) <= holdout_per_speaker:
-            raise InvalidSpec(
+            raise ConfigError(
                 f"speaker {sid} has {len(rows)} utterances, cannot hold out "
                 f"{holdout_per_speaker}")
         held[rows[len(rows) - holdout_per_speaker:]] = True
@@ -153,6 +153,6 @@ def _parse_header(path, line) -> DatasetSpec:
         spec.validate()
     except KeyError as exc:
         raise IoError(f"{path}:1: dataset header lacks {exc}") from exc
-    except (ValueError, InvalidSpec) as exc:
+    except ValueError as exc:
         raise IoError(f"{path}:1: malformed dataset header: {exc}") from exc
     return spec

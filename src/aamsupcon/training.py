@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker, speaker_rows
-from .errors import DivergenceDetected, InvalidMargin, IoError, ZeroVector
+from .errors import DivergenceDetected, IoError, ZeroVector
 from .geometry import row_norms
 from .losses import (
     DenominatorConvention,
@@ -72,7 +72,7 @@ class TrainConfig:
             raise ValueError(
                 f"training.temperature must be finite and > 0, got {self.temperature}")
         if not (0.0 <= self.margin < np.pi / 2):
-            raise InvalidMargin(f"training.margin must be in [0, pi/2), got {self.margin}")
+            raise ValueError(f"training.margin must be in [0, pi/2), got {self.margin}")
         if not 0.0 < self.scale < np.inf:
             raise ValueError(f"training.scale must be finite and > 0, got {self.scale}")
         if not 0.0 <= self.lam < np.inf:
@@ -105,6 +105,10 @@ class TrainConfig:
         if not all(width >= 1 for width in self.encoder_hidden):
             raise ValueError("model.encoder_hidden entries must be >= 1, "
                              f"got {list(self.encoder_hidden)}")
+        if self.classifier_space == "encoder" and self.encoder_hidden[-1] < 2:
+            raise ValueError("model.encoder_hidden must end in a width >= 2 with "
+                             "training.classifier_space = encoder, got "
+                             f"{list(self.encoder_hidden)}")
         if self.proj_hidden < 1:
             raise ValueError(f"model.proj_hidden must be >= 1, got {self.proj_hidden}")
         if self.embedding_dim < 2:

@@ -4,7 +4,7 @@ They recount both error rates for every candidate threshold trial by trial,
 with the conventions that aamsupcon.evaluate documents, and share no code
 with its sorted routes."""
 
-from aamsupcon.errors import DegenerateTrials
+from aamsupcon.errors import NumericalError
 from aamsupcon.evaluate import DcfParams, ScoredTrials
 
 
@@ -15,7 +15,7 @@ def eer_threshold_sweep(scored: ScoredTrials):
     scores = [float(s) for s in scored.scores]
     labels = [bool(t) for t in scored.is_target]
     if all(s == scores[0] for s in scores):
-        raise DegenerateTrials("all trial scores are equal")
+        raise NumericalError("all trial scores are equal")
     targets = [s for s, t in zip(scores, labels) if t]
     nons = [s for s, t in zip(scores, labels) if not t]
     candidates = sorted(set(scores))
@@ -44,7 +44,7 @@ def min_dcf_threshold_sweep(scored: ScoredTrials, params: DcfParams | None = Non
     scores = [float(s) for s in scored.scores]
     labels = [bool(t) for t in scored.is_target]
     if all(s == scores[0] for s in scores):
-        raise DegenerateTrials("all trial scores are equal")
+        raise NumericalError("all trial scores are equal")
     targets = [s for s, t in zip(scores, labels) if t]
     nons = [s for s, t in zip(scores, labels) if not t]
     candidates = [float("-inf")] + sorted(set(scores)) + [float("inf")]

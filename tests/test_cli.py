@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aamsupcon import cli, errors
 from aamsupcon.cli import SWEEP_FOOTER, main
 from aamsupcon.model import init_params, load_checkpoint
 
@@ -269,6 +271,7 @@ def test_collapsed_row_at_scoring_exits_2_naming_it(tmp_path, capsys):
     ("", "embedding_dim = 1", "model.embedding_dim"),
     ("", "proj_hidden = 0", "model.proj_hidden"),
     ("", "encoder_hidden = 24 0", "model.encoder_hidden"),
+    ("classifier_space = encoder", "encoder_hidden = 24 1", "model.encoder_hidden"),
     ("temperature = inf", "", "training.temperature"),
     ("scale = inf", "", "training.scale"),
     ("lambda = nan", "", "training.lambda"),
@@ -442,6 +445,34 @@ def test_usage_error_exit_code():
     assert main(["train", "--config"]) == 1
 
 
+# The three kinds of package error, with the exit code and stderr label
+# that README documents for each.
+_KINDS = {errors.ConfigError: (1, "config error"),
+          errors.NumericalError: (2, "numerical failure"),
+          errors.IoError: (3, "i/o failure")}
+
+
+@pytest.mark.parametrize("cls", [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                                 if cls.__module__ == errors.__name__
+                                 and cls is not errors.AamSupConError],
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_kind(monkeypatch, capsys, cls):
+    """Every class in aamsupcon.errors is of exactly one kind, and main()
+    reports it with that kind's label and exit code, without a traceback."""
+    kinds = [kind for kind in _KINDS if issubclass(cls, kind)]
+    assert len(kinds) == 1, kinds
+    code, label = _KINDS[kinds[0]]
+
+    def handler(args):
+        raise cls("contract probe")
+
+    monkeypatch.setitem(cli._HANDLERS, "generate", handler)
+    assert main(["generate", "--config", "unused.ini", "--out", "unused"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{label}: "), err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "aamsupcon", "--version"],
                           capture_output=True, text=True)
@@ -513,20 +544,43 @@ _CONFIG_TOKENS = ["0", "-1", "1", "2", "99", "nan", "inf", "1e999", "", "x", "0.
 @given(key=st.sampled_from(sorted(DEFAULTS)), value=st.sampled_from(_CONFIG_TOKENS))
 def test_config_value_is_run_or_named(clean_dataset, key, value):
     """One key set to one boundary or garbage value: train, then evaluate
-    the checkpoint, end in a documented exit code without a traceback, and
-    a config error names the key."""
+    the checkpoint, then sweep-batch end in a documented exit code without a
+    traceback, and a config error names the key."""
     cfg, text = clean_dataset
-    name = ".".join(key)
+    _assert_run_or_named(cfg, text, ".".join(key), value,
+                         ["train", "evaluate", "sweep-batch"])
+
+
+_GRADCHECK_KEYS = sorted(key for key in DEFAULTS if key[0] == "gradcheck")
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@example(key=("gradcheck", "seed"), value="5")
+@example(key=("gradcheck", "step"), value="0.5")
+@example(key=("gradcheck", "tolerance"), value="nan")
+@example(key=("gradcheck", "e2e_tolerance"), value="1")
+@given(key=st.sampled_from(_GRADCHECK_KEYS), value=st.sampled_from(_CONFIG_TOKENS))
+def test_gradcheck_value_is_run_or_named(clean_dataset, key, value):
+    """The same for gradcheck and one [gradcheck] key."""
+    cfg, text = clean_dataset
+    _assert_run_or_named(cfg, text, ".".join(key), value, ["gradcheck"])
+
+
+def _assert_run_or_named(cfg, text, name, value, commands):
+    """Run commands in turn, while each exits 0, with key name set to value
+    in cfg: the last exit code is a documented one, stderr holds no
+    traceback, and a config error names the key."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "dataset.txt").write_text(text)
         bad = override(cfg, tmp / "config.ini", name, value)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(command_argv("train", bad, tmp / "dataset.txt", None, tmp / "run"))
-            if code == 0:
-                code = main(command_argv("evaluate", bad, tmp / "dataset.txt",
-                                         tmp / "run" / "checkpoint.bin", tmp / "eval"))
+            for command in commands:
+                code = main(command_argv(command, bad, tmp / "dataset.txt",
+                                         tmp / "train" / "checkpoint.bin", tmp / command))
+                if code != 0:
+                    break
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 1:
@@ -638,3 +692,21 @@ def test_corrupted_checkpoint_is_evaluated_or_named(clean_dataset, clean_checkpo
     assert "Traceback" not in err
     if code == 3:
         assert str(path) in err
+
+
+def test_evaluate_rejects_checkpoint_of_another_width(clean_dataset, clean_checkpoint,
+                                                      tmp_path, capsys):
+    """A checkpoint trained on d_in = 16 and a d_in = 24 dataset: exit 1
+    naming both files and both widths, before --out is created."""
+    cfg, _ = clean_dataset
+    wide = override(cfg, tmp_path / "wide.ini", "dataset.d_in", "24")
+    assert main(["generate", "--config", wide, "--out", str(tmp_path / "gen")]) == 0
+    checkpoint, data = tmp_path / "checkpoint.bin", tmp_path / "gen" / "dataset.txt"
+    checkpoint.write_bytes(clean_checkpoint)
+    capsys.readouterr()
+    assert main(command_argv("evaluate", cfg, data, checkpoint, tmp_path / "eval")) == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and str(data) in err
+    assert "d_in = 16" in err and "d_in = 24" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aamsupcon import geometry
-from aamsupcon.errors import DimensionMismatch, InvalidMargin, ZeroVector
+from aamsupcon.errors import ConfigError, ZeroVector
 
 
 def test_normalize_scaling_identity():
@@ -50,34 +50,6 @@ def test_row_norms_equal_linalg_norm_bit_for_bit():
         assert np.array_equal(squares, mat * mat)
 
 
-def test_cosine_basic():
-    a = geometry.normalize([0.2, -1.3, 0.4])
-    assert geometry.cosine(a, a) == 1.0
-    assert geometry.cosine(a, -a) == -1.0
-    b = np.array([math.sqrt(2) / 2, math.sqrt(2) / 2])
-    assert geometry.cosine([1.0, 0.0], b) == pytest.approx(0.7071067811865476, abs=1e-15)
-
-
-def test_cosine_symmetric_and_checked():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = geometry.normalize(rng.normal(size=5))
-        b = geometry.normalize(rng.normal(size=5))
-        assert geometry.cosine(a, b) == geometry.cosine(b, a)
-    with pytest.raises(DimensionMismatch):
-        geometry.cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("c,expected", [(1.0, 0.0), (0.0, math.pi / 2), (-1.0, math.pi)])
-def test_angle_of(c, expected):
-    assert geometry.angle_of(c) == pytest.approx(expected, abs=1e-15)
-
-
-def test_angle_of_clamps():
-    assert geometry.angle_of(1.0 + 1e-12) == 0.0
-    assert geometry.angle_of(-1.0 - 1e-12) == math.pi
-
-
 def test_margin_logit_examples():
     # margin 0.2 is the default operating point
     assert geometry.margin_logit(1.0, 0.2) == pytest.approx(0.9800665778412416, abs=1e-15)
@@ -88,9 +60,9 @@ def test_margin_logit_examples():
 
 def test_margin_logit_rejects_bad_margin():
     for m in (-0.1, math.pi / 2, 2.0):
-        with pytest.raises(InvalidMargin):
+        with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
             geometry.margin_logit(0.3, m)
-        with pytest.raises(InvalidMargin):
+        with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
             geometry.margin_logit_grad(0.3, m)
 
 

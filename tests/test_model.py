@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from aamsupcon.errors import (
-    CheckpointError,
-    InvalidDims,
-    ShapeMismatch,
-    TraceMismatch,
-    ZeroVector,
-)
+from aamsupcon.errors import ConfigError, IoError, ZeroVector
 from aamsupcon.model import (
     NetworkParams,
     ParamGrads,
@@ -69,7 +63,7 @@ def test_init_he_variance():
     ([10, 8], 8, 6, 1),
 ])
 def test_init_rejects_bad_dims(dims, proj_hidden, d_out, classes):
-    with pytest.raises(InvalidDims):
+    with pytest.raises(ConfigError, match=r"encoder dims must chain|need proj_hidden >= 1"):
         init_params(dims, proj_hidden, d_out, classes, seed=0)
 
 
@@ -109,7 +103,7 @@ def test_forward_zero_projection_raises():
 
 def test_forward_shape_mismatch():
     params = init_params([10, 8], 8, 4, 3, seed=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ConfigError, match=r"expected \(N, 10\) inputs"):
         forward(params, np.ones((2, 7)))
 
 
@@ -188,10 +182,10 @@ def test_flat_copy_views_follow_in_place_updates():
 def test_backward_rejects_mismatched_trace():
     params = init_params([10, 8], 8, 4, 3, seed=8)
     trace = forward(params, np.random.default_rng(5).normal(size=(6, 10)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ConfigError, match="grad shape"):
         backward(params, trace, np.zeros((6, 5)))
     other = init_params([10, 8, 8], 8, 4, 3, seed=8)
-    with pytest.raises(TraceMismatch):
+    with pytest.raises(ConfigError, match="trace does not match these parameters"):
         backward(other, trace, np.zeros_like(trace.embeddings))
 
 
@@ -234,15 +228,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     bad_magic = tmp_path / "bad_magic.ckpt"
     bad_magic.write_bytes(b"XXXXXXXX" + blob[8:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IoError, match="bad magic"):
         load_checkpoint(bad_magic)
 
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_bytes(blob[:-16])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IoError, match="truncated array"):
         load_checkpoint(truncated)
 
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(blob + b"\x00" * 8)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IoError, match="trailing bytes"):
         load_checkpoint(trailing)

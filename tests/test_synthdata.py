@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from aamsupcon.errors import InvalidSpec, IoError
+from aamsupcon.errors import ConfigError, IoError
 from aamsupcon.synthdata import (
     DatasetSpec,
     generate,
@@ -61,7 +61,7 @@ def test_within_speaker_cosine_decreases_with_spread():
     DatasetSpec(4, 5, 10, -0.1, 0),
 ])
 def test_invalid_specs_rejected(bad):
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match=r"(num_speakers|utterances_per_speaker|d_in|spread) must be"):
         generate(bad)
 
 
@@ -115,9 +115,9 @@ def test_split_holdout():
 
     same, empty = split_holdout(speaker_ids, 0)
     assert len(same) == len(speaker_ids) and empty.size == 0
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="cannot hold out 5"):
         split_holdout(speaker_ids, 5)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="holdout_per_speaker must be >= 0"):
         split_holdout(speaker_ids, -1)
 
 
