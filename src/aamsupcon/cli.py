@@ -189,19 +189,25 @@ def _seeded(obj, seed):
     return replace(obj, seed=seed)
 
 
-def _check_data_fit(cfg: TrainConfig, features, speaker_ids) -> None:
-    """Check the keys whose valid range depends on the training rows."""
+def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None:
+    """Check the keys whose valid range depends on the training rows, and
+    the --sizes of a sweep in place of training.batch_speakers."""
     d_in = features.shape[1]
     if cfg.mask_max is not None and cfg.mask_max > d_in:
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
                           f"dataset's d_in), got {cfg.mask_max}")
     _, groups = group_by_speaker(speaker_ids)
     eligible = sum(len(rows) >= cfg.views_per_speaker for rows in groups)
-    if eligible < cfg.batch_speakers:
-        raise ConfigError(
-            f"training.batch_speakers = {cfg.batch_speakers} needs that many speakers "
-            f"with training.views_per_speaker = {cfg.views_per_speaker} or more "
-            f"training utterances; the data has {eligible}")
+    fit = (f"speakers with training.views_per_speaker = {cfg.views_per_speaker} "
+           f"or more training utterances; the data has {eligible}")
+    if sizes is None and eligible < cfg.batch_speakers:
+        raise ConfigError(f"training.batch_speakers = {cfg.batch_speakers} needs that many {fit}")
+    least = cfg.least_batch_speakers()
+    for size in sizes or ():
+        if not least <= size <= eligible:
+            floor = "2 under training.convention = strict_negatives" if least == 2 else "1"
+            raise ConfigError(f"--sizes {size}: each size must be in [{least}, {eligible}], "
+                              f"at least {floor} and at most the number of {fit}")
 
 
 def _sha256(path) -> str:
@@ -362,6 +368,8 @@ def _gradcheck_batch(rng, n_per_class, num_classes, dim):
 def cmd_gradcheck(args) -> int:
     config, echo = load_config(args.config)
     g = _seeded(config[_GradCheck], args.seed)
+    if args.out:
+        _ensure_out(args.out)
     corrupt = 0.05 if args.corrupt else 0.0
     rng = np.random.default_rng(g.seed)
     rows = []
@@ -390,7 +398,6 @@ def cmd_gradcheck(args) -> int:
               f"(tolerance {row['tolerance']:.0e}) "
               f"{'ok' if row['passed'] else 'FAIL'}")
     if args.out:
-        _ensure_out(args.out)
         report_path = os.path.join(args.out, "gradcheck.json")
         _write_json(report_path, {"rows": rows})
         _write_manifest(args.out, "gradcheck", echo, args.seed, {},
@@ -405,15 +412,13 @@ def cmd_sweep_batch(args) -> int:
     config, echo = load_config(args.config)
     base = _seeded(config[TrainConfig], args.seed)
     train_set, (eval_features, eval_ids) = _load_split(config, args.data)
-    configs = [_checked("training", TrainConfig, {**vars(base), "batch_speakers": size})
-               for size in args.sizes]
-    for cfg in configs:
-        _check_data_fit(cfg, *train_set)
+    _check_data_fit(base, *train_set, sizes=args.sizes)
     trials = _build_trials(config, eval_ids, config[_Trials])
     _ensure_out(args.out)
 
     rows = []
-    for size, cfg in zip(args.sizes, configs):
+    for size in args.sizes:
+        cfg = replace(base, batch_speakers=size)
         params, _ = train(cfg, *train_set)
         scored = score_trials(params, eval_features, trials, config[_Trials].space)
         eer_value, _ = eer(scored)

@@ -241,13 +241,20 @@ def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
 
 def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
                scale: float, masks: SupconMasks | None = None, lam: float = 1.0,
-               bufs: KernelBuffers | None = None):
-    """(value, grad_z, grad_w) of one loss, with no input validation.
+               bufs: KernelBuffers | None = None, h=None):
+    """(value, grad_z, grad_w, grad_h) of one loss, with no input validation:
+    the margin-softmax term plus lam times the contrastive term, as far as
+    the kind has them; lam = 0 skips the contrastive kernel.
 
     masks is the supcon_masks of the labels, required by the contrastive
     kinds. Callers that own their invariants (the trainer, finite-difference
     probes that step off the unit sphere) call this directly; everyone
     else goes through evaluate_loss.
+
+    h, when given, holds the unit rows the margin term reads in place of z
+    (a classifier in another space): grad_h is then that term's gradient
+    and grad_z the contrastive term's (zero without one). Otherwise grad_h
+    is None and grad_z holds both terms.
 
     bufs, when given, is a KernelBuffers for this batch shape; the
     gradients returned are its arrays, so the next call through it
@@ -258,18 +265,23 @@ def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
     if kind is LossKind.SUPCON:
         value, grad_z = _supcon_raw(z, masks, temperature, bufs)
         bufs.grad_w.fill(0.0)
-        return value, grad_z, bufs.grad_w
+        return value, grad_z, bufs.grad_w, None
     if kind is LossKind.SOFTMAX:
         margin = 0.0
     elif kind not in (LossKind.ARCFACE, LossKind.AAMSUPCON):
         raise ValueError(f"unknown loss kind {kind!r}")
-    value, grad_z, grad_w = _margin_softmax_raw(z, labels, w, margin, scale, bufs)
+    value, grad_m, grad_w = _margin_softmax_raw(z if h is None else h, labels, w,
+                                                margin, scale, bufs)
+    grad_z = grad_m if h is None else bufs.grad_sup
     if kind is LossKind.AAMSUPCON and lam != 0.0:
         sup_value, sup_grad = _supcon_raw(z, masks, temperature, bufs)
         value += lam * sup_value
         sup_grad *= lam
-        grad_z += sup_grad
-    return value, grad_z, grad_w
+        if h is None:
+            grad_z += sup_grad
+    elif h is not None:
+        grad_z.fill(0.0)
+    return value, grad_z, grad_w, None if h is None else grad_m
 
 
 def evaluate_loss(kind: LossKind, inputs: LossInputs,
@@ -281,7 +293,7 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     return LossOutput(*loss_terms(kind, inputs.embeddings, inputs.labels,
                                   inputs.class_weights, inputs.temperature,
-                                  inputs.margin, inputs.scale, masks, lam))
+                                  inputs.margin, inputs.scale, masks, lam)[:3])
 
 
 def supcon_loss(inputs: LossInputs,
@@ -379,7 +391,7 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
         return loss_terms(kind, z, inputs.labels, w, inputs.temperature,
                           inputs.margin, inputs.scale, masks, lam)
 
-    _, grad_z, grad_w = terms()
+    _, grad_z, grad_w, _ = terms()
     grad_z[0, 0] += corrupt
     fd_z, fd_w = _central_diff(lambda: terms()[0], [z, w], step)
     errors = np.concatenate([relative_errors(grad_z, fd_z),

@@ -7,7 +7,7 @@ container.
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,34 +54,21 @@ class ParamGrads:
     class_weights: np.ndarray
 
 
-@dataclass
-class ForwardTrace:
-    """Caches needed by backward: per-layer pre-activations/activations,
-    the row norms of the projection output and the embeddings (that output
-    divided by its norms)."""
-
-    inputs: np.ndarray
-    encoder_pre: list
-    encoder_act: list
-    proj_pre: np.ndarray
-    proj_act: np.ndarray
-    norms: np.ndarray
-    embeddings: np.ndarray
-
-
 class Workspace:
-    """Every array forward and backward write for one batch size N, built
-    once and overwritten by each call: per encoder layer the pre-activation,
-    the activation, the relu gate and the gradient w.r.t. the activation;
-    the projection's pre-activation, activation and gate; the squared
+    """The record of one forward pass for a batch size N, and every array
+    forward and backward write, built once and overwritten by each call:
+    the inputs forward read; per encoder layer the pre-activation, the
+    activation, the relu gate and the gradient w.r.t. the activation; the
+    projection's pre-activation, activation and gate; the squared
     projection output, its row norms, the embeddings; and the gradients
     w.r.t. the embeddings' pre-normalization rows and the projection
     pre-activation."""
 
-    __slots__ = ("encoder_pre", "encoder_act", "encoder_gates", "d_h", "proj_pre",
+    __slots__ = ("inputs", "encoder_pre", "encoder_act", "encoder_gates", "d_h", "proj_pre",
                  "proj_act", "proj_gate", "d_pre", "squares", "norms", "embeddings", "d_out")
 
     def __init__(self, params: NetworkParams, n: int):
+        self.inputs = None
         widths = [w.shape[0] for w, _ in params.encoder_layers]
         self.encoder_pre = [np.empty((n, k)) for k in widths]
         self.encoder_act = [np.empty((n, k)) for k in widths]
@@ -129,22 +116,23 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
     return NetworkParams(layers, proj_w1, proj_w2, class_weights, seed)
 
 
-def forward(params: NetworkParams, features, ws: Workspace | None = None) -> ForwardTrace:
-    """Run the encoder and projection, ending in row normalization.
+def forward(params: NetworkParams, features, ws: Workspace | None = None) -> Workspace:
+    """Run the encoder and projection, ending in row normalization, and
+    return the Workspace it filled: the trace that encoder_embeddings and
+    backward read.
 
     features is an (N, d_in) matrix. Raises ConfigError on a wrong input
     width and ZeroVector if any projection output has (near-)zero norm.
 
-    ws, when given, is a Workspace for N rows; the trace's arrays are its
-    arrays, so the next call through it overwrites them. Without it the
-    call builds one of its own.
+    ws, when given, is a Workspace for N rows, which the next call through
+    it overwrites; without it the call builds one of its own.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise ConfigError(f"expected (N, {params.d_in}) inputs, got {x.shape}")
     if ws is None:
         ws = Workspace(params, x.shape[0])
-    act = x
+    ws.inputs = act = x
     for (w, b), pre, out in zip(params.encoder_layers, ws.encoder_pre, ws.encoder_act):
         np.matmul(act, w.T, out=pre)
         pre += b
@@ -152,24 +140,20 @@ def forward(params: NetworkParams, features, ws: Workspace | None = None) -> For
     np.matmul(act, params.proj_w1.T, out=ws.proj_pre)
     np.maximum(ws.proj_pre, 0.0, out=ws.proj_act)
     z = np.matmul(ws.proj_act, params.proj_w2.T, out=ws.embeddings)
-    norms = row_norms(z, out=ws.norms, squares=ws.squares)
-    z /= norms
-    return ForwardTrace(x, ws.encoder_pre, ws.encoder_act, ws.proj_pre, ws.proj_act,
-                        norms, z)
+    z /= row_norms(z, out=ws.norms, squares=ws.squares)
+    return ws
 
 
-def encoder_embeddings(trace: ForwardTrace) -> np.ndarray:
+def encoder_embeddings(trace: Workspace) -> np.ndarray:
     """Unit-normalized encoder output rows (the pre-projection space).
 
     Raises ZeroVector when a sample's encoder activations are all dead."""
-    h = trace.encoder_act[-1] if trace.encoder_act else trace.inputs
-    return normalize_rows(h)
+    return normalize_rows(trace.encoder_act[-1])
 
 
-def backward(params: NetworkParams, trace: ForwardTrace,
-             grad_embeddings: np.ndarray,
+def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarray,
              grad_encoder_embeddings: np.ndarray | None = None,
-             out: ParamGrads | None = None, ws: Workspace | None = None) -> ParamGrads:
+             out: ParamGrads | None = None) -> ParamGrads:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
     The normalization layer contributes (g - (g.z) z) / ||u|| per row; relu
@@ -178,15 +162,14 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     network, so backward leaves that slot alone: it is zero in a ParamGrads
     backward makes, and as it was in out.
 
-    grad_encoder_embeddings, when given, is d(loss)/d(normalized encoder
-    output) for losses that classify in the pre-projection space; it joins
-    the projection gradient at the encoder output.
+    trace is the Workspace forward filled, and takes the intermediate
+    gradients. grad_encoder_embeddings, when given, is d(loss)/d(normalized
+    encoder output) for losses that classify in the pre-projection space;
+    it joins the projection gradient at the encoder output.
 
     out, when given, is a ParamGrads shaped like params whose network arrays
     are overwritten with the gradients and returned (the trainer passes
-    views of one flat vector); otherwise new arrays are returned. ws, when
-    given, is the Workspace for the trace's N rows and holds the
-    intermediate gradients; without it the call builds one of its own.
+    views of one flat vector); otherwise new arrays are returned.
     """
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != trace.embeddings.shape:
@@ -199,23 +182,21 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     if out is None:
         out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
         out.class_weights.fill(0.0)
-    if ws is None:
-        ws = Workspace(params, g.shape[0])
 
     # Relu gates multiply by the mask rather than zero-fill: a gated entry
     # keeps the sign of its gradient (-0.0) and a NaN stays NaN, bit for bit
     # as when each gate made a new array.
     z = trace.embeddings
-    d_out = np.multiply(g, z, out=ws.d_out)
+    d_out = np.multiply(g, z, out=trace.d_out)
     np.multiply(d_out.sum(axis=1, keepdims=True), z, out=d_out)
     np.subtract(g, d_out, out=d_out)
     d_out /= trace.norms
     np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
-    d_pre = np.matmul(d_out, params.proj_w2, out=ws.d_pre)
-    d_pre *= np.greater(trace.proj_pre, 0.0, out=ws.proj_gate)
+    d_pre = np.matmul(d_out, params.proj_w2, out=trace.d_pre)
+    d_pre *= np.greater(trace.proj_pre, 0.0, out=trace.proj_gate)
     h = trace.encoder_act[-1]
     np.matmul(d_pre.T, h, out=out.proj_w1)
-    d_h = np.matmul(d_pre, params.proj_w1, out=ws.d_h[-1])
+    d_h = np.matmul(d_pre, params.proj_w1, out=trace.d_h[-1])
     if grad_encoder_embeddings is not None:
         ge = np.asarray(grad_encoder_embeddings, dtype=np.float64)
         if ge.shape != h.shape:
@@ -227,12 +208,12 @@ def backward(params: NetworkParams, trace: ForwardTrace,
 
     for li in range(len(params.encoder_layers) - 1, -1, -1):
         grad_w, grad_b = out.encoder_layers[li]
-        d_h *= np.greater(trace.encoder_pre[li], 0.0, out=ws.encoder_gates[li])
+        d_h *= np.greater(trace.encoder_pre[li], 0.0, out=trace.encoder_gates[li])
         below = trace.encoder_act[li - 1] if li > 0 else trace.inputs
         np.matmul(d_h.T, below, out=grad_w)
         np.sum(d_h, axis=0, out=grad_b)
         if li > 0:  # the gradient w.r.t. the inputs is not needed
-            d_h = np.matmul(d_h, params.encoder_layers[li][0], out=ws.d_h[li - 1])
+            d_h = np.matmul(d_h, params.encoder_layers[li][0], out=trace.d_h[li - 1])
     return out
 
 

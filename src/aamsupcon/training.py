@@ -89,8 +89,7 @@ class TrainConfig:
         for key in ("batch_speakers", "views_per_speaker"):
             if getattr(self, key) < 1:
                 raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)}")
-        if (self.loss_kind.contrastive and self.batch_speakers < 2
-                and self.convention is DenominatorConvention.STRICT_NEGATIVES):
+        if self.batch_speakers < self.least_batch_speakers():
             raise ValueError("training.convention = strict_negatives needs "
                              "training.batch_speakers >= 2: a one-speaker batch "
                              "has no negatives")
@@ -113,6 +112,11 @@ class TrainConfig:
             raise ValueError(f"model.proj_hidden must be >= 1, got {self.proj_hidden}")
         if self.embedding_dim < 2:
             raise ValueError(f"model.embedding_dim must be >= 2, got {self.embedding_dim}")
+
+    def least_batch_speakers(self) -> int:
+        """2 when strict negatives need a second speaker in a batch, else 1."""
+        strict = self.convention is DenominatorConvention.STRICT_NEGATIVES
+        return 2 if strict and self.loss_kind.contrastive else 1
 
     def class_dim(self) -> int | None:
         return self.encoder_hidden[-1] if self.classifier_space == "encoder" else None
@@ -145,38 +149,19 @@ def run_masks(config: TrainConfig) -> SupconMasks | None:
                         config.convention)
 
 
-def _trace_loss(config: TrainConfig, params: NetworkParams, trace,
+def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
                 dense_labels: np.ndarray, masks: SupconMasks | None,
                 bufs: KernelBuffers | None = None):
-    """Evaluate the configured loss on a forward trace, without input
+    """loss_terms of the configured loss on a forward trace, without input
     validation: the config was validated once per run, forward() yields
     unit rows and the class weights are renormalized after every update.
     masks is the supcon_masks of dense_labels (None for a loss without a
-    contrastive term); bufs is passed on to loss_terms.
-
-    Returns (value, grad_projection, grad_encoder, grad_class_weights); the
-    encoder slot is None unless the classifier term runs in encoder space."""
-    kind = config.loss_kind
-    z = trace.embeddings
-    w = params.class_weights
-    hyper = (config.temperature, config.margin, config.scale)
-    if config.classifier_space == "projection" or kind is LossKind.SUPCON:
-        value, grad_z, grad_w = loss_terms(kind, z, dense_labels, w, *hyper,
-                                           masks, config.lam, bufs)
-        return value, grad_z, None, grad_w
-
-    if kind is LossKind.AAMSUPCON:
-        # the contrastive term stays in projection space; it runs first
-        # because it zero-fills the class-weight gradient
-        sup_value, sup_grad, _ = loss_terms(LossKind.SUPCON, z, dense_labels, w,
-                                            *hyper, masks, bufs=bufs)
-        sup_grad *= config.lam
-    cls_kind = LossKind.SOFTMAX if kind is LossKind.SOFTMAX else LossKind.ARCFACE
-    value, grad_enc, grad_w = loss_terms(cls_kind, encoder_embeddings(trace),
-                                         dense_labels, w, *hyper, bufs=bufs)
-    if kind is not LossKind.AAMSUPCON:
-        return value, None, grad_enc, grad_w
-    return value + config.lam * sup_value, sup_grad, grad_enc, grad_w
+    contrastive term); bufs is passed on. In encoder classifier space the
+    margin term reads the normalized encoder output."""
+    h = encoder_embeddings(trace) if config.classifier_space == "encoder" else None
+    return loss_terms(config.loss_kind, trace.embeddings, dense_labels,
+                      params.class_weights, config.temperature, config.margin,
+                      config.scale, masks, config.lam, bufs, h)
 
 
 def _step_buffers(params: NetworkParams, n: int):
@@ -195,12 +180,9 @@ def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
     """Forward, loss and backward for one batch: the loss value, with the
     gradients written into grads. ws and bufs are _step_buffers' for
     these grads and the batch's rows."""
-    trace = forward(params, features, ws)
-    value, grad_proj, grad_enc, _ = _trace_loss(config, params, trace,
-                                                dense_labels, masks, bufs)
-    if grad_proj is None:
-        grad_proj = np.zeros_like(trace.embeddings)
-    backward(params, trace, grad_proj, grad_enc, grads, ws)
+    forward(params, features, ws)
+    value, grad_proj, _, grad_enc = _trace_loss(config, params, ws, dense_labels, masks, bufs)
+    backward(params, ws, grad_proj, grad_enc, grads)
     return value
 
 

@@ -1,11 +1,18 @@
-"""Brute-force EER and minDCF oracles for the evaluation tests.
+"""Reference implementations the tests compare the package against.
 
-They recount both error rates for every candidate threshold trial by trial,
-with the conventions that aamsupcon.evaluate documents, and share no code
-with its sorted routes."""
+The brute-force EER and minDCF oracles recount both error rates for every
+candidate threshold trial by trial, with the conventions that
+aamsupcon.evaluate documents, and share no code with its sorted routes.
+The loss kernels below allocate every temporary, as the in-place kernels
+of aamsupcon.losses did before they reused buffers, and give the same bits.
+"""
+
+import numpy as np
 
 from aamsupcon.errors import NumericalError
 from aamsupcon.evaluate import DcfParams, ScoredTrials
+from aamsupcon.geometry import margin_logit, margin_logit_grad
+from aamsupcon.losses import LossKind, contrast_masks
 
 
 def eer_threshold_sweep(scored: ScoredTrials):
@@ -59,3 +66,75 @@ def min_dcf_threshold_sweep(scored: ScoredTrials, params: DcfParams | None = Non
     normalizer = min(params.c_miss * params.p_target,
                      params.c_fa * (1.0 - params.p_target))
     return best[0] / normalizer, best[1]
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit kernel reference: the allocate-per-temporary kernels that the
+# in-place ones in losses replace, kept verbatim
+
+
+def reference_supcon_raw(z: np.ndarray, masks, tau: float):
+    """Value and d/dz of the contrastive sum over (pos, cand) masks."""
+    pos_mask, cand_mask = masks
+    pcount = pos_mask.sum(axis=1).astype(np.float64)
+
+    sims = (z @ z.T) / tau
+    masked = np.where(cand_mask, sims, -np.inf)
+    row_max = masked.max(axis=1)
+    shifted_exp = np.exp(masked - row_max[:, None])
+    denom = shifted_exp.sum(axis=1)
+    lse = row_max + np.log(denom)
+
+    pos_sums = np.where(pos_mask, sims, 0.0).sum(axis=1)
+    value = float(np.sum(lse - pos_sums / pcount))
+
+    # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
+    soft = shifted_exp / denom[:, None]
+    g = (soft - pos_mask / pcount[:, None]) / tau
+    grad_z = (g + g.T) @ z
+    return value, grad_z
+
+
+def reference_margin_softmax_raw(z, labels, w, margin, scale):
+    """Cross-entropy over scaled cosine logits with the target column
+    penalized by the angular margin; margin == 0 is the plain softmax path.
+    Returns (value, grad_z, grad_w)."""
+    n = z.shape[0]
+    rows = np.arange(n)
+    cosines = z @ w.T
+    logits = cosines.copy()
+    if margin != 0.0:
+        logits[rows, labels] = margin_logit(cosines[rows, labels], margin)
+    logits *= scale
+
+    row_max = logits.max(axis=1)
+    shifted = logits - row_max[:, None]
+    exp_shifted = np.exp(shifted)
+    sumexp = exp_shifted.sum(axis=1)
+    lse = row_max + np.log(sumexp)
+    value = float(np.mean(lse - logits[rows, labels]))
+
+    d = exp_shifted / sumexp[:, None]
+    d[rows, labels] -= 1.0
+    d *= scale / n
+    if margin != 0.0:
+        d[rows, labels] *= margin_logit_grad(cosines[rows, labels], margin)
+    grad_z = d @ w
+    grad_w = d.T @ z
+    return value, grad_z, grad_w
+
+
+def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
+    """loss_terms composed from the reference kernels."""
+    masks = contrast_masks(labels, convention) if kind.contrastive else None
+    if kind is LossKind.SUPCON:
+        value, grad_z = reference_supcon_raw(z, masks, tau)
+        return value, grad_z, np.zeros_like(w)
+    if kind is LossKind.SOFTMAX:
+        margin = 0.0
+    value, grad_z, grad_w = reference_margin_softmax_raw(z, labels, w, margin, scale)
+    if kind is LossKind.AAMSUPCON and lam != 0.0:
+        sup_value, sup_grad = reference_supcon_raw(z, masks, tau)
+        value += lam * sup_value
+        grad_z = grad_z + lam * sup_grad
+    return value, grad_z, grad_w

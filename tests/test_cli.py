@@ -402,6 +402,17 @@ def test_gradcheck_report_and_corrupt_hook(tmp_path, capsys):
     assert printed.count("FAIL") >= 4
 
 
+def test_gradcheck_uncreatable_out_fails_before_any_check(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    report = tmp_path / "file" / "report"
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    assert main(["gradcheck", "--config", cfg, "--out", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(report) in captured.err
+
+
 def test_sweep_batch_table_and_footer(tmp_path, capsys):
     cfg = write_config(tmp_path, steps=30)
     gen = tmp_path / "gen"
@@ -422,6 +433,28 @@ def test_sweep_batch_table_and_footer(tmp_path, capsys):
                  "--sizes", "2"]) == 0
     one = json.loads((tmp_path / "one" / "sweep.json").read_text())
     assert len(one["rows"]) == 1
+
+
+@pytest.mark.parametrize("size, training_extra", [
+    ("0", ""),
+    ("99", ""),
+    ("1", "convention = strict_negatives"),
+])
+def test_sweep_batch_bad_size_names_the_flag(tmp_path, capsys, size, training_extra):
+    """A --sizes entry that the config or the 6-speaker data rule out: exit
+    1 naming --sizes and that entry, not the training.batch_speakers key it
+    stands in for, before --out is created."""
+    cfg = write_config(tmp_path, steps=2, training_extra=training_extra)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(["sweep-batch", "--config", cfg, "--data", str(gen / "dataset.txt"),
+                 "--out", str(out), "--sizes", "2", size]) == 1
+    err = capsys.readouterr().err
+    assert f"--sizes {size}:" in err, err
+    assert "training.batch_speakers" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_encoder_space_pipeline(tmp_path):

@@ -13,7 +13,7 @@ from aamsupcon.batching import (
 )
 
 from aamsupcon.errors import ConfigError
-from aamsupcon.geometry import margin_logit, margin_logit_grad, normalize_rows
+from aamsupcon.geometry import normalize_rows
 from aamsupcon.losses import (
     DenominatorConvention,
     KernelBuffers,
@@ -30,6 +30,7 @@ from aamsupcon.losses import (
 )
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import TrainConfig, run_masks
+from oracles import reference_terms
 
 ALL = DenominatorConvention.ALL_NON_ANCHOR
 STRICT = DenominatorConvention.STRICT_NEGATIVES
@@ -332,78 +333,6 @@ def test_aamsupcon_lambda_weights_the_contrastive_term():
         assert total.value == pytest.approx(arc.value + lam * sup.value, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# bit-for-bit kernel reference: the allocate-per-temporary kernels that the
-# in-place ones in losses replace, kept verbatim
-
-
-def reference_supcon_raw(z: np.ndarray, masks, tau: float):
-    """Value and d/dz of the contrastive sum over (pos, cand) masks."""
-    pos_mask, cand_mask = masks
-    pcount = pos_mask.sum(axis=1).astype(np.float64)
-
-    sims = (z @ z.T) / tau
-    masked = np.where(cand_mask, sims, -np.inf)
-    row_max = masked.max(axis=1)
-    shifted_exp = np.exp(masked - row_max[:, None])
-    denom = shifted_exp.sum(axis=1)
-    lse = row_max + np.log(denom)
-
-    pos_sums = np.where(pos_mask, sims, 0.0).sum(axis=1)
-    value = float(np.sum(lse - pos_sums / pcount))
-
-    # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
-    soft = shifted_exp / denom[:, None]
-    g = (soft - pos_mask / pcount[:, None]) / tau
-    grad_z = (g + g.T) @ z
-    return value, grad_z
-
-
-def reference_margin_softmax_raw(z, labels, w, margin, scale):
-    """Cross-entropy over scaled cosine logits with the target column
-    penalized by the angular margin; margin == 0 is the plain softmax path.
-    Returns (value, grad_z, grad_w)."""
-    n = z.shape[0]
-    rows = np.arange(n)
-    cosines = z @ w.T
-    logits = cosines.copy()
-    if margin != 0.0:
-        logits[rows, labels] = margin_logit(cosines[rows, labels], margin)
-    logits *= scale
-
-    row_max = logits.max(axis=1)
-    shifted = logits - row_max[:, None]
-    exp_shifted = np.exp(shifted)
-    sumexp = exp_shifted.sum(axis=1)
-    lse = row_max + np.log(sumexp)
-    value = float(np.mean(lse - logits[rows, labels]))
-
-    d = exp_shifted / sumexp[:, None]
-    d[rows, labels] -= 1.0
-    d *= scale / n
-    if margin != 0.0:
-        d[rows, labels] *= margin_logit_grad(cosines[rows, labels], margin)
-    grad_z = d @ w
-    grad_w = d.T @ z
-    return value, grad_z, grad_w
-
-
-def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
-    """loss_terms composed from the reference kernels."""
-    masks = contrast_masks(labels, convention) if kind.contrastive else None
-    if kind is LossKind.SUPCON:
-        value, grad_z = reference_supcon_raw(z, masks, tau)
-        return value, grad_z, np.zeros_like(w)
-    if kind is LossKind.SOFTMAX:
-        margin = 0.0
-    value, grad_z, grad_w = reference_margin_softmax_raw(z, labels, w, margin, scale)
-    if kind is LossKind.AAMSUPCON and lam != 0.0:
-        sup_value, sup_grad = reference_supcon_raw(z, masks, tau)
-        value += lam * sup_value
-        grad_z = grad_z + lam * sup_grad
-    return value, grad_z, grad_w
-
-
 # (batch_speakers, views_per_speaker, embedding dim): N = 2BV runs from 4 to 256;
 # in 2 dimensions some target angles saturate the margin at pi
 ALIGNED_SHAPES = [(2, 1, 2), (3, 2, 8), (5, 3, 16), (8, 2, 128), (32, 2, 128), (64, 2, 128)]
@@ -430,6 +359,7 @@ def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
                     assert got[0] == want[0], (speakers, views, margin, lam)
                     assert np.array_equal(got[1], want[1]), (speakers, views, margin, lam)
                     assert np.array_equal(got[2], want[2]), (speakers, views, margin, lam)
+                    assert got[3] is None
                 assert got[2] is bufs.grad_w
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from aamsupcon import training
+from aamsupcon import losses, training
 from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker, speaker_rows
 from aamsupcon.errors import DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
-from aamsupcon.losses import DenominatorConvention, LossKind, supcon_masks
+from aamsupcon.losses import DenominatorConvention, LossKind, contrast_masks, supcon_masks
 from aamsupcon.model import backward, forward, init_params, param_arrays
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
@@ -18,6 +18,7 @@ from aamsupcon.training import (
     save_runlog,
     train,
 )
+from oracles import reference_margin_softmax_raw, reference_supcon_raw, reference_terms
 
 SMALL_NET = dict(encoder_hidden=(32, 32), proj_hidden=32, embedding_dim=16)
 
@@ -133,27 +134,41 @@ def _fixed_batch(data, speakers, seed=0):
                        AugmentPolicy(0.0, 0), np.random.default_rng(seed))
 
 
-def test_loss_on_batch_dispatch_identities():
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+def test_loss_on_batch_dispatch_identities(space, monkeypatch):
     data = _dataset(speakers=6, utterances=4)
     features, labels = _fixed_batch(data, 4)
-    params = init_params([20, 32, 32], 32, 16, 6, seed=1)
+    net = dict(SMALL_NET, classifier_space=space)
+    params = init_params([20, 32, 32], 32, 16, 6, seed=1,
+                         class_dim=TrainConfig(**net).class_dim())
     trace = forward(params, features)
     masks = supcon_masks(labels)
 
     def value(config):
         return _trace_loss(config, params, trace, labels, masks)[0]
 
-    softmax_cfg = TrainConfig(loss_kind=LossKind.SOFTMAX, **SMALL_NET)
-    arcface_m0 = TrainConfig(loss_kind=LossKind.ARCFACE, margin=0.0, **SMALL_NET)
+    softmax_cfg = TrainConfig(loss_kind=LossKind.SOFTMAX, **net)
+    arcface_m0 = TrainConfig(loss_kind=LossKind.ARCFACE, margin=0.0, **net)
     assert value(softmax_cfg) == value(arcface_m0)
 
-    arc_cfg = TrainConfig(loss_kind=LossKind.ARCFACE, **SMALL_NET)
-    aam_zero = TrainConfig(loss_kind=LossKind.AAMSUPCON, lam=0.0, **SMALL_NET)
-    assert value(aam_zero) == value(arc_cfg)
-
-    sup_cfg = TrainConfig(loss_kind=LossKind.SUPCON, **SMALL_NET)
-    aam_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, **SMALL_NET)
+    arc_cfg = TrainConfig(loss_kind=LossKind.ARCFACE, **net)
+    sup_cfg = TrainConfig(loss_kind=LossKind.SUPCON, **net)
+    aam_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, **net)
     assert value(aam_cfg) == pytest.approx(value(arc_cfg) + value(sup_cfg), abs=1e-12)
+
+    # lambda = 0 is arcface, gradients included, and runs no contrastive kernel
+    arc = _trace_loss(arc_cfg, params, trace, labels, masks)
+
+    def no_kernel(*args):
+        raise AssertionError("the contrastive kernel ran at lambda = 0")
+
+    monkeypatch.setattr(losses, "_supcon_raw", no_kernel)
+    aam_zero = TrainConfig(loss_kind=LossKind.AAMSUPCON, lam=0.0, **net)
+    got = _trace_loss(aam_zero, params, trace, labels, masks)
+    assert got[0] == arc[0]
+    for a, b in zip(got[1:], arc[1:]):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert (got[3] is None) == (space == "projection")
 
 
 @pytest.mark.parametrize("kind", list(LossKind))
@@ -209,8 +224,36 @@ def test_runlog_round_trip_and_determinism(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def reference_loss(config, params, trace, labels):
+    """The configured loss on a forward trace, composed branch by branch from
+    the allocating reference kernels, as the trainer composed it before one
+    loss_terms call served both classifier spaces. Returns (value,
+    grad_projection, grad_encoder, grad_class_weights); the encoder slot is
+    None unless the classifier term runs in encoder space. There the
+    contrastive term runs even at lambda = 0, so the reference also checks
+    that skipping it changes no bit."""
+    kind = config.loss_kind
+    z, w = trace.embeddings, params.class_weights
+    hyper = (config.temperature, config.margin, config.scale)
+    if config.classifier_space == "projection" or kind is LossKind.SUPCON:
+        value, grad_z, grad_w = reference_terms(kind, z, labels, w, *hyper,
+                                                config.convention, config.lam)
+        return value, grad_z, None, grad_w
+
+    if kind is LossKind.AAMSUPCON:
+        sup_value, sup_grad = reference_supcon_raw(
+            z, contrast_masks(labels, config.convention), config.temperature)
+        sup_grad = config.lam * sup_grad
+    margin = 0.0 if kind is LossKind.SOFTMAX else config.margin
+    value, grad_enc, grad_w = reference_margin_softmax_raw(
+        normalize_rows(trace.encoder_act[-1]), labels, w, margin, config.scale)
+    if kind is not LossKind.AAMSUPCON:
+        return value, None, grad_enc, grad_w
+    return value + config.lam * sup_value, sup_grad, grad_enc, grad_w
+
+
 def reference_train(config, features, speaker_ids):
-    """train without a workspace: forward, _trace_loss and backward build
+    """train without a workspace: forward, reference_loss and backward build
     every array of every step, the gradient norm squares each gradient
     afresh, and the update runs array by array. Returns (params, [(loss,
     grad_norm) per step])."""
@@ -219,7 +262,6 @@ def reference_train(config, features, speaker_ids):
     params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
                          config.embedding_dim, len(groups), config.seed,
                          class_dim=config.class_dim())
-    masks = run_masks(config)
     velocity = [np.zeros_like(a) for a in param_arrays(params)]
     rng = np.random.default_rng(config.seed)
     records = []
@@ -227,7 +269,7 @@ def reference_train(config, features, speaker_ids):
         batch, labels = build_batch(features, rows, config.batch_speakers,
                                     config.views_per_speaker, config.augment_policy(), rng)
         trace = forward(params, batch)
-        value, grad_proj, grad_enc, grad_w = _trace_loss(config, params, trace, labels, masks)
+        value, grad_proj, grad_enc, grad_w = reference_loss(config, params, trace, labels)
         if grad_proj is None:
             grad_proj = np.zeros_like(trace.embeddings)
         grads = backward(params, trace, grad_proj, grad_enc)
@@ -257,9 +299,9 @@ def _bits_equal(a, b):
 def test_workspace_training_equals_allocating_loop(kind, convention, space):
     features, speaker_ids = _dataset(speakers=64, utterances=4)
     # N = 2 * speakers * views rows: 4, 32 and 256
-    for speakers, views in ((2, 1), (8, 2), (64, 2)):
+    for speakers, views, lam in ((2, 1, 0.0), (8, 2, 0.5), (64, 2, 1.0)):
         cfg = TrainConfig(loss_kind=kind, convention=convention, classifier_space=space,
-                          steps=3, batch_speakers=speakers, views_per_speaker=views,
+                          lam=lam, steps=3, batch_speakers=speakers, views_per_speaker=views,
                           seed=speakers, **SMALL_NET)
         params, log = train(cfg, features, speaker_ids)
         want_params, want_records = reference_train(cfg, features, speaker_ids)
