@@ -5,6 +5,22 @@ holds B original rows followed by their B augmentations, aligned by index,
 so every anchor is guaranteed at least one positive. Augmentation works in
 feature space: additive Gaussian noise, then a contiguous run of
 coordinates zeroed (the desk-scale analog of time/frequency masking).
+
+A run draws its batches from one BatchSampler. It checks the request once
+and owns the batch array, which each draw overwrites (as each forward
+overwrites a model.Workspace). A draw takes exactly the numbers, in the
+order, that per-row calls to rng.choice, rng.integers and
+rng.standard_normal would take, and leaves rng in the same state. Two of
+numpy's algorithms (numpy 2.4.6, numpy/random/_generator.pyx and
+src/distributions/distributions.c) are replayed rather than called:
+- rng.choice(n, size=k, replace=False) for every chosen speaker at once,
+  Floyd's algorithm and a shuffle from one rng.integers call
+  (_choose_rows);
+- rng.integers(0, high + 1) for the mask draws: Lemire's bounded-integer
+  rule on the 32-bit half-words of PCG64's 64-bit outputs, read with
+  bit_generator.random_raw() (_HalfWords).
+The second needs PCG64, the bit generator of np.random.default_rng; a
+generator on another one raises ValueError before any draw.
 """
 
 from dataclasses import dataclass
@@ -24,7 +40,11 @@ class AugmentPolicy:
     mask_max: int | None = None
 
     def resolved_mask_max(self, d_in: int) -> int:
-        return d_in // 8 if self.mask_max is None else self.mask_max
+        """mask_max for rows of d_in coordinates; ValueError outside [0, d_in]."""
+        mask_max = d_in // 8 if self.mask_max is None else self.mask_max
+        if not 0 <= mask_max <= d_in:
+            raise ValueError(f"mask_max {mask_max} outside [0, {d_in}]")
+        return mask_max
 
 
 def group_by_speaker(speaker_ids):
@@ -55,36 +75,100 @@ def speaker_rows(groups) -> SpeakerRows:
     return SpeakerRows(order, np.cumsum(counts) - counts, counts)
 
 
-def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of every row of x (N, d_in).
+def _check_pcg64(rng: np.random.Generator) -> None:
+    """Raise ValueError unless rng's bit generator is PCG64, whose 32-bit
+    draws _HalfWords replays."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ValueError("batches are drawn from a PCG64 generator (np.random.default_rng), "
+                         f"got {type(rng.bit_generator).__name__}")
 
-    For each row in turn: draw noise_sigma * N(0, I), draw k uniformly from
-    [0, mask_max], and when k > 0 draw the start of the k contiguous
-    coordinates to zero. The draws interleave per row, so they are taken
-    row by row; the noise is then added and the runs zeroed for all rows
-    at once."""
+
+class _HalfWords:
+    """PCG64's 32-bit draws over a stream of its 64-bit outputs.
+
+    next32() returns the held upper half of the last output when there is
+    one (PCG64's has_uint32 and uinteger), else takes a new output from
+    raw(), returns its lower half and holds its upper half."""
+
+    __slots__ = ("raw", "has_uint32", "uinteger")
+
+    def __init__(self, raw, has_uint32: int, uinteger: int):
+        self.raw, self.has_uint32, self.uinteger = raw, has_uint32, uinteger
+
+    def next32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        word = self.raw()
+        self.has_uint32, self.uinteger = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def bounded(self, high: int) -> int:
+        """Generator.integers(0, high + 1) for 0 <= high < 2**32 - 1, by
+        Lemire's rule: the upper 32 bits of next32() * (high + 1), drawn
+        again while the lower 32 bits are below 2**32 mod (high + 1).
+        high = 0 takes no draw."""
+        if not high:
+            return 0
+        span = high + 1
+        if self.has_uint32:  # next32(), inlined: this runs twice per augmented row
+            self.has_uint32 = 0
+            m = self.uinteger * span
+        else:
+            word = self.raw()
+            self.has_uint32, self.uinteger = 1, word >> 32
+            m = (word & 0xFFFFFFFF) * span
+        if m & 0xFFFFFFFF < span:  # span bounds the threshold: skip the modulo
+            threshold = (0xFFFFFFFF - high) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self.next32() * span
+        return m >> 32
+
+
+def _augment(x, out, noise_sigma: float, mask_max: int, rng: np.random.Generator) -> None:
+    """Write one view of every row of x (n, d_in) into out, an array of the
+    same shape that does not overlap x. rng's bit generator is PCG64 and
+    0 <= mask_max <= d_in.
+
+    For each row in turn: draw N(0, I), draw k uniformly from [0, mask_max],
+    and when k > 0 draw the start of the k contiguous coordinates to zero.
+    The noise is then scaled by noise_sigma, x added and the runs zeroed.
+    The mask draws are replayed from rng's raw outputs, and the half-word
+    they leave held is written back to its state at the end."""
+    d_in = x.shape[1]
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    words = _HalfWords(bit_generator.random_raw, state["has_uint32"], state["uinteger"])
+    normal, bounded = rng.standard_normal, words.bounded
+    runs = []  # (row of out, start, stop)
+    for row in out:
+        normal(out=row)
+        k = bounded(mask_max)
+        if k:
+            start = bounded(d_in - k)
+            runs.append((row, start, start + k))
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = words.has_uint32, words.uinteger
+    bit_generator.state = state
+    out *= noise_sigma
+    out += x
+    for row, start, stop in runs:
+        row[start:stop] = 0.0
+
+
+def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
+    """One stochastic view of every row of x (N, d_in), as a new array (see
+    _augment). rng must be a PCG64 generator."""
     x = np.asarray(x, dtype=np.float64)
-    n, d_in = x.shape
-    mask_max = policy.resolved_mask_max(d_in)
-    if not 0 <= mask_max <= d_in:
-        raise ValueError(f"mask_max {mask_max} outside [0, {d_in}]")
-    noise = np.empty_like(x)
-    runs = np.zeros((n, 2), dtype=np.int64)  # [start, stop) per row
-    for i in range(n):
-        rng.standard_normal(out=noise[i])
-        k = int(rng.integers(0, mask_max + 1))
-        if k > 0:
-            start = int(rng.integers(0, d_in - k + 1))
-            runs[i] = start, start + k
-    noise *= policy.noise_sigma
-    out = np.add(x, noise, out=noise)
-    cols = np.arange(d_in)
-    out[(cols >= runs[:, :1]) & (cols < runs[:, 1:])] = 0.0
+    mask_max = policy.resolved_mask_max(x.shape[1])
+    _check_pcg64(rng)
+    out = np.empty_like(x)
+    _augment(x, out, policy.noise_sigma, mask_max, rng)
     return out
 
 
 def batch_layout(batch_speakers: int, views_per_speaker: int) -> np.ndarray:
-    """Which chosen speaker each row of a build_batch batch belongs to:
+    """Which chosen speaker each row of a BatchSampler batch belongs to:
     speaker k's views_per_speaker original rows, for k = 0 .. B-1 in turn,
     then their augmentations in the same order."""
     return np.tile(np.repeat(np.arange(batch_speakers), views_per_speaker), 2)
@@ -97,57 +181,94 @@ _TAIL_SHUFFLE_MIN_N = 10000
 _TAIL_SHUFFLE_FRACTION = 50
 
 
-def _choose_rows(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _row_bounds(groups: int, k: int) -> np.ndarray:
+    """A (groups, 2k - 1) bounds array for _choose_rows, its shuffle
+    columns k-1 .. 1 filled; _choose_rows fills the first k per call."""
+    bounds = np.empty((groups, 2 * k - 1), dtype=np.int64)
+    bounds[:, k:] = np.arange(k - 1, 0, -1)
+    return bounds
+
+
+def _choose_rows(sizes: np.ndarray, k: int, rng: np.random.Generator,
+                 bounds: np.ndarray) -> np.ndarray:
     """(len(sizes), k) positions: row g is rng.choice(sizes[g], size=k,
     replace=False) for each g in turn, bit for bit and leaving rng in the
-    same state, from one rng.integers call.
+    same state, from one rng.integers call. bounds is a _row_bounds array
+    of len(sizes) groups, reused from call to call.
 
     For each group, Floyd's algorithm draws j_t in [0, n - k + t] for
-    t = 0 .. k-1 and keeps it unless already kept, else takes n - k + t;
-    the shuffle then draws i_s in [0, s] for s = k-1 .. 1 and swaps
-    positions s and i_s. A group in numpy's tail-shuffle range sends every
-    group through rng.choice."""
-    if ((sizes > _TAIL_SHUFFLE_MIN_N) & (k > sizes // _TAIL_SHUFFLE_FRACTION)).any():
+    t = 0 .. k-1 and keeps it unless already kept, else takes n - k + t
+    (so j_0 is always kept); the shuffle then draws i_s in [0, s] for
+    s = k-1 .. 1 and swaps positions s and i_s. A group in numpy's
+    tail-shuffle range sends every group through rng.choice."""
+    if (sizes.max() > _TAIL_SHUFFLE_MIN_N
+            and ((sizes > _TAIL_SHUFFLE_MIN_N) & (k > sizes // _TAIL_SHUFFLE_FRACTION)).any()):
         return np.array([rng.choice(n, size=k, replace=False) for n in sizes])
-    floyd = sizes[:, None] - k + np.arange(k)
-    swaps = np.arange(k - 1, 0, -1)
-    bounds = np.concatenate([floyd, np.broadcast_to(swaps, (sizes.size, k - 1))], axis=1)
+    floyd = bounds[:, :k]
+    np.add(sizes[:, None], np.arange(-k, 0), out=floyd)
     draws = rng.integers(0, bounds, endpoint=True)
-    picked = np.empty_like(floyd)
-    for t in range(k):
-        seen = (picked[:, :t] == draws[:, t:t + 1]).any(axis=1)
-        picked[:, t] = np.where(seen, floyd[:, t], draws[:, t])
+    picked = draws[:, :k]
+    for t in range(1, k):
+        seen = (picked[:, :t] == picked[:, t:t + 1]).any(axis=1)
+        np.copyto(picked[:, t], floyd[:, t], where=seen)
     groups = np.arange(sizes.size)
-    for s, i in zip(swaps, draws[:, k:].T):
+    for s, i in zip(range(k - 1, 0, -1), draws[:, k:].T):
         picked[groups, s], picked[groups, i] = picked[groups, i], picked[groups, s]
     return picked
 
 
-def build_batch(features, rows: SpeakerRows, batch_speakers: int, views_per_speaker: int,
-                policy: AugmentPolicy, rng: np.random.Generator):
-    """Sample a multiview batch: (batch_features (2BV, d_in), labels (2BV,)).
+class BatchSampler:
+    """The multiview batches of one run: draw(rng) returns (batch_features
+    (2BV, d_in), labels (2BV,)), B being batch_speakers and V
+    views_per_speaker.
 
     rows is the speaker_rows of group_by_speaker's groups and labels are
-    positions in them. Draws batch_speakers speakers uniformly without
-    replacement among those with at least views_per_speaker rows, then
-    views_per_speaker rows per speaker without replacement (as rng.choice
-    would, speaker by speaker), then one augmentation per row (see augment).
-    The rows follow batch_layout. Raises ConfigError when the rows cannot
-    satisfy the request.
-    """
-    if batch_speakers < 1 or views_per_speaker < 1:
-        raise ValueError("batch_speakers and views_per_speaker must be >= 1")
-    if rows.counts.size < batch_speakers:
-        raise ConfigError(
-            f"need {batch_speakers} speakers, dataset has {rows.counts.size}")
-    eligible = np.flatnonzero(rows.counts >= views_per_speaker)
-    if eligible.size < batch_speakers:
-        raise ConfigError(
-            f"only {eligible.size} speakers have >= {views_per_speaker} rows")
+    positions in them. A draw takes B speakers uniformly without
+    replacement among those with at least V rows, then V rows per speaker
+    without replacement (as rng.choice would, speaker by speaker), then one
+    augmentation per row (see _augment). The rows follow batch_layout.
 
-    chosen = rng.choice(eligible, size=batch_speakers, replace=False)
-    picks = _choose_rows(rows.counts[chosen], views_per_speaker, rng)
-    picks += rows.starts[chosen][:, None]
-    originals = features[rows.order[picks.ravel()]]
-    return (np.concatenate([originals, augment(originals, policy, rng)]),
-            chosen[batch_layout(batch_speakers, views_per_speaker)])
+    The request is checked once, here: ConfigError when the rows cannot
+    satisfy it, ValueError for B or V below 1 or a mask_max outside
+    [0, d_in]. batch_features is the sampler's own array: the next draw
+    overwrites it."""
+
+    def __init__(self, features, rows: SpeakerRows, batch_speakers: int,
+                 views_per_speaker: int, policy: AugmentPolicy):
+        if batch_speakers < 1 or views_per_speaker < 1:
+            raise ValueError("batch_speakers and views_per_speaker must be >= 1")
+        if rows.counts.size < batch_speakers:
+            raise ConfigError(
+                f"need {batch_speakers} speakers, dataset has {rows.counts.size}")
+        eligible = np.flatnonzero(rows.counts >= views_per_speaker)
+        if eligible.size < batch_speakers:
+            raise ConfigError(
+                f"only {eligible.size} speakers have >= {views_per_speaker} rows")
+        self.features = np.asarray(features, dtype=np.float64)
+        d_in = self.features.shape[1]
+        self.mask_max = policy.resolved_mask_max(d_in)
+        self.noise_sigma = policy.noise_sigma
+        self.rows, self.eligible = rows, eligible
+        self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
+        self.layout = batch_layout(batch_speakers, views_per_speaker)
+        self.bounds = _row_bounds(batch_speakers, views_per_speaker)
+        self.batch = np.empty((self.layout.size, d_in))
+        self.originals, self.views = np.split(self.batch, 2)
+
+    def draw(self, rng: np.random.Generator):
+        """The next (batch_features, labels) from rng, a PCG64 generator."""
+        _check_pcg64(rng)
+        chosen = rng.choice(self.eligible, size=self.batch_speakers, replace=False)
+        picks = _choose_rows(self.rows.counts[chosen], self.views_per_speaker, rng,
+                             self.bounds)
+        picks += self.rows.starts[chosen][:, None]
+        np.take(self.features, self.rows.order[picks.ravel()], axis=0, out=self.originals)
+        _augment(self.originals, self.views, self.noise_sigma, self.mask_max, rng)
+        return self.batch, chosen[self.layout]
+
+
+def build_batch(features, rows: SpeakerRows, batch_speakers: int, views_per_speaker: int,
+                policy: AugmentPolicy, rng: np.random.Generator):
+    """One draw of a new BatchSampler (see it): (batch_features (2BV, d_in),
+    labels (2BV,))."""
+    return BatchSampler(features, rows, batch_speakers, views_per_speaker, policy).draw(rng)

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import AugmentPolicy, batch_layout, build_batch, group_by_speaker, speaker_rows
+from .batching import (
+    AugmentPolicy,
+    BatchSampler,
+    batch_layout,
+    build_batch,
+    group_by_speaker,
+    speaker_rows,
+)
 from .errors import DivergenceDetected, IoError, ZeroVector
 from .geometry import row_norms
 from .losses import (
@@ -140,7 +147,7 @@ class RunLog:
 
 def run_masks(config: TrainConfig) -> SupconMasks | None:
     """The contrast masks of every batch a run draws, or None when the loss
-    has no contrastive term. build_batch puts each chosen speaker's rows at
+    has no contrastive term. BatchSampler puts each chosen speaker's rows at
     the positions batch_layout gives, and its speakers are distinct, so the
     masks depend on batch_speakers and views_per_speaker alone."""
     if not config.loss_kind.contrastive:
@@ -210,8 +217,8 @@ def train(config: TrainConfig, features, speaker_ids):
     The parameters, their gradients and the momentum each live in one flat
     vector (the returned params are views of it), so the update is three
     in-place operations whatever the depth of the network. Every array that
-    forward, the loss kernels, backward and the update write is allocated
-    once per run and reused by every step; only the batch is drawn afresh.
+    forward, the loss kernels, backward, the update and the batch sampler
+    write is allocated once per run and reused by every step.
     """
     features, rows, init = _start(config, features, speaker_ids)
     flat_params, params = flat_copy(init)
@@ -220,13 +227,13 @@ def train(config: TrainConfig, features, speaker_ids):
     scratch, squares = flat_copy(init, ParamGrads)
     velocity = np.zeros_like(flat_params)
     masks = run_masks(config)
-    policy = config.augment_policy()
+    sampler = BatchSampler(features, rows, config.batch_speakers, config.views_per_speaker,
+                           config.augment_policy())
     rng = np.random.default_rng(config.seed)
     log = RunLog()
 
     for step in range(config.steps):
-        batch, labels = build_batch(features, rows, config.batch_speakers,
-                                    config.views_per_speaker, policy, rng)
+        batch, labels = sampler.draw(rng)
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
@@ -251,13 +258,15 @@ def train(config: TrainConfig, features, speaker_ids):
 
 def _global_norm(squares: ParamGrads) -> float:
     """The gradient norm from the squared gradients, summed array by array
-    in checkpoint order (its bits depend on that order)."""
+    in checkpoint order (its bits depend on that order). Each array is
+    summed by np.add.reduce(axis=None), the call np.sum makes for an
+    ndarray, without np.sum's dispatch."""
     total = 0.0
     for sw, sb in squares.encoder_layers:
-        total += float(np.sum(sw)) + float(np.sum(sb))
-    total += float(np.sum(squares.proj_w1))
-    total += float(np.sum(squares.proj_w2))
-    total += float(np.sum(squares.class_weights))
+        total += float(np.add.reduce(sw, axis=None)) + float(np.add.reduce(sb, axis=None))
+    total += float(np.add.reduce(squares.proj_w1, axis=None))
+    total += float(np.add.reduce(squares.proj_w2, axis=None))
+    total += float(np.add.reduce(squares.class_weights, axis=None))
     return float(np.sqrt(total))
 
 

@@ -4,7 +4,10 @@ import pytest
 from aamsupcon import batching
 from aamsupcon.batching import (
     AugmentPolicy,
+    BatchSampler,
     _choose_rows,
+    _HalfWords,
+    _row_bounds,
     augment,
     build_batch,
     group_by_speaker,
@@ -13,20 +16,6 @@ from aamsupcon.batching import (
 from aamsupcon.errors import ConfigError
 from aamsupcon.losses import contrast_masks
 from aamsupcon.synthdata import DatasetSpec, generate
-
-
-class StubRng:
-    """Deterministic stand-in for a Generator: fixed noise and draws."""
-
-    def __init__(self, integer_draws):
-        self.integer_draws = list(integer_draws)
-
-    def standard_normal(self, out):
-        out.fill(0.0)
-        return out
-
-    def integers(self, low, high, size=None):
-        return self.integer_draws.pop(0)
 
 
 def _dataset(num_speakers=6, utterances=4, d_in=16, seed=0):
@@ -43,9 +32,15 @@ def test_augment_identity_when_disabled():
 
 
 def test_augment_full_mask_zeroes_everything():
+    def first_k(seed):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(8)
+        return rng.integers(0, 9)
+
+    # a seed whose first row draws k = d_in, so the start is 0
+    seed = next(seed for seed in range(1000) if first_k(seed) == 8)
     x = np.ones((1, 8))
-    # stub forces k = d_in, then start = 0
-    out = augment(x, AugmentPolicy(noise_sigma=0.0, mask_max=8), StubRng([8, 0]))
+    out = augment(x, AugmentPolicy(noise_sigma=0.0, mask_max=8), np.random.default_rng(seed))
     assert np.all(out == 0.0)
 
 
@@ -90,6 +85,32 @@ def test_build_batch_errors():
         build_batch(features, speaker_rows(groups), 4, 2, AugmentPolicy(), np.random.default_rng(0))
     with pytest.raises(ConfigError, match="only 0 speakers have >= 3 rows"):
         build_batch(features, speaker_rows(groups), 3, 3, AugmentPolicy(), np.random.default_rng(0))
+
+
+def test_sampler_checks_the_request_when_built():
+    features, groups = _dataset(num_speakers=3, utterances=2)
+    rows = speaker_rows(groups)
+    with pytest.raises(ConfigError, match="need 4 speakers, dataset has 3"):
+        BatchSampler(features, rows, 4, 2, AugmentPolicy())
+    with pytest.raises(ValueError, match="must be >= 1"):
+        BatchSampler(features, rows, 2, 0, AugmentPolicy())
+    with pytest.raises(ValueError, match=r"mask_max 17 outside \[0, 16\]"):
+        BatchSampler(features, rows, 2, 2, AugmentPolicy(mask_max=17))
+
+
+def test_non_pcg64_generators_are_rejected_before_any_draw():
+    features, groups = _dataset()
+    rows, policy = speaker_rows(groups), AugmentPolicy()
+    rng = np.random.Generator(np.random.MT19937(0))
+    before = rng.bit_generator.state
+    for call in (lambda: BatchSampler(features, rows, 4, 2, policy).draw(rng),
+                 lambda: build_batch(features, rows, 4, 2, policy, rng),
+                 lambda: augment(features, policy, rng)):
+        with pytest.raises(ValueError, match="PCG64"):
+            call()
+    after = rng.bit_generator.state
+    assert after["state"]["pos"] == before["state"]["pos"]
+    assert np.array_equal(after["state"]["key"], before["state"]["key"])
 
 
 def test_build_batch_deterministic_and_seed_sensitive():
@@ -151,16 +172,21 @@ def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
     return np.array([features[r] for r in rows] + views), np.array(labels + labels)
 
 
+def _unequal_speakers(seed):
+    """(features (34, 24), speaker_ids, groups): unsorted, non-contiguous
+    speaker ids with unequal row counts, so that grouping, eligibility and
+    the dense labels are all exercised."""
+    rng = np.random.default_rng(seed)
+    speaker_ids = rng.permutation(np.repeat([3, 10, 42, 7, 99, 5], [12, 9, 2, 1, 7, 3]))
+    features = rng.standard_normal((speaker_ids.size, 24))
+    return features, speaker_ids, group_by_speaker(speaker_ids)[1]
+
+
 # mask_max 24 is d_in: a run may cover the whole row
 @pytest.mark.parametrize("mask_max,noise_sigma",
                          [(0, 0.2), (None, 0.2), (24, 0.2), (None, 0.0), (24, 0.0)])
 def test_build_batch_matches_per_row_reference(mask_max, noise_sigma):
-    # unsorted, non-contiguous speaker ids with unequal row counts, so that
-    # grouping, eligibility and the dense labels are all exercised
-    rng = np.random.default_rng(mask_max or 1)
-    speaker_ids = rng.permutation(np.repeat([3, 10, 42, 7, 99, 5], [12, 9, 2, 1, 7, 3]))
-    features = rng.standard_normal((speaker_ids.size, 24))
-    _, groups = group_by_speaker(speaker_ids)
+    features, speaker_ids, groups = _unequal_speakers(mask_max or 1)
     policy = AugmentPolicy(noise_sigma=noise_sigma, mask_max=mask_max)
     for seed in range(60):
         speakers, views = 1 + seed % 4, 1 + seed % 3
@@ -174,6 +200,86 @@ def test_build_batch_matches_per_row_reference(mask_max, noise_sigma):
         assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64)), seed
 
 
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.2])
+@pytest.mark.parametrize("mask_max", [0, None, 3, 24])
+def test_sampler_replays_the_reference_draw_after_draw(mask_max, noise_sigma):
+    features, speaker_ids, groups = _unequal_speakers(7)
+    policy = AugmentPolicy(noise_sigma=noise_sigma, mask_max=mask_max)
+    for speakers, views, seed in ((4, 2, 11), (3, 3, 12), (2, 1, 13)):
+        sampler = BatchSampler(features, speaker_rows(groups), speakers, views, policy)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for draw in range(6):
+            batch, labels = sampler.draw(got_rng)
+            want = reference_batch(features, speaker_ids, speakers, views, policy, want_rng)
+            # bit for bit, so the sign of a zero counts too
+            assert np.array_equal(batch.view(np.uint64), want[0].view(np.uint64)), draw
+            assert np.array_equal(labels, want[1]), draw
+            # in full: a following rng.random() cannot see a lost held half-word
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, draw
+            assert batch is sampler.batch
+
+
+def _take(*words):
+    """A _HalfWords over the given 64-bit outputs, holding no half-word."""
+    stream = iter(words)
+    return _HalfWords(lambda: next(stream), 0, 0)
+
+
+def test_bounded_draw_on_crafted_words():
+    # span 6 (mask_max 5): the threshold is 2**32 mod 6 = 4
+    words = _take(0, 0x80000001)
+    # both halves of 0 leave 0 below the threshold; (2**31 + 1) * 6 = 3 * 2**32 + 6
+    assert words.bounded(5) == 3
+    assert (words.has_uint32, words.uinteger) == (1, 0)
+    assert words.next32() == 0
+    # a leftover equal to the threshold is kept: 1431655766 * 6 = 2 * 2**32 + 4
+    assert _take(1431655766).bounded(5) == 2
+    # a range of 1 takes no word
+    words = _take()
+    assert words.bounded(0) == 0
+    assert words.has_uint32 == 0
+
+
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64 = 2**64 - 1
+
+
+def _pcg64_before_output(word, inc, high):
+    """A PCG64 state whose next output is word, with inc as its increment:
+    the step maps it to the 128-bit state (high, low), whose XSL-RR output
+    rotates high ^ low right by high >> 58, so low is chosen to give word."""
+    rot = high >> 58
+    low = (((word << rot) | (word >> (64 - rot))) & _MASK64) ^ high
+    after = (high << 64) | low
+    return (after - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+
+
+def test_bounded_draw_redraws_below_the_threshold_as_numpy_does():
+    # seeded draws reach the redraw with p ~ 1e-9 per draw, so the next
+    # output is set to 0: both of its halves fall below the threshold
+    inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+    for high_bits in (0, 0x9E3779B97F4A7C15, _MASK64):
+        state = {"bit_generator": "PCG64",
+                 "state": {"state": _pcg64_before_output(0, inc, high_bits), "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+        probe = np.random.PCG64()
+        probe.state = state
+        assert probe.random_raw() == 0
+        for mask_max in (5, 6, 39):
+            want = np.random.PCG64()
+            want.state = state
+            want_k = np.random.Generator(want).integers(0, mask_max + 1)
+            got = np.random.PCG64()
+            got.state = state
+            taken = []
+            words = _HalfWords(lambda: taken.append(got.random_raw()) or taken[-1], 0, 0)
+            assert words.bounded(mask_max) == want_k
+            assert len(taken) == 2 and taken[0] == 0
+            after = got.state
+            after["has_uint32"], after["uinteger"] = words.has_uint32, words.uinteger
+            assert after == want.state
+
+
 @pytest.mark.parametrize("views", [1, 2, 3, 4, 5])
 def test_batched_row_draw_equals_per_group_choice(views):
     rng = np.random.default_rng(views)
@@ -183,22 +289,22 @@ def test_batched_row_draw_equals_per_group_choice(views):
         sizes[int(rng.integers(0, 6))] = n
         seed = int(rng.integers(0, 2**32))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _choose_rows(sizes, views, got_rng)
+        got = _choose_rows(sizes, views, got_rng, _row_bounds(sizes.size, views))
         want = [want_rng.choice(size, size=views, replace=False) for size in sizes]
         assert np.array_equal(got, want), (views, n)
-        assert got_rng.random() == want_rng.random()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_batched_row_draw_falls_back_in_numpys_tail_shuffle_range(monkeypatch):
     # n > 10000 and k > n // 50: numpy shuffles the tail of arange(n)
     sizes = np.array([20000])
     got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-    got = _choose_rows(sizes, 401, got_rng)
+    got = _choose_rows(sizes, 401, got_rng, _row_bounds(1, 401))
     assert np.array_equal(got, [want_rng.choice(20000, size=401, replace=False)])
-    assert got_rng.random() == want_rng.random()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     # Floyd's algorithm draws other rows there, so the fallback is what matches
     monkeypatch.setattr(batching, "_TAIL_SHUFFLE_MIN_N", 10**9)
-    floyd = _choose_rows(sizes, 401, np.random.default_rng(4))
+    floyd = _choose_rows(sizes, 401, np.random.default_rng(4), _row_bounds(1, 401))
     assert not np.array_equal(floyd, got)
 
 

@@ -313,22 +313,25 @@ def test_workspace_training_equals_allocating_loop(kind, convention, space):
 
 @pytest.mark.parametrize("kind", [LossKind.AAMSUPCON, LossKind.SUPCON])
 def test_consecutive_steps_reuse_the_workspace(kind, monkeypatch):
-    seen = {"embeddings": [], "grad_z": [], "grad_w": [], "param_grads": []}
+    seen = {"batch": [], "embeddings": [], "grad_z": [], "grad_w": [], "param_grads": []}
 
     def spy(name, fn, record):
         def wrapped(*args, **kwargs):
             result = fn(*args, **kwargs)
-            record(result)
+            record(result, *args)
             return result
         monkeypatch.setattr(training, name, wrapped)
 
-    spy("forward", training.forward,
-        lambda trace: seen["embeddings"].append(trace.embeddings.ctypes.data))
+    def forward_record(trace, params, batch, ws):
+        seen["batch"].append(batch.ctypes.data)
+        seen["embeddings"].append(trace.embeddings.ctypes.data)
+
+    spy("forward", training.forward, forward_record)
     spy("loss_terms", training.loss_terms,
-        lambda out: (seen["grad_z"].append(out[1].ctypes.data),
-                     seen["grad_w"].append(out[2].ctypes.data)))
+        lambda out, *args: (seen["grad_z"].append(out[1].ctypes.data),
+                            seen["grad_w"].append(out[2].ctypes.data)))
     spy("backward", training.backward,
-        lambda grads: seen["param_grads"].append(
+        lambda grads, *args: seen["param_grads"].append(
             [a.ctypes.data for a in param_arrays(grads)]))
     cfg = TrainConfig(loss_kind=kind, steps=4, batch_speakers=4, seed=1, **SMALL_NET)
     train(cfg, *_dataset())
