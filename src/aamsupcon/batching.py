@@ -262,7 +262,10 @@ class BatchSampler:
         picks = _choose_rows(self.rows.counts[chosen], self.views_per_speaker, rng,
                              self.bounds)
         picks += self.rows.starts[chosen][:, None]
-        np.take(self.features, self.rows.order[picks.ravel()], axis=0, out=self.originals)
+        # the rows are in range by construction; clip mode gathers straight
+        # into the batch, where the default raise mode gathers into a copy
+        np.take(self.features, self.rows.order[picks.ravel()], axis=0, out=self.originals,
+                mode="clip")
         _augment(self.originals, self.views, self.noise_sigma, self.mask_max, rng)
         return self.batch, chosen[self.layout]
 

@@ -77,13 +77,16 @@ def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
 
     rng = np.random.default_rng(seed)
     enroll, test = [], []
+    other = np.ones(len(speaker_ids), dtype=bool)
     for own in groups:
         first, second = np.triu_indices(len(own), k=1)
         k = _sample_k(rng, first.size, trials_per_speaker)
         enroll.append(own[first[k]])
         test.append(own[second[k]])
 
-        others = np.setdiff1d(np.arange(len(speaker_ids)), own, assume_unique=True)
+        other[own] = False
+        others = np.flatnonzero(other)
+        other[own] = True
         e, o = np.divmod(_sample_k(rng, len(own) * len(others), trials_per_speaker),
                          len(others))
         enroll.append(own[e])
@@ -110,9 +113,13 @@ def score_trials(params: NetworkParams, features, trials,
     that the network maps to a zero vector raises NumericalError naming
     it.
 
-    The trials are scored _SCORE_BLOCK at a time, so the (block, D)
-    products stay small. The scores are bit-identical to scoring all trials
-    at once: np.sum over the last axis of a C-contiguous block reduces each
+    The trials are scored _SCORE_BLOCK at a time, gathered into two
+    (block, D) buffers allocated once per call, so the products stay small.
+    The gathers clip out-of-range indices, which the range check below has
+    already refused, so they write straight into the buffers (numpy's
+    default raise mode gathers into a temporary and copies it). The scores
+    are bit-identical to scoring all trials at once: np.add.reduce (what
+    np.sum calls) over the last axis of a C-contiguous block reduces each
     row with the same pairwise routine, however many rows the block holds."""
     if space not in ("projection", "encoder"):
         raise ValueError(f"space must be projection|encoder, got {space!r}")
@@ -128,11 +135,15 @@ def score_trials(params: NetworkParams, features, trials,
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
     scores = np.empty(len(enroll))
+    enroll_buf, test_buf = np.empty((2, min(len(enroll), _SCORE_BLOCK), emb.shape[1]))
     for start in range(0, len(enroll), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
-        rows = emb[enroll[block]]
-        rows *= emb[test[block]]
-        np.sum(rows, axis=1, out=scores[block])
+        size = len(scores[block])
+        enrolled, tested = enroll_buf[:size], test_buf[:size]
+        np.take(emb, enroll[block], axis=0, out=enrolled, mode="clip")
+        np.take(emb, test[block], axis=0, out=tested, mode="clip")
+        enrolled *= tested
+        np.add.reduce(enrolled, axis=1, out=scores[block])
     np.clip(scores, -1.0, 1.0, out=scores)
     return ScoredTrials(scores, is_target)
 
@@ -199,7 +210,7 @@ def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
 
 def save_trials(path, trials) -> None:
     """One trial per line: enroll_index test_index 0|1."""
-    _write_lines(path, "trials", "%d %d %d\n", trials)
+    _write_lines(path, "trials", trials)
 
 
 def load_trials(path):
@@ -209,7 +220,7 @@ def load_trials(path):
 
 def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
     """Trial-list format with the score appended to each line."""
-    _write_lines(path, "scores", "%d %d %d %.17g\n", (*trials, scored.scores))
+    _write_lines(path, "scores", trials, scored.scores)
 
 
 def load_scored_trials(path):
@@ -218,21 +229,51 @@ def load_scored_trials(path):
     return trials, ScoredTrials(scores, trials[2])
 
 
-def _write_lines(path, what, line_fmt, columns) -> None:
-    """One line_fmt line per row of the equal-length columns, formatted in a
-    single %-call over the interleaved column values as Python scalars."""
-    columns = [np.asarray(c).tolist() for c in columns]
-    rows = len(columns[0])
-    if any(len(c) != rows for c in columns):
+def _write_lines(path, what, trials, scores=None) -> None:
+    """One line per trial: its enroll and test indices and its 0|1 flag,
+    then, given scores, its score as %.17g. Each cell is one shared string
+    that ends in what follows it: "i " from _index_cells for an index,
+    "0\n" or "1\n" for a flag that ends the line, and "0 " or "1 " for one
+    that a score follows. Without scores the file is the cells joined; with
+    them it is one %-call over the cells and the scores as Python floats.
+
+    Raises ValueError naming the column, before the file is opened, for
+    columns of unequal length, for an index column that is not of a
+    non-negative integer dtype and for a flag other than 0 or 1."""
+    enroll, test, flags = (np.asarray(c) for c in trials)
+    floats = [] if scores is None else [np.asarray(scores).tolist()]
+    rows = len(enroll)
+    if any(len(c) != rows for c in (test, flags, *floats)):
         raise ValueError(f"{what} columns differ in length")
-    flat = [None] * (rows * len(columns))
-    for j, col in enumerate(columns):
-        flat[j::len(columns)] = col
+    for name, col in (("enroll", enroll), ("test", test)):
+        if col.size and (col.dtype.kind not in "iu" or col.min() < 0):
+            raise ValueError(f"{what} column {name} must hold integers >= 0")
+    if not ((flags == 0) | (flags == 1)).all():
+        raise ValueError(f"{what} column is_target must hold 0 or 1")
+    flag_text = np.array(["0\n", "1\n"] if scores is None else ["0 ", "1 "], dtype=object)
+    cells = [*_index_cells(enroll, test), flag_text[flags.astype(np.intp)].tolist(), *floats]
+    flat = [None] * (rows * len(cells))
+    for j, col in enumerate(cells):
+        flat[j::len(cells)] = col
+    text = "".join(flat) if scores is None else "%s%s%s%.17g\n" * rows % tuple(flat)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(line_fmt * rows % tuple(flat))
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _index_cells(enroll, test):
+    """The two index columns as lists of "i " strings (the index in
+    decimal, then a space). Each index value is one shared string from a
+    table of the strings of every index up to the largest; where that table
+    would hold as many strings as the two columns have cells, or more, each
+    cell gets a string of its own instead."""
+    top = max((int(c.max()) for c in (enroll, test) if c.size), default=-1)
+    if top + 1 >= enroll.size + test.size:
+        return [[f"{i} " for i in c.tolist()] for c in (enroll, test)]
+    table = np.array([f"{i} " for i in range(top + 1)], dtype=object)
+    return [table[c].tolist() for c in (enroll, test)]
 
 
 def _parse_trials(path, layout: str):

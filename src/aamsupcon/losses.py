@@ -87,24 +87,24 @@ class GradCheckReport:
 
 
 def validate_inputs(inputs: LossInputs) -> None:
-    """Check the LossInputs invariants, raising on violation."""
+    """Check the LossInputs invariants, raising ConfigError on violation."""
     z, y, w = inputs.embeddings, inputs.labels, inputs.class_weights
     if z.ndim != 2 or w.ndim != 2 or y.ndim != 1:
-        raise ValueError("embeddings/class_weights must be 2-D, labels 1-D")
+        raise ConfigError("embeddings/class_weights must be 2-D, labels 1-D")
     if z.shape[0] != y.shape[0]:
-        raise ValueError(f"{z.shape[0]} embeddings but {y.shape[0]} labels")
+        raise ConfigError(f"{z.shape[0]} embeddings but {y.shape[0]} labels")
     if z.shape[1] != w.shape[1]:
-        raise ValueError(
+        raise ConfigError(
             f"embedding dim {z.shape[1]} != class-weight dim {w.shape[1]}")
     if y.size and (y.min() < 0 or y.max() >= w.shape[0]):
-        raise ValueError(f"labels must lie in [0, {w.shape[0]})")
+        raise ConfigError(f"labels must lie in [0, {w.shape[0]})")
     for name, mat in (("embedding", z), ("class_weight", w)):
         norms = np.linalg.norm(mat, axis=1)
         drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         if drift > UNIT_NORM_TOL:
-            raise ValueError(f"{name} rows deviate from unit norm by {drift:.3e}")
+            raise ConfigError(f"{name} rows deviate from unit norm by {drift:.3e}")
     if not inputs.temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {inputs.temperature}")
+        raise ConfigError(f"temperature must be > 0, got {inputs.temperature}")
     if not inputs.scale > 0:
         raise ConfigError(f"scale must be > 0, got {inputs.scale}")
     if not (0.0 <= inputs.margin < np.pi / 2):

@@ -1,9 +1,13 @@
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aamsupcon import evaluate
 
@@ -206,16 +210,21 @@ def _rows(trials):
 _FLOAT_FMT = "%.17g"
 
 
-def _reference_outputs(emb, trials, trials_path, scores_path):
-    """Scores of the whole trial list in one expression, and the trial and
-    score files written line by line with f-strings."""
-    enroll, test, _ = trials
-    scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
+def _reference_files(trials, scores, trials_path, scores_path):
+    """The trial and score files written line by line with f-strings."""
     with open(trials_path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines((f"{e} {t} {int(g)}\n" for e, t, g in _rows(trials)))
     with open(scores_path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines((f"{e} {t} {int(g)} " + (_FLOAT_FMT % s) + "\n"
                        for (e, t, g), s in zip(_rows(trials), scores.tolist())))
+
+
+def _reference_outputs(emb, trials, trials_path, scores_path):
+    """Scores of the whole trial list in one expression, and the trial and
+    score files written line by line with f-strings."""
+    enroll, test, _ = trials
+    scores = np.clip(np.sum(emb[enroll] * emb[test], axis=1), -1.0, 1.0)
+    _reference_files(trials, scores, trials_path, scores_path)
     return scores
 
 
@@ -292,6 +301,63 @@ def test_block_scoring_keeps_clipped_and_zero_scores(tmp_path, monkeypatch, dim)
     want = _assert_matches_reference(tmp_path, monkeypatch, params, features,
                                      (enroll, test, kinds == 0), "projection", emb)
     assert want.max() == 1.0 and want.min() == -1.0
+
+
+# scores whose %.17g text is short, signed, subnormal or needs all 17 digits
+_SPECIAL_SCORES = [-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1 / 3, -2 / 3, 0.1 + 0.2,
+                   float(np.nextafter(1.0, 0.0)), float(np.nextafter(-1.0, 0.0)),
+                   2.2250738585072014e-308, 1e300, 0.5]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(rows=0, digits=1, seed=0, index_dtype=np.int64)
+@example(rows=600, digits=3, seed=1, index_dtype=np.int64)
+@example(rows=600, digits=6, seed=2, index_dtype=np.int32)
+@given(rows=st.integers(0, 600), digits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       index_dtype=st.sampled_from([np.int64, np.int32, np.uint32]))
+def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
+    """Trial lists of 0 to 600 rows whose indices have up to `digits`
+    digits, with index 0 and the largest one present, flags given as bools
+    and as 0/1 ints, and a third of the scores drawn from _SPECIAL_SCORES:
+    save_trials and save_scored_trials write the reference's bytes, and an
+    empty list an empty file."""
+    rng = np.random.default_rng(seed)
+    largest = int(rng.integers(10 ** (digits - 1), 10 ** digits))
+    both = rng.integers(0, largest + 1, (2, rows)).astype(index_dtype)
+    if rows:
+        both.flat[rng.choice(2 * rows, size=2, replace=False)] = 0, largest
+    enroll, test = both
+    scores = np.where(rng.random(rows) < 1 / 3, rng.choice(_SPECIAL_SCORES, rows),
+                      rng.uniform(-1.0, 1.0, rows))
+    flags = rng.random(rows) < 0.5
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for is_target in (flags, flags.astype(np.int64)):
+            trials = (enroll, test, is_target)
+            _reference_files(trials, scores, tmp / "want_trials.txt", tmp / "want_scores.txt")
+            save_trials(tmp / "trials.txt", trials)
+            save_scored_trials(tmp / "scores.txt", trials, SimpleNamespace(scores=scores))
+            for name in ("trials.txt", "scores.txt"):
+                got = (tmp / name).read_bytes()
+                assert got == (tmp / f"want_{name}").read_bytes()
+                assert got.count(b"\n") == rows
+
+
+def test_writers_table_no_more_strings_than_cells(tmp_path):
+    """Two trials reaching index 999999: the writers give each of the four
+    index cells its own string instead of tabulating a million of them."""
+    trials = (np.array([0, 999_999]), np.array([999_999, 5]), np.array([True, False]))
+    tracemalloc.start()
+    try:
+        save_trials(tmp_path / "trials.txt", trials)
+        save_scored_trials(tmp_path / "scores.txt", trials,
+                           SimpleNamespace(scores=np.array([0.5, -0.25])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trials.txt").read_text() == "0 999999 1\n999999 5 0\n"
+    assert (tmp_path / "scores.txt").read_text() == "0 999999 1 0.5\n999999 5 0 -0.25\n"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_block_scoring_peak_memory():
@@ -480,6 +546,46 @@ def test_scored_file_round_trip(tmp_path):
     assert _trial_list(loaded_trials) == _trial_list(trials)
     assert np.array_equal(loaded_scored.scores, scored.scores)
     assert np.array_equal(loaded_scored.is_target, scored.is_target)
+
+
+def _save(writer, path, trials):
+    """save_trials, or save_scored_trials with a score per trial."""
+    if writer == "trials":
+        save_trials(path, trials)
+    else:
+        save_scored_trials(path, trials, SimpleNamespace(scores=np.zeros(len(trials[0]))))
+
+
+@pytest.mark.parametrize("writer", ["trials", "scores"])
+def test_writers_reject_flag_outside_0_1(tmp_path, writer):
+    """A flag of 2 would make a file that load_trials refuses."""
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=f"{writer} column is_target must hold 0 or 1"):
+        _save(writer, path, (np.array([0, 2]), np.array([1, 3]), np.array([1, 2])))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("writer", ["trials", "scores"])
+@pytest.mark.parametrize("column", ["enroll", "test"])
+def test_writers_reject_negative_index(tmp_path, writer, column):
+    path = tmp_path / "out.txt"
+    indices = {"enroll": np.array([0, 2]), "test": np.array([1, 3])}
+    indices[column][1] = -1
+    with pytest.raises(ValueError, match=f"{writer} column {column} must hold integers >= 0"):
+        _save(writer, path, (indices["enroll"], indices["test"], np.array([True, False])))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("writer", ["trials", "scores"])
+@pytest.mark.parametrize("column", ["enroll", "test"])
+def test_writers_reject_float_index(tmp_path, writer, column):
+    """Float indices 0.7 and 1.9 would be written as 0 and 1."""
+    path = tmp_path / "out.txt"
+    indices = {"enroll": np.array([2, 4]), "test": np.array([3, 5])}
+    indices[column] = np.array([0.7, 1.9])
+    with pytest.raises(ValueError, match=f"{writer} column {column} must hold integers >= 0"):
+        _save(writer, path, (indices["enroll"], indices["test"], np.array([True, False])))
+    assert not path.exists()
 
 
 def test_writers_reject_columns_of_unequal_length(tmp_path):

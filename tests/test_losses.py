@@ -454,16 +454,20 @@ def test_validation_rejects_bad_inputs():
     rng = np.random.default_rng(24)
     good = random_batch(rng, 4, 4, 2)
 
+    short_labels = LossInputs(good.embeddings, good.labels[:-1], good.class_weights)
+    with pytest.raises(ConfigError, match="4 embeddings but 3 labels"):
+        supcon_loss(short_labels, ALL)
+
     off_sphere = LossInputs(good.embeddings * 1.001, good.labels, good.class_weights)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="embedding rows deviate from unit norm"):
         supcon_loss(off_sphere, ALL)
 
     bad_label = LossInputs(good.embeddings, [0, 0, 5, 5], good.class_weights)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"labels must lie in \[0, 2\)"):
         softmax_loss(bad_label)
 
     good.temperature = -1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="temperature must be > 0"):
         supcon_loss(good, ALL)
     good.temperature = 0.07
 

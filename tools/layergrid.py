@@ -1,0 +1,233 @@
+"""Layer grid: the time each part of a training step and of an evaluation
+takes, per call.
+
+    python3 tools/layergrid.py OUT.json [--before CHECKOUT] [--rounds R] [--quick]
+
+Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
+each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
+with the quickstart model, augmentation and loss, in both classifier spaces:
+the five parts of a step as train runs them, on its per-run buffers. They
+are the batch draw (BatchSampler.draw), forward, the loss (loss_terms,
+after normalizing the encoder rows in encoder space), backward and the SGD
+update (squared gradients, gradient norm, momentum, parameter step and
+class-weight renormalization, as in train's loop).
+
+Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
+utterances held out, 400 target and 400 non-target trials per speaker) with
+an untrained quickstart-shaped model: build_trials, score_trials, eer plus
+min_dcf, save_trials and save_scored_trials.
+
+Each round runs in a fresh interpreter with single-threaded BLAS, imports
+the package from a checkout's src/, and times every row in-process with
+perf_counter: blocks of calls after untimed warm-up calls, keeping the
+fastest block. It also counts the minor page faults of the row's timed
+calls (resource.getrusage, this process only). With --before, the rounds
+alternate between that older checkout and the one this file sits in, which
+goes first in even rounds. OUT.json gets, per side and row, the fastest and
+the median round in microseconds per call and the median minor page faults
+per call, the minor page faults of each whole round, and the environment.
+--quick runs 3 rounds of fewer calls, in under 30 s on a 2-core host with
+--before.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parent.parent
+SPEAKERS = (8, 32, 64)
+VIEWS = 2
+SPACES = ("projection", "encoder")
+TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
+EVAL_LAYERS = ("build_trials", "score_trials", "eer + min_dcf", "save_trials",
+               "save_scored_trials")
+EVAL_SPEAKERS, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 10, 400
+# (warm-up calls, timed blocks, calls per block) per training and per
+# evaluation row
+CALLS = {"full": ((20, 10, 20), (2, 5, 2)), "quick": ((5, 4, 10), (1, 2, 1))}
+
+
+def timed(fn, warmup: int, blocks: int, calls: int):
+    """(seconds per call, minor page faults per call) of fn: the fastest of
+    blocks timed blocks of calls calls each, after warmup untimed calls,
+    and the faults of all timed calls. Taking the fastest block keeps a
+    moment of contention on a shared host out of the row."""
+    for _ in range(warmup):
+        fn()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fastest = float("inf")
+    for _ in range(blocks):
+        started = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        fastest = min(fastest, time.perf_counter() - started)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return fastest / calls, faults / (blocks * calls)
+
+
+def train_rows(calls):
+    """[(layer, N, space, seconds, faults)] of the training step's parts."""
+    from aamsupcon import training
+    from aamsupcon.batching import BatchSampler
+    from aamsupcon.geometry import row_norms
+    from aamsupcon.model import ParamGrads, backward, flat_copy, forward
+    from aamsupcon.synthdata import DatasetSpec, generate
+
+    data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
+    out = []
+    for space in SPACES:
+        for speakers in SPEAKERS:
+            config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
+                                          classifier_space=space)
+            features, rows, init = training._start(config, data, speaker_ids)
+            flat_params, params = flat_copy(init)
+            n = 2 * speakers * VIEWS
+            flat_grads, grads, ws, bufs = training._step_buffers(init, n)
+            scratch, squares = flat_copy(init, ParamGrads)
+            velocity = np.zeros_like(flat_params)
+            masks = training.run_masks(config)
+            sampler = BatchSampler(features, rows, speakers, VIEWS, config.augment_policy())
+            rng = np.random.default_rng(speakers)
+            batch, labels = sampler.draw(rng)
+            forward(params, batch, ws)
+            _, grad_proj, _, grad_enc = training._trace_loss(config, params, ws, labels,
+                                                             masks, bufs)
+
+            def update():
+                nonlocal velocity, flat_params
+                np.multiply(flat_grads, flat_grads, out=scratch)
+                training._global_norm(squares)
+                velocity *= config.momentum
+                velocity += flat_grads
+                flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
+                weights = params.class_weights
+                weights /= row_norms(weights, squares=squares.class_weights)
+
+            parts = (lambda: sampler.draw(rng),
+                     lambda: forward(params, batch, ws),
+                     lambda: training._trace_loss(config, params, ws, labels, masks, bufs),
+                     lambda: backward(params, ws, grad_proj, grad_enc, grads),
+                     update)
+            with np.errstate(all="ignore"):
+                for layer, fn in zip(TRAIN_LAYERS, parts):
+                    out.append((layer, n, space, *timed(fn, *calls)))
+    return out
+
+
+def eval_rows(calls):
+    """[(layer, trials, space, seconds, faults)] of the evaluation's parts."""
+    from aamsupcon import evaluate
+    from aamsupcon.model import init_params
+    from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
+
+    features, speaker_ids, _ = generate(DatasetSpec(EVAL_SPEAKERS, 20, 40, 0.2, 7))
+    held = split_holdout(speaker_ids, EVAL_HELD_OUT)[1]
+    features, speaker_ids = features[held], speaker_ids[held]
+    params = init_params([40, 64, 64], 128, 128, EVAL_SPEAKERS, seed=0)
+    trials = evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
+    scored = evaluate.score_trials(params, features, trials)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        parts = (lambda: evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1),
+                 lambda: evaluate.score_trials(params, features, trials),
+                 lambda: (evaluate.eer(scored), evaluate.min_dcf(scored)),
+                 lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
+                 lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored))
+        for layer, fn in zip(EVAL_LAYERS, parts):
+            out.append((layer, len(trials[0]), "projection", *timed(fn, *calls)))
+    return out
+
+
+def measure(src: str, mode: str) -> dict:
+    """One round: every row's (seconds, faults) per call, and the minor
+    page faults of the whole round, from the package in src."""
+    sys.path.insert(0, src)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_calls, eval_calls = CALLS[mode]
+    rows = train_rows(train_calls) + eval_rows(eval_calls)
+    return {"rows": [list(row) for row in rows],
+            "round_minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
+
+
+def run_round(checkout: Path, mode: str) -> dict:
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    done = subprocess.run([sys.executable, __file__, "--measure", str(checkout / "src"),
+                           "--mode", mode], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def summarize(times: dict) -> list:
+    """One record per row: fastest and median round per side, in us per
+    call, and the median minor page faults per call."""
+    records = []
+    first = next(iter(times.values()))[0]["rows"]
+    for i, (layer, size, space, _, _) in enumerate(first):
+        record = {"layer": layer, "size": size, "space": space}
+        for side, rounds in times.items():
+            per_call = [r["rows"][i][3] * 1e6 for r in rounds]
+            record[f"{side}_best_us"] = round(min(per_call), 1)
+            record[f"{side}_median_us"] = round(statistics.median(per_call), 1)
+            record[f"{side}_minflt_per_call"] = round(
+                statistics.median(r["rows"][i][4] for r in rounds), 2)
+        if "before" in times:
+            record["after_over_before_best"] = round(
+                record["after_best_us"] / record["before_best_us"], 3)
+        records.append(record)
+    return records
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="the JSON file to write")
+    parser.add_argument("--before", type=Path, help="an older checkout to time as well")
+    parser.add_argument("--rounds", type=int, help="rounds per side (default 7, 3 with --quick)")
+    parser.add_argument("--quick", action="store_true", help="3 rounds of fewer calls")
+    parser.add_argument("--measure", help=argparse.SUPPRESS)
+    parser.add_argument("--mode", choices=sorted(CALLS), default="full", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.mode)))
+        return 0
+    mode = "quick" if args.quick else "full"
+    rounds = args.rounds if args.rounds is not None else 3 if args.quick else 7
+    if args.out is None or rounds < 1:
+        parser.error("give OUT.json and --rounds >= 1")
+    sides = {"after": ROOT} if args.before is None else {"before": args.before.resolve(),
+                                                        "after": ROOT}
+    times = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in sorted(sides, reverse=r % 2 == 1):
+            times[side].append(run_round(sides[side], mode))
+    record = {
+        "what": "microseconds per call of each layer (the fastest block of a round), "
+                "fastest and median of the rounds, and minor page faults per call "
+                "(median of the rounds)",
+        "rounds": rounds, "mode": mode,
+        "warmup_blocks_calls": dict(zip(("training", "evaluation"), CALLS[mode])),
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "machine": platform.machine(), "nproc": os.cpu_count(),
+                "blas_threads": 1},
+        "round_minflt": {side: [r["round_minflt"] for r in rs] for side, rs in times.items()},
+        "rows": summarize(times),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    for row in record["rows"]:
+        print(row)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
