@@ -10,13 +10,9 @@ from .losses import (
     DenominatorConvention,
     LossInputs,
     LossKind,
-    LossOutput,
-    aamsupcon_loss,
-    arcface_loss,
     contrast_masks,
+    evaluate_loss,
     grad_check,
-    softmax_loss,
-    supcon_loss,
 )
 
 __all__ = [
@@ -31,13 +27,9 @@ __all__ = [
     "DenominatorConvention",
     "LossInputs",
     "LossKind",
-    "LossOutput",
-    "aamsupcon_loss",
-    "arcface_loss",
     "contrast_masks",
+    "evaluate_loss",
     "grad_check",
-    "softmax_loss",
-    "supcon_loss",
 ]
 
 __version__ = "0.1.0"

@@ -192,14 +192,11 @@ def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
     c_fa * (1 - p_target)). Ties pick the lowest threshold.
     """
     params = params or DcfParams()
-    if np.all(scored.scores == scored.scores[0]):
-        raise NumericalError("all trial scores are equal")
-    tgt = np.sort(scored.scores[scored.is_target])
-    non = np.sort(scored.scores[~scored.is_target])
-    uniq = np.unique(scored.scores)
-    thresholds = np.concatenate([[-np.inf], uniq, [np.inf]])
-    p_miss = np.searchsorted(tgt, thresholds, side="left") / tgt.size
-    p_fa = (non.size - np.searchsorted(non, thresholds, side="left")) / non.size
+    frr, far, roc_thresholds = _roc_points(scored)
+    # the ROC with the all-accept point first and the all-reject one at +inf
+    p_miss, p_fa = np.append(0.0, frr), np.append(1.0, far)
+    thresholds = np.append(-np.inf, roc_thresholds)
+    thresholds[-1] = np.inf
     dcf = (params.c_miss * p_miss * params.p_target
            + params.c_fa * p_fa * (1.0 - params.p_target))
     normalizer = min(params.c_miss * params.p_target,

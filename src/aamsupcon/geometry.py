@@ -48,13 +48,27 @@ def row_norms(mat, out=None, squares=None) -> np.ndarray:
     return norms
 
 
-def normalize_rows(mat) -> np.ndarray:
-    """Normalize each row of a 2-D array to unit length.
+def normalize_rows(mat, out=None, norms=None, squares=None) -> np.ndarray:
+    """Normalize each row of a 2-D array to unit length, with the bits of
+    mat / np.linalg.norm(mat, axis=1, keepdims=True). out, norms and
+    squares, when given, receive the unit rows, the (N, 1) norms and the
+    squared entries; out may be mat itself, and squares may be out.
 
     Raises ZeroVector if any row norm is <= EPS_NORM.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    return mat / row_norms(mat)
+    return np.divide(mat, row_norms(mat, out=norms, squares=squares), out=out)
+
+
+def normalize_rows_backward(g, unit, norms, out) -> np.ndarray:
+    """The gradient w.r.t. the rows normalize_rows read, given g, the
+    gradient w.r.t. its unit rows, and the unit rows and norms it wrote:
+    (g - (g.u) u) / ||row|| per row, written into out and returned."""
+    np.multiply(g, unit, out=out)
+    np.multiply(out.sum(axis=1, keepdims=True), unit, out=out)
+    np.subtract(g, out, out=out)
+    out /= norms
+    return out
 
 
 def _check_margin(m: float) -> float:

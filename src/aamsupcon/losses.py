@@ -2,9 +2,9 @@
 
 Four losses on unit-norm embeddings: supervised contrastive (supcon),
 additive angular margin softmax (arcface), their sum (aamsupcon), and a
-plain scaled-softmax cross-entropy baseline. Each returns the scalar value
-together with exact gradients w.r.t. the embedding matrix and the
-class-weight matrix.
+plain scaled-softmax cross-entropy baseline. evaluate_loss returns the
+scalar value together with exact gradients w.r.t. the embedding matrix and
+the class-weight matrix.
 
 Gradient semantics: the loss is differentiated as a function of the raw
 input matrices. Inputs are required to be unit-norm at construction, but no
@@ -70,13 +70,6 @@ class LossInputs:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-
-
-@dataclass
-class LossOutput:
-    value: float
-    grad_embeddings: np.ndarray
-    grad_class_weights: np.ndarray
 
 
 @dataclass
@@ -285,50 +278,23 @@ def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
 
 
 def evaluate_loss(kind: LossKind, inputs: LossInputs,
-                  convention=DenominatorConvention.ALL_NON_ANCHOR,
-                  lam: float = 1.0) -> LossOutput:
-    """Validate the inputs once, build the contrast masks if the kind needs
-    them, and evaluate one of the four losses."""
+                  convention=DenominatorConvention.ALL_NON_ANCHOR, lam: float = 1.0):
+    """(value, grad_z, grad_w) of one of the four losses, the gradients
+    w.r.t. the embeddings and the class weights being new arrays. Validates
+    the inputs and builds the contrast masks if the kind needs them.
+
+    supcon:    sum_i (-1/|P(i)|) sum_{p in P(i)}
+               log[ exp(z_i.z_p / tau) / sum_{a in A(i)} exp(z_i.z_a / tau) ]
+    arcface:   -(1/N) sum_i log[ e^{s cos(theta_yi + m)} /
+               (e^{s cos(theta_yi + m)} + sum_{j != yi} e^{s cos theta_j}) ]
+    softmax:   arcface at m = 0, the cross-entropy over s * (z . W^T)
+    aamsupcon: arcface + lam * supcon; lam = 0 gives arcface exactly (the
+               masks are still built, so a malformed batch fails anyway).
+    """
     validate_inputs(inputs)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
-    return LossOutput(*loss_terms(kind, inputs.embeddings, inputs.labels,
-                                  inputs.class_weights, inputs.temperature,
-                                  inputs.margin, inputs.scale, masks, lam)[:3])
-
-
-def supcon_loss(inputs: LossInputs,
-                convention=DenominatorConvention.ALL_NON_ANCHOR) -> LossOutput:
-    """Supervised contrastive loss summed over anchors.
-
-    value = sum_i (-1/|P(i)|) sum_{p in P(i)}
-            log[ exp(z_i.z_p / tau) / sum_{a in A(i)} exp(z_i.z_a / tau) ]
-    """
-    return evaluate_loss(LossKind.SUPCON, inputs, convention)
-
-
-def arcface_loss(inputs: LossInputs) -> LossOutput:
-    """Additive angular margin softmax over class-weight cosines.
-
-    value = -(1/N) sum_i log[ e^{s cos(theta_yi + m)} /
-            (e^{s cos(theta_yi + m)} + sum_{j != yi} e^{s cos theta_j}) ]
-    """
-    return evaluate_loss(LossKind.ARCFACE, inputs)
-
-
-def softmax_loss(inputs: LossInputs) -> LossOutput:
-    """Plain cross-entropy over logits s * (z . W^T); the no-margin baseline."""
-    return evaluate_loss(LossKind.SOFTMAX, inputs)
-
-
-def aamsupcon_loss(inputs: LossInputs,
-                   convention=DenominatorConvention.ALL_NON_ANCHOR,
-                   lam: float = 1.0) -> LossOutput:
-    """Margin softmax plus lam times the contrastive term (lam = 1 default).
-
-    lam = 0 degenerates to arcface_loss exactly; the contrast masks are
-    still built so malformed batches fail regardless of lam.
-    """
-    return evaluate_loss(LossKind.AAMSUPCON, inputs, convention, lam)
+    return loss_terms(kind, inputs.embeddings, inputs.labels, inputs.class_weights,
+                      inputs.temperature, inputs.margin, inputs.scale, masks, lam)[:3]
 
 
 def _central_diff(value_fn, arrays, step: float) -> list:

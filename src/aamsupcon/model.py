@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .geometry import normalize_rows, row_norms
+from .geometry import normalize_rows, normalize_rows_backward
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
 
@@ -60,12 +60,14 @@ class Workspace:
     the inputs forward read; per encoder layer the pre-activation, the
     activation, the relu gate and the gradient w.r.t. the activation; the
     projection's pre-activation, activation and gate; the squared
-    projection output, its row norms, the embeddings; and the gradients
+    projection output, its row norms, the embeddings; the gradients
     w.r.t. the embeddings' pre-normalization rows and the projection
-    pre-activation."""
+    pre-activation; and encoder_rows, the unit encoder output rows, their
+    norms and gradient, which the first encoder_embeddings call allocates."""
 
     __slots__ = ("inputs", "encoder_pre", "encoder_act", "encoder_gates", "d_h", "proj_pre",
-                 "proj_act", "proj_gate", "d_pre", "squares", "norms", "embeddings", "d_out")
+                 "proj_act", "proj_gate", "d_pre", "squares", "norms", "embeddings", "d_out",
+                 "encoder_rows")
 
     def __init__(self, params: NetworkParams, n: int):
         self.inputs = None
@@ -83,6 +85,7 @@ class Workspace:
         self.norms = np.empty((n, 1))
         self.embeddings = np.empty((n, params.d_out))
         self.d_out = np.empty((n, params.d_out))
+        self.encoder_rows = None
 
 
 def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
@@ -140,15 +143,20 @@ def forward(params: NetworkParams, features, ws: Workspace | None = None) -> Wor
     np.matmul(act, params.proj_w1.T, out=ws.proj_pre)
     np.maximum(ws.proj_pre, 0.0, out=ws.proj_act)
     z = np.matmul(ws.proj_act, params.proj_w2.T, out=ws.embeddings)
-    z /= row_norms(z, out=ws.norms, squares=ws.squares)
+    normalize_rows(z, out=z, norms=ws.norms, squares=ws.squares)
     return ws
 
 
 def encoder_embeddings(trace: Workspace) -> np.ndarray:
-    """Unit-normalized encoder output rows (the pre-projection space).
+    """Unit-normalized encoder output rows (the pre-projection space),
+    written with their norms into trace.encoder_rows and returned.
 
     Raises ZeroVector when a sample's encoder activations are all dead."""
-    return normalize_rows(trace.encoder_act[-1])
+    h = trace.encoder_act[-1]
+    if trace.encoder_rows is None:
+        trace.encoder_rows = (np.empty_like(h), np.empty((len(h), 1)), np.empty_like(h))
+    unit, norms, _ = trace.encoder_rows
+    return normalize_rows(h, out=unit, norms=norms, squares=unit)
 
 
 def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarray,
@@ -156,7 +164,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
              out: ParamGrads | None = None) -> ParamGrads:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
-    The normalization layer contributes (g - (g.z) z) / ||u|| per row; relu
+    Both normalization layers go through normalize_rows_backward; relu
     gates pass gradient only where the pre-activation was positive. The
     class-weight gradient comes straight from the loss, not through the
     network, so backward leaves that slot alone: it is zero in a ParamGrads
@@ -165,7 +173,8 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     trace is the Workspace forward filled, and takes the intermediate
     gradients. grad_encoder_embeddings, when given, is d(loss)/d(normalized
     encoder output) for losses that classify in the pre-projection space;
-    it joins the projection gradient at the encoder output.
+    it joins the projection gradient at the encoder output, through the
+    unit rows and norms encoder_embeddings writes here afresh.
 
     out, when given, is a ParamGrads shaped like params whose network arrays
     are overwritten with the gradients and returned (the trainer passes
@@ -183,14 +192,10 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
         out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
         out.class_weights.fill(0.0)
 
+    d_out = normalize_rows_backward(g, trace.embeddings, trace.norms, trace.d_out)
     # Relu gates multiply by the mask rather than zero-fill: a gated entry
     # keeps the sign of its gradient (-0.0) and a NaN stays NaN, bit for bit
     # as when each gate made a new array.
-    z = trace.embeddings
-    d_out = np.multiply(g, z, out=trace.d_out)
-    np.multiply(d_out.sum(axis=1, keepdims=True), z, out=d_out)
-    np.subtract(g, d_out, out=d_out)
-    d_out /= trace.norms
     np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
     d_pre = np.matmul(d_out, params.proj_w2, out=trace.d_pre)
     d_pre *= np.greater(trace.proj_pre, 0.0, out=trace.proj_gate)
@@ -202,9 +207,8 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
         if ge.shape != h.shape:
             raise ConfigError(
                 f"encoder grad shape {ge.shape} != encoder output shape {h.shape}")
-        norms_h = np.linalg.norm(h, axis=1, keepdims=True)
-        zn = h / norms_h
-        d_h += (ge - np.sum(ge * zn, axis=1, keepdims=True) * zn) / norms_h
+        encoder_embeddings(trace)
+        d_h += normalize_rows_backward(ge, *trace.encoder_rows)
 
     for li in range(len(params.encoder_layers) - 1, -1, -1):
         grad_w, grad_b = out.encoder_layers[li]

@@ -20,7 +20,7 @@ from .batching import (
     speaker_rows,
 )
 from .errors import DivergenceDetected, IoError, ZeroVector
-from .geometry import row_norms
+from .geometry import normalize_rows
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
@@ -250,7 +250,7 @@ def train(config: TrainConfig, features, speaker_ids):
             if config.learning_rate != 0.0:
                 flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
                 weights = params.class_weights
-                weights /= row_norms(weights, squares=squares.class_weights)
+                normalize_rows(weights, out=weights, squares=squares.class_weights)
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
     return params, log

@@ -25,12 +25,9 @@ from aamsupcon.losses import (
     DenominatorConvention,
     LossInputs,
     LossKind,
-    aamsupcon_loss,
-    arcface_loss,
     contrast_masks,
+    evaluate_loss,
     grad_check,
-    softmax_loss,
-    supcon_loss,
 )
 from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
 from aamsupcon.training import TrainConfig, end_to_end_grad_check, train
@@ -107,18 +104,19 @@ def test_criterion_2_identity_suite():
     for _ in range(5):
         inputs = random_batch(rng, 8, 6, 3)
         inputs.margin = 0.0
-        arc0, soft = arcface_loss(inputs), softmax_loss(inputs)
-        worst = max(worst, abs(arc0.value - soft.value),
-                    float(np.max(np.abs(arc0.grad_embeddings - soft.grad_embeddings))))
+        arc0 = evaluate_loss(LossKind.ARCFACE, inputs)
+        soft = evaluate_loss(LossKind.SOFTMAX, inputs)
+        worst = max(worst, abs(arc0[0] - soft[0]), float(np.max(np.abs(arc0[1] - soft[1]))))
         inputs.margin = 0.2
 
-        arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
+        arc = evaluate_loss(LossKind.ARCFACE, inputs)
+        sup = evaluate_loss(LossKind.SUPCON, inputs, ALL)
         for lam in (0.5, 1.0):
-            total = aamsupcon_loss(inputs, ALL, lam=lam)
-            worst = max(worst, abs(total.value - (arc.value + lam * sup.value)))
+            total = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL, lam=lam)
+            worst = max(worst, abs(total[0] - (arc[0] + lam * sup[0])))
 
-        degenerate = aamsupcon_loss(inputs, ALL, lam=0.0)
-        worst = max(worst, abs(degenerate.value - arc.value))
+        degenerate = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL, lam=0.0)
+        worst = max(worst, abs(degenerate[0] - arc[0]))
 
     for c in np.linspace(-1.0, 1.0, 101):
         worst = max(worst, abs(margin_logit(float(c), 0.0) - float(c)))
@@ -142,7 +140,7 @@ def test_criterion_3_oracle_equivalence():
                 contrast_masks(inputs.labels, convention)
             except Exception:
                 continue  # single-class batch under STRICT has no denominator
-            got = supcon_loss(inputs, convention).value
+            got = evaluate_loss(LossKind.SUPCON, inputs, convention)[0]
             want = oracle_supcon(inputs.embeddings, inputs.labels, 0.07, convention)
             worst_supcon = max(worst_supcon, abs(got - want))
 
@@ -184,7 +182,7 @@ def test_criterion_4_margin_monotonicity():
         values = []
         for m in (0.0, 0.1, 0.2, 0.3):
             inputs.margin = m
-            values.append(arcface_loss(inputs).value)
+            values.append(evaluate_loss(LossKind.ARCFACE, inputs)[0])
         monotone = monotone and all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         checked += 1
     elapsed = time.perf_counter() - started

@@ -38,6 +38,10 @@ def test_normalize_rows_matches_normalize():
         geometry.normalize_rows(mat)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_row_norms_equal_linalg_norm_bit_for_bit():
     rng = np.random.default_rng(2)
     for shape in ((1, 1), (5, 3), (64, 128), (256, 128), (9, 1000)):
@@ -46,8 +50,26 @@ def test_row_norms_equal_linalg_norm_bit_for_bit():
         out, squares = np.empty((shape[0], 1)), np.empty(shape)
         assert geometry.row_norms(mat, out=out, squares=squares) is out
         for got in (geometry.row_norms(mat), out):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), shape
+            assert _same_bits(got, want), shape
         assert np.array_equal(squares, mat * mat)
+
+        # normalize_rows: allocating, into buffers (the squares in the
+        # unit-row buffer, as for the encoder rows) and in place
+        unit_want = mat / want
+        unit, norms, in_place = np.empty(shape), np.empty((shape[0], 1)), mat.copy()
+        assert geometry.normalize_rows(mat, out=unit, norms=norms, squares=unit) is unit
+        assert geometry.normalize_rows(in_place, out=in_place) is in_place
+        for got in (geometry.normalize_rows(mat), unit, in_place):
+            assert _same_bits(got, unit_want), shape
+        assert _same_bits(norms, want), shape
+
+        # normalize_rows_backward against the expression the encoder rows'
+        # backward used before both spaces shared the layer
+        g, zn = rng.normal(size=shape), unit_want
+        grad_want = (g - np.sum(g * zn, axis=1, keepdims=True) * zn) / want
+        grad = np.empty(shape)
+        assert geometry.normalize_rows_backward(g, unit, norms, grad) is grad
+        assert _same_bits(grad, grad_want), shape
 
 
 def test_margin_logit_examples():

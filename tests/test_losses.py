@@ -19,13 +19,10 @@ from aamsupcon.losses import (
     KernelBuffers,
     LossInputs,
     LossKind,
-    aamsupcon_loss,
-    arcface_loss,
     contrast_masks,
+    evaluate_loss,
     grad_check,
     loss_terms,
-    softmax_loss,
-    supcon_loss,
     supcon_masks,
 )
 from aamsupcon.synthdata import DatasetSpec, generate
@@ -169,9 +166,9 @@ def test_contrast_masks_match_oracle_on_random_labels(convention):
 def test_supcon_two_identical_embeddings_is_exactly_zero():
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
     inputs = LossInputs(z, [0, 0], np.eye(2), temperature=0.07)
-    out = supcon_loss(inputs, ALL)
-    assert out.value == 0.0
-    assert np.all(out.grad_class_weights == 0.0)
+    value, _, grad_w = evaluate_loss(LossKind.SUPCON, inputs, ALL)
+    assert value == 0.0
+    assert np.all(grad_w == 0.0)
 
 
 def _four_point_batch(degrees):
@@ -183,16 +180,16 @@ def _four_point_batch(degrees):
 def test_supcon_four_point_frozen_values():
     # expected values computed once with oracle_supcon and frozen
     well_separated = _four_point_batch([0.0, 10.0, 170.0, 180.0])
-    out = supcon_loss(well_separated, ALL)
-    assert out.value == pytest.approx(5.6772364587274495e-12, abs=1e-10)
-    out = supcon_loss(well_separated, STRICT)
-    assert out.value == pytest.approx(-109.23554967729262, abs=1e-10)
+    value = evaluate_loss(LossKind.SUPCON, well_separated, ALL)[0]
+    assert value == pytest.approx(5.6772364587274495e-12, abs=1e-10)
+    value = evaluate_loss(LossKind.SUPCON, well_separated, STRICT)[0]
+    assert value == pytest.approx(-109.23554967729262, abs=1e-10)
 
     overlapping = _four_point_batch([0.0, 30.0, 60.0, 90.0])
-    out = supcon_loss(overlapping, ALL)
-    assert out.value == pytest.approx(1.40234470220702, abs=1e-10)
-    out = supcon_loss(overlapping, STRICT)
-    assert out.value == pytest.approx(-10.445598475866696, abs=1e-10)
+    value = evaluate_loss(LossKind.SUPCON, overlapping, ALL)[0]
+    assert value == pytest.approx(1.40234470220702, abs=1e-10)
+    value = evaluate_loss(LossKind.SUPCON, overlapping, STRICT)[0]
+    assert value == pytest.approx(-10.445598475866696, abs=1e-10)
 
 
 @pytest.mark.parametrize("convention", [ALL, STRICT])
@@ -200,7 +197,7 @@ def test_supcon_matches_oracle_on_random_batches(convention):
     rng = np.random.default_rng(11)
     for _ in range(15):
         inputs = random_batch(rng, 8, 5, 3)
-        got = supcon_loss(inputs, convention).value
+        got = evaluate_loss(LossKind.SUPCON, inputs, convention)[0]
         want = oracle_supcon(inputs.embeddings, inputs.labels, 0.07, convention)
         assert got == pytest.approx(want, abs=1e-10)
         assert np.isfinite(got)
@@ -212,7 +209,8 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     z, labels = inputs.embeddings, inputs.labels
     base_candidates = [np.flatnonzero(row) for row in contrast_masks(labels, ALL)[1]]
     base_terms = per_anchor_supcon_terms(z, labels, 0.07, base_candidates)
-    assert supcon_loss(inputs, ALL).value == pytest.approx(sum(base_terms), abs=1e-10)
+    value = evaluate_loss(LossKind.SUPCON, inputs, ALL)[0]
+    assert value == pytest.approx(sum(base_terms), abs=1e-10)
 
     # enlarging each denominator with one fresh negative raises every term
     extra = normalize_rows(rng.standard_normal((1, 4)))
@@ -229,8 +227,8 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     weights_pair = np.vstack([inputs.class_weights,
                               normalize_rows(rng.standard_normal((1, 4)))])
     bigger = LossInputs(z_pair, labels_pair, weights_pair, temperature=0.07)
-    total_small = supcon_loss(inputs, ALL).value
-    total_big = supcon_loss(bigger, ALL).value
+    total_small = evaluate_loss(LossKind.SUPCON, inputs, ALL)[0]
+    total_big = evaluate_loss(LossKind.SUPCON, bigger, ALL)[0]
     assert total_big >= total_small - 1e-12
 
 
@@ -242,9 +240,9 @@ def test_arcface_single_sample_closed_form():
     # z == W_target, s = 1, m = 0.2; frozen from the hand-computed formula
     inputs = LossInputs(np.array([[1.0, 0.0]]), [0], np.eye(2), margin=0.2, scale=1.0)
     want = -math.log(math.exp(math.cos(0.2)) / (math.exp(math.cos(0.2)) + 1.0))
-    out = arcface_loss(inputs)
-    assert out.value == pytest.approx(want, abs=1e-14)
-    assert out.value == pytest.approx(0.318661791131043, abs=1e-12)
+    value = evaluate_loss(LossKind.ARCFACE, inputs)[0]
+    assert value == pytest.approx(want, abs=1e-14)
+    assert value == pytest.approx(0.318661791131043, abs=1e-12)
 
 
 def test_arcface_matches_oracle_on_random_batches():
@@ -253,7 +251,7 @@ def test_arcface_matches_oracle_on_random_batches():
         inputs = random_batch(rng, 8, 6, 4)
         want = oracle_arcface(inputs.embeddings, inputs.labels,
                               inputs.class_weights, 0.2, 30.0)
-        assert arcface_loss(inputs).value == pytest.approx(want, abs=1e-10)
+        assert evaluate_loss(LossKind.ARCFACE, inputs)[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_arcface_zero_margin_equals_softmax_bitwise():
@@ -261,10 +259,11 @@ def test_arcface_zero_margin_equals_softmax_bitwise():
     for _ in range(5):
         inputs = random_batch(rng, 8, 5, 3)
         inputs.margin = 0.0
-        arc, soft = arcface_loss(inputs), softmax_loss(inputs)
-        assert arc.value == soft.value
-        assert np.array_equal(arc.grad_embeddings, soft.grad_embeddings)
-        assert np.array_equal(arc.grad_class_weights, soft.grad_class_weights)
+        arc = evaluate_loss(LossKind.ARCFACE, inputs)
+        soft = evaluate_loss(LossKind.SOFTMAX, inputs)
+        assert arc[0] == soft[0]
+        assert np.array_equal(arc[1], soft[1])
+        assert np.array_equal(arc[2], soft[2])
 
 
 def test_arcface_monotone_in_margin():
@@ -279,7 +278,7 @@ def test_arcface_monotone_in_margin():
         values = []
         for m in (0.0, 0.1, 0.2, 0.3):
             inputs.margin = m
-            values.append(arcface_loss(inputs).value)
+            values.append(evaluate_loss(LossKind.ARCFACE, inputs)[0])
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         checked += 1
 
@@ -290,13 +289,14 @@ def test_softmax_uniform_logits_gives_log_c():
     w = np.eye(3, 4)
     for c in (2, 3):
         inputs = LossInputs(z, [0], w[:c], scale=30.0)
-        assert softmax_loss(inputs).value == pytest.approx(math.log(c), abs=1e-14)
+        assert evaluate_loss(LossKind.SOFTMAX, inputs)[0] == pytest.approx(math.log(c), abs=1e-14)
 
 
 def test_softmax_frozen_single_sample():
     # logits (1, 0, 0) at s = 1: -log(e / (e + 2))
     inputs = LossInputs(np.array([[1.0, 0.0, 0.0]]), [0], np.eye(3), scale=1.0)
-    assert softmax_loss(inputs).value == pytest.approx(0.5514447139320511, abs=1e-12)
+    value = evaluate_loss(LossKind.SOFTMAX, inputs)[0]
+    assert value == pytest.approx(0.5514447139320511, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +307,31 @@ def test_aamsupcon_is_sum_of_parts():
     rng = np.random.default_rng(16)
     for _ in range(10):
         inputs = random_batch(rng, 8, 5, 3)
-        total = aamsupcon_loss(inputs, ALL)
-        arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
-        assert total.value == pytest.approx(arc.value + sup.value, abs=1e-12)
-        assert np.max(np.abs(total.grad_embeddings - arc.grad_embeddings
-                             - sup.grad_embeddings)) < 1e-12
-        assert np.max(np.abs(total.grad_class_weights - arc.grad_class_weights)) < 1e-12
+        total = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL)
+        arc = evaluate_loss(LossKind.ARCFACE, inputs)
+        sup = evaluate_loss(LossKind.SUPCON, inputs, ALL)
+        assert total[0] == pytest.approx(arc[0] + sup[0], abs=1e-12)
+        assert np.max(np.abs(total[1] - arc[1] - sup[1])) < 1e-12
+        assert np.max(np.abs(total[2] - arc[2])) < 1e-12
 
 
 def test_aamsupcon_lambda_zero_degenerates_to_arcface():
     rng = np.random.default_rng(17)
     inputs = random_batch(rng, 6, 4, 3)
-    total = aamsupcon_loss(inputs, ALL, lam=0.0)
-    arc = arcface_loss(inputs)
-    assert total.value == arc.value
-    assert np.array_equal(total.grad_embeddings, arc.grad_embeddings)
+    total = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL, lam=0.0)
+    arc = evaluate_loss(LossKind.ARCFACE, inputs)
+    assert total[0] == arc[0]
+    assert np.array_equal(total[1], arc[1])
 
 
 def test_aamsupcon_lambda_weights_the_contrastive_term():
     rng = np.random.default_rng(18)
     inputs = random_batch(rng, 6, 4, 3)
-    arc, sup = arcface_loss(inputs), supcon_loss(inputs, ALL)
+    arc = evaluate_loss(LossKind.ARCFACE, inputs)
+    sup = evaluate_loss(LossKind.SUPCON, inputs, ALL)
     for lam in (0.5, 2.0):
-        total = aamsupcon_loss(inputs, ALL, lam=lam)
-        assert total.value == pytest.approx(arc.value + lam * sup.value, abs=1e-12)
+        total = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL, lam=lam)
+        assert total[0] == pytest.approx(arc[0] + lam * sup[0], abs=1e-12)
 
 
 # (batch_speakers, views_per_speaker, embedding dim): N = 2BV runs from 4 to 256;
@@ -427,23 +428,23 @@ def test_symmetric_batch_gives_symmetric_gradients():
     z = np.tile(np.array([[0.6, 0.8]]), (4, 1))
     w = np.tile(np.array([[1.0, 0.0]]), (2, 1))
     inputs = LossInputs(z, [0, 0, 1, 1], w)
-    out = aamsupcon_loss(inputs, ALL)
+    _, grad_z, grad_w = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL)
     # anchors 0/1 and 2/3 are indistinguishable, as are the two classes
-    assert np.array_equal(out.grad_embeddings[0], out.grad_embeddings[1])
-    assert np.array_equal(out.grad_embeddings[2], out.grad_embeddings[3])
-    assert np.allclose(out.grad_class_weights[0], out.grad_class_weights[1], atol=1e-15)
+    assert np.array_equal(grad_z[0], grad_z[1])
+    assert np.array_equal(grad_z[2], grad_z[3])
+    assert np.allclose(grad_w[0], grad_w[1], atol=1e-15)
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(23)
     inputs = random_batch(rng, 8, 5, 3)
-    base = aamsupcon_loss(inputs, ALL)
+    base = evaluate_loss(LossKind.AAMSUPCON, inputs, ALL)
     perm = rng.permutation(8)
     permuted = LossInputs(inputs.embeddings[perm], inputs.labels[perm],
                           inputs.class_weights)
-    out = aamsupcon_loss(permuted, ALL)
-    assert out.value == pytest.approx(base.value, abs=1e-12)
-    assert np.max(np.abs(out.grad_embeddings - base.grad_embeddings[perm])) < 1e-12
+    out = evaluate_loss(LossKind.AAMSUPCON, permuted, ALL)
+    assert out[0] == pytest.approx(base[0], abs=1e-12)
+    assert np.max(np.abs(out[1] - base[1][perm])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +457,29 @@ def test_validation_rejects_bad_inputs():
 
     short_labels = LossInputs(good.embeddings, good.labels[:-1], good.class_weights)
     with pytest.raises(ConfigError, match="4 embeddings but 3 labels"):
-        supcon_loss(short_labels, ALL)
+        evaluate_loss(LossKind.SUPCON, short_labels, ALL)
 
     off_sphere = LossInputs(good.embeddings * 1.001, good.labels, good.class_weights)
     with pytest.raises(ConfigError, match="embedding rows deviate from unit norm"):
-        supcon_loss(off_sphere, ALL)
+        evaluate_loss(LossKind.SUPCON, off_sphere, ALL)
 
     bad_label = LossInputs(good.embeddings, [0, 0, 5, 5], good.class_weights)
     with pytest.raises(ConfigError, match=r"labels must lie in \[0, 2\)"):
-        softmax_loss(bad_label)
+        evaluate_loss(LossKind.SOFTMAX, bad_label)
 
     good.temperature = -1.0
     with pytest.raises(ConfigError, match="temperature must be > 0"):
-        supcon_loss(good, ALL)
+        evaluate_loss(LossKind.SUPCON, good, ALL)
     good.temperature = 0.07
 
     good.scale = 0.0
     with pytest.raises(ConfigError, match="scale must be > 0"):
-        arcface_loss(good)
+        evaluate_loss(LossKind.ARCFACE, good)
     good.scale = 30.0
 
     good.margin = 2.0
     with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
-        arcface_loss(good)
+        evaluate_loss(LossKind.ARCFACE, good)
 
 
 def test_loss_value_unchecked_matches_public_api():
@@ -488,6 +489,7 @@ def test_loss_value_unchecked_matches_public_api():
     masks = supcon_masks(inputs.labels, ALL)
     assert loss_terms(LossKind.SUPCON, inputs.embeddings, inputs.labels,
                       inputs.class_weights, *hyper, masks)[0] \
-        == supcon_loss(inputs, ALL).value
+        == evaluate_loss(LossKind.SUPCON, inputs, ALL)[0]
     assert loss_terms(LossKind.ARCFACE, inputs.embeddings, inputs.labels,
-                      inputs.class_weights, *hyper)[0] == arcface_loss(inputs).value
+                      inputs.class_weights, *hyper)[0] \
+        == evaluate_loss(LossKind.ARCFACE, inputs)[0]

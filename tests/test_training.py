@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -311,9 +313,11 @@ def test_workspace_training_equals_allocating_loop(kind, convention, space):
                                                      param_arrays(want_params))), speakers
 
 
+@pytest.mark.parametrize("space", ["projection", "encoder"])
 @pytest.mark.parametrize("kind", [LossKind.AAMSUPCON, LossKind.SUPCON])
-def test_consecutive_steps_reuse_the_workspace(kind, monkeypatch):
-    seen = {"batch": [], "embeddings": [], "grad_z": [], "grad_w": [], "param_grads": []}
+def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
+    seen = {"batch": [], "embeddings": [], "grad_z": [], "grad_w": [], "param_grads": [],
+            "encoder_rows": []}
 
     def spy(name, fn, record):
         def wrapped(*args, **kwargs):
@@ -326,16 +330,44 @@ def test_consecutive_steps_reuse_the_workspace(kind, monkeypatch):
         seen["batch"].append(batch.ctypes.data)
         seen["embeddings"].append(trace.embeddings.ctypes.data)
 
+    def backward_record(grads, params, trace, *rest):
+        seen["param_grads"].append([a.ctypes.data for a in param_arrays(grads)])
+        rows = trace.encoder_rows
+        seen["encoder_rows"].append(None if rows is None else [a.ctypes.data for a in rows])
+
     spy("forward", training.forward, forward_record)
     spy("loss_terms", training.loss_terms,
         lambda out, *args: (seen["grad_z"].append(out[1].ctypes.data),
                             seen["grad_w"].append(out[2].ctypes.data)))
-    spy("backward", training.backward,
-        lambda grads, *args: seen["param_grads"].append(
-            [a.ctypes.data for a in param_arrays(grads)]))
-    cfg = TrainConfig(loss_kind=kind, steps=4, batch_speakers=4, seed=1, **SMALL_NET)
+    spy("backward", training.backward, backward_record)
+    cfg = TrainConfig(loss_kind=kind, classifier_space=space, steps=4, batch_speakers=4,
+                      seed=1, **SMALL_NET)
     train(cfg, *_dataset())
     for name, pointers in seen.items():
         assert len(pointers) == 4 and all(p == pointers[0] for p in pointers), name
     # the class-weight gradient is written into its slot of the gradient vector
     assert seen["grad_w"][0] == seen["param_grads"][0][-1]
+    # only encoder space allocates the normalized encoder rows
+    assert (seen["encoder_rows"][0] is None) == (space == "projection")
+
+
+def test_encoder_space_step_peaks_like_projection_space():
+    """tracemalloc peak of one warm step at N = 256 with the quickstart
+    model: encoder space normalizes its rows in the workspace, so its peak
+    stays within 10% of projection space's."""
+    data = _dataset(speakers=64, utterances=4, d_in=40)
+    batch, labels = _fixed_batch(data, 64)
+    peaks = {}
+    for space in ("projection", "encoder"):
+        cfg = TrainConfig(classifier_space=space, batch_speakers=64)
+        params = training._start(cfg, *data)[2]
+        _, grads, ws, bufs = training._step_buffers(params, len(batch))
+        step = (cfg, params, batch, labels, run_masks(cfg), grads, ws, bufs)
+        training._value_and_grads(*step)
+        tracemalloc.start()
+        try:
+            training._value_and_grads(*step)
+            peaks[space] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["encoder"] <= 1.1 * peaks["projection"], peaks
