@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import AamSupConError, ConfigError, IoError, NumericalError
+from .errors import AamSupConError, ConfigError, IoError, NumericalError, read_file, write_file
 from .evaluate import (
     DcfParams,
     build_trials,
@@ -150,12 +150,10 @@ def load_config(path):
     domain are ConfigErrors naming the key. Returns ({class: validated
     instance} for every class of _SECTIONS, the config echo {section: {key:
     value}} with the defaults filled in)."""
+    text = read_file(path, "config", "utf-8")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -210,21 +208,8 @@ def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None
                               f"at least {floor} and at most the number of {fit}")
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_json(path, payload) -> None:
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, json.dumps(payload, sort_keys=True, indent=2) + "\n", "JSON")
 
 
 def _write_manifest(out_dir, command, config, seed_override, inputs, outputs,
@@ -238,7 +223,8 @@ def _write_manifest(out_dir, command, config, seed_override, inputs, outputs,
         "seed_override": seed_override,
         "inputs": {name: os.path.basename(str(p)) for name, p in inputs.items()},
         "outputs": {name: os.path.basename(str(p)) for name, p in outputs.items()},
-        "checksums": {os.path.basename(str(p)): _sha256(p) for p in outputs.values()},
+        "checksums": {os.path.basename(str(p)): hashlib.sha256(read_file(p, "output")).hexdigest()
+                      for p in outputs.values()},
         "metrics": metrics,
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -370,7 +356,6 @@ def cmd_gradcheck(args) -> int:
     g = _seeded(config[_GradCheck], args.seed)
     if args.out:
         _ensure_out(args.out)
-    corrupt = 0.05 if args.corrupt else 0.0
     rng = np.random.default_rng(g.seed)
     rows = []
     for kind in LossKind:
@@ -378,7 +363,7 @@ def cmd_gradcheck(args) -> int:
         for n_per_class, num_classes, dim in ((2, 2, 4), (4, 3, 8), (2, 5, 16)):
             report = grad_check(kind, _gradcheck_batch(rng, n_per_class,
                                                        num_classes, dim),
-                                step=g.step, corrupt=corrupt)
+                                step=g.step)
             worst = max(worst, report.max_rel_error)
         rows.append({"check": kind.value, "max_rel_error": worst,
                      "tolerance": g.tolerance, "passed": worst < g.tolerance})
@@ -473,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     common(p, out_required=False)
     p.add_argument("--out", default=None, help="optional report directory")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p = sub.add_parser("sweep-batch", help="train/evaluate across batch sizes")
     common(p, data=True)
     p.add_argument("--sizes", type=int, nargs="+", required=True,

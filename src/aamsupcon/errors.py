@@ -5,6 +5,9 @@ code and the stderr label the CLI reports it with: ConfigError (1, a usage
 or config error, or an input the run cannot take), NumericalError (2) and
 IoError (3). A leaf class exists only where a caller catches it by name or
 it carries data.
+
+read_file and write_file are the one place the package opens a file, so a
+failed read or write is always an IoError naming the file.
 """
 
 
@@ -49,3 +52,27 @@ class DivergenceDetected(NumericalError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
+
+
+def read_file(path, what: str, encoding: str | None = None):
+    """The bytes of the file at path, or, when encoding is given, its text
+    with universal newlines (CRLF and CR read as LF). Raises IoError
+    "cannot read {what} from {path}: ..." when the file cannot be read, and
+    "{path}: not {encoding} text (byte N)" when it does not decode."""
+    try:
+        with open(path, "rb" if encoding is None else "r", encoding=encoding) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not {encoding} text (byte {exc.start})") from exc
+
+
+def write_file(path, data, what: str) -> None:
+    """Write data, bytes or an ASCII str, to the file at path in one call.
+    Raises IoError "cannot write {what} to {path}: ..." when it cannot."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("ascii") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc

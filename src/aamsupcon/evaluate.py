@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError, NumericalError, ZeroVector
+from .errors import ConfigError, IoError, NumericalError, ZeroVector, read_file, write_file
 from .model import NetworkParams, encoder_embeddings, forward
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -212,7 +212,7 @@ def save_trials(path, trials) -> None:
 
 def load_trials(path):
     """Inverse of save_trials: (enroll, test, is_target) arrays."""
-    return _parse_trials(path, "enroll test 0|1")[0]
+    return _parse_trials(path, "trials", "enroll test 0|1")[0]
 
 
 def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
@@ -222,7 +222,7 @@ def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
 
 def load_scored_trials(path):
     """Inverse of save_scored_trials: (trials, ScoredTrials)."""
-    trials, scores = _parse_trials(path, "enroll test 0|1 score")
+    trials, scores = _parse_trials(path, "scores", "enroll test 0|1 score")
     return trials, ScoredTrials(scores, trials[2])
 
 
@@ -253,11 +253,7 @@ def _write_lines(path, what, trials, scores=None) -> None:
     for j, col in enumerate(cells):
         flat[j::len(cells)] = col
     text = "".join(flat) if scores is None else "%s%s%s%.17g\n" * rows % tuple(flat)
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+    write_file(path, text, what)
 
 
 def _index_cells(enroll, test):
@@ -273,16 +269,10 @@ def _index_cells(enroll, test):
     return [table[c].tolist() for c in (enroll, test)]
 
 
-def _parse_trials(path, layout: str):
+def _parse_trials(path, what: str, layout: str):
     """((enroll, test, is_target), scores) of a trial or score file; raises
     IoError naming file:line for a malformed line or a self-pair."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoError(f"{path}: not ASCII text (byte {exc.start})") from exc
+    lines = read_file(path, what, "ascii").splitlines()
     width = len(layout.split())
     enroll, test, flags, scores = [], [], [], []
     for ln, line in enumerate(lines, start=1):

@@ -336,16 +336,12 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
                convention=DenominatorConvention.ALL_NON_ANCHOR,
-               lam: float = 1.0, corrupt: float = 0.0) -> GradCheckReport:
+               lam: float = 1.0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Perturbations are applied to the raw embedding and class-weight entries
     (no re-normalization), matching the gradient semantics above. Returns
     the max and mean per-component relative error over both matrices.
-
-    corrupt is a negative-control hook: a nonzero value is added to one
-    analytic gradient component before the comparison and must make the
-    check fail.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -358,7 +354,6 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
                           inputs.margin, inputs.scale, masks, lam)
 
     _, grad_z, grad_w, _ = terms()
-    grad_z[0, 0] += corrupt
     fd_z, fd_w = _central_diff(lambda: terms()[0], [z, w], step)
     errors = np.concatenate([relative_errors(grad_z, fd_z),
                              relative_errors(grad_w, fd_w)])

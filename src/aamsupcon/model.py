@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, read_file, write_file
 from .geometry import normalize_rows, normalize_rows_backward
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
@@ -160,21 +160,21 @@ def encoder_embeddings(trace: Workspace) -> np.ndarray:
 
 
 def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarray,
-             grad_encoder_embeddings: np.ndarray | None = None,
+             grad_encoder_output: np.ndarray | None = None,
              out: ParamGrads | None = None) -> ParamGrads:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
-    Both normalization layers go through normalize_rows_backward; relu
+    The output normalization goes through normalize_rows_backward; relu
     gates pass gradient only where the pre-activation was positive. The
     class-weight gradient comes straight from the loss, not through the
     network, so backward leaves that slot alone: it is zero in a ParamGrads
     backward makes, and as it was in out.
 
     trace is the Workspace forward filled, and takes the intermediate
-    gradients. grad_encoder_embeddings, when given, is d(loss)/d(normalized
-    encoder output) for losses that classify in the pre-projection space;
-    it joins the projection gradient at the encoder output, through the
-    unit rows and norms encoder_embeddings writes here afresh.
+    gradients. grad_encoder_output, when given, is d(loss)/d(raw encoder
+    output) of a loss that classifies in the pre-projection space, the
+    normalization of encoder_embeddings already differentiated; it is added
+    to the projection's gradient at the encoder output.
 
     out, when given, is a ParamGrads shaped like params whose network arrays
     are overwritten with the gradients and returned (the trainer passes
@@ -202,13 +202,12 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     h = trace.encoder_act[-1]
     np.matmul(d_pre.T, h, out=out.proj_w1)
     d_h = np.matmul(d_pre, params.proj_w1, out=trace.d_h[-1])
-    if grad_encoder_embeddings is not None:
-        ge = np.asarray(grad_encoder_embeddings, dtype=np.float64)
+    if grad_encoder_output is not None:
+        ge = np.asarray(grad_encoder_output, dtype=np.float64)
         if ge.shape != h.shape:
             raise ConfigError(
                 f"encoder grad shape {ge.shape} != encoder output shape {h.shape}")
-        encoder_embeddings(trace)
-        d_h += normalize_rows_backward(ge, *trace.encoder_rows)
+        d_h += ge
 
     for li in range(len(params.encoder_layers) - 1, -1, -1):
         grad_w, grad_b = out.encoder_layers[li]
@@ -274,15 +273,9 @@ def save_checkpoint(path, params: NetworkParams) -> None:
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
     }
     blob = json.dumps(header, sort_keys=True).encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(np.uint32(len(blob)).astype("<u4").tobytes())
-            fh.write(blob)
-            for _, arr in entries:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
+    arrays = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in entries]
+    write_file(path, b"".join([CHECKPOINT_MAGIC, np.uint32(len(blob)).astype("<u4").tobytes(),
+                               blob, *arrays]), "checkpoint")
 
 
 def load_checkpoint(path) -> NetworkParams:
@@ -291,11 +284,7 @@ def load_checkpoint(path) -> NetworkParams:
     save_checkpoint writes (version, integer sizes, the array names and
     shapes those sizes imply), truncated or trailing bytes, or an array
     holding a non-finite value."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+    raw = read_file(path, "checkpoint")
     if len(raw) < 12 or raw[:8] != CHECKPOINT_MAGIC:
         raise IoError(f"{path}: not a checkpoint (bad magic)")
     hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])

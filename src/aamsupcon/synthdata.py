@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, read_file, write_file
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
@@ -91,27 +91,21 @@ def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1])
     for sid, row in zip(speaker_ids.tolist(), features.tolist()):
         lines.append(row_fmt % (sid, *row))
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write dataset to {path}: {exc}") from exc
+    write_file(path, "\n".join(lines) + "\n", "dataset")
 
 
 def load_dataset(path):
     """Inverse of save_dataset: (spec, features, speaker_ids). Raises
     IoError naming file:line for anything save_dataset would not write."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read dataset from {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoError(f"{path}: not ASCII text (byte {exc.start})") from exc
+    lines = read_file(path, "dataset", "ascii").splitlines()
     if not lines:
         raise IoError(f"dataset file {path} is empty")
     spec = _parse_header(path, lines[0])
-    ids, features = [], np.empty((len(lines) - 1, spec.d_in))
+    # A valid row of d_in features has at least 2 * d_in + 3 characters, so no
+    # more rows than that fit in the body can be valid: the feature array stays
+    # under four times the file's size, whatever the header and line 2 claim.
+    rows = min(len(lines) - 1, sum(map(len, lines[1:])) // (2 * spec.d_in + 3))
+    ids, features = [], np.empty((rows, spec.d_in))
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2 + spec.d_in:

@@ -19,8 +19,8 @@ from .batching import (
     group_by_speaker,
     speaker_rows,
 )
-from .errors import DivergenceDetected, IoError, ZeroVector
-from .geometry import normalize_rows
+from .errors import DivergenceDetected, ZeroVector, write_file
+from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
     DenominatorConvention,
     GradCheckReport,
@@ -164,11 +164,15 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
     unit rows and the class weights are renormalized after every update.
     masks is the supcon_masks of dense_labels (None for a loss without a
     contrastive term); bufs is passed on. In encoder classifier space the
-    margin term reads the normalized encoder output."""
+    margin term reads the encoder output normalized into trace.encoder_rows,
+    and the fourth item, there too, is its gradient w.r.t. the raw output."""
     h = encoder_embeddings(trace) if config.classifier_space == "encoder" else None
-    return loss_terms(config.loss_kind, trace.embeddings, dense_labels,
-                      params.class_weights, config.temperature, config.margin,
-                      config.scale, masks, config.lam, bufs, h)
+    value, grad_z, grad_w, grad_h = loss_terms(
+        config.loss_kind, trace.embeddings, dense_labels, params.class_weights,
+        config.temperature, config.margin, config.scale, masks, config.lam, bufs, h)
+    if grad_h is not None:
+        grad_h = normalize_rows_backward(grad_h, *trace.encoder_rows)
+    return value, grad_z, grad_w, grad_h
 
 
 def _step_buffers(params: NetworkParams, n: int):
@@ -278,11 +282,7 @@ def save_runlog(path, log: RunLog) -> None:
     lines = ["step loss grad_norm"]
     for rec in log.records:
         lines.append("%d %.17g %.17g" % (rec.step, rec.loss, rec.grad_norm))
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write run log to {path}: {exc}") from exc
+    write_file(path, "\n".join(lines) + "\n", "run log")
 
 
 def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,

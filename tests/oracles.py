@@ -138,3 +138,14 @@ def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
         value += lam * sup_value
         grad_z = grad_z + lam * sup_grad
     return value, grad_z, grad_w
+
+
+def corrupted(loss_terms, offset: float = 0.05):
+    """loss_terms with offset added to the analytic grad_z[0, 0] of every
+    call: the negative control a gradient check must fail. The loss value
+    is left alone, so the finite differences stay right."""
+    def wrapped(*args, **kwargs):
+        value, grad_z, grad_w, grad_h = loss_terms(*args, **kwargs)
+        grad_z[0, 0] += offset
+        return value, grad_z, grad_w, grad_h
+    return wrapped

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aamsupcon import cli, errors
+from aamsupcon import cli, errors, losses
 from aamsupcon.cli import SWEEP_FOOTER, main
 from aamsupcon.model import init_params, load_checkpoint
+from oracles import corrupted
 
 BASE_CONFIG = """\
 [dataset]
@@ -178,9 +179,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "dataset.num_speaker" in capsys.readouterr().err
 
 
-def test_missing_config_is_io_error(tmp_path):
-    assert main(["generate", "--config", str(tmp_path / "nope.ini"),
-                 "--out", str(tmp_path / "x")]) == 3
+@pytest.mark.parametrize("content, named", [
+    (None, "cannot read config from"),
+    (b"[dataset]\nseed = 5\n# \xff\n", "not utf-8 text (byte 21)"),
+], ids=["missing", "not-utf-8"])
+def test_unreadable_config_exits_3_naming_it(tmp_path, capsys, content, named):
+    """A config that does not exist or is not UTF-8: exit 3 naming the file
+    (and the first bad byte), before --out is created."""
+    path = tmp_path / "bad.ini"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_zero_steps_equals_fresh_init(tmp_path):
@@ -385,7 +398,7 @@ def test_evaluate_bad_checkpoint_is_io_error(tmp_path):
     assert rc == 3
 
 
-def test_gradcheck_report_and_corrupt_hook(tmp_path, capsys):
+def test_gradcheck_report_and_corrupt_hook(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     out = tmp_path / "gc"
     assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
@@ -395,9 +408,11 @@ def test_gradcheck_report_and_corrupt_hook(tmp_path, capsys):
     assert all(row["passed"] for row in report["rows"])
     capsys.readouterr()
 
-    # the corruption hook perturbs the analytic loss gradients; the four
-    # loss rows must fail and force exit code 2
-    assert main(["gradcheck", "--config", cfg, "--corrupt"]) == 2
+    # a corrupted loss_terms perturbs the analytic loss gradients; the four
+    # loss rows must fail and force exit code 2 (training imports loss_terms
+    # by name, so the end-to-end row still passes)
+    monkeypatch.setattr(losses, "loss_terms", corrupted(losses.loss_terms))
+    assert main(["gradcheck", "--config", cfg]) == 2
     printed = capsys.readouterr().out
     assert printed.count("FAIL") >= 4
 

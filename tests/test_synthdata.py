@@ -139,6 +139,12 @@ _ROW = "0 original 1.0 0.0 0.0"
     (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}", 1),
     (f"{_HEADER}\n" + "\n".join([_ROW] * 5), 1),
     (f"{_HEADER}\n" + "\n".join([_ROW] * 4), 1),
+    # the header alone, or a wide line 2 over many short lines, once sized an
+    # 8 PB or a 320 GB feature array before the body was read
+    pytest.param(_HEADER.replace("d_in=3", "d_in=1000000000000000") + "\n0 original 1 2",
+                 2, id="huge-d_in"),
+    pytest.param(_HEADER.replace("d_in=3", "d_in=200000") + "\n0 original" + " 0" * 200000
+                 + "\n0" * 200000, 3, id="wide-line-2"),
 ])
 def test_load_names_line_of_malformed_input(tmp_path, text, line):
     path = tmp_path / "bad.txt"

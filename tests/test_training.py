@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aamsupcon import losses, training
+from aamsupcon import losses, model, training
 from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker, speaker_rows
 from aamsupcon.errors import DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
@@ -158,8 +158,10 @@ def test_loss_on_batch_dispatch_identities(space, monkeypatch):
     aam_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, **net)
     assert value(aam_cfg) == pytest.approx(value(arc_cfg) + value(sup_cfg), abs=1e-12)
 
-    # lambda = 0 is arcface, gradients included, and runs no contrastive kernel
-    arc = _trace_loss(arc_cfg, params, trace, labels, masks)
+    # lambda = 0 is arcface, gradients included, and runs no contrastive kernel;
+    # the encoder gradient lives in the trace, so the next call overwrites it
+    arc = [a.copy() if isinstance(a, np.ndarray) else a
+           for a in _trace_loss(arc_cfg, params, trace, labels, masks)]
 
     def no_kernel(*args):
         raise AssertionError("the contrastive kernel ran at lambda = 0")
@@ -274,6 +276,12 @@ def reference_train(config, features, speaker_ids):
         value, grad_proj, grad_enc, grad_w = reference_loss(config, params, trace, labels)
         if grad_proj is None:
             grad_proj = np.zeros_like(trace.embeddings)
+        if grad_enc is not None:
+            # through the encoder-space normalization: (g - (g.u) u) / ||h||
+            h = trace.encoder_act[-1]
+            norms = np.linalg.norm(h, axis=1, keepdims=True)
+            unit = h / norms
+            grad_enc = (grad_enc - np.sum(grad_enc * unit, axis=1, keepdims=True) * unit) / norms
         grads = backward(params, trace, grad_proj, grad_enc)
         grads.class_weights = grad_w
         total = 0.0
@@ -349,6 +357,25 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
     assert seen["grad_w"][0] == seen["param_grads"][0][-1]
     # only encoder space allocates the normalized encoder rows
     assert (seen["encoder_rows"][0] is None) == (space == "projection")
+
+
+def test_encoder_space_step_normalizes_the_encoder_rows_once(monkeypatch):
+    """k encoder-space steps normalize the encoder output k times: the loss
+    normalizes it, and backward takes the gradient through that
+    normalization instead of normalizing again."""
+    calls = []
+    original = model.encoder_embeddings
+
+    def counted(trace):
+        calls.append(trace)
+        return original(trace)
+
+    monkeypatch.setattr(training, "encoder_embeddings", counted)
+    monkeypatch.setattr(model, "encoder_embeddings", counted)
+    cfg = TrainConfig(classifier_space="encoder", steps=5, batch_speakers=4, seed=1,
+                      **SMALL_NET)
+    train(cfg, *_dataset())
+    assert len(calls) == 5
 
 
 def test_encoder_space_step_peaks_like_projection_space():

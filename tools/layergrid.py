@@ -7,10 +7,10 @@ Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
 each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
 with the quickstart model, augmentation and loss, in both classifier spaces:
 the five parts of a step as train runs them, on its per-run buffers. They
-are the batch draw (BatchSampler.draw), forward, the loss (loss_terms,
-after normalizing the encoder rows in encoder space), backward and the SGD
-update (squared gradients, gradient norm, momentum, parameter step and
-class-weight renormalization, as in train's loop).
+are the batch draw (BatchSampler.draw), forward, the loss (loss_terms; in
+encoder space also the encoder rows' normalization and its backward),
+backward and the SGD update (squared gradients, gradient norm, momentum,
+parameter step and class-weight renormalization, as in train's loop).
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
