@@ -27,8 +27,7 @@ from .errors import AamSupConError, ConfigError, IoError, NumericalError, read_f
 from .evaluate import (
     DcfParams,
     build_trials,
-    eer,
-    min_dcf,
+    roc_metrics,
     save_scored_trials,
     save_trials,
     score_trials,
@@ -106,15 +105,24 @@ _KEYS = {f.metadata.get("key", f"{section}.{f.name}"): (cls, f)
          for section, cls in _SECTIONS for f in fields(cls)}
 
 
+def _int64(value: int) -> int:
+    """value, refused outside the int64 range that numpy sizes and seeds take."""
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
 def _parse(key, raw, kind):
     """raw as a value of the field type kind."""
     try:
         if kind == int | None:
-            return None if raw.strip() == "" else int(raw)
+            return None if raw.strip() == "" else _int64(int(raw))
         if kind == tuple[int, ...]:
             if not raw.split():
                 raise ValueError("empty list")
-            return tuple(int(tok) for tok in raw.split())
+            return tuple(_int64(int(tok)) for tok in raw.split())
+        if kind is int:
+            return _int64(int(raw))
         if isinstance(kind, enum.EnumMeta):
             choices = [member.value for member in kind]
             if raw not in choices:
@@ -182,8 +190,8 @@ def _seeded(obj, seed):
     """obj with --seed, when given, as its seed."""
     if seed is None:
         return obj
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"--seed must be in [0, 2**63), got {seed}")
     return replace(obj, seed=seed)
 
 
@@ -312,8 +320,7 @@ def cmd_evaluate(args) -> int:
     _ensure_out(args.out)
 
     scored = score_trials(params, features, trials, trial_spec.space)
-    eer_value, eer_thr = eer(scored)
-    dcf_value, dcf_thr = min_dcf(scored, dcf)
+    eer_value, eer_thr, dcf_value, dcf_thr = roc_metrics(scored, dcf)
     metrics = {
         "eer": eer_value,
         "eer_percent": 100.0 * eer_value,
@@ -406,8 +413,7 @@ def cmd_sweep_batch(args) -> int:
         cfg = replace(base, batch_speakers=size)
         params, _ = train(cfg, *train_set)
         scored = score_trials(params, eval_features, trials, config[_Trials].space)
-        eer_value, _ = eer(scored)
-        dcf_value, _ = min_dcf(scored, config[DcfParams])
+        eer_value, _, dcf_value, _ = roc_metrics(scored, config[DcfParams])
         rows.append({"batch_speakers": size,
                      "batch_size": 2 * size * cfg.views_per_speaker,
                      "eer_percent": 100.0 * eer_value,
@@ -481,6 +487,9 @@ def main(argv=None) -> int:
     except AamSupConError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # a size key too large for this host
+        print(f"{ConfigError.label}: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 def console_main() -> None:

@@ -1,9 +1,10 @@
-"""Speaker-verification evaluation: trial lists, cosine scoring, EER and
-minDCF.
+"""Speaker-verification evaluation: trial lists, cosine scoring, and the
+EER and minDCF of one ROC curve.
 
-Both metrics are sorted/vectorized; the tests check them against
-brute-force threshold sweeps that recount errors for every candidate
-threshold. Both routes apply the same documented conventions:
+roc_metrics builds the curve once, sorted and vectorized; the tests check
+both metrics against brute-force threshold sweeps that recount errors for
+every candidate threshold. Both routes apply the same documented
+conventions:
 
 * a trial is accepted when score >= threshold, so tied scores flip together;
 * candidate operating points are the distinct observed scores (plus the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError, NumericalError, ZeroVector, read_file, write_file
+from .errors import ConfigError, NumericalError, ZeroVector, write_file
 from .model import NetworkParams, encoder_embeddings, forward
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -148,61 +149,41 @@ def score_trials(params: NetworkParams, features, trials,
     return ScoredTrials(scores, is_target)
 
 
-def _roc_points(scored: ScoredTrials):
-    """FRR/FAR at every candidate threshold (ascending distinct scores, then
-    the all-reject point). FRR(t) = P(target < t); FAR(t) = P(non-target >= t)."""
+def roc_metrics(scored: ScoredTrials, dcf: DcfParams | None = None):
+    """(eer, eer_threshold, min_dcf, min_dcf_threshold) of one ROC curve.
+
+    The curve is the all-accept point, then one point per distinct score t
+    (P_miss = P(target < t), P_fa = P(non-target >= t)), then the all-reject
+    point. The EER, in [0, 1], interpolates the crossing where P_miss - P_fa
+    changes sign; the all-reject threshold clamps to the largest score. The
+    minDCF is the least c_miss * P_miss * p_target + c_fa * P_fa *
+    (1 - p_target) over the points, divided by the best trivial-decision
+    cost min(c_miss * p_target, c_fa * (1 - p_target)). Its ties pick the
+    lowest threshold, and its end points sit at -inf and +inf."""
+    dcf = dcf or DcfParams()
     if np.all(scored.scores == scored.scores[0]):
         raise NumericalError("all trial scores are equal")
     tgt = np.sort(scored.scores[scored.is_target])
     non = np.sort(scored.scores[~scored.is_target])
     uniq = np.unique(scored.scores)
-    frr = np.searchsorted(tgt, uniq, side="left") / tgt.size
-    far = (non.size - np.searchsorted(non, uniq, side="left")) / non.size
-    frr = np.append(frr, 1.0)
-    far = np.append(far, 0.0)
-    thresholds = np.append(uniq, uniq[-1])  # all-reject point clamps to max score
-    return frr, far, thresholds
+    p_miss = np.concatenate(([0.0], np.searchsorted(tgt, uniq) / tgt.size, [1.0]))
+    p_fa = np.concatenate(([1.0], (non.size - np.searchsorted(non, uniq)) / non.size, [0.0]))
+    thresholds = np.concatenate(([-np.inf], uniq, uniq[-1:]))
 
-
-def eer(scored: ScoredTrials):
-    """Equal error rate and its threshold.
-
-    Walks the ROC over the candidate thresholds and linearly interpolates
-    the crossing where FRR - FAR changes sign. Returns (eer, threshold) with
-    eer in [0, 1].
-    """
-    frr, far, thr = _roc_points(scored)
-    diff = frr - far  # non-decreasing; starts at -1
+    diff = p_miss - p_fa  # non-decreasing; -1 at the first two points
     k = int(np.argmax(diff >= 0.0))
-    if diff[k] == 0.0:
-        return float(frr[k]), float(thr[k])
-    j = k - 1
-    alpha = -diff[j] / (diff[k] - diff[j])
-    rate = frr[j] + alpha * (frr[k] - frr[j])
-    threshold = thr[j] + alpha * (thr[k] - thr[j])
-    return float(rate), float(threshold)
+    eer, eer_thr = p_miss[k], thresholds[k]
+    if diff[k] != 0.0:
+        j = k - 1
+        alpha = -diff[j] / (diff[k] - diff[j])
+        eer = p_miss[j] + alpha * (p_miss[k] - p_miss[j])
+        eer_thr = thresholds[j] + alpha * (thresholds[k] - thresholds[j])
 
-
-def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
-    """Minimum normalized detection cost and the threshold attaining it.
-
-    Sweeps the candidate thresholds (distinct scores plus +-inf), computes
-    c_miss * P_miss * p_target + c_fa * P_fa * (1 - p_target), and divides
-    by the best trivial-decision cost min(c_miss * p_target,
-    c_fa * (1 - p_target)). Ties pick the lowest threshold.
-    """
-    params = params or DcfParams()
-    frr, far, roc_thresholds = _roc_points(scored)
-    # the ROC with the all-accept point first and the all-reject one at +inf
-    p_miss, p_fa = np.append(0.0, frr), np.append(1.0, far)
-    thresholds = np.append(-np.inf, roc_thresholds)
-    thresholds[-1] = np.inf
-    dcf = (params.c_miss * p_miss * params.p_target
-           + params.c_fa * p_fa * (1.0 - params.p_target))
-    normalizer = min(params.c_miss * params.p_target,
-                     params.c_fa * (1.0 - params.p_target))
-    idx = int(np.argmin(dcf))
-    return float(dcf[idx] / normalizer), float(thresholds[idx])
+    cost = dcf.c_miss * p_miss * dcf.p_target + dcf.c_fa * p_fa * (1.0 - dcf.p_target)
+    normalizer = min(dcf.c_miss * dcf.p_target, dcf.c_fa * (1.0 - dcf.p_target))
+    i = int(np.argmin(cost))
+    dcf_thr = np.inf if i == cost.size - 1 else thresholds[i]
+    return float(eer), float(eer_thr), float(cost[i] / normalizer), float(dcf_thr)
 
 
 def save_trials(path, trials) -> None:
@@ -210,20 +191,9 @@ def save_trials(path, trials) -> None:
     _write_lines(path, "trials", trials)
 
 
-def load_trials(path):
-    """Inverse of save_trials: (enroll, test, is_target) arrays."""
-    return _parse_trials(path, "trials", "enroll test 0|1")[0]
-
-
 def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
     """Trial-list format with the score appended to each line."""
     _write_lines(path, "scores", trials, scored.scores)
-
-
-def load_scored_trials(path):
-    """Inverse of save_scored_trials: (trials, ScoredTrials)."""
-    trials, scores = _parse_trials(path, "scores", "enroll test 0|1 score")
-    return trials, ScoredTrials(scores, trials[2])
 
 
 def _write_lines(path, what, trials, scores=None) -> None:
@@ -268,27 +238,3 @@ def _index_cells(enroll, test):
     table = np.array([f"{i} " for i in range(top + 1)], dtype=object)
     return [table[c].tolist() for c in (enroll, test)]
 
-
-def _parse_trials(path, what: str, layout: str):
-    """((enroll, test, is_target), scores) of a trial or score file; raises
-    IoError naming file:line for a malformed line or a self-pair."""
-    lines = read_file(path, what, "ascii").splitlines()
-    width = len(layout.split())
-    enroll, test, flags, scores = [], [], [], []
-    for ln, line in enumerate(lines, start=1):
-        parts = line.split()
-        if len(parts) != width or parts[2] not in ("0", "1"):
-            raise IoError(f"{path}:{ln}: expected '{layout}'")
-        try:
-            e, t = int(parts[0]), int(parts[1])
-            scores.extend(map(float, parts[3:]))
-        except ValueError as exc:
-            raise IoError(f"{path}:{ln}: {exc}") from exc
-        if e == t:
-            raise IoError(f"{path}:{ln}: trial pairs index {e} with itself")
-        enroll.append(e)
-        test.append(t)
-        flags.append(parts[2] == "1")
-    trials = (np.array(enroll, dtype=np.int64), np.array(test, dtype=np.int64),
-              np.array(flags, dtype=bool))
-    return trials, np.array(scores, dtype=np.float64)

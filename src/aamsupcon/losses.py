@@ -297,24 +297,6 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
                       inputs.temperature, inputs.margin, inputs.scale, masks, lam)[:3]
 
 
-def _central_diff(value_fn, arrays, step: float) -> list:
-    """Central finite differences of value_fn() w.r.t. every entry of each
-    array, perturbing the arrays in place and restoring them."""
-    grads = []
-    for arr in arrays:
-        grad = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + step
-            hi = value_fn()
-            arr[idx] = orig - step
-            lo = value_fn()
-            arr[idx] = orig
-            grad[idx] = (hi - lo) / (2.0 * step)
-        grads.append(grad)
-    return grads
-
-
 def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     """Per-component relative error between two gradients.
 
@@ -354,11 +336,25 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
                           inputs.margin, inputs.scale, masks, lam)
 
     _, grad_z, grad_w, _ = terms()
-    fd_z, fd_w = _central_diff(lambda: terms()[0], [z, w], step)
-    errors = np.concatenate([relative_errors(grad_z, fd_z),
-                             relative_errors(grad_w, fd_w)])
-    return GradCheckReport(
-        max_rel_error=float(errors.max()),
-        mean_rel_error=float(errors.mean()),
-        num_components=int(errors.size),
-    )
+    return fd_report(lambda: terms()[0], [z, w], [grad_z, grad_w], step)
+
+
+def fd_report(value_fn, arrays, analytic, step: float) -> GradCheckReport:
+    """Central finite differences of value_fn() w.r.t. every entry of each
+    array, perturbing the arrays in place and restoring them, held against
+    the matching analytic gradients: the max and mean relative_errors over
+    all entries."""
+    errors = []
+    for arr, grad in zip(arrays, analytic):
+        numeric = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + step
+            hi = value_fn()
+            arr[idx] = orig - step
+            lo = value_fn()
+            arr[idx] = orig
+            numeric[idx] = (hi - lo) / (2.0 * step)
+        errors.append(relative_errors(grad, numeric))
+    errors = np.concatenate(errors)
+    return GradCheckReport(float(errors.max()), float(errors.mean()), int(errors.size))

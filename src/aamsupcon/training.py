@@ -27,9 +27,8 @@ from .losses import (
     KernelBuffers,
     LossKind,
     SupconMasks,
-    _central_diff,
+    fd_report,
     loss_terms,
-    relative_errors,
     supcon_masks,
 )
 from .model import (
@@ -297,9 +296,6 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
 
     _, grads, ws, bufs = _step_buffers(params, len(batch))
     _value_and_grads(config, params, batch, labels, masks, grads, ws, bufs)
-    fds = _central_diff(
+    return fd_report(
         lambda: _trace_loss(config, params, forward(params, batch), labels, masks)[0],
-        param_arrays(params), step)
-    flat = np.concatenate([relative_errors(analytic, fd)
-                           for analytic, fd in zip(param_arrays(grads), fds)])
-    return GradCheckReport(float(flat.max()), float(flat.mean()), int(flat.size))
+        param_arrays(params), param_arrays(grads), step)

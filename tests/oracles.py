@@ -3,13 +3,16 @@
 The brute-force EER and minDCF oracles recount both error rates for every
 candidate threshold trial by trial, with the conventions that
 aamsupcon.evaluate documents, and share no code with its sorted routes.
-The loss kernels below allocate every temporary, as the in-place kernels
+eer and min_dcf are the two-curve routes that roc_metrics replaced, kept
+to pin its bits. load_trials and load_scored_trials read the trial and
+score files back and pin the grammar that README documents. The loss
+kernels below allocate every temporary, as the in-place kernels
 of aamsupcon.losses did before they reused buffers, and give the same bits.
 """
 
 import numpy as np
 
-from aamsupcon.errors import NumericalError
+from aamsupcon.errors import IoError, NumericalError, read_file
 from aamsupcon.evaluate import DcfParams, ScoredTrials
 from aamsupcon.geometry import margin_logit, margin_logit_grad
 from aamsupcon.losses import LossKind, contrast_masks
@@ -66,6 +69,109 @@ def min_dcf_threshold_sweep(scored: ScoredTrials, params: DcfParams | None = Non
     normalizer = min(params.c_miss * params.p_target,
                      params.c_fa * (1.0 - params.p_target))
     return best[0] / normalizer, best[1]
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit metric reference: the two-curve eer and min_dcf that
+# evaluate.roc_metrics replaces, kept verbatim
+
+
+def _roc_points(scored: ScoredTrials):
+    """FRR/FAR at every candidate threshold (ascending distinct scores, then
+    the all-reject point). FRR(t) = P(target < t); FAR(t) = P(non-target >= t)."""
+    if np.all(scored.scores == scored.scores[0]):
+        raise NumericalError("all trial scores are equal")
+    tgt = np.sort(scored.scores[scored.is_target])
+    non = np.sort(scored.scores[~scored.is_target])
+    uniq = np.unique(scored.scores)
+    frr = np.searchsorted(tgt, uniq, side="left") / tgt.size
+    far = (non.size - np.searchsorted(non, uniq, side="left")) / non.size
+    frr = np.append(frr, 1.0)
+    far = np.append(far, 0.0)
+    thresholds = np.append(uniq, uniq[-1])  # all-reject point clamps to max score
+    return frr, far, thresholds
+
+
+def eer(scored: ScoredTrials):
+    """Equal error rate and its threshold.
+
+    Walks the ROC over the candidate thresholds and linearly interpolates
+    the crossing where FRR - FAR changes sign. Returns (eer, threshold) with
+    eer in [0, 1].
+    """
+    frr, far, thr = _roc_points(scored)
+    diff = frr - far  # non-decreasing; starts at -1
+    k = int(np.argmax(diff >= 0.0))
+    if diff[k] == 0.0:
+        return float(frr[k]), float(thr[k])
+    j = k - 1
+    alpha = -diff[j] / (diff[k] - diff[j])
+    rate = frr[j] + alpha * (frr[k] - frr[j])
+    threshold = thr[j] + alpha * (thr[k] - thr[j])
+    return float(rate), float(threshold)
+
+
+def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
+    """Minimum normalized detection cost and the threshold attaining it.
+
+    Sweeps the candidate thresholds (distinct scores plus +-inf), computes
+    c_miss * P_miss * p_target + c_fa * P_fa * (1 - p_target), and divides
+    by the best trivial-decision cost min(c_miss * p_target,
+    c_fa * (1 - p_target)). Ties pick the lowest threshold.
+    """
+    params = params or DcfParams()
+    frr, far, roc_thresholds = _roc_points(scored)
+    # the ROC with the all-accept point first and the all-reject one at +inf
+    p_miss, p_fa = np.append(0.0, frr), np.append(1.0, far)
+    thresholds = np.append(-np.inf, roc_thresholds)
+    thresholds[-1] = np.inf
+    dcf = (params.c_miss * p_miss * params.p_target
+           + params.c_fa * p_fa * (1.0 - params.p_target))
+    normalizer = min(params.c_miss * params.p_target,
+                     params.c_fa * (1.0 - params.p_target))
+    idx = int(np.argmin(dcf))
+    return float(dcf[idx] / normalizer), float(thresholds[idx])
+
+
+# ---------------------------------------------------------------------------
+# the trial and score file grammar: readers of the files that save_trials and
+# save_scored_trials write, which no command reads back
+
+
+def load_trials(path):
+    """Inverse of save_trials: (enroll, test, is_target) arrays."""
+    return _parse_trials(path, "trials", "enroll test 0|1")[0]
+
+
+def load_scored_trials(path):
+    """Inverse of save_scored_trials: (trials, ScoredTrials)."""
+    trials, scores = _parse_trials(path, "scores", "enroll test 0|1 score")
+    return trials, ScoredTrials(scores, trials[2])
+
+
+def _parse_trials(path, what: str, layout: str):
+    """((enroll, test, is_target), scores) of a trial or score file; raises
+    IoError naming file:line for a malformed line or a self-pair."""
+    lines = read_file(path, what, "ascii").splitlines()
+    width = len(layout.split())
+    enroll, test, flags, scores = [], [], [], []
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split()
+        if len(parts) != width or parts[2] not in ("0", "1"):
+            raise IoError(f"{path}:{ln}: expected '{layout}'")
+        try:
+            e, t = int(parts[0]), int(parts[1])
+            scores.extend(map(float, parts[3:]))
+        except ValueError as exc:
+            raise IoError(f"{path}:{ln}: {exc}") from exc
+        if e == t:
+            raise IoError(f"{path}:{ln}: trial pairs index {e} with itself")
+        enroll.append(e)
+        test.append(t)
+        flags.append(parts[2] == "1")
+    trials = (np.array(enroll, dtype=np.int64), np.array(test, dtype=np.int64),
+              np.array(flags, dtype=bool))
+    return trials, np.array(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

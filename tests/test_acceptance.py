@@ -16,8 +16,7 @@ from aamsupcon.cli import main
 from aamsupcon.evaluate import (
     ScoredTrials,
     build_trials,
-    eer,
-    min_dcf,
+    roc_metrics,
     score_trials,
 )
 from aamsupcon.geometry import margin_logit, normalize_rows
@@ -153,9 +152,8 @@ def test_criterion_3_oracle_equivalence():
         if not flags.any() or flags.all() or np.all(scores == scores[0]):
             continue
         scored = ScoredTrials(scores, flags)
-        fast_eer, fast_thr = eer(scored)
+        fast_eer, fast_thr, fast_dcf, _ = roc_metrics(scored)
         brute_eer, brute_thr = eer_threshold_sweep(scored)
-        fast_dcf, _ = min_dcf(scored)
         brute_dcf, _ = min_dcf_threshold_sweep(scored)
         worst_metric = max(worst_metric, abs(fast_eer - brute_eer),
                            abs(fast_thr - brute_thr), abs(fast_dcf - brute_dcf))
@@ -200,7 +198,7 @@ def _train_and_eval(loss_kind, seed, batch_speakers, steps, train_set, heldout):
     heldout_features, heldout_ids = heldout
     trials = build_trials(heldout_ids, 40, seed=100)
     scored = score_trials(params, heldout_features, trials)
-    return eer(scored)[0]
+    return roc_metrics(scored)[0]
 
 
 @pytest.fixture(scope="module")

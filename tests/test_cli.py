@@ -359,6 +359,9 @@ def holdout_one_run(tmp_path_factory):
     ("evaluate", "--seed", "-1"),
     ("gradcheck", "--seed", "-1"),
     ("sweep-batch", "--seed", "-1"),
+    ("train", "model.proj_hidden", str(10**19)),
+    ("generate", "dataset.num_speakers", str(10**19)),
+    ("generate", "--seed", str(2**63)),
 ])
 def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, capsys,
                                                      command, key, value):
@@ -375,6 +378,26 @@ def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, 
     err = capsys.readouterr().err
     assert err.count(key) == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "model.proj_hidden", str(10**13)),
+    ("generate", "dataset.num_speakers", str(10**13)),
+    ("evaluate", "eval.trials_per_speaker", str(10**14)),
+])
+def test_oversized_value_exits_1_out_of_memory(holdout_one_run, tmp_path, capsys,
+                                               command, key, value):
+    """A size whose first array exceeds 2**48 bytes, more address space than
+    a 64-bit process gets by default, so the allocation fails under any
+    overcommit setting before memory is touched: exit 1 with numpy's
+    message on one stderr line."""
+    cfg, data, checkpoint = holdout_one_run
+    bad = override(cfg, tmp_path / "bad.ini", key, value)
+    capsys.readouterr()
+    assert main(command_argv(command, bad, data, checkpoint, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: out of memory: Unable to allocate"), err
 
 
 def test_gradcheck_seed_flag_sets_gradcheck_seed(tmp_path):

@@ -16,17 +16,30 @@ from aamsupcon.evaluate import (
     DcfParams,
     ScoredTrials,
     build_trials,
-    eer,
-    load_scored_trials,
-    load_trials,
-    min_dcf,
+    roc_metrics,
     save_scored_trials,
     save_trials,
     score_trials,
 )
 from aamsupcon.model import NetworkParams, encoder_embeddings, forward, init_params
 from aamsupcon.synthdata import DatasetSpec, generate
-from oracles import eer_threshold_sweep, min_dcf_threshold_sweep
+import oracles
+from oracles import (
+    eer_threshold_sweep,
+    load_scored_trials,
+    load_trials,
+    min_dcf_threshold_sweep,
+)
+
+
+def _eer(scored):
+    """(eer, threshold) of roc_metrics."""
+    return roc_metrics(scored)[:2]
+
+
+def _min_dcf(scored, dcf=None):
+    """(min_dcf, threshold) of roc_metrics."""
+    return roc_metrics(scored, dcf)[2:]
 
 
 def _random_scored(rng, n=40, ties=True):
@@ -383,7 +396,7 @@ def test_block_scoring_peak_memory():
 def test_eer_perfect_separation():
     scored = ScoredTrials(np.array([0.9, 0.9, 0.9, -0.9, -0.9]),
                           np.array([True, True, True, False, False]))
-    rate, threshold = eer(scored)
+    rate, threshold = _eer(scored)
     assert rate == 0.0
     assert -0.9 < threshold <= 0.9
 
@@ -392,7 +405,7 @@ def test_eer_handcrafted_four_trials():
     # frozen from the exhaustive sweep: one error per class at the crossing
     scored = ScoredTrials(np.array([0.8, 0.4, 0.6, 0.1]),
                           np.array([True, True, False, False]))
-    rate, threshold = eer(scored)
+    rate, threshold = _eer(scored)
     assert rate == 0.5
     assert threshold == 0.6
     assert eer_threshold_sweep(scored) == (rate, threshold)
@@ -402,14 +415,14 @@ def test_eer_random_labels_near_half():
     rng = np.random.default_rng(4)
     scores = rng.normal(size=10000)
     flags = rng.random(10000) < 0.5
-    rate, _ = eer(ScoredTrials(scores, flags))
+    rate, _ = _eer(ScoredTrials(scores, flags))
     assert abs(rate - 0.5) < 0.05
 
 
 def test_eer_total_confusion_is_one():
     scored = ScoredTrials(np.array([0.1, 0.1, 0.9, 0.9]),
                           np.array([True, True, False, False]))
-    rate, _ = eer(scored)
+    rate, _ = _eer(scored)
     assert rate == 1.0
 
 
@@ -417,7 +430,7 @@ def test_eer_degenerate_scores():
     scored = ScoredTrials(np.array([0.5, 0.5, 0.5]),
                           np.array([True, False, True]))
     with pytest.raises(NumericalError, match="all trial scores are equal"):
-        eer(scored)
+        _eer(scored)
     with pytest.raises(NumericalError, match="all trial scores are equal"):
         eer_threshold_sweep(scored)
 
@@ -434,7 +447,7 @@ def test_scored_trials_need_both_classes():
 def test_min_dcf_perfect_separation_is_zero():
     scored = ScoredTrials(np.array([0.9, 0.8, -0.8, -0.9]),
                           np.array([True, True, False, False]))
-    value, threshold = min_dcf(scored)
+    value, threshold = _min_dcf(scored)
     assert value == 0.0
     assert -0.8 < threshold <= 0.9
 
@@ -443,7 +456,7 @@ def test_min_dcf_handcrafted_six_trials():
     # frozen from the brute-force sweep: best threshold 0.7 -> cost (1/3)*0.01
     scored = ScoredTrials(np.array([0.9, 0.7, 0.4, 0.6, 0.3, 0.1]),
                           np.array([True, True, True, False, False, False]))
-    value, threshold = min_dcf(scored)
+    value, threshold = _min_dcf(scored)
     assert value == pytest.approx(0.3333333333333333, abs=1e-15)
     assert threshold == 0.7
     oracle_value, oracle_threshold = min_dcf_threshold_sweep(scored)
@@ -455,24 +468,24 @@ def test_min_dcf_bounded_by_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
         scored = _random_scored(rng)
-        value, _ = min_dcf(scored)
+        value, _ = _min_dcf(scored)
         assert 0.0 <= value <= 1.0
 
 
 def test_min_dcf_zero_iff_separable():
     separable = ScoredTrials(np.array([0.5, 0.4, 0.3, 0.2]),
                              np.array([True, True, False, False]))
-    assert min_dcf(separable)[0] == 0.0
+    assert _min_dcf(separable)[0] == 0.0
     overlapping = ScoredTrials(np.array([0.5, 0.2, 0.4, 0.1]),
                                np.array([True, True, False, False]))
-    assert min_dcf(overlapping)[0] > 0.0
+    assert _min_dcf(overlapping)[0] > 0.0
 
 
 def test_min_dcf_custom_costs():
     scored = ScoredTrials(np.array([0.9, 0.1, 0.5, 0.2]),
                           np.array([True, True, False, False]))
     params = DcfParams(p_target=0.5, c_miss=10.0, c_fa=1.0)
-    fast = min_dcf(scored, params)
+    fast = _min_dcf(scored, params)
     brute = min_dcf_threshold_sweep(scored, params)
     assert fast[0] == pytest.approx(brute[0], abs=1e-15)
     assert fast[1] == brute[1]
@@ -494,34 +507,58 @@ def test_fast_metrics_match_oracles_on_random_sets():
     for _ in range(50):
         scored = _random_scored(rng, n=int(rng.integers(4, 40)))
         try:
-            fast_rate, fast_thr = eer(scored)
+            fast_rate, fast_thr = _eer(scored)
         except NumericalError:
             continue
         brute_rate, brute_thr = eer_threshold_sweep(scored)
         assert abs(fast_rate - brute_rate) < 1e-12
         assert abs(fast_thr - brute_thr) < 1e-12
-        fast_dcf, fast_dthr = min_dcf(scored)
+        fast_dcf, fast_dthr = _min_dcf(scored)
         brute_dcf, brute_dthr = min_dcf_threshold_sweep(scored)
         assert abs(fast_dcf - brute_dcf) < 1e-12
         assert fast_dthr == brute_dthr
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(n=2, digits=0, seed=0, p_target=0.01, c_miss=1.0, c_fa=1.0)
+@example(n=200, digits=1, seed=1, p_target=0.5, c_miss=10.0, c_fa=0.1)
+@given(n=st.integers(2, 300), digits=st.integers(0, 17), seed=st.integers(0, 2**32 - 1),
+       p_target=st.floats(1e-6, 1.0 - 1e-6), c_miss=st.floats(1e-3, 1e3),
+       c_fa=st.floats(1e-3, 1e3))
+def test_roc_metrics_matches_two_curve_routes_bit_for_bit(n, digits, seed, p_target,
+                                                          c_miss, c_fa):
+    """roc_metrics gives the bits of the two-curve eer and min_dcf it
+    replaced, on scores rounded to digits decimals (few digits: many ties)
+    and random costs."""
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.normal(size=n), digits)
+    flags = np.arange(n) < int(rng.integers(1, n))
+    rng.shuffle(flags)
+    scored, dcf = ScoredTrials(scores, flags), DcfParams(p_target, c_miss, c_fa)
+    if np.all(scores == scores[0]):
+        with pytest.raises(NumericalError, match="all trial scores are equal"):
+            roc_metrics(scored, dcf)
+        return
+    want = (*oracles.eer(scored), *oracles.min_dcf(scored, dcf))
+    assert [v.hex() for v in roc_metrics(scored, dcf)] == [v.hex() for v in want]
+
+
 def test_metrics_invariant_under_increasing_transforms():
     rng = np.random.default_rng(7)
     scored = _random_scored(rng, n=60, ties=False)
-    base_eer, _ = eer(scored)
-    base_dcf, _ = min_dcf(scored)
+    base_eer, _ = _eer(scored)
+    base_dcf, _ = _min_dcf(scored)
     for transform in (lambda s: 2.0 * s + 1.0, np.tanh):
         mapped = ScoredTrials(transform(scored.scores), scored.is_target)
-        assert eer(mapped)[0] == pytest.approx(base_eer, abs=1e-12)
-        assert min_dcf(mapped)[0] == pytest.approx(base_dcf, abs=1e-12)
+        assert _eer(mapped)[0] == pytest.approx(base_eer, abs=1e-12)
+        assert _min_dcf(mapped)[0] == pytest.approx(base_dcf, abs=1e-12)
 
 
 def test_eer_invariant_under_role_swap_with_negation():
     rng = np.random.default_rng(8)
     scored = _random_scored(rng, n=61, ties=False)
     swapped = ScoredTrials(-scored.scores, ~scored.is_target)
-    assert eer(swapped)[0] == pytest.approx(eer(scored)[0], abs=1e-12)
+    assert _eer(swapped)[0] == pytest.approx(_eer(scored)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ parameter step and class-weight renormalization, as in train's loop).
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
-an untrained quickstart-shaped model: build_trials, score_trials, eer plus
-min_dcf, save_trials and save_scored_trials.
+an untrained quickstart-shaped model: build_trials, score_trials,
+roc_metrics (eer plus min_dcf in a checkout that predates it), save_trials
+and save_scored_trials.
 
 Each round runs in a fresh interpreter with single-threaded BLAS, imports
 the package from a checkout's src/, and times every row in-process with
@@ -50,7 +51,7 @@ SPEAKERS = (8, 32, 64)
 VIEWS = 2
 SPACES = ("projection", "encoder")
 TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
-EVAL_LAYERS = ("build_trials", "score_trials", "eer + min_dcf", "save_trials",
+EVAL_LAYERS = ("build_trials", "score_trials", "roc_metrics", "save_trials",
                "save_scored_trials")
 EVAL_SPEAKERS, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 10, 400
 # (warm-up calls, timed blocks, calls per block) per training and per
@@ -137,11 +138,15 @@ def eval_rows(calls):
     params = init_params([40, 64, 64], 128, 128, EVAL_SPEAKERS, seed=0)
     trials = evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
     scored = evaluate.score_trials(params, features, trials)
+    if hasattr(evaluate, "roc_metrics"):
+        curve = lambda: evaluate.roc_metrics(scored)
+    else:  # an older checkout builds the curve once per metric
+        curve = lambda: (evaluate.eer(scored), evaluate.min_dcf(scored))
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         parts = (lambda: evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1),
                  lambda: evaluate.score_trials(params, features, trials),
-                 lambda: (evaluate.eer(scored), evaluate.min_dcf(scored)),
+                 curve,
                  lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
                  lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored))
         for layer, fn in zip(EVAL_LAYERS, parts):
