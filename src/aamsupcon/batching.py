@@ -23,28 +23,17 @@ The second needs PCG64, the bit generator of np.random.default_rng; a
 generator on another one raises ValueError before any draw.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConfigError
 
 
-@dataclass
-class AugmentPolicy:
-    """noise_sigma scales the additive Gaussian noise; mask_max bounds the
-    number of contiguous coordinates zeroed (None means d_in // 8)."""
-
-    noise_sigma: float = 0.1
-    mask_max: int | None = None
-
-    def resolved_mask_max(self, d_in: int) -> int:
-        """mask_max for rows of d_in coordinates; ValueError outside [0, d_in]."""
-        mask_max = d_in // 8 if self.mask_max is None else self.mask_max
-        if not 0 <= mask_max <= d_in:
-            raise ValueError(f"mask_max {mask_max} outside [0, {d_in}]")
-        return mask_max
+def _speaker_order(speaker_ids):
+    """(ids, order, counts): the distinct ids in ascending order, the row
+    indices stably sorted by speaker, and the number of rows of each id."""
+    ids, dense, counts = np.unique(np.asarray(speaker_ids, dtype=np.int64),
+                                   return_inverse=True, return_counts=True)
+    return ids, np.argsort(dense, kind="stable"), counts
 
 
 def group_by_speaker(speaker_ids):
@@ -53,26 +42,8 @@ def group_by_speaker(speaker_ids):
     ids holds the distinct speaker ids in ascending order; groups[k] holds
     the row indices of speaker ids[k], in row order. k is the speaker's
     dense class index."""
-    ids, dense, counts = np.unique(np.asarray(speaker_ids, dtype=np.int64),
-                                   return_inverse=True, return_counts=True)
-    order = np.argsort(dense, kind="stable")
+    ids, order, counts = _speaker_order(speaker_ids)
     return ids, (np.split(order, np.cumsum(counts)[:-1]) if ids.size else [])
-
-
-class SpeakerRows(NamedTuple):
-    """group_by_speaker's groups as one flat array: the rows of speaker k
-    are order[starts[k]:starts[k] + counts[k]]."""
-
-    order: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-
-def speaker_rows(groups) -> SpeakerRows:
-    """The SpeakerRows of group_by_speaker's groups, built once per run."""
-    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
-    order = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
-    return SpeakerRows(order, np.cumsum(counts) - counts, counts)
 
 
 def _check_pcg64(rng: np.random.Generator) -> None:
@@ -156,17 +127,6 @@ def _augment(x, out, noise_sigma: float, mask_max: int, rng: np.random.Generator
         row[start:stop] = 0.0
 
 
-def augment(x, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of every row of x (N, d_in), as a new array (see
-    _augment). rng must be a PCG64 generator."""
-    x = np.asarray(x, dtype=np.float64)
-    mask_max = policy.resolved_mask_max(x.shape[1])
-    _check_pcg64(rng)
-    out = np.empty_like(x)
-    _augment(x, out, policy.noise_sigma, mask_max, rng)
-    return out
-
-
 def batch_layout(batch_speakers: int, views_per_speaker: int) -> np.ndarray:
     """Which chosen speaker each row of a BatchSampler batch belongs to:
     speaker k's views_per_speaker original rows, for k = 0 .. B-1 in turn,
@@ -222,33 +182,38 @@ class BatchSampler:
     (2BV, d_in), labels (2BV,)), B being batch_speakers and V
     views_per_speaker.
 
-    rows is the speaker_rows of group_by_speaker's groups and labels are
-    positions in them. A draw takes B speakers uniformly without
-    replacement among those with at least V rows, then V rows per speaker
-    without replacement (as rng.choice would, speaker by speaker), then one
-    augmentation per row (see _augment). The rows follow batch_layout.
+    speaker_ids holds the speaker of each row of features; labels are dense
+    class indices, class k being the k-th smallest id. A draw takes B
+    speakers uniformly without replacement among those with at least V
+    rows, then V rows per speaker without replacement (as rng.choice would,
+    speaker by speaker), then one augmentation per row (see _augment) with
+    noise_sigma and mask_max (None means d_in // 8). The rows follow
+    batch_layout.
 
     The request is checked once, here: ConfigError when the rows cannot
     satisfy it, ValueError for B or V below 1 or a mask_max outside
     [0, d_in]. batch_features is the sampler's own array: the next draw
     overwrites it."""
 
-    def __init__(self, features, rows: SpeakerRows, batch_speakers: int,
-                 views_per_speaker: int, policy: AugmentPolicy):
+    def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
+                 noise_sigma: float, mask_max: int | None):
         if batch_speakers < 1 or views_per_speaker < 1:
             raise ValueError("batch_speakers and views_per_speaker must be >= 1")
-        if rows.counts.size < batch_speakers:
+        _, self.order, self.counts = _speaker_order(speaker_ids)
+        self.starts = np.cumsum(self.counts) - self.counts
+        if self.counts.size < batch_speakers:
             raise ConfigError(
-                f"need {batch_speakers} speakers, dataset has {rows.counts.size}")
-        eligible = np.flatnonzero(rows.counts >= views_per_speaker)
-        if eligible.size < batch_speakers:
+                f"need {batch_speakers} speakers, dataset has {self.counts.size}")
+        self.eligible = np.flatnonzero(self.counts >= views_per_speaker)
+        if self.eligible.size < batch_speakers:
             raise ConfigError(
-                f"only {eligible.size} speakers have >= {views_per_speaker} rows")
+                f"only {self.eligible.size} speakers have >= {views_per_speaker} rows")
         self.features = np.asarray(features, dtype=np.float64)
         d_in = self.features.shape[1]
-        self.mask_max = policy.resolved_mask_max(d_in)
-        self.noise_sigma = policy.noise_sigma
-        self.rows, self.eligible = rows, eligible
+        self.mask_max = d_in // 8 if mask_max is None else mask_max
+        if not 0 <= self.mask_max <= d_in:
+            raise ValueError(f"mask_max {self.mask_max} outside [0, {d_in}]")
+        self.noise_sigma = noise_sigma
         self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
         self.layout = batch_layout(batch_speakers, views_per_speaker)
         self.bounds = _row_bounds(batch_speakers, views_per_speaker)
@@ -259,19 +224,11 @@ class BatchSampler:
         """The next (batch_features, labels) from rng, a PCG64 generator."""
         _check_pcg64(rng)
         chosen = rng.choice(self.eligible, size=self.batch_speakers, replace=False)
-        picks = _choose_rows(self.rows.counts[chosen], self.views_per_speaker, rng,
-                             self.bounds)
-        picks += self.rows.starts[chosen][:, None]
+        picks = _choose_rows(self.counts[chosen], self.views_per_speaker, rng, self.bounds)
+        picks += self.starts[chosen][:, None]
         # the rows are in range by construction; clip mode gathers straight
         # into the batch, where the default raise mode gathers into a copy
-        np.take(self.features, self.rows.order[picks.ravel()], axis=0, out=self.originals,
+        np.take(self.features, self.order[picks.ravel()], axis=0, out=self.originals,
                 mode="clip")
         _augment(self.originals, self.views, self.noise_sigma, self.mask_max, rng)
         return self.batch, chosen[self.layout]
-
-
-def build_batch(features, rows: SpeakerRows, batch_speakers: int, views_per_speaker: int,
-                policy: AugmentPolicy, rng: np.random.Generator):
-    """One draw of a new BatchSampler (see it): (batch_features (2BV, d_in),
-    labels (2BV,))."""
-    return BatchSampler(features, rows, batch_speakers, views_per_speaker, policy).draw(rng)

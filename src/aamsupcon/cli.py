@@ -195,6 +195,15 @@ def _seeded(obj, seed):
     return replace(obj, seed=seed)
 
 
+def _check_bytes(keys: str, items: int) -> None:
+    """Refuse, naming keys, an array of items 8-byte values past numpy's limit
+    of 2**63 - 1 bytes before numpy is asked for it: a size product past it
+    can wrap in int64 first, and np.repeat then writes out of bounds."""
+    if 8 * items >= 2**63:
+        raise ConfigError(f"{keys}: an array of {items} 8-byte values exceeds numpy's "
+                          "limit of 2**63 - 1 bytes")
+
+
 def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None:
     """Check the keys whose valid range depends on the training rows, and
     the --sizes of a sweep in place of training.batch_speakers."""
@@ -203,6 +212,10 @@ def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
                           f"dataset's d_in), got {cfg.mask_max}")
     _, groups = group_by_speaker(speaker_ids)
+    widths = [d_in, *cfg.encoder_hidden, cfg.proj_hidden, cfg.embedding_dim]
+    _check_bytes("model.encoder_hidden, model.proj_hidden and model.embedding_dim",
+                 sum(a * b for a, b in zip(widths, widths[1:])) + sum(cfg.encoder_hidden)
+                 + len(groups) * (cfg.class_dim() or cfg.embedding_dim))
     eligible = sum(len(rows) >= cfg.views_per_speaker for rows in groups)
     fit = (f"speakers with training.views_per_speaker = {cfg.views_per_speaker} "
            f"or more training utterances; the data has {eligible}")
@@ -250,6 +263,8 @@ def _ensure_out(out_dir) -> None:
 def cmd_generate(args) -> int:
     config, echo = load_config(args.config)
     spec = _seeded(config[DatasetSpec], args.seed)
+    _check_bytes("dataset.num_speakers x dataset.utterances_per_speaker x dataset.d_in",
+                 spec.num_speakers * spec.utterances_per_speaker * spec.d_in)
     _ensure_out(args.out)
     features, speaker_ids, _ = generate(spec)
     dataset_path = os.path.join(args.out, "dataset.txt")
@@ -282,6 +297,8 @@ def _build_trials(config, speaker_ids, trial_spec):
         raise ConfigError("dataset.holdout_per_speaker = 1 leaves one evaluated "
                           "utterance per speaker, so no target trial; evaluating "
                           "needs 0 or >= 2")
+    _check_bytes("eval.trials_per_speaker",
+                 2 * np.unique(speaker_ids).size * trial_spec.trials_per_speaker)
     return build_trials(speaker_ids, trial_spec.trials_per_speaker, trial_spec.seed)
 
 

@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import (
-    AugmentPolicy,
-    BatchSampler,
-    batch_layout,
-    build_batch,
-    group_by_speaker,
-    speaker_rows,
-)
+from .batching import BatchSampler, batch_layout
 from .errors import DivergenceDetected, ZeroVector, write_file
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
@@ -127,9 +120,6 @@ class TrainConfig:
     def class_dim(self) -> int | None:
         return self.encoder_hidden[-1] if self.classifier_space == "encoder" else None
 
-    def augment_policy(self) -> AugmentPolicy:
-        return AugmentPolicy(self.noise_sigma, self.mask_max)
-
 
 @dataclass
 class StepRecord:
@@ -197,16 +187,15 @@ def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
 
 
 def _start(config: TrainConfig, features, speaker_ids):
-    """Validate the config, group the rows by speaker once and seed the
-    parameters: (features, rows, params), rows being the speaker_rows of
-    the grouping; class k is the k-th smallest id."""
+    """Validate the config, build the run's BatchSampler and seed the
+    parameters: (sampler, params); class k is the k-th smallest id."""
     config.validate()
-    features = np.asarray(features, dtype=np.float64)
-    _, groups = group_by_speaker(speaker_ids)
-    params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
-                         config.embedding_dim, len(groups), config.seed,
-                         class_dim=config.class_dim())
-    return features, speaker_rows(groups), params
+    sampler = BatchSampler(features, speaker_ids, config.batch_speakers,
+                           config.views_per_speaker, config.noise_sigma, config.mask_max)
+    params = init_params([sampler.features.shape[1], *config.encoder_hidden],
+                         config.proj_hidden, config.embedding_dim, sampler.counts.size,
+                         config.seed, class_dim=config.class_dim())
+    return sampler, params
 
 
 def train(config: TrainConfig, features, speaker_ids):
@@ -223,15 +212,13 @@ def train(config: TrainConfig, features, speaker_ids):
     forward, the loss kernels, backward, the update and the batch sampler
     write is allocated once per run and reused by every step.
     """
-    features, rows, init = _start(config, features, speaker_ids)
+    sampler, init = _start(config, features, speaker_ids)
     flat_params, params = flat_copy(init)
     n = 2 * config.batch_speakers * config.views_per_speaker
     flat_grads, grads, ws, bufs = _step_buffers(init, n)
     scratch, squares = flat_copy(init, ParamGrads)
     velocity = np.zeros_like(flat_params)
     masks = run_masks(config)
-    sampler = BatchSampler(features, rows, config.batch_speakers, config.views_per_speaker,
-                           config.augment_policy())
     rng = np.random.default_rng(config.seed)
     log = RunLog()
 
@@ -288,10 +275,8 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
                           step: float = 1e-6, batch_seed: int = 0) -> GradCheckReport:
     """Finite-difference check of d(loss)/d(params) through the whole
     network (forward -> loss -> backward) on one sampled batch."""
-    features, rows, params = _start(config, features, speaker_ids)
-    rng = np.random.default_rng(batch_seed)
-    batch, labels = build_batch(features, rows, config.batch_speakers,
-                                config.views_per_speaker, config.augment_policy(), rng)
+    sampler, params = _start(config, features, speaker_ids)
+    batch, labels = sampler.draw(np.random.default_rng(batch_seed))
     masks = run_masks(config)
 
     _, grads, ws, bufs = _step_buffers(params, len(batch))

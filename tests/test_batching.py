@@ -3,15 +3,13 @@ import pytest
 
 from aamsupcon import batching
 from aamsupcon.batching import (
-    AugmentPolicy,
     BatchSampler,
+    _augment,
+    _check_pcg64,
     _choose_rows,
     _HalfWords,
     _row_bounds,
-    augment,
-    build_batch,
     group_by_speaker,
-    speaker_rows,
 )
 from aamsupcon.errors import ConfigError
 from aamsupcon.losses import contrast_masks
@@ -19,15 +17,24 @@ from aamsupcon.synthdata import DatasetSpec, generate
 
 
 def _dataset(num_speakers=6, utterances=4, d_in=16, seed=0):
-    """(features, groups) of a generated dataset."""
-    features, speaker_ids, _ = generate(DatasetSpec(num_speakers, utterances, d_in, 0.2, seed))
-    return features, group_by_speaker(speaker_ids)[1]
+    """(features, speaker_ids) of a generated dataset."""
+    return generate(DatasetSpec(num_speakers, utterances, d_in, 0.2, seed))[:2]
+
+
+def augment(x, noise_sigma, mask_max, rng):
+    """One view of every row of x (n, d_in) as a new array, as a draw makes
+    them (see batching._augment); mask_max None means d_in // 8. rng must
+    be a PCG64 generator."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_pcg64(rng)
+    out = np.empty_like(x)
+    _augment(x, out, noise_sigma, x.shape[1] // 8 if mask_max is None else mask_max, rng)
+    return out
 
 
 def test_augment_identity_when_disabled():
     x = np.arange(8.0)[None, :]
-    out = augment(x, AugmentPolicy(noise_sigma=0.0, mask_max=0),
-                  np.random.default_rng(0))
+    out = augment(x, 0.0, 0, np.random.default_rng(0))
     assert np.array_equal(out, x)
 
 
@@ -40,34 +47,33 @@ def test_augment_full_mask_zeroes_everything():
     # a seed whose first row draws k = d_in, so the start is 0
     seed = next(seed for seed in range(1000) if first_k(seed) == 8)
     x = np.ones((1, 8))
-    out = augment(x, AugmentPolicy(noise_sigma=0.0, mask_max=8), np.random.default_rng(seed))
+    out = augment(x, 0.0, 8, np.random.default_rng(seed))
     assert np.all(out == 0.0)
 
 
 def test_augment_deterministic_per_seed():
     x = np.linspace(-1, 1, 20)[None, :]
-    policy = AugmentPolicy(noise_sigma=0.3, mask_max=5)
-    a = augment(x, policy, np.random.default_rng(99))
-    b = augment(x, policy, np.random.default_rng(99))
+    a = augment(x, 0.3, 5, np.random.default_rng(99))
+    b = augment(x, 0.3, 5, np.random.default_rng(99))
     assert np.array_equal(a, b)
-    c = augment(x, policy, np.random.default_rng(100))
+    c = augment(x, 0.3, 5, np.random.default_rng(100))
     assert not np.array_equal(a, c)
 
 
 def test_augment_preserves_id_and_dimension():
     rng = np.random.default_rng(1)
-    policy = AugmentPolicy()  # default mask_max = d_in // 8
     for _ in range(20):
         x = rng.normal(size=(int(rng.integers(1, 9)), 24))
-        out = augment(x, policy, rng)
+        out = augment(x, 0.1, None, rng)  # default mask_max = d_in // 8
         # row i of the output is the view of row i: the row keeps its id
         assert out.shape == x.shape
 
 
-def test_build_batch_counts_and_alignment():
-    features, groups = _dataset()
-    batch, labels = build_batch(features, speaker_rows(groups), 4, 2, AugmentPolicy(),
-                                np.random.default_rng(0))
+def test_draw_counts_and_alignment():
+    features, speaker_ids = _dataset()
+    groups = group_by_speaker(speaker_ids)[1]
+    batch, labels = BatchSampler(features, speaker_ids, 4, 2, 0.1, None).draw(
+        np.random.default_rng(0))
     assert len(batch) == len(labels) == 16
     counts = {}
     for label in labels:
@@ -79,33 +85,24 @@ def test_build_batch_counts_and_alignment():
         assert labels[k] == labels[k + 8]
 
 
-def test_build_batch_errors():
-    features, groups = _dataset(num_speakers=3, utterances=2)
-    with pytest.raises(ConfigError, match="need 4 speakers, dataset has 3"):
-        build_batch(features, speaker_rows(groups), 4, 2, AugmentPolicy(), np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="only 0 speakers have >= 3 rows"):
-        build_batch(features, speaker_rows(groups), 3, 3, AugmentPolicy(), np.random.default_rng(0))
-
-
 def test_sampler_checks_the_request_when_built():
-    features, groups = _dataset(num_speakers=3, utterances=2)
-    rows = speaker_rows(groups)
+    features, speaker_ids = _dataset(num_speakers=3, utterances=2)
     with pytest.raises(ConfigError, match="need 4 speakers, dataset has 3"):
-        BatchSampler(features, rows, 4, 2, AugmentPolicy())
+        BatchSampler(features, speaker_ids, 4, 2, 0.1, None)
+    with pytest.raises(ConfigError, match="only 0 speakers have >= 3 rows"):
+        BatchSampler(features, speaker_ids, 3, 3, 0.1, None)
     with pytest.raises(ValueError, match="must be >= 1"):
-        BatchSampler(features, rows, 2, 0, AugmentPolicy())
+        BatchSampler(features, speaker_ids, 2, 0, 0.1, None)
     with pytest.raises(ValueError, match=r"mask_max 17 outside \[0, 16\]"):
-        BatchSampler(features, rows, 2, 2, AugmentPolicy(mask_max=17))
+        BatchSampler(features, speaker_ids, 2, 2, 0.1, 17)
 
 
 def test_non_pcg64_generators_are_rejected_before_any_draw():
-    features, groups = _dataset()
-    rows, policy = speaker_rows(groups), AugmentPolicy()
+    features, speaker_ids = _dataset()
     rng = np.random.Generator(np.random.MT19937(0))
     before = rng.bit_generator.state
-    for call in (lambda: BatchSampler(features, rows, 4, 2, policy).draw(rng),
-                 lambda: build_batch(features, rows, 4, 2, policy, rng),
-                 lambda: augment(features, policy, rng)):
+    for call in (lambda: BatchSampler(features, speaker_ids, 4, 2, 0.1, None).draw(rng),
+                 lambda: augment(features, 0.1, None, rng)):
         with pytest.raises(ValueError, match="PCG64"):
             call()
     after = rng.bit_generator.state
@@ -113,23 +110,27 @@ def test_non_pcg64_generators_are_rejected_before_any_draw():
     assert np.array_equal(after["state"]["key"], before["state"]["key"])
 
 
-def test_build_batch_deterministic_and_seed_sensitive():
-    features, groups = _dataset()
-    policy = AugmentPolicy()
-    a_x, a_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(7))
-    b_x, b_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(7))
+def _draw_once(features, speaker_ids, seed):
+    """One draw of a new default-augmenting sampler of 4 speakers x 2 views."""
+    return BatchSampler(features, speaker_ids, 4, 2, 0.1, None).draw(np.random.default_rng(seed))
+
+
+def test_draw_deterministic_and_seed_sensitive():
+    features, speaker_ids = _dataset()
+    a_x, a_y = _draw_once(features, speaker_ids, 7)
+    b_x, b_y = _draw_once(features, speaker_ids, 7)
     assert np.array_equal(a_x, b_x)
     assert np.array_equal(a_y, b_y)
-    c_x, c_y = build_batch(features, speaker_rows(groups), 4, 2, policy, np.random.default_rng(8))
+    c_x, c_y = _draw_once(features, speaker_ids, 8)
     assert (not np.array_equal(a_y, c_y)
             or not np.array_equal(a_x, c_x))
 
 
 def test_every_anchor_has_a_positive_across_many_seeds():
-    features, groups = _dataset(num_speakers=5, utterances=3)
-    rows, policy = speaker_rows(groups), AugmentPolicy()
+    features, speaker_ids = _dataset(num_speakers=5, utterances=3)
+    sampler = BatchSampler(features, speaker_ids, 3, 1, 0.1, None)
     for seed in range(100):
-        _, labels = build_batch(features, rows, 3, 1, policy, np.random.default_rng(seed))
+        _, labels = sampler.draw(np.random.default_rng(seed))
         try:
             pos, _ = contrast_masks(labels)
         except ConfigError:
@@ -138,8 +139,8 @@ def test_every_anchor_has_a_positive_across_many_seeds():
 
 
 def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
-                    policy, rng):
-    """Per-row reference for build_batch, spelling out its random draw order:
+                    noise_sigma, mask_max, rng):
+    """Per-row reference for a sampler's draw, spelling out its random draw order:
     1. the speakers, uniformly without replacement among the eligible ones
        (ascending id order, at least views_per_speaker rows);
     2. for each chosen speaker in turn, its rows without replacement;
@@ -160,10 +161,10 @@ def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
             rows.append(own[p])
             labels.append(int(k))
     d_in = features.shape[1]
-    mask_max = policy.resolved_mask_max(d_in)
+    mask_max = d_in // 8 if mask_max is None else mask_max
     views = []
     for row in rows:
-        view = features[row] + policy.noise_sigma * rng.standard_normal(d_in)
+        view = features[row] + noise_sigma * rng.standard_normal(d_in)
         k = int(rng.integers(0, mask_max + 1))
         if k > 0:
             start = int(rng.integers(0, d_in - k + 1))
@@ -173,26 +174,24 @@ def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
 
 
 def _unequal_speakers(seed):
-    """(features (34, 24), speaker_ids, groups): unsorted, non-contiguous
-    speaker ids with unequal row counts, so that grouping, eligibility and
-    the dense labels are all exercised."""
+    """(features (34, 24), speaker_ids): unsorted, non-contiguous speaker ids
+    with unequal row counts, so that grouping, eligibility and the dense
+    labels are all exercised."""
     rng = np.random.default_rng(seed)
     speaker_ids = rng.permutation(np.repeat([3, 10, 42, 7, 99, 5], [12, 9, 2, 1, 7, 3]))
-    features = rng.standard_normal((speaker_ids.size, 24))
-    return features, speaker_ids, group_by_speaker(speaker_ids)[1]
+    return rng.standard_normal((speaker_ids.size, 24)), speaker_ids
 
 
 # mask_max 24 is d_in: a run may cover the whole row
 @pytest.mark.parametrize("mask_max,noise_sigma",
                          [(0, 0.2), (None, 0.2), (24, 0.2), (None, 0.0), (24, 0.0)])
-def test_build_batch_matches_per_row_reference(mask_max, noise_sigma):
-    features, speaker_ids, groups = _unequal_speakers(mask_max or 1)
-    policy = AugmentPolicy(noise_sigma=noise_sigma, mask_max=mask_max)
+def test_first_draw_matches_per_row_reference(mask_max, noise_sigma):
+    features, speaker_ids = _unequal_speakers(mask_max or 1)
     for seed in range(60):
         speakers, views = 1 + seed % 4, 1 + seed % 3
-        got = build_batch(features, speaker_rows(groups), speakers, views, policy,
-                          np.random.default_rng(seed))
-        want = reference_batch(features, speaker_ids, speakers, views, policy,
+        got = BatchSampler(features, speaker_ids, speakers, views, noise_sigma,
+                           mask_max).draw(np.random.default_rng(seed))
+        want = reference_batch(features, speaker_ids, speakers, views, noise_sigma, mask_max,
                                np.random.default_rng(seed))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
         assert got[1].dtype == want[1].dtype
@@ -203,14 +202,14 @@ def test_build_batch_matches_per_row_reference(mask_max, noise_sigma):
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.2])
 @pytest.mark.parametrize("mask_max", [0, None, 3, 24])
 def test_sampler_replays_the_reference_draw_after_draw(mask_max, noise_sigma):
-    features, speaker_ids, groups = _unequal_speakers(7)
-    policy = AugmentPolicy(noise_sigma=noise_sigma, mask_max=mask_max)
+    features, speaker_ids = _unequal_speakers(7)
     for speakers, views, seed in ((4, 2, 11), (3, 3, 12), (2, 1, 13)):
-        sampler = BatchSampler(features, speaker_rows(groups), speakers, views, policy)
+        sampler = BatchSampler(features, speaker_ids, speakers, views, noise_sigma, mask_max)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for draw in range(6):
             batch, labels = sampler.draw(got_rng)
-            want = reference_batch(features, speaker_ids, speakers, views, policy, want_rng)
+            want = reference_batch(features, speaker_ids, speakers, views, noise_sigma,
+                                   mask_max, want_rng)
             # bit for bit, so the sign of a zero counts too
             assert np.array_equal(batch.view(np.uint64), want[0].view(np.uint64)), draw
             assert np.array_equal(labels, want[1]), draw

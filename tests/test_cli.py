@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -362,6 +363,16 @@ def holdout_one_run(tmp_path_factory):
     ("train", "model.proj_hidden", str(10**19)),
     ("generate", "dataset.num_speakers", str(10**19)),
     ("generate", "--seed", str(2**63)),
+    # 2**62 8-byte values exceed numpy's limit of 2**63 - 1 bytes
+    ("generate", "dataset.num_speakers", str(2**62)),
+    ("generate", "dataset.utterances_per_speaker", str(2**62)),
+    ("generate", "dataset.d_in", str(2**62)),
+    ("train", "model.proj_hidden", str(2**62)),
+    ("train", "model.embedding_dim", str(2**62)),
+    ("train", "model.encoder_hidden", str(2**62)),
+    ("sweep-batch", "model.proj_hidden", str(2**62)),
+    ("evaluate", "eval.trials_per_speaker", str(2**62)),
+    ("sweep-batch", "eval.trials_per_speaker", str(2**62)),
 ])
 def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, capsys,
                                                      command, key, value):
@@ -376,7 +387,7 @@ def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, 
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count(key) == 1, err
+    assert err.count(key) == 1 and len(err.splitlines()) == 1, err
     assert not out.exists()
 
 
@@ -398,6 +409,20 @@ def test_oversized_value_exits_1_out_of_memory(holdout_one_run, tmp_path, capsys
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("config error: out of memory: Unable to allocate"), err
+
+
+def test_size_that_wraps_in_int64_exits_1_naming_key(tmp_path):
+    """16 speakers x 2**60 rows wrap to 0 in int64, and np.repeat then writes
+    past the array it sized: the interpreter dies with SIGSEGV unless the
+    size is refused first, so the run is a subprocess."""
+    cfg = override(write_config(tmp_path), tmp_path / "16.ini", "dataset.num_speakers", "16")
+    bad = override(cfg, tmp_path / "bad.ini", "dataset.utterances_per_speaker", str(2**60))
+    proc = subprocess.run([sys.executable, "-m", "aamsupcon", "generate", "--config", bad,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 1, proc
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "dataset.utterances_per_speaker" in proc.stderr, proc.stderr
 
 
 def test_gradcheck_seed_flag_sets_gradcheck_seed(tmp_path):

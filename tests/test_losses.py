@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from aamsupcon import losses
-from aamsupcon.batching import (
-    AugmentPolicy,
-    batch_layout,
-    build_batch,
-    group_by_speaker,
-    speaker_rows,
-)
+from aamsupcon.batching import BatchSampler, batch_layout
 
 from aamsupcon.errors import ConfigError
 from aamsupcon.geometry import normalize_rows
@@ -369,15 +363,14 @@ def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
 @pytest.mark.parametrize("views", [1, 2, 3])
 def test_run_masks_equal_contrast_masks_of_every_drawn_batch(views, convention):
     features, speaker_ids, _ = generate(DatasetSpec(7, 4, 8, 0.2, seed=views))
-    _, groups = group_by_speaker(speaker_ids)
     rng = np.random.default_rng(views)
     for speakers in (2, 3, 7):
         config = TrainConfig(batch_speakers=speakers, views_per_speaker=views,
                              convention=convention)
         masks = run_masks(config)
+        sampler = BatchSampler(features, speaker_ids, speakers, views, 0.1, None)
         for _ in range(5):
-            _, labels = build_batch(features, speaker_rows(groups), speakers, views,
-                                    AugmentPolicy(), rng)
+            _, labels = sampler.draw(rng)
             pos, cand = contrast_masks(labels, convention)
             assert np.array_equal(masks.pos, pos)
             assert np.array_equal(~masks.not_cand, cand)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aamsupcon import losses, model, training
-from aamsupcon.batching import AugmentPolicy, build_batch, group_by_speaker, speaker_rows
+from aamsupcon.batching import BatchSampler, group_by_speaker
 from aamsupcon.errors import DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
 from aamsupcon.losses import DenominatorConvention, LossKind, contrast_masks, supcon_masks
@@ -131,9 +131,7 @@ def test_class_weights_stay_unit_norm():
 
 
 def _fixed_batch(data, speakers, seed=0):
-    features, speaker_ids = data
-    return build_batch(features, speaker_rows(group_by_speaker(speaker_ids)[1]), speakers, 2,
-                       AugmentPolicy(0.0, 0), np.random.default_rng(seed))
+    return BatchSampler(*data, speakers, 2, 0.0, 0).draw(np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("space", ["projection", "encoder"])
@@ -261,17 +259,17 @@ def reference_train(config, features, speaker_ids):
     every array of every step, the gradient norm squares each gradient
     afresh, and the update runs array by array. Returns (params, [(loss,
     grad_norm) per step])."""
-    _, groups = group_by_speaker(speaker_ids)
-    rows = speaker_rows(groups)
+    ids, _ = group_by_speaker(speaker_ids)
     params = init_params([features.shape[1], *config.encoder_hidden], config.proj_hidden,
-                         config.embedding_dim, len(groups), config.seed,
+                         config.embedding_dim, ids.size, config.seed,
                          class_dim=config.class_dim())
     velocity = [np.zeros_like(a) for a in param_arrays(params)]
     rng = np.random.default_rng(config.seed)
     records = []
     for _ in range(config.steps):
-        batch, labels = build_batch(features, rows, config.batch_speakers,
-                                    config.views_per_speaker, config.augment_policy(), rng)
+        batch, labels = BatchSampler(features, speaker_ids, config.batch_speakers,
+                                     config.views_per_speaker, config.noise_sigma,
+                                     config.mask_max).draw(rng)
         trace = forward(params, batch)
         value, grad_proj, grad_enc, grad_w = reference_loss(config, params, trace, labels)
         if grad_proj is None:
@@ -387,7 +385,7 @@ def test_encoder_space_step_peaks_like_projection_space():
     peaks = {}
     for space in ("projection", "encoder"):
         cfg = TrainConfig(classifier_space=space, batch_speakers=64)
-        params = training._start(cfg, *data)[2]
+        params = training._start(cfg, *data)[1]
         _, grads, ws, bufs = training._step_buffers(params, len(batch))
         step = (cfg, params, batch, labels, run_masks(cfg), grads, ws, bufs)
         training._value_and_grads(*step)

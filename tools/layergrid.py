@@ -91,14 +91,17 @@ def train_rows(calls):
         for speakers in SPEAKERS:
             config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
                                           classifier_space=space)
-            features, rows, init = training._start(config, data, speaker_ids)
+            if hasattr(config, "augment_policy"):  # an older checkout's _start and sampler
+                features, rows, init = training._start(config, data, speaker_ids)
+                sampler = BatchSampler(features, rows, speakers, VIEWS, config.augment_policy())
+            else:
+                sampler, init = training._start(config, data, speaker_ids)
             flat_params, params = flat_copy(init)
             n = 2 * speakers * VIEWS
             flat_grads, grads, ws, bufs = training._step_buffers(init, n)
             scratch, squares = flat_copy(init, ParamGrads)
             velocity = np.zeros_like(flat_params)
             masks = training.run_masks(config)
-            sampler = BatchSampler(features, rows, speakers, VIEWS, config.augment_policy())
             rng = np.random.default_rng(speakers)
             batch, labels = sampler.draw(rng)
             forward(params, batch, ws)
