@@ -18,12 +18,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .errors import AamSupConError, ConfigError, IoError, NumericalError, read_file, write_file
+from .errors import (AamSupConError, ConfigError, IoError, NumericalError, check_domains,
+                     read_file, write_file)
 from .evaluate import (
     DcfParams,
     build_trials,
@@ -49,51 +50,28 @@ class _Holdout:
     """dataset.holdout_per_speaker: the last k utterances of every speaker
     are kept out of training and evaluated (k = 0 evaluates every row)."""
 
-    holdout_per_speaker: int = 0
-
-    def validate(self) -> None:
-        if self.holdout_per_speaker < 0:
-            raise ValueError(
-                f"holdout_per_speaker must be >= 0, got {self.holdout_per_speaker}")
+    holdout_per_speaker: int = field(default=0, metadata={"domain": "[0, inf)"})
 
 
 @dataclass
 class _Trials:
     """The [eval] keys that build and score the trial list."""
 
-    trials_per_speaker: int = 40
-    seed: int = 100
-    space: str = "projection"
-
-    def validate(self) -> None:
-        if self.trials_per_speaker < 1:
-            raise ValueError(
-                f"trials_per_speaker must be >= 1, got {self.trials_per_speaker}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.space not in ("projection", "encoder"):
-            raise ValueError(f"space must be projection|encoder, got {self.space!r}")
+    trials_per_speaker: int = field(default=40, metadata={"domain": "[1, inf)"})
+    seed: int = field(default=100, metadata={"domain": "[0, inf)"})
+    space: str = field(default="projection", metadata={"domain": ("projection", "encoder")})
 
 
 @dataclass
 class _GradCheck:
     """The [gradcheck] section."""
 
-    seed: int = 0
-    step: float = 1e-6
-    tolerance: float = 1e-5
-    e2e_tolerance: float = 1e-4
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("tolerance", "e2e_tolerance"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        # From 1e-2 up the truncation error of the central difference alone
-        # exceeds every tolerance on the gradcheck batches.
-        if not 0.0 < self.step < 1e-2:
-            raise ValueError(f"step must be > 0 and < 1e-2, got {self.step}")
+    seed: int = field(default=0, metadata={"domain": "[0, inf)"})
+    # From 1e-2 up the truncation error of the central difference alone
+    # exceeds every tolerance on the gradcheck batches.
+    step: float = field(default=1e-6, metadata={"domain": "(0, 1e-2)"})
+    tolerance: float = field(default=1e-5, metadata={"domain": "(0, inf)"})
+    e2e_tolerance: float = field(default=1e-4, metadata={"domain": "(0, inf)"})
 
 
 # Every config key is one field of one of these classes. Its key is
@@ -139,18 +117,6 @@ def _echo(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _checked(section, cls, values):
-    """cls(**values), validated. A failed check is a ConfigError naming the
-    key: TrainConfig spans three sections, so its messages name whole keys;
-    the other classes name the field, and the section is prefixed."""
-    try:
-        obj = cls(**values)
-        obj.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc) if cls is TrainConfig else f"{section}.{exc}") from exc
-    return obj
-
-
 def load_config(path):
     """Read, parse, default and validate every key of a config file.
 
@@ -175,7 +141,13 @@ def load_config(path):
                 raise ConfigError(f"unknown config key {key}")
             cls, f = _KEYS[key]
             values[cls][f.name] = _parse(key, raw, f.type)
-    config = {cls: _checked(section, cls, values[cls]) for section, cls in _SECTIONS}
+    config = {}
+    for section, cls in _SECTIONS:
+        obj = config[cls] = cls(**values[cls])  # DcfParams checks itself when built
+        if hasattr(obj, "validate"):  # DatasetSpec, TrainConfig
+            obj.validate()
+        elif cls is not DcfParams:
+            check_domains(obj, section)
     if config[_Holdout].holdout_per_speaker >= config[DatasetSpec].utterances_per_speaker:
         raise ConfigError("dataset.holdout_per_speaker: must leave at least "
                           "one training utterance per speaker")

@@ -7,8 +7,12 @@ IoError (3). A leaf class exists only where a caller catches it by name or
 it carries data.
 
 read_file and write_file are the one place the package opens a file, so a
-failed read or write is always an IoError naming the file.
+failed read or write is always an IoError naming the file. check_domains is
+the one place a config key's domain is checked.
 """
+
+import math
+from dataclasses import fields
 
 
 class AamSupConError(Exception):
@@ -43,7 +47,7 @@ class IoError(AamSupConError):
 
 
 class ZeroVector(NumericalError):
-    """A vector with (near-)zero norm cannot be normalized."""
+    """A vector with a (near-)zero, NaN or infinite norm cannot be normalized."""
 
 
 class DivergenceDetected(NumericalError):
@@ -76,3 +80,27 @@ def write_file(path, data, what: str) -> None:
             fh.write(data.encode("ascii") if isinstance(data, str) else data)
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def check_domains(obj, section: str) -> None:
+    """Check every field of the dataclass obj that declares a domain in its
+    metadata["domain"]: an interval string such as "(0, inf)", "[0, pi/2)"
+    or "[2, inf)", which every entry of a tuple value must lie in (None
+    passes, NaN fails), or a tuple of the allowed strings. Raises ConfigError
+    "<key> must be in <domain>, got <value>", where the key is the field's
+    metadata["key"], else <section>.<field>."""
+    for f in fields(obj):
+        domain = f.metadata.get("domain")
+        value = getattr(obj, f.name)
+        if domain is None or value is None:
+            continue
+        if isinstance(domain, tuple):
+            ok, domain = value in domain, "{" + ", ".join(domain) + "}"
+        else:
+            lo, hi = (math.pi / 2 if b == "pi/2" else float(b) for b in domain[1:-1].split(", "))
+            ok = all((lo <= v if domain[0] == "[" else lo < v)
+                     and (v <= hi if domain[-1] == "]" else v < hi)
+                     for v in (value if isinstance(value, tuple) else (value,)))
+        if not ok:
+            key = f.metadata.get("key", f"{section}.{f.name}")
+            raise ConfigError(f"{key} must be in {domain}, got {value!r}")

@@ -15,12 +15,12 @@ conventions:
   end).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, NumericalError, ZeroVector, write_file
+from .errors import ConfigError, NumericalError, ZeroVector, check_domains, write_file
 from .model import NetworkParams, encoder_embeddings, forward
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -45,19 +45,12 @@ class DcfParams:
     """The minDCF operating point: the eval.p_target, eval.c_miss and
     eval.c_fa config keys."""
 
-    p_target: float = 0.01
-    c_miss: float = 1.0
-    c_fa: float = 1.0
+    p_target: float = field(default=0.01, metadata={"domain": "(0, 1)"})
+    c_miss: float = field(default=1.0, metadata={"domain": "(0, inf)"})
+    c_fa: float = field(default=1.0, metadata={"domain": "(0, inf)"})
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not 0.0 < self.p_target < 1.0:
-            raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        for name in ("c_miss", "c_fa"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        check_domains(self, "eval")
 
 
 def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
@@ -111,8 +104,8 @@ def score_trials(params: NetworkParams, features, trials,
 
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output). A row
-    that the network maps to a zero vector raises NumericalError naming
-    it.
+    that the network maps to a zero vector, or one whose norm overflows,
+    raises NumericalError naming it.
 
     The trials are scored _SCORE_BLOCK at a time, gathered into two
     (block, D) buffers allocated once per call, so the products stay small.
@@ -131,8 +124,9 @@ def score_trials(params: NetworkParams, features, trials,
         k = int(np.argmax(outside))
         raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
     try:
-        trace = forward(params, features)
-        emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+        with np.errstate(all="ignore"):
+            trace = forward(params, features)
+            emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
     scores = np.empty(len(enroll))

@@ -22,11 +22,11 @@ _COS_INTERIOR = 1e-7
 def normalize(v) -> np.ndarray:
     """Return v / ||v||_2.
 
-    Raises ZeroVector if ||v||_2 <= EPS_NORM.
+    Raises ZeroVector unless EPS_NORM < ||v||_2 < inf.
     """
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
-    if norm <= EPS_NORM:
+    if not EPS_NORM < norm < np.inf:
         raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
     return v / norm
 
@@ -36,14 +36,15 @@ def row_norms(mat, out=None, squares=None) -> np.ndarray:
     the bits of np.linalg.norm(mat, axis=1, keepdims=True). out and squares,
     when given, receive the norms and the squared entries.
 
-    Raises ZeroVector naming the first shortest row if any norm is
-    <= EPS_NORM (or NaN).
+    Raises ZeroVector naming the first row whose norm is not in
+    (EPS_NORM, inf): NaN, (near-)zero or overflowed.
     """
     squares = np.multiply(mat, mat, out=squares)
     norms = np.add.reduce(squares, axis=1, keepdims=True, out=out)
     np.sqrt(norms, out=norms)
-    if not np.all(norms > EPS_NORM):
-        bad = int(np.argmin(norms))
+    if not (np.minimum.reduce(norms, axis=None, initial=np.inf) > EPS_NORM
+            and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
+        bad = int(np.argmin((norms > EPS_NORM) & (norms < np.inf)))
         raise ZeroVector(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
     return norms
 
@@ -54,7 +55,7 @@ def normalize_rows(mat, out=None, norms=None, squares=None) -> np.ndarray:
     squares, when given, receive the unit rows, the (N, 1) norms and the
     squared entries; out may be mat itself, and squares may be out.
 
-    Raises ZeroVector if any row norm is <= EPS_NORM.
+    Raises ZeroVector unless every row norm is in (EPS_NORM, inf).
     """
     mat = np.asarray(mat, dtype=np.float64)
     return np.divide(mat, row_norms(mat, out=norms, squares=squares), out=out)

@@ -6,12 +6,12 @@ Ground truth is exact, so verification metrics have a known easy/hard dial
 (spread) at desk scale. Datasets round-trip through a plain text format.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError, read_file, write_file
+from .errors import ConfigError, IoError, ZeroVector, check_domains, read_file, write_file
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
@@ -22,24 +22,14 @@ class DatasetSpec:
     """The dataset header; also the [dataset] config keys other than
     holdout_per_speaker."""
 
-    num_speakers: int = 16
-    utterances_per_speaker: int = 20
-    d_in: int = 40
-    spread: float = 0.2
-    seed: int = 7
+    num_speakers: int = field(default=16, metadata={"domain": "[2, inf)"})
+    utterances_per_speaker: int = field(default=20, metadata={"domain": "[2, inf)"})
+    d_in: int = field(default=40, metadata={"domain": "[2, inf)"})
+    spread: float = field(default=0.2, metadata={"domain": "[0, inf)"})
+    seed: int = field(default=7, metadata={"domain": "[0, inf)"})
 
     def validate(self) -> None:
-        if self.num_speakers < 2:
-            raise ConfigError(f"num_speakers must be >= 2, got {self.num_speakers}")
-        if self.utterances_per_speaker < 2:
-            raise ConfigError("utterances_per_speaker must be >= 2, "
-                              f"got {self.utterances_per_speaker}")
-        if self.d_in < 2:
-            raise ConfigError(f"d_in must be >= 2, got {self.d_in}")
-        if not 0.0 <= self.spread < np.inf:
-            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_domains(self, "dataset")
 
 
 def generate(spec: DatasetSpec):
@@ -59,8 +49,12 @@ def generate(spec: DatasetSpec):
     noise = rng.standard_normal((speaker_ids.size, spec.d_in))
     if spec.spread == 0.0:
         return centroids[speaker_ids], speaker_ids, centroids
-    features = np.stack([normalize(c + spec.spread * n)
-                         for c, n in zip(centroids[speaker_ids], noise)])
+    try:
+        with np.errstate(all="ignore"):
+            features = np.stack([normalize(c + spec.spread * n)
+                                 for c, n in zip(centroids[speaker_ids], noise)])
+    except ZeroVector as exc:
+        raise ConfigError(f"dataset.spread = {spec.spread!r} is too large: {exc}") from exc
     return features, speaker_ids, centroids
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import BatchSampler, batch_layout
-from .errors import DivergenceDetected, ZeroVector, write_file
+from .errors import ConfigError, DivergenceDetected, ZeroVector, check_domains, write_file
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
     DenominatorConvention,
@@ -43,74 +43,43 @@ class TrainConfig:
     config key is training.<field> unless its metadata names another."""
 
     loss_kind: LossKind = field(default=LossKind.AAMSUPCON, metadata={"key": "training.loss"})
-    temperature: float = 0.07
-    margin: float = 0.2
-    scale: float = 30.0
-    lam: float = field(default=1.0, metadata={"key": "training.lambda"})
+    temperature: float = field(default=0.07, metadata={"domain": "(0, inf)"})
+    margin: float = field(default=0.2, metadata={"domain": "[0, pi/2)"})
+    scale: float = field(default=30.0, metadata={"domain": "(0, inf)"})
+    lam: float = field(default=1.0, metadata={"key": "training.lambda", "domain": "[0, inf)"})
     convention: DenominatorConvention = DenominatorConvention.ALL_NON_ANCHOR
-    learning_rate: float = 0.003
-    momentum: float = 0.9
-    steps: int = 1000
-    batch_speakers: int = 8
-    views_per_speaker: int = 2
-    seed: int = 0
-    encoder_hidden: tuple[int, ...] = field(default=(64, 64),
-                                            metadata={"key": "model.encoder_hidden"})
-    proj_hidden: int = field(default=128, metadata={"key": "model.proj_hidden"})
-    embedding_dim: int = field(default=128, metadata={"key": "model.embedding_dim"})
-    noise_sigma: float = field(default=0.1, metadata={"key": "augment.noise_sigma"})
-    mask_max: int | None = field(default=None, metadata={"key": "augment.mask_max"})
+    learning_rate: float = field(default=0.003, metadata={"domain": "[0, inf)"})
+    momentum: float = field(default=0.9, metadata={"domain": "[0, 1)"})
+    steps: int = field(default=1000, metadata={"domain": "[0, inf)"})
+    batch_speakers: int = field(default=8, metadata={"domain": "[1, inf)"})
+    views_per_speaker: int = field(default=2, metadata={"domain": "[1, inf)"})
+    seed: int = field(default=0, metadata={"domain": "[0, inf)"})
+    encoder_hidden: tuple[int, ...] = field(
+        default=(64, 64), metadata={"key": "model.encoder_hidden", "domain": "[1, inf)"})
+    proj_hidden: int = field(default=128, metadata={"key": "model.proj_hidden",
+                                                    "domain": "[1, inf)"})
+    embedding_dim: int = field(default=128, metadata={"key": "model.embedding_dim",
+                                                      "domain": "[2, inf)"})
+    noise_sigma: float = field(default=0.1, metadata={"key": "augment.noise_sigma",
+                                                      "domain": "[0, inf)"})
+    mask_max: int | None = field(default=None, metadata={"key": "augment.mask_max",
+                                                         "domain": "[0, inf)"})
     # which representation the softmax/margin classifier term consumes:
     # "projection" (the contrastive embedding z) or "encoder" (normalized h)
-    classifier_space: str = "projection"
+    classifier_space: str = field(default="projection",
+                                  metadata={"domain": ("projection", "encoder")})
 
     def validate(self) -> None:
-        """Check every field's domain once per run; messages name the
-        config-file key."""
-        if not 0.0 < self.temperature < np.inf:
-            raise ValueError(
-                f"training.temperature must be finite and > 0, got {self.temperature}")
-        if not (0.0 <= self.margin < np.pi / 2):
-            raise ValueError(f"training.margin must be in [0, pi/2), got {self.margin}")
-        if not 0.0 < self.scale < np.inf:
-            raise ValueError(f"training.scale must be finite and > 0, got {self.scale}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"training.lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 <= self.learning_rate < np.inf:
-            raise ValueError(
-                f"training.learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"training.momentum must be in [0, 1), got {self.momentum}")
-        if self.steps < 0:
-            raise ValueError(f"training.steps must be >= 0, got {self.steps}")
-        if self.seed < 0:
-            raise ValueError(f"training.seed must be >= 0, got {self.seed}")
-        for key in ("batch_speakers", "views_per_speaker"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)}")
+        """Check every field's domain and the two rules that span fields."""
+        check_domains(self, "training")
         if self.batch_speakers < self.least_batch_speakers():
-            raise ValueError("training.convention = strict_negatives needs "
-                             "training.batch_speakers >= 2: a one-speaker batch "
-                             "has no negatives")
-        if self.classifier_space not in ("projection", "encoder"):
-            raise ValueError("training.classifier_space must be projection|encoder, "
-                             f"got {self.classifier_space!r}")
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ValueError(
-                f"augment.noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.mask_max is not None and self.mask_max < 0:
-            raise ValueError(f"augment.mask_max must be >= 0, got {self.mask_max}")
-        if not all(width >= 1 for width in self.encoder_hidden):
-            raise ValueError("model.encoder_hidden entries must be >= 1, "
-                             f"got {list(self.encoder_hidden)}")
+            raise ConfigError("training.convention = strict_negatives needs "
+                              "training.batch_speakers >= 2: a one-speaker batch "
+                              "has no negatives")
         if self.classifier_space == "encoder" and self.encoder_hidden[-1] < 2:
-            raise ValueError("model.encoder_hidden must end in a width >= 2 with "
-                             "training.classifier_space = encoder, got "
-                             f"{list(self.encoder_hidden)}")
-        if self.proj_hidden < 1:
-            raise ValueError(f"model.proj_hidden must be >= 1, got {self.proj_hidden}")
-        if self.embedding_dim < 2:
-            raise ValueError(f"model.embedding_dim must be >= 2, got {self.embedding_dim}")
+            raise ConfigError("model.encoder_hidden must end in a width >= 2 with "
+                              "training.classifier_space = encoder, got "
+                              f"{list(self.encoder_hidden)}")
 
     def least_batch_speakers(self) -> int:
         """2 when strict negatives need a second speaker in a batch, else 1."""
@@ -203,8 +172,9 @@ def train(config: TrainConfig, features, speaker_ids):
     (N, d_in) labelled by speaker_ids (N,) and return (params, log).
 
     Class weights are re-normalized after every update so the margin loss's
-    cosine reading stays valid. A non-finite loss (or a collapsed projection
-    output) aborts with DivergenceDetected carrying the step index.
+    cosine reading stays valid. A non-finite loss, or a projection output or
+    class weight row whose norm leaves (EPS_NORM, inf), aborts with
+    DivergenceDetected carrying the step index.
 
     The parameters, their gradients and the momentum each live in one flat
     vector (the returned params are views of it), so the update is three
@@ -230,7 +200,8 @@ def train(config: TrainConfig, features, speaker_ids):
                 value = _value_and_grads(config, params, batch, labels, masks,
                                          grads, ws, bufs)
             except ZeroVector as exc:
-                raise DivergenceDetected(step, f"projection collapsed at step {step}") from exc
+                raise DivergenceDetected(
+                    step, f"projection collapsed or overflowed at step {step}: {exc}") from exc
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
             np.multiply(flat_grads, flat_grads, out=scratch)
@@ -240,7 +211,11 @@ def train(config: TrainConfig, features, speaker_ids):
             if config.learning_rate != 0.0:
                 flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
                 weights = params.class_weights
-                normalize_rows(weights, out=weights, squares=squares.class_weights)
+                try:
+                    normalize_rows(weights, out=weights, squares=squares.class_weights)
+                except ZeroVector as exc:
+                    raise DivergenceDetected(
+                        step, f"class weights overflowed at step {step}: {exc}") from exc
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
     return params, log

@@ -1,8 +1,11 @@
 import configparser
 import contextlib
+import enum
 import inspect
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from aamsupcon import cli, errors, losses
 from aamsupcon.cli import SWEEP_FOOTER, main
-from aamsupcon.model import init_params, load_checkpoint
+from aamsupcon.model import init_params, load_checkpoint, save_checkpoint
 from oracles import corrupted
 
 BASE_CONFIG = """\
@@ -273,6 +276,41 @@ def test_collapsed_row_at_scoring_exits_2_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spread", ["1e154", "1e200", "1e308"])
+def test_spread_whose_norm_overflows_exits_1_naming_it(tmp_path, capsys, spread):
+    """At d_in = 40 an utterance's norm overflows from about spread = 1e154
+    on: generate refuses it rather than writing rows of zeros or NaN."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[dataset]\nspread = {spread}\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.count("dataset.spread") == 1, err
+    assert not (tmp_path / "gen" / "dataset.txt").exists()
+
+
+def test_overflowing_forward_pass_at_scoring_exits_2_naming_row(clean_dataset,
+                                                                clean_checkpoint,
+                                                                tmp_path, capsys):
+    """Finite weights whose forward pass overflows: evaluate exits 2 naming
+    the first row, and writes no metrics.json (a NaN threshold is not
+    JSON)."""
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(clean_checkpoint)
+    params = load_checkpoint(checkpoint)
+    params.proj_w2 *= 1e300
+    params.proj_w1 *= 1e10
+    save_checkpoint(checkpoint, params)
+    cfg, text = clean_dataset
+    data = tmp_path / "dataset.txt"
+    data.write_text(text)
+    capsys.readouterr()
+    assert main(command_argv("evaluate", cfg, data, checkpoint, tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.rstrip().endswith("evaluated row 0 has norm inf"), err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("training_extra, setting, key", [
     ("learning_rate = nan", "", "training.learning_rate"),
     ("momentum = -5", "", "training.momentum"),
@@ -319,6 +357,83 @@ def test_empty_config_echoes_every_default(tmp_path):
             for key, value in keys.items()}
     # repr tells 30.0 from 30 and a list from a tuple
     assert {k: repr(v) for k, v in flat.items()} == {k: repr(v) for k, v in DEFAULTS.items()}
+
+
+def _shown_domain(f):
+    """The domain of a config field as README and the error messages show it."""
+    if isinstance(f.type, enum.EnumMeta):
+        return "{" + ", ".join(member.value for member in f.type) + "}"
+    domain = f.metadata["domain"]
+    return domain if isinstance(domain, str) else "{" + ", ".join(domain) + "}"
+
+
+def test_readme_key_table_matches_the_config_fields():
+    """README's table of config keys: one row per key of cli._KEYS, its
+    default parsed as a config value equals the field default, and its
+    domain is the field's."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | domain |") + 2
+    rows = {}
+    for line in itertools.takewhile(str.strip, lines[start:]):
+        key, default, domain = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = (default, domain.strip("`"))
+    assert sorted(rows) == sorted(cli._KEYS)
+    for key, (_, f) in cli._KEYS.items():
+        default, domain = rows[key]
+        raw = "" if default.startswith("empty") else default.strip("`")
+        assert cli._parse(key, raw, f.type) == f.default, key
+        assert domain == _shown_domain(f), key
+
+
+def test_every_key_but_an_enum_declares_a_domain():
+    for key, (_, f) in cli._KEYS.items():
+        assert isinstance(f.type, enum.EnumMeta) != ("domain" in f.metadata), key
+
+
+def _boundary_cases():
+    """(key, value, loads) at every finite bound of every interval domain:
+    a closed bound loads, and the value just outside it (np.nextafter, or
+    the next int) does not; an open bound itself does not load, nor inf
+    for a float key. Each allowed string of a set loads, another does
+    not, and so does one bad model.encoder_hidden entry."""
+    cases = [("model.encoder_hidden", "8 1", True), ("model.encoder_hidden", "8 0", False)]
+    for key, (_, f) in cli._KEYS.items():
+        domain = f.metadata.get("domain")
+        if isinstance(domain, tuple):
+            cases += [(key, value, True) for value in domain] + [(key, "middle", False)]
+            continue
+        if domain is None:
+            continue
+        integral = f.type is not float
+        bounds = [math.pi / 2 if b == "pi/2" else float(b) for b in domain[1:-1].split(", ")]
+        for bound, closed, away in zip(bounds, (domain[0] == "[", domain[-1] == "]"),
+                                       (-np.inf, np.inf)):
+            if not math.isfinite(bound):
+                if not integral:
+                    cases.append((key, repr(bound), False))
+                continue
+            outside = bound
+            if closed:
+                cases.append((key, str(int(bound)) if integral else repr(bound), True))
+                outside = bound + np.sign(away) if integral else np.nextafter(bound, away)
+            cases.append((key, str(int(outside)) if integral else repr(float(outside)), False))
+    return cases
+
+
+@pytest.mark.parametrize("key, value, loads", _boundary_cases())
+def test_domain_boundary_loads_or_exits_1_naming_key(tmp_path, capsys, key, value, loads):
+    section, name = key.split(".")
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(f"[{section}]\n{name} = {value}\n")
+    if loads:
+        cli.load_config(cfg)
+        return
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count(key) == 1 and len(err.splitlines()) == 1, err
+    assert "must be in" in err, err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

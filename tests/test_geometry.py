@@ -19,6 +19,17 @@ def test_normalize_rejects_degenerate():
         geometry.normalize(np.zeros(5))
 
 
+def test_norm_that_overflows_is_refused():
+    """A finite vector whose norm overflows to inf would normalize to zeros."""
+    mat = np.ones((3, 2))
+    mat[1] = 1e300
+    with np.errstate(over="ignore"):
+        with pytest.raises(ZeroVector, match="norm inf"):
+            geometry.normalize(mat[1])
+        with pytest.raises(ZeroVector, match="row 1 has norm inf"):
+            geometry.normalize_rows(mat)
+
+
 def test_normalize_scale_invariant():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -1,21 +1,32 @@
 """Smoke tests for the scripts under tools/: each is loaded by path and its
-rows run once, so that a signature change in the package fails here rather
-than leaving a script broken."""
+rows run once, or its configs loaded, so that a signature or config change
+in the package fails here rather than leaving a script broken."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from aamsupcon.cli import load_config
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def layergrid():
-    spec = importlib.util.spec_from_file_location("layergrid", TOOLS / "layergrid.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("layergrid")
+
+
+@pytest.fixture(scope="module")
+def runset():
+    return _load("runset")
 
 
 def test_layergrid_times_every_training_row_once(layergrid):
@@ -32,3 +43,14 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
     assert [row[:3] for row in rows] == [(layer, trials, "projection")
                                          for layer in layergrid.EVAL_LAYERS]
     assert all(seconds > 0 and faults >= 0 for *_, seconds, faults in rows)
+
+
+def test_runset_configs_load(runset, tmp_path):
+    """Every config the byte-identity run set writes loads: a renamed key or
+    a tightened domain that would break the set fails here, where the set
+    itself is too slow to run."""
+    runset.write_configs(tmp_path / "config")
+    paths = sorted((tmp_path / "config").glob("*.ini"))
+    assert [path.stem for path in paths] == sorted(runset.CONFIGS)
+    for path in paths:
+        load_config(path)

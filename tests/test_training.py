@@ -122,6 +122,17 @@ def test_collapse_during_training_is_divergence():
     assert isinstance(excinfo.value.__cause__, ZeroVector)
 
 
+def test_class_weight_overflow_is_divergence():
+    # the first update overflows the class weights, whose norm is then inf
+    data = _dataset()
+    cfg = TrainConfig(steps=5, learning_rate=1e200, batch_speakers=4, seed=0, **SMALL_NET)
+    with pytest.raises(DivergenceDetected,
+                       match="class weights overflowed at step 0: row .* has norm inf") as excinfo:
+        train(cfg, *data)
+    assert excinfo.value.step == 0
+    assert isinstance(excinfo.value.__cause__, ZeroVector)
+
+
 def test_class_weights_stay_unit_norm():
     data = _dataset()
     cfg = TrainConfig(steps=50, batch_speakers=4, seed=3, **SMALL_NET)
