@@ -10,9 +10,9 @@ from .losses import (
     DenominatorConvention,
     LossInputs,
     LossKind,
-    contrast_masks,
     evaluate_loss,
     grad_check,
+    supcon_masks,
 )
 
 __all__ = [
@@ -27,9 +27,9 @@ __all__ = [
     "DenominatorConvention",
     "LossInputs",
     "LossKind",
-    "contrast_masks",
     "evaluate_loss",
     "grad_check",
+    "supcon_masks",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Four losses on unit-norm embeddings: supervised contrastive (supcon),
 additive angular margin softmax (arcface), their sum (aamsupcon), and a
 plain scaled-softmax cross-entropy baseline. evaluate_loss returns the
 scalar value together with exact gradients w.r.t. the embedding matrix and
-the class-weight matrix.
+the class-weight matrix; supcon_masks builds the contrastive term's
+positive and denominator masks from the labels.
 
 Gradient semantics: the loss is differentiated as a function of the raw
 input matrices. Inputs are required to be unit-norm at construction, but no
@@ -72,13 +73,6 @@ class LossInputs:
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    mean_rel_error: float
-    num_components: int
-
-
 def validate_inputs(inputs: LossInputs) -> None:
     """Check the LossInputs invariants, raising ConfigError on violation."""
     z, y, w = inputs.embeddings, inputs.labels, inputs.class_weights
@@ -104,12 +98,24 @@ def validate_inputs(inputs: LossInputs) -> None:
         raise ConfigError(f"margin must be in [0, pi/2), got {inputs.margin}")
 
 
-def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
-    """P(i) and the denominator set A(i) for every anchor, as (N, N) masks.
+class SupconMasks(NamedTuple):
+    """The contrast masks in the form _supcon_raw reads: P(i) as a mask,
+    |P(i)| as float64, P(i) / |P(i)| and the complement of A(i). A batch
+    layout fixes all four, so a trainer builds them once per run."""
 
-    pos[i, j] = (labels[i] == labels[j]) and i != j; cand[i, j] is i != j,
-    or labels[i] != labels[j] under strict negatives. Raises ConfigError
-    for N < 2, when some anchor has no same-label partner, and when the
+    pos: np.ndarray
+    pcount: np.ndarray
+    pos_frac: np.ndarray
+    not_cand: np.ndarray
+
+
+def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> SupconMasks:
+    """P(i) and the denominator set A(i) for every anchor as (N, N) masks,
+    with what the contrastive kernel derives from them.
+
+    pos[i, j] = (labels[i] == labels[j]) and i != j; A(i) is i != j, or
+    labels[i] != labels[j] under strict negatives. Raises ConfigError for
+    N < 2, when some anchor has no same-label partner, and when the
     strict-negatives convention leaves a denominator empty.
     """
     labels = np.asarray(labels, dtype=np.int64)
@@ -126,24 +132,6 @@ def contrast_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR):
         raise ConfigError(f"anchor {i} (label {labels[i]}) has no positive")
     if not cand.any(axis=1).all():
         raise ConfigError("no negatives in a single-class batch")
-    return pos, cand
-
-
-class SupconMasks(NamedTuple):
-    """contrast_masks in the form _supcon_raw reads: P(i) as a mask, |P(i)|
-    as float64, P(i) / |P(i)| and the complement of A(i). A batch layout
-    fixes all four, so a trainer builds them once per run."""
-
-    pos: np.ndarray
-    pcount: np.ndarray
-    pos_frac: np.ndarray
-    not_cand: np.ndarray
-
-
-def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> SupconMasks:
-    """contrast_masks(labels, convention), raising as it does, and what the
-    contrastive kernel derives from it."""
-    pos, cand = contrast_masks(labels, convention)
     pcount = pos.sum(axis=1).astype(np.float64)
     return SupconMasks(pos, pcount, pos / pcount[:, None], ~cand)
 
@@ -318,12 +306,12 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
                convention=DenominatorConvention.ALL_NON_ANCHOR,
-               lam: float = 1.0) -> GradCheckReport:
+               lam: float = 1.0) -> float:
     """Compare analytic gradients against central finite differences.
 
     Perturbations are applied to the raw embedding and class-weight entries
     (no re-normalization), matching the gradient semantics above. Returns
-    the max and mean per-component relative error over both matrices.
+    the largest per-component relative error over both matrices.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -339,11 +327,11 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     return fd_report(lambda: terms()[0], [z, w], [grad_z, grad_w], step)
 
 
-def fd_report(value_fn, arrays, analytic, step: float) -> GradCheckReport:
+def fd_report(value_fn, arrays, analytic, step: float) -> float:
     """Central finite differences of value_fn() w.r.t. every entry of each
     array, perturbing the arrays in place and restoring them, held against
-    the matching analytic gradients: the max and mean relative_errors over
-    all entries."""
+    the matching analytic gradients: the largest relative_errors over all
+    entries."""
     errors = []
     for arr, grad in zip(arrays, analytic):
         numeric = np.zeros_like(arr)
@@ -356,5 +344,4 @@ def fd_report(value_fn, arrays, analytic, step: float) -> GradCheckReport:
             arr[idx] = orig
             numeric[idx] = (hi - lo) / (2.0 * step)
         errors.append(relative_errors(grad, numeric))
-    errors = np.concatenate(errors)
-    return GradCheckReport(float(errors.max()), float(errors.mean()), int(errors.size))
+    return float(np.concatenate(errors).max())

@@ -1,6 +1,7 @@
 """The trainable network: relu MLP encoder plus the two-matrix projection
 head W2 relu(W1 h) with a final L2 normalization, all with a hand-written
-backward pass. Checkpoints round-trip bit-exactly through a small binary
+backward pass. NetworkParams holds the parameters and, in the same form,
+their gradients. Checkpoints round-trip bit-exactly through a small binary
 container.
 """
 
@@ -21,7 +22,8 @@ CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
 class NetworkParams:
     """encoder_layers: list of (weight (out, in), bias (out,)) applied with
     relu after every layer; proj_w1 (hidden, d_h) and proj_w2 (d_out, hidden)
-    are bias-free; class_weights (C, d_out) rows stay unit-norm."""
+    are bias-free; class_weights (C, d_out) rows stay unit-norm. The
+    gradients w.r.t. the parameters come in the same form."""
 
     encoder_layers: list
     proj_w1: np.ndarray
@@ -44,14 +46,6 @@ class NetworkParams:
     @property
     def encoder_dims(self) -> list:
         return [self.d_in] + [w.shape[0] for w, _ in self.encoder_layers]
-
-
-@dataclass
-class ParamGrads:
-    encoder_layers: list
-    proj_w1: np.ndarray
-    proj_w2: np.ndarray
-    class_weights: np.ndarray
 
 
 class Workspace:
@@ -161,13 +155,13 @@ def encoder_embeddings(trace: Workspace) -> np.ndarray:
 
 def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarray,
              grad_encoder_output: np.ndarray | None = None,
-             out: ParamGrads | None = None) -> ParamGrads:
+             out: NetworkParams | None = None) -> NetworkParams:
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
     The output normalization goes through normalize_rows_backward; relu
     gates pass gradient only where the pre-activation was positive. The
     class-weight gradient comes straight from the loss, not through the
-    network, so backward leaves that slot alone: it is zero in a ParamGrads
+    network, so backward leaves that slot alone: it is zero in the gradients
     backward makes, and as it was in out.
 
     trace is the Workspace forward filled, and takes the intermediate
@@ -176,7 +170,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     normalization of encoder_embeddings already differentiated; it is added
     to the projection's gradient at the encoder output.
 
-    out, when given, is a ParamGrads shaped like params whose network arrays
+    out, when given, is a NetworkParams shaped like params whose network arrays
     are overwritten with the gradients and returned (the trainer passes
     views of one flat vector); otherwise new arrays are returned.
     """
@@ -189,7 +183,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
             or trace.inputs.shape[1] != params.d_in:
         raise ConfigError("trace does not match these parameters")
     if out is None:
-        out = _assemble(ParamGrads, [np.empty_like(a) for a in param_arrays(params)])
+        out = _assemble([np.empty_like(a) for a in param_arrays(params)])
         out.class_weights.fill(0.0)
 
     d_out = normalize_rows_backward(g, trace.embeddings, trace.norms, trace.d_out)
@@ -221,8 +215,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
 
 
 def _array_entries(params):
-    """(name, array) pairs of a NetworkParams or ParamGrads in the fixed
-    checkpoint order."""
+    """(name, array) pairs of a NetworkParams in the fixed checkpoint order."""
     entries = []
     for i, (w, b) in enumerate(params.encoder_layers):
         entries.append((f"encoder.{i}.weight", w))
@@ -234,28 +227,27 @@ def _array_entries(params):
 
 
 def param_arrays(params) -> list:
-    """Every array of a NetworkParams or ParamGrads, in checkpoint order."""
+    """Every array of a NetworkParams, in checkpoint order."""
     return [arr for _, arr in _array_entries(params)]
 
 
-def _assemble(cls, arrays):
-    """A NetworkParams or ParamGrads from its arrays in checkpoint order."""
-    return cls(list(zip(arrays[:-3:2], arrays[1:-3:2])), *arrays[-3:])
+def _assemble(arrays, seed: int = 0) -> NetworkParams:
+    """A NetworkParams from its arrays in checkpoint order."""
+    return NetworkParams(list(zip(arrays[:-3:2], arrays[1:-3:2])), *arrays[-3:], seed)
 
 
-def flat_copy(params, cls=NetworkParams):
-    """(flat, copy) of a NetworkParams or ParamGrads: flat is one new float64
-    vector holding every array in checkpoint order, and copy is a cls whose
+def flat_copy(params: NetworkParams):
+    """(flat, copy) of a NetworkParams, which may hold parameters or their
+    gradients: flat is one new float64 vector holding every array in
+    checkpoint order, and copy a NetworkParams with the seed of params whose
     arrays are views of flat. An in-place operation on flat therefore
     updates every array of copy at once; reassigning an attribute of copy
-    detaches it. A NetworkParams copy keeps the seed of params."""
+    detaches it."""
     arrays = param_arrays(params)
     flat = np.concatenate([a.ravel() for a in arrays])
     pieces = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
-    copy = _assemble(cls, [piece.reshape(a.shape) for piece, a in zip(pieces, arrays)])
-    if isinstance(copy, NetworkParams):
-        copy.seed = params.seed
-    return flat, copy
+    return flat, _assemble([piece.reshape(a.shape) for piece, a in zip(pieces, arrays)],
+                           params.seed)
 
 
 def save_checkpoint(path, params: NetworkParams) -> None:
@@ -309,9 +301,7 @@ def load_checkpoint(path) -> NetworkParams:
         offset += nbytes
     if offset != len(raw):
         raise IoError(f"{path}: {len(raw) - offset} trailing bytes")
-    params = _assemble(NetworkParams, arrays)
-    params.seed = header["seed"]
-    return params
+    return _assemble(arrays, header["seed"])
 
 
 # integer header key -> its least valid value (as init_params requires)

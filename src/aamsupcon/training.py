@@ -16,7 +16,6 @@ from .errors import ConfigError, DivergenceDetected, ZeroVector, check_domains, 
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
     DenominatorConvention,
-    GradCheckReport,
     KernelBuffers,
     LossKind,
     SupconMasks,
@@ -26,7 +25,6 @@ from .losses import (
 )
 from .model import (
     NetworkParams,
-    ParamGrads,
     Workspace,
     backward,
     encoder_embeddings,
@@ -135,16 +133,16 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
 
 def _step_buffers(params: NetworkParams, n: int):
     """(flat_grads, grads, ws, bufs): the gradient vector of a run with its
-    ParamGrads views, the Workspace for n rows, and the KernelBuffers that
+    NetworkParams views, the Workspace for n rows, and the KernelBuffers that
     write the class-weight gradient straight into its view."""
-    flat_grads, grads = flat_copy(params, ParamGrads)
+    flat_grads, grads = flat_copy(params)
     bufs = KernelBuffers(n, params.d_out, *params.class_weights.shape,
                          grad_w=grads.class_weights)
     return flat_grads, grads, Workspace(params, n), bufs
 
 
 def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
-                     dense_labels, masks: SupconMasks | None, grads: ParamGrads,
+                     dense_labels, masks: SupconMasks | None, grads: NetworkParams,
                      ws: Workspace, bufs: KernelBuffers) -> float:
     """Forward, loss and backward for one batch: the loss value, with the
     gradients written into grads. ws and bufs are _step_buffers' for
@@ -186,7 +184,7 @@ def train(config: TrainConfig, features, speaker_ids):
     flat_params, params = flat_copy(init)
     n = 2 * config.batch_speakers * config.views_per_speaker
     flat_grads, grads, ws, bufs = _step_buffers(init, n)
-    scratch, squares = flat_copy(init, ParamGrads)
+    scratch, squares = flat_copy(init)
     velocity = np.zeros_like(flat_params)
     masks = run_masks(config)
     rng = np.random.default_rng(config.seed)
@@ -221,7 +219,7 @@ def train(config: TrainConfig, features, speaker_ids):
     return params, log
 
 
-def _global_norm(squares: ParamGrads) -> float:
+def _global_norm(squares: NetworkParams) -> float:
     """The gradient norm from the squared gradients, summed array by array
     in checkpoint order (its bits depend on that order). Each array is
     summed by np.add.reduce(axis=None), the call np.sum makes for an
@@ -247,9 +245,10 @@ def save_runlog(path, log: RunLog) -> None:
 
 
 def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
-                          step: float = 1e-6, batch_seed: int = 0) -> GradCheckReport:
+                          step: float = 1e-6, batch_seed: int = 0) -> float:
     """Finite-difference check of d(loss)/d(params) through the whole
-    network (forward -> loss -> backward) on one sampled batch."""
+    network (forward -> loss -> backward) on one sampled batch: the largest
+    per-component relative error."""
     sampler, params = _start(config, features, speaker_ids)
     batch, labels = sampler.draw(np.random.default_rng(batch_seed))
     masks = run_masks(config)

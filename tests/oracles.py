@@ -15,7 +15,7 @@ import numpy as np
 from aamsupcon.errors import IoError, NumericalError, read_file
 from aamsupcon.evaluate import DcfParams, ScoredTrials
 from aamsupcon.geometry import margin_logit, margin_logit_grad
-from aamsupcon.losses import LossKind, contrast_masks
+from aamsupcon.losses import LossKind, supcon_masks
 
 
 def eer_threshold_sweep(scored: ScoredTrials):
@@ -232,7 +232,9 @@ def reference_margin_softmax_raw(z, labels, w, margin, scale):
 
 def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
     """loss_terms composed from the reference kernels."""
-    masks = contrast_masks(labels, convention) if kind.contrastive else None
+    if kind.contrastive:
+        pos, _, _, not_cand = supcon_masks(labels, convention)
+        masks = pos, ~not_cand
     if kind is LossKind.SUPCON:
         value, grad_z = reference_supcon_raw(z, masks, tau)
         return value, grad_z, np.zeros_like(w)

@@ -24,9 +24,9 @@ from aamsupcon.losses import (
     DenominatorConvention,
     LossInputs,
     LossKind,
-    contrast_masks,
     evaluate_loss,
     grad_check,
+    supcon_masks,
 )
 from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
 from aamsupcon.training import TrainConfig, end_to_end_grad_check, train
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_correctness():
         n, d, c = grid[i % len(grid)]
         inputs = random_batch(rng, n, d, c)
         for kind in LossKind:
-            err = grad_check(kind, inputs, step=1e-6).max_rel_error
+            err = grad_check(kind, inputs, step=1e-6)
             worst_loss = max(worst_loss, err)
 
     worst_e2e = 0.0
@@ -86,7 +86,7 @@ def test_criterion_1_gradient_correctness():
                           embedding_dim=8, batch_speakers=3, views_per_speaker=2,
                           seed=103)
         err = end_to_end_grad_check(cfg, features, speaker_ids, step=1e-6,
-                                    batch_seed=104).max_rel_error
+                                    batch_seed=104)
         worst_e2e = max(worst_e2e, err)
 
     elapsed = time.perf_counter() - started
@@ -136,7 +136,7 @@ def test_criterion_3_oracle_equivalence():
         inputs = random_batch(rng, n, int(rng.integers(3, 9)), int(rng.integers(2, 5)))
         for convention in (ALL, STRICT):
             try:
-                contrast_masks(inputs.labels, convention)
+                supcon_masks(inputs.labels, convention)
             except Exception:
                 continue  # single-class batch under STRICT has no denominator
             got = evaluate_loss(LossKind.SUPCON, inputs, convention)[0]

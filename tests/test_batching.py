@@ -12,7 +12,7 @@ from aamsupcon.batching import (
     group_by_speaker,
 )
 from aamsupcon.errors import ConfigError
-from aamsupcon.losses import contrast_masks
+from aamsupcon.losses import supcon_masks
 from aamsupcon.synthdata import DatasetSpec, generate
 
 
@@ -132,7 +132,7 @@ def test_every_anchor_has_a_positive_across_many_seeds():
     for seed in range(100):
         _, labels = sampler.draw(np.random.default_rng(seed))
         try:
-            pos, _ = contrast_masks(labels)
+            pos = supcon_masks(labels).pos
         except ConfigError:
             pytest.fail(f"anchor without positive at seed {seed}")
         assert all(p.sum() >= 1 for p in pos)

@@ -454,6 +454,7 @@ def holdout_one_run(tmp_path_factory):
 @pytest.mark.parametrize("command, key, value", [
     ("evaluate", "eval.trials_per_speaker", "0"),
     ("generate", "dataset.seed", "-1"),
+    ("generate", "dataset.spread", "1e154"),
     ("train", "training.seed", "-1"),
     ("evaluate", "eval.seed", "-1"),
     ("gradcheck", "gradcheck.seed", "-1"),
@@ -578,6 +579,16 @@ def test_gradcheck_report_and_corrupt_hook(tmp_path, capsys, monkeypatch):
     assert main(["gradcheck", "--config", cfg]) == 2
     printed = capsys.readouterr().out
     assert printed.count("FAIL") >= 4
+
+
+def test_gradcheck_fails_a_nan_gradient(tmp_path, capsys, monkeypatch):
+    """A NaN analytic gradient gives a NaN error, which fails its row rather
+    than reading as 0."""
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(losses, "loss_terms", corrupted(losses.loss_terms, np.nan))
+    assert main(["gradcheck", "--config", cfg]) == 2
+    rows = capsys.readouterr().out.splitlines()[:4]
+    assert all("max rel error nan" in row and row.endswith("FAIL") for row in rows), rows
 
 
 def test_gradcheck_uncreatable_out_fails_before_any_check(tmp_path, capsys):

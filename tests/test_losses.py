@@ -14,7 +14,6 @@ from aamsupcon.losses import (
     KernelBuffers,
     LossInputs,
     LossKind,
-    contrast_masks,
     evaluate_loss,
     grad_check,
     loss_terms,
@@ -106,34 +105,34 @@ def oracle_masks(labels, convention):
 
 
 def test_index_sets_conventions():
-    pos, cand = contrast_masks([0, 0, 1, 1], ALL)
-    assert list(np.flatnonzero(pos[0])) == [1]
-    assert list(np.flatnonzero(cand[0])) == [1, 2, 3]
-    pos, cand = contrast_masks([0, 0, 1, 1], STRICT)
-    assert list(np.flatnonzero(pos[0])) == [1]
-    assert list(np.flatnonzero(cand[0])) == [2, 3]
+    masks = supcon_masks([0, 0, 1, 1], ALL)
+    assert list(np.flatnonzero(masks.pos[0])) == [1]
+    assert list(np.flatnonzero(~masks.not_cand[0])) == [1, 2, 3]
+    masks = supcon_masks([0, 0, 1, 1], STRICT)
+    assert list(np.flatnonzero(masks.pos[0])) == [1]
+    assert list(np.flatnonzero(~masks.not_cand[0])) == [2, 3]
 
 
 def test_index_sets_positives_subset_of_candidates_under_default():
     rng = np.random.default_rng(0)
     for _ in range(10):
         labels = np.repeat(rng.integers(0, 3, size=4), 2)
-        pos, cand = contrast_masks(labels, ALL)
-        for p, c in zip(pos, cand):
+        masks = supcon_masks(labels, ALL)
+        for p, c in zip(masks.pos, ~masks.not_cand):
             assert set(np.flatnonzero(p)) <= set(np.flatnonzero(c))
 
 
 def test_index_sets_errors():
     with pytest.raises(ConfigError, match="has no positive"):
-        contrast_masks([0, 1])
+        supcon_masks([0, 1])
     with pytest.raises(ConfigError, match="need at least 2 samples"):
-        contrast_masks([0])
+        supcon_masks([0])
     with pytest.raises(ConfigError, match="no negatives in a single-class batch"):
-        contrast_masks([0, 0, 0], STRICT)
+        supcon_masks([0, 0, 0], STRICT)
 
 
 @pytest.mark.parametrize("convention", [ALL, STRICT])
-def test_contrast_masks_match_oracle_on_random_labels(convention):
+def test_supcon_masks_match_oracle_on_random_labels(convention):
     rng = np.random.default_rng(28)
     compared = 0
     for _ in range(160):
@@ -141,15 +140,15 @@ def test_contrast_masks_match_oracle_on_random_labels(convention):
         want_pos, want_cand = oracle_masks(labels, convention)
         if not want_pos.any(axis=1).all():
             with pytest.raises(ConfigError, match="has no positive"):
-                contrast_masks(labels, convention)
+                supcon_masks(labels, convention)
         elif not want_cand.any(axis=1).all():
             with pytest.raises(ConfigError, match="no negatives in a single-class batch"):
-                contrast_masks(labels, convention)
+                supcon_masks(labels, convention)
         else:
-            pos, cand = contrast_masks(labels, convention)
-            assert pos.dtype == bool and cand.dtype == bool
-            assert np.array_equal(pos, want_pos)
-            assert np.array_equal(cand, want_cand)
+            masks = supcon_masks(labels, convention)
+            assert masks.pos.dtype == bool and masks.not_cand.dtype == bool
+            assert np.array_equal(masks.pos, want_pos)
+            assert np.array_equal(~masks.not_cand, want_cand)
             compared += 1
     assert compared >= 40
 
@@ -202,7 +201,7 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     rng = np.random.default_rng(12)
     inputs = random_batch(rng, 6, 4, 3)
     z, labels = inputs.embeddings, inputs.labels
-    base_candidates = [np.flatnonzero(row) for row in contrast_masks(labels, ALL)[1]]
+    base_candidates = [np.flatnonzero(~row) for row in supcon_masks(labels, ALL).not_cand]
     base_terms = per_anchor_supcon_terms(z, labels, 0.07, base_candidates)
     value = evaluate_loss(LossKind.SUPCON, inputs, ALL)[0]
     assert value == pytest.approx(sum(base_terms), abs=1e-10)
@@ -361,7 +360,7 @@ def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
 
 @pytest.mark.parametrize("convention", [ALL, STRICT])
 @pytest.mark.parametrize("views", [1, 2, 3])
-def test_run_masks_equal_contrast_masks_of_every_drawn_batch(views, convention):
+def test_run_masks_equal_supcon_masks_of_every_drawn_batch(views, convention):
     features, speaker_ids, _ = generate(DatasetSpec(7, 4, 8, 0.2, seed=views))
     rng = np.random.default_rng(views)
     for speakers in (2, 3, 7):
@@ -371,9 +370,9 @@ def test_run_masks_equal_contrast_masks_of_every_drawn_batch(views, convention):
         sampler = BatchSampler(features, speaker_ids, speakers, views, 0.1, None)
         for _ in range(5):
             _, labels = sampler.draw(rng)
-            pos, cand = contrast_masks(labels, convention)
+            pos, _, _, not_cand = supcon_masks(labels, convention)
             assert np.array_equal(masks.pos, pos)
-            assert np.array_equal(~masks.not_cand, cand)
+            assert np.array_equal(masks.not_cand, not_cand)
             assert np.array_equal(masks.pcount, pos.sum(axis=1))
             assert np.array_equal(masks.pos_frac, pos / pos.sum(axis=1)[:, None])
         assert run_masks(replace(config, loss_kind=LossKind.ARCFACE)) is None
@@ -388,35 +387,32 @@ def test_grad_check_passes_for_every_loss(kind):
     rng = np.random.default_rng(19)
     for _ in range(3):
         inputs = random_batch(rng, 8, 6, 3)
-        report = grad_check(kind, inputs, step=1e-6)
-        assert report.max_rel_error < 1e-5
-        assert report.mean_rel_error <= report.max_rel_error
+        assert grad_check(kind, inputs, step=1e-6) < 1e-5
 
 
 def test_grad_check_supcon_small_batch():
     rng = np.random.default_rng(20)
     inputs = random_batch(rng, 4, 4, 2)
-    assert grad_check(LossKind.SUPCON, inputs, step=1e-6).max_rel_error < 1e-5
+    assert grad_check(LossKind.SUPCON, inputs, step=1e-6) < 1e-5
 
 
 def test_grad_check_aamsupcon_six_by_four():
     rng = np.random.default_rng(27)
     inputs = random_batch(rng, 6, 4, 3)
-    assert grad_check(LossKind.AAMSUPCON, inputs, step=1e-6).max_rel_error < 1e-5
+    assert grad_check(LossKind.AAMSUPCON, inputs, step=1e-6) < 1e-5
 
 
 def test_grad_check_strict_convention():
     rng = np.random.default_rng(21)
     inputs = random_batch(rng, 8, 5, 3)
-    report = grad_check(LossKind.AAMSUPCON, inputs, convention=STRICT)
-    assert report.max_rel_error < 1e-5
+    assert grad_check(LossKind.AAMSUPCON, inputs, convention=STRICT) < 1e-5
 
 
 def test_grad_check_corruption_hook_fails(monkeypatch):
     rng = np.random.default_rng(22)
     inputs = random_batch(rng, 4, 4, 2)
     monkeypatch.setattr(losses, "loss_terms", corrupted(losses.loss_terms))
-    assert grad_check(LossKind.ARCFACE, inputs).max_rel_error > 1e-3
+    assert grad_check(LossKind.ARCFACE, inputs) > 1e-3
 
 
 def test_symmetric_batch_gives_symmetric_gradients():

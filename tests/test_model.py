@@ -4,7 +4,6 @@ import pytest
 from aamsupcon.errors import ConfigError, IoError, ZeroVector
 from aamsupcon.model import (
     NetworkParams,
-    ParamGrads,
     backward,
     flat_copy,
     forward,
@@ -150,7 +149,7 @@ def test_backward_into_flat_views_equals_fresh_arrays():
     trace = forward(params, rng.normal(size=(7, 10)))
     upstream = rng.normal(size=trace.embeddings.shape)
     fresh = backward(params, trace, upstream)
-    flat, out = flat_copy(params, ParamGrads)
+    flat, out = flat_copy(params)
     out.class_weights.fill(0.0)  # the loss's slot, which backward leaves alone
     assert backward(params, trace, upstream, out=out) is out
     for a, b in zip(param_arrays(fresh), param_arrays(out)):
@@ -162,7 +161,7 @@ def test_backward_leaves_the_class_weight_slot_of_out_alone():
     params = init_params([10, 8], 8, 6, 4, seed=13)
     rng = np.random.default_rng(14)
     trace = forward(params, rng.normal(size=(5, 10)))
-    _, out = flat_copy(params, ParamGrads)
+    _, out = flat_copy(params)
     out.class_weights.fill(7.0)
     backward(params, trace, rng.normal(size=trace.embeddings.shape), out=out)
     assert np.all(out.class_weights == 7.0)

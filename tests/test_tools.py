@@ -1,19 +1,31 @@
 """Smoke tests for the scripts under tools/: each is loaded by path and its
 rows run once, or its configs loaded, so that a signature or config change
-in the package fails here rather than leaving a script broken."""
+in the package fails here rather than leaving a script broken. The
+benchmark's table of traced function names is held against the package the
+same way."""
 
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
 
 from aamsupcon.cli import load_config
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+# Span names perfbench/spans.py reads that name no function of the package,
+# so their per-layer metrics read 0. Item 2 of ROADMAP.md renames or drops
+# them; until then a rename of any other traced function fails here instead
+# of reading 0 too.
+UNRESOLVED_SPANS = ["batching.augment", "batching.build_batch", "evaluate.eer",
+                    "evaluate.min_dcf", "losses.arcface_loss", "losses.build_index_sets",
+                    "losses.supcon_loss"]
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(name, directory=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,3 +66,17 @@ def test_runset_configs_load(runset, tmp_path):
     assert [path.stem for path in paths] == sorted(runset.CONFIGS)
     for path in paths:
         load_config(path)
+
+
+def test_perfbench_span_names_resolve_but_the_known_stale_ones():
+    spans = _load("spans", ROOT / "perfbench")
+
+    def resolves(name):
+        module, function = name.split(".")
+        value = getattr(importlib.import_module(f"aamsupcon.{module}"), function, None)
+        # the tracer names a span after the defining module and __name__
+        return (isinstance(value, types.FunctionType) and value.__name__ == function
+                and value.__module__ == f"aamsupcon.{module}")
+
+    assert [name for name in spans.expected_functions() if not resolves(name)] \
+        == UNRESOLVED_SPANS

@@ -15,8 +15,7 @@ parameter step and class-weight renormalization, as in train's loop).
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
 an untrained quickstart-shaped model: build_trials, score_trials,
-roc_metrics (eer plus min_dcf in a checkout that predates it), save_trials
-and save_scored_trials.
+roc_metrics, save_trials and save_scored_trials.
 
 Each round runs in a fresh interpreter with single-threaded BLAS, imports
 the package from a checkout's src/, and times every row in-process with
@@ -80,9 +79,8 @@ def timed(fn, warmup: int, blocks: int, calls: int):
 def train_rows(calls):
     """[(layer, N, space, seconds, faults)] of the training step's parts."""
     from aamsupcon import training
-    from aamsupcon.batching import BatchSampler
-    from aamsupcon.geometry import row_norms
-    from aamsupcon.model import ParamGrads, backward, flat_copy, forward
+    from aamsupcon.geometry import normalize_rows
+    from aamsupcon.model import backward, flat_copy, forward
     from aamsupcon.synthdata import DatasetSpec, generate
 
     data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
@@ -91,15 +89,11 @@ def train_rows(calls):
         for speakers in SPEAKERS:
             config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
                                           classifier_space=space)
-            if hasattr(config, "augment_policy"):  # an older checkout's _start and sampler
-                features, rows, init = training._start(config, data, speaker_ids)
-                sampler = BatchSampler(features, rows, speakers, VIEWS, config.augment_policy())
-            else:
-                sampler, init = training._start(config, data, speaker_ids)
+            sampler, init = training._start(config, data, speaker_ids)
             flat_params, params = flat_copy(init)
             n = 2 * speakers * VIEWS
             flat_grads, grads, ws, bufs = training._step_buffers(init, n)
-            scratch, squares = flat_copy(init, ParamGrads)
+            scratch, squares = flat_copy(init)
             velocity = np.zeros_like(flat_params)
             masks = training.run_masks(config)
             rng = np.random.default_rng(speakers)
@@ -116,7 +110,7 @@ def train_rows(calls):
                 velocity += flat_grads
                 flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
                 weights = params.class_weights
-                weights /= row_norms(weights, squares=squares.class_weights)
+                normalize_rows(weights, out=weights, squares=squares.class_weights)
 
             parts = (lambda: sampler.draw(rng),
                      lambda: forward(params, batch, ws),
@@ -141,15 +135,11 @@ def eval_rows(calls):
     params = init_params([40, 64, 64], 128, 128, EVAL_SPEAKERS, seed=0)
     trials = evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
     scored = evaluate.score_trials(params, features, trials)
-    if hasattr(evaluate, "roc_metrics"):
-        curve = lambda: evaluate.roc_metrics(scored)
-    else:  # an older checkout builds the curve once per metric
-        curve = lambda: (evaluate.eer(scored), evaluate.min_dcf(scored))
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         parts = (lambda: evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1),
                  lambda: evaluate.score_trials(params, features, trials),
-                 curve,
+                 lambda: evaluate.roc_metrics(scored),
                  lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
                  lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored))
         for layer, fn in zip(EVAL_LAYERS, parts):
