@@ -14,7 +14,6 @@ divergence, gradient tolerance, degenerate trials); 3 I/O failure
 import argparse
 import configparser
 import enum
-import hashlib
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (AamSupConError, ConfigError, IoError, NumericalError, check_domains,
-                     read_file, write_file)
+                     file_sha256, read_file, write_file)
 from .evaluate import (
     DcfParams,
     build_trials,
@@ -216,7 +215,7 @@ def _write_manifest(out_dir, command, config, seed_override, inputs, outputs,
         "seed_override": seed_override,
         "inputs": {name: os.path.basename(str(p)) for name, p in inputs.items()},
         "outputs": {name: os.path.basename(str(p)) for name, p in outputs.items()},
-        "checksums": {os.path.basename(str(p)): hashlib.sha256(read_file(p, "output")).hexdigest()
+        "checksums": {os.path.basename(str(p)): file_sha256(p, "output")
                       for p in outputs.values()},
         "metrics": metrics,
     }

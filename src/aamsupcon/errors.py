@@ -6,11 +6,14 @@ or config error, or an input the run cannot take), NumericalError (2) and
 IoError (3). A leaf class exists only where a caller catches it by name or
 it carries data.
 
-read_file and write_file are the one place the package opens a file, so a
-failed read or write is always an IoError naming the file. check_domains is
-the one place a config key's domain is checked.
+read_file, file_sha256 and write_file are the one place the package opens
+a file, so a failed read or write is always an IoError naming the file.
+file_sha256 reads and write_file writes in pieces, so neither needs the
+whole file in memory. check_domains is the one place a config key's domain
+is checked.
 """
 
+import hashlib
 import math
 from dataclasses import fields
 
@@ -72,12 +75,33 @@ def read_file(path, what: str, encoding: str | None = None):
         raise IoError(f"{path}: not {encoding} text (byte {exc.start})") from exc
 
 
+_HASH_BLOCK = 1 << 20  # bytes file_sha256 reads at a time
+
+
+def file_sha256(path, what: str) -> str:
+    """The sha256 hex digest of the file at path, read _HASH_BLOCK bytes at
+    a time into one buffer. Raises IoError like read_file."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    try:
+        with open(path, "rb") as fh:
+            while size := fh.readinto(block):
+                digest.update(view[:size])
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
 def write_file(path, data, what: str) -> None:
-    """Write data, bytes or an ASCII str, to the file at path in one call.
-    Raises IoError "cannot write {what} to {path}: ..." when it cannot."""
+    """Write data to the file at path: bytes, an ASCII str, or an iterable
+    of such chunks, which go out in order through one open file. Raises
+    IoError "cannot write {what} to {path}: ..." when it cannot."""
+    chunks = (data,) if isinstance(data, (str, bytes)) else data
     try:
         with open(path, "wb") as fh:
-            fh.write(data.encode("ascii") if isinstance(data, str) else data)
+            for chunk in chunks:
+                fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 

@@ -107,9 +107,12 @@ def score_trials(params: NetworkParams, features, trials,
     that the network maps to a zero vector, or one whose norm overflows,
     raises NumericalError naming it.
 
-    The trials are scored _SCORE_BLOCK at a time, gathered into two
-    (block, D) buffers allocated once per call, so the products stay small.
-    The gathers clip out-of-range indices, which the range check below has
+    The index range is checked by min/max reductions; the per-trial mask
+    that names the first bad trial is built only when some index is out of
+    range. Of the forward trace only the embedding rows are kept. The
+    trials are scored _SCORE_BLOCK at a time, gathered into two (block, D)
+    buffers allocated once per call, so the products stay small. The
+    gathers clip out-of-range indices, which the range check has
     already refused, so they write straight into the buffers (numpy's
     default raise mode gathers into a temporary and copies it). The scores
     are bit-identical to scoring all trials at once: np.add.reduce (what
@@ -119,8 +122,8 @@ def score_trials(params: NetworkParams, features, trials,
         raise ValueError(f"space must be projection|encoder, got {space!r}")
     enroll, test, is_target = (np.asarray(a) for a in trials)
     n = len(features)
-    outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
-    if outside.any():
+    if enroll.size and (min(enroll.min(), test.min()) < 0 or max(enroll.max(), test.max()) >= n):
+        outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
         k = int(np.argmax(outside))
         raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
     try:
@@ -129,6 +132,7 @@ def score_trials(params: NetworkParams, features, trials,
             emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
+    del trace  # emb is an array of its own; the rest of the trace is not read again
     scores = np.empty(len(enroll))
     enroll_buf, test_buf = np.empty((2, min(len(enroll), _SCORE_BLOCK), emb.shape[1]))
     for start in range(0, len(enroll), _SCORE_BLOCK):
@@ -157,27 +161,51 @@ def roc_metrics(scored: ScoredTrials, dcf: DcfParams | None = None):
     dcf = dcf or DcfParams()
     if np.all(scored.scores == scored.scores[0]):
         raise NumericalError("all trial scores are equal")
-    tgt = np.sort(scored.scores[scored.is_target])
-    non = np.sort(scored.scores[~scored.is_target])
     uniq = np.unique(scored.scores)
-    p_miss = np.concatenate(([0.0], np.searchsorted(tgt, uniq) / tgt.size, [1.0]))
-    p_fa = np.concatenate(([1.0], (non.size - np.searchsorted(non, uniq)) / non.size, [0.0]))
-    thresholds = np.concatenate(([-np.inf], uniq, uniq[-1:]))
+    p_miss = _class_rates(scored.scores[scored.is_target], uniq, at_or_above=False)
+    p_fa = _class_rates(scored.scores[~scored.is_target], uniq, at_or_above=True)
 
-    diff = p_miss - p_fa  # non-decreasing; -1 at the first two points
-    k = int(np.argmax(diff >= 0.0))
-    eer, eer_thr = p_miss[k], thresholds[k]
-    if diff[k] != 0.0:
+    def threshold(i):
+        return -np.inf if i == 0 else uniq[min(i, uniq.size) - 1]
+
+    # p_miss - p_fa is non-decreasing, -1 at the first two points; for rates
+    # in [0, 1] it is >= 0 exactly where p_miss >= p_fa
+    k = int(np.argmax(np.greater_equal(p_miss, p_fa)))
+    eer, eer_thr = p_miss[k], threshold(k)
+    diff_k = p_miss[k] - p_fa[k]
+    if diff_k != 0.0:
         j = k - 1
-        alpha = -diff[j] / (diff[k] - diff[j])
+        diff_j = p_miss[j] - p_fa[j]
+        alpha = -diff_j / (diff_k - diff_j)
         eer = p_miss[j] + alpha * (p_miss[k] - p_miss[j])
-        eer_thr = thresholds[j] + alpha * (thresholds[k] - thresholds[j])
+        eer_thr = threshold(j) + alpha * (threshold(k) - threshold(j))
 
-    cost = dcf.c_miss * p_miss * dcf.p_target + dcf.c_fa * p_fa * (1.0 - dcf.p_target)
+    # c_miss * p_miss * p_target + c_fa * p_fa * (1 - p_target), term by term
+    cost = np.multiply(p_miss, dcf.c_miss, out=p_miss)
+    cost *= dcf.p_target
+    p_fa *= dcf.c_fa
+    p_fa *= 1.0 - dcf.p_target
+    cost += p_fa
     normalizer = min(dcf.c_miss * dcf.p_target, dcf.c_fa * (1.0 - dcf.p_target))
     i = int(np.argmin(cost))
-    dcf_thr = np.inf if i == cost.size - 1 else thresholds[i]
+    dcf_thr = np.inf if i == cost.size - 1 else threshold(i)
     return float(eer), float(eer_thr), float(cost[i] / normalizer), float(dcf_thr)
+
+
+def _class_rates(own, uniq, at_or_above: bool) -> np.ndarray:
+    """One class's curve from own, a copy of its scores (sorted in place):
+    per distinct score t in uniq, the share of own below t (P_miss of the
+    targets), or at or above t (P_fa of the non-targets), between the
+    all-accept and all-reject end points. Built in one array."""
+    own.sort()
+    rates = np.empty(uniq.size + 2)
+    rates[0], rates[-1] = (1.0, 0.0) if at_or_above else (0.0, 1.0)
+    counts = np.searchsorted(own, uniq)
+    if at_or_above:
+        np.subtract(own.size, counts, out=counts)
+    rates[1:-1] = counts
+    rates[1:-1] /= own.size
+    return rates
 
 
 def save_trials(path, trials) -> None:
@@ -192,43 +220,59 @@ def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
 
 def _write_lines(path, what, trials, scores=None) -> None:
     """One line per trial: its enroll and test indices and its 0|1 flag,
-    then, given scores, its score as %.17g. Each cell is one shared string
-    that ends in what follows it: "i " from _index_cells for an index,
-    "0\n" or "1\n" for a flag that ends the line, and "0 " or "1 " for one
-    that a score follows. Without scores the file is the cells joined; with
-    them it is one %-call over the cells and the scores as Python floats.
+    then, given scores, its score as %.17g. The lines go to write_file
+    _SCORE_BLOCK trials at a time, so no copy of the whole file is made.
+    Each cell is one shared string that ends in what follows it: "i " from
+    _index_cells for an index, "0\n" or "1\n" for a flag that ends the
+    line, and "0 " or "1 " for one that a score follows. Without scores a
+    block is its cells joined; with them it is one %-call over the cells
+    and the scores as Python floats.
 
     Raises ValueError naming the column, before the file is opened, for
     columns of unequal length, for an index column that is not of a
     non-negative integer dtype and for a flag other than 0 or 1."""
     enroll, test, flags = (np.asarray(c) for c in trials)
-    floats = [] if scores is None else [np.asarray(scores).tolist()]
+    columns = (enroll, test, flags, *([] if scores is None else [np.asarray(scores)]))
     rows = len(enroll)
-    if any(len(c) != rows for c in (test, flags, *floats)):
+    if any(len(c) != rows for c in columns):
         raise ValueError(f"{what} columns differ in length")
     for name, col in (("enroll", enroll), ("test", test)):
         if col.size and (col.dtype.kind not in "iu" or col.min() < 0):
             raise ValueError(f"{what} column {name} must hold integers >= 0")
     if not ((flags == 0) | (flags == 1)).all():
         raise ValueError(f"{what} column is_target must hold 0 or 1")
-    flag_text = np.array(["0\n", "1\n"] if scores is None else ["0 ", "1 "], dtype=object)
-    cells = [*_index_cells(enroll, test), flag_text[flags.astype(np.intp)].tolist(), *floats]
-    flat = [None] * (rows * len(cells))
-    for j, col in enumerate(cells):
-        flat[j::len(cells)] = col
-    text = "".join(flat) if scores is None else "%s%s%s%.17g\n" * rows % tuple(flat)
-    write_file(path, text, what)
+    write_file(path, _line_blocks(columns, _index_table(enroll, test)), what)
 
 
-def _index_cells(enroll, test):
-    """The two index columns as lists of "i " strings (the index in
-    decimal, then a space). Each index value is one shared string from a
-    table of the strings of every index up to the largest; where that table
-    would hold as many strings as the two columns have cells, or more, each
-    cell gets a string of its own instead."""
+def _line_blocks(columns, table):
+    """The text of _write_lines, one str per _SCORE_BLOCK rows of columns
+    (enroll, test, flags[, scores]); table is _index_table's."""
+    flag_text = np.array(["0\n", "1\n"] if len(columns) == 3 else ["0 ", "1 "],
+                         dtype=object)
+    for start in range(0, len(columns[0]), _SCORE_BLOCK):
+        enroll, test, flags, *scores = (c[start:start + _SCORE_BLOCK] for c in columns)
+        cells = [_index_cells(enroll, table), _index_cells(test, table),
+                 flag_text[flags.astype(np.intp)].tolist(), *(s.tolist() for s in scores)]
+        flat = [None] * (len(enroll) * len(cells))
+        for j, col in enumerate(cells):
+            flat[j::len(cells)] = col
+        yield "".join(flat) if not scores else "%s%s%s%.17g\n" * len(enroll) % tuple(flat)
+
+
+def _index_table(enroll, test):
+    """The strings "i " (the index in decimal, then a space) of every index
+    up to the largest of the two columns, for _index_cells to share; None
+    where that table would hold as many strings as the two columns have
+    cells, or more."""
     top = max((int(c.max()) for c in (enroll, test) if c.size), default=-1)
     if top + 1 >= enroll.size + test.size:
-        return [[f"{i} " for i in c.tolist()] for c in (enroll, test)]
-    table = np.array([f"{i} " for i in range(top + 1)], dtype=object)
-    return [table[c].tolist() for c in (enroll, test)]
+        return None
+    return np.array([f"{i} " for i in range(top + 1)], dtype=object)
 
+
+def _index_cells(column, table):
+    """The index column as a list of "i " strings: shared ones from table,
+    or, where table is None, a string of its own per cell."""
+    if table is None:
+        return [f"{i} " for i in column.tolist()]
+    return table[column].tolist()

@@ -1,12 +1,14 @@
 import configparser
 import contextlib
 import enum
+import hashlib
 import inspect
 import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -693,6 +695,40 @@ def test_every_package_error_exits_with_its_kind(monkeypatch, capsys, cls):
     err = capsys.readouterr().err
     assert err.startswith(f"{label}: "), err
     assert "Traceback" not in err
+
+
+def test_write_file_writes_chunks_in_order(tmp_path):
+    """str and bytes chunks, from any iterable, go out as their
+    concatenation; a lone str or bytes is one chunk."""
+    path = tmp_path / "out.txt"
+    errors.write_file(path, (c for c in ["ab", b"cd", "", b"", "e\n"]), "chunks")
+    assert path.read_bytes() == b"abcde\n"
+    errors.write_file(path, iter([]), "chunks")
+    assert path.read_bytes() == b""
+    for data in ("plain\n", b"plain\n"):
+        errors.write_file(path, data, "chunks")
+        assert path.read_bytes() == b"plain\n"
+
+
+def test_write_file_unwritable_path_names_the_file(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    for data in (["ab", b"cd"], "ab"):
+        with pytest.raises(errors.IoError, match=re.escape(f"cannot write chunks to {path}: ")):
+            errors.write_file(path, data, "chunks")
+    with pytest.raises(errors.IoError, match=re.escape(f"cannot read output from {path}: ")):
+        errors.file_sha256(path, "output")
+
+
+@pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 2**20 + 1])
+def test_manifest_checksum_is_sha256_of_the_file(tmp_path, size):
+    """Files on each side of file_sha256's 1 MiB block get the sha256 of
+    their bytes in the manifest."""
+    blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob.bin"
+    path.write_bytes(blob)
+    manifest = cli._write_manifest(tmp_path, "probe", {}, None, {}, {"blob": path})
+    checksums = json.loads(Path(manifest).read_text())["checksums"]
+    assert checksums == {"blob.bin": hashlib.sha256(blob).hexdigest()}
 
 
 def test_module_entry_point_runs():

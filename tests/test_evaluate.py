@@ -193,10 +193,21 @@ def test_scores_lie_in_cosine_range():
 
 
 def test_score_trials_checks_indices():
+    """Of several bad trials, with each kind of bad index, the message
+    names the first."""
     params = _antipodal_params()
     features = np.array([[1.0], [-1.0]])
     with pytest.raises(ConfigError, match=r"trial 0 \(0, 5\) outside dataset of 2"):
         score_trials(params, features, (np.array([0]), np.array([5]), np.array([False])))
+    flags = np.array([True, False, True, False, True])
+    for enroll, test, first in [((0, 1, 1, -1, 0), (1, 0, 2, 0, 9), r"trial 2 \(1, 2\)"),
+                                ((0, -1, 1, 5, 0), (1, 1, 0, 0, 1), r"trial 1 \(-1, 1\)"),
+                                ((0, 1, 1, 0, 2), (1, 1, 0, -2, 1), r"trial 3 \(0, -2\)"),
+                                ((0, 1, 1, 0, 2), (1, 1, 0, 1, 1), r"trial 4 \(2, 1\)")]:
+        for dtype in (np.int64, np.int32):
+            trials = (np.array(enroll, dtype=dtype), np.array(test, dtype=dtype), flags)
+            with pytest.raises(ConfigError, match=first + " outside dataset of 2"):
+                score_trials(params, features, trials)
 
 
 def test_score_trials_encoder_space():
@@ -322,20 +333,12 @@ _SPECIAL_SCORES = [-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1 / 3, -2 / 3, 0.1 + 0
                    2.2250738585072014e-308, 1e300, 0.5]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@example(rows=0, digits=1, seed=0, index_dtype=np.int64)
-@example(rows=600, digits=3, seed=1, index_dtype=np.int64)
-@example(rows=600, digits=6, seed=2, index_dtype=np.int32)
-@given(rows=st.integers(0, 600), digits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       index_dtype=st.sampled_from([np.int64, np.int32, np.uint32]))
-def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
-    """Trial lists of 0 to 600 rows whose indices have up to `digits`
-    digits, with index 0 and the largest one present, flags given as bools
+def _assert_writers_match_reference(rows, largest, rng, index_dtype):
+    """A trial list of rows rows drawn from rng, whose indices lie in
+    [0, largest], with index 0 and largest present, flags given as bools
     and as 0/1 ints, and a third of the scores drawn from _SPECIAL_SCORES:
-    save_trials and save_scored_trials write the reference's bytes, and an
-    empty list an empty file."""
-    rng = np.random.default_rng(seed)
-    largest = int(rng.integers(10 ** (digits - 1), 10 ** digits))
+    save_trials and save_scored_trials write the reference's bytes, one
+    line per row. Returns the index columns."""
     both = rng.integers(0, largest + 1, (2, rows)).astype(index_dtype)
     if rows:
         both.flat[rng.choice(2 * rows, size=2, replace=False)] = 0, largest
@@ -354,6 +357,35 @@ def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
                 got = (tmp / name).read_bytes()
                 assert got == (tmp / f"want_{name}").read_bytes()
                 assert got.count(b"\n") == rows
+    return enroll, test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(rows=0, digits=1, seed=0, index_dtype=np.int64)
+@example(rows=600, digits=3, seed=1, index_dtype=np.int64)
+@example(rows=600, digits=6, seed=2, index_dtype=np.int32)
+@given(rows=st.integers(0, 600), digits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       index_dtype=st.sampled_from([np.int64, np.int32, np.uint32]))
+def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
+    """Trial lists of 0 to 600 rows whose indices have up to `digits`
+    digits (_assert_writers_match_reference); an empty list gives an empty
+    file."""
+    rng = np.random.default_rng(seed)
+    largest = int(rng.integers(10 ** (digits - 1), 10 ** digits))
+    _assert_writers_match_reference(rows, largest, rng, index_dtype)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
+def test_writers_match_reference_across_block_edges(rows, shared):
+    """Row counts on each side of the writers' _SCORE_BLOCK chunks, with
+    the index strings shared from one table (largest index rows // 2,
+    below the number of cells) and made per cell (largest index 999999)."""
+    assert evaluate._SCORE_BLOCK == 512
+    largest = rows // 2 if shared else 999_999
+    enroll, test = _assert_writers_match_reference(rows, largest, np.random.default_rng(rows),
+                                                   np.int64)
+    assert (evaluate._index_table(enroll, test) is not None) == (shared and rows > 0)
 
 
 def test_writers_table_no_more_strings_than_cells(tmp_path):
@@ -373,20 +405,55 @@ def test_writers_table_no_more_strings_than_cells(tmp_path):
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_block_scoring_peak_memory():
-    """102400 trials over 1280 rows with the quickstart model: blocks keep
-    the scoring temporaries far below the (T, D) products of one pass."""
+@pytest.fixture(scope="module")
+def quickstart_scale():
+    """102400 trials over 1280 rows with the quickstart model, and their
+    scores."""
     features, speaker_ids, _ = generate(DatasetSpec(128, 10, 40, 0.2, seed=0))
     params = init_params([40, 64, 64], 128, 128, 128, seed=0)
     trials = build_trials(speaker_ids, 400, seed=0)
+    return params, features, trials, score_trials(params, features, trials)
+
+
+def _traced_peak(fn):
+    """(fn's result, the tracemalloc peak of the call in bytes)."""
     tracemalloc.start()
     try:
-        scored = score_trials(params, features, trials)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_block_scoring_peak_memory(quickstart_scale):
+    """Blocks keep the scoring temporaries far below the (T, D) products of
+    one pass."""
+    params, features, trials, _ = quickstart_scale
+    scored, peak = _traced_peak(lambda: score_trials(params, features, trials))
     assert scored.scores.size == 102400
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_writers_peak_memory(quickstart_scale, tmp_path):
+    """The writers stream _SCORE_BLOCK lines at a time, so 102400 trials
+    need no whole-file list, text or encoded copy."""
+    _, _, trials, scored = quickstart_scale
+    for name, write in (("trials", lambda: save_trials(tmp_path / "trials.txt", trials)),
+                        ("scores", lambda: save_scored_trials(tmp_path / "scores.txt",
+                                                              trials, scored))):
+        _, peak = _traced_peak(write)
+        assert peak < 2 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
+        assert (tmp_path / f"{name}.txt").read_bytes().count(b"\n") == 102400
+
+
+def test_roc_metrics_peak_memory_and_bits_at_scale(quickstart_scale):
+    """The curve at 102400 trials is built in place: under 4 MiB at its
+    peak, with the bits of the two-curve reference."""
+    scored = quickstart_scale[3]
+    got, peak = _traced_peak(lambda: roc_metrics(scored))
+    want = (*oracles.eer(scored), *oracles.min_dcf(scored, DcfParams()))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
     trials = 2 * layergrid.EVAL_SPEAKERS * layergrid.TRIALS_PER_SPEAKER
     assert [row[:3] for row in rows] == [(layer, trials, "projection")
                                          for layer in layergrid.EVAL_LAYERS]
-    assert all(seconds > 0 and faults >= 0 for *_, seconds, faults in rows)
+    assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
 
 
 def test_runset_configs_load(runset, tmp_path):

@@ -15,7 +15,9 @@ parameter step and class-weight renormalization, as in train's loop).
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
 an untrained quickstart-shaped model: build_trials, score_trials,
-roc_metrics, save_trials and save_scored_trials.
+roc_metrics, save_trials and save_scored_trials. Each evaluation row also
+gets the tracemalloc peak of one more call, made after the timed ones, so
+that tracing slows no timed call.
 
 Each round runs in a fresh interpreter with single-threaded BLAS, imports
 the package from a checkout's src/, and times every row in-process with
@@ -24,8 +26,9 @@ fastest block. It also counts the minor page faults of the row's timed
 calls (resource.getrusage, this process only). With --before, the rounds
 alternate between that older checkout and the one this file sits in, which
 goes first in even rounds. OUT.json gets, per side and row, the fastest and
-the median round in microseconds per call and the median minor page faults
-per call, the minor page faults of each whole round, and the environment.
+the median round in microseconds per call, the median minor page faults
+per call and, for an evaluation row, the median tracemalloc peak in KiB,
+the minor page faults of each whole round, and the environment.
 --quick runs 3 rounds of fewer calls, in under 30 s on a 2-core host with
 --before.
 """
@@ -40,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +78,16 @@ def timed(fn, warmup: int, blocks: int, calls: int):
         fastest = min(fastest, time.perf_counter() - started)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return fastest / calls, faults / (blocks * calls)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def train_rows(calls):
@@ -124,7 +138,8 @@ def train_rows(calls):
 
 
 def eval_rows(calls):
-    """[(layer, trials, space, seconds, faults)] of the evaluation's parts."""
+    """[(layer, trials, space, seconds, faults, peak bytes)] of the
+    evaluation's parts."""
     from aamsupcon import evaluate
     from aamsupcon.model import init_params
     from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
@@ -143,7 +158,8 @@ def eval_rows(calls):
                  lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
                  lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored))
         for layer, fn in zip(EVAL_LAYERS, parts):
-            out.append((layer, len(trials[0]), "projection", *timed(fn, *calls)))
+            out.append((layer, len(trials[0]), "projection", *timed(fn, *calls),
+                        traced_peak(fn)))
     return out
 
 
@@ -167,10 +183,11 @@ def run_round(checkout: Path, mode: str) -> dict:
 
 def summarize(times: dict) -> list:
     """One record per row: fastest and median round per side, in us per
-    call, and the median minor page faults per call."""
+    call, the median minor page faults per call and, where the row has
+    one, the median tracemalloc peak in KiB."""
     records = []
     first = next(iter(times.values()))[0]["rows"]
-    for i, (layer, size, space, _, _) in enumerate(first):
+    for i, (layer, size, space, *_) in enumerate(first):
         record = {"layer": layer, "size": size, "space": space}
         for side, rounds in times.items():
             per_call = [r["rows"][i][3] * 1e6 for r in rounds]
@@ -178,9 +195,15 @@ def summarize(times: dict) -> list:
             record[f"{side}_median_us"] = round(statistics.median(per_call), 1)
             record[f"{side}_minflt_per_call"] = round(
                 statistics.median(r["rows"][i][4] for r in rounds), 2)
+            if len(first[i]) > 5:
+                record[f"{side}_peak_kib"] = round(
+                    statistics.median(r["rows"][i][5] for r in rounds) / 1024, 1)
         if "before" in times:
             record["after_over_before_best"] = round(
                 record["after_best_us"] / record["before_best_us"], 3)
+            if "after_peak_kib" in record:
+                record["after_over_before_peak"] = round(
+                    record["after_peak_kib"] / record["before_peak_kib"], 3)
         records.append(record)
     return records
 
@@ -210,7 +233,8 @@ def main(argv) -> int:
     record = {
         "what": "microseconds per call of each layer (the fastest block of a round), "
                 "fastest and median of the rounds, and minor page faults per call "
-                "(median of the rounds)",
+                "(median of the rounds); for evaluation rows, the tracemalloc peak of one "
+                "untimed call in KiB (median of the rounds)",
         "rounds": rounds, "mode": mode,
         "warmup_blocks_calls": dict(zip(("training", "evaluation"), CALLS[mode])),
         "env": {"python": platform.python_version(), "numpy": np.__version__,
