@@ -102,6 +102,7 @@ def write_file(path, data, what: str) -> None:
         with open(path, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+                del chunk  # not held while the next chunk is made
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 

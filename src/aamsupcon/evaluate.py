@@ -21,7 +21,7 @@ import numpy as np
 
 from .batching import group_by_speaker
 from .errors import ConfigError, NumericalError, ZeroVector, check_domains, write_file
-from .model import NetworkParams, encoder_embeddings, forward
+from .model import NetworkParams, embed
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
 
@@ -99,8 +99,8 @@ def _sample_k(rng, space: int, count: int) -> np.ndarray:
 
 def score_trials(params: NetworkParams, features, trials,
                  space: str = "projection") -> ScoredTrials:
-    """Cosine scores of the (enroll, test, is_target) trials from one cached
-    forward pass over the feature matrix.
+    """Cosine scores of the (enroll, test, is_target) trials from one
+    inference pass (model.embed) over the feature matrix.
 
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output). A row
@@ -109,17 +109,16 @@ def score_trials(params: NetworkParams, features, trials,
 
     The index range is checked by min/max reductions; the per-trial mask
     that names the first bad trial is built only when some index is out of
-    range. Of the forward trace only the embedding rows are kept. The
-    trials are scored _SCORE_BLOCK at a time, gathered into two (block, D)
-    buffers allocated once per call, so the products stay small. The
-    gathers clip out-of-range indices, which the range check has
-    already refused, so they write straight into the buffers (numpy's
-    default raise mode gathers into a temporary and copies it). The scores
+    range. The pass holds one layer's activations at a time and keeps
+    only the unit rows scoring reads. The trials are scored _SCORE_BLOCK
+    at a time, gathered into two (block, D) buffers allocated once per
+    call, so the products stay small. The gathers clip out-of-range
+    indices, which the range check has already refused, so they write
+    straight into the buffers (numpy's default raise mode gathers into a
+    temporary and copies it). The scores
     are bit-identical to scoring all trials at once: np.add.reduce (what
     np.sum calls) over the last axis of a C-contiguous block reduces each
     row with the same pairwise routine, however many rows the block holds."""
-    if space not in ("projection", "encoder"):
-        raise ValueError(f"space must be projection|encoder, got {space!r}")
     enroll, test, is_target = (np.asarray(a) for a in trials)
     n = len(features)
     if enroll.size and (min(enroll.min(), test.min()) < 0 or max(enroll.max(), test.max()) >= n):
@@ -128,11 +127,9 @@ def score_trials(params: NetworkParams, features, trials,
         raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
     try:
         with np.errstate(all="ignore"):
-            trace = forward(params, features)
-            emb = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+            emb = embed(params, features, space)
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
-    del trace  # emb is an array of its own; the rest of the trace is not read again
     scores = np.empty(len(enroll))
     enroll_buf, test_buf = np.empty((2, min(len(enroll), _SCORE_BLOCK), emb.shape[1]))
     for start in range(0, len(enroll), _SCORE_BLOCK):

@@ -113,6 +113,14 @@ def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
     return NetworkParams(layers, proj_w1, proj_w2, class_weights, seed)
 
 
+def _inputs(params: NetworkParams, features) -> np.ndarray:
+    """features as a float64 array, checked to be (N, d_in)."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.d_in:
+        raise ConfigError(f"expected (N, {params.d_in}) inputs, got {x.shape}")
+    return x
+
+
 def forward(params: NetworkParams, features, ws: Workspace | None = None) -> Workspace:
     """Run the encoder and projection, ending in row normalization, and
     return the Workspace it filled: the trace that encoder_embeddings and
@@ -124,9 +132,7 @@ def forward(params: NetworkParams, features, ws: Workspace | None = None) -> Wor
     ws, when given, is a Workspace for N rows, which the next call through
     it overwrites; without it the call builds one of its own.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.d_in:
-        raise ConfigError(f"expected (N, {params.d_in}) inputs, got {x.shape}")
+    x = _inputs(params, features)
     if ws is None:
         ws = Workspace(params, x.shape[0])
     ws.inputs = act = x
@@ -151,6 +157,37 @@ def encoder_embeddings(trace: Workspace) -> np.ndarray:
         trace.encoder_rows = (np.empty_like(h), np.empty((len(h), 1)), np.empty_like(h))
     unit, norms, _ = trace.encoder_rows
     return normalize_rows(h, out=unit, norms=norms, squares=unit)
+
+
+def embed(params: NetworkParams, features, space: str = "projection") -> np.ndarray:
+    """The unit rows scoring reads, with the bits of forward's embeddings
+    (space "projection") or of encoder_embeddings (space "encoder").
+
+    The inference pass: each layer is one product into a new array, then
+    the bias and relu in place, and the activation below it is released,
+    so no trace for backward is built. Every product runs over all N rows
+    at once, as in forward: BLAS picks its kernel by the row count, and
+    row blocks would change the last bits. The projection output is
+    normalized in place, with the projection activation as its squares
+    buffer where the two have the same shape.
+
+    Raises ConfigError on a wrong input width, ValueError on an unknown
+    space and ZeroVector naming the first row of (near-)zero or
+    non-finite norm."""
+    if space not in ("projection", "encoder"):
+        raise ValueError(f"space must be projection|encoder, got {space!r}")
+    act = _inputs(params, features)
+    for w, b in params.encoder_layers:
+        act = np.matmul(act, w.T)
+        act += b
+        np.maximum(act, 0.0, out=act)
+    if space == "encoder":
+        return normalize_rows(act, out=act)
+    p = np.matmul(act, params.proj_w1.T)
+    del act
+    np.maximum(p, 0.0, out=p)
+    z = np.matmul(p, params.proj_w2.T)
+    return normalize_rows(z, out=z, squares=p if p.shape == z.shape else None)
 
 
 def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarray,

@@ -15,6 +15,7 @@ from .errors import ConfigError, IoError, ZeroVector, check_domains, read_file, 
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
+_ROW_BLOCK = 512  # rows save_dataset formats at a time
 
 
 @dataclass
@@ -78,14 +79,23 @@ def split_holdout(speaker_ids, holdout_per_speaker: int):
 
 def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     """Write the text dump: one header line with the spec fields, then one
-    line per row: speaker_id original features..."""
-    lines = ["num_speakers=%d utterances_per_speaker=%d d_in=%d spread=%s seed=%d"
-             % (spec.num_speakers, spec.utterances_per_speaker, spec.d_in,
-                _FLOAT_FMT % spec.spread, spec.seed)]
-    row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1])
-    for sid, row in zip(speaker_ids.tolist(), features.tolist()):
-        lines.append(row_fmt % (sid, *row))
-    write_file(path, "\n".join(lines) + "\n", "dataset")
+    line per row: speaker_id original features... The rows go to
+    write_file _ROW_BLOCK at a time, so no copy of the whole file is made."""
+    header = ("num_speakers=%d utterances_per_speaker=%d d_in=%d spread=%s seed=%d\n"
+              % (spec.num_speakers, spec.utterances_per_speaker, spec.d_in,
+                 _FLOAT_FMT % spec.spread, spec.seed))
+    row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1]) + "\n"
+
+    def blocks():
+        # one expression per block, so that its rows as Python lists are
+        # freed before the block's text goes out
+        yield header
+        for start in range(0, len(features), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            yield "".join([row_fmt % (sid, *row) for sid, row in
+                           zip(speaker_ids[block].tolist(), features[block].tolist())])
+
+    write_file(path, blocks(), "dataset")
 
 
 def load_dataset(path):
@@ -106,8 +116,12 @@ def load_dataset(path):
             raise IoError(f"{path}:{ln}: expected {2 + spec.d_in} fields, got {len(parts)}")
         if parts[1] != "original":
             raise IoError(f"{path}:{ln}: view tag must be 'original', got {parts[1]!r}")
+        if "_" in line:  # int and float read "1_0" as 10; save_dataset writes no "_"
+            raise IoError(f"{path}:{ln}: '_' in a number")
         try:
-            ids.append(int(parts[0]))
+            # an id outside [0, N) is kept as -1 or N, which the range check
+            # below names, so one past int64 cannot overflow the id array
+            ids.append(min(max(int(parts[0]), -1), spec.num_speakers))
             features[ln - 2] = list(map(float, parts[2:]))
         except ValueError as exc:
             raise IoError(f"{path}:{ln}: {exc}") from exc
@@ -135,6 +149,8 @@ def _parse_header(path, line) -> DatasetSpec:
         key, sep, value = token.partition("=")
         if not sep:
             raise IoError(f"{path}:1: header token {token!r} is not key=value")
+        if "_" in value:
+            raise IoError(f"{path}:1: '_' in header value {token!r}")
         header[key] = value
     try:
         spec = DatasetSpec(**{f.name: f.type(header[f.name]) for f in fields(DatasetSpec)})

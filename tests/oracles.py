@@ -8,14 +8,17 @@ to pin its bits. load_trials and load_scored_trials read the trial and
 score files back and pin the grammar that README documents. The loss
 kernels below allocate every temporary, as the in-place kernels
 of aamsupcon.losses did before they reused buffers, and give the same bits.
+save_dataset is the whole-file dataset writer that the row-block one
+replaced, kept to pin its bytes.
 """
 
 import numpy as np
 
-from aamsupcon.errors import IoError, NumericalError, read_file
+from aamsupcon.errors import IoError, NumericalError, read_file, write_file
 from aamsupcon.evaluate import DcfParams, ScoredTrials
 from aamsupcon.geometry import margin_logit, margin_logit_grad
 from aamsupcon.losses import LossKind, supcon_masks
+from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
 
 
 def eer_threshold_sweep(scored: ScoredTrials):
@@ -131,6 +134,23 @@ def min_dcf(scored: ScoredTrials, params: DcfParams | None = None):
                      params.c_fa * (1.0 - params.p_target))
     idx = int(np.argmin(dcf))
     return float(dcf[idx] / normalizer), float(thresholds[idx])
+
+
+# ---------------------------------------------------------------------------
+# byte-for-byte dataset reference: the whole-file writer that
+# synthdata.save_dataset replaces, kept verbatim
+
+
+def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
+    """Write the text dump: one header line with the spec fields, then one
+    line per row: speaker_id original features..."""
+    lines = ["num_speakers=%d utterances_per_speaker=%d d_in=%d spread=%s seed=%d"
+             % (spec.num_speakers, spec.utterances_per_speaker, spec.d_in,
+                _FLOAT_FMT % spec.spread, spec.seed)]
+    row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1])
+    for sid, row in zip(speaker_ids.tolist(), features.tolist()):
+        lines.append(row_fmt % (sid, *row))
+    write_file(path, "\n".join(lines) + "\n", "dataset")
 
 
 # ---------------------------------------------------------------------------

@@ -792,6 +792,22 @@ def test_corrupted_dataset_is_trained_or_named(clean_dataset, data):
         assert str(path) in err.getvalue()
 
 
+@pytest.mark.parametrize("sid", ["99999999999999999999999", "-99999999999999999999999"])
+def test_speaker_id_past_int64_exits_3_naming_line(clean_dataset, tmp_path, capsys, sid):
+    """An id past int64 is refused as outside [0, N), like any other, rather
+    than overflowing the id array."""
+    cfg, text = clean_dataset
+    lines = text.splitlines(keepends=True)
+    lines[3] = sid + lines[3][lines[3].index(" "):]
+    path = tmp_path / "dataset.txt"
+    path.write_text("".join(lines))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"i/o failure: {path}:4: speaker id outside [0, 6)"], err
+    assert not out.exists()
+
+
 # boundary and garbage values for any key
 _CONFIG_TOKENS = ["0", "-1", "1", "2", "99", "nan", "inf", "1e999", "", "x", "0.5"]
 

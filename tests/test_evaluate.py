@@ -425,13 +425,16 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_block_scoring_peak_memory(quickstart_scale):
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+def test_block_scoring_peak_memory(quickstart_scale, space):
     """Blocks keep the scoring temporaries far below the (T, D) products of
-    one pass."""
+    one pass, and the inference pass holds no forward trace: about 3.1 MiB
+    in projection space and 2.0 MiB in encoder space, against 11.6 and
+    12.9 MiB through forward's workspace."""
     params, features, trials, _ = quickstart_scale
-    scored, peak = _traced_peak(lambda: score_trials(params, features, trials))
+    scored, peak = _traced_peak(lambda: score_trials(params, features, trials, space))
     assert scored.scores.size == 102400
-    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_writers_peak_memory(quickstart_scale, tmp_path):

@@ -5,6 +5,8 @@ from aamsupcon.errors import ConfigError, IoError, ZeroVector
 from aamsupcon.model import (
     NetworkParams,
     backward,
+    embed,
+    encoder_embeddings,
     flat_copy,
     forward,
     init_params,
@@ -100,10 +102,60 @@ def test_forward_zero_projection_raises():
         forward(params, np.ones((2, 3)))
 
 
-def test_forward_shape_mismatch():
+@pytest.mark.parametrize("run", [forward, embed])
+def test_forward_shape_mismatch(run):
     params = init_params([10, 8], 8, 4, 3, seed=0)
-    with pytest.raises(ConfigError, match=r"expected \(N, 10\) inputs"):
-        forward(params, np.ones((2, 7)))
+    for bad in (np.ones((2, 7)), np.ones(10)):
+        with pytest.raises(ConfigError, match=r"expected \(N, 10\) inputs, got \(\d+"):
+            run(params, bad)
+
+
+@pytest.mark.parametrize("dims, proj_hidden, d_out, rows", [
+    ([12, 16, 16], 6, 6, 9),  # the projection activation is the squares buffer
+    ([12, 16, 16], 8, 6, 9),  # proj_hidden != d_out: a squares array of its own
+    ([12, 16], 8, 6, 1),
+    ([40, 64, 64], 128, 128, 1280),  # the quickstart model at verify scale
+])
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+def test_embed_matches_forward_bit_for_bit(dims, proj_hidden, d_out, rows, space):
+    params = init_params(dims, proj_hidden, d_out, 4, seed=rows)
+    x = np.random.default_rng(rows).normal(size=(rows, dims[0]))
+    kept = x.copy()
+    trace = forward(params, x)
+    want = trace.embeddings if space == "projection" else encoder_embeddings(trace)
+    got = embed(params, x, space)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+def test_embed_names_the_collapsed_row_forward_names(space):
+    """Rows 2 and 3 are all negative, so the relu encoder maps them to zero
+    in both spaces; the refusal names row 2 with forward's message."""
+    params = _identity_params(3)
+    x = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 0.2], [-1.0, -2.0, -0.5], [-1.0, -1.0, -1.0]])
+    with pytest.raises(ZeroVector) as want:
+        encoder_embeddings(forward(params, x))
+    with pytest.raises(ZeroVector) as got:
+        embed(params, x, space)
+    assert str(got.value) == str(want.value) == "row 2 has norm 0.000e+00"
+
+
+def test_embed_encoder_space_reads_no_projection():
+    """A collapsed projection does not stop encoder-space embedding, which
+    never computes it."""
+    params = _identity_params(3)
+    params.proj_w2 = np.zeros_like(params.proj_w2)
+    x = np.abs(np.random.default_rng(0).normal(size=(4, 3))) + 0.1
+    with pytest.raises(ZeroVector):
+        embed(params, x)
+    assert np.allclose(embed(params, x, "encoder"), x / np.linalg.norm(x, axis=1, keepdims=True))
+
+
+def test_embed_refuses_an_unknown_space():
+    params = init_params([10, 8], 8, 4, 3, seed=0)
+    with pytest.raises(ValueError, match=r"space must be projection\|encoder, got 'both'"):
+        embed(params, np.ones((2, 10)), "both")
 
 
 def test_backward_zero_upstream_gives_zero_grads():

@@ -1,8 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from aamsupcon import synthdata
 from aamsupcon.errors import ConfigError, IoError
 from aamsupcon.synthdata import (
     DatasetSpec,
@@ -92,6 +95,35 @@ def test_dump_header_carries_spec_fields(tmp_path):
     assert "num_speakers=3" in header and "spread=0.125" in header and "seed=2" in header
 
 
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
+def test_row_block_writer_matches_whole_file_writer(tmp_path, rows):
+    """Row counts on each side of save_dataset's _ROW_BLOCK blocks give the
+    bytes of the whole-file writer it replaced."""
+    assert synthdata._ROW_BLOCK == 512
+    rng = np.random.default_rng(rows)
+    spec = DatasetSpec(7, 3, 5, 0.1, seed=rows)
+    features = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-300, 300, (rows, 5))
+    speaker_ids = rng.integers(0, 7, rows)
+    save_dataset(tmp_path / "blocks.txt", spec, features, speaker_ids)
+    oracles.save_dataset(tmp_path / "whole.txt", spec, features, speaker_ids)
+    assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
+
+def test_save_dataset_peak_memory(tmp_path):
+    """2560 rows of 40 features go out 512 rows at a time: about 1.1 MiB at
+    the peak, against 6.4 MiB for the whole-file writer."""
+    spec = DatasetSpec(128, 20, 40, 0.2, seed=7)
+    features, speaker_ids, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        save_dataset(tmp_path / "data.txt", spec, features, speaker_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "data.txt").read_bytes().count(b"\n") == 2561
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_load_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("num_speakers=2 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0\n"
@@ -123,6 +155,7 @@ def test_split_holdout():
 
 _HEADER = "num_speakers=2 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0"
 _ROW = "0 original 1.0 0.0 0.0"
+_ROW_1 = "1 original 0.0 1.0 0.0"
 
 
 @pytest.mark.parametrize("text, line", [
@@ -139,6 +172,14 @@ _ROW = "0 original 1.0 0.0 0.0"
     (f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}", 1),
     (f"{_HEADER}\n" + "\n".join([_ROW] * 5), 1),
     (f"{_HEADER}\n" + "\n".join([_ROW] * 4), 1),
+    # int and float read "0_2" as 2 and "1_0.0" as 10.0, so without the '_'
+    # check each of these files would load; save_dataset writes no '_'
+    pytest.param(f"{_HEADER.replace('=2 ', '=0_2 ', 1)}\n{_ROW}\n{_ROW}\n{_ROW_1}\n{_ROW_1}",
+                 1, id="underscore-in-header"),
+    pytest.param(f"{_HEADER}\n{_ROW}\n{_ROW}\n0_1 original 0.0 1.0 0.0\n{_ROW_1}",
+                 4, id="underscore-in-speaker-id"),
+    pytest.param(f"{_HEADER}\n{_ROW}\n{_ROW}\n{_ROW_1}\n1 original 0.0 1_0.0 0.0",
+                 5, id="underscore-in-feature"),
     # the header alone, or a wide line 2 over many short lines, once sized an
     # 8 PB or a 320 GB feature array before the body was read
     pytest.param(_HEADER.replace("d_in=3", "d_in=1000000000000000") + "\n0 original 1 2",

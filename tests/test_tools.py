@@ -52,8 +52,10 @@ def test_layergrid_times_every_training_row_once(layergrid):
 def test_layergrid_times_every_evaluation_row_once(layergrid):
     rows = layergrid.eval_rows((0, 1, 1))
     trials = 2 * layergrid.EVAL_SPEAKERS * layergrid.TRIALS_PER_SPEAKER
-    assert [row[:3] for row in rows] == [(layer, trials, "projection")
-                                         for layer in layergrid.EVAL_LAYERS]
+    dataset_rows = layergrid.EVAL_UTTERANCES * layergrid.EVAL_SPEAKERS
+    assert [row[:3] for row in rows] == [
+        (layer, dataset_rows if layer == "save_dataset" else trials, "projection")
+        for layer in layergrid.EVAL_LAYERS]
     assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
 
 

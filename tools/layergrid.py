@@ -15,9 +15,10 @@ parameter step and class-weight renormalization, as in train's loop).
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
 an untrained quickstart-shaped model: build_trials, score_trials,
-roc_metrics, save_trials and save_scored_trials. Each evaluation row also
-gets the tracemalloc peak of one more call, made after the timed ones, so
-that tracing slows no timed call.
+roc_metrics, save_trials and save_scored_trials; and save_dataset of the
+whole 2560-row dataset they are drawn from. Each evaluation row also gets
+the tracemalloc peak of one more call, made after the timed ones, so that
+tracing slows no timed call.
 
 Each round runs in a fresh interpreter with single-threaded BLAS, imports
 the package from a checkout's src/, and times every row in-process with
@@ -55,8 +56,8 @@ VIEWS = 2
 SPACES = ("projection", "encoder")
 TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
 EVAL_LAYERS = ("build_trials", "score_trials", "roc_metrics", "save_trials",
-               "save_scored_trials")
-EVAL_SPEAKERS, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 10, 400
+               "save_scored_trials", "save_dataset")
+EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
 # (warm-up calls, timed blocks, calls per block) per training and per
 # evaluation row
 CALLS = {"full": ((20, 10, 20), (2, 5, 2)), "quick": ((5, 4, 10), (1, 2, 1))}
@@ -138,15 +139,17 @@ def train_rows(calls):
 
 
 def eval_rows(calls):
-    """[(layer, trials, space, seconds, faults, peak bytes)] of the
-    evaluation's parts."""
+    """[(layer, size, space, seconds, faults, peak bytes)] of the
+    evaluation's parts; the size is the number of trials, or of dataset
+    rows for save_dataset."""
     from aamsupcon import evaluate
     from aamsupcon.model import init_params
-    from aamsupcon.synthdata import DatasetSpec, generate, split_holdout
+    from aamsupcon.synthdata import DatasetSpec, generate, save_dataset, split_holdout
 
-    features, speaker_ids, _ = generate(DatasetSpec(EVAL_SPEAKERS, 20, 40, 0.2, 7))
-    held = split_holdout(speaker_ids, EVAL_HELD_OUT)[1]
-    features, speaker_ids = features[held], speaker_ids[held]
+    spec = DatasetSpec(EVAL_SPEAKERS, EVAL_UTTERANCES, 40, 0.2, 7)
+    data, ids, _ = generate(spec)
+    held = split_holdout(ids, EVAL_HELD_OUT)[1]
+    features, speaker_ids = data[held], ids[held]
     params = init_params([40, 64, 64], 128, 128, EVAL_SPEAKERS, seed=0)
     trials = evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
     scored = evaluate.score_trials(params, features, trials)
@@ -156,10 +159,11 @@ def eval_rows(calls):
                  lambda: evaluate.score_trials(params, features, trials),
                  lambda: evaluate.roc_metrics(scored),
                  lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
-                 lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored))
+                 lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored),
+                 lambda: save_dataset(Path(tmp) / "dataset.txt", spec, data, ids))
         for layer, fn in zip(EVAL_LAYERS, parts):
-            out.append((layer, len(trials[0]), "projection", *timed(fn, *calls),
-                        traced_peak(fn)))
+            size = len(data) if layer == "save_dataset" else len(trials[0])
+            out.append((layer, size, "projection", *timed(fn, *calls), traced_peak(fn)))
     return out
 
 
