@@ -6,7 +6,8 @@ sections), writes its artifacts plus a manifest.json into --out, and is
 bit-reproducible under a fixed config and seed.
 
 Exit codes: 0 success; otherwise the exit code of the error's kind: 1
-usage or config error (ConfigError); 2 numerical failure (NumericalError:
+usage or config error (ConfigError; also out of memory, or a sweep-batch
+worker process that dies); 2 numerical failure (NumericalError:
 divergence, gradient tolerance, degenerate trials); 3 I/O failure
 (IoError).
 """
@@ -384,7 +385,27 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _sweep_row(job, size):
+    """The sweep-batch row of one --sizes entry: train at batch_speakers =
+    size, then score the trials. Runs in a pool worker; job is (base
+    TrainConfig, training set, evaluated features, trials, eval space,
+    DcfParams), and only the row goes back."""
+    base, train_set, eval_features, trials, space, dcf = job
+    cfg = replace(base, batch_speakers=size)
+    params, _ = train(cfg, *train_set)
+    scored = score_trials(params, eval_features, trials, space)
+    eer_value, _, dcf_value, _ = roc_metrics(scored, dcf)
+    return {"batch_speakers": size,
+            "batch_size": 2 * size * cfg.views_per_speaker,
+            "eer_percent": 100.0 * eer_value,
+            "min_dcf": dcf_value}
+
+
 def cmd_sweep_batch(args) -> int:
+    # imported here: the other commands do not pay for them at start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     config, echo = load_config(args.config)
     base = _seeded(config[TrainConfig], args.seed)
     train_set, (eval_features, eval_ids) = _load_split(config, args.data)
@@ -392,16 +413,24 @@ def cmd_sweep_batch(args) -> int:
     trials = _build_trials(config, eval_ids, config[_Trials])
     _ensure_out(args.out)
 
-    rows = []
-    for size in args.sizes:
-        cfg = replace(base, batch_speakers=size)
-        params, _ = train(cfg, *train_set)
-        scored = score_trials(params, eval_features, trials, config[_Trials].space)
-        eer_value, _, dcf_value, _ = roc_metrics(scored, config[DcfParams])
-        rows.append({"batch_speakers": size,
-                     "batch_size": 2 * size * cfg.views_per_speaker,
-                     "eer_percent": 100.0 * eer_value,
-                     "min_dcf": dcf_value})
+    # Each distinct size is one independent run with the bits of a run of its
+    # own; the largest (slowest) go first so that the workers finish together.
+    job = (base, train_set, eval_features, trials, config[_Trials].space, config[DcfParams])
+    sizes = sorted(set(args.sizes), reverse=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(min(len(sizes), cpus or 1)) as pool:
+        futures = {size: pool.submit(_sweep_row, job, size) for size in sizes}
+        rows = []
+        for size in args.sizes:  # the first failure in --sizes order is reported
+            try:
+                rows.append(futures[size].result())
+            except BrokenProcessPool as exc:
+                raise ConfigError(f"a sweep-batch worker process ended abruptly (killed, "
+                                  f"or out of memory): {exc}") from None
+            except Exception as exc:
+                pool.shutdown(cancel_futures=True)
+                exc.args = (f"--sizes {size}: {exc}",)
+                raise
 
     print(f"{'speakers':>8s} {'batch':>6s} {'EER(%)':>8s} {'minDCF':>8s}")
     for row in rows:

@@ -60,6 +60,11 @@ class DivergenceDetected(NumericalError):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
 
+    def __reduce__(self):
+        # pickled (as a sweep worker's error reaches its parent) with the
+        # step and the message it carries now, not with the message as step
+        return type(self), (self.step, str(self))
+
 
 def read_file(path, what: str, encoding: str | None = None):
     """The bytes of the file at path, or, when encoding is given, its text

@@ -9,16 +9,21 @@ score files back and pin the grammar that README documents. The loss
 kernels below allocate every temporary, as the in-place kernels
 of aamsupcon.losses did before they reused buffers, and give the same bits.
 save_dataset is the whole-file dataset writer that the row-block one
-replaced, kept to pin its bytes.
+replaced, kept to pin its bytes. sweep_rows_sequential is the one-size-
+after-another loop that sweep-batch's worker pool replaced, kept to pin
+its rows.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from aamsupcon.errors import IoError, NumericalError, read_file, write_file
-from aamsupcon.evaluate import DcfParams, ScoredTrials
+from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials
 from aamsupcon.geometry import margin_logit, margin_logit_grad
 from aamsupcon.losses import LossKind, supcon_masks
 from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
+from aamsupcon.training import train
 
 
 def eer_threshold_sweep(scored: ScoredTrials):
@@ -151,6 +156,26 @@ def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     for sid, row in zip(speaker_ids.tolist(), features.tolist()):
         lines.append(row_fmt % (sid, *row))
     write_file(path, "\n".join(lines) + "\n", "dataset")
+
+
+# sweep-batch reference: the sequential loop that the worker pool of
+# cli.cmd_sweep_batch replaces, kept verbatim
+
+
+def sweep_rows_sequential(base, train_set, eval_features, trials, space, dcf, sizes):
+    """The sweep.json rows of --sizes sizes, trained and scored one size
+    after another in this process."""
+    rows = []
+    for size in sizes:
+        cfg = replace(base, batch_speakers=size)
+        params, _ = train(cfg, *train_set)
+        scored = score_trials(params, eval_features, trials, space)
+        eer_value, _, dcf_value, _ = roc_metrics(scored, dcf)
+        rows.append({"batch_speakers": size,
+                     "batch_size": 2 * size * cfg.views_per_speaker,
+                     "eer_percent": 100.0 * eer_value,
+                     "min_dcf": dcf_value})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from aamsupcon import cli, errors, losses
 from aamsupcon.cli import SWEEP_FOOTER, main
 from aamsupcon.model import init_params, load_checkpoint, save_checkpoint
-from oracles import corrupted
+from oracles import corrupted, sweep_rows_sequential
 
 BASE_CONFIG = """\
 [dataset]
@@ -646,6 +649,119 @@ def test_sweep_batch_bad_size_names_the_flag(tmp_path, capsys, size, training_ex
     assert f"--sizes {size}:" in err, err
     assert "training.batch_speakers" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _sweep(cfg, gen, out, *sizes):
+    return main(["sweep-batch", "--config", cfg, "--data", str(gen / "dataset.txt"),
+                 "--out", str(out), "--sizes", *map(str, sizes)])
+
+
+def test_sweep_batch_pool_rows_equal_the_sequential_loop(tmp_path, monkeypatch):
+    """Unsorted --sizes with a duplicate: the pool's rows, in --sizes order,
+    are the rows of the sequential loop, and one usable CPU writes the same
+    bytes as two. No worker outlives the command."""
+    cfg = write_config(tmp_path, steps=20, holdout=2)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    assert _sweep(cfg, gen, tmp_path / "two", 3, 2, 3) == 0
+    assert multiprocessing.active_children() == []
+    rows = json.loads((tmp_path / "two" / "sweep.json").read_text())["rows"]
+
+    config, _ = cli.load_config(cfg)
+    train_set, (eval_features, eval_ids) = cli._load_split(config, gen / "dataset.txt")
+    trials = cli._build_trials(config, eval_ids, config[cli._Trials])
+    assert rows == sweep_rows_sequential(
+        config[cli.TrainConfig], train_set, eval_features, trials,
+        config[cli._Trials].space, config[cli.DcfParams], [3, 2, 3])
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _sweep(cfg, gen, tmp_path / "one", 3, 2, 3) == 0
+    for name in ("sweep.json", "manifest.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_sweep_batch_divergence_names_the_first_size(tmp_path, capsys):
+    """Both sizes diverge: the first in --sizes order is reported, as one
+    stderr line naming it and the step, with the exit code of its class."""
+    cfg = write_config(tmp_path, steps=20, training_extra="learning_rate = 1e80")
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert _sweep(cfg, gen, tmp_path / "sweep", 3, 2) == 2
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("numerical failure: --sizes 3: ") and "at step" in err, err
+    assert "Traceback" not in err
+
+
+def _dying_row(job, size):
+    """A sweep row whose worker process dies, as under the OOM killer."""
+    os._exit(1)
+
+
+def test_sweep_batch_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, steps=2)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_sweep_row", _dying_row)
+    assert _sweep(cfg, gen, tmp_path / "sweep", 2, 3) == 1
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "worker process" in err, err
+    assert "Traceback" not in err
+
+
+def _row_failing_at_6(job, size):
+    """Size 6 fails at once; every other size leaves a file named after it
+    in $SWEEP_MARKERS, then takes 0.3 s."""
+    if size == 6:
+        raise errors.NumericalError("diverged")
+    (Path(os.environ["SWEEP_MARKERS"]) / str(size)).touch()
+    time.sleep(0.3)
+
+
+def test_sweep_batch_failure_cancels_sizes_not_started(tmp_path, capsys, monkeypatch):
+    """One worker, sizes 6 (fails) then 5, 4, 3, 2: the failure is reported
+    without running every size behind it."""
+    cfg = write_config(tmp_path, steps=2)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    capsys.readouterr()
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    monkeypatch.setenv("SWEEP_MARKERS", str(markers))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli, "_sweep_row", _row_failing_at_6)
+    assert _sweep(cfg, gen, tmp_path / "sweep", 6, 5, 4, 3, 2) == 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "numerical failure: --sizes 6: diverged\n"
+    assert len(list(markers.iterdir())) < 4
+
+
+_ERRORS = [errors.ConfigError("training.steps must be in [0, inf), got -1"),
+           errors.NumericalError("gradient check failed for: supcon"),
+           errors.IoError("cannot read dataset from x: gone"),
+           errors.ZeroVector("row 21 has norm 0.000e+00"),
+           errors.DivergenceDetected(3),
+           errors.DivergenceDetected(4, "class weights overflowed at step 4: row 0")]
+
+
+def test_errors_cover_every_error_class():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.AamSupConError)}
+    assert classes - {errors.AamSupConError} == {type(exc) for exc in _ERRORS}
+
+
+@pytest.mark.parametrize("exc", _ERRORS, ids=lambda exc: type(exc).__name__)
+def test_error_survives_pickling(exc):
+    """A sweep worker's error reaches its parent pickled: type, message,
+    exit code and step come back unchanged."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.exit_code == exc.exit_code
+    assert getattr(back, "step", None) == getattr(exc, "step", None)
 
 
 def test_encoder_space_pipeline(tmp_path):
