@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from aamsupcon import batching
-from aamsupcon.batching import (
-    BatchSampler,
-    _augment,
-    _check_pcg64,
-    _choose_rows,
-    _HalfWords,
-    _row_bounds,
-    group_by_speaker,
-)
+from aamsupcon.batching import BatchSampler, group_by_speaker
 from aamsupcon.errors import ConfigError
 from aamsupcon.losses import supcon_masks
 from aamsupcon.synthdata import DatasetSpec, generate
@@ -22,14 +13,15 @@ def _dataset(num_speakers=6, utterances=4, d_in=16, seed=0):
 
 
 def augment(x, noise_sigma, mask_max, rng):
-    """One view of every row of x (n, d_in) as a new array, as a draw makes
-    them (see batching._augment); mask_max None means d_in // 8. rng must
-    be a PCG64 generator."""
+    """One view of every row of x (n, d_in) as a new array, from one draw
+    of a sampler that makes each row its own speaker and puts them all in
+    the batch; mask_max None means d_in // 8."""
     x = np.asarray(x, dtype=np.float64)
-    _check_pcg64(rng)
-    out = np.empty_like(x)
-    _augment(x, out, noise_sigma, x.shape[1] // 8 if mask_max is None else mask_max, rng)
-    return out
+    n = len(x)
+    batch, labels = BatchSampler(x, np.arange(n), n, 1, noise_sigma, mask_max).draw(rng)
+    views = np.empty_like(x)
+    views[labels[n:]] = batch[n:]
+    return views
 
 
 def test_augment_identity_when_disabled():
@@ -41,10 +33,12 @@ def test_augment_identity_when_disabled():
 def test_augment_full_mask_zeroes_everything():
     def first_k(seed):
         rng = np.random.default_rng(seed)
-        rng.standard_normal(8)
-        return rng.integers(0, 9)
+        rng.choice(1, size=1, replace=False)
+        rng.random((1, 1))
+        rng.standard_normal((1, 8))
+        return rng.integers(0, 8, size=1, endpoint=True)[0]
 
-    # a seed whose first row draws k = d_in, so the start is 0
+    # a seed whose one view draws k = d_in, so the start is 0
     seed = next(seed for seed in range(1000) if first_k(seed) == 8)
     x = np.ones((1, 8))
     out = augment(x, 0.0, 8, np.random.default_rng(seed))
@@ -64,9 +58,13 @@ def test_augment_preserves_id_and_dimension():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.normal(size=(int(rng.integers(1, 9)), 24))
-        out = augment(x, 0.1, None, rng)  # default mask_max = d_in // 8
-        # row i of the output is the view of row i: the row keeps its id
-        assert out.shape == x.shape
+        n = len(x)
+        # default mask_max = d_in // 8
+        batch, labels = BatchSampler(x, np.arange(n), n, 1, 0.1, None).draw(rng)
+        # view i of the batch is the view of original i: the row keeps its id
+        assert batch.shape == (2 * n, 24)
+        assert np.array_equal(labels[:n], labels[n:])
+        assert np.array_equal(batch[:n], x[labels[:n]])
 
 
 def test_draw_counts_and_alignment():
@@ -95,19 +93,6 @@ def test_sampler_checks_the_request_when_built():
         BatchSampler(features, speaker_ids, 2, 0, 0.1, None)
     with pytest.raises(ValueError, match=r"mask_max 17 outside \[0, 16\]"):
         BatchSampler(features, speaker_ids, 2, 2, 0.1, 17)
-
-
-def test_non_pcg64_generators_are_rejected_before_any_draw():
-    features, speaker_ids = _dataset()
-    rng = np.random.Generator(np.random.MT19937(0))
-    before = rng.bit_generator.state
-    for call in (lambda: BatchSampler(features, speaker_ids, 4, 2, 0.1, None).draw(rng),
-                 lambda: augment(features, 0.1, None, rng)):
-        with pytest.raises(ValueError, match="PCG64"):
-            call()
-    after = rng.bit_generator.state
-    assert after["state"]["pos"] == before["state"]["pos"]
-    assert np.array_equal(after["state"]["key"], before["state"]["key"])
 
 
 def _draw_once(features, speaker_ids, seed):
@@ -140,12 +125,16 @@ def test_every_anchor_has_a_positive_across_many_seeds():
 
 def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
                     noise_sigma, mask_max, rng):
-    """Per-row reference for a sampler's draw, spelling out its random draw order:
+    """Per-row reference for a sampler's draw: the same whole-array draws,
+    in the same order, applied row by row:
     1. the speakers, uniformly without replacement among the eligible ones
        (ascending id order, at least views_per_speaker rows);
-    2. for each chosen speaker in turn, its rows without replacement;
-    3. row by row over the originals: the noise vector, then k, then the
-       mask start when k > 0.
+    2. a (speakers, width) key matrix, width being the largest speaker's
+       row count: a chosen speaker's rows, in the order of their keys, the
+       first views_per_speaker kept;
+    3. one noise vector per view;
+    4. every view's mask length k, from 0 to mask_max;
+    5. every view's mask start, from 0 to d_in - k.
     Labels are the speakers' positions in ascending id order."""
     by_speaker = {}
     for row, sid in enumerate(speaker_ids):
@@ -153,22 +142,24 @@ def reference_batch(features, speaker_ids, batch_speakers, views_per_speaker,
     speakers = sorted(by_speaker)
     eligible = [k for k, sid in enumerate(speakers)
                 if len(by_speaker[sid]) >= views_per_speaker]
+    width = max(len(own) for own in by_speaker.values())
     chosen = rng.choice(eligible, size=batch_speakers, replace=False)
+    keys = rng.random((batch_speakers, width))
     rows, labels = [], []
-    for k in chosen:
+    for b, k in enumerate(chosen):
         own = by_speaker[speakers[k]]
-        for p in rng.choice(len(own), size=views_per_speaker, replace=False):
+        for p in sorted(range(len(own)), key=lambda p: keys[b, p])[:views_per_speaker]:
             rows.append(own[p])
             labels.append(int(k))
     d_in = features.shape[1]
     mask_max = d_in // 8 if mask_max is None else mask_max
+    noise = rng.standard_normal((len(rows), d_in))
+    lengths = rng.integers(0, mask_max, size=len(rows), endpoint=True)
+    starts = rng.integers(0, d_in - lengths, endpoint=True)
     views = []
-    for row in rows:
-        view = features[row] + noise_sigma * rng.standard_normal(d_in)
-        k = int(rng.integers(0, mask_max + 1))
-        if k > 0:
-            start = int(rng.integers(0, d_in - k + 1))
-            view[start:start + k] = 0.0
+    for row, z, k, start in zip(rows, noise, lengths, starts):
+        view = noise_sigma * z + features[row]
+        view[start:start + k] = 0.0
         views.append(view)
     return np.array([features[r] for r in rows] + views), np.array(labels + labels)
 
@@ -213,98 +204,74 @@ def test_sampler_replays_the_reference_draw_after_draw(mask_max, noise_sigma):
             # bit for bit, so the sign of a zero counts too
             assert np.array_equal(batch.view(np.uint64), want[0].view(np.uint64)), draw
             assert np.array_equal(labels, want[1]), draw
-            # in full: a following rng.random() cannot see a lost held half-word
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, draw
             assert batch is sampler.batch
 
 
-def _take(*words):
-    """A _HalfWords over the given 64-bit outputs, holding no half-word."""
-    stream = iter(words)
-    return _HalfWords(lambda: next(stream), 0, 0)
+def test_a_philox_generator_draws_deterministically():
+    features, speaker_ids = _unequal_speakers(3)
+    sampler = BatchSampler(features, speaker_ids, 3, 2, 0.2, None)
+    got_rng, want_rng = (np.random.Generator(np.random.Philox(5)) for _ in range(2))
+    for draw in range(4):
+        batch, labels = sampler.draw(got_rng)
+        want = reference_batch(features, speaker_ids, 3, 2, 0.2, None, want_rng)
+        assert np.array_equal(batch.view(np.uint64), want[0].view(np.uint64)), draw
+        assert np.array_equal(labels, want[1]), draw
+        # Philox's state holds arrays
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
-def test_bounded_draw_on_crafted_words():
-    # span 6 (mask_max 5): the threshold is 2**32 mod 6 = 4
-    words = _take(0, 0x80000001)
-    # both halves of 0 leave 0 below the threshold; (2**31 + 1) * 6 = 3 * 2**32 + 6
-    assert words.bounded(5) == 3
-    assert (words.has_uint32, words.uinteger) == (1, 0)
-    assert words.next32() == 0
-    # a leftover equal to the threshold is kept: 1431655766 * 6 = 2 * 2**32 + 4
-    assert _take(1431655766).bounded(5) == 2
-    # a range of 1 takes no word
-    words = _take()
-    assert words.bounded(0) == 0
-    assert words.has_uint32 == 0
+def _within_5_sigma(counts, p, trials):
+    """True when every count lies within 5 binomial standard deviations of
+    trials * p, the count a uniform draw expects."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return bool(np.all(np.abs(counts - trials * p) <= 5 * np.sqrt(trials * p * (1 - p))))
 
 
-_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-_MASK64 = 2**64 - 1
-
-
-def _pcg64_before_output(word, inc, high):
-    """A PCG64 state whose next output is word, with inc as its increment:
-    the step maps it to the 128-bit state (high, low), whose XSL-RR output
-    rotates high ^ low right by high >> 58, so low is chosen to give word."""
-    rot = high >> 58
-    low = (((word << rot) | (word >> (64 - rot))) & _MASK64) ^ high
-    after = (high << 64) | low
-    return (after - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
-
-
-def test_bounded_draw_redraws_below_the_threshold_as_numpy_does():
-    # seeded draws reach the redraw with p ~ 1e-9 per draw, so the next
-    # output is set to 0: both of its halves fall below the threshold
-    inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
-    for high_bits in (0, 0x9E3779B97F4A7C15, _MASK64):
-        state = {"bit_generator": "PCG64",
-                 "state": {"state": _pcg64_before_output(0, inc, high_bits), "inc": inc},
-                 "has_uint32": 0, "uinteger": 0}
-        probe = np.random.PCG64()
-        probe.state = state
-        assert probe.random_raw() == 0
-        for mask_max in (5, 6, 39):
-            want = np.random.PCG64()
-            want.state = state
-            want_k = np.random.Generator(want).integers(0, mask_max + 1)
-            got = np.random.PCG64()
-            got.state = state
-            taken = []
-            words = _HalfWords(lambda: taken.append(got.random_raw()) or taken[-1], 0, 0)
-            assert words.bounded(mask_max) == want_k
-            assert len(taken) == 2 and taken[0] == 0
-            after = got.state
-            after["has_uint32"], after["uinteger"] = words.has_uint32, words.uinteger
-            assert after == want.state
-
-
-@pytest.mark.parametrize("views", [1, 2, 3, 4, 5])
-def test_batched_row_draw_equals_per_group_choice(views):
-    rng = np.random.default_rng(views)
-    for n in range(views, views + 41):
-        # group n among others of random sizes, so the draw bounds vary per group
-        sizes = rng.integers(views, views + 41, size=6)
-        sizes[int(rng.integers(0, 6))] = n
-        seed = int(rng.integers(0, 2**32))
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _choose_rows(sizes, views, got_rng, _row_bounds(sizes.size, views))
-        want = [want_rng.choice(size, size=views, replace=False) for size in sizes]
-        assert np.array_equal(got, want), (views, n)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def test_batched_row_draw_falls_back_in_numpys_tail_shuffle_range(monkeypatch):
-    # n > 10000 and k > n // 50: numpy shuffles the tail of arange(n)
-    sizes = np.array([20000])
-    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-    got = _choose_rows(sizes, 401, got_rng, _row_bounds(1, 401))
-    assert np.array_equal(got, [want_rng.choice(20000, size=401, replace=False)])
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # Floyd's algorithm draws other rows there, so the fallback is what matches
-    monkeypatch.setattr(batching, "_TAIL_SHUFFLE_MIN_N", 10**9)
-    floyd = _choose_rows(sizes, 401, np.random.default_rng(4), _row_bounds(1, 401))
-    assert not np.array_equal(floyd, got)
+def test_draws_are_uniform_over_speakers_rows_lengths_and_starts():
+    """6000 draws at one seed, read back from the batches: the speakers
+    among the eligible ones, the rows within a chosen speaker, the mask
+    length k over [0, mask_max] and, for k > 0, the start over
+    [0, d_in - k] each fall within 5 binomial standard deviations of
+    uniform. With noise_sigma 0 a view is its original row with the run
+    zeroed, and no feature is exactly 0, so the zeros are the run."""
+    features, speaker_ids = _unequal_speakers(11)  # 24 columns
+    ids, groups = group_by_speaker(speaker_ids)
+    row_of = {float(features[r, 0]): r for r in range(len(features))}
+    d_in, mask_max, speakers, views, draws = 24, 8, 3, 2, 6000
+    eligible = [k for k, g in enumerate(groups) if g.size >= views]
+    sampler = BatchSampler(features, speaker_ids, speakers, views, 0.0, mask_max)
+    rng = np.random.default_rng(2024)
+    chosen_count = np.zeros(ids.size, dtype=np.int64)
+    row_count = np.zeros(len(features), dtype=np.int64)
+    k_count = np.zeros(mask_max + 1, dtype=np.int64)
+    start_count = np.zeros((mask_max + 1, d_in + 1), dtype=np.int64)
+    for _ in range(draws):
+        batch, labels = sampler.draw(rng)
+        originals, augmented = np.split(batch, 2)
+        chosen = labels[:speakers * views:views]
+        chosen_count[chosen] += 1
+        rows = [row_of[float(x)] for x in originals[:, 0]]
+        for b in range(speakers):
+            own = rows[b * views:(b + 1) * views]
+            assert len(set(own)) == views  # without replacement
+            assert all(speaker_ids[r] == ids[chosen[b]] for r in own)
+        row_count[rows] += 1
+        for view in augmented:
+            zeros = np.flatnonzero(view == 0.0)
+            k_count[zeros.size] += 1
+            if zeros.size:
+                assert np.array_equal(zeros, np.arange(zeros[0], zeros[0] + zeros.size))
+                start_count[zeros.size, zeros[0]] += 1
+    assert chosen_count.sum() == speakers * draws
+    assert not chosen_count[[k for k in range(ids.size) if k not in eligible]].any()
+    assert _within_5_sigma(chosen_count[eligible], speakers / len(eligible), draws)
+    for k in eligible:
+        assert _within_5_sigma(row_count[groups[k]], views / groups[k].size, chosen_count[k])
+    assert _within_5_sigma(k_count, 1 / (mask_max + 1), speakers * views * draws)
+    for k in range(1, mask_max + 1):
+        assert _within_5_sigma(start_count[k, :d_in - k + 1], 1 / (d_in - k + 1), k_count[k])
+        assert not start_count[k, d_in - k + 1:].any()
 
 
 def test_group_by_speaker():

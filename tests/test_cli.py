@@ -267,17 +267,17 @@ def test_train_divergence_exit_code(tmp_path, capsys):
 
 
 def test_collapsed_row_at_scoring_exits_2_naming_it(tmp_path, capsys):
-    # with two projection units, evaluated row 21 maps to the zero vector
-    # after two steps of training
-    cfg = override(write_config(tmp_path, steps=2), tmp_path / "narrow.ini",
-                   "model.proj_hidden", "2")
+    # with one projection unit and no training step, the seeded initial
+    # weights map evaluated row 8 to the zero vector
+    cfg = override(write_config(tmp_path, steps=0), tmp_path / "narrow.ini",
+                   "model.proj_hidden", "1")
     gen = tmp_path / "gen"
     assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
     capsys.readouterr()
     assert main(command_argv("sweep-batch", cfg, gen / "dataset.txt", None,
                              tmp_path / "sweep")) == 2
     err = capsys.readouterr().err
-    assert "row 21 has norm 0" in err
+    assert "row 8 has norm 0" in err
     assert "Traceback" not in err
 
 
