@@ -208,17 +208,73 @@ def test_sampler_replays_the_reference_draw_after_draw(mask_max, noise_sigma):
             assert batch is sampler.batch
 
 
-def test_a_philox_generator_draws_deterministically():
+# any np.random.Generator draws: the sampler no longer replays PCG64 internals
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.SFC64, np.random.MT19937])
+def test_non_pcg64_generators_draw_deterministically(bit_generator):
     features, speaker_ids = _unequal_speakers(3)
     sampler = BatchSampler(features, speaker_ids, 3, 2, 0.2, None)
-    got_rng, want_rng = (np.random.Generator(np.random.Philox(5)) for _ in range(2))
+    got_rng, want_rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
     for draw in range(4):
         batch, labels = sampler.draw(got_rng)
         want = reference_batch(features, speaker_ids, 3, 2, 0.2, None, want_rng)
         assert np.array_equal(batch.view(np.uint64), want[0].view(np.uint64)), draw
         assert np.array_equal(labels, want[1]), draw
-        # Philox's state holds arrays
+        # Philox's and MT19937's states hold arrays
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def _row_sampler(sizes, views):
+    """A sampler over every speaker of sizes (speaker k has sizes[k] rows,
+    in ascending row order) whose one feature column is the row index, with
+    no noise and no mask, so a batch's originals name their rows."""
+    speaker_ids = np.repeat(np.arange(len(sizes)), sizes)
+    features = np.arange(speaker_ids.size, dtype=np.float64)[:, None]
+    return BatchSampler(features, speaker_ids, len(sizes), views, 0.0, 0)
+
+
+@pytest.mark.parametrize("views", [1, 2, 3, 4, 5])
+def test_batched_row_draw_equals_per_group_choice(views):
+    """Each chosen speaker's rows are the first views of its own keys'
+    order, whatever the other speakers' sizes: keys past its row count,
+    up to the largest speaker's, never pick a row."""
+    rng = np.random.default_rng(views)
+    for n in range(views, views + 41):
+        # group n among others of random sizes, so the key width varies per group
+        sizes = rng.integers(views, views + 41, size=6)
+        sizes[int(rng.integers(0, 6))] = n
+        starts = np.cumsum(sizes) - sizes
+        seed = int(rng.integers(0, 2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch, labels = _row_sampler(sizes, views).draw(got_rng)
+        chosen = want_rng.choice(sizes.size, size=sizes.size, replace=False)
+        keys = want_rng.random((sizes.size, sizes.max()))
+        want = [starts[k] + np.argsort(keys[b, :sizes[k]])[:views] for b, k in enumerate(chosen)]
+        assert np.array_equal(batch[:sizes.size * views, 0], np.concatenate(want)), (views, n)
+        assert np.array_equal(labels[:sizes.size * views], np.repeat(chosen, views))
+        # the noise, mask lengths and starts follow
+        want_rng.standard_normal((sizes.size * views, 1))
+        lengths = want_rng.integers(0, 0, size=sizes.size * views, endpoint=True)
+        want_rng.integers(0, 1 - lengths, endpoint=True)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a_large_speaker_draws_like_the_reference():
+    # a speaker of 20000 rows beside one of 3: 401 distinct rows of the
+    # large one, and the small one's keys mostly inf
+    sizes = np.array([20000, 3])
+    sampler = _row_sampler(sizes, 3)
+    features, speaker_ids = sampler.features, np.repeat(np.arange(2), sizes)
+    big = BatchSampler(features, speaker_ids, 1, 401, 0.0, 0)
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch, labels = big.draw(got_rng)
+        want = reference_batch(features, speaker_ids, 1, 401, 0.0, 0, want_rng)
+        assert np.array_equal(batch, want[0]) and np.array_equal(labels, want[1]), seed
+        assert np.unique(batch[:401, 0]).size == 401
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        batch, labels = sampler.draw(got_rng)
+        want = reference_batch(features, speaker_ids, 2, 3, 0.0, 0, want_rng)
+        assert np.array_equal(batch, want[0]) and np.array_equal(labels, want[1]), seed
 
 
 def _within_5_sigma(counts, p, trials):
