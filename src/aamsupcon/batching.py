@@ -62,16 +62,20 @@ class BatchSampler:
     coordinates from its start zeroed. mask_max None means d_in // 8. The
     rows follow batch_layout.
 
-    The request is checked once, here: ConfigError when the rows cannot
-    satisfy it, ValueError for B or V below 1 or a mask_max outside
-    [0, d_in]. batch_features is the sampler's own array: the next draw
-    overwrites it."""
+    The request is checked once, here: ConfigError when features is not
+    one row per speaker id or the rows cannot satisfy it, ValueError for B
+    or V below 1 or a mask_max outside [0, d_in]. batch_features is the
+    sampler's own array: the next draw overwrites it."""
 
     def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
                  noise_sigma: float, mask_max: int | None):
         if batch_speakers < 1 or views_per_speaker < 1:
             raise ValueError("batch_speakers and views_per_speaker must be >= 1")
         _, self.order, self.counts = _speaker_order(speaker_ids)
+        self.features = np.asarray(features, dtype=np.float64)
+        if self.features.ndim != 2 or len(self.features) != self.order.size:
+            raise ConfigError(f"features of shape {self.features.shape} do not pair with "
+                              f"{self.order.size} speaker ids: need ({self.order.size}, d_in)")
         self.starts = np.cumsum(self.counts) - self.counts
         if self.counts.size < batch_speakers:
             raise ConfigError(
@@ -80,7 +84,6 @@ class BatchSampler:
         if self.eligible.size < batch_speakers:
             raise ConfigError(
                 f"only {self.eligible.size} speakers have >= {views_per_speaker} rows")
-        self.features = np.asarray(features, dtype=np.float64)
         d_in = self.features.shape[1]
         self.mask_max = d_in // 8 if mask_max is None else mask_max
         if not 0 <= self.mask_max <= d_in:
@@ -100,8 +103,8 @@ class BatchSampler:
         keys[self.key_columns >= self.counts[chosen][:, None]] = np.inf
         picks = np.argsort(keys, axis=1)[:, :self.views_per_speaker]
         picks += self.starts[chosen][:, None]
-        # the rows are in range by construction; clip mode gathers straight
-        # into the batch, where the default raise mode gathers into a copy
+        # the rows are in range, features having a row per id; clip mode
+        # gathers straight into the batch, the default raise mode into a copy
         np.take(self.features, self.order[picks.ravel()], axis=0, out=self.originals,
                 mode="clip")
         views, columns = self.views, self.columns

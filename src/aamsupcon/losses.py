@@ -313,8 +313,6 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     (no re-normalization), matching the gradient semantics above. Returns
     the largest per-component relative error over both matrices.
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
     validate_inputs(inputs)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     z, w = inputs.embeddings, inputs.class_weights
@@ -331,7 +329,9 @@ def fd_report(value_fn, arrays, analytic, step: float) -> float:
     """Central finite differences of value_fn() w.r.t. every entry of each
     array, perturbing the arrays in place and restoring them, held against
     the matching analytic gradients: the largest relative_errors over all
-    entries."""
+    entries. ValueError for a step that is not > 0."""
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
     errors = []
     for arr, grad in zip(arrays, analytic):
         numeric = np.zeros_like(arr)

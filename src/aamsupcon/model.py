@@ -51,27 +51,24 @@ class NetworkParams:
 class Workspace:
     """The record of one forward pass for a batch size N, and every array
     forward and backward write, built once and overwritten by each call:
-    the inputs forward read; per encoder layer the pre-activation, the
-    activation, the relu gate and the gradient w.r.t. the activation; the
-    projection's pre-activation, activation and gate; the squared
+    the inputs forward read; per encoder layer the activation (the relu
+    applied in place), the relu gate and the gradient w.r.t. the
+    activation; the projection's activation and gate; the squared
     projection output, its row norms, the embeddings; the gradients
     w.r.t. the embeddings' pre-normalization rows and the projection
     pre-activation; and encoder_rows, the unit encoder output rows, their
     norms and gradient, which the first encoder_embeddings call allocates."""
 
-    __slots__ = ("inputs", "encoder_pre", "encoder_act", "encoder_gates", "d_h", "proj_pre",
-                 "proj_act", "proj_gate", "d_pre", "squares", "norms", "embeddings", "d_out",
-                 "encoder_rows")
+    __slots__ = ("inputs", "encoder_act", "encoder_gates", "d_h", "proj_act", "proj_gate",
+                 "d_pre", "squares", "norms", "embeddings", "d_out", "encoder_rows")
 
     def __init__(self, params: NetworkParams, n: int):
         self.inputs = None
         widths = [w.shape[0] for w, _ in params.encoder_layers]
-        self.encoder_pre = [np.empty((n, k)) for k in widths]
         self.encoder_act = [np.empty((n, k)) for k in widths]
         self.encoder_gates = [np.empty((n, k), dtype=bool) for k in widths]
         self.d_h = [np.empty((n, k)) for k in widths]
         hidden = params.proj_w1.shape[0]
-        self.proj_pre = np.empty((n, hidden))
         self.proj_act = np.empty((n, hidden))
         self.proj_gate = np.empty((n, hidden), dtype=bool)
         self.d_pre = np.empty((n, hidden))
@@ -136,12 +133,12 @@ def forward(params: NetworkParams, features, ws: Workspace | None = None) -> Wor
     if ws is None:
         ws = Workspace(params, x.shape[0])
     ws.inputs = act = x
-    for (w, b), pre, out in zip(params.encoder_layers, ws.encoder_pre, ws.encoder_act):
-        np.matmul(act, w.T, out=pre)
-        pre += b
-        act = np.maximum(pre, 0.0, out=out)
-    np.matmul(act, params.proj_w1.T, out=ws.proj_pre)
-    np.maximum(ws.proj_pre, 0.0, out=ws.proj_act)
+    for (w, b), out in zip(params.encoder_layers, ws.encoder_act):
+        act = np.matmul(act, w.T, out=out)
+        act += b
+        np.maximum(act, 0.0, out=act)
+    np.matmul(act, params.proj_w1.T, out=ws.proj_act)
+    np.maximum(ws.proj_act, 0.0, out=ws.proj_act)
     z = np.matmul(ws.proj_act, params.proj_w2.T, out=ws.embeddings)
     normalize_rows(z, out=z, norms=ws.norms, squares=ws.squares)
     return ws
@@ -196,10 +193,11 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     """Reverse accumulation from d(loss)/d(embeddings) to every parameter.
 
     The output normalization goes through normalize_rows_backward; relu
-    gates pass gradient only where the pre-activation was positive. The
-    class-weight gradient comes straight from the loss, not through the
-    network, so backward leaves that slot alone: it is zero in the gradients
-    backward makes, and as it was in out.
+    gates pass gradient only where the activation is positive, which is
+    where the pre-activation was (NaN and -0.0 included). The class-weight
+    gradient comes straight from the loss, not through the network, so
+    backward leaves that slot alone: it is zero in the gradients backward
+    makes, and as it was in out.
 
     trace is the Workspace forward filled, and takes the intermediate
     gradients. grad_encoder_output, when given, is d(loss)/d(raw encoder
@@ -215,8 +213,8 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     if g.shape != trace.embeddings.shape:
         raise ConfigError(
             f"grad shape {g.shape} != embeddings shape {trace.embeddings.shape}")
-    if len(trace.encoder_pre) != len(params.encoder_layers) \
-            or trace.proj_pre.shape[1] != params.proj_w1.shape[0] \
+    if len(trace.encoder_act) != len(params.encoder_layers) \
+            or trace.proj_act.shape[1] != params.proj_w1.shape[0] \
             or trace.inputs.shape[1] != params.d_in:
         raise ConfigError("trace does not match these parameters")
     if out is None:
@@ -229,7 +227,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     # as when each gate made a new array.
     np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
     d_pre = np.matmul(d_out, params.proj_w2, out=trace.d_pre)
-    d_pre *= np.greater(trace.proj_pre, 0.0, out=trace.proj_gate)
+    d_pre *= np.greater(trace.proj_act, 0.0, out=trace.proj_gate)
     h = trace.encoder_act[-1]
     np.matmul(d_pre.T, h, out=out.proj_w1)
     d_h = np.matmul(d_pre, params.proj_w1, out=trace.d_h[-1])
@@ -242,7 +240,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
 
     for li in range(len(params.encoder_layers) - 1, -1, -1):
         grad_w, grad_b = out.encoder_layers[li]
-        d_h *= np.greater(trace.encoder_pre[li], 0.0, out=trace.encoder_gates[li])
+        d_h *= np.greater(trace.encoder_act[li], 0.0, out=trace.encoder_gates[li])
         below = trace.encoder_act[li - 1] if li > 0 else trace.inputs
         np.matmul(d_h.T, below, out=grad_w)
         np.sum(d_h, axis=0, out=grad_b)

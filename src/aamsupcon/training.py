@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batching import BatchSampler, batch_layout
+from .batching import BatchSampler
 from .errors import ConfigError, DivergenceDetected, ZeroVector, check_domains, write_file
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
@@ -101,17 +101,6 @@ class RunLog:
     records: list = field(default_factory=list)
 
 
-def run_masks(config: TrainConfig) -> SupconMasks | None:
-    """The contrast masks of every batch a run draws, or None when the loss
-    has no contrastive term. BatchSampler puts each chosen speaker's rows at
-    the positions batch_layout gives, and its speakers are distinct, so the
-    masks depend on batch_speakers and views_per_speaker alone."""
-    if not config.loss_kind.contrastive:
-        return None
-    return supcon_masks(batch_layout(config.batch_speakers, config.views_per_speaker),
-                        config.convention)
-
-
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
                 dense_labels: np.ndarray, masks: SupconMasks | None,
                 bufs: KernelBuffers | None = None):
@@ -131,38 +120,64 @@ def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
     return value, grad_z, grad_w, grad_h
 
 
-def _step_buffers(params: NetworkParams, n: int):
-    """(flat_grads, grads, ws, bufs): the gradient vector of a run with its
-    NetworkParams views, the Workspace for n rows, and the KernelBuffers that
-    write the class-weight gradient straight into its view."""
-    flat_grads, grads = flat_copy(params)
-    bufs = KernelBuffers(n, params.d_out, *params.class_weights.shape,
-                         grad_w=grads.class_weights)
-    return flat_grads, grads, Workspace(params, n), bufs
+class _Run:
+    """One run's state, built once and reused by every step: the validated
+    config, the BatchSampler, the seeded parameters (class k is the k-th
+    smallest id), the Workspace and KernelBuffers for the batch size, and
+    masks, the contrast masks of every batch (None without a contrastive
+    term): the sampler's speakers are distinct and their rows follow its
+    layout. Parameters, gradients and scratch (the squared gradients, then
+    the step) each live in one flat vector viewed as a NetworkParams, so the
+    update is a few in-place operations whatever the network's depth."""
 
+    def __init__(self, config: TrainConfig, features, speaker_ids):
+        config.validate()
+        self.config = config
+        self.sampler = BatchSampler(features, speaker_ids, config.batch_speakers,
+                                    config.views_per_speaker, config.noise_sigma,
+                                    config.mask_max)
+        init = init_params([self.sampler.features.shape[1], *config.encoder_hidden],
+                           config.proj_hidden, config.embedding_dim, self.sampler.counts.size,
+                           config.seed, class_dim=config.class_dim())
+        self.flat_params, self.params = flat_copy(init)
+        self.flat_grads, self.grads = flat_copy(init)
+        self.scratch, self.squares = flat_copy(init)
+        self.velocity = np.zeros_like(self.flat_params)
+        n = self.sampler.layout.size
+        self.ws = Workspace(init, n)
+        self.bufs = KernelBuffers(n, init.d_out, *init.class_weights.shape,
+                                  grad_w=self.grads.class_weights)
+        self.masks = (supcon_masks(self.sampler.layout, config.convention)
+                      if config.loss_kind.contrastive else None)
 
-def _value_and_grads(config: TrainConfig, params: NetworkParams, features,
-                     dense_labels, masks: SupconMasks | None, grads: NetworkParams,
-                     ws: Workspace, bufs: KernelBuffers) -> float:
-    """Forward, loss and backward for one batch: the loss value, with the
-    gradients written into grads. ws and bufs are _step_buffers' for
-    these grads and the batch's rows."""
-    forward(params, features, ws)
-    value, grad_proj, _, grad_enc = _trace_loss(config, params, ws, dense_labels, masks, bufs)
-    backward(params, ws, grad_proj, grad_enc, grads)
-    return value
+    def value_and_grads(self, batch, labels) -> float:
+        """Forward, loss and backward for one batch the sampler drew: the
+        loss value, with the gradients written into grads."""
+        forward(self.params, batch, self.ws)
+        value, grad_proj, _, grad_enc = _trace_loss(self.config, self.params, self.ws, labels,
+                                                    self.masks, self.bufs)
+        backward(self.params, self.ws, grad_proj, grad_enc, self.grads)
+        return value
 
-
-def _start(config: TrainConfig, features, speaker_ids):
-    """Validate the config, build the run's BatchSampler and seed the
-    parameters: (sampler, params); class k is the k-th smallest id."""
-    config.validate()
-    sampler = BatchSampler(features, speaker_ids, config.batch_speakers,
-                           config.views_per_speaker, config.noise_sigma, config.mask_max)
-    params = init_params([sampler.features.shape[1], *config.encoder_hidden],
-                         config.proj_hidden, config.embedding_dim, sampler.counts.size,
-                         config.seed, class_dim=config.class_dim())
-    return sampler, params
+    def update(self, step: int) -> float:
+        """One SGD-with-momentum step from grads, the class-weight rows then
+        renormalized, and the gradient norm returned. Class weights whose
+        norm leaves (EPS_NORM, inf) raise DivergenceDetected at step."""
+        config = self.config
+        np.multiply(self.flat_grads, self.flat_grads, out=self.scratch)
+        grad_norm = _global_norm(self.squares)
+        self.velocity *= config.momentum
+        self.velocity += self.flat_grads
+        if config.learning_rate != 0.0:
+            self.flat_params -= np.multiply(self.velocity, config.learning_rate,
+                                            out=self.scratch)
+            weights = self.params.class_weights
+            try:
+                normalize_rows(weights, out=weights, squares=self.squares.class_weights)
+            except ZeroVector as exc:
+                raise DivergenceDetected(
+                    step, f"class weights overflowed at step {step}: {exc}") from exc
+        return grad_norm
 
 
 def train(config: TrainConfig, features, speaker_ids):
@@ -174,49 +189,29 @@ def train(config: TrainConfig, features, speaker_ids):
     class weight row whose norm leaves (EPS_NORM, inf), aborts with
     DivergenceDetected carrying the step index.
 
-    The parameters, their gradients and the momentum each live in one flat
-    vector (the returned params are views of it), so the update is three
-    in-place operations whatever the depth of the network. Every array that
+    The returned params are views of one flat vector. Every array that
     forward, the loss kernels, backward, the update and the batch sampler
-    write is allocated once per run and reused by every step.
+    write is allocated once per run, by its _Run, and reused by every step.
     """
-    sampler, init = _start(config, features, speaker_ids)
-    flat_params, params = flat_copy(init)
-    n = 2 * config.batch_speakers * config.views_per_speaker
-    flat_grads, grads, ws, bufs = _step_buffers(init, n)
-    scratch, squares = flat_copy(init)
-    velocity = np.zeros_like(flat_params)
-    masks = run_masks(config)
+    run = _Run(config, features, speaker_ids)
     rng = np.random.default_rng(config.seed)
     log = RunLog()
 
     for step in range(config.steps):
-        batch, labels = sampler.draw(rng)
+        batch, labels = run.sampler.draw(rng)
         started = time.perf_counter()
         with np.errstate(all="ignore"):
             try:
-                value = _value_and_grads(config, params, batch, labels, masks,
-                                         grads, ws, bufs)
+                value = run.value_and_grads(batch, labels)
             except ZeroVector as exc:
                 raise DivergenceDetected(
                     step, f"projection collapsed or overflowed at step {step}: {exc}") from exc
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
-            np.multiply(flat_grads, flat_grads, out=scratch)
-            grad_norm = _global_norm(squares)
-            velocity *= config.momentum
-            velocity += flat_grads
-            if config.learning_rate != 0.0:
-                flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
-                weights = params.class_weights
-                try:
-                    normalize_rows(weights, out=weights, squares=squares.class_weights)
-                except ZeroVector as exc:
-                    raise DivergenceDetected(
-                        step, f"class weights overflowed at step {step}: {exc}") from exc
+            grad_norm = run.update(step)
         log.records.append(StepRecord(step, value, grad_norm,
                                       time.perf_counter() - started))
-    return params, log
+    return run.params, log
 
 
 def _global_norm(squares: NetworkParams) -> float:
@@ -248,13 +243,11 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
                           step: float = 1e-6, batch_seed: int = 0) -> float:
     """Finite-difference check of d(loss)/d(params) through the whole
     network (forward -> loss -> backward) on one sampled batch: the largest
-    per-component relative error."""
-    sampler, params = _start(config, features, speaker_ids)
-    batch, labels = sampler.draw(np.random.default_rng(batch_seed))
-    masks = run_masks(config)
-
-    _, grads, ws, bufs = _step_buffers(params, len(batch))
-    _value_and_grads(config, params, batch, labels, masks, grads, ws, bufs)
+    per-component relative error. fd_report refuses a step not above 0."""
+    run = _Run(config, features, speaker_ids)
+    batch, labels = run.sampler.draw(np.random.default_rng(batch_seed))
+    run.value_and_grads(batch, labels)
+    params = run.params
     return fd_report(
-        lambda: _trace_loss(config, params, forward(params, batch), labels, masks)[0],
-        param_arrays(params), param_arrays(grads), step)
+        lambda: _trace_loss(config, params, forward(params, batch), labels, run.masks)[0],
+        param_arrays(params), param_arrays(run.grads), step)

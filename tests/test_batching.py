@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from aamsupcon.batching import BatchSampler, group_by_speaker
 from aamsupcon.errors import ConfigError
 from aamsupcon.losses import supcon_masks
 from aamsupcon.synthdata import DatasetSpec, generate
+from aamsupcon.training import TrainConfig, train
 
 
 def _dataset(num_speakers=6, utterances=4, d_in=16, seed=0):
@@ -93,6 +96,25 @@ def test_sampler_checks_the_request_when_built():
         BatchSampler(features, speaker_ids, 2, 0, 0.1, None)
     with pytest.raises(ValueError, match=r"mask_max 17 outside \[0, 16\]"):
         BatchSampler(features, speaker_ids, 2, 2, 0.1, 17)
+
+
+def test_sampler_refuses_features_that_do_not_pair_with_the_ids():
+    """features must hold one row per speaker id: a row count off either
+    way, or a matrix that is not 2-D, is refused when the sampler is built,
+    where the gather would map an out-of-range row to the last one."""
+    features, speaker_ids = _dataset()
+    assert len(speaker_ids) == 24
+    for bad in (features[:3], np.vstack([features, features[:1]]), features.ravel(),
+                features[None]):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"features of shape {bad.shape} do not pair with 24 speaker ids")):
+            BatchSampler(bad, speaker_ids, 2, 2, 0.1, None)
+
+
+def test_train_refuses_features_that_do_not_pair_with_the_ids():
+    features, speaker_ids = _dataset(num_speakers=5)
+    with pytest.raises(ConfigError, match=r"shape \(3, 16\) do not pair with 20 speaker ids"):
+        train(TrainConfig(steps=3, batch_speakers=2), features[:3], speaker_ids)
 
 
 def _draw_once(features, speaker_ids, seed):

@@ -848,8 +848,10 @@ def test_manifest_checksum_is_sha256_of_the_file(tmp_path, size):
 
 
 def test_module_entry_point_runs():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "aamsupcon", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aamsupcon import losses
-from aamsupcon.batching import BatchSampler, batch_layout
+from aamsupcon.batching import batch_layout
 
 from aamsupcon.errors import ConfigError
 from aamsupcon.geometry import normalize_rows
@@ -20,7 +20,7 @@ from aamsupcon.losses import (
     supcon_masks,
 )
 from aamsupcon.synthdata import DatasetSpec, generate
-from aamsupcon.training import TrainConfig, run_masks
+from aamsupcon.training import TrainConfig, _Run
 from oracles import corrupted, reference_terms
 
 ALL = DenominatorConvention.ALL_NON_ANCHOR
@@ -366,16 +366,17 @@ def test_run_masks_equal_supcon_masks_of_every_drawn_batch(views, convention):
     for speakers in (2, 3, 7):
         config = TrainConfig(batch_speakers=speakers, views_per_speaker=views,
                              convention=convention)
-        masks = run_masks(config)
-        sampler = BatchSampler(features, speaker_ids, speakers, views, 0.1, None)
+        run = _Run(config, features, speaker_ids)
+        masks = run.masks
         for _ in range(5):
-            _, labels = sampler.draw(rng)
+            _, labels = run.sampler.draw(rng)
             pos, _, _, not_cand = supcon_masks(labels, convention)
             assert np.array_equal(masks.pos, pos)
             assert np.array_equal(masks.not_cand, not_cand)
             assert np.array_equal(masks.pcount, pos.sum(axis=1))
             assert np.array_equal(masks.pos_frac, pos / pos.sum(axis=1)[:, None])
-        assert run_masks(replace(config, loss_kind=LossKind.ARCFACE)) is None
+        assert _Run(replace(config, loss_kind=LossKind.ARCFACE), features,
+                    speaker_ids).masks is None
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_backward_relu_gate_blocks_dead_units():
     params.encoder_layers = [(w, np.zeros(3))]
     x = np.abs(np.random.default_rng(4).normal(size=(5, 3))) + 0.1
     trace = forward(params, x)
-    assert np.all(trace.encoder_pre[0][:, 1] < 0)
+    assert np.all(trace.encoder_act[0][:, 1] == 0)
     grads = backward(params, trace, np.ones_like(trace.embeddings))
     assert np.all(grads.encoder_layers[0][0][1] == 0.0)
     assert grads.encoder_layers[0][1][1] == 0.0

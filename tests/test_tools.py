@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from aamsupcon import training
 from aamsupcon.cli import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +48,22 @@ def test_layergrid_times_every_training_row_once(layergrid):
             for speakers in layergrid.SPEAKERS for layer in layergrid.TRAIN_LAYERS]
     assert [row[:3] for row in rows] == want
     assert all(seconds > 0 and faults >= 0 for *_, seconds, faults in rows)
+
+
+def test_layergrid_times_the_trainers_own_update(layergrid, monkeypatch):
+    """Every "sgd update" row calls training._Run.update, so a change to the
+    update train runs is what the grid times."""
+    calls = []
+    update = training._Run.update
+
+    def counted(run, step):
+        calls.append(run)
+        return update(run, step)
+
+    monkeypatch.setattr(training._Run, "update", counted)
+    rows = layergrid.train_rows((0, 1, 1))
+    assert len(calls) == sum(row[0] == "sgd update" for row in rows) == 6
+    assert len(set(map(id, calls))) == 6
 
 
 def test_layergrid_times_every_evaluation_row_once(layergrid):

@@ -16,7 +16,6 @@ from aamsupcon.training import (
     TrainConfig,
     _trace_loss,
     end_to_end_grad_check,
-    run_masks,
     save_runlog,
     train,
 )
@@ -201,6 +200,19 @@ def test_end_to_end_gradients_with_encoder_space_classifier(kind):
                       embedding_dim=8, batch_speakers=4, views_per_speaker=2,
                       seed=6, classifier_space="encoder")
     assert end_to_end_grad_check(cfg, *data, step=1e-6, batch_seed=1) < 1e-4
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6])
+def test_both_gradient_checks_refuse_a_step_not_above_zero(step):
+    data = _dataset(speakers=4, utterances=4, d_in=10, seed=9)
+    cfg = TrainConfig(encoder_hidden=(16,), proj_hidden=16, embedding_dim=8,
+                      batch_speakers=4)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        end_to_end_grad_check(cfg, *data, step=step)
+    inputs = losses.LossInputs(normalize_rows(np.ones((4, 3))), np.array([0, 0, 1, 1]),
+                               normalize_rows(np.eye(2, 3)), 0.07, 0.2, 30.0)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        losses.grad_check(LossKind.AAMSUPCON, inputs, step=step)
 
 
 def test_training_with_encoder_space_classifier_improves():
@@ -395,13 +407,11 @@ def test_encoder_space_step_peaks_like_projection_space():
     peaks = {}
     for space in ("projection", "encoder"):
         cfg = TrainConfig(classifier_space=space, batch_speakers=64)
-        params = training._start(cfg, *data)[1]
-        _, grads, ws, bufs = training._step_buffers(params, len(batch))
-        step = (cfg, params, batch, labels, run_masks(cfg), grads, ws, bufs)
-        training._value_and_grads(*step)
+        run = training._Run(cfg, *data)
+        run.value_and_grads(batch, labels)
         tracemalloc.start()
         try:
-            training._value_and_grads(*step)
+            run.value_and_grads(batch, labels)
             peaks[space] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,11 +6,12 @@ takes, per call.
 Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
 each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
 with the quickstart model, augmentation and loss, in both classifier spaces:
-the five parts of a step as train runs them, on its per-run buffers. They
-are the batch draw (BatchSampler.draw), forward, the loss (loss_terms; in
-encoder space also the encoder rows' normalization and its backward),
-backward and the SGD update (squared gradients, gradient norm, momentum,
-parameter step and class-weight renormalization, as in train's loop).
+the five parts of a step as train runs them, each on a training._Run, the
+run state train builds. They are the batch draw (BatchSampler.draw),
+forward, the loss (loss_terms; in encoder space also the encoder rows'
+normalization and its backward), backward and the SGD update (the run's
+update: squared gradients, gradient norm, momentum, parameter step and
+class-weight renormalization).
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
@@ -20,10 +21,11 @@ whole 2560-row dataset they are drawn from. Each evaluation row also gets
 the tracemalloc peak of one more call, made after the timed ones, so that
 tracing slows no timed call.
 
-Each round runs in a fresh interpreter with single-threaded BLAS, imports
-the package from a checkout's src/, and times every row in-process with
-perf_counter: blocks of calls after untimed warm-up calls, keeping the
-fastest block. It also counts the minor page faults of the row's timed
+Each round runs a checkout's own tools/layergrid.py in a fresh interpreter
+with single-threaded BLAS, imports the package from that checkout's src/
+(so each side's step rows drive that checkout's trainer), and times every
+row in-process with perf_counter: blocks of calls after untimed warm-up
+calls, keeping the fastest block. It also counts the minor page faults of the row's timed
 calls (resource.getrusage, this process only). With --before, the rounds
 alternate between that older checkout and the one this file sits in, which
 goes first in even rounds. OUT.json gets, per side and row, the fastest and
@@ -94,8 +96,7 @@ def traced_peak(fn) -> int:
 def train_rows(calls):
     """[(layer, N, space, seconds, faults)] of the training step's parts."""
     from aamsupcon import training
-    from aamsupcon.geometry import normalize_rows
-    from aamsupcon.model import backward, flat_copy, forward
+    from aamsupcon.model import backward, forward
     from aamsupcon.synthdata import DatasetSpec, generate
 
     data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
@@ -104,34 +105,19 @@ def train_rows(calls):
         for speakers in SPEAKERS:
             config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
                                           classifier_space=space)
-            sampler, init = training._start(config, data, speaker_ids)
-            flat_params, params = flat_copy(init)
-            n = 2 * speakers * VIEWS
-            flat_grads, grads, ws, bufs = training._step_buffers(init, n)
-            scratch, squares = flat_copy(init)
-            velocity = np.zeros_like(flat_params)
-            masks = training.run_masks(config)
+            run = training._Run(config, data, speaker_ids)
+            params, ws, bufs, masks = run.params, run.ws, run.bufs, run.masks
             rng = np.random.default_rng(speakers)
-            batch, labels = sampler.draw(rng)
+            batch, labels = run.sampler.draw(rng)
+            n = len(batch)
             forward(params, batch, ws)
             _, grad_proj, _, grad_enc = training._trace_loss(config, params, ws, labels,
                                                              masks, bufs)
-
-            def update():
-                nonlocal velocity, flat_params
-                np.multiply(flat_grads, flat_grads, out=scratch)
-                training._global_norm(squares)
-                velocity *= config.momentum
-                velocity += flat_grads
-                flat_params -= np.multiply(velocity, config.learning_rate, out=scratch)
-                weights = params.class_weights
-                normalize_rows(weights, out=weights, squares=squares.class_weights)
-
-            parts = (lambda: sampler.draw(rng),
+            parts = (lambda: run.sampler.draw(rng),
                      lambda: forward(params, batch, ws),
                      lambda: training._trace_loss(config, params, ws, labels, masks, bufs),
-                     lambda: backward(params, ws, grad_proj, grad_enc, grads),
-                     update)
+                     lambda: backward(params, ws, grad_proj, grad_enc, run.grads),
+                     lambda: run.update(0))
             with np.errstate(all="ignore"):
                 for layer, fn in zip(TRAIN_LAYERS, parts):
                     out.append((layer, n, space, *timed(fn, *calls)))
@@ -180,7 +166,8 @@ def measure(src: str, mode: str) -> dict:
 
 def run_round(checkout: Path, mode: str) -> dict:
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
-    done = subprocess.run([sys.executable, __file__, "--measure", str(checkout / "src"),
+    grid = checkout / "tools" / "layergrid.py"
+    done = subprocess.run([sys.executable, str(grid), "--measure", str(checkout / "src"),
                            "--mode", mode], env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
