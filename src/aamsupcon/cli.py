@@ -125,7 +125,8 @@ def load_config(path):
     instance} for every class of _SECTIONS, the config echo {section: {key:
     value}} with the defaults filled in)."""
     text = read_file(path, "config", "utf-8")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names "\n": [DEFAULT] is an unknown section, not spread over all
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -179,6 +180,7 @@ def _check_bytes(keys: str, items: int) -> None:
 def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None:
     """Check the keys whose valid range depends on the training rows, and
     the --sizes of a sweep in place of training.batch_speakers."""
+    _check_bytes("training.steps", 3 * cfg.steps)  # the run log's three columns
     d_in = features.shape[1]
     if cfg.mask_max is not None and cfg.mask_max > d_in:
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
@@ -287,9 +289,9 @@ def cmd_train(args) -> int:
     save_runlog(runlog_path, log)
     _write_manifest(args.out, "train", echo, args.seed, {"dataset": args.data},
                     {"checkpoint": ckpt_path, "runlog": runlog_path})
-    if log.records:
-        print(f"trained {cfg.steps} steps: loss {log.records[0].loss:.6g} -> "
-              f"{log.records[-1].loss:.6g}")
+    loss = log.records.loss
+    if loss.size:
+        print(f"trained {cfg.steps} steps: loss {loss[0]:.6g} -> {loss[-1]:.6g}")
     else:
         print("trained 0 steps: checkpoint is the seeded initialization")
     print(f"wrote {ckpt_path}")

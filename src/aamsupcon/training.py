@@ -89,16 +89,12 @@ class TrainConfig:
 
 
 @dataclass
-class StepRecord:
-    step: int
-    loss: float
-    grad_norm: float
-    wall_time: float
-
-
-@dataclass
 class RunLog:
-    records: list = field(default_factory=list)
+    """A run's record: one row of records per step, row i for step i, with
+    the float64 columns loss, grad_norm and wall_time, the seconds from
+    after the step's batch draw to after its update."""
+
+    records: np.recarray
 
 
 def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
@@ -191,11 +187,13 @@ def train(config: TrainConfig, features, speaker_ids):
 
     The returned params are views of one flat vector. Every array that
     forward, the loss kernels, backward, the update and the batch sampler
-    write is allocated once per run, by its _Run, and reused by every step.
+    write is allocated once per run, by its _Run, and reused by every step;
+    so is the log, one row per step, which each step writes in place.
     """
     run = _Run(config, features, speaker_ids)
+    log = RunLog(np.recarray(config.steps, formats="f8,f8,f8",
+                             names="loss,grad_norm,wall_time"))
     rng = np.random.default_rng(config.seed)
-    log = RunLog()
 
     for step in range(config.steps):
         batch, labels = run.sampler.draw(rng)
@@ -209,8 +207,7 @@ def train(config: TrainConfig, features, speaker_ids):
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
             grad_norm = run.update(step)
-        log.records.append(StepRecord(step, value, grad_norm,
-                                      time.perf_counter() - started))
+        log.records[step] = value, grad_norm, time.perf_counter() - started
     return run.params, log
 
 
@@ -233,9 +230,10 @@ def save_runlog(path, log: RunLog) -> None:
 
     Wall times are deliberately not serialized so that reruns with the same
     config and seed produce byte-identical log files."""
+    rec = log.records
     lines = ["step loss grad_norm"]
-    for rec in log.records:
-        lines.append("%d %.17g %.17g" % (rec.step, rec.loss, rec.grad_norm))
+    lines += ["%d %.17g %.17g" % row
+              for row in zip(range(rec.size), rec.loss.tolist(), rec.grad_norm.tolist())]
     write_file(path, "\n".join(lines) + "\n", "run log")
 
 

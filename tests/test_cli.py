@@ -491,6 +491,8 @@ def holdout_one_run(tmp_path_factory):
     ("train", "model.proj_hidden", str(2**62)),
     ("train", "model.embedding_dim", str(2**62)),
     ("train", "model.encoder_hidden", str(2**62)),
+    ("train", "training.steps", str(2**62)),
+    ("sweep-batch", "training.steps", str(2**62)),
     ("sweep-batch", "model.proj_hidden", str(2**62)),
     ("evaluate", "eval.trials_per_speaker", str(2**62)),
     ("sweep-batch", "eval.trials_per_speaker", str(2**62)),
@@ -514,6 +516,7 @@ def test_bad_value_exits_1_naming_key_before_writing(holdout_one_run, tmp_path, 
 
 @pytest.mark.parametrize("command, key, value", [
     ("train", "model.proj_hidden", str(10**13)),
+    ("train", "training.steps", str(10**14)),
     ("generate", "dataset.num_speakers", str(10**13)),
     ("evaluate", "eval.trials_per_speaker", str(10**14)),
 ])
@@ -530,6 +533,25 @@ def test_oversized_value_exits_1_out_of_memory(holdout_one_run, tmp_path, capsys
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("config error: out of memory: Unable to allocate"), err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nsteps = 5\n",
+    "[DEFAULT]\nseed = 3\n\n[training]\nsteps = 5\n",
+    "[DEFAULT]\n",
+], ids=["alone", "beside-training", "empty"])
+def test_default_section_exits_1_naming_it(holdout_one_run, tmp_path, capsys, text):
+    """configparser would read [DEFAULT] as defaults for every section: ignored
+    alone, spread into [training] beside it. It is an unknown section instead."""
+    _, data, _ = holdout_one_run
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config section [DEFAULT]\n", err
+    assert not out.exists()
 
 
 def test_size_that_wraps_in_int64_exits_1_naming_key(tmp_path):

@@ -8,6 +8,7 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aamsupcon import training
@@ -85,6 +86,21 @@ def test_runset_configs_load(runset, tmp_path):
     assert [path.stem for path in paths] == sorted(runset.CONFIGS)
     for path in paths:
         load_config(path)
+
+
+def test_perfbench_reads_one_wall_time_per_step():
+    """perfbench's step_ms_p50 and p99 pool what run_pass in perfbench/run.py
+    reads from each RunLog that train returns; a RunLog its reader cannot
+    see into would read as no steps, or as steps of 0 s."""
+    cfg = training.TrainConfig(steps=5, batch_speakers=2, encoder_hidden=(8,), proj_hidden=8,
+                               embedding_dim=4)
+    features = np.random.default_rng(0).standard_normal((12, 6))
+    results = [training.train(cfg, features, np.repeat(np.arange(4), 3))]
+    # run_pass's expression, verbatim:
+    step_s = [getattr(r, "wall_time", 0.0) for result in results
+              for r in getattr(result[1], "records", ())]
+    assert len(step_s) == cfg.steps
+    assert all(isinstance(s, float) and s > 0 for s in step_s)
 
 
 def test_perfbench_span_names_resolve_but_the_known_stale_ones():

@@ -12,7 +12,6 @@ from aamsupcon.model import backward, forward, init_params, param_arrays
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
     RunLog,
-    StepRecord,
     TrainConfig,
     _trace_loss,
     end_to_end_grad_check,
@@ -30,15 +29,20 @@ def _dataset(spread=0.1, speakers=8, utterances=6, d_in=20, seed=0):
     return features, speaker_ids
 
 
+def _runlog(loss, grad_norm, wall_time):
+    """A RunLog whose records hold the three given columns."""
+    return RunLog(np.rec.fromarrays([loss, grad_norm, wall_time],
+                                    names="loss,grad_norm,wall_time"))
+
+
 def load_runlog(path) -> RunLog:
-    """Parse save_runlog's text back into a RunLog (wall times read 0)."""
+    """Parse save_runlog's text back into a RunLog (wall times read 0); its
+    step column must count the rows from 0."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    log = RunLog()
-    for line in lines[1:]:
-        step, loss, grad_norm = line.split()
-        log.records.append(StepRecord(int(step), float(loss), float(grad_norm), 0.0))
-    return log
+        rows = [line.split() for line in fh.read().splitlines()[1:]]
+    assert [int(step) for step, _, _ in rows] == list(range(len(rows)))
+    return _runlog([float(loss) for _, loss, _ in rows],
+                   [float(norm) for _, _, norm in rows], [0.0] * len(rows))
 
 
 def _params_equal(a, b):
@@ -55,7 +59,7 @@ def test_zero_steps_returns_fresh_init():
     params, log = train(cfg, *data)
     fresh = init_params([20, 32, 32], 32, 16, 8, seed=9)
     assert _params_equal(params, fresh)
-    assert log.records == []
+    assert log.records.size == 0
 
 
 def test_zero_learning_rate_freezes_params_and_loss():
@@ -238,13 +242,39 @@ def test_runlog_round_trip_and_determinism(tmp_path):
     path = tmp_path / "runlog.txt"
     save_runlog(path, log)
     loaded = load_runlog(path)
-    assert [r.step for r in loaded.records] == [r.step for r in log.records]
-    assert [r.loss for r in loaded.records] == [r.loss for r in log.records]
+    assert loaded.records.loss.tolist() == log.records.loss.tolist()
+    assert loaded.records.grad_norm.tolist() == log.records.grad_norm.tolist()
 
     _, log2 = train(cfg, *data)
     path2 = tmp_path / "runlog2.txt"
     save_runlog(path2, log2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_runlog_records_one_row_per_step():
+    cfg = TrainConfig(steps=7, batch_speakers=4, seed=3, **SMALL_NET)
+    _, log = train(cfg, *_dataset())
+    assert isinstance(log.records, np.recarray)
+    assert log.records.shape == (7,)
+    assert log.records.dtype.names == ("loss", "grad_norm", "wall_time")
+    assert all(log.records.dtype[name] == np.float64 for name in log.records.dtype.names)
+
+
+def test_save_runlog_writes_exact_text(tmp_path):
+    """Every loss and gradient norm in %.17g, the step column from the row
+    index, and no wall time; a log of no steps is the header alone."""
+    awkward = [0.1, 1e-300, 123456789.5, 1e+20, 5e-324]
+    path = tmp_path / "runlog.txt"
+    save_runlog(path, _runlog(awkward, awkward[::-1], [2.5] * 5))
+    assert path.read_text(encoding="ascii") == (
+        "step loss grad_norm\n"
+        "0 0.10000000000000001 4.9406564584124654e-324\n"
+        "1 1e-300 1e+20\n"
+        "2 123456789.5 123456789.5\n"
+        "3 1e+20 1e-300\n"
+        "4 4.9406564584124654e-324 0.10000000000000001\n")
+    save_runlog(path, _runlog([], [], []))
+    assert path.read_text(encoding="ascii") == "step loss grad_norm\n"
 
 
 def reference_loss(config, params, trace, labels):
