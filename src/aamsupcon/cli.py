@@ -14,6 +14,7 @@ divergence, gradient tolerance, degenerate trials); 3 I/O failure
 
 import argparse
 import configparser
+import contextlib
 import enum
 import json
 import os
@@ -25,14 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import (AamSupConError, ConfigError, IoError, NumericalError, check_domains,
                      file_sha256, read_file, write_file)
-from .evaluate import (
-    DcfParams,
-    build_trials,
-    roc_metrics,
-    save_scored_trials,
-    save_trials,
-    score_trials,
-)
+from .evaluate import DcfParams, roc_metrics, score_and_save, score_trials, trial_blocks
 from .batching import group_by_speaker
 from .geometry import normalize_rows
 from .losses import LossInputs, LossKind, grad_check
@@ -265,21 +259,28 @@ def _load_split(config, data_path):
             (features[eval_rows], speaker_ids[eval_rows]))
 
 
-def _build_trials(config, speaker_ids, trial_spec):
-    """The trial list over the evaluated rows of _load_split."""
+def _trial_blocks(config, speaker_ids, trial_spec):
+    """The (count, blocks) of evaluate.trial_blocks over the evaluated rows
+    of _load_split, checked before any block is drawn."""
     if config[_Holdout].holdout_per_speaker == 1:
         raise ConfigError("dataset.holdout_per_speaker = 1 leaves one evaluated "
                           "utterance per speaker, so no target trial; evaluating "
                           "needs 0 or >= 2")
-    _check_bytes("eval.trials_per_speaker",
-                 2 * np.unique(speaker_ids).size * trial_spec.trials_per_speaker)
-    return build_trials(speaker_ids, trial_spec.trials_per_speaker, trial_spec.seed)
+    count, blocks = trial_blocks(speaker_ids, trial_spec.trials_per_speaker, trial_spec.seed)
+    _check_bytes("eval.trials_per_speaker", count)
+    return count, blocks
+
+
+def _build_trials(config, speaker_ids, trial_spec):
+    """The whole trial list of _trial_blocks, joined as build_trials joins it."""
+    _, blocks = _trial_blocks(config, speaker_ids, trial_spec)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def cmd_train(args) -> int:
     config, echo = load_config(args.config)
     cfg = _seeded(config[TrainConfig], args.seed)
-    train_set, _ = _load_split(config, args.data)
+    train_set = _load_split(config, args.data)[0]
     _check_data_fit(cfg, *train_set)
     _ensure_out(args.out)
     params, log = train(cfg, *train_set)
@@ -303,37 +304,42 @@ def cmd_evaluate(args) -> int:
     trial_spec = _seeded(config[_Trials], args.seed)
     dcf = config[DcfParams]
     params = load_checkpoint(args.checkpoint)
-    _, (features, speaker_ids) = _load_split(config, args.data)
+    features, speaker_ids = _load_split(config, args.data)[1]  # the evaluated rows only
     if features.shape[1] != params.d_in:
         raise ConfigError(f"checkpoint {args.checkpoint} takes d_in = {params.d_in}, "
                           f"but dataset {args.data} has d_in = {features.shape[1]}")
-    trials = _build_trials(config, speaker_ids, trial_spec)
+    trials = _trial_blocks(config, speaker_ids, trial_spec)
     _ensure_out(args.out)
-
-    scored = score_trials(params, features, trials, trial_spec.space)
-    eer_value, eer_thr, dcf_value, dcf_thr = roc_metrics(scored, dcf)
-    metrics = {
-        "eer": eer_value,
-        "eer_percent": 100.0 * eer_value,
-        "threshold": eer_thr,
-        "min_dcf": dcf_value,
-        "min_dcf_threshold": dcf_thr,
-        "num_target": int(np.sum(scored.is_target)),
-        "num_nontarget": int(np.sum(~scored.is_target)),
-        "num_trials": len(trials[0]),
-        "evaluated_samples": len(speaker_ids),
-    }
     trials_path = os.path.join(args.out, "trials.txt")
     scores_path = os.path.join(args.out, "scores.txt")
     metrics_path = os.path.join(args.out, "metrics.json")
-    save_trials(trials_path, trials)
-    save_scored_trials(scores_path, trials, scored)
-    _write_json(metrics_path, metrics)
-    _write_manifest(args.out, "evaluate", echo, args.seed,
-                    {"checkpoint": args.checkpoint, "dataset": args.data},
-                    {"trials": trials_path, "scores": scores_path,
-                     "metrics": metrics_path},
-                    metrics)
+    outputs = {"trials": trials_path, "scores": scores_path, "metrics": metrics_path}
+    try:
+        scored = score_and_save(params, features, trials, trial_spec.space,
+                                trials_path, scores_path)
+        eer_value, eer_thr, dcf_value, dcf_thr = roc_metrics(scored, dcf)
+        metrics = {
+            "eer": eer_value,
+            "eer_percent": 100.0 * eer_value,
+            "threshold": eer_thr,
+            "min_dcf": dcf_value,
+            "min_dcf_threshold": dcf_thr,
+            "num_target": int(np.sum(scored.is_target)),
+            "num_nontarget": int(np.sum(~scored.is_target)),
+            "num_trials": scored.scores.size,
+            "evaluated_samples": len(speaker_ids),
+        }
+        _write_json(metrics_path, metrics)
+        _write_manifest(args.out, "evaluate", echo, args.seed,
+                        {"checkpoint": args.checkpoint, "dataset": args.data},
+                        outputs, metrics)
+    except BaseException:
+        # the files are written before the scores are known to be usable, so
+        # a failed evaluate removes them and leaves no partial artifact
+        for path in (*outputs.values(), os.path.join(args.out, "manifest.json")):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     print(f"EER = {metrics['eer_percent']:.3f}% (threshold {eer_thr:.4f})")
     print(f"minDCF(p_target={dcf.p_target}) = {dcf_value:.4f} "
           f"(threshold {dcf_thr:.4f})")

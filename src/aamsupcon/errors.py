@@ -6,15 +6,17 @@ or config error, or an input the run cannot take), NumericalError (2) and
 IoError (3). A leaf class exists only where a caller catches it by name or
 it carries data.
 
-read_file, file_sha256 and write_file are the one place the package opens
-a file, so a failed read or write is always an IoError naming the file.
-file_sha256 reads and write_file writes in pieces, so neither needs the
-whole file in memory. check_domains is the one place a config key's domain
-is checked.
+read_file, read_lines, file_sha256, write_file and write_files are the one
+place the package opens a file, so a failed read or write is always an
+IoError naming the file. All but read_file read or write in pieces, so none
+of them needs the whole file in memory. check_domains is the one place a
+config key's domain is checked.
 """
 
 import hashlib
 import math
+import os
+import re
 from dataclasses import fields
 
 
@@ -80,6 +82,43 @@ def read_file(path, what: str, encoding: str | None = None):
         raise IoError(f"{path}: not {encoding} text (byte {exc.start})") from exc
 
 
+_LINE_BLOCK = 1 << 16  # characters read_lines reads at a time, in whole lines
+_NON_ASCII = re.compile("[^\x00-\x7f]")
+
+
+def read_lines(path, what: str):
+    """(size, blocks) of the ASCII text file at path: its size in bytes,
+    and a generator of its lines in blocks of about _LINE_BLOCK characters,
+    each block a list of whole lines that keep their ends (LF, CRLF or CR
+    each end a line, as universal newlines read them). The file is opened
+    when the first block is asked for. Raises IoError like read_file:
+    "cannot read {what} from {path}: ..." when the file cannot be read, and
+    "{path}: not ascii text (byte N)" for the block that holds the first
+    byte outside ASCII, before that block is yielded."""
+    try:
+        size = os.stat(path).st_size
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+    return size, _line_blocks(path, what)
+
+
+def _line_blocks(path, what: str):
+    offset = 0
+    try:
+        # latin-1 reads each byte as one character, so offsets count bytes and
+        # no byte fails to decode; newline="" ends lines as universal newlines
+        # do, but keeps the ends as they are
+        with open(path, encoding="latin-1", newline="") as fh:
+            while block := fh.readlines(_LINE_BLOCK):
+                if not all(map(str.isascii, block)):
+                    byte = _NON_ASCII.search("".join(block)).start()
+                    raise IoError(f"{path}: not ascii text (byte {offset + byte})")
+                offset += sum(map(len, block))
+                yield block
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+
+
 _HASH_BLOCK = 1 << 20  # bytes file_sha256 reads at a time
 
 
@@ -103,13 +142,32 @@ def write_file(path, data, what: str) -> None:
     of such chunks, which go out in order through one open file. Raises
     IoError "cannot write {what} to {path}: ..." when it cannot."""
     chunks = (data,) if isinstance(data, (str, bytes)) else data
+    # map, unlike zip or a generator, holds no chunk while it makes the next
+    write_files([(path, what)], map(lambda chunk: (chunk,), chunks))
+
+
+def write_files(targets, rows) -> None:
+    """Write the files of targets, a list of (path, what) pairs, through
+    one open file each, all open at once: each item of rows holds one chunk
+    per file, bytes or an ASCII str, and the chunks go out in order. Raises
+    IoError "cannot write {what} to {path}: ..." naming the file that
+    fails."""
+    handles, target = [], None
     try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
+        for target in targets:
+            handles.append(open(target[0], "wb"))
+        for row in rows:
+            for target, fh, chunk in zip(targets, handles, row):
                 fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
-                del chunk  # not held while the next chunk is made
+            row = chunk = None  # not held while the next row is made
+        for target, fh in zip(targets, handles):
+            fh.close()
     except OSError as exc:
+        path, what = target
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def check_domains(obj, section: str) -> None:

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, NumericalError, ZeroVector, check_domains, write_file
+from .errors import (ConfigError, NumericalError, ZeroVector, check_domains, write_file,
+                     write_files)
 from .model import NetworkParams, embed
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
+_TRIAL_BLOCK = 8192  # trials per trial_blocks block, in whole speakers
 
 
 @dataclass
@@ -54,7 +56,17 @@ class DcfParams:
 
 
 def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
-    """Trial list (enroll, test, is_target) of row indices into speaker_ids.
+    """Trial list (enroll, test, is_target) of row indices into speaker_ids:
+    the blocks of trial_blocks, joined."""
+    _, blocks = trial_blocks(speaker_ids, trials_per_speaker, seed)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def trial_blocks(speaker_ids, trials_per_speaker: int, seed: int):
+    """(count, blocks): the number of trials, and a generator of the trial
+    list in blocks of whole speakers, each block an (enroll, test,
+    is_target) triple of arrays. The speakers are checked here, before any
+    block is drawn.
 
     Per speaker, in ascending id order: trials_per_speaker same-speaker
     (target) pairs, then as many cross-speaker (non-target) pairs, sampled
@@ -68,25 +80,35 @@ def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
     for sid, own in zip(ids.tolist(), groups):
         if len(own) < 2:
             raise ConfigError(f"speaker {sid} has {len(own)} utterance(s), needs >= 2")
+    count = 2 * trials_per_speaker * len(groups)
+    return count, _speaker_trials(groups, len(speaker_ids), trials_per_speaker, seed)
 
+
+def _speaker_trials(groups, rows: int, per_speaker: int, seed: int):
+    """The blocks of trial_blocks: as many whole speakers as fit in
+    _TRIAL_BLOCK trials, and at least one. Drawing, scoring and writing one
+    speaker at a time took about a tenth longer than blocks of ten, as each
+    step evicted from the CPU caches what the next one reads."""
     rng = np.random.default_rng(seed)
-    enroll, test = [], []
-    other = np.ones(len(speaker_ids), dtype=bool)
-    for own in groups:
-        first, second = np.triu_indices(len(own), k=1)
-        k = _sample_k(rng, first.size, trials_per_speaker)
-        enroll.append(own[first[k]])
-        test.append(own[second[k]])
-
-        other[own] = False
-        others = np.flatnonzero(other)
-        other[own] = True
-        e, o = np.divmod(_sample_k(rng, len(own) * len(others), trials_per_speaker),
-                         len(others))
-        enroll.append(own[e])
-        test.append(others[o])
-    block = np.repeat([True, False], trials_per_speaker)
-    return np.concatenate(enroll), np.concatenate(test), np.tile(block, len(groups))
+    speakers = max(1, _TRIAL_BLOCK // (2 * per_speaker))
+    is_target = np.tile(np.repeat([True, False], per_speaker), min(speakers, len(groups)))
+    other = np.ones(rows, dtype=bool)
+    pairs = {}  # speaker size -> its (a, b), a < b, pairs
+    for start in range(0, len(groups), speakers):
+        enroll, test = [], []
+        for own in groups[start:start + speakers]:
+            if len(own) not in pairs:
+                pairs[len(own)] = np.triu_indices(len(own), k=1)
+            first, second = pairs[len(own)]
+            k = _sample_k(rng, first.size, per_speaker)
+            other[own] = False
+            others = np.flatnonzero(other)
+            other[own] = True
+            e, o = np.divmod(_sample_k(rng, len(own) * len(others), per_speaker), len(others))
+            enroll += own[first[k]], own[e]
+            test += own[second[k]], others[o]
+        enroll = np.concatenate(enroll)
+        yield enroll, np.concatenate(test), is_target[:len(enroll)]
 
 
 def _sample_k(rng, space: int, count: int) -> np.ndarray:
@@ -110,38 +132,80 @@ def score_trials(params: NetworkParams, features, trials,
     The index range is checked by min/max reductions; the per-trial mask
     that names the first bad trial is built only when some index is out of
     range. The pass holds one layer's activations at a time and keeps
-    only the unit rows scoring reads. The trials are scored _SCORE_BLOCK
-    at a time, gathered into two (block, D) buffers allocated once per
-    call, so the products stay small. The gathers clip out-of-range
-    indices, which the range check has already refused, so they write
-    straight into the buffers (numpy's default raise mode gathers into a
-    temporary and copies it). The scores
-    are bit-identical to scoring all trials at once: np.add.reduce (what
-    np.sum calls) over the last axis of a C-contiguous block reduces each
-    row with the same pairwise routine, however many rows the block holds."""
+    only the unit rows scoring reads; _cosines scores the trials."""
     enroll, test, is_target = (np.asarray(a) for a in trials)
     n = len(features)
     if enroll.size and (min(enroll.min(), test.min()) < 0 or max(enroll.max(), test.max()) >= n):
         outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
         k = int(np.argmax(outside))
         raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
+    emb = _embed(params, features, space)
+    scores = np.empty(len(enroll))
+    _cosines(emb, enroll, test, scores, _score_buffers(len(enroll), emb))
+    return ScoredTrials(scores, is_target)
+
+
+def score_and_save(params: NetworkParams, features, trials, space: str,
+                   trials_path, scores_path) -> ScoredTrials:
+    """score_trials, save_trials and save_scored_trials of the (count,
+    blocks) of trial_blocks, with the same bits, one block at a time: each
+    block is scored into its slice of a preallocated score vector and
+    written to both files before the next block is drawn, so no whole trial
+    list exists. Returns the scores and flags of every trial."""
+    count, blocks = trials
+    emb = _embed(params, features, space)
+    scores, is_target = np.empty(count), np.empty(count, dtype=bool)
+    buffers = _score_buffers(count, emb)
+    table = _index_table(len(features) - 1, 2 * count)
+
+    def texts():
+        start = 0
+        for enroll, test, flags in blocks:
+            span = slice(start, start + len(enroll))
+            _cosines(emb, enroll, test, scores[span], buffers)
+            is_target[span] = flags
+            start = span.stop
+            yield from zip(_line_blocks((enroll, test, flags), table),
+                           _line_blocks((enroll, test, flags, scores[span]), table))
+
+    write_files([(trials_path, "trials"), (scores_path, "scores")], texts())
+    return ScoredTrials(scores, is_target)
+
+
+def _embed(params, features, space):
     try:
         with np.errstate(all="ignore"):
-            emb = embed(params, features, space)
+            return embed(params, features, space)
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
-    scores = np.empty(len(enroll))
-    enroll_buf, test_buf = np.empty((2, min(len(enroll), _SCORE_BLOCK), emb.shape[1]))
+
+
+def _score_buffers(count: int, emb) -> np.ndarray:
+    """The two (block, D) gather buffers of _cosines, for count trials."""
+    return np.empty((2, min(count, _SCORE_BLOCK), emb.shape[1]))
+
+
+def _cosines(emb, enroll, test, out, buffers) -> None:
+    """out[i] = the cosine of trial i's unit rows of emb, clipped to [-1, 1].
+
+    The trials are scored _SCORE_BLOCK at a time, gathered into the two
+    (block, D) buffers, so the products stay small. The gathers clip
+    out-of-range indices, which the caller has ruled out, so they write
+    straight into the buffers (numpy's default raise mode gathers into a
+    temporary and copies it). The scores are bit-identical to scoring all
+    trials at once: np.add.reduce (what np.sum calls) over the last axis of
+    a C-contiguous block reduces each row with the same pairwise routine,
+    however many rows the block holds."""
+    enroll_buf, test_buf = buffers
     for start in range(0, len(enroll), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
-        size = len(scores[block])
+        size = len(out[block])
         enrolled, tested = enroll_buf[:size], test_buf[:size]
         np.take(emb, enroll[block], axis=0, out=enrolled, mode="clip")
         np.take(emb, test[block], axis=0, out=tested, mode="clip")
         enrolled *= tested
-        np.add.reduce(enrolled, axis=1, out=scores[block])
-    np.clip(scores, -1.0, 1.0, out=scores)
-    return ScoredTrials(scores, is_target)
+        np.add.reduce(enrolled, axis=1, out=out[block])
+    np.clip(out, -1.0, 1.0, out=out)
 
 
 def roc_metrics(scored: ScoredTrials, dcf: DcfParams | None = None):
@@ -158,7 +222,14 @@ def roc_metrics(scored: ScoredTrials, dcf: DcfParams | None = None):
     dcf = dcf or DcfParams()
     if np.all(scored.scores == scored.scores[0]):
         raise NumericalError("all trial scores are equal")
-    uniq = np.unique(scored.scores)
+    # np.unique's own steps for floats (sort, then keep each score that
+    # differs from the one before it), without the np.ma check that imports
+    # numpy.ma on first use
+    uniq = np.sort(scored.scores)
+    keep = np.empty(uniq.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(uniq[1:], uniq[:-1], out=keep[1:])
+    uniq = uniq[keep]
     p_miss = _class_rates(scored.scores[scored.is_target], uniq, at_or_above=False)
     p_fa = _class_rates(scored.scores[~scored.is_target], uniq, at_or_above=True)
 
@@ -238,7 +309,8 @@ def _write_lines(path, what, trials, scores=None) -> None:
             raise ValueError(f"{what} column {name} must hold integers >= 0")
     if not ((flags == 0) | (flags == 1)).all():
         raise ValueError(f"{what} column is_target must hold 0 or 1")
-    write_file(path, _line_blocks(columns, _index_table(enroll, test)), what)
+    top = max((int(c.max()) for c in (enroll, test) if c.size), default=-1)
+    write_file(path, _line_blocks(columns, _index_table(top, 2 * rows)), what)
 
 
 def _line_blocks(columns, table):
@@ -256,13 +328,11 @@ def _line_blocks(columns, table):
         yield "".join(flat) if not scores else "%s%s%s%.17g\n" * len(enroll) % tuple(flat)
 
 
-def _index_table(enroll, test):
+def _index_table(top: int, cells: int):
     """The strings "i " (the index in decimal, then a space) of every index
-    up to the largest of the two columns, for _index_cells to share; None
-    where that table would hold as many strings as the two columns have
-    cells, or more."""
-    top = max((int(c.max()) for c in (enroll, test) if c.size), default=-1)
-    if top + 1 >= enroll.size + test.size:
+    up to top, for _index_cells to share; None where that table would hold
+    as many strings as the index columns have cells, or more."""
+    if top + 1 >= cells:
         return None
     return np.array([f"{i} " for i in range(top + 1)], dtype=object)
 

@@ -6,16 +6,22 @@ Ground truth is exact, so verification metrics have a known easy/hard dial
 (spread) at desk scale. Datasets round-trip through a plain text format.
 """
 
+import bisect
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError, ZeroVector, check_domains, read_file, write_file
+from .errors import ConfigError, IoError, ZeroVector, check_domains, read_lines, write_file
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
 _ROW_BLOCK = 512  # rows save_dataset formats at a time
+# Number forms that int and float read but that %d and %.17g never write,
+# named by the character _loose_number finds
+_LOOSE_FORMS = {"+": "plus sign", "E": "upper-case E", "_": "underscore",
+                "0": "leading zero", ".": "dot without a digit on each side"}
 
 
 @dataclass
@@ -100,47 +106,89 @@ def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
 
 def load_dataset(path):
     """Inverse of save_dataset: (spec, features, speaker_ids). Raises
-    IoError naming file:line for anything save_dataset would not write."""
-    lines = read_file(path, "dataset", "ascii").splitlines()
+    IoError naming file:line for anything save_dataset would not write.
+
+    The file is read in blocks of whole lines (errors.read_lines), so no
+    whole-file text or line list exists. One pass over each block
+    (_loose_number) finds the first number form that int or float would
+    read but that %d and %.17g never write; the lines before it are checked
+    one by one first, so the first bad line of the file is the one named."""
+    size, blocks = read_lines(path, "dataset")
+    lines = next(blocks, [])
     if not lines:
         raise IoError(f"dataset file {path} is empty")
     spec = _parse_header(path, lines[0])
-    # A valid row of d_in features has at least 2 * d_in + 3 characters, so no
-    # more rows than that fit in the body can be valid: the feature array stays
-    # under four times the file's size, whatever the header and line 2 claim.
-    rows = min(len(lines) - 1, sum(map(len, lines[1:])) // (2 * spec.d_in + 3))
-    ids, features = [], np.empty((rows, spec.d_in))
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2 + spec.d_in:
-            raise IoError(f"{path}:{ln}: expected {2 + spec.d_in} fields, got {len(parts)}")
-        if parts[1] != "original":
-            raise IoError(f"{path}:{ln}: view tag must be 'original', got {parts[1]!r}")
-        if "_" in line:  # int and float read "1_0" as 10; save_dataset writes no "_"
-            raise IoError(f"{path}:{ln}: '_' in a number")
-        try:
-            # an id outside [0, N) is kept as -1 or N, which the range check
-            # below names, so one past int64 cannot overflow the id array
-            ids.append(min(max(int(parts[0]), -1), spec.num_speakers))
-            features[ln - 2] = list(map(float, parts[2:]))
-        except ValueError as exc:
-            raise IoError(f"{path}:{ln}: {exc}") from exc
     expected = spec.num_speakers * spec.utterances_per_speaker
-    if len(ids) != expected:
+    # A valid row of d_in features takes at least 2 * d_in + 3 characters of
+    # the file, so no more rows than that fit in it can be valid: the arrays
+    # stay under four times the file's size, whatever the header claims.
+    rows = min(expected, size // (2 * spec.d_in + 3))
+    ids, features = np.empty(rows, dtype=np.int64), np.empty((rows, spec.d_in))
+    count = 0  # body lines read; rows past the arrays are checked, not kept
+    for block in itertools.chain([lines[1:]], blocks):
+        loose = _loose_number("".join(block))
+        end = len(block) if loose is None else bisect.bisect_right(
+            list(itertools.accumulate(map(len, block))), loose[0])
+        for line in block[:end]:
+            parts = line.split()
+            if len(parts) != 2 + spec.d_in:
+                raise IoError(f"{path}:{count + 2}: expected {2 + spec.d_in} fields, "
+                              f"got {len(parts)}")
+            if parts[1] != "original":
+                raise IoError(f"{path}:{count + 2}: view tag must be 'original', "
+                              f"got {parts[1]!r}")
+            try:
+                # an id outside [0, N) is kept as -1 or N, which the range
+                # check below names, so one past int64 cannot overflow ids
+                sid = min(max(int(parts[0]), -1), spec.num_speakers)
+                row = list(map(float, parts[2:]))
+            except ValueError as exc:
+                raise IoError(f"{path}:{count + 2}: {exc}") from exc
+            if count < rows:
+                ids[count], features[count] = sid, row
+            count += 1
+        if loose is not None:
+            raise IoError(f"{path}:{count + 2}: {loose[1]} in a number")
+    if count != expected:
         raise IoError(f"{path}:1: header declares {expected} rows ({spec.num_speakers} "
-                      f"speakers x {spec.utterances_per_speaker}), body has {len(ids)}")
-    speaker_ids = np.array(ids, dtype=np.int64)
-    for bad, what in (((speaker_ids < 0) | (speaker_ids >= spec.num_speakers),
+                      f"speakers x {spec.utterances_per_speaker}), body has {count}")
+    for bad, what in (((ids < 0) | (ids >= spec.num_speakers),
                        f"speaker id outside [0, {spec.num_speakers})"),
                       (~np.isfinite(features).all(axis=1), "non-finite feature")):
         if bad.any():
             raise IoError(f"{path}:{2 + int(np.argmax(bad))}: {what}")
-    counts = np.bincount(speaker_ids, minlength=spec.num_speakers)
+    counts = np.bincount(ids, minlength=spec.num_speakers)
     if (counts != spec.utterances_per_speaker).any():
         sid = int(np.argmax(counts != spec.utterances_per_speaker))
         raise IoError(f"{path}:1: header declares {spec.utterances_per_speaker} rows per "
                       f"speaker, speaker {sid} has {counts[sid]}")
-    return spec, features, speaker_ids
+    return spec, features, ids
+
+
+def _loose_number(text):
+    """(offset, form) of the first character in text that makes a number
+    form int or float would read but %d and %.17g never write, or None: a
+    plus sign outside an exponent, an upper-case E, an underscore, a
+    leading zero before a digit (outside an exponent, where %.17g writes
+    "1e-05") or a dot without a digit on each side.
+
+    Whole-array comparisons over the text's bytes mark the candidates,
+    and only they are then checked for an exponent. A regular expression
+    with the same lookbehinds tries every position of the text, and took
+    40 times as long."""
+    a = np.frombuffer(b"  " + text.encode("ascii") + b" ", dtype=np.uint8)
+    c, prev, prev2 = a[2:-1], a[1:-2], a[:-3]
+    digit = (a - 48) < 10  # uint8 arithmetic wraps below "0"
+    after_digit, before_digit = digit[1:-2], digit[3:]
+    bad = (c == 43) | (c == 69) | (c == 95)  # + E _
+    bad |= (c == 46) > (after_digit & before_digit)  # a dot
+    bad |= ((c == 48) & before_digit) > (after_digit | (prev == 46))  # a zero
+    at = np.flatnonzero(bad)
+    p = prev[at]
+    # right after "e", "e+" or "e-" is an exponent: float refuses a dot, E
+    # or _ there, and %.17g writes the sign and a zero ("e+20", "e-05")
+    at = at[(p != 101) & ~(((p == 43) | (p == 45)) & (prev2[at] == 101))]
+    return (int(at[0]), _LOOSE_FORMS[text[at[0]]]) if at.size else None
 
 
 def _parse_header(path, line) -> DatasetSpec:
@@ -149,8 +197,9 @@ def _parse_header(path, line) -> DatasetSpec:
         key, sep, value = token.partition("=")
         if not sep:
             raise IoError(f"{path}:1: header token {token!r} is not key=value")
-        if "_" in value:
-            raise IoError(f"{path}:1: '_' in header value {token!r}")
+        loose = _loose_number(value)
+        if loose is not None:
+            raise IoError(f"{path}:1: {loose[1]} in header value {token!r}")
         header[key] = value
     try:
         spec = DatasetSpec(**{f.name: f.type(header[f.name]) for f in fields(DatasetSpec)})

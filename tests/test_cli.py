@@ -316,6 +316,75 @@ def test_overflowing_forward_pass_at_scoring_exits_2_naming_row(clean_dataset,
     assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
+_EVAL_OUTPUTS = ("trials.txt", "scores.txt", "metrics.json", "manifest.json")
+
+
+def test_equal_scores_leave_no_evaluate_outputs(clean_dataset, clean_checkpoint, tmp_path,
+                                                capsys):
+    """A network that maps every row to one point scores every trial 1.0:
+    evaluate exits 2, and removes the trial and score files it wrote before
+    the scores were known to be unusable, and the outputs of an earlier run
+    into the same directory."""
+    cfg, text = clean_dataset
+    data, checkpoint = tmp_path / "dataset.txt", tmp_path / "checkpoint.bin"
+    out = tmp_path / "eval"
+    data.write_text(text)
+    checkpoint.write_bytes(clean_checkpoint)
+    assert main(command_argv("evaluate", cfg, data, checkpoint, out)) == 0
+    assert all((out / name).exists() for name in _EVAL_OUTPUTS)
+    params = load_checkpoint(checkpoint)
+    for w, b in params.encoder_layers:
+        w[:] = 0.0
+        b[:] = 1.0
+    save_checkpoint(checkpoint, params)
+    capsys.readouterr()
+    assert main(command_argv("evaluate", cfg, data, checkpoint, out)) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: all trial scores are equal\n", err
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_unwritable_score_file_leaves_no_evaluate_outputs(clean_dataset, clean_checkpoint,
+                                                          tmp_path, capsys):
+    """scores.txt cannot be opened (a directory of that name): evaluate
+    exits 3 naming it and leaves no trial file behind."""
+    cfg, text = clean_dataset
+    data, checkpoint = tmp_path / "dataset.txt", tmp_path / "checkpoint.bin"
+    out = tmp_path / "eval"
+    data.write_text(text)
+    checkpoint.write_bytes(clean_checkpoint)
+    (out / "scores.txt").mkdir(parents=True)
+    assert main(command_argv("evaluate", cfg, data, checkpoint, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o failure: cannot write scores to {out / 'scores.txt'}: "), err
+    assert sorted(p.name for p in out.iterdir()) == ["scores.txt"]
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """generate, train, evaluate and sweep-batch in a fresh interpreter leave
+    numpy.ma unimported: a plain np.unique imports it on first use (through
+    np.ma.is_masked), at about 12 ms and 1.2 MB of RSS per process."""
+    cfg = write_config(tmp_path, steps=2, holdout=2)
+    script = f"""
+import sys
+from aamsupcon.cli import main
+cfg, root = {cfg!r}, {str(tmp_path)!r}
+data, ckpt = root + "/gen/dataset.txt", root + "/run/checkpoint.bin"
+for argv in (["generate", "--out", root + "/gen"],
+             ["train", "--data", data, "--out", root + "/run"],
+             ["evaluate", "--data", data, "--checkpoint", ckpt, "--out", root + "/eval"],
+             ["sweep-batch", "--data", data, "--sizes", "2", "3", "--out", root + "/sweep"]):
+    assert main([*argv, "--config", cfg]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 @pytest.mark.parametrize("training_extra, setting, key", [
     ("learning_rate = nan", "", "training.learning_rate"),
     ("momentum = -5", "", "training.momentum"),
@@ -946,6 +1015,69 @@ def test_speaker_id_past_int64_exits_3_naming_line(clean_dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert err.splitlines() == [f"i/o failure: {path}:4: speaker id outside [0, 6)"], err
     assert not out.exists()
+
+
+def _retoken(line, index, new):
+    """line with its token at index replaced by new(token)."""
+    tokens = line.split()
+    tokens[index] = new(tokens[index])
+    return " ".join(tokens) + "\n"
+
+
+# (form, line, edit): number forms that int and float read but that %d and
+# %.17g never write; edit rewrites the dataset line of that 1-based number
+_LOOSE_FORMS = [
+    ("plus sign", 4, lambda line: "+" + line),
+    ("plus sign", 4, lambda line: _retoken(line, 2, lambda t: "+" + t.lstrip("-"))),
+    ("upper-case E", 4, lambda line: _retoken(line, 3, lambda t: t + "E0")),
+    ("underscore", 4, lambda line: _retoken(line, 4, lambda t: t[:4] + "_" + t[4:])),
+    ("leading zero", 4, lambda line: "0" + line),
+    ("leading zero", 4, lambda line: _retoken(line, 2, lambda t: "-00." + t.split(".")[1])),
+    ("dot without a digit on each side", 4,
+     lambda line: _retoken(line, 2, lambda t: t.replace("0.", "."))),
+    ("dot without a digit on each side", 4, lambda line: _retoken(line, 3, lambda t: "5.")),
+    ("plus sign", 1, lambda line: line.replace("seed=", "seed=+")),
+    ("leading zero", 1, lambda line: line.replace("seed=", "seed=0")),
+    ("dot without a digit on each side", 1, lambda line: line.replace("spread=0.", "spread=.")),
+    ("upper-case E", 1, lambda line: line.replace("spread=0.1", "spread=1E-1")),
+    ("underscore", 1, lambda line: line.replace("d_in=1", "d_in=1_")),
+]
+
+
+@pytest.mark.parametrize("form, ln, edit", _LOOSE_FORMS,
+                         ids=[f"{form}-line{ln}-{i}" for i, (form, ln, _) in
+                              enumerate(_LOOSE_FORMS)])
+def test_loose_number_form_exits_3_naming_line(clean_dataset, tmp_path, capsys, form, ln,
+                                               edit):
+    """Each number form that Python's int and float read but save_dataset
+    never writes is refused by name at its line, in the body and in the
+    header, before --out is made; the same file with the line as written
+    loads."""
+    cfg, text = clean_dataset
+    lines = text.splitlines(keepends=True)
+    lines[ln - 1] = edit(lines[ln - 1])
+    path = tmp_path / "dataset.txt"
+    path.write_text("".join(lines))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o failure: {path}:{ln}: {form} in "), err
+    assert not out.exists()
+
+
+def test_exponents_as_written_load(clean_dataset, tmp_path, capsys):
+    """%.17g writes exponents with a sign and at least two digits ("e-05",
+    "e+20"); the form check passes them, and they load to their values."""
+    cfg, text = clean_dataset
+    lines = text.splitlines(keepends=True)
+    values = [1e-05, 1e+20, -2.5e-300, 5e-324]
+    lines[3] = _retoken(lines[3], 2, lambda t: "%.17g %.17g %.17g %.17g" % tuple(values))
+    lines[3] = " ".join(lines[3].split()[:-3]) + "\n"  # keep d_in features
+    path = tmp_path / "dataset.txt"
+    path.write_text("".join(lines))
+    assert "e-05 1e+20 -2.5e-300 4.9406564584124654e-324 " in lines[3]
+    _, features, _ = cli.load_dataset(path)
+    assert features[2, :4].tolist() == values
 
 
 # boundary and garbage values for any key

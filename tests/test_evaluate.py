@@ -19,10 +19,14 @@ from aamsupcon.evaluate import (
     roc_metrics,
     save_scored_trials,
     save_trials,
+    score_and_save,
     score_trials,
+    trial_blocks,
 )
-from aamsupcon.model import NetworkParams, encoder_embeddings, forward, init_params
-from aamsupcon.synthdata import DatasetSpec, generate
+from aamsupcon.cli import main
+from aamsupcon.model import (NetworkParams, encoder_embeddings, forward, init_params,
+                             save_checkpoint)
+from aamsupcon.synthdata import DatasetSpec, generate, save_dataset
 import oracles
 from oracles import (
     eer_threshold_sweep,
@@ -161,6 +165,36 @@ def test_build_trials_matches_per_trial_reference():
         assert got[0].dtype == got[1].dtype == np.int64 and got[2].dtype == bool
 
 
+@pytest.mark.parametrize("per_speaker", [1, 5, 400, 4095, 4096, 4097, 9000])
+def test_trial_blocks_hold_whole_speakers_of_the_reference(per_speaker):
+    """Each block holds whole speakers, as many as fit in _TRIAL_BLOCK
+    trials and at least one, with their flags; joined, the blocks are the
+    per-trial reference, and count counts them."""
+    assert evaluate._TRIAL_BLOCK == 8192
+    speaker_ids = np.random.default_rng(per_speaker).permutation(np.repeat(np.arange(7), 3))
+    count, blocks = trial_blocks(speaker_ids, per_speaker, seed=per_speaker)
+    blocks = list(blocks)
+    speakers = max(1, 8192 // (2 * per_speaker))
+    assert [len(b[0]) for b in blocks] == [2 * per_speaker * min(speakers, 7 - first)
+                                           for first in range(0, 7, speakers)]
+    one = [True] * per_speaker + [False] * per_speaker
+    for enroll, test, flags in blocks:
+        assert len(test) == len(enroll)
+        assert flags.tolist() == one * (len(enroll) // (2 * per_speaker))
+    joined = tuple(np.concatenate(column) for column in zip(*blocks))
+    assert count == len(joined[0]) == 14 * per_speaker
+    assert _trial_list(joined) == reference_trials(speaker_ids, per_speaker, per_speaker)
+
+
+def test_trial_blocks_check_speakers_before_drawing():
+    """The speaker checks run when trial_blocks is called, so a caller can
+    refuse a trial list before it makes any output."""
+    for ids, message in (([0, 0, 0], "at least 2 speakers"),
+                         ([0, 0, 1], "speaker 1 has 1 utterance")):
+        with pytest.raises(ConfigError, match=message):
+            trial_blocks(np.array(ids), 3, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -294,6 +328,27 @@ def test_block_scoring_and_writers_match_unblocked(tmp_path, monkeypatch, num_tr
                               (enroll, test, rng.random(num_trials) < 0.5), space, emb)
 
 
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+@pytest.mark.parametrize("rows, per_speaker", [(3, 1), (4, 300), (10, 4100), (400, 2)])
+def test_score_and_save_equals_whole_list_route(tmp_path, rows, per_speaker, space):
+    """Scoring and writing the trial blocks as they are drawn gives the
+    scores, flags and file bytes of scoring and writing the whole trial
+    list: with the shared index table and without it (400 rows a speaker,
+    few trials), with several speakers a block and with one."""
+    features, speaker_ids, _ = generate(DatasetSpec(8, rows, 6, 0.5, seed=rows))
+    params = init_params([6, 16], 16, 8, 8, seed=1)
+    whole = build_trials(speaker_ids, per_speaker, seed=3)
+    want = score_trials(params, features, whole, space)
+    save_trials(tmp_path / "want_trials.txt", whole)
+    save_scored_trials(tmp_path / "want_scores.txt", whole, want)
+    got = score_and_save(params, features, trial_blocks(speaker_ids, per_speaker, seed=3),
+                         space, tmp_path / "trials.txt", tmp_path / "scores.txt")
+    assert got.scores.view(np.uint64).tolist() == want.scores.view(np.uint64).tolist()
+    assert got.is_target.tolist() == want.is_target.tolist()
+    for name in ("trials.txt", "scores.txt"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
+
+
 def _signed_params(dim):
     """d_in = dim network whose projection embedding is x / |x|: the
     encoder keeps (relu(x), relu(-x)) and the head subtracts them."""
@@ -385,7 +440,8 @@ def test_writers_match_reference_across_block_edges(rows, shared):
     largest = rows // 2 if shared else 999_999
     enroll, test = _assert_writers_match_reference(rows, largest, np.random.default_rng(rows),
                                                    np.int64)
-    assert (evaluate._index_table(enroll, test) is not None) == (shared and rows > 0)
+    top = int(max(enroll.max(initial=-1), test.max(initial=-1)))
+    assert (evaluate._index_table(top, 2 * rows) is not None) == (shared and rows > 0)
 
 
 def test_writers_table_no_more_strings_than_cells(tmp_path):
@@ -457,6 +513,31 @@ def test_roc_metrics_peak_memory_and_bits_at_scale(quickstart_scale):
     want = (*oracles.eer(scored), *oracles.min_dcf(scored, DcfParams()))
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_evaluate_command_peak_memory(tmp_path):
+    """The whole evaluate command at the benchmark's verify-large shape
+    (128 speakers x 20 utterances, 10 held out, 400 trials a speaker, an
+    untrained quickstart-shaped model) stays at or under 5 MiB traced: it
+    reads the dataset in row blocks and keeps no whole trial list. numpy.ma
+    is imported first, so that only the command is traced."""
+    import numpy.ma  # noqa: F401
+
+    spec = DatasetSpec(128, 20, 40, 0.2, seed=7)
+    features, speaker_ids, _ = generate(spec)
+    save_dataset(tmp_path / "dataset.txt", spec, features, speaker_ids)
+    save_checkpoint(tmp_path / "checkpoint.bin", init_params([40, 64, 64], 128, 128, 128, seed=0))
+    (tmp_path / "config.ini").write_text(
+        "[dataset]\nnum_speakers = 128\nholdout_per_speaker = 10\n"
+        "[eval]\ntrials_per_speaker = 400\n")
+    argv = ["evaluate", "--config", str(tmp_path / "config.ini"),
+            "--data", str(tmp_path / "dataset.txt"),
+            "--checkpoint", str(tmp_path / "checkpoint.bin"), "--out", str(tmp_path / "eval")]
+    assert main(argv) == 0
+    code, peak = _traced_peak(lambda: main(argv))
+    assert code == 0
+    assert (tmp_path / "eval" / "scores.txt").read_bytes().count(b"\n") == 102400
+    assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from aamsupcon import synthdata
+from aamsupcon import errors, synthdata
 from aamsupcon.errors import ConfigError, IoError
 from aamsupcon.synthdata import (
     DatasetSpec,
@@ -124,6 +124,86 @@ def test_save_dataset_peak_memory(tmp_path):
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_load_dataset_peak_memory(tmp_path):
+    """The 2560 x 40 dataset is read in blocks of lines, so the load holds
+    no whole-file text or line list: under 2 MiB at the peak, against
+    4.3 MiB when the file was read whole."""
+    spec = DatasetSpec(128, 20, 40, 0.2, seed=7)
+    features, speaker_ids, _ = generate(spec)
+    save_dataset(tmp_path / "data.txt", spec, features, speaker_ids)
+    tracemalloc.start()
+    try:
+        got = load_dataset(tmp_path / "data.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[1], features) and np.array_equal(got[2], speaker_ids)
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.fixture(scope="module")
+def many_blocks(tmp_path_factory):
+    """(path, lines) of a dataset several of errors.read_lines' blocks long."""
+    spec = DatasetSpec(20, 20, 30, 0.2, seed=3)
+    path = tmp_path_factory.mktemp("blocks") / "data.txt"
+    save_dataset(path, spec, *generate(spec)[:2])
+    assert path.stat().st_size > 3 * errors._LINE_BLOCK
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_load_reads_crlf_and_cr_line_ends(tmp_path, many_blocks, end):
+    path, lines = many_blocks
+    other = tmp_path / "data.txt"
+    other.write_bytes("".join(line.replace("\n", end) for line in lines).encode())
+    want, got = load_dataset(path), load_dataset(other)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("ln", [2, 150, 399])
+@pytest.mark.parametrize("edit, form", [
+    (lambda line: line.replace(" ", "  ", 1).replace(" original", " orig", 1), "view tag"),
+    (lambda line: line.replace(" 0.", " .", 1), "dot without a digit on each side"),
+    (lambda line: line.replace(" 0.", " 00.", 1), "leading zero"),
+])
+def test_load_names_line_in_any_block(tmp_path, many_blocks, ln, edit, form):
+    """A bad line is named by its number in the file, in the first block and
+    in later ones; a line after it that is also bad does not take its
+    place."""
+    path, lines = many_blocks
+    lines = list(lines)
+    lines[ln - 1] = edit(lines[ln - 1])
+    lines[-1] = "+" + lines[-1]
+    bad = tmp_path / "data.txt"
+    bad.write_text("".join(lines))
+    with pytest.raises(IoError, match=re.escape(f"{bad}:{ln}: ") + f".*{form}"):
+        load_dataset(bad)
+
+
+def test_load_names_byte_outside_ascii_in_a_later_block(tmp_path, many_blocks):
+    path, lines = many_blocks
+    data = bytearray("".join(lines).encode())
+    at = len(data) - 100
+    data[at] = 0xE9
+    bad = tmp_path / "data.txt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(IoError, match=re.escape(f"{bad}: not ascii text (byte {at})")):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_load_refuses_other_line_separators(tmp_path, separator):
+    """Only LF, CRLF and CR end a line. The other separators that
+    str.splitlines knows are whitespace inside a line, so two rows joined
+    by one are one line with too many fields."""
+    rows = [_ROW, _ROW, _ROW_1, _ROW_1]
+    path = tmp_path / "data.txt"
+    path.write_text(f"{_HEADER}\n{_ROW}{separator}" + "\n".join(rows[1:]) + "\n")
+    with pytest.raises(IoError, match=re.escape(f"{path}:2: expected 5 fields, got 10")):
+        load_dataset(path)
+
+
 def test_load_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("num_speakers=2 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0\n"
@@ -197,5 +277,6 @@ def test_load_names_line_of_malformed_input(tmp_path, text, line):
 def test_load_rejects_non_ascii(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(_HEADER.encode() + b"\n0 original \xff 0 0\n")
-    with pytest.raises(IoError, match=re.escape(str(path))):
+    at = len(_HEADER) + 12  # the \xff after the header's newline and "0 original "
+    with pytest.raises(IoError, match=re.escape(f"{path}: not ascii text (byte {at})")):
         load_dataset(path)

@@ -72,8 +72,10 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
     trials = 2 * layergrid.EVAL_SPEAKERS * layergrid.TRIALS_PER_SPEAKER
     dataset_rows = layergrid.EVAL_UTTERANCES * layergrid.EVAL_SPEAKERS
     assert [row[:3] for row in rows] == [
-        (layer, dataset_rows if layer == "save_dataset" else trials, "projection")
+        (layer, dataset_rows if layer in layergrid.DATASET_LAYERS else trials, "projection")
         for layer in layergrid.EVAL_LAYERS]
+    assert layergrid.DATASET_LAYERS == ("save_dataset", "load_dataset")
+    assert layergrid.EVAL_LAYERS[-1] == "evaluate"
     assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
 
 

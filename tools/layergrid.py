@@ -16,10 +16,12 @@ class-weight renormalization).
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
 an untrained quickstart-shaped model: build_trials, score_trials,
-roc_metrics, save_trials and save_scored_trials; and save_dataset of the
-whole 2560-row dataset they are drawn from. Each evaluation row also gets
-the tracemalloc peak of one more call, made after the timed ones, so that
-tracing slows no timed call.
+roc_metrics, save_trials and save_scored_trials; save_dataset and
+load_dataset of the whole 2560-row dataset they are drawn from; and the
+whole evaluate command on that dataset and model (cli.main, with the
+config, dataset and checkpoint files written before the timed calls). Each
+evaluation row also gets the tracemalloc peak of one more call, made after
+the timed ones, so that tracing slows no timed call.
 
 Each round runs a checkout's own tools/layergrid.py in a fresh interpreter
 with single-threaded BLAS, imports the package from that checkout's src/
@@ -37,6 +39,8 @@ the minor page faults of each whole round, and the environment.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -58,7 +62,8 @@ VIEWS = 2
 SPACES = ("projection", "encoder")
 TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
 EVAL_LAYERS = ("build_trials", "score_trials", "roc_metrics", "save_trials",
-               "save_scored_trials", "save_dataset")
+               "save_scored_trials", "save_dataset", "load_dataset", "evaluate")
+DATASET_LAYERS = ("save_dataset", "load_dataset")  # sized in dataset rows, not trials
 EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
 # (warm-up calls, timed blocks, calls per block) per training and per
 # evaluation row
@@ -127,10 +132,11 @@ def train_rows(calls):
 def eval_rows(calls):
     """[(layer, size, space, seconds, faults, peak bytes)] of the
     evaluation's parts; the size is the number of trials, or of dataset
-    rows for save_dataset."""
-    from aamsupcon import evaluate
-    from aamsupcon.model import init_params
-    from aamsupcon.synthdata import DatasetSpec, generate, save_dataset, split_holdout
+    rows for the DATASET_LAYERS."""
+    from aamsupcon import cli, evaluate
+    from aamsupcon.model import init_params, save_checkpoint
+    from aamsupcon.synthdata import (DatasetSpec, generate, load_dataset, save_dataset,
+                                     split_holdout)
 
     spec = DatasetSpec(EVAL_SPEAKERS, EVAL_UTTERANCES, 40, 0.2, 7)
     data, ids, _ = generate(spec)
@@ -141,14 +147,31 @@ def eval_rows(calls):
     scored = evaluate.score_trials(params, features, trials)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset(tmp / "evaluated.txt", spec, data, ids)
+        save_checkpoint(tmp / "checkpoint.bin", params)
+        (tmp / "config.ini").write_text(
+            f"[dataset]\nnum_speakers = {EVAL_SPEAKERS}\n"
+            f"utterances_per_speaker = {EVAL_UTTERANCES}\nholdout_per_speaker = {EVAL_HELD_OUT}\n"
+            f"[eval]\ntrials_per_speaker = {TRIALS_PER_SPEAKER}\nseed = 1\n")
+        argv = ["evaluate", "--config", str(tmp / "config.ini"),
+                "--data", str(tmp / "evaluated.txt"), "--checkpoint", str(tmp / "checkpoint.bin"),
+                "--out", str(tmp / "eval")]
+
+        def evaluate_command():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+
         parts = (lambda: evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1),
                  lambda: evaluate.score_trials(params, features, trials),
                  lambda: evaluate.roc_metrics(scored),
-                 lambda: evaluate.save_trials(Path(tmp) / "trials.txt", trials),
-                 lambda: evaluate.save_scored_trials(Path(tmp) / "scores.txt", trials, scored),
-                 lambda: save_dataset(Path(tmp) / "dataset.txt", spec, data, ids))
+                 lambda: evaluate.save_trials(tmp / "trials.txt", trials),
+                 lambda: evaluate.save_scored_trials(tmp / "scores.txt", trials, scored),
+                 lambda: save_dataset(tmp / "dataset.txt", spec, data, ids),
+                 lambda: load_dataset(tmp / "evaluated.txt"),
+                 evaluate_command)
         for layer, fn in zip(EVAL_LAYERS, parts):
-            size = len(data) if layer == "save_dataset" else len(trials[0])
+            size = len(data) if layer in DATASET_LAYERS else len(trials[0])
             out.append((layer, size, "projection", *timed(fn, *calls), traced_peak(fn)))
     return out
 
