@@ -271,12 +271,6 @@ def _trial_blocks(config, speaker_ids, trial_spec):
     return count, blocks
 
 
-def _build_trials(config, speaker_ids, trial_spec):
-    """The whole trial list of _trial_blocks, joined as build_trials joins it."""
-    _, blocks = _trial_blocks(config, speaker_ids, trial_spec)
-    return tuple(np.concatenate(column) for column in zip(*blocks))
-
-
 def cmd_train(args) -> int:
     config, echo = load_config(args.config)
     cfg = _seeded(config[TrainConfig], args.seed)
@@ -395,13 +389,15 @@ def cmd_gradcheck(args) -> int:
 
 def _sweep_row(job, size):
     """The sweep-batch row of one --sizes entry: train at batch_speakers =
-    size, then score the trials. Runs in a pool worker; job is (base
-    TrainConfig, training set, evaluated features, trials, eval space,
-    DcfParams), and only the row goes back."""
-    base, train_set, eval_features, trials, space, dcf = job
+    size, then score the trials, drawn here from the evaluated speaker ids.
+    Runs in a pool worker; job is (base TrainConfig, training set,
+    evaluated features, evaluated speaker ids, _Trials, DcfParams), and only
+    the row goes back."""
+    base, train_set, eval_features, eval_ids, trial_spec, dcf = job
     cfg = replace(base, batch_speakers=size)
     params, _ = train(cfg, *train_set)
-    scored = score_trials(params, eval_features, trials, space)
+    trials = trial_blocks(eval_ids, trial_spec.trials_per_speaker, trial_spec.seed)
+    scored = score_trials(params, eval_features, trials, trial_spec.space)
     eer_value, _, dcf_value, _ = roc_metrics(scored, dcf)
     return {"batch_speakers": size,
             "batch_size": 2 * size * cfg.views_per_speaker,
@@ -418,12 +414,12 @@ def cmd_sweep_batch(args) -> int:
     base = _seeded(config[TrainConfig], args.seed)
     train_set, (eval_features, eval_ids) = _load_split(config, args.data)
     _check_data_fit(base, *train_set, sizes=args.sizes)
-    trials = _build_trials(config, eval_ids, config[_Trials])
+    _trial_blocks(config, eval_ids, config[_Trials])  # its checks; each worker draws its own
     _ensure_out(args.out)
 
     # Each distinct size is one independent run with the bits of a run of its
     # own; the largest (slowest) go first so that the workers finish together.
-    job = (base, train_set, eval_features, trials, config[_Trials].space, config[DcfParams])
+    job = (base, train_set, eval_features, eval_ids, config[_Trials], config[DcfParams])
     sizes = sorted(set(args.sizes), reverse=True)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ProcessPoolExecutor(min(len(sizes), cpus or 1)) as pool:

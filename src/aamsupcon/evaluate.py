@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import (ConfigError, NumericalError, ZeroVector, check_domains, write_file,
-                     write_files)
+from .errors import ConfigError, NumericalError, ZeroVector, check_domains, write_files
 from .model import NetworkParams, embed
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -40,6 +39,10 @@ class ScoredTrials:
             raise ValueError("scores and is_target must be 1-D and equal length")
         if not (self.is_target.any() and (~self.is_target).any()):
             raise NumericalError("need at least one target and one non-target trial")
+        finite = np.isfinite(self.scores)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NumericalError(f"trial {k} has the non-finite score {self.scores[k]}")
 
 
 @dataclass
@@ -53,13 +56,6 @@ class DcfParams:
 
     def __post_init__(self):
         check_domains(self, "eval")
-
-
-def build_trials(speaker_ids, trials_per_speaker: int, seed: int):
-    """Trial list (enroll, test, is_target) of row indices into speaker_ids:
-    the blocks of trial_blocks, joined."""
-    _, blocks = trial_blocks(speaker_ids, trials_per_speaker, seed)
-    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def trial_blocks(speaker_ids, trials_per_speaker: int, seed: int):
@@ -121,68 +117,71 @@ def _sample_k(rng, space: int, count: int) -> np.ndarray:
 
 def score_trials(params: NetworkParams, features, trials,
                  space: str = "projection") -> ScoredTrials:
-    """Cosine scores of the (enroll, test, is_target) trials from one
+    """Cosine scores of the (count, blocks) of trial_blocks from one
     inference pass (model.embed) over the feature matrix.
 
     space selects the representation: "projection" (the final contrastive
     embedding) or "encoder" (the normalized pre-projection output). A row
     that the network maps to a zero vector, or one whose norm overflows,
-    raises NumericalError naming it.
-
-    The index range is checked by min/max reductions; the per-trial mask
-    that names the first bad trial is built only when some index is out of
-    range. The pass holds one layer's activations at a time and keeps
-    only the unit rows scoring reads; _cosines scores the trials."""
-    enroll, test, is_target = (np.asarray(a) for a in trials)
-    n = len(features)
-    if enroll.size and (min(enroll.min(), test.min()) < 0 or max(enroll.max(), test.max()) >= n):
-        outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
-        k = int(np.argmax(outside))
-        raise ConfigError(f"trial {k} ({enroll[k]}, {test[k]}) outside dataset of {n}")
-    emb = _embed(params, features, space)
-    scores = np.empty(len(enroll))
-    _cosines(emb, enroll, test, scores, _score_buffers(len(enroll), emb))
+    raises NumericalError naming it; a trial index outside the feature
+    matrix raises ConfigError naming the trial."""
+    scores, is_target, blocks = _scored_blocks(params, features, trials, space)
+    for _ in blocks:
+        pass
     return ScoredTrials(scores, is_target)
 
 
 def score_and_save(params: NetworkParams, features, trials, space: str,
                    trials_path, scores_path) -> ScoredTrials:
-    """score_trials, save_trials and save_scored_trials of the (count,
-    blocks) of trial_blocks, with the same bits, one block at a time: each
-    block is scored into its slice of a preallocated score vector and
-    written to both files before the next block is drawn, so no whole trial
-    list exists. Returns the scores and flags of every trial."""
-    count, blocks = trials
-    emb = _embed(params, features, space)
-    scores, is_target = np.empty(count), np.empty(count, dtype=bool)
-    buffers = _score_buffers(count, emb)
-    table = _index_table(len(features) - 1, 2 * count)
-
-    def texts():
-        start = 0
-        for enroll, test, flags in blocks:
-            span = slice(start, start + len(enroll))
-            _cosines(emb, enroll, test, scores[span], buffers)
-            is_target[span] = flags
-            start = span.stop
-            yield from zip(_line_blocks((enroll, test, flags), table),
-                           _line_blocks((enroll, test, flags, scores[span]), table))
-
-    write_files([(trials_path, "trials"), (scores_path, "scores")], texts())
+    """score_trials of the (count, blocks) of trial_blocks, which also
+    writes each block to the trial file (one "enroll test 0|1" line per
+    trial) and the score file (the same line with the score appended as
+    %.17g) before the next block is drawn, so no whole trial list exists."""
+    scores, is_target, blocks = _scored_blocks(params, features, trials, space)
+    table = _index_table(len(features) - 1, 2 * len(scores))
+    write_files([(trials_path, "trials"), (scores_path, "scores")],
+                (texts for block in blocks
+                 for texts in zip(_line_blocks(block[:3], table), _line_blocks(block, table))))
     return ScoredTrials(scores, is_target)
 
 
-def _embed(params, features, space):
+def _scored_blocks(params, features, trials, space):
+    """(scores, is_target, blocks) of the (count, blocks) of trial_blocks:
+    the score and flag vectors of all count trials, and a generator that
+    scores each block into its slice of them and yields it as (enroll,
+    test, is_target, scores). The embedding (model.embed) and the two
+    (block, D) gather buffers of _cosines are made here.
+
+    Each block's index range is checked by min/max reductions before
+    _cosines gathers it in clip mode; the per-trial mask that names the
+    first bad trial, by its number in the whole list, is built only when
+    some index is out of range."""
+    count, blocks = trials
     try:
         with np.errstate(all="ignore"):
-            return embed(params, features, space)
+            emb = embed(params, features, space)
     except ZeroVector as exc:
         raise NumericalError(f"cannot score trials: the embedding of evaluated {exc}") from exc
+    scores, is_target = np.empty(count), np.empty(count, dtype=bool)
+    buffers = np.empty((2, min(count, _SCORE_BLOCK), emb.shape[1]))
+    n = len(features)
 
+    def scored():
+        start = 0
+        for enroll, test, flags in blocks:
+            span = slice(start, start + len(enroll))
+            if enroll.size and (min(enroll.min(), test.min()) < 0
+                                or max(enroll.max(), test.max()) >= n):
+                outside = (enroll < 0) | (enroll >= n) | (test < 0) | (test >= n)
+                k = int(np.argmax(outside))
+                raise ConfigError(f"trial {start + k} ({enroll[k]}, {test[k]}) "
+                                  f"outside dataset of {n}")
+            _cosines(emb, enroll, test, scores[span], buffers)
+            is_target[span] = flags
+            start = span.stop
+            yield enroll, test, is_target[span], scores[span]
 
-def _score_buffers(count: int, emb) -> np.ndarray:
-    """The two (block, D) gather buffers of _cosines, for count trials."""
-    return np.empty((2, min(count, _SCORE_BLOCK), emb.shape[1]))
+    return scores, is_target, scored()
 
 
 def _cosines(emb, enroll, test, out, buffers) -> None:
@@ -190,7 +189,7 @@ def _cosines(emb, enroll, test, out, buffers) -> None:
 
     The trials are scored _SCORE_BLOCK at a time, gathered into the two
     (block, D) buffers, so the products stay small. The gathers clip
-    out-of-range indices, which the caller has ruled out, so they write
+    out-of-range indices, which _scored_blocks has ruled out, so they write
     straight into the buffers (numpy's default raise mode gathers into a
     temporary and copies it). The scores are bit-identical to scoring all
     trials at once: np.add.reduce (what np.sum calls) over the last axis of
@@ -276,46 +275,15 @@ def _class_rates(own, uniq, at_or_above: bool) -> np.ndarray:
     return rates
 
 
-def save_trials(path, trials) -> None:
-    """One trial per line: enroll_index test_index 0|1."""
-    _write_lines(path, "trials", trials)
-
-
-def save_scored_trials(path, trials, scored: ScoredTrials) -> None:
-    """Trial-list format with the score appended to each line."""
-    _write_lines(path, "scores", trials, scored.scores)
-
-
-def _write_lines(path, what, trials, scores=None) -> None:
-    """One line per trial: its enroll and test indices and its 0|1 flag,
-    then, given scores, its score as %.17g. The lines go to write_file
-    _SCORE_BLOCK trials at a time, so no copy of the whole file is made.
-    Each cell is one shared string that ends in what follows it: "i " from
-    _index_cells for an index, "0\n" or "1\n" for a flag that ends the
-    line, and "0 " or "1 " for one that a score follows. Without scores a
-    block is its cells joined; with them it is one %-call over the cells
-    and the scores as Python floats.
-
-    Raises ValueError naming the column, before the file is opened, for
-    columns of unequal length, for an index column that is not of a
-    non-negative integer dtype and for a flag other than 0 or 1."""
-    enroll, test, flags = (np.asarray(c) for c in trials)
-    columns = (enroll, test, flags, *([] if scores is None else [np.asarray(scores)]))
-    rows = len(enroll)
-    if any(len(c) != rows for c in columns):
-        raise ValueError(f"{what} columns differ in length")
-    for name, col in (("enroll", enroll), ("test", test)):
-        if col.size and (col.dtype.kind not in "iu" or col.min() < 0):
-            raise ValueError(f"{what} column {name} must hold integers >= 0")
-    if not ((flags == 0) | (flags == 1)).all():
-        raise ValueError(f"{what} column is_target must hold 0 or 1")
-    top = max((int(c.max()) for c in (enroll, test) if c.size), default=-1)
-    write_file(path, _line_blocks(columns, _index_table(top, 2 * rows)), what)
-
-
 def _line_blocks(columns, table):
-    """The text of _write_lines, one str per _SCORE_BLOCK rows of columns
-    (enroll, test, flags[, scores]); table is _index_table's."""
+    """The lines of the columns (enroll, test, flags[, scores]), one str
+    per _SCORE_BLOCK rows: per trial its enroll and test indices and its 0|1
+    flag, then, given scores, its score as %.17g. Each cell is one shared
+    string that ends in what follows it: "i " from _index_cells for an
+    index, "0\n" or "1\n" for a flag that ends the line, and "0 " or "1 "
+    for one that a score follows. Without scores a block is its cells
+    joined; with them it is one %-call over the cells and the scores as
+    Python floats. table is _index_table's."""
     flag_text = np.array(["0\n", "1\n"] if len(columns) == 3 else ["0 ", "1 "],
                          dtype=object)
     for start in range(0, len(columns[0]), _SCORE_BLOCK):

@@ -69,7 +69,13 @@ class LossInputs:
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN label casts to garbage, refused below
+            self.labels = labels.astype(np.int64)
+        cut = self.labels != labels
+        if cut.any():
+            k = int(np.argmax(cut))
+            raise ConfigError(f"label {k} is {labels[k]}, not an integer")
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
 
 
@@ -88,7 +94,7 @@ def validate_inputs(inputs: LossInputs) -> None:
     for name, mat in (("embedding", z), ("class_weight", w)):
         norms = np.linalg.norm(mat, axis=1)
         drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if drift > UNIT_NORM_TOL:
+        if not drift <= UNIT_NORM_TOL:  # a NaN drift fails too
             raise ConfigError(f"{name} rows deviate from unit norm by {drift:.3e}")
     if not inputs.temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {inputs.temperature}")

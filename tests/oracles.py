@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from aamsupcon.errors import IoError, NumericalError, read_file, write_file
-from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials
+from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials, trial_blocks
 from aamsupcon.geometry import margin_logit, margin_logit_grad
 from aamsupcon.losses import LossKind, supcon_masks
 from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
@@ -159,17 +159,19 @@ def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
 
 
 # sweep-batch reference: the sequential loop that the worker pool of
-# cli.cmd_sweep_batch replaces, kept verbatim
+# cli.cmd_sweep_batch replaces
 
 
-def sweep_rows_sequential(base, train_set, eval_features, trials, space, dcf, sizes):
+def sweep_rows_sequential(base, train_set, eval_features, eval_ids, trial_spec, dcf, sizes):
     """The sweep.json rows of --sizes sizes, trained and scored one size
-    after another in this process."""
+    after another in this process, each on the trial_blocks of eval_ids
+    that trial_spec (the eval.* trial keys) draws."""
     rows = []
     for size in sizes:
         cfg = replace(base, batch_speakers=size)
         params, _ = train(cfg, *train_set)
-        scored = score_trials(params, eval_features, trials, space)
+        trials = trial_blocks(eval_ids, trial_spec.trials_per_speaker, trial_spec.seed)
+        scored = score_trials(params, eval_features, trials, trial_spec.space)
         eer_value, _, dcf_value, _ = roc_metrics(scored, dcf)
         rows.append({"batch_speakers": size,
                      "batch_size": 2 * size * cfg.views_per_speaker,
@@ -179,17 +181,19 @@ def sweep_rows_sequential(base, train_set, eval_features, trials, space, dcf, si
 
 
 # ---------------------------------------------------------------------------
-# the trial and score file grammar: readers of the files that save_trials and
-# save_scored_trials write, which no command reads back
+# the trial and score file grammar: readers of the trials.txt and scores.txt
+# files that evaluate.score_and_save writes, which no command reads back
 
 
 def load_trials(path):
-    """Inverse of save_trials: (enroll, test, is_target) arrays."""
+    """The trial file of score_and_save read back: (enroll, test,
+    is_target) arrays."""
     return _parse_trials(path, "trials", "enroll test 0|1")[0]
 
 
 def load_scored_trials(path):
-    """Inverse of save_scored_trials: (trials, ScoredTrials)."""
+    """The score file of score_and_save read back: (trials,
+    ScoredTrials)."""
     trials, scores = _parse_trials(path, "scores", "enroll test 0|1 score")
     return trials, ScoredTrials(scores, trials[2])
 

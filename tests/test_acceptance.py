@@ -15,9 +15,9 @@ import pytest
 from aamsupcon.cli import main
 from aamsupcon.evaluate import (
     ScoredTrials,
-    build_trials,
     roc_metrics,
     score_trials,
+    trial_blocks,
 )
 from aamsupcon.geometry import margin_logit, normalize_rows
 from aamsupcon.losses import (
@@ -196,8 +196,7 @@ def _train_and_eval(loss_kind, seed, batch_speakers, steps, train_set, heldout):
                       seed=seed)
     params, _ = train(cfg, *train_set)
     heldout_features, heldout_ids = heldout
-    trials = build_trials(heldout_ids, 40, seed=100)
-    scored = score_trials(params, heldout_features, trials)
+    scored = score_trials(params, heldout_features, trial_blocks(heldout_ids, 40, seed=100))
     return roc_metrics(scored)[0]
 
 

@@ -760,15 +760,40 @@ def test_sweep_batch_pool_rows_equal_the_sequential_loop(tmp_path, monkeypatch):
 
     config, _ = cli.load_config(cfg)
     train_set, (eval_features, eval_ids) = cli._load_split(config, gen / "dataset.txt")
-    trials = cli._build_trials(config, eval_ids, config[cli._Trials])
     assert rows == sweep_rows_sequential(
-        config[cli.TrainConfig], train_set, eval_features, trials,
-        config[cli._Trials].space, config[cli.DcfParams], [3, 2, 3])
+        config[cli.TrainConfig], train_set, eval_features, eval_ids,
+        config[cli._Trials], config[cli.DcfParams], [3, 2, 3])
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _sweep(cfg, gen, tmp_path / "one", 3, 2, 3) == 0
     for name in ("sweep.json", "manifest.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_sweep_batch_rows_equal_train_then_evaluate(tmp_path):
+    """With the same config and --seed, the sweep-batch row of each size s
+    holds the eer_percent and min_dcf of the metrics.json of train, at
+    training.batch_speakers = s, then evaluate (whose --seed would reseed
+    the trials, so it gets none)."""
+    cfg = write_config(tmp_path, steps=20, holdout=2)
+    gen = tmp_path / "gen"
+    data = str(gen / "dataset.txt")
+    assert main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    assert main(["sweep-batch", "--config", cfg, "--data", data, "--out", str(tmp_path / "sweep"),
+                 "--seed", "4", "--sizes", "2", "3"]) == 0
+    rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
+    for row in rows:
+        size = row["batch_speakers"]
+        sized = override(cfg, tmp_path / f"b{size}.ini", "training.batch_speakers", str(size))
+        run, ev = tmp_path / f"run{size}", tmp_path / f"eval{size}"
+        assert main(["train", "--config", sized, "--data", data, "--out", str(run),
+                     "--seed", "4"]) == 0
+        assert main(["evaluate", "--config", sized, "--data", data, "--out", str(ev),
+                     "--checkpoint", str(run / "checkpoint.bin")]) == 0
+        metrics = json.loads((ev / "metrics.json").read_text())
+        assert (row["eer_percent"], row["min_dcf"]) == (metrics["eer_percent"],
+                                                         metrics["min_dcf"])
+    assert [row["batch_speakers"] for row in rows] == [2, 3]
 
 
 def test_sweep_batch_divergence_names_the_first_size(tmp_path, capsys):

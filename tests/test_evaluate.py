@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tempfile
 import tracemalloc
@@ -15,10 +16,7 @@ from aamsupcon.errors import ConfigError, IoError, NumericalError
 from aamsupcon.evaluate import (
     DcfParams,
     ScoredTrials,
-    build_trials,
     roc_metrics,
-    save_scored_trials,
-    save_trials,
     score_and_save,
     score_trials,
     trial_blocks,
@@ -63,6 +61,21 @@ def _trial_list(trials):
     return list(zip(*(np.asarray(a).tolist() for a in trials)))
 
 
+def _joined(trials):
+    """The (count, blocks) of trial_blocks joined into one (enroll, test,
+    is_target) trial list."""
+    _, blocks = trials
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _blocks(trials, size=700):
+    """A trial list as the (count, blocks) that score_trials and
+    score_and_save take, in blocks of size trials."""
+    enroll, test, flags = (np.asarray(a) for a in trials)
+    return len(enroll), ((enroll[i:i + size], test[i:i + size], flags[i:i + size])
+                         for i in range(0, len(enroll), size))
+
+
 # ---------------------------------------------------------------------------
 # trials
 
@@ -87,9 +100,9 @@ def test_trial_files_name_line_of_non_numeric_field(tmp_path, text):
         loader(path)
 
 
-def test_build_trials_counts():
+def test_trial_blocks_counts():
     _, speaker_ids, _ = generate(DatasetSpec(2, 2, 8, 0.1, seed=0))
-    _, _, is_target = build_trials(speaker_ids, 1, seed=0)
+    _, _, is_target = _joined(trial_blocks(speaker_ids, 1, seed=0))
     targets = [t for t in is_target if t]
     nontargets = [t for t in is_target if not t]
     assert len(targets) == 2 and len(nontargets) == 2
@@ -97,31 +110,24 @@ def test_build_trials_counts():
 
 def test_target_trials_share_speaker():
     _, speaker_ids, _ = generate(DatasetSpec(5, 4, 8, 0.1, seed=1))
-    for enroll, test, is_target in _trial_list(build_trials(speaker_ids, 6, seed=3)):
+    for enroll, test, is_target in _trial_list(_joined(trial_blocks(speaker_ids, 6, seed=3))):
         same = speaker_ids[enroll] == speaker_ids[test]
         assert same == is_target
         assert enroll != test
 
 
-def test_build_trials_deterministic():
+def test_trial_blocks_deterministic():
     _, speaker_ids, _ = generate(DatasetSpec(4, 3, 8, 0.1, seed=2))
-    assert _trial_list(build_trials(speaker_ids, 5, seed=9)) \
-        == _trial_list(build_trials(speaker_ids, 5, seed=9))
-    assert _trial_list(build_trials(speaker_ids, 5, seed=9)) \
-        != _trial_list(build_trials(speaker_ids, 5, seed=10))
 
+    def drawn(seed):
+        return _trial_list(_joined(trial_blocks(speaker_ids, 5, seed=seed)))
 
-def test_build_trials_errors():
-    one_speaker = np.array([0, 0])
-    with pytest.raises(ConfigError, match="non-target trials need at least 2 speakers"):
-        build_trials(one_speaker, 1, seed=0)
-    lone_utterance = np.array([0, 0, 1])
-    with pytest.raises(ConfigError, match=r"speaker 1 has 1 utterance\(s\), needs >= 2"):
-        build_trials(lone_utterance, 1, seed=0)
+    assert drawn(9) == drawn(9)
+    assert drawn(9) != drawn(10)
 
 
 def reference_trials(speaker_ids, trials_per_speaker, seed):
-    """Per-trial reference for build_trials, spelling out its random draw
+    """Per-trial reference for trial_blocks, spelling out its random draw
     order. Per speaker in ascending id order: the target draws over the
     (a, b), a < b pairs of its rows in row-major order, then the non-target
     draws over (own row, other row) pairs read as divmod(k, len(others)).
@@ -151,7 +157,7 @@ def reference_trials(speaker_ids, trials_per_speaker, seed):
     return trials
 
 
-def test_build_trials_matches_per_trial_reference():
+def test_trial_blocks_match_per_trial_reference():
     rng = np.random.default_rng(0)
     for seed in range(60):
         # unequal, shuffled speaker blocks; small speakers and large
@@ -160,7 +166,7 @@ def test_build_trials_matches_per_trial_reference():
         speaker_ids = rng.permutation(np.repeat(rng.choice(100, counts.size, replace=False),
                                                 counts))
         per_speaker = int(rng.integers(1, 25))
-        got = build_trials(speaker_ids, per_speaker, seed)
+        got = _joined(trial_blocks(speaker_ids, per_speaker, seed))
         assert _trial_list(got) == reference_trials(speaker_ids, per_speaker, seed), seed
         assert got[0].dtype == got[1].dtype == np.int64 and got[2].dtype == bool
 
@@ -181,7 +187,7 @@ def test_trial_blocks_hold_whole_speakers_of_the_reference(per_speaker):
     for enroll, test, flags in blocks:
         assert len(test) == len(enroll)
         assert flags.tolist() == one * (len(enroll) // (2 * per_speaker))
-    joined = tuple(np.concatenate(column) for column in zip(*blocks))
+    joined = _joined((count, blocks))
     assert count == len(joined[0]) == 14 * per_speaker
     assert _trial_list(joined) == reference_trials(speaker_ids, per_speaker, per_speaker)
 
@@ -189,8 +195,8 @@ def test_trial_blocks_hold_whole_speakers_of_the_reference(per_speaker):
 def test_trial_blocks_check_speakers_before_drawing():
     """The speaker checks run when trial_blocks is called, so a caller can
     refuse a trial list before it makes any output."""
-    for ids, message in (([0, 0, 0], "at least 2 speakers"),
-                         ([0, 0, 1], "speaker 1 has 1 utterance")):
+    for ids, message in (([0, 0, 0], "non-target trials need at least 2 speakers"),
+                         ([0, 0, 1], r"speaker 1 has 1 utterance\(s\), needs >= 2")):
         with pytest.raises(ConfigError, match=message):
             trial_blocks(np.array(ids), 3, seed=0)
 
@@ -212,7 +218,7 @@ def test_score_trials_identical_and_antipodal():
     params = _antipodal_params()
     features = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     trials = (np.array([0, 0]), np.array([1, 2]), np.array([True, False]))
-    scored = score_trials(params, features, trials)
+    scored = score_trials(params, features, _blocks(trials))
     assert scored.scores[0] == 1.0
     assert scored.scores[1] == -1.0
 
@@ -220,9 +226,8 @@ def test_score_trials_identical_and_antipodal():
 def test_scores_lie_in_cosine_range():
     features, speaker_ids, _ = generate(DatasetSpec(10, 10, 12, 0.5, seed=3))
     params = init_params([12, 16], 16, 8, 10, seed=0)
-    trials = build_trials(speaker_ids, 50, seed=1)
-    scored = score_trials(params, features, trials)
-    assert len(trials[0]) == 1000
+    scored = score_trials(params, features, trial_blocks(speaker_ids, 50, seed=1))
+    assert scored.scores.size == 1000
     assert np.all(scored.scores >= -1.0) and np.all(scored.scores <= 1.0)
 
 
@@ -232,7 +237,8 @@ def test_score_trials_checks_indices():
     params = _antipodal_params()
     features = np.array([[1.0], [-1.0]])
     with pytest.raises(ConfigError, match=r"trial 0 \(0, 5\) outside dataset of 2"):
-        score_trials(params, features, (np.array([0]), np.array([5]), np.array([False])))
+        score_trials(params, features,
+                     _blocks((np.array([0]), np.array([5]), np.array([False]))))
     flags = np.array([True, False, True, False, True])
     for enroll, test, first in [((0, 1, 1, -1, 0), (1, 0, 2, 0, 9), r"trial 2 \(1, 2\)"),
                                 ((0, -1, 1, 5, 0), (1, 1, 0, 0, 1), r"trial 1 \(-1, 1\)"),
@@ -241,23 +247,37 @@ def test_score_trials_checks_indices():
         for dtype in (np.int64, np.int32):
             trials = (np.array(enroll, dtype=dtype), np.array(test, dtype=dtype), flags)
             with pytest.raises(ConfigError, match=first + " outside dataset of 2"):
-                score_trials(params, features, trials)
+                score_trials(params, features, _blocks(trials))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_score_trials_names_a_bad_trial_of_a_later_block_by_its_number(position):
+    """An index outside the features in the second of three 3-trial blocks
+    is found, although _cosines gathers in clip mode, and named by the
+    trial's number in the whole list, not in its block."""
+    params = _antipodal_params()
+    features = np.array([[1.0], [-1.0]])
+    enroll, test = np.zeros(9, dtype=np.int64), np.ones(9, dtype=np.int64)
+    test[3 + position] = 7
+    trials = (enroll, test, np.arange(9) % 2 == 0)
+    with pytest.raises(ConfigError, match=rf"trial {3 + position} \(0, 7\) outside dataset of 2"):
+        score_trials(params, features, _blocks(trials, size=3))
 
 
 def test_score_trials_encoder_space():
     features, speaker_ids, _ = generate(DatasetSpec(6, 4, 12, 0.3, seed=9))
     params = init_params([12, 16], 16, 8, 6, seed=2)
-    trials = build_trials(speaker_ids, 5, seed=4)
-    proj = score_trials(params, features, trials, space="projection")
-    enc = score_trials(params, features, trials, space="encoder")
+    trials = _joined(trial_blocks(speaker_ids, 5, seed=4))
+    proj = score_trials(params, features, _blocks(trials), space="projection")
+    enc = score_trials(params, features, _blocks(trials), space="encoder")
     assert np.all(enc.scores >= -1.0) and np.all(enc.scores <= 1.0)
     assert not np.array_equal(proj.scores, enc.scores)
     with pytest.raises(ValueError):
-        score_trials(params, features, trials, space="latent")
+        score_trials(params, features, _blocks(trials), space="latent")
 
 
 # ---------------------------------------------------------------------------
-# block scoring and one-call writers against the unblocked originals
+# block scoring and the trial and score files against unblocked references
 
 
 def _rows(trials):
@@ -287,23 +307,23 @@ def _reference_outputs(emb, trials, trials_path, scores_path):
 
 
 def _assert_matches_reference(tmp_path, monkeypatch, params, features, trials, space, emb):
-    """score_trials, save_trials and save_scored_trials reproduce the
-    reference bit for bit (scores compared as raw float64 bits, so a sign
-    flip of a zero counts) and byte for byte, with is_target given as bools
-    and as 0/1 ints. The score holder skips ScoredTrials' check for both
-    classes, so a single trial can be scored."""
+    """score_trials and score_and_save, given the trial list in blocks of
+    700 trials, reproduce the reference bit for bit (scores compared as raw
+    float64 bits, so a sign flip of a zero counts) and byte for byte, with
+    is_target given as bools and as 0/1 ints. The score holder skips
+    ScoredTrials' check for both classes, so a single trial can be
+    scored."""
     monkeypatch.setattr(evaluate, "ScoredTrials",
                         lambda scores, is_target: SimpleNamespace(scores=scores))
     enroll, test, is_target = trials
     for flags in (is_target.astype(bool), is_target.astype(np.int64)):
-        got = score_trials(params, features, (enroll, test, flags), space).scores
         want = _reference_outputs(emb, (enroll, test, flags), tmp_path / "want_trials.txt",
                                   tmp_path / "want_scores.txt")
-        assert np.array_equal(got, want)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        save_trials(tmp_path / "trials.txt", (enroll, test, flags))
-        save_scored_trials(tmp_path / "scores.txt", (enroll, test, flags),
-                           SimpleNamespace(scores=got))
+        for got in (score_trials(params, features, _blocks((enroll, test, flags)), space),
+                    score_and_save(params, features, _blocks((enroll, test, flags)), space,
+                                   tmp_path / "trials.txt", tmp_path / "scores.txt")):
+            assert np.array_equal(got.scores, want)
+            assert np.array_equal(got.scores.view(np.uint64), want.view(np.uint64))
         for name in ("trials.txt", "scores.txt"):
             assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
     return want
@@ -330,17 +350,18 @@ def test_block_scoring_and_writers_match_unblocked(tmp_path, monkeypatch, num_tr
 
 @pytest.mark.parametrize("space", ["projection", "encoder"])
 @pytest.mark.parametrize("rows, per_speaker", [(3, 1), (4, 300), (10, 4100), (400, 2)])
-def test_score_and_save_equals_whole_list_route(tmp_path, rows, per_speaker, space):
+def test_score_and_save_equals_score_trials_and_reference_files(tmp_path, rows, per_speaker,
+                                                                space):
     """Scoring and writing the trial blocks as they are drawn gives the
-    scores, flags and file bytes of scoring and writing the whole trial
-    list: with the shared index table and without it (400 rows a speaker,
-    few trials), with several speakers a block and with one."""
+    scores and flags of score_trials, and the files hold the line-by-line
+    reference of the joined trial list: with the shared index table and
+    without it (400 rows a speaker, few trials), with several speakers a
+    block and with one."""
     features, speaker_ids, _ = generate(DatasetSpec(8, rows, 6, 0.5, seed=rows))
     params = init_params([6, 16], 16, 8, 8, seed=1)
-    whole = build_trials(speaker_ids, per_speaker, seed=3)
-    want = score_trials(params, features, whole, space)
-    save_trials(tmp_path / "want_trials.txt", whole)
-    save_scored_trials(tmp_path / "want_scores.txt", whole, want)
+    want = score_trials(params, features, trial_blocks(speaker_ids, per_speaker, seed=3), space)
+    _reference_files(_joined(trial_blocks(speaker_ids, per_speaker, seed=3)), want.scores,
+                     tmp_path / "want_trials.txt", tmp_path / "want_scores.txt")
     got = score_and_save(params, features, trial_blocks(speaker_ids, per_speaker, seed=3),
                          space, tmp_path / "trials.txt", tmp_path / "scores.txt")
     assert got.scores.view(np.uint64).tolist() == want.scores.view(np.uint64).tolist()
@@ -388,12 +409,41 @@ _SPECIAL_SCORES = [-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1 / 3, -2 / 3, 0.1 + 0
                    2.2250738585072014e-308, 1e300, 0.5]
 
 
+@contextlib.contextmanager
+def _given_scores(scores):
+    """score_and_save with scores, in trial order, in place of the cosines,
+    so that any float's text can be checked, and with the feature matrix as
+    its own embedding, so that a zero-width broadcast one can stand for a
+    dataset of a million rows. The score holder skips ScoredTrials' checks,
+    so no trial or one class can be written."""
+    left = iter(scores.tolist())
+
+    def cosines(emb, enroll, test, out, buffers):
+        out[:] = np.fromiter(left, np.float64, len(out))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "_cosines", cosines)
+        patch.setattr(evaluate, "embed", lambda params, features, space: features)
+        patch.setattr(evaluate, "ScoredTrials",
+                      lambda scores, is_target: SimpleNamespace(scores=scores))
+        yield
+
+
+def _save(tmp, trials, scores, rows):
+    """score_and_save of trials with the given scores (_given_scores) over a
+    dataset of rows rows, to tmp / trials.txt and tmp / scores.txt."""
+    features = np.broadcast_to(np.empty((1, 0)), (rows, 0))
+    with _given_scores(scores):
+        score_and_save(None, features, _blocks(trials), "projection",
+                       tmp / "trials.txt", tmp / "scores.txt")
+
+
 def _assert_writers_match_reference(rows, largest, rng, index_dtype):
     """A trial list of rows rows drawn from rng, whose indices lie in
     [0, largest], with index 0 and largest present, flags given as bools
     and as 0/1 ints, and a third of the scores drawn from _SPECIAL_SCORES:
-    save_trials and save_scored_trials write the reference's bytes, one
-    line per row. Returns the index columns."""
+    score_and_save, over a dataset of largest + 1 rows, writes the
+    reference's bytes, one line per row. Returns the index columns."""
     both = rng.integers(0, largest + 1, (2, rows)).astype(index_dtype)
     if rows:
         both.flat[rng.choice(2 * rows, size=2, replace=False)] = 0, largest
@@ -406,8 +456,7 @@ def _assert_writers_match_reference(rows, largest, rng, index_dtype):
         for is_target in (flags, flags.astype(np.int64)):
             trials = (enroll, test, is_target)
             _reference_files(trials, scores, tmp / "want_trials.txt", tmp / "want_scores.txt")
-            save_trials(tmp / "trials.txt", trials)
-            save_scored_trials(tmp / "scores.txt", trials, SimpleNamespace(scores=scores))
+            _save(tmp, trials, scores, largest + 1)
             for name in ("trials.txt", "scores.txt"):
                 got = (tmp / name).read_bytes()
                 assert got == (tmp / f"want_{name}").read_bytes()
@@ -434,25 +483,22 @@ def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
 @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
 def test_writers_match_reference_across_block_edges(rows, shared):
     """Row counts on each side of the writers' _SCORE_BLOCK chunks, with
-    the index strings shared from one table (largest index rows // 2,
-    below the number of cells) and made per cell (largest index 999999)."""
+    the index strings shared from one table (a dataset of rows // 2 + 1
+    rows, fewer than the cells) and made per cell (a million rows)."""
     assert evaluate._SCORE_BLOCK == 512
     largest = rows // 2 if shared else 999_999
-    enroll, test = _assert_writers_match_reference(rows, largest, np.random.default_rng(rows),
-                                                   np.int64)
-    top = int(max(enroll.max(initial=-1), test.max(initial=-1)))
-    assert (evaluate._index_table(top, 2 * rows) is not None) == (shared and rows > 0)
+    _assert_writers_match_reference(rows, largest, np.random.default_rng(rows), np.int64)
+    assert (evaluate._index_table(largest, 2 * rows) is not None) == (shared and rows > 0)
 
 
 def test_writers_table_no_more_strings_than_cells(tmp_path):
-    """Two trials reaching index 999999: the writers give each of the four
-    index cells its own string instead of tabulating a million of them."""
+    """Two trials over a dataset of a million rows: the writers give each
+    of the four index cells its own string instead of tabulating a million
+    of them."""
     trials = (np.array([0, 999_999]), np.array([999_999, 5]), np.array([True, False]))
     tracemalloc.start()
     try:
-        save_trials(tmp_path / "trials.txt", trials)
-        save_scored_trials(tmp_path / "scores.txt", trials,
-                           SimpleNamespace(scores=np.array([0.5, -0.25])))
+        _save(tmp_path, trials, np.array([0.5, -0.25]), 1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,12 +509,15 @@ def test_writers_table_no_more_strings_than_cells(tmp_path):
 
 @pytest.fixture(scope="module")
 def quickstart_scale():
-    """102400 trials over 1280 rows with the quickstart model, and their
-    scores."""
+    """The quickstart model, 1280 feature rows, a function that draws the
+    trial_blocks of 102400 trials over them, and their scores."""
     features, speaker_ids, _ = generate(DatasetSpec(128, 10, 40, 0.2, seed=0))
     params = init_params([40, 64, 64], 128, 128, 128, seed=0)
-    trials = build_trials(speaker_ids, 400, seed=0)
-    return params, features, trials, score_trials(params, features, trials)
+
+    def trials():
+        return trial_blocks(speaker_ids, 400, seed=0)
+
+    return params, features, trials, score_trials(params, features, trials())
 
 
 def _traced_peak(fn):
@@ -488,20 +537,22 @@ def test_block_scoring_peak_memory(quickstart_scale, space):
     in projection space and 2.0 MiB in encoder space, against 11.6 and
     12.9 MiB through forward's workspace."""
     params, features, trials, _ = quickstart_scale
-    scored, peak = _traced_peak(lambda: score_trials(params, features, trials, space))
+    scored, peak = _traced_peak(lambda: score_trials(params, features, trials(), space))
     assert scored.scores.size == 102400
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_writers_peak_memory(quickstart_scale, tmp_path):
     """The writers stream _SCORE_BLOCK lines at a time, so 102400 trials
-    need no whole-file list, text or encoded copy."""
-    _, _, trials, scored = quickstart_scale
-    for name, write in (("trials", lambda: save_trials(tmp_path / "trials.txt", trials)),
-                        ("scores", lambda: save_scored_trials(tmp_path / "scores.txt",
-                                                              trials, scored))):
-        _, peak = _traced_peak(write)
-        assert peak < 2 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
+    need no whole-file list, text or encoded copy: writing both files adds
+    under 2 MiB to the peak of scoring alone."""
+    params, features, trials, _ = quickstart_scale
+    _, scoring = _traced_peak(lambda: score_trials(params, features, trials()))
+    _, peak = _traced_peak(lambda: score_and_save(params, features, trials(), "projection",
+                                                  tmp_path / "trials.txt",
+                                                  tmp_path / "scores.txt"))
+    assert peak - scoring < 2 * 2**20, f"writers add {(peak - scoring) / 2**20:.1f} MB"
+    for name in ("trials", "scores"):
         assert (tmp_path / f"{name}.txt").read_bytes().count(b"\n") == 102400
 
 
@@ -589,6 +640,14 @@ def test_eer_degenerate_scores():
 def test_scored_trials_need_both_classes():
     with pytest.raises(NumericalError, match="need at least one target and one non-target"):
         ScoredTrials(np.array([0.1, 0.2]), np.array([True, True]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scored_trials_refuse_non_finite_scores(bad):
+    """A NaN or infinite score would give roc_metrics a curve without
+    error; the first such trial is named."""
+    with pytest.raises(NumericalError, match=rf"trial 1 has the non-finite score {bad}"):
+        ScoredTrials(np.array([0.1, bad, 0.3, bad]), np.array([True, False, True, False]))
 
 
 # ---------------------------------------------------------------------------
@@ -716,72 +775,26 @@ def test_eer_invariant_under_role_swap_with_negation():
 # file formats
 
 
+def _round_trip(tmp_path, trials):
+    """The scores score_and_save writes for trials over 8 generated rows."""
+    features, _, _ = generate(DatasetSpec(4, 2, 6, 0.5, seed=0))
+    params = init_params([6, 8], 8, 4, 4, seed=0)
+    return score_and_save(params, features, _blocks(trials), "projection",
+                          tmp_path / "trials.txt", tmp_path / "scores.txt")
+
+
 def test_trial_file_round_trip(tmp_path):
     trials = (np.array([0, 2, 5]), np.array([3, 7, 1]), np.array([True, False, True]))
     path = tmp_path / "trials.txt"
-    save_trials(path, trials)
+    _round_trip(tmp_path, trials)
     assert _trial_list(load_trials(path)) == _trial_list(trials)
     assert path.read_text() == "0 3 1\n2 7 0\n5 1 1\n"
 
 
 def test_scored_file_round_trip(tmp_path):
     trials = (np.array([0, 2]), np.array([3, 7]), np.array([True, False]))
-    scored = ScoredTrials(np.array([0.12345678901234567, -0.5]),
-                          np.array([True, False]))
-    path = tmp_path / "scores.txt"
-    save_scored_trials(path, trials, scored)
-    loaded_trials, loaded_scored = load_scored_trials(path)
+    scored = _round_trip(tmp_path, trials)
+    loaded_trials, loaded_scored = load_scored_trials(tmp_path / "scores.txt")
     assert _trial_list(loaded_trials) == _trial_list(trials)
     assert np.array_equal(loaded_scored.scores, scored.scores)
     assert np.array_equal(loaded_scored.is_target, scored.is_target)
-
-
-def _save(writer, path, trials):
-    """save_trials, or save_scored_trials with a score per trial."""
-    if writer == "trials":
-        save_trials(path, trials)
-    else:
-        save_scored_trials(path, trials, SimpleNamespace(scores=np.zeros(len(trials[0]))))
-
-
-@pytest.mark.parametrize("writer", ["trials", "scores"])
-def test_writers_reject_flag_outside_0_1(tmp_path, writer):
-    """A flag of 2 would make a file that load_trials refuses."""
-    path = tmp_path / "out.txt"
-    with pytest.raises(ValueError, match=f"{writer} column is_target must hold 0 or 1"):
-        _save(writer, path, (np.array([0, 2]), np.array([1, 3]), np.array([1, 2])))
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("writer", ["trials", "scores"])
-@pytest.mark.parametrize("column", ["enroll", "test"])
-def test_writers_reject_negative_index(tmp_path, writer, column):
-    path = tmp_path / "out.txt"
-    indices = {"enroll": np.array([0, 2]), "test": np.array([1, 3])}
-    indices[column][1] = -1
-    with pytest.raises(ValueError, match=f"{writer} column {column} must hold integers >= 0"):
-        _save(writer, path, (indices["enroll"], indices["test"], np.array([True, False])))
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("writer", ["trials", "scores"])
-@pytest.mark.parametrize("column", ["enroll", "test"])
-def test_writers_reject_float_index(tmp_path, writer, column):
-    """Float indices 0.7 and 1.9 would be written as 0 and 1."""
-    path = tmp_path / "out.txt"
-    indices = {"enroll": np.array([2, 4]), "test": np.array([3, 5])}
-    indices[column] = np.array([0.7, 1.9])
-    with pytest.raises(ValueError, match=f"{writer} column {column} must hold integers >= 0"):
-        _save(writer, path, (indices["enroll"], indices["test"], np.array([True, False])))
-    assert not path.exists()
-
-
-def test_writers_reject_columns_of_unequal_length(tmp_path):
-    path = tmp_path / "trials.txt"
-    with pytest.raises(ValueError, match="differ in length"):
-        save_trials(path, (np.array([0, 1]), np.array([2]), np.array([True, False])))
-    trials = (np.array([0, 2]), np.array([3, 7]), np.array([True, False]))
-    with pytest.raises(ValueError, match="differ in length"):
-        save_scored_trials(path, trials, ScoredTrials(np.array([0.1, 0.2, 0.3]),
-                                                      np.array([True, False, True])))
-    assert not path.exists()

@@ -443,6 +443,29 @@ def test_permutation_equivariance():
 # validation
 
 
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("matrix", ["embedding", "class_weight"])
+def test_validation_rejects_a_nan_row(kind, matrix):
+    """A NaN row's unit-norm drift is NaN, which no tolerance comparison
+    passes: refused, not a loss of nan."""
+    z, w = normalize_rows(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])), np.eye(2)
+    (z if matrix == "embedding" else w)[1] = np.nan
+    with pytest.raises(ConfigError, match=f"{matrix} rows deviate from unit norm by nan"):
+        evaluate_loss(kind, LossInputs(z, [0, 0, 1, 1], w))
+
+
+@pytest.mark.parametrize("labels, first", [([0.7, 0.2, 1.9, 1.1], r"label 0 is 0\.7"),
+                                           ([0, 0, 1.5, 1], r"label 2 is 1\.5"),
+                                           ([0, 0, 1, np.nan], "label 3 is nan")])
+def test_loss_inputs_refuse_fractional_labels(labels, first):
+    """Fractional labels would be cut to the classes below them (0.7, 0.2,
+    1.9, 1.1 trained as 0, 0, 1, 1); whole-valued floats are classes."""
+    z = normalize_rows(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ConfigError, match=first + ", not an integer"):
+        LossInputs(z, labels, np.eye(2))
+    assert LossInputs(z, [0.0, 0.0, 1.0, 1.0], np.eye(2)).labels.tolist() == [0, 0, 1, 1]
+
+
 def test_validation_rejects_bad_inputs():
     rng = np.random.default_rng(24)
     good = random_batch(rng, 4, 4, 2)

@@ -21,8 +21,9 @@ TOOLS = ROOT / "tools"
 # so their per-layer metrics read 0. Item 2 of ROADMAP.md renames or drops
 # them; until then a rename of any other traced function fails here instead
 # of reading 0 too.
-UNRESOLVED_SPANS = ["batching.augment", "batching.build_batch", "evaluate.eer",
-                    "evaluate.min_dcf", "losses.arcface_loss", "losses.build_index_sets",
+UNRESOLVED_SPANS = ["batching.augment", "batching.build_batch", "evaluate.build_trials",
+                    "evaluate.eer", "evaluate.min_dcf", "evaluate.save_scored_trials",
+                    "evaluate.save_trials", "losses.arcface_loss", "losses.build_index_sets",
                     "losses.supcon_loss"]
 
 
@@ -75,7 +76,9 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
         (layer, dataset_rows if layer in layergrid.DATASET_LAYERS else trials, "projection")
         for layer in layergrid.EVAL_LAYERS]
     assert layergrid.DATASET_LAYERS == ("save_dataset", "load_dataset")
-    assert layergrid.EVAL_LAYERS[-1] == "evaluate"
+    assert layergrid.EVAL_LAYERS == ("trial_blocks", "score_trials", "roc_metrics",
+                                     "score_and_save", "save_dataset", "load_dataset",
+                                     "evaluate")
     assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
 
 

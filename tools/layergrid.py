@@ -15,13 +15,15 @@ class-weight renormalization).
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
-an untrained quickstart-shaped model: build_trials, score_trials,
-roc_metrics, save_trials and save_scored_trials; save_dataset and
-load_dataset of the whole 2560-row dataset they are drawn from; and the
-whole evaluate command on that dataset and model (cli.main, with the
-config, dataset and checkpoint files written before the timed calls). Each
-evaluation row also gets the tracemalloc peak of one more call, made after
-the timed ones, so that tracing slows no timed call.
+an untrained quickstart-shaped model: trial_blocks (drained, each block
+dropped once drawn), score_trials, roc_metrics, and score_and_save, which
+also writes the trial and score files (score_trials and score_and_save are
+given blocks drawn before the timed calls); save_dataset and load_dataset
+of the whole 2560-row dataset they are drawn from; and the whole evaluate
+command on that dataset and model (cli.main, with the config, dataset and
+checkpoint files written before the timed calls). Each evaluation row also
+gets the tracemalloc peak of one more call, made after the timed ones, so
+that tracing slows no timed call.
 
 Each round runs a checkout's own tools/layergrid.py in a fresh interpreter
 with single-threaded BLAS, imports the package from that checkout's src/
@@ -39,6 +41,7 @@ the minor page faults of each whole round, and the environment.
 """
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -61,8 +64,8 @@ SPEAKERS = (8, 32, 64)
 VIEWS = 2
 SPACES = ("projection", "encoder")
 TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
-EVAL_LAYERS = ("build_trials", "score_trials", "roc_metrics", "save_trials",
-               "save_scored_trials", "save_dataset", "load_dataset", "evaluate")
+EVAL_LAYERS = ("trial_blocks", "score_trials", "roc_metrics", "score_and_save",
+               "save_dataset", "load_dataset", "evaluate")
 DATASET_LAYERS = ("save_dataset", "load_dataset")  # sized in dataset rows, not trials
 EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
 # (warm-up calls, timed blocks, calls per block) per training and per
@@ -143,8 +146,9 @@ def eval_rows(calls):
     held = split_holdout(ids, EVAL_HELD_OUT)[1]
     features, speaker_ids = data[held], ids[held]
     params = init_params([40, 64, 64], 128, 128, EVAL_SPEAKERS, seed=0)
-    trials = evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
-    scored = evaluate.score_trials(params, features, trials)
+    count, blocks = evaluate.trial_blocks(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
+    blocks = list(blocks)
+    scored = evaluate.score_trials(params, features, (count, iter(blocks)))
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -162,16 +166,18 @@ def eval_rows(calls):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
 
-        parts = (lambda: evaluate.build_trials(speaker_ids, TRIALS_PER_SPEAKER, seed=1),
-                 lambda: evaluate.score_trials(params, features, trials),
+        parts = (lambda: collections.deque(
+                     evaluate.trial_blocks(speaker_ids, TRIALS_PER_SPEAKER, seed=1)[1], maxlen=0),
+                 lambda: evaluate.score_trials(params, features, (count, iter(blocks))),
                  lambda: evaluate.roc_metrics(scored),
-                 lambda: evaluate.save_trials(tmp / "trials.txt", trials),
-                 lambda: evaluate.save_scored_trials(tmp / "scores.txt", trials, scored),
+                 lambda: evaluate.score_and_save(params, features, (count, iter(blocks)),
+                                                 "projection", tmp / "trials.txt",
+                                                 tmp / "scores.txt"),
                  lambda: save_dataset(tmp / "dataset.txt", spec, data, ids),
                  lambda: load_dataset(tmp / "evaluated.txt"),
                  evaluate_command)
         for layer, fn in zip(EVAL_LAYERS, parts):
-            size = len(data) if layer in DATASET_LAYERS else len(trials[0])
+            size = len(data) if layer in DATASET_LAYERS else count
             out.append((layer, size, "projection", *timed(fn, *calls), traced_peak(fn)))
     return out
 
