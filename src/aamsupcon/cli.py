@@ -143,9 +143,6 @@ def load_config(path):
             obj.validate()
         elif cls is not DcfParams:
             check_domains(obj, section)
-    if config[_Holdout].holdout_per_speaker >= config[DatasetSpec].utterances_per_speaker:
-        raise ConfigError("dataset.holdout_per_speaker: must leave at least "
-                          "one training utterance per speaker")
     echo = {}
     for key, (cls, f) in _KEYS.items():
         sect, name = key.split(".")

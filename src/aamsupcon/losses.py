@@ -79,8 +79,8 @@ class LossInputs:
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
 
 
-def validate_inputs(inputs: LossInputs) -> None:
-    """Check the LossInputs invariants, raising ConfigError on violation."""
+def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
+    """Check the LossInputs invariants and lam, raising ConfigError on violation."""
     z, y, w = inputs.embeddings, inputs.labels, inputs.class_weights
     if z.ndim != 2 or w.ndim != 2 or y.ndim != 1:
         raise ConfigError("embeddings/class_weights must be 2-D, labels 1-D")
@@ -102,6 +102,8 @@ def validate_inputs(inputs: LossInputs) -> None:
         raise ConfigError(f"scale must be > 0, got {inputs.scale}")
     if not (0.0 <= inputs.margin < np.pi / 2):
         raise ConfigError(f"margin must be in [0, pi/2), got {inputs.margin}")
+    if not 0.0 <= lam < np.inf:
+        raise ConfigError(f"lam must be in [0, inf), got {lam}")
 
 
 class SupconMasks(NamedTuple):
@@ -120,10 +122,15 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
     with what the contrastive kernel derives from them.
 
     pos[i, j] = (labels[i] == labels[j]) and i != j; A(i) is i != j, or
-    labels[i] != labels[j] under strict negatives. Raises ConfigError for
-    N < 2, when some anchor has no same-label partner, and when the
-    strict-negatives convention leaves a denominator empty.
+    labels[i] != labels[j] under strict negatives (the convention or its value).
+    Raises ConfigError for any other convention, for N < 2, when an anchor has
+    no same-label partner, and when strict negatives leave a denominator empty.
     """
+    try:
+        convention = DenominatorConvention(convention)
+    except ValueError:
+        raise ConfigError(f"convention must be one of {[c.value for c in DenominatorConvention]},"
+                          f" got {convention!r}") from None
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     if n < 2:
@@ -162,6 +169,17 @@ class KernelBuffers:
         self.grad_w = np.empty((num_classes, class_dim)) if grad_w is None else grad_w
 
 
+def _softmax_rows(buf: np.ndarray) -> np.ndarray:
+    """Overwrite the rows of buf with their softmax and return their
+    log-sum-exp: the row max plus the log of the shifted exponentials' sum."""
+    row_max = buf.max(axis=1)
+    buf -= row_max[:, None]
+    np.exp(buf, out=buf)
+    sums = buf.sum(axis=1)
+    buf /= sums[:, None]
+    return row_max + np.log(sums)
+
+
 def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float, bufs: KernelBuffers):
     """Value and d/dz of the contrastive sum over the masks; d/dz is
     bufs.grad_sup.
@@ -177,15 +195,9 @@ def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float, bufs: KernelBuffe
     np.copyto(pos_part, buf, where=masks.pos)
     pos_sums = pos_part.sum(axis=1)
     np.copyto(buf, -np.inf, where=masks.not_cand)
-    row_max = buf.max(axis=1)
-    buf -= row_max[:, None]
-    np.exp(buf, out=buf)
-    denom = buf.sum(axis=1)
-    lse = row_max + np.log(denom)
-    value = float(np.sum(lse - pos_sums / masks.pcount))
+    value = float(np.sum(_softmax_rows(buf) - pos_sums / masks.pcount))
 
     # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
-    buf /= denom[:, None]
     buf -= masks.pos_frac
     buf /= tau
     np.copyto(bufs.sims_t, buf.T)
@@ -209,15 +221,8 @@ def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
         buf[rows, labels] = geometry.margin_logit(target_cos, margin)
     buf *= scale
     target_logits = buf[rows, labels]
+    value = float(np.mean(_softmax_rows(buf) - target_logits))
 
-    row_max = buf.max(axis=1)
-    buf -= row_max[:, None]
-    np.exp(buf, out=buf)
-    sumexp = buf.sum(axis=1)
-    lse = row_max + np.log(sumexp)
-    value = float(np.mean(lse - target_logits))
-
-    buf /= sumexp[:, None]
     buf[rows, labels] -= 1.0
     buf *= scale / n
     if margin != 0.0:
@@ -285,7 +290,7 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
     aamsupcon: arcface + lam * supcon; lam = 0 gives arcface exactly (the
                masks are still built, so a malformed batch fails anyway).
     """
-    validate_inputs(inputs)
+    validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     return loss_terms(kind, inputs.embeddings, inputs.labels, inputs.class_weights,
                       inputs.temperature, inputs.margin, inputs.scale, masks, lam)[:3]
@@ -319,7 +324,7 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     (no re-normalization), matching the gradient semantics above. Returns
     the largest per-component relative error over both matrices.
     """
-    validate_inputs(inputs)
+    validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     z, w = inputs.embeddings, inputs.class_weights
 

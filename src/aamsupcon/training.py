@@ -18,7 +18,6 @@ from .losses import (
     DenominatorConvention,
     KernelBuffers,
     LossKind,
-    SupconMasks,
     fd_report,
     loss_terms,
     supcon_masks,
@@ -97,25 +96,6 @@ class RunLog:
     records: np.recarray
 
 
-def _trace_loss(config: TrainConfig, params: NetworkParams, trace: Workspace,
-                dense_labels: np.ndarray, masks: SupconMasks | None,
-                bufs: KernelBuffers | None = None):
-    """loss_terms of the configured loss on a forward trace, without input
-    validation: the config was validated once per run, forward() yields
-    unit rows and the class weights are renormalized after every update.
-    masks is the supcon_masks of dense_labels (None for a loss without a
-    contrastive term); bufs is passed on. In encoder classifier space the
-    margin term reads the encoder output normalized into trace.encoder_rows,
-    and the fourth item, there too, is its gradient w.r.t. the raw output."""
-    h = encoder_embeddings(trace) if config.classifier_space == "encoder" else None
-    value, grad_z, grad_w, grad_h = loss_terms(
-        config.loss_kind, trace.embeddings, dense_labels, params.class_weights,
-        config.temperature, config.margin, config.scale, masks, config.lam, bufs, h)
-    if grad_h is not None:
-        grad_h = normalize_rows_backward(grad_h, *trace.encoder_rows)
-    return value, grad_z, grad_w, grad_h
-
-
 class _Run:
     """One run's state, built once and reused by every step: the validated
     config, the BatchSampler, the seeded parameters (class k is the k-th
@@ -145,14 +125,30 @@ class _Run:
                                   grad_w=self.grads.class_weights)
         self.masks = (supcon_masks(self.sampler.layout, config.convention)
                       if config.loss_kind.contrastive else None)
+        self.grad_proj = self.grad_enc = None
+
+    def loss(self, labels) -> float:
+        """The configured loss of the batch the last forward wrote into ws,
+        unvalidated (the run validated its config, forward yields unit rows
+        and update renormalizes the class weights): the value, with
+        grads.class_weights written and grad_proj and grad_enc left for
+        backward. grad_enc is None unless a margin term reads the encoder
+        output, which it normalizes into ws.encoder_rows."""
+        config, ws = self.config, self.ws
+        h = encoder_embeddings(ws) if config.classifier_space == "encoder" else None
+        value, self.grad_proj, _, grad_h = loss_terms(
+            config.loss_kind, ws.embeddings, labels, self.params.class_weights,
+            config.temperature, config.margin, config.scale, self.masks, config.lam, self.bufs, h)
+        self.grad_enc = (None if grad_h is None
+                         else normalize_rows_backward(grad_h, *ws.encoder_rows))
+        return value
 
     def value_and_grads(self, batch, labels) -> float:
         """Forward, loss and backward for one batch the sampler drew: the
         loss value, with the gradients written into grads."""
         forward(self.params, batch, self.ws)
-        value, grad_proj, _, grad_enc = _trace_loss(self.config, self.params, self.ws, labels,
-                                                    self.masks, self.bufs)
-        backward(self.params, self.ws, grad_proj, grad_enc, self.grads)
+        value = self.loss(labels)
+        backward(self.params, self.ws, self.grad_proj, self.grad_enc, self.grads)
         return value
 
     def update(self, step: int) -> float:
@@ -245,7 +241,10 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
     run = _Run(config, features, speaker_ids)
     batch, labels = run.sampler.draw(np.random.default_rng(batch_seed))
     run.value_and_grads(batch, labels)
-    params = run.params
-    return fd_report(
-        lambda: _trace_loss(config, params, forward(params, batch), labels, run.masks)[0],
-        param_arrays(params), param_arrays(run.grads), step)
+    analytic = param_arrays(flat_copy(run.grads)[1])  # each probe's loss writes grads
+
+    def probe():
+        forward(run.params, batch, run.ws)
+        return run.loss(labels)
+
+    return fd_report(probe, param_arrays(run.params), analytic, step)

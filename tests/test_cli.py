@@ -244,6 +244,24 @@ def test_pipeline_reproducible_and_metrics_schema(tmp_path):
     assert all(np.isfinite(float(line.split()[1])) for line in runlog[1:])
 
 
+def test_holdout_is_bounded_by_the_data_not_the_config(tmp_path):
+    """train and evaluate hold out rows of the data file they read, so its
+    count bounds dataset.holdout_per_speaker, not the config's
+    dataset.utterances_per_speaker, which sizes what generate writes: 7 of
+    a 10-utterance file train and evaluate under a 6-utterance config."""
+    cfg = write_config(tmp_path, steps=2)
+    ten = override(cfg, tmp_path / "ten.ini", "dataset.utterances_per_speaker", "10")
+    assert main(["generate", "--config", ten, "--out", str(tmp_path / "gen")]) == 0
+    held = override(cfg, tmp_path / "held.ini", "dataset.holdout_per_speaker", "7")
+    data = str(tmp_path / "gen" / "dataset.txt")
+    assert main(["train", "--config", held, "--data", data, "--out", str(tmp_path / "run")]) == 0
+    assert main(["evaluate", "--config", held, "--data", data,
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                 "--out", str(tmp_path / "ev")]) == 0
+    metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+    assert metrics["evaluated_samples"] == 6 * 7
+
+
 def test_untrained_checkpoint_on_unstructured_data_scores_near_chance(tmp_path):
     cfg = write_config(tmp_path, steps=0, name="chance.ini")
     txt = (tmp_path / "chance.ini").read_text()
@@ -545,6 +563,7 @@ def holdout_one_run(tmp_path_factory):
     ("gradcheck", "gradcheck.e2e_tolerance", "-1"),
     ("evaluate", "dataset.holdout_per_speaker", "1"),
     ("sweep-batch", "dataset.holdout_per_speaker", "1"),
+    ("train", "dataset.holdout_per_speaker", "6"),
     ("generate", "--seed", "-1"),
     ("train", "--seed", "-1"),
     ("evaluate", "--seed", "-1"),

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from aamsupcon.losses import (
     supcon_masks,
 )
 from aamsupcon.synthdata import DatasetSpec, generate
-from aamsupcon.training import TrainConfig, _Run
+from aamsupcon.training import TrainConfig, _Run, train
 from oracles import corrupted, reference_terms
 
 ALL = DenominatorConvention.ALL_NON_ANCHOR
@@ -129,6 +130,38 @@ def test_index_sets_errors():
         supcon_masks([0])
     with pytest.raises(ConfigError, match="no negatives in a single-class batch"):
         supcon_masks([0, 0, 0], STRICT)
+
+
+@pytest.mark.parametrize("convention", [ALL, STRICT])
+def test_convention_given_by_its_value_is_that_convention(convention):
+    """A convention's string value selects it in supcon_masks, so in the
+    loss, the gradient check and a TrainConfig built in code; a string
+    other than a value, or any other object, is refused naming the values."""
+    rng = np.random.default_rng(28)
+    inputs = random_batch(rng, 6, 4, 3)
+    for kind in (LossKind.SUPCON, LossKind.AAMSUPCON):
+        want = evaluate_loss(kind, inputs, convention)
+        got = evaluate_loss(kind, inputs, convention.value)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+        assert grad_check(kind, inputs, convention=convention.value) \
+            == grad_check(kind, inputs, convention=convention)
+    features, speaker_ids, _ = generate(DatasetSpec(4, 4, 8, 0.2, seed=1))
+    config = TrainConfig(steps=2, batch_speakers=2, encoder_hidden=(8,), proj_hidden=8,
+                         embedding_dim=4, convention=convention)
+    want = train(config, features, speaker_ids)[1].records.loss
+    got = train(replace(config, convention=convention.value), features, speaker_ids)[1]
+    assert np.array_equal(got.records.loss, want)
+
+
+@pytest.mark.parametrize("convention", ["strict", "ALL_NON_ANCHOR", None, 1])
+def test_supcon_masks_refuse_an_unknown_convention(convention):
+    msg = r"convention must be one of \['all_non_anchor', 'strict_negatives'\], got "
+    with pytest.raises(ConfigError, match=msg + re.escape(repr(convention))):
+        supcon_masks([0, 0, 1, 1], convention)
+    inputs = random_batch(np.random.default_rng(29), 4, 4, 2)
+    with pytest.raises(ConfigError, match=msg):
+        evaluate_loss(LossKind.SUPCON, inputs, convention)
 
 
 @pytest.mark.parametrize("convention", [ALL, STRICT])
@@ -495,6 +528,19 @@ def test_validation_rejects_bad_inputs():
     good.margin = 2.0
     with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
         evaluate_loss(LossKind.ARCFACE, good)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, -1e-300])
+def test_validation_rejects_lambda_outside_zero_to_inf(lam):
+    """lam must lie in [0, inf), the domain of training.lambda: a NaN, an
+    infinite or a negative weight is refused, not a loss of nan or inf."""
+    inputs = random_batch(np.random.default_rng(30), 4, 4, 2)
+    msg = r"lam must be in \[0, inf\), got " + re.escape(repr(lam))
+    for kind in LossKind:
+        with pytest.raises(ConfigError, match=msg):
+            evaluate_loss(kind, inputs, ALL, lam=lam)
+        with pytest.raises(ConfigError, match=msg):
+            grad_check(kind, inputs, lam=lam)
 
 
 def test_loss_value_unchecked_matches_public_api():

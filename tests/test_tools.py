@@ -68,6 +68,22 @@ def test_layergrid_times_the_trainers_own_update(layergrid, monkeypatch):
     assert len(set(map(id, calls))) == 6
 
 
+def test_layergrid_times_the_trainers_own_loss(layergrid, monkeypatch):
+    """Every "loss_terms" row calls training._Run.loss, so a change to the
+    loss train runs is what the grid times."""
+    calls = []
+    loss = training._Run.loss
+
+    def counted(run, labels):
+        calls.append(run)
+        return loss(run, labels)
+
+    monkeypatch.setattr(training._Run, "loss", counted)
+    rows = layergrid.train_rows((0, 1, 1))
+    assert len(calls) == sum(row[0] == "loss_terms" for row in rows) == 6
+    assert len(set(map(id, calls))) == 6
+
+
 def test_layergrid_times_every_evaluation_row_once(layergrid):
     rows = layergrid.eval_rows((0, 1, 1))
     trials = 2 * layergrid.EVAL_SPEAKERS * layergrid.TRIALS_PER_SPEAKER

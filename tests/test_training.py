@@ -13,7 +13,6 @@ from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
     RunLog,
     TrainConfig,
-    _trace_loss,
     end_to_end_grad_check,
     save_runlog,
     train,
@@ -152,39 +151,55 @@ def _fixed_batch(data, speakers, seed=0):
 def test_loss_on_batch_dispatch_identities(space, monkeypatch):
     data = _dataset(speakers=6, utterances=4)
     features, labels = _fixed_batch(data, 4)
-    net = dict(SMALL_NET, classifier_space=space)
-    params = init_params([20, 32, 32], 32, 16, 6, seed=1,
-                         class_dim=TrainConfig(**net).class_dim())
-    trace = forward(params, features)
-    masks = supcon_masks(labels)
+    net = dict(SMALL_NET, classifier_space=space, batch_speakers=4, seed=1)
 
-    def value(config):
-        return _trace_loss(config, params, trace, labels, masks)[0]
+    def run_loss(**loss):
+        """A run of the given loss, with its loss of the fixed batch taken."""
+        run = training._Run(TrainConfig(**net, **loss), *data)
+        forward(run.params, features, run.ws)
+        return run, run.loss(labels)
 
-    softmax_cfg = TrainConfig(loss_kind=LossKind.SOFTMAX, **net)
-    arcface_m0 = TrainConfig(loss_kind=LossKind.ARCFACE, margin=0.0, **net)
-    assert value(softmax_cfg) == value(arcface_m0)
+    def value(kind, **loss):
+        return run_loss(loss_kind=kind, **loss)[1]
 
-    arc_cfg = TrainConfig(loss_kind=LossKind.ARCFACE, **net)
-    sup_cfg = TrainConfig(loss_kind=LossKind.SUPCON, **net)
-    aam_cfg = TrainConfig(loss_kind=LossKind.AAMSUPCON, **net)
-    assert value(aam_cfg) == pytest.approx(value(arc_cfg) + value(sup_cfg), abs=1e-12)
+    assert value(LossKind.SOFTMAX) == value(LossKind.ARCFACE, margin=0.0)
+    assert value(LossKind.AAMSUPCON) == pytest.approx(
+        value(LossKind.ARCFACE) + value(LossKind.SUPCON), abs=1e-12)
 
-    # lambda = 0 is arcface, gradients included, and runs no contrastive kernel;
-    # the encoder gradient lives in the trace, so the next call overwrites it
-    arc = [a.copy() if isinstance(a, np.ndarray) else a
-           for a in _trace_loss(arc_cfg, params, trace, labels, masks)]
+    # lambda = 0 is arcface, gradients included, and runs no contrastive kernel
+    arc, arc_value = run_loss(loss_kind=LossKind.ARCFACE)
 
     def no_kernel(*args):
         raise AssertionError("the contrastive kernel ran at lambda = 0")
 
     monkeypatch.setattr(losses, "_supcon_raw", no_kernel)
-    aam_zero = TrainConfig(loss_kind=LossKind.AAMSUPCON, lam=0.0, **net)
-    got = _trace_loss(aam_zero, params, trace, labels, masks)
-    assert got[0] == arc[0]
-    for a, b in zip(got[1:], arc[1:]):
-        assert (a is None and b is None) or np.array_equal(a, b)
-    assert (got[3] is None) == (space == "projection")
+    aam, aam_value = run_loss(loss_kind=LossKind.AAMSUPCON, lam=0.0)
+    assert aam_value == arc_value
+    for run in (aam, arc):
+        assert (run.grad_enc is None) == (space == "projection")
+    assert np.array_equal(aam.grad_proj, arc.grad_proj)
+    assert space == "projection" or np.array_equal(aam.grad_enc, arc.grad_enc)
+    assert np.array_equal(aam.grads.class_weights, arc.grads.class_weights)
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder"])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_run_loss_after_forward_repeats_the_step(kind, space):
+    """forward into the run's workspace and then run.loss, after
+    value_and_grads on the same batch, give the step's value and the
+    gradients it left for backward and in grads, bit for bit."""
+    cfg = TrainConfig(loss_kind=kind, classifier_space=space, batch_speakers=4, seed=2,
+                      **SMALL_NET)
+    run = training._Run(cfg, *_dataset())
+    batch, labels = run.sampler.draw(np.random.default_rng(3))
+    value = run.value_and_grads(batch, labels)
+    grads = [None if g is None else g.copy()
+             for g in (run.grad_proj, run.grad_enc, run.grads.class_weights)]
+    forward(run.params, batch, run.ws)
+    assert run.loss(labels) == value
+    for got, want in zip((run.grad_proj, run.grad_enc, run.grads.class_weights), grads):
+        assert (got is None and want is None) or _bits_equal(got, want)
+    assert (run.grad_enc is None) == (space == "projection" or kind is LossKind.SUPCON)
 
 
 @pytest.mark.parametrize("kind", list(LossKind))
@@ -204,6 +219,30 @@ def test_end_to_end_gradients_with_encoder_space_classifier(kind):
                       embedding_dim=8, batch_speakers=4, views_per_speaker=2,
                       seed=6, classifier_space="encoder")
     assert end_to_end_grad_check(cfg, *data, step=1e-6, batch_seed=1) < 1e-4
+
+
+def test_end_to_end_grad_check_builds_one_workspace(monkeypatch):
+    """Every probe runs forward and the loss in the run's own workspace and
+    kernel buffers: one of each is built for the whole check."""
+    built = {"Workspace": 0, "KernelBuffers": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def build(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, build)
+
+    for module in (model, training):
+        counted(module, "Workspace")
+    for module in (losses, training):
+        counted(module, "KernelBuffers")
+    data = _dataset(speakers=4, utterances=4, d_in=10, seed=9)
+    cfg = TrainConfig(classifier_space="encoder", encoder_hidden=(16,), proj_hidden=16,
+                      embedding_dim=8, batch_speakers=4, seed=6)
+    assert end_to_end_grad_check(cfg, *data, step=1e-6, batch_seed=1) < 1e-4
+    assert built == {"Workspace": 1, "KernelBuffers": 1}
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-6])

@@ -6,12 +6,13 @@ takes, per call.
 Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
 each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
 with the quickstart model, augmentation and loss, in both classifier spaces:
-the five parts of a step as train runs them, each on a training._Run, the
-run state train builds. They are the batch draw (BatchSampler.draw),
-forward, the loss (loss_terms; in encoder space also the encoder rows'
-normalization and its backward), backward and the SGD update (the run's
-update: squared gradients, gradient norm, momentum, parameter step and
-class-weight renormalization).
+the five parts of a step as train runs them, in its order on a
+training._Run, the run state train builds, each reading what the part
+before it left on the run. They are the batch draw (BatchSampler.draw),
+forward, the loss (run.loss: loss_terms and, in encoder space, the encoder
+rows' normalization and its backward), backward and the SGD update
+(run.update: squared gradients, gradient norm, momentum, parameter step
+and class-weight renormalization).
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
@@ -114,17 +115,14 @@ def train_rows(calls):
             config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
                                           classifier_space=space)
             run = training._Run(config, data, speaker_ids)
-            params, ws, bufs, masks = run.params, run.ws, run.bufs, run.masks
             rng = np.random.default_rng(speakers)
             batch, labels = run.sampler.draw(rng)
             n = len(batch)
-            forward(params, batch, ws)
-            _, grad_proj, _, grad_enc = training._trace_loss(config, params, ws, labels,
-                                                             masks, bufs)
             parts = (lambda: run.sampler.draw(rng),
-                     lambda: forward(params, batch, ws),
-                     lambda: training._trace_loss(config, params, ws, labels, masks, bufs),
-                     lambda: backward(params, ws, grad_proj, grad_enc, run.grads),
+                     lambda: forward(run.params, batch, run.ws),
+                     lambda: run.loss(labels),
+                     lambda: backward(run.params, run.ws, run.grad_proj, run.grad_enc,
+                                      run.grads),
                      lambda: run.update(0))
             with np.errstate(all="ignore"):
                 for layer, fn in zip(TRAIN_LAYERS, parts):
