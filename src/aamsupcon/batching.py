@@ -14,13 +14,14 @@ whole-array calls on rng, any np.random.Generator.
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer_array
 
 
 def _speaker_order(speaker_ids):
     """(ids, order, counts): the distinct ids in ascending order, the row
-    indices stably sorted by speaker, and the number of rows of each id."""
-    ids, dense, counts = np.unique(np.asarray(speaker_ids, dtype=np.int64),
+    indices stably sorted by speaker, and the number of rows of each id.
+    ConfigError names the first row whose id is fractional or NaN."""
+    ids, dense, counts = np.unique(integer_array(speaker_ids, "speaker id of row"),
                                    return_inverse=True, return_counts=True)
     return ids, np.argsort(dense, kind="stable"), counts
 
@@ -63,14 +64,14 @@ class BatchSampler:
     rows follow batch_layout.
 
     The request is checked once, here: ConfigError when features is not
-    one row per speaker id or the rows cannot satisfy it, ValueError for B
-    or V below 1 or a mask_max outside [0, d_in]. batch_features is the
+    one row per speaker id, the rows cannot satisfy it, B or V is below 1
+    or mask_max lies outside [0, d_in]. batch_features is the
     sampler's own array: the next draw overwrites it."""
 
     def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
                  noise_sigma: float, mask_max: int | None):
         if batch_speakers < 1 or views_per_speaker < 1:
-            raise ValueError("batch_speakers and views_per_speaker must be >= 1")
+            raise ConfigError("batch_speakers and views_per_speaker must be >= 1")
         _, self.order, self.counts = _speaker_order(speaker_ids)
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2 or len(self.features) != self.order.size:
@@ -87,7 +88,7 @@ class BatchSampler:
         d_in = self.features.shape[1]
         self.mask_max = d_in // 8 if mask_max is None else mask_max
         if not 0 <= self.mask_max <= d_in:
-            raise ValueError(f"mask_max {self.mask_max} outside [0, {d_in}]")
+            raise ConfigError(f"mask_max {self.mask_max} outside [0, {d_in}]")
         self.noise_sigma = noise_sigma
         self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
         self.layout = batch_layout(batch_speakers, views_per_speaker)

@@ -46,6 +46,9 @@ class _Holdout:
 
     holdout_per_speaker: int = field(default=0, metadata={"domain": "[0, inf)"})
 
+    def __post_init__(self):
+        check_domains(self, "dataset")
+
 
 @dataclass
 class _Trials:
@@ -54,6 +57,9 @@ class _Trials:
     trials_per_speaker: int = field(default=40, metadata={"domain": "[1, inf)"})
     seed: int = field(default=100, metadata={"domain": "[0, inf)"})
     space: str = field(default="projection", metadata={"domain": ("projection", "encoder")})
+
+    def __post_init__(self):
+        check_domains(self, "eval")
 
 
 @dataclass
@@ -66,6 +72,9 @@ class _GradCheck:
     step: float = field(default=1e-6, metadata={"domain": "(0, 1e-2)"})
     tolerance: float = field(default=1e-5, metadata={"domain": "(0, inf)"})
     e2e_tolerance: float = field(default=1e-4, metadata={"domain": "(0, inf)"})
+
+    def __post_init__(self):
+        check_domains(self, "gradcheck")
 
 
 # Every config key is one field of one of these classes. Its key is
@@ -112,10 +121,10 @@ def _echo(value):
 
 
 def load_config(path):
-    """Read, parse, default and validate every key of a config file.
+    """Read, parse, default and check every key of a config file.
 
     Unknown sections or keys, unparsable values and values outside their
-    domain are ConfigErrors naming the key. Returns ({class: validated
+    domain are ConfigErrors naming the key. Returns ({class: checked
     instance} for every class of _SECTIONS, the config echo {section: {key:
     value}} with the defaults filled in)."""
     text = read_file(path, "config", "utf-8")
@@ -136,13 +145,7 @@ def load_config(path):
                 raise ConfigError(f"unknown config key {key}")
             cls, f = _KEYS[key]
             values[cls][f.name] = _parse(key, raw, f.type)
-    config = {}
-    for section, cls in _SECTIONS:
-        obj = config[cls] = cls(**values[cls])  # DcfParams checks itself when built
-        if hasattr(obj, "validate"):  # DatasetSpec, TrainConfig
-            obj.validate()
-        elif cls is not DcfParams:
-            check_domains(obj, section)
+    config = {cls: cls(**values[cls]) for _, cls in _SECTIONS}  # each checks itself
     echo = {}
     for key, (cls, f) in _KEYS.items():
         sect, name = key.split(".")

@@ -9,15 +9,19 @@ it carries data.
 read_file, read_lines, file_sha256, write_file and write_files are the one
 place the package opens a file, so a failed read or write is always an
 IoError naming the file. All but read_file read or write in pieces, so none
-of them needs the whole file in memory. check_domains is the one place a
-config key's domain is checked.
+of them needs the whole file in memory. Every config dataclass calls
+check_domains when built, the one place a config field is checked.
 """
 
+import enum
 import hashlib
 import math
+import numbers
 import os
 import re
 from dataclasses import fields
+
+import numpy as np
 
 
 class AamSupConError(Exception):
@@ -170,18 +174,53 @@ def write_files(targets, rows) -> None:
             fh.close()
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """values as an int64 array. Raises ConfigError "<what> <k> is <value>,
+    not an integer" naming the first fractional or NaN entry."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN casts to garbage, refused below
+        ints = values.astype(np.int64)
+    cut = ints != values
+    if cut.any():
+        k = int(np.argmax(cut))
+        raise ConfigError(f"{what} {k} is {values[k]}, not an integer")
+    return ints
+
+
+def _number(value, kind) -> bool:
+    """Whether value is a kind, numbers.Integral or Real; a bool is neither."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_domains(obj, section: str) -> None:
-    """Check every field of the dataclass obj that declares a domain in its
-    metadata["domain"]: an interval string such as "(0, inf)", "[0, pi/2)"
-    or "[2, inf)", which every entry of a tuple value must lie in (None
-    passes, NaN fails), or a tuple of the allowed strings. Raises ConfigError
-    "<key> must be in <domain>, got <value>", where the key is the field's
-    metadata["key"], else <section>.<field>."""
+    """Resolve every field of the dataclass obj by its type, write it back
+    and check it against its domain. An Enum field takes its member or
+    value, its domain being its values; a tuple[int, ...] field takes a
+    non-empty list or tuple, an int field an integer (int | None also None)
+    and a float field a real number, a bool being neither. Every other field
+    declares its domain in metadata["domain"]: an interval string such as
+    "(0, inf)", "[0, pi/2)" or "[2, inf)", which every entry of a tuple value
+    must lie in (NaN fails), or a tuple of the allowed strings. Raises
+    ConfigError "<key> must be in <domain>, got <value>" (or "must be an
+    integer" and the like), the key being the field's metadata["key"], else
+    <section>.<field>."""
     for f in fields(obj):
-        domain = f.metadata.get("domain")
-        value = getattr(obj, f.name)
-        if domain is None or value is None:
+        key = f.metadata.get("key", f"{section}.{f.name}")
+        kind, value, domain = f.type, getattr(obj, f.name), f.metadata.get("domain")
+        if isinstance(kind, enum.EnumMeta):
+            domain = tuple(member.value for member in kind)
+            value = value.value if isinstance(value, kind) else value
+        elif kind == tuple[int, ...]:
+            if not (isinstance(value, (list, tuple)) and value
+                    and all(_number(v, numbers.Integral) for v in value)):
+                raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
+            value = tuple(value)
+        elif kind is float and not _number(value, numbers.Real):
+            raise ConfigError(f"{key} must be a real number, got {value!r}")
+        elif kind == int | None and value is None:
             continue
+        elif kind in (int, int | None) and not _number(value, numbers.Integral):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
         if isinstance(domain, tuple):
             ok, domain = value in domain, "{" + ", ".join(domain) + "}"
         else:
@@ -190,5 +229,5 @@ def check_domains(obj, section: str) -> None:
                      and (v <= hi if domain[-1] == "]" else v < hi)
                      for v in (value if isinstance(value, tuple) else (value,)))
         if not ok:
-            key = f.metadata.get("key", f"{section}.{f.name}")
             raise ConfigError(f"{key} must be in {domain}, got {value!r}")
+        setattr(obj, f.name, kind(value) if isinstance(kind, enum.EnumMeta) else value)

@@ -69,7 +69,7 @@ def trial_blocks(speaker_ids, trials_per_speaker: int, seed: int):
     with _sample_k. Target pair k is the k-th (a, b), a < b, over the
     speaker's rows; non-target pair k is divmod(k, number of other rows)."""
     if trials_per_speaker < 1:
-        raise ValueError(f"trials_per_speaker must be >= 1, got {trials_per_speaker}")
+        raise ConfigError(f"trials_per_speaker must be >= 1, got {trials_per_speaker}")
     ids, groups = group_by_speaker(speaker_ids)
     if len(groups) < 2:
         raise ConfigError("non-target trials need at least 2 speakers")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError
+from .errors import ConfigError, integer_array
 
 # Embedding and class-weight rows must be unit length to within this.
 UNIT_NORM_TOL = 1e-9
@@ -69,13 +69,7 @@ class LossInputs:
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        with np.errstate(invalid="ignore"):  # a NaN label casts to garbage, refused below
-            self.labels = labels.astype(np.int64)
-        cut = self.labels != labels
-        if cut.any():
-            k = int(np.argmax(cut))
-            raise ConfigError(f"label {k} is {labels[k]}, not an integer")
+        self.labels = integer_array(self.labels, "label")
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
 
 
@@ -340,9 +334,9 @@ def fd_report(value_fn, arrays, analytic, step: float) -> float:
     """Central finite differences of value_fn() w.r.t. every entry of each
     array, perturbing the arrays in place and restoring them, held against
     the matching analytic gradients: the largest relative_errors over all
-    entries. ValueError for a step that is not > 0."""
+    entries. ConfigError for a step that is not > 0."""
     if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
+        raise ConfigError(f"step must be > 0, got {step}")
     errors = []
     for arr, grad in zip(arrays, analytic):
         numeric = np.zeros_like(arr)

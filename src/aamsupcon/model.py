@@ -168,11 +168,10 @@ def embed(params: NetworkParams, features, space: str = "projection") -> np.ndar
     normalized in place, with the projection activation as its squares
     buffer where the two have the same shape.
 
-    Raises ConfigError on a wrong input width, ValueError on an unknown
-    space and ZeroVector naming the first row of (near-)zero or
-    non-finite norm."""
+    Raises ConfigError on a wrong input width or an unknown space, and
+    ZeroVector naming the first row of (near-)zero or non-finite norm."""
     if space not in ("projection", "encoder"):
-        raise ValueError(f"space must be projection|encoder, got {space!r}")
+        raise ConfigError(f"space must be projection|encoder, got {space!r}")
     act = _inputs(params, features)
     for w, b in params.encoder_layers:
         act = np.matmul(act, w.T)

@@ -35,7 +35,7 @@ class DatasetSpec:
     spread: float = field(default=0.2, metadata={"domain": "[0, inf)"})
     seed: int = field(default=7, metadata={"domain": "[0, inf)"})
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_domains(self, "dataset")
 
 
@@ -46,7 +46,6 @@ def generate(spec: DatasetSpec):
     speaker-major, speaker_ids (N,) and the (num_speakers, d_in)
     ground-truth centroids. Deterministic per seed.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     # rows are normalized one by one: a batched norm sums in another order
     # and would change the last bits of the stored features
@@ -203,7 +202,6 @@ def _parse_header(path, line) -> DatasetSpec:
         header[key] = value
     try:
         spec = DatasetSpec(**{f.name: f.type(header[f.name]) for f in fields(DatasetSpec)})
-        spec.validate()
     except KeyError as exc:
         raise IoError(f"{path}:1: dataset header lacks {exc}") from exc
     except ValueError as exc:

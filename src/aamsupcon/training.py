@@ -66,8 +66,8 @@ class TrainConfig:
     classifier_space: str = field(default="projection",
                                   metadata={"domain": ("projection", "encoder")})
 
-    def validate(self) -> None:
-        """Check every field's domain and the two rules that span fields."""
+    def __post_init__(self):
+        """Resolve and check every field, then the two rules that span fields."""
         check_domains(self, "training")
         if self.batch_speakers < self.least_batch_speakers():
             raise ConfigError("training.convention = strict_negatives needs "
@@ -97,7 +97,7 @@ class RunLog:
 
 
 class _Run:
-    """One run's state, built once and reused by every step: the validated
+    """One run's state, built once and reused by every step: the checked
     config, the BatchSampler, the seeded parameters (class k is the k-th
     smallest id), the Workspace and KernelBuffers for the batch size, and
     masks, the contrast masks of every batch (None without a contrastive
@@ -107,7 +107,6 @@ class _Run:
     update is a few in-place operations whatever the network's depth."""
 
     def __init__(self, config: TrainConfig, features, speaker_ids):
-        config.validate()
         self.config = config
         self.sampler = BatchSampler(features, speaker_ids, config.batch_speakers,
                                     config.views_per_speaker, config.noise_sigma,
@@ -129,7 +128,7 @@ class _Run:
 
     def loss(self, labels) -> float:
         """The configured loss of the batch the last forward wrote into ws,
-        unvalidated (the run validated its config, forward yields unit rows
+        unvalidated (its config checked itself, forward yields unit rows
         and update renormalizes the class weights): the value, with
         grads.class_weights written and grad_proj and grad_enc left for
         backward. grad_enc is None unless a margin term reads the encoder

@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import enum
 import hashlib
+import importlib
 import inspect
 import io
 import itertools
@@ -10,6 +11,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -22,9 +24,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aamsupcon import cli, errors, losses
+import aamsupcon
+from aamsupcon import cli, errors, evaluate, losses
+from aamsupcon.batching import BatchSampler
 from aamsupcon.cli import SWEEP_FOOTER, main
-from aamsupcon.model import init_params, load_checkpoint, save_checkpoint
+from aamsupcon.model import embed, init_params, load_checkpoint, save_checkpoint
 from oracles import corrupted, sweep_rows_sequential
 
 BASE_CONFIG = """\
@@ -480,6 +484,77 @@ def test_readme_key_table_matches_the_config_fields():
 def test_every_key_but_an_enum_declares_a_domain():
     for key, (_, f) in cli._KEYS.items():
         assert isinstance(f.type, enum.EnumMeta) != ("domain" in f.metadata), key
+
+
+def test_readme_module_names_resolve():
+    """Every backticked module.name in README.md whose module is one of the
+    package's modules names an attribute of that module, or is a config
+    key."""
+    modules = "|".join(m.name for m in pkgutil.iter_modules(aamsupcon.__path__))
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stale = []
+    for name in re.findall(rf"`((?:{modules})\.\w+(?:\.\w+)*)", text):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"aamsupcon.{module}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            if name not in cli._KEYS:
+                stale.append(name)
+    assert stale == []
+
+
+# Values of every kind a config field may be given in code: a str (an enum's
+# value, an allowed string, a number as text), a bool, None, a float, an int,
+# a list and an enum member. Each field takes some kinds and refuses the rest.
+_ANY_KIND = st.one_of(
+    st.sampled_from([*(m.value for m in [*losses.LossKind, *losses.DenominatorConvention]),
+                     "projection", "encoder", "0.5", "8", ""]),
+    st.booleans(), st.none(), st.floats(), st.integers(-3, 2**64),
+    st.lists(st.one_of(st.integers(-1, 300), st.booleans(), st.floats(0, 9)), max_size=3),
+    st.sampled_from([*losses.LossKind, *losses.DenominatorConvention]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(value=_ANY_KIND)
+@pytest.mark.parametrize("key", sorted(cli._KEYS))
+def test_a_config_object_built_in_code_resolves_or_names_the_key(key, value):
+    """Each of the six config classes, built in code with one field set to
+    any value, holds the value resolved (an enum member for its value, a
+    tuple for a list) or raises a ConfigError naming the key, never another
+    error: the library refuses what the CLI refuses."""
+    cls, f = cli._KEYS[key]
+    try:
+        obj = cls(**{f.name: value})
+    except errors.ConfigError as exc:
+        assert str(exc).startswith(f"{key} "), (value, str(exc))
+        return
+    got = getattr(obj, f.name)
+    if isinstance(f.type, enum.EnumMeta):
+        assert got is f.type(value)
+    elif isinstance(value, list):
+        assert got == tuple(value)
+    else:
+        assert got is value
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BatchSampler(np.zeros((4, 2)), np.arange(4), 0, 1, 0.1, None),
+     "batch_speakers and views_per_speaker must be >= 1"),
+    (lambda: BatchSampler(np.zeros((4, 2)), np.arange(4), 2, 1, 0.1, 3),
+     "mask_max 3 outside [0, 2]"),
+    (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 0, 0),
+     "trials_per_speaker must be >= 1, got 0"),
+    (lambda: losses.fd_report(lambda: 0.0, [], [], 0.0), "step must be > 0, got 0.0"),
+    (lambda: embed(init_params([2, 4], 4, 2, 2, 0), np.ones((1, 2)), "both"),
+     "space must be projection|encoder, got 'both'"),
+])
+def test_library_input_guards_raise_config_errors(call, message):
+    """A public input guard raises a ConfigError, which main() reports as a
+    config error with exit code 1, not a bare ValueError."""
+    with pytest.raises(errors.ConfigError, match=re.escape(message)):
+        call()
 
 
 def _boundary_cases():

@@ -201,6 +201,15 @@ def test_trial_blocks_check_speakers_before_drawing():
             trial_blocks(np.array(ids), 3, seed=0)
 
 
+@pytest.mark.parametrize("ids, first", [(np.repeat(np.arange(4), 3) + 0.5, "0 is 0.5"),
+                                        (np.array([0, 0, 1, np.nan, 1]), "3 is nan")])
+def test_trial_blocks_refuse_non_integer_speaker_ids(ids, first):
+    """A fractional or NaN speaker id is refused, naming its row, not
+    truncated into another speaker."""
+    with pytest.raises(ConfigError, match=f"speaker id of row {first}, not an integer"):
+        trial_blocks(ids, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # scoring
 

@@ -58,14 +58,14 @@ def test_within_speaker_cosine_decreases_with_spread():
 
 
 @pytest.mark.parametrize("bad", [
-    DatasetSpec(1, 5, 10, 0.1, 0),
-    DatasetSpec(4, 1, 10, 0.1, 0),
-    DatasetSpec(4, 5, 1, 0.1, 0),
-    DatasetSpec(4, 5, 10, -0.1, 0),
+    (1, 5, 10, 0.1, 0),
+    (4, 1, 10, 0.1, 0),
+    (4, 5, 1, 0.1, 0),
+    (4, 5, 10, -0.1, 0),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ConfigError, match=r"(num_speakers|utterances_per_speaker|d_in|spread) must be"):
-        generate(bad)
+        DatasetSpec(*bad)
 
 
 def test_dump_round_trip_is_exact(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from aamsupcon import losses, model, training
 from aamsupcon.batching import BatchSampler, group_by_speaker
-from aamsupcon.errors import DivergenceDetected, ZeroVector
+from aamsupcon.errors import ConfigError, DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
 from aamsupcon.losses import DenominatorConvention, LossKind, supcon_masks
 from aamsupcon.model import backward, forward, init_params, param_arrays
@@ -271,7 +272,35 @@ def test_training_with_encoder_space_classifier_improves():
 
 def test_config_rejects_unknown_classifier_space():
     with pytest.raises(ValueError):
-        TrainConfig(classifier_space="both").validate()
+        TrainConfig(classifier_space="both")
+
+
+def test_config_resolves_enum_values_and_lists_when_built():
+    cfg = TrainConfig(loss_kind="supcon", convention="strict_negatives", encoder_hidden=[8, 4])
+    assert cfg.loss_kind is LossKind.SUPCON
+    assert cfg.convention is DenominatorConvention.STRICT_NEGATIVES
+    assert cfg.encoder_hidden == (8, 4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(steps=2.5), "training.steps must be an integer, got 2.5"),
+    (dict(loss_kind="contrastive"), "training.loss must be in {softmax, arcface, supcon, "
+                                    "aamsupcon}, got 'contrastive'"),
+    (dict(encoder_hidden=(), classifier_space="encoder"), "model.encoder_hidden must be a "
+                                                          "non-empty list"),
+    (dict(convention="strict_negatives", batch_speakers=1, loss_kind=LossKind.SUPCON),
+     "training.convention = strict_negatives needs training.batch_speakers >= 2"),
+])
+def test_config_refuses_when_built_naming_the_key(kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**kwargs)
+
+
+def test_train_refuses_non_integer_speaker_ids():
+    features, speaker_ids = _dataset(speakers=4, utterances=3)
+    cfg = TrainConfig(steps=1, batch_speakers=2, **SMALL_NET)
+    with pytest.raises(ConfigError, match="speaker id of row 0 is 0.5, not an integer"):
+        train(cfg, features, speaker_ids + 0.5)
 
 
 def test_runlog_round_trip_and_determinism(tmp_path):
