@@ -32,14 +32,14 @@ from .geometry import normalize_rows
 from .losses import LossInputs, LossKind, grad_check
 from .model import load_checkpoint, save_checkpoint
 from .synthdata import DatasetSpec, generate, load_dataset, save_dataset, split_holdout
-from .training import TrainConfig, end_to_end_grad_check, save_runlog, train
+from .training import PHASES, TrainConfig, end_to_end_grad_check, save_runlog, train
 
 # Published full-scale reference point quoted in sweep reports.
 SWEEP_FOOTER = ("full-scale anchor (not reproducible at this scale): "
                 "batch 128 -> EER 13.64%, minDCF 0.71")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Holdout:
     """dataset.holdout_per_speaker: the last k utterances of every speaker
     are kept out of training and evaluated (k = 0 evaluates every row)."""
@@ -50,7 +50,7 @@ class _Holdout:
         check_domains(self, "dataset")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Trials:
     """The [eval] keys that build and score the trial list."""
 
@@ -62,7 +62,7 @@ class _Trials:
         check_domains(self, "eval")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _GradCheck:
     """The [gradcheck] section."""
 
@@ -174,7 +174,8 @@ def _check_bytes(keys: str, items: int) -> None:
 def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None:
     """Check the keys whose valid range depends on the training rows, and
     the --sizes of a sweep in place of training.batch_speakers."""
-    _check_bytes("training.steps", 3 * cfg.steps)  # the run log's three columns
+    # the widest array a run allocates per step is its clock, one int64 per phase
+    _check_bytes("training.steps", len(PHASES) * cfg.steps)
     d_in = features.shape[1]
     if cfg.mask_max is not None and cfg.mask_max > d_in:
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "

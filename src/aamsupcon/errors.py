@@ -230,4 +230,6 @@ def check_domains(obj, section: str) -> None:
                      for v in (value if isinstance(value, tuple) else (value,)))
         if not ok:
             raise ConfigError(f"{key} must be in {domain}, got {value!r}")
-        setattr(obj, f.name, kind(value) if isinstance(kind, enum.EnumMeta) else value)
+        # through object, as the config classes are frozen
+        object.__setattr__(obj, f.name,
+                           kind(value) if isinstance(kind, enum.EnumMeta) else value)

@@ -45,7 +45,7 @@ class ScoredTrials:
             raise NumericalError(f"trial {k} has the non-finite score {self.scores[k]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcfParams:
     """The minDCF operating point: the eval.p_target, eval.c_miss and
     eval.c_fa config keys."""

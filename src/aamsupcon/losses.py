@@ -100,6 +100,16 @@ def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
         raise ConfigError(f"lam must be in [0, inf), got {lam}")
 
 
+def _member(enum_type, value, what: str):
+    """The member of enum_type that value is or holds the value of; else a
+    ConfigError naming what and the allowed values."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise ConfigError(f"{what} must be one of {[m.value for m in enum_type]},"
+                          f" got {value!r}") from None
+
+
 class SupconMasks(NamedTuple):
     """The contrast masks in the form _supcon_raw reads: P(i) as a mask,
     |P(i)| as float64, P(i) / |P(i)| and the complement of A(i). A batch
@@ -120,11 +130,7 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
     Raises ConfigError for any other convention, for N < 2, when an anchor has
     no same-label partner, and when strict negatives leave a denominator empty.
     """
-    try:
-        convention = DenominatorConvention(convention)
-    except ValueError:
-        raise ConfigError(f"convention must be one of {[c.value for c in DenominatorConvention]},"
-                          f" got {convention!r}") from None
+    convention = _member(DenominatorConvention, convention, "convention")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     if n < 2:
@@ -255,7 +261,7 @@ def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
     if kind is LossKind.SOFTMAX:
         margin = 0.0
     elif kind not in (LossKind.ARCFACE, LossKind.AAMSUPCON):
-        raise ValueError(f"unknown loss kind {kind!r}")
+        raise ConfigError(f"unknown loss kind {kind!r}")
     value, grad_m, grad_w = _margin_softmax_raw(z if h is None else h, labels, w,
                                                 margin, scale, bufs)
     grad_z = grad_m if h is None else bufs.grad_sup
@@ -273,8 +279,9 @@ def loss_terms(kind: LossKind, z, labels, w, temperature: float, margin: float,
 def evaluate_loss(kind: LossKind, inputs: LossInputs,
                   convention=DenominatorConvention.ALL_NON_ANCHOR, lam: float = 1.0):
     """(value, grad_z, grad_w) of one of the four losses, the gradients
-    w.r.t. the embeddings and the class weights being new arrays. Validates
-    the inputs and builds the contrast masks if the kind needs them.
+    w.r.t. the embeddings and the class weights being new arrays. The kind
+    is a LossKind or its value. Validates the inputs and builds the contrast
+    masks if the kind needs them; ConfigError for any other kind.
 
     supcon:    sum_i (-1/|P(i)|) sum_{p in P(i)}
                log[ exp(z_i.z_p / tau) / sum_{a in A(i)} exp(z_i.z_a / tau) ]
@@ -284,6 +291,7 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
     aamsupcon: arcface + lam * supcon; lam = 0 gives arcface exactly (the
                masks are still built, so a malformed batch fails anyway).
     """
+    kind = _member(LossKind, kind, "loss kind")
     validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     return loss_terms(kind, inputs.embeddings, inputs.labels, inputs.class_weights,
@@ -316,8 +324,10 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
 
     Perturbations are applied to the raw embedding and class-weight entries
     (no re-normalization), matching the gradient semantics above. Returns
-    the largest per-component relative error over both matrices.
+    the largest per-component relative error over both matrices. The kind
+    is taken as evaluate_loss takes it.
     """
+    kind = _member(LossKind, kind, "loss kind")
     validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     z, w = inputs.embeddings, inputs.class_weights

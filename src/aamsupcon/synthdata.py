@@ -24,7 +24,7 @@ _LOOSE_FORMS = {"+": "plus sign", "E": "upper-case E", "_": "underscore",
                 "0": "leading zero", ".": "dot without a digit on each side"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     """The dataset header; also the [dataset] config keys other than
     holdout_per_speaker."""

@@ -34,7 +34,7 @@ from .model import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The [training], [model] and [augment] config sections. A field's
     config key is training.<field> unless its metadata names another."""
@@ -87,13 +87,23 @@ class TrainConfig:
         return self.encoder_hidden[-1] if self.classifier_space == "encoder" else None
 
 
+# The phases of a training step, in the order train runs them; its clock
+# has one column per phase.
+PHASES = ("draw", "forward", "loss", "backward", "update")
+
+
 @dataclass
 class RunLog:
-    """A run's record: one row of records per step, row i for step i, with
-    the float64 columns loss, grad_norm and wall_time, the seconds from
-    after the step's batch draw to after its update."""
+    """A run's record, row i for step i. records has the float64 columns
+    loss, grad_norm and wall_time, the seconds from after the step's batch
+    draw to after its update. clock is the (steps, len(PHASES)) int64 array
+    of the nanoseconds each phase of a step took, by time.perf_counter_ns; a
+    step's draw starts where the step before it ended, and step 0's where
+    the loop starts. wall_time is the sum of a row's columns from forward
+    on, over 1e9."""
 
     records: np.recarray
+    clock: np.ndarray
 
 
 class _Run:
@@ -142,14 +152,6 @@ class _Run:
                          else normalize_rows_backward(grad_h, *ws.encoder_rows))
         return value
 
-    def value_and_grads(self, batch, labels) -> float:
-        """Forward, loss and backward for one batch the sampler drew: the
-        loss value, with the gradients written into grads."""
-        forward(self.params, batch, self.ws)
-        value = self.loss(labels)
-        backward(self.params, self.ws, self.grad_proj, self.grad_enc, self.grads)
-        return value
-
     def update(self, step: int) -> float:
         """One SGD-with-momentum step from grads, the class-weight rows then
         renormalized, and the gradient norm returned. Class weights whose
@@ -183,26 +185,42 @@ def train(config: TrainConfig, features, speaker_ids):
     The returned params are views of one flat vector. Every array that
     forward, the loss kernels, backward, the update and the batch sampler
     write is allocated once per run, by its _Run, and reused by every step;
-    so is the log, one row per step, which each step writes in place.
+    so is the log, one row per step, which each step writes in place, its
+    clock read at each boundary of PHASES. The step calls forward and
+    backward by this module's names, which tracers and tests replace.
     """
     run = _Run(config, features, speaker_ids)
     log = RunLog(np.recarray(config.steps, formats="f8,f8,f8",
-                             names="loss,grad_norm,wall_time"))
+                             names="loss,grad_norm,wall_time"),
+                 np.empty((config.steps, len(PHASES)), dtype=np.int64))
+    losses, grad_norms = log.records["loss"], log.records["grad_norm"]
     rng = np.random.default_rng(config.seed)
+    clock = time.perf_counter_ns
+    ended = clock()
 
     for step in range(config.steps):
+        started = ended
         batch, labels = run.sampler.draw(rng)
-        started = time.perf_counter()
+        drawn = clock()
         with np.errstate(all="ignore"):
             try:
-                value = run.value_and_grads(batch, labels)
+                forward(run.params, batch, run.ws)
+                forwarded = clock()
+                value = run.loss(labels)
+                scored = clock()
+                backward(run.params, run.ws, run.grad_proj, run.grad_enc, run.grads)
             except ZeroVector as exc:
                 raise DivergenceDetected(
                     step, f"projection collapsed or overflowed at step {step}: {exc}") from exc
+            backed = clock()
             if not np.isfinite(value):
                 raise DivergenceDetected(step)
-            grad_norm = run.update(step)
-        log.records[step] = value, grad_norm, time.perf_counter() - started
+            grad_norms[step] = run.update(step)
+        ended = clock()
+        losses[step] = value
+        log.clock[step] = (drawn - started, forwarded - drawn, scored - forwarded,
+                           backed - scored, ended - backed)
+    log.records.wall_time = log.clock[:, 1:].sum(axis=1) / 1e9
     return run.params, log
 
 
@@ -239,11 +257,12 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
     per-component relative error. fd_report refuses a step not above 0."""
     run = _Run(config, features, speaker_ids)
     batch, labels = run.sampler.draw(np.random.default_rng(batch_seed))
-    run.value_and_grads(batch, labels)
-    analytic = param_arrays(flat_copy(run.grads)[1])  # each probe's loss writes grads
 
     def probe():
         forward(run.params, batch, run.ws)
         return run.loss(labels)
 
+    probe()
+    backward(run.params, run.ws, run.grad_proj, run.grad_enc, run.grads)
+    analytic = param_arrays(flat_copy(run.grads)[1])  # each probe's loss writes grads
     return fd_report(probe, param_arrays(run.params), analytic, step)

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import importlib
@@ -539,6 +540,17 @@ def test_a_config_object_built_in_code_resolves_or_names_the_key(key, value):
         assert got is value
 
 
+@pytest.mark.parametrize("cls", sorted({cls for _, cls in cli._SECTIONS}, key=repr),
+                         ids=lambda cls: cls.__name__)
+def test_a_config_object_refuses_assignment(cls):
+    """A config object is checked when built, so none of its fields can be
+    set afterwards, past that check."""
+    obj = cls()
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: BatchSampler(np.zeros((4, 2)), np.arange(4), 0, 1, 0.1, None),
      "batch_speakers and views_per_speaker must be >= 1"),
@@ -655,6 +667,8 @@ def holdout_one_run(tmp_path_factory):
     ("train", "model.embedding_dim", str(2**62)),
     ("train", "model.encoder_hidden", str(2**62)),
     ("train", "training.steps", str(2**62)),
+    # 2**58 steps of the clock's five int64 columns pass the limit too
+    ("train", "training.steps", str(2**58)),
     ("sweep-batch", "training.steps", str(2**62)),
     ("sweep-batch", "model.proj_hidden", str(2**62)),
     ("evaluate", "eval.trials_per_speaker", str(2**62)),

@@ -164,6 +164,29 @@ def test_supcon_masks_refuse_an_unknown_convention(convention):
         evaluate_loss(LossKind.SUPCON, inputs, convention)
 
 
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_loss_kind_given_by_its_value_is_that_kind(kind):
+    """A kind's string value selects it in the loss and the gradient check."""
+    inputs = random_batch(np.random.default_rng(30), 6, 4, 3)
+    want = evaluate_loss(kind, inputs)
+    got = evaluate_loss(kind.value, inputs)
+    assert got[0] == want[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+    assert grad_check(kind.value, inputs) == grad_check(kind, inputs)
+
+
+@pytest.mark.parametrize("kind", ["arc", "SUPCON", None, 1])
+def test_an_unknown_loss_kind_is_refused_naming_the_kinds(kind):
+    inputs = random_batch(np.random.default_rng(31), 4, 4, 2)
+    msg = (r"loss kind must be one of \['softmax', 'arcface', 'supcon', 'aamsupcon'\], got "
+           + re.escape(repr(kind)))
+    for check in (evaluate_loss, grad_check):
+        with pytest.raises(ConfigError, match=msg):
+            check(kind, inputs)
+    with pytest.raises(ConfigError, match=re.escape(f"unknown loss kind {kind!r}")):
+        loss_terms(kind, inputs.embeddings, inputs.labels, inputs.class_weights, 0.07, 0.2, 30.0)
+
+
 @pytest.mark.parametrize("convention", [ALL, STRICT])
 def test_supcon_masks_match_oracle_on_random_labels(convention):
     rng = np.random.default_rng(28)

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
 # Span names perfbench/spans.py reads that name no function of the package,
-# so their per-layer metrics read 0. Item 2 of ROADMAP.md renames or drops
+# so their per-layer metrics read 0. Item 9 of ROADMAP.md renames or drops
 # them; until then a rename of any other traced function fails here instead
 # of reading 0 too.
 UNRESOLVED_SPANS = ["batching.augment", "batching.build_batch", "evaluate.build_trials",
@@ -46,42 +46,36 @@ def runset():
 
 def test_layergrid_times_every_training_row_once(layergrid):
     rows = layergrid.train_rows((0, 1, 1))
+    layers = [f"train.{phase}" for phase in training.PHASES] + ["train"]
     want = [(layer, 2 * speakers * layergrid.VIEWS, space) for space in layergrid.SPACES
-            for speakers in layergrid.SPEAKERS for layer in layergrid.TRAIN_LAYERS]
+            for speakers in layergrid.SPEAKERS for layer in layers]
     assert [row[:3] for row in rows] == want
     assert all(seconds > 0 and faults >= 0 for *_, seconds, faults in rows)
 
 
-def test_layergrid_times_the_trainers_own_update(layergrid, monkeypatch):
-    """Every "sgd update" row calls training._Run.update, so a change to the
-    update train runs is what the grid times."""
-    calls = []
-    update = training._Run.update
+def test_layergrid_reads_the_training_rows_from_train(layergrid, monkeypatch):
+    """Each (N, space) is one training.train call, and its phase rows are
+    that run's clock: with no warm-up and blocks of one step, the fastest
+    step's columns, in seconds."""
+    runs = []
+    train = training.train
 
-    def counted(run, step):
-        calls.append(run)
-        return update(run, step)
+    def kept(config, *data):
+        result = train(config, *data)
+        runs.append((config, result[1]))
+        return result
 
-    monkeypatch.setattr(training._Run, "update", counted)
-    rows = layergrid.train_rows((0, 1, 1))
-    assert len(calls) == sum(row[0] == "sgd update" for row in rows) == 6
-    assert len(set(map(id, calls))) == 6
-
-
-def test_layergrid_times_the_trainers_own_loss(layergrid, monkeypatch):
-    """Every "loss_terms" row calls training._Run.loss, so a change to the
-    loss train runs is what the grid times."""
-    calls = []
-    loss = training._Run.loss
-
-    def counted(run, labels):
-        calls.append(run)
-        return loss(run, labels)
-
-    monkeypatch.setattr(training._Run, "loss", counted)
-    rows = layergrid.train_rows((0, 1, 1))
-    assert len(calls) == sum(row[0] == "loss_terms" for row in rows) == 6
-    assert len(set(map(id, calls))) == 6
+    monkeypatch.setattr(training, "train", kept)
+    rows = layergrid.train_rows((1, 2, 1))
+    assert [(config.steps, config.batch_speakers, config.classifier_space)
+            for config, _ in runs] \
+        == [(3, speakers, space) for space in layergrid.SPACES for speakers in layergrid.SPEAKERS]
+    phases = len(training.PHASES)
+    for k, (_, log) in enumerate(runs):
+        steps = log.clock[1:]
+        fastest = steps[steps.sum(axis=1).argmin()]
+        got = [seconds for *_, seconds, _ in rows[k * (phases + 1):][:phases]]
+        assert got == (fastest / 1e9).tolist()
 
 
 def test_layergrid_times_every_evaluation_row_once(layergrid):

@@ -9,7 +9,7 @@ from aamsupcon.batching import BatchSampler, group_by_speaker
 from aamsupcon.errors import ConfigError, DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
 from aamsupcon.losses import DenominatorConvention, LossKind, supcon_masks
-from aamsupcon.model import backward, forward, init_params, param_arrays
+from aamsupcon.model import backward, forward, init_params, param_arrays, save_checkpoint
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
     RunLog,
@@ -30,9 +30,19 @@ def _dataset(spread=0.1, speakers=8, utterances=6, d_in=20, seed=0):
 
 
 def _runlog(loss, grad_norm, wall_time):
-    """A RunLog whose records hold the three given columns."""
+    """A RunLog whose records hold the three given columns, its clock zeros."""
     return RunLog(np.rec.fromarrays([loss, grad_norm, wall_time],
-                                    names="loss,grad_norm,wall_time"))
+                                    names="loss,grad_norm,wall_time"),
+                  np.zeros((len(loss), len(training.PHASES)), dtype=np.int64))
+
+
+def _forward_loss_backward(run, batch, labels):
+    """What a training step runs between its draw and its update on run:
+    the loss value, with the gradients written into run.grads."""
+    forward(run.params, batch, run.ws)
+    value = run.loss(labels)
+    backward(run.params, run.ws, run.grad_proj, run.grad_enc, run.grads)
+    return value
 
 
 def load_runlog(path) -> RunLog:
@@ -186,14 +196,14 @@ def test_loss_on_batch_dispatch_identities(space, monkeypatch):
 @pytest.mark.parametrize("space", ["projection", "encoder"])
 @pytest.mark.parametrize("kind", list(LossKind))
 def test_run_loss_after_forward_repeats_the_step(kind, space):
-    """forward into the run's workspace and then run.loss, after
-    value_and_grads on the same batch, give the step's value and the
-    gradients it left for backward and in grads, bit for bit."""
+    """forward into the run's workspace and then run.loss, after a step's
+    forward, loss and backward on the same batch, give the step's value and
+    the gradients it left for backward and in grads, bit for bit."""
     cfg = TrainConfig(loss_kind=kind, classifier_space=space, batch_speakers=4, seed=2,
                       **SMALL_NET)
     run = training._Run(cfg, *_dataset())
     batch, labels = run.sampler.draw(np.random.default_rng(3))
-    value = run.value_and_grads(batch, labels)
+    value = _forward_loss_backward(run, batch, labels)
     grads = [None if g is None else g.copy()
              for g in (run.grad_proj, run.grad_enc, run.grads.class_weights)]
     forward(run.params, batch, run.ws)
@@ -304,19 +314,36 @@ def test_train_refuses_non_integer_speaker_ids():
 
 
 def test_runlog_round_trip_and_determinism(tmp_path):
+    """Two runs of one config write the same run log and checkpoint bytes,
+    whatever their clocks read."""
     data = _dataset()
     cfg = TrainConfig(steps=10, batch_speakers=4, seed=7, **SMALL_NET)
-    _, log = train(cfg, *data)
+    params, log = train(cfg, *data)
     path = tmp_path / "runlog.txt"
     save_runlog(path, log)
     loaded = load_runlog(path)
     assert loaded.records.loss.tolist() == log.records.loss.tolist()
     assert loaded.records.grad_norm.tolist() == log.records.grad_norm.tolist()
 
-    _, log2 = train(cfg, *data)
+    params2, log2 = train(cfg, *data)
     path2 = tmp_path / "runlog2.txt"
     save_runlog(path2, log2)
     assert path.read_bytes() == path2.read_bytes()
+    save_checkpoint(tmp_path / "a.bin", params)
+    save_checkpoint(tmp_path / "b.bin", params2)
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_runlog_clock_holds_each_phase_of_each_step(steps):
+    cfg = TrainConfig(steps=steps, batch_speakers=4, seed=3, **SMALL_NET)
+    _, log = train(cfg, *_dataset())
+    assert training.PHASES == ("draw", "forward", "loss", "backward", "update")
+    assert log.clock.shape == (steps, 5) and log.clock.dtype == np.int64
+    assert (log.clock >= 0).all()
+    # wall_time is forward through update, in seconds
+    want = log.clock[:, 1:].sum(axis=1) / 1e9
+    assert np.array_equal(log.records.wall_time.view(np.uint64), want.view(np.uint64))
 
 
 def test_runlog_records_one_row_per_step():
@@ -506,10 +533,10 @@ def test_encoder_space_step_peaks_like_projection_space():
     for space in ("projection", "encoder"):
         cfg = TrainConfig(classifier_space=space, batch_speakers=64)
         run = training._Run(cfg, *data)
-        run.value_and_grads(batch, labels)
+        _forward_loss_backward(run, batch, labels)
         tracemalloc.start()
         try:
-            run.value_and_grads(batch, labels)
+            _forward_loss_backward(run, batch, labels)
             peaks[space] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

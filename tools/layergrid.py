@@ -1,18 +1,15 @@
-"""Layer grid: the time each part of a training step and of an evaluation
-takes, per call.
+"""Layer grid: the time each phase of a training step and each part of an
+evaluation takes, per call.
 
     python3 tools/layergrid.py OUT.json [--before CHECKOUT] [--rounds R] [--quick]
 
 Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
 each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
-with the quickstart model, augmentation and loss, in both classifier spaces:
-the five parts of a step as train runs them, in its order on a
-training._Run, the run state train builds, each reading what the part
-before it left on the run. They are the batch draw (BatchSampler.draw),
-forward, the loss (run.loss: loss_terms and, in encoder space, the encoder
-rows' normalization and its backward), backward and the SGD update
-(run.update: squared gradients, gradient norm, momentum, parameter step
-and class-weight renormalization).
+with the quickstart model, augmentation and loss, in both classifier spaces,
+each from one training.train call: after its warm-up steps, the fastest
+block of consecutive steps in its clock (RunLog.clock) gives a row per
+phase of training.PHASES, "train.<phase>", per step; the row "train" is
+the whole call per step. All six get the call's minor page faults per step.
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
@@ -22,23 +19,23 @@ also writes the trial and score files (score_trials and score_and_save are
 given blocks drawn before the timed calls); save_dataset and load_dataset
 of the whole 2560-row dataset they are drawn from; and the whole evaluate
 command on that dataset and model (cli.main, with the config, dataset and
-checkpoint files written before the timed calls). Each evaluation row also
-gets the tracemalloc peak of one more call, made after the timed ones, so
-that tracing slows no timed call.
+checkpoint files written before the timed calls). Each is timed with
+perf_counter in blocks of calls after untimed warm-up calls, keeping the
+fastest block and the minor page faults of its timed calls, and gets the
+tracemalloc peak of one more call, made after the timed ones, so that
+tracing slows no timed call.
 
 Each round runs a checkout's own tools/layergrid.py in a fresh interpreter
-with single-threaded BLAS, imports the package from that checkout's src/
-(so each side's step rows drive that checkout's trainer), and times every
-row in-process with perf_counter: blocks of calls after untimed warm-up
-calls, keeping the fastest block. It also counts the minor page faults of the row's timed
-calls (resource.getrusage, this process only). With --before, the rounds
-alternate between that older checkout and the one this file sits in, which
-goes first in even rounds. OUT.json gets, per side and row, the fastest and
-the median round in microseconds per call, the median minor page faults
-per call and, for an evaluation row, the median tracemalloc peak in KiB,
-the minor page faults of each whole round, and the environment.
---quick runs 3 rounds of fewer calls, in under 30 s on a 2-core host with
---before.
+with single-threaded BLAS and imports the package from that checkout's
+src/. Page faults are counted with resource.getrusage, this process only.
+With --before, the rounds alternate between that older checkout and the
+one this file sits in, which goes first in even rounds, and rows are paired
+by layer, size and space: a checkout whose train keeps no clock shares only
+the evaluation rows. OUT.json gets, per side and row, the fastest and the
+median round in microseconds per call, the median minor page faults per
+call and, for an evaluation row, the median tracemalloc peak in KiB, the
+minor page faults of each whole round, and the environment. --quick runs
+3 rounds of fewer calls, in under 30 s on a 2-core host with --before.
 """
 
 import argparse
@@ -64,14 +61,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEAKERS = (8, 32, 64)
 VIEWS = 2
 SPACES = ("projection", "encoder")
-TRAIN_LAYERS = ("batch draw", "forward", "loss_terms", "backward", "sgd update")
 EVAL_LAYERS = ("trial_blocks", "score_trials", "roc_metrics", "score_and_save",
                "save_dataset", "load_dataset", "evaluate")
 DATASET_LAYERS = ("save_dataset", "load_dataset")  # sized in dataset rows, not trials
 EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
-# (warm-up calls, timed blocks, calls per block) per training and per
-# evaluation row
-CALLS = {"full": ((20, 10, 20), (2, 5, 2)), "quick": ((5, 4, 10), (1, 2, 1))}
+# (warm-up, timed blocks, per block) steps of a training run and calls of an
+# evaluation row; a run this long keeps its setup near 1% of its time
+CALLS = {"full": ((20, 5, 100), (2, 5, 2)), "quick": ((5, 4, 10), (1, 2, 1))}
 
 
 def timed(fn, warmup: int, blocks: int, calls: int):
@@ -103,30 +99,29 @@ def traced_peak(fn) -> int:
 
 
 def train_rows(calls):
-    """[(layer, N, space, seconds, faults)] of the training step's parts."""
+    """[(layer, N, space, seconds, faults)] of one train call per (N, space):
+    each phase's seconds per step in the fastest block of steps after the
+    warm-up, then the whole call's, all with the call's faults per step."""
     from aamsupcon import training
-    from aamsupcon.model import backward, forward
+    from aamsupcon.batching import batch_layout
     from aamsupcon.synthdata import DatasetSpec, generate
 
+    warmup, blocks, steps = calls
     data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
     out = []
     for space in SPACES:
         for speakers in SPEAKERS:
-            config = training.TrainConfig(batch_speakers=speakers, views_per_speaker=VIEWS,
-                                          classifier_space=space)
-            run = training._Run(config, data, speaker_ids)
-            rng = np.random.default_rng(speakers)
-            batch, labels = run.sampler.draw(rng)
-            n = len(batch)
-            parts = (lambda: run.sampler.draw(rng),
-                     lambda: forward(run.params, batch, run.ws),
-                     lambda: run.loss(labels),
-                     lambda: backward(run.params, run.ws, run.grad_proj, run.grad_enc,
-                                      run.grads),
-                     lambda: run.update(0))
-            with np.errstate(all="ignore"):
-                for layer, fn in zip(TRAIN_LAYERS, parts):
-                    out.append((layer, n, space, *timed(fn, *calls)))
+            config = training.TrainConfig(steps=warmup + blocks * steps, batch_speakers=speakers,
+                                          views_per_speaker=VIEWS, classifier_space=space)
+            logs = []
+            seconds, faults = timed(
+                lambda: logs.append(training.train(config, data, speaker_ids)[1]), 0, 1, 1)
+            timed_steps = logs[0].clock[warmup:].reshape(blocks, steps, len(training.PHASES))
+            fastest = timed_steps[timed_steps.sum(axis=(1, 2)).argmin()].sum(axis=0) / 1e9
+            n, faults = batch_layout(speakers, VIEWS).size, faults / config.steps
+            out += [(f"train.{phase}", n, space, s / steps, faults)
+                    for phase, s in zip(training.PHASES, fastest.tolist())]
+            out.append(("train", n, space, seconds / config.steps, faults))
     return out
 
 
@@ -200,23 +195,25 @@ def run_round(checkout: Path, mode: str) -> dict:
 
 
 def summarize(times: dict) -> list:
-    """One record per row: fastest and median round per side, in us per
+    """One record per row of the after side: fastest and median round of
+    each side that has the row (the same layer, size and space), in us per
     call, the median minor page faults per call and, where the row has
     one, the median tracemalloc peak in KiB."""
+    keyed = {side: [{tuple(row[:3]): row[3:] for row in r["rows"]} for r in rounds]
+             for side, rounds in times.items()}
     records = []
-    first = next(iter(times.values()))[0]["rows"]
-    for i, (layer, size, space, *_) in enumerate(first):
-        record = {"layer": layer, "size": size, "space": space}
-        for side, rounds in times.items():
-            per_call = [r["rows"][i][3] * 1e6 for r in rounds]
-            record[f"{side}_best_us"] = round(min(per_call), 1)
-            record[f"{side}_median_us"] = round(statistics.median(per_call), 1)
-            record[f"{side}_minflt_per_call"] = round(
-                statistics.median(r["rows"][i][4] for r in rounds), 2)
-            if len(first[i]) > 5:
-                record[f"{side}_peak_kib"] = round(
-                    statistics.median(r["rows"][i][5] for r in rounds) / 1024, 1)
-        if "before" in times:
+    for key in keyed["after"][0]:
+        record = dict(zip(("layer", "size", "space"), key))
+        for side, rounds in keyed.items():
+            if key not in rounds[0]:
+                continue
+            seconds, faults, *peak = zip(*(r[key] for r in rounds))
+            record[f"{side}_best_us"] = round(min(seconds) * 1e6, 1)
+            record[f"{side}_median_us"] = round(statistics.median(seconds) * 1e6, 1)
+            record[f"{side}_minflt_per_call"] = round(statistics.median(faults), 2)
+            if peak:
+                record[f"{side}_peak_kib"] = round(statistics.median(peak[0]) / 1024, 1)
+        if "before_best_us" in record:
             record["after_over_before_best"] = round(
                 record["after_best_us"] / record["before_best_us"], 3)
             if "after_peak_kib" in record:
@@ -249,8 +246,8 @@ def main(argv) -> int:
         for side in sorted(sides, reverse=r % 2 == 1):
             times[side].append(run_round(sides[side], mode))
     record = {
-        "what": "microseconds per call of each layer (the fastest block of a round), "
-                "fastest and median of the rounds, and minor page faults per call "
+        "what": "microseconds per call or training step of each layer (the fastest block "
+                "of a round), fastest and median of the rounds, and minor page faults per call "
                 "(median of the rounds); for evaluation rows, the tracemalloc peak of one "
                 "untimed call in KiB (median of the rounds)",
         "rounds": rounds, "mode": mode,
