@@ -17,6 +17,7 @@ import configparser
 import contextlib
 import enum
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -27,10 +28,10 @@ from . import __version__
 from .errors import (AamSupConError, ConfigError, IoError, NumericalError, check_domains,
                      file_sha256, read_file, write_file)
 from .evaluate import DcfParams, roc_metrics, score_and_save, score_trials, trial_blocks
-from .batching import group_by_speaker
+from .batching import batch_layout, group_by_speaker
 from .geometry import normalize_rows
 from .losses import LossInputs, LossKind, grad_check
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, param_layout, save_checkpoint
 from .synthdata import DatasetSpec, generate, load_dataset, save_dataset, split_holdout
 from .training import PHASES, TrainConfig, end_to_end_grad_check, save_runlog, train
 
@@ -104,11 +105,8 @@ def _parse(key, raw, kind):
             return tuple(_int64(int(tok)) for tok in raw.split())
         if kind is int:
             return _int64(int(raw))
-        if isinstance(kind, enum.EnumMeta):
-            choices = [member.value for member in kind]
-            if raw not in choices:
-                raise ValueError(f"expected one of {choices}")
-        return kind(raw)
+        # an enum value is resolved, or refused, by check_domains
+        return raw if isinstance(kind, enum.EnumMeta) else kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
 
@@ -181,10 +179,10 @@ def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None
         raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
                           f"dataset's d_in), got {cfg.mask_max}")
     _, groups = group_by_speaker(speaker_ids)
-    widths = [d_in, *cfg.encoder_hidden, cfg.proj_hidden, cfg.embedding_dim]
+    layout = param_layout([d_in, *cfg.encoder_hidden], cfg.proj_hidden, cfg.embedding_dim,
+                          len(groups), cfg.class_dim())
     _check_bytes("model.encoder_hidden, model.proj_hidden and model.embedding_dim",
-                 sum(a * b for a, b in zip(widths, widths[1:])) + sum(cfg.encoder_hidden)
-                 + len(groups) * (cfg.class_dim() or cfg.embedding_dim))
+                 sum(math.prod(shape) for _, shape in layout))
     eligible = sum(len(rows) >= cfg.views_per_speaker for rows in groups)
     fit = (f"speakers with training.views_per_speaker = {cfg.views_per_speaker} "
            f"or more training utterances; the data has {eligible}")
@@ -401,7 +399,7 @@ def _sweep_row(job, size):
     scored = score_trials(params, eval_features, trials, trial_spec.space)
     eer_value, _, dcf_value, _ = roc_metrics(scored, dcf)
     return {"batch_speakers": size,
-            "batch_size": 2 * size * cfg.views_per_speaker,
+            "batch_size": batch_layout(size, cfg.views_per_speaker).size,
             "eer_percent": 100.0 * eer_value,
             "min_dcf": dcf_value}
 

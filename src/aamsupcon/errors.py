@@ -187,9 +187,18 @@ def integer_array(values, what: str) -> np.ndarray:
     return ints
 
 
-def _number(value, kind) -> bool:
-    """Whether value is a kind, numbers.Integral or Real; a bool is neither."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def is_integer(value) -> bool:
+    """Whether value is an integer, a numpy integer included; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str, least: int) -> None:
+    """ConfigError "<name> must be an integer, got <value>" (or "must be >=
+    <least>") unless value is an integer >= least, a bool not being one."""
+    if not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
 
 
 def check_domains(obj, section: str) -> None:
@@ -211,15 +220,14 @@ def check_domains(obj, section: str) -> None:
             domain = tuple(member.value for member in kind)
             value = value.value if isinstance(value, kind) else value
         elif kind == tuple[int, ...]:
-            if not (isinstance(value, (list, tuple)) and value
-                    and all(_number(v, numbers.Integral) for v in value)):
+            if not (isinstance(value, (list, tuple)) and value and all(map(is_integer, value))):
                 raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
             value = tuple(value)
-        elif kind is float and not _number(value, numbers.Real):
+        elif kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise ConfigError(f"{key} must be a real number, got {value!r}")
         elif kind == int | None and value is None:
             continue
-        elif kind in (int, int | None) and not _number(value, numbers.Integral):
+        elif kind in (int, int | None) and not is_integer(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         if isinstance(domain, tuple):
             ok, domain = value in domain, "{" + ", ".join(domain) + "}"

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, NumericalError, ZeroVector, check_domains, write_files
+from .errors import (ConfigError, NumericalError, ZeroVector, check_domains, check_integer,
+                     write_files)
 from .model import NetworkParams, embed
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -36,7 +37,8 @@ class ScoredTrials:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         self.is_target = np.asarray(self.is_target, dtype=bool)
         if self.scores.shape != self.is_target.shape or self.scores.ndim != 1:
-            raise ValueError("scores and is_target must be 1-D and equal length")
+            raise ConfigError(f"scores and is_target must be 1-D and equal length, got "
+                              f"shapes {self.scores.shape} and {self.is_target.shape}")
         if not (self.is_target.any() and (~self.is_target).any()):
             raise NumericalError("need at least one target and one non-target trial")
         finite = np.isfinite(self.scores)
@@ -68,8 +70,8 @@ def trial_blocks(speaker_ids, trials_per_speaker: int, seed: int):
     (target) pairs, then as many cross-speaker (non-target) pairs, sampled
     with _sample_k. Target pair k is the k-th (a, b), a < b, over the
     speaker's rows; non-target pair k is divmod(k, number of other rows)."""
-    if trials_per_speaker < 1:
-        raise ConfigError(f"trials_per_speaker must be >= 1, got {trials_per_speaker}")
+    check_integer(trials_per_speaker, "trials_per_speaker", 1)
+    check_integer(seed, "seed", 0)
     ids, groups = group_by_speaker(speaker_ids)
     if len(groups) < 2:
         raise ConfigError("non-target trials need at least 2 speakers")

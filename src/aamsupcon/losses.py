@@ -127,11 +127,15 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
 
     pos[i, j] = (labels[i] == labels[j]) and i != j; A(i) is i != j, or
     labels[i] != labels[j] under strict negatives (the convention or its value).
-    Raises ConfigError for any other convention, for N < 2, when an anchor has
-    no same-label partner, and when strict negatives leave a denominator empty.
+    Raises ConfigError for any other convention, for labels that are not a
+    1-D array of integers, for N < 2, when an anchor has no same-label
+    partner, and when strict negatives leave a denominator empty.
     """
     convention = _member(DenominatorConvention, convention, "convention")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ConfigError(f"labels must be 1-D, got shape {labels.shape}")
+    labels = integer_array(labels, "label")
     n = labels.shape[0]
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")

@@ -1,8 +1,9 @@
 """The trainable network: relu MLP encoder plus the two-matrix projection
 head W2 relu(W1 h) with a final L2 normalization, all with a hand-written
 backward pass. NetworkParams holds the parameters and, in the same form,
-their gradients. Checkpoints round-trip bit-exactly through a small binary
-container.
+their gradients. param_layout states which arrays a network of given sizes
+has, with their shapes, in the order checkpoints store them; checkpoints
+round-trip bit-exactly through a small binary container.
 """
 
 import itertools
@@ -12,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IoError, read_file, write_file
+from .errors import ConfigError, IoError, check_integer, is_integer, read_file, write_file
 from .geometry import normalize_rows, normalize_rows_backward
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
+# the checkpoint header keys holding param_layout's first four arguments
+_SIZE_KEYS = ("encoder_dims", "proj_hidden", "d_out", "num_classes")
 
 
 @dataclass
@@ -79,35 +82,44 @@ class Workspace:
         self.encoder_rows = None
 
 
+def param_layout(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
+                 class_dim: int | None = None) -> list:
+    """[(name, shape)] of every array of a network of these sizes, in
+    checkpoint order: per encoder layer its weight (out, in) and bias, then
+    proj_w1, proj_w2 and class_weights (num_classes, class_dim), class_dim
+    being d_out or, to classify in that space, the encoder output width.
+    The one check of the sizes, else ConfigError: each an integer (a bool
+    or float is not); encoder_dims a list, tuple or array of >= 2 sizes
+    >= 1; proj_hidden >= 1; d_out, num_classes and class_dim >= 2."""
+    dims = encoder_dims
+    if not (isinstance(dims, (list, tuple, np.ndarray)) and len(dims) >= 2
+            and all(is_integer(d) and d >= 1 for d in dims)):
+        raise ConfigError(f"encoder dims must chain >= 2 positive integers, got {dims!r}")
+    class_dim = d_out if class_dim is None else class_dim
+    sizes = (proj_hidden, d_out, num_classes, class_dim)
+    if not (all(map(is_integer, sizes)) and proj_hidden >= 1 and min(sizes[1:]) >= 2):
+        raise ConfigError(f"need proj_hidden >= 1, d_out >= 2, num_classes >= 2 and class_dim "
+                          f">= 2, each an integer; got {', '.join(map(repr, sizes))}")
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        layout += [(f"encoder.{i}.weight", (fan_out, fan_in)), (f"encoder.{i}.bias", (fan_out,))]
+    return layout + [("proj_w1", (proj_hidden, dims[-1])), ("proj_w2", (d_out, proj_hidden)),
+                     ("class_weights", (num_classes, class_dim))]
+
+
 def init_params(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
                 seed: int, class_dim: int | None = None) -> NetworkParams:
-    """He-style initialization: weights ~ N(0, 2/fan_in), zero biases,
-    class-weight rows normalized onto the sphere.
-
-    class_dim sizes the class-weight columns (defaults to d_out); pass the
-    encoder output width when the classifier term runs in that space."""
-    dims = [int(d) for d in encoder_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"encoder dims must chain >= 2 positive sizes, got {dims}")
-    if proj_hidden < 1 or d_out < 2 or num_classes < 2:
-        raise ConfigError(
-            f"need proj_hidden >= 1, d_out >= 2, num_classes >= 2; "
-            f"got {proj_hidden}, {d_out}, {num_classes}")
-    if class_dim is None:
-        class_dim = d_out
-    if class_dim < 2:
-        raise ConfigError(f"class_dim must be >= 2, got {class_dim}")
+    """The arrays of param_layout, drawn in its order from
+    np.random.default_rng(seed), an integer >= 0: He-style weights
+    ~ N(0, 2/fan_in), zero biases, class-weight rows normalized onto the
+    sphere."""
+    layout = param_layout(encoder_dims, proj_hidden, d_out, num_classes, class_dim)
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-
-    def he(fan_out, fan_in):
-        return rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in)
-
-    layers = [(he(dims[i + 1], dims[i]), np.zeros(dims[i + 1]))
-              for i in range(len(dims) - 1)]
-    proj_w1 = he(proj_hidden, dims[-1])
-    proj_w2 = he(d_out, proj_hidden)
-    class_weights = normalize_rows(rng.standard_normal((num_classes, class_dim)))
-    return NetworkParams(layers, proj_w1, proj_w2, class_weights, seed)
+    return _assemble([np.zeros(shape) if len(shape) == 1
+                      else normalize_rows(rng.standard_normal(shape)) if name == "class_weights"
+                      else rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+                      for name, shape in layout], seed)
 
 
 def _inputs(params: NetworkParams, features) -> np.ndarray:
@@ -248,21 +260,10 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
     return out
 
 
-def _array_entries(params):
-    """(name, array) pairs of a NetworkParams in the fixed checkpoint order."""
-    entries = []
-    for i, (w, b) in enumerate(params.encoder_layers):
-        entries.append((f"encoder.{i}.weight", w))
-        entries.append((f"encoder.{i}.bias", b))
-    entries.append(("proj_w1", params.proj_w1))
-    entries.append(("proj_w2", params.proj_w2))
-    entries.append(("class_weights", params.class_weights))
-    return entries
-
-
 def param_arrays(params) -> list:
     """Every array of a NetworkParams, in checkpoint order."""
-    return [arr for _, arr in _array_entries(params)]
+    return [a for layer in params.encoder_layers for a in layer] + [
+        params.proj_w1, params.proj_w2, params.class_weights]
 
 
 def _assemble(arrays, seed: int = 0) -> NetworkParams:
@@ -287,21 +288,16 @@ def flat_copy(params: NetworkParams):
 def save_checkpoint(path, params: NetworkParams) -> None:
     """Binary container: 8-byte magic, uint32 little-endian header length,
     JSON header (dims, seed, array shapes), then each array as raw
-    little-endian float64 in row-major order. Bit-exact round trip."""
-    entries = _array_entries(params)
-    header = {
-        "version": 1,
-        "seed": int(params.seed),
-        "encoder_dims": params.encoder_dims,
-        "proj_hidden": int(params.proj_w1.shape[0]),
-        "d_out": int(params.d_out),
-        "num_classes": int(params.num_classes),
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
-    }
+    little-endian float64 in row-major order. Bit-exact round trip. The
+    header's array entries are param_layout's for the sizes of params."""
+    sizes = (params.encoder_dims, params.proj_w1.shape[0], params.d_out, params.num_classes)
+    layout = param_layout(*sizes, params.class_weights.shape[1])
+    header = {"version": 1, "seed": int(params.seed), **dict(zip(_SIZE_KEYS, sizes)),
+              "arrays": [{"name": name, "shape": list(shape)} for name, shape in layout]}
     blob = json.dumps(header, sort_keys=True).encode("ascii")
-    arrays = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in entries]
     write_file(path, b"".join([CHECKPOINT_MAGIC, np.uint32(len(blob)).astype("<u4").tobytes(),
-                               blob, *arrays]), "checkpoint")
+                               blob, *(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                                       for arr in param_arrays(params))]), "checkpoint")
 
 
 def load_checkpoint(path) -> NetworkParams:
@@ -338,52 +334,35 @@ def load_checkpoint(path) -> NetworkParams:
     return _assemble(arrays, header["seed"])
 
 
-# integer header key -> its least valid value (as init_params requires)
-_HEADER_INTS = {"seed": 0, "proj_hidden": 1, "d_out": 2, "num_classes": 2}
-
-
 def _header_layout(path, header) -> list:
-    """[(name, shape)] of the arrays a checkpoint header declares, after
-    checking that the header is the object save_checkpoint writes: its keys,
-    integer sizes, and array entries naming the arrays those sizes imply in
-    checkpoint order. The class-weight columns match d_out or the encoder
-    output width (the two classifier spaces)."""
+    """param_layout of a checkpoint header's sizes, once its keys, version,
+    seed and array entries are those save_checkpoint writes, else IoError
+    naming path. The class-weight columns are the encoder output width when
+    the last entry says so, else d_out (the two classifier spaces)."""
     if not isinstance(header, dict):
         raise IoError(f"{path}: header is not a JSON object")
-    for key in ("version", "encoder_dims", "arrays", *_HEADER_INTS):
+    for key in ("version", "seed", *_SIZE_KEYS, "arrays"):
         if key not in header:
             raise IoError(f"{path}: header lacks {key!r}")
-    if header["version"] != 1 or not _is_int(header["version"]):
+    if header["version"] != 1 or not is_integer(header["version"]):
         raise IoError(f"{path}: unsupported version {header['version']!r}")
-    dims = header["encoder_dims"]
-    for key, least in _HEADER_INTS.items():
-        if not _is_int(header[key]) or header[key] < least:
-            raise IoError(f"{path}: header {key} must be an integer >= {least}, "
-                          f"got {header[key]!r}")
-    if not (isinstance(dims, list) and len(dims) >= 2
-            and all(_is_int(d) and d >= 1 for d in dims)):
-        raise IoError(f"{path}: header encoder_dims must list >= 2 positive "
-                      f"integers, got {dims!r}")
+    if not is_integer(header["seed"]) or header["seed"] < 0:
+        raise IoError(f"{path}: header seed must be an integer >= 0, got {header['seed']!r}")
     if not isinstance(header["arrays"], list):
         raise IoError(f"{path}: header arrays must be a list")
 
-    hidden, d_out, classes = header["proj_hidden"], header["d_out"], header["num_classes"]
-    layout = []
-    for i in range(len(dims) - 1):
-        layout += [(f"encoder.{i}.weight", [dims[i + 1], dims[i]]),
-                   (f"encoder.{i}.bias", [dims[i + 1]])]
-    layout += [("proj_w1", [hidden, dims[-1]]), ("proj_w2", [d_out, hidden]),
-               ("class_weights", [classes, d_out])]
+    sizes = [header[key] for key in _SIZE_KEYS]
+    dims, classes = sizes[0], sizes[3]
     got = [(m.get("name"), m.get("shape")) if isinstance(m, dict) else m
            for m in header["arrays"]]
-    if got[-1:] == [("class_weights", [classes, dims[-1]])]:
-        layout[-1] = ("class_weights", [classes, dims[-1]])
-    for k, (entry, want) in enumerate(itertools.zip_longest(got, layout)):
-        if entry != want or not all(map(_is_int, entry[1])):
+    wide = isinstance(dims, list) and dims and got[-1:] == [("class_weights", [classes, dims[-1]])]
+    try:
+        layout = param_layout(*sizes, dims[-1] if wide else None)
+    except ConfigError as exc:
+        raise IoError(f"{path}: header sizes: {exc}") from exc
+    for k, (entry, want) in enumerate(itertools.zip_longest(
+            got, [(name, list(shape)) for name, shape in layout])):
+        if entry != want or not all(map(is_integer, entry[1])):
             raise IoError(f"{path}: header array entry {k} is {entry!r}, "
                           f"expected {want!r} from the header sizes")
     return layout
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

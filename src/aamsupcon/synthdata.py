@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import ConfigError, IoError, ZeroVector, check_domains, read_lines, write_file
+from .errors import (ConfigError, IoError, ZeroVector, check_domains, check_integer, read_lines,
+                     write_file)
 from .geometry import normalize
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
@@ -69,8 +70,7 @@ def split_holdout(speaker_ids, holdout_per_speaker: int):
 
     Returns (train_rows, heldout_rows), ascending row-index arrays; k = 0
     holds out nothing."""
-    if holdout_per_speaker < 0:
-        raise ConfigError(f"holdout_per_speaker must be >= 0, got {holdout_per_speaker}")
+    check_integer(holdout_per_speaker, "holdout_per_speaker", 0)
     ids, groups = group_by_speaker(speaker_ids)
     held = np.zeros(len(speaker_ids), dtype=bool)
     for sid, rows in zip(ids.tolist(), groups):
@@ -191,19 +191,24 @@ def _loose_number(text):
 
 
 def _parse_header(path, line) -> DatasetSpec:
-    header = {}
+    """The DatasetSpec of a header line: the key=value tokens save_dataset
+    writes, DatasetSpec's fields each once and in its order."""
+    names = [f.name for f in fields(DatasetSpec)]
+    values = {}
     for token in line.split():
         key, sep, value = token.partition("=")
         if not sep:
             raise IoError(f"{path}:1: header token {token!r} is not key=value")
+        if names[len(values):len(values) + 1] != [key]:
+            raise IoError(f"{path}:1: header token {token!r} is out of place: the header "
+                          f"holds {', '.join(names)}, each once, in that order")
         loose = _loose_number(value)
         if loose is not None:
             raise IoError(f"{path}:1: {loose[1]} in header value {token!r}")
-        header[key] = value
+        values[key] = value
+    if len(values) < len(names):
+        raise IoError(f"{path}:1: dataset header lacks {names[len(values)]!r}")
     try:
-        spec = DatasetSpec(**{f.name: f.type(header[f.name]) for f in fields(DatasetSpec)})
-    except KeyError as exc:
-        raise IoError(f"{path}:1: dataset header lacks {exc}") from exc
+        return DatasetSpec(**{f.name: f.type(values[f.name]) for f in fields(DatasetSpec)})
     except ValueError as exc:
         raise IoError(f"{path}:1: malformed dataset header: {exc}") from exc
-    return spec

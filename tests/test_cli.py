@@ -30,6 +30,7 @@ from aamsupcon import cli, errors, evaluate, losses
 from aamsupcon.batching import BatchSampler
 from aamsupcon.cli import SWEEP_FOOTER, main
 from aamsupcon.model import embed, init_params, load_checkpoint, save_checkpoint
+from aamsupcon.synthdata import split_holdout
 from oracles import corrupted, sweep_rows_sequential
 
 BASE_CONFIG = """\
@@ -466,8 +467,8 @@ def _shown_domain(f):
 
 def test_readme_key_table_matches_the_config_fields():
     """README's table of config keys: one row per key of cli._KEYS, its
-    default parsed as a config value equals the field default, and its
-    domain is the field's."""
+    default parsed as a config value and resolved by its class equals the
+    field default, and its domain is the field's."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| key | default | domain |") + 2
     rows = {}
@@ -475,10 +476,11 @@ def test_readme_key_table_matches_the_config_fields():
         key, default, domain = (cell.strip() for cell in line.strip("|").split("|"))
         rows[key.strip("`")] = (default, domain.strip("`"))
     assert sorted(rows) == sorted(cli._KEYS)
-    for key, (_, f) in cli._KEYS.items():
+    for key, (cls, f) in cli._KEYS.items():
         default, domain = rows[key]
         raw = "" if default.startswith("empty") else default.strip("`")
-        assert cli._parse(key, raw, f.type) == f.default, key
+        parsed = cli._parse(key, raw, f.type)
+        assert getattr(cls(**{f.name: parsed}), f.name) == f.default, key
         assert domain == _shown_domain(f), key
 
 
@@ -561,6 +563,17 @@ def test_a_config_object_refuses_assignment(cls):
     (lambda: losses.fd_report(lambda: 0.0, [], [], 0.0), "step must be > 0, got 0.0"),
     (lambda: embed(init_params([2, 4], 4, 2, 2, 0), np.ones((1, 2)), "both"),
      "space must be projection|encoder, got 'both'"),
+    (lambda: losses.supcon_masks([0.7, 0.2, 1.9, 1.1]), "label 0 is 0.7, not an integer"),
+    (lambda: losses.supcon_masks([0, np.nan, 1, 1]), "label 1 is nan, not an integer"),
+    (lambda: losses.supcon_masks([[0, 0], [1, 1]]), "labels must be 1-D, got shape (2, 2)"),
+    (lambda: evaluate.ScoredTrials([0.1, 0.2, 0.3], [True, False]),
+     "scores and is_target must be 1-D and equal length"),
+    (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 2.5, 0),
+     "trials_per_speaker must be an integer, got 2.5"),
+    (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 2, -1), "seed must be >= 0, got -1"),
+    (lambda: split_holdout(np.repeat(np.arange(2), 3), 1.5),
+     "holdout_per_speaker must be an integer, got 1.5"),
+    (lambda: init_params([2, 4], 4, 2, 2, seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_library_input_guards_raise_config_errors(call, message):
     """A public input guard raises a ConfigError, which main() reports as a
@@ -573,11 +586,13 @@ def _boundary_cases():
     """(key, value, loads) at every finite bound of every interval domain:
     a closed bound loads, and the value just outside it (np.nextafter, or
     the next int) does not; an open bound itself does not load, nor inf
-    for a float key. Each allowed string of a set loads, another does
-    not, and so does one bad model.encoder_hidden entry."""
+    for a float key. Each allowed string of a set or enum key loads,
+    another does not, and so does one bad model.encoder_hidden entry."""
     cases = [("model.encoder_hidden", "8 1", True), ("model.encoder_hidden", "8 0", False)]
     for key, (_, f) in cli._KEYS.items():
         domain = f.metadata.get("domain")
+        if isinstance(f.type, enum.EnumMeta):
+            domain = tuple(member.value for member in f.type)
         if isinstance(domain, tuple):
             cases += [(key, value, True) for value in domain] + [(key, "middle", False)]
             continue

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from aamsupcon.model import (
     init_params,
     load_checkpoint,
     param_arrays,
+    param_layout,
     save_checkpoint,
 )
 
@@ -66,6 +70,73 @@ def test_init_he_variance():
 def test_init_rejects_bad_dims(dims, proj_hidden, d_out, classes):
     with pytest.raises(ConfigError, match=r"encoder dims must chain|need proj_hidden >= 1"):
         init_params(dims, proj_hidden, d_out, classes, seed=0)
+
+
+@pytest.mark.parametrize("class_dim", [None, 16], ids=["projection", "encoder"])
+def test_param_layout_is_what_init_and_save_use(tmp_path, class_dim):
+    """In either classifier space, init_params draws the layout's arrays in
+    its order and shapes, and save_checkpoint's header lists the layout;
+    load_checkpoint reads the same arrays back."""
+    sizes = ([10, 12, 16], 8, 6, 4)
+    layout = param_layout(*sizes, class_dim)
+    assert [name for name, _ in layout] == [
+        "encoder.0.weight", "encoder.0.bias", "encoder.1.weight", "encoder.1.bias",
+        "proj_w1", "proj_w2", "class_weights"]
+    assert layout[-1][1] == (4, class_dim or 6)
+    params = init_params(*sizes, seed=1, class_dim=class_dim)
+    assert [a.shape for a in param_arrays(params)] == [shape for _, shape in layout]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    header = json.loads(blob[12:12 + int.from_bytes(blob[8:12], "little")])
+    assert [(m["name"], tuple(m["shape"])) for m in header["arrays"]] == layout
+    assert [header[key] for key in ("encoder_dims", "proj_hidden", "d_out", "num_classes")] \
+        == list(sizes)
+    loaded = param_arrays(load_checkpoint(path))
+    assert all(np.array_equal(a, b) for a, b in zip(param_arrays(params), loaded))
+
+
+@pytest.mark.parametrize("args", [
+    ([10, True], 8, 6, 4),
+    ([10.0, 8], 8, 6, 4),
+    (10, 8, 6, 4),
+    ([10, 8], 8.0, 6, 4),
+    ([10, 8], 8, False, 4),
+    ([10, 8], 8, 6, 4, 1),
+    ([10, 8], 8, 6, 4, 2.5),
+])
+def test_param_layout_refuses_sizes_that_are_not_integers_in_range(args):
+    with pytest.raises(ConfigError, match=r"encoder dims must chain|need proj_hidden >= 1"):
+        param_layout(*args)
+
+
+def test_param_layout_takes_numpy_integers():
+    sizes = (np.array([10, 8]), np.int64(8), np.int32(6), np.uint8(4))
+    assert param_layout(*sizes) == param_layout([10, 8], 8, 6, 4)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("encoder_dims", 10, "encoder dims must chain"),
+    ("encoder_dims", [10, 8.0], "encoder dims must chain"),
+    ("encoder_dims", [10], "encoder dims must chain"),
+    ("proj_hidden", 8.0, "need proj_hidden >= 1"),
+    ("d_out", True, "need proj_hidden >= 1"),
+    ("num_classes", 1, "need proj_hidden >= 1"),
+    ("seed", -1, "seed must be an integer >= 0"),
+    ("version", 2, "unsupported version"),
+])
+def test_checkpoint_header_sizes_are_checked(tmp_path, key, value, named):
+    """A header size param_layout refuses is an IoError naming the file."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params([10, 8], 8, 6, 4, seed=0))
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    header[key] = value
+    text = json.dumps(header).encode("ascii")
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen:])
+    with pytest.raises(IoError, match=f"^{re.escape(str(path))}: .*{named}"):
+        load_checkpoint(path)
 
 
 def test_identity_network_normalizes_input():

@@ -243,6 +243,9 @@ _ROW_1 = "1 original 0.0 1.0 0.0"
     ("num_speakers=two utterances_per_speaker=2 d_in=3 spread=0.1 seed=0", 1),
     ("num_speakers=2 d_in=3 spread=0.1 seed=0", 1),
     ("num_speakers=1 utterances_per_speaker=2 d_in=3 spread=0.1 seed=0", 1),
+    # save_dataset writes each of DatasetSpec's fields once, in its order
+    pytest.param(f"{_HEADER} foo=bar\n{_ROW}\n{_ROW}\n{_ROW_1}\n{_ROW_1}", 1, id="unknown-key"),
+    pytest.param(f"{_HEADER} seed=9\n{_ROW}\n{_ROW}\n{_ROW_1}\n{_ROW_1}", 1, id="repeated-key"),
     (f"{_HEADER}\n{_ROW}\n0 weird 1.0 0.0 0.0", 3),
     (f"{_HEADER}\n{_ROW}\n0 augmented 1.0 0.0 0.0", 3),
     (f"{_HEADER}\n{_ROW}\nzero original 1.0 0.0 0.0", 3),
@@ -271,6 +274,21 @@ def test_load_names_line_of_malformed_input(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text + "\n")
     with pytest.raises(IoError, match=re.escape(f"{path}:{line}: ")):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("header, token", [
+    (f"{_HEADER} foo=bar", "foo=bar"),
+    (f"{_HEADER} seed=9", "seed=9"),
+    ("utterances_per_speaker=2 num_speakers=2 d_in=3 spread=0.1 seed=0",
+     "utterances_per_speaker=2"),
+])
+def test_header_refuses_a_key_save_dataset_does_not_write_there(tmp_path, header, token):
+    """An unknown, repeated or reordered header key is named, with file:1,
+    even where the rows and the values would load."""
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join([header, _ROW, _ROW, _ROW_1, _ROW_1]) + "\n")
+    with pytest.raises(IoError, match=re.escape(f"{path}:1: header token {token!r}")):
         load_dataset(path)
 
 
