@@ -14,7 +14,7 @@ whole-array calls on rng, any np.random.Generator.
 
 import numpy as np
 
-from .errors import ConfigError, integer_array
+from .errors import ConfigError, check_in, check_integer, integer_array
 
 
 def _speaker_order(speaker_ids):
@@ -63,15 +63,17 @@ class BatchSampler:
     coordinates from its start zeroed. mask_max None means d_in // 8. The
     rows follow batch_layout.
 
-    The request is checked once, here: ConfigError when features is not
-    one row per speaker id, the rows cannot satisfy it, B or V is below 1
-    or mask_max lies outside [0, d_in]. batch_features is the
+    The request is checked once, here, as TrainConfig checks its keys:
+    ConfigError when B or V is not an integer >= 1, noise_sigma not in
+    [0, inf), mask_max not an integer in [0, d_in], features not one row
+    per speaker id, or the rows cannot satisfy it. batch_features is the
     sampler's own array: the next draw overwrites it."""
 
     def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
                  noise_sigma: float, mask_max: int | None):
-        if batch_speakers < 1 or views_per_speaker < 1:
-            raise ConfigError("batch_speakers and views_per_speaker must be >= 1")
+        check_integer(batch_speakers, "batch_speakers", 1)
+        check_integer(views_per_speaker, "views_per_speaker", 1)
+        self.noise_sigma = check_in(noise_sigma, "[0, inf)", "noise_sigma")
         _, self.order, self.counts = _speaker_order(speaker_ids)
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2 or len(self.features) != self.order.size:
@@ -87,9 +89,8 @@ class BatchSampler:
                 f"only {self.eligible.size} speakers have >= {views_per_speaker} rows")
         d_in = self.features.shape[1]
         self.mask_max = d_in // 8 if mask_max is None else mask_max
-        if not 0 <= self.mask_max <= d_in:
-            raise ConfigError(f"mask_max {self.mask_max} outside [0, {d_in}]")
-        self.noise_sigma = noise_sigma
+        check_in(self.mask_max, f"[0, {d_in}]", "mask_max")
+        check_integer(self.mask_max, "mask_max", 0)
         self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
         self.layout = batch_layout(batch_speakers, views_per_speaker)
         self.key_columns = np.arange(self.counts.max())

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .errors import (AamSupConError, ConfigError, IoError, NumericalError, check_domains,
-                     file_sha256, read_file, write_file)
+                     check_in, file_sha256, read_file, write_file)
 from .evaluate import DcfParams, roc_metrics, score_and_save, score_trials, trial_blocks
 from .batching import batch_layout, group_by_speaker
 from .geometry import normalize_rows
 from .losses import LossInputs, LossKind, grad_check
-from .model import load_checkpoint, param_layout, save_checkpoint
+from .model import SPACES, load_checkpoint, param_layout, save_checkpoint
 from .synthdata import DatasetSpec, generate, load_dataset, save_dataset, split_holdout
 from .training import PHASES, TrainConfig, end_to_end_grad_check, save_runlog, train
 
@@ -57,7 +57,7 @@ class _Trials:
 
     trials_per_speaker: int = field(default=40, metadata={"domain": "[1, inf)"})
     seed: int = field(default=100, metadata={"domain": "[0, inf)"})
-    space: str = field(default="projection", metadata={"domain": ("projection", "encoder")})
+    space: str = field(default="projection", metadata={"domain": SPACES})
 
     def __post_init__(self):
         check_domains(self, "eval")
@@ -175,9 +175,8 @@ def _check_data_fit(cfg: TrainConfig, features, speaker_ids, sizes=None) -> None
     # the widest array a run allocates per step is its clock, one int64 per phase
     _check_bytes("training.steps", len(PHASES) * cfg.steps)
     d_in = features.shape[1]
-    if cfg.mask_max is not None and cfg.mask_max > d_in:
-        raise ConfigError(f"augment.mask_max must be in [0, {d_in}] (the "
-                          f"dataset's d_in), got {cfg.mask_max}")
+    if cfg.mask_max is not None:
+        check_in(cfg.mask_max, f"[0, {d_in}]", "augment.mask_max")
     _, groups = group_by_speaker(speaker_ids)
     layout = param_layout([d_in, *cfg.encoder_hidden], cfg.proj_hidden, cfg.embedding_dim,
                           len(groups), cfg.class_dim())

@@ -10,10 +10,12 @@ read_file, read_lines, file_sha256, write_file and write_files are the one
 place the package opens a file, so a failed read or write is always an
 IoError naming the file. All but read_file read or write in pieces, so none
 of them needs the whole file in memory. Every config dataclass calls
-check_domains when built, the one place a config field is checked.
+check_domains when built, the one place a config field is checked;
+check_in, the one range and set check, serves it and the library alike.
 """
 
 import enum
+import functools
 import hashlib
 import math
 import numbers
@@ -192,34 +194,60 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+@functools.lru_cache
+def _interval(domain: str):
+    """(lo, hi, lo_closed, hi_closed) of an interval string such as "(0, inf)"."""
+    lo, hi = (math.pi / 2 if b == "pi/2" else float(b) for b in domain[1:-1].split(", "))
+    return lo, hi, domain[0] == "[", domain[-1] == "]"
+
+
+def check_in(value, domain, name: str):
+    """value, or the member it names when domain is an Enum type; else
+    ConfigError "<name> must be in <domain>, got <value>". domain is an
+    interval string such as "(0, inf)" or "[0, pi/2)", which a real number
+    (not a bool, not NaN), or each entry of a tuple, must lie in; an Enum
+    type, which takes a member or its value; or a tuple of the allowed
+    strings, written as a set, like an Enum's values."""
+    if isinstance(domain, str):
+        lo, hi, lo_closed, hi_closed = _interval(domain)
+        for v in value if isinstance(value, tuple) else (value,):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not ((lo <= v if lo_closed else lo < v)
+                            and (v <= hi if hi_closed else v < hi))):
+                raise ConfigError(f"{name} must be in {domain}, got {value!r}")
+        return value
+    if isinstance(domain, enum.EnumMeta):
+        try:
+            return domain(value)
+        except ValueError:
+            domain = [member.value for member in domain]
+    elif isinstance(value, str) and value in domain:  # an array compares entrywise
+        return value
+    raise ConfigError(f"{name} must be in {{{', '.join(domain)}}}, got {value!r}")
+
+
 def check_integer(value, name: str, least: int) -> None:
-    """ConfigError "<name> must be an integer, got <value>" (or "must be >=
-    <least>") unless value is an integer >= least, a bool not being one."""
+    """ConfigError "<name> must be an integer, got <value>" unless value is
+    an integer, a bool not being one, then check_in it against [least, inf)."""
     if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    check_in(value, f"[{least}, inf)", name)
 
 
 def check_domains(obj, section: str) -> None:
     """Resolve every field of the dataclass obj by its type, write it back
-    and check it against its domain. An Enum field takes its member or
-    value, its domain being its values; a tuple[int, ...] field takes a
-    non-empty list or tuple, an int field an integer (int | None also None)
-    and a float field a real number, a bool being neither. Every other field
-    declares its domain in metadata["domain"]: an interval string such as
-    "(0, inf)", "[0, pi/2)" or "[2, inf)", which every entry of a tuple value
-    must lie in (NaN fails), or a tuple of the allowed strings. Raises
-    ConfigError "<key> must be in <domain>, got <value>" (or "must be an
-    integer" and the like), the key being the field's metadata["key"], else
-    <section>.<field>."""
+    and check it with check_in. An Enum field takes its member or value, its
+    domain being the Enum; a tuple[int, ...] field takes a non-empty list or
+    tuple, an int field an integer (int | None also None) and a float field
+    a real number, a bool being neither. Every other field declares its
+    check_in domain in metadata["domain"]. Raises ConfigError "<key> must be
+    in <domain>, got <value>" (or "must be an integer" and the like), the
+    key being the field's metadata["key"], else <section>.<field>."""
     for f in fields(obj):
         key = f.metadata.get("key", f"{section}.{f.name}")
-        kind, value, domain = f.type, getattr(obj, f.name), f.metadata.get("domain")
-        if isinstance(kind, enum.EnumMeta):
-            domain = tuple(member.value for member in kind)
-            value = value.value if isinstance(value, kind) else value
-        elif kind == tuple[int, ...]:
+        kind, value = f.type, getattr(obj, f.name)
+        domain = kind if isinstance(kind, enum.EnumMeta) else f.metadata.get("domain")
+        if kind == tuple[int, ...]:
             if not (isinstance(value, (list, tuple)) and value and all(map(is_integer, value))):
                 raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
             value = tuple(value)
@@ -229,15 +257,5 @@ def check_domains(obj, section: str) -> None:
             continue
         elif kind in (int, int | None) and not is_integer(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if isinstance(domain, tuple):
-            ok, domain = value in domain, "{" + ", ".join(domain) + "}"
-        else:
-            lo, hi = (math.pi / 2 if b == "pi/2" else float(b) for b in domain[1:-1].split(", "))
-            ok = all((lo <= v if domain[0] == "[" else lo < v)
-                     and (v <= hi if domain[-1] == "]" else v < hi)
-                     for v in (value if isinstance(value, tuple) else (value,)))
-        if not ok:
-            raise ConfigError(f"{key} must be in {domain}, got {value!r}")
         # through object, as the config classes are frozen
-        object.__setattr__(obj, f.name,
-                           kind(value) if isinstance(kind, enum.EnumMeta) else value)
+        object.__setattr__(obj, f.name, check_in(value, domain, key))

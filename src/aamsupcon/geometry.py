@@ -8,7 +8,7 @@ callers can pass scalars or arrays.
 
 import numpy as np
 
-from .errors import ConfigError, ZeroVector
+from .errors import ZeroVector, check_in
 
 # Reject normalization of vectors shorter than this instead of inventing a
 # direction.
@@ -72,13 +72,6 @@ def normalize_rows_backward(g, unit, norms, out) -> np.ndarray:
     return out
 
 
-def _check_margin(m: float) -> float:
-    m = float(m)
-    if not (0.0 <= m < np.pi / 2):
-        raise ConfigError(f"margin must be in [0, pi/2), got {m}")
-    return m
-
-
 def margin_logit(c, m: float):
     """cos(min(arccos(c) + m, pi)): the margin-penalized target logit.
 
@@ -88,7 +81,7 @@ def margin_logit(c, m: float):
 
     Accepts scalars or arrays; raises ConfigError for m outside [0, pi/2).
     """
-    m = _check_margin(m)
+    check_in(m, "[0, pi/2)", "margin")
     c_arr = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
     if m == 0.0:
         out = c_arr
@@ -106,7 +99,7 @@ def margin_logit_grad(c, m: float):
     saturation region arccos(c) + m >= pi the logit is constant, so the
     derivative is 0 there.
     """
-    m = _check_margin(m)
+    check_in(m, "[0, pi/2)", "margin")
     c_arr = np.clip(np.asarray(c, dtype=np.float64),
                     -1.0 + _COS_INTERIOR, 1.0 - _COS_INTERIOR)
     if m == 0.0:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, integer_array
+from .errors import ConfigError, check_in, integer_array
 
 # Embedding and class-weight rows must be unit length to within this.
 UNIT_NORM_TOL = 1e-9
@@ -74,7 +74,8 @@ class LossInputs:
 
 
 def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
-    """Check the LossInputs invariants and lam, raising ConfigError on violation."""
+    """Check the LossInputs invariants and lam, raising ConfigError on violation;
+    the hyperparameters against the domains of their TrainConfig fields."""
     z, y, w = inputs.embeddings, inputs.labels, inputs.class_weights
     if z.ndim != 2 or w.ndim != 2 or y.ndim != 1:
         raise ConfigError("embeddings/class_weights must be 2-D, labels 1-D")
@@ -90,24 +91,10 @@ def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
         drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         if not drift <= UNIT_NORM_TOL:  # a NaN drift fails too
             raise ConfigError(f"{name} rows deviate from unit norm by {drift:.3e}")
-    if not inputs.temperature > 0:
-        raise ConfigError(f"temperature must be > 0, got {inputs.temperature}")
-    if not inputs.scale > 0:
-        raise ConfigError(f"scale must be > 0, got {inputs.scale}")
-    if not (0.0 <= inputs.margin < np.pi / 2):
-        raise ConfigError(f"margin must be in [0, pi/2), got {inputs.margin}")
-    if not 0.0 <= lam < np.inf:
-        raise ConfigError(f"lam must be in [0, inf), got {lam}")
-
-
-def _member(enum_type, value, what: str):
-    """The member of enum_type that value is or holds the value of; else a
-    ConfigError naming what and the allowed values."""
-    try:
-        return enum_type(value)
-    except ValueError:
-        raise ConfigError(f"{what} must be one of {[m.value for m in enum_type]},"
-                          f" got {value!r}") from None
+    check_in(inputs.temperature, "(0, inf)", "temperature")
+    check_in(inputs.scale, "(0, inf)", "scale")
+    check_in(inputs.margin, "[0, pi/2)", "margin")
+    check_in(lam, "[0, inf)", "lam")
 
 
 class SupconMasks(NamedTuple):
@@ -131,7 +118,7 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
     1-D array of integers, for N < 2, when an anchor has no same-label
     partner, and when strict negatives leave a denominator empty.
     """
-    convention = _member(DenominatorConvention, convention, "convention")
+    convention = check_in(convention, DenominatorConvention, "convention")
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ConfigError(f"labels must be 1-D, got shape {labels.shape}")
@@ -295,7 +282,7 @@ def evaluate_loss(kind: LossKind, inputs: LossInputs,
     aamsupcon: arcface + lam * supcon; lam = 0 gives arcface exactly (the
                masks are still built, so a malformed batch fails anyway).
     """
-    kind = _member(LossKind, kind, "loss kind")
+    kind = check_in(kind, LossKind, "loss kind")
     validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     return loss_terms(kind, inputs.embeddings, inputs.labels, inputs.class_weights,
@@ -331,7 +318,7 @@ def grad_check(kind: LossKind, inputs: LossInputs, step: float = 1e-6,
     the largest per-component relative error over both matrices. The kind
     is taken as evaluate_loss takes it.
     """
-    kind = _member(LossKind, kind, "loss kind")
+    kind = check_in(kind, LossKind, "loss kind")
     validate_inputs(inputs, lam)
     masks = supcon_masks(inputs.labels, convention) if kind.contrastive else None
     z, w = inputs.embeddings, inputs.class_weights
@@ -348,9 +335,8 @@ def fd_report(value_fn, arrays, analytic, step: float) -> float:
     """Central finite differences of value_fn() w.r.t. every entry of each
     array, perturbing the arrays in place and restoring them, held against
     the matching analytic gradients: the largest relative_errors over all
-    entries. ConfigError for a step that is not > 0."""
-    if not step > 0:
-        raise ConfigError(f"step must be > 0, got {step}")
+    entries. ConfigError for a step outside (0, inf)."""
+    check_in(step, "(0, inf)", "step")
     errors = []
     for arr, grad in zip(arrays, analytic):
         numeric = np.zeros_like(arr)

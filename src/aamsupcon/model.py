@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IoError, check_integer, is_integer, read_file, write_file
+from .errors import (ConfigError, IoError, check_in, check_integer, is_integer, read_file,
+                     write_file)
 from .geometry import normalize_rows, normalize_rows_backward
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
 # the checkpoint header keys holding param_layout's first four arguments
 _SIZE_KEYS = ("encoder_dims", "proj_hidden", "d_out", "num_classes")
+# the representations embed returns and a classifier can read: z, or unit h
+SPACES = ("projection", "encoder")
 
 
 @dataclass
@@ -180,10 +183,9 @@ def embed(params: NetworkParams, features, space: str = "projection") -> np.ndar
     normalized in place, with the projection activation as its squares
     buffer where the two have the same shape.
 
-    Raises ConfigError on a wrong input width or an unknown space, and
+    Raises ConfigError on a wrong input width or a space not in SPACES, and
     ZeroVector naming the first row of (near-)zero or non-finite norm."""
-    if space not in ("projection", "encoder"):
-        raise ConfigError(f"space must be projection|encoder, got {space!r}")
+    check_in(space, SPACES, "space")
     act = _inputs(params, features)
     for w, b in params.encoder_layers:
         act = np.matmul(act, w.T)

@@ -83,12 +83,12 @@ def split_holdout(speaker_ids, holdout_per_speaker: int):
 
 
 def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
-    """Write the text dump: one header line with the spec fields, then one
-    line per row: speaker_id original features... The rows go to
-    write_file _ROW_BLOCK at a time, so no copy of the whole file is made."""
-    header = ("num_speakers=%d utterances_per_speaker=%d d_in=%d spread=%s seed=%d\n"
-              % (spec.num_speakers, spec.utterances_per_speaker, spec.d_in,
-                 _FLOAT_FMT % spec.spread, spec.seed))
+    """Write the text dump: one header line of DatasetSpec's fields as
+    name=value (%d or %.17g), then one line per row: speaker_id original
+    features... The rows go to write_file _ROW_BLOCK at a time, so no copy
+    of the whole file is made."""
+    header = " ".join(f"{f.name}=" + ("%d" if f.type is int else _FLOAT_FMT)
+                      % getattr(spec, f.name) for f in fields(DatasetSpec)) + "\n"
     row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1]) + "\n"
 
     def blocks():

@@ -24,6 +24,7 @@ from .losses import (
 )
 from .model import (
     NetworkParams,
+    SPACES,
     Workspace,
     backward,
     encoder_embeddings,
@@ -61,10 +62,8 @@ class TrainConfig:
                                                       "domain": "[0, inf)"})
     mask_max: int | None = field(default=None, metadata={"key": "augment.mask_max",
                                                          "domain": "[0, inf)"})
-    # which representation the softmax/margin classifier term consumes:
-    # "projection" (the contrastive embedding z) or "encoder" (normalized h)
-    classifier_space: str = field(default="projection",
-                                  metadata={"domain": ("projection", "encoder")})
+    # which of model.SPACES the softmax/margin classifier term reads
+    classifier_space: str = field(default="projection", metadata={"domain": SPACES})
 
     def __post_init__(self):
         """Resolve and check every field, then the two rules that span fields."""
@@ -254,7 +253,7 @@ def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,
                           step: float = 1e-6, batch_seed: int = 0) -> float:
     """Finite-difference check of d(loss)/d(params) through the whole
     network (forward -> loss -> backward) on one sampled batch: the largest
-    per-component relative error. fd_report refuses a step not above 0."""
+    per-component relative error. fd_report refuses a step outside (0, inf)."""
     run = _Run(config, features, speaker_ids)
     batch, labels = run.sampler.draw(np.random.default_rng(batch_seed))
 

@@ -92,9 +92,9 @@ def test_sampler_checks_the_request_when_built():
         BatchSampler(features, speaker_ids, 4, 2, 0.1, None)
     with pytest.raises(ConfigError, match="only 0 speakers have >= 3 rows"):
         BatchSampler(features, speaker_ids, 3, 3, 0.1, None)
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ValueError, match=r"views_per_speaker must be in \[1, inf\), got 0"):
         BatchSampler(features, speaker_ids, 2, 0, 0.1, None)
-    with pytest.raises(ValueError, match=r"mask_max 17 outside \[0, 16\]"):
+    with pytest.raises(ValueError, match=r"mask_max must be in \[0, 16\], got 17"):
         BatchSampler(features, speaker_ids, 2, 2, 0.1, 17)
 
 

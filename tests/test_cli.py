@@ -29,8 +29,10 @@ import aamsupcon
 from aamsupcon import cli, errors, evaluate, losses
 from aamsupcon.batching import BatchSampler
 from aamsupcon.cli import SWEEP_FOOTER, main
+from aamsupcon.geometry import normalize_rows
 from aamsupcon.model import embed, init_params, load_checkpoint, save_checkpoint
 from aamsupcon.synthdata import split_holdout
+from aamsupcon.training import TrainConfig
 from oracles import corrupted, sweep_rows_sequential
 
 BASE_CONFIG = """\
@@ -555,14 +557,14 @@ def test_a_config_object_refuses_assignment(cls):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: BatchSampler(np.zeros((4, 2)), np.arange(4), 0, 1, 0.1, None),
-     "batch_speakers and views_per_speaker must be >= 1"),
+     "batch_speakers must be in [1, inf), got 0"),
     (lambda: BatchSampler(np.zeros((4, 2)), np.arange(4), 2, 1, 0.1, 3),
-     "mask_max 3 outside [0, 2]"),
+     "mask_max must be in [0, 2], got 3"),
     (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 0, 0),
-     "trials_per_speaker must be >= 1, got 0"),
-    (lambda: losses.fd_report(lambda: 0.0, [], [], 0.0), "step must be > 0, got 0.0"),
+     "trials_per_speaker must be in [1, inf), got 0"),
+    (lambda: losses.fd_report(lambda: 0.0, [], [], 0.0), "step must be in (0, inf), got 0.0"),
     (lambda: embed(init_params([2, 4], 4, 2, 2, 0), np.ones((1, 2)), "both"),
-     "space must be projection|encoder, got 'both'"),
+     "space must be in {projection, encoder}, got 'both'"),
     (lambda: losses.supcon_masks([0.7, 0.2, 1.9, 1.1]), "label 0 is 0.7, not an integer"),
     (lambda: losses.supcon_masks([0, np.nan, 1, 1]), "label 1 is nan, not an integer"),
     (lambda: losses.supcon_masks([[0, 0], [1, 1]]), "labels must be 1-D, got shape (2, 2)"),
@@ -570,16 +572,66 @@ def test_a_config_object_refuses_assignment(cls):
      "scores and is_target must be 1-D and equal length"),
     (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 2.5, 0),
      "trials_per_speaker must be an integer, got 2.5"),
-    (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 2, -1), "seed must be >= 0, got -1"),
+    (lambda: evaluate.trial_blocks(np.repeat(np.arange(2), 2), 2, -1),
+     "seed must be in [0, inf), got -1"),
     (lambda: split_holdout(np.repeat(np.arange(2), 3), 1.5),
      "holdout_per_speaker must be an integer, got 1.5"),
-    (lambda: init_params([2, 4], 4, 2, 2, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: init_params([2, 4], 4, 2, 2, seed=-1), "seed must be in [0, inf), got -1"),
+    (lambda: BatchSampler(np.zeros((8, 4)), np.repeat(np.arange(4), 2), 2.5, 1, 0.1, None),
+     "batch_speakers must be an integer, got 2.5"),
+    (lambda: BatchSampler(np.zeros((8, 4)), np.repeat(np.arange(4), 2), 2, 1.5, 0.1, None),
+     "views_per_speaker must be an integer, got 1.5"),
+    (lambda: BatchSampler(np.zeros((8, 4)), np.repeat(np.arange(4), 2), 2, 1, 0.1, 1.5),
+     "mask_max must be an integer, got 1.5"),
+    (lambda: BatchSampler(np.zeros((8, 4)), np.repeat(np.arange(4), 2), 2, 1, -1.0, None),
+     "noise_sigma must be in [0, inf), got -1.0"),
 ])
 def test_library_input_guards_raise_config_errors(call, message):
     """A public input guard raises a ConfigError, which main() reports as a
     config error with exit code 1, not a bare ValueError."""
     with pytest.raises(errors.ConfigError, match=re.escape(message)):
         call()
+
+
+def _refusal(call):
+    """The message of the ConfigError call() raises, or None if it returns."""
+    try:
+        with np.errstate(all="ignore"):  # an accepted extreme value may overflow
+            call()
+    except errors.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", [-1, -0.0, 0, 1e-300, 1, math.pi / 2, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["temperature", "scale", "margin", "lam"])
+def test_the_losses_refuse_a_value_exactly_when_the_config_does(name, value):
+    """TrainConfig refuses a temperature, scale, margin or lambda if and
+    only if evaluate_loss and grad_check refuse it, naming the same domain
+    and value."""
+    rng = np.random.default_rng(40)
+    inputs = losses.LossInputs(normalize_rows(rng.standard_normal((4, 3))), [0, 0, 1, 1],
+                               normalize_rows(rng.standard_normal((2, 3))))
+    lam = value if name == "lam" else 1.0
+    if name != "lam":
+        setattr(inputs, name, value)
+    want = _refusal(lambda: TrainConfig(**{name: value}))
+    for check in (losses.evaluate_loss, losses.grad_check):
+        got = _refusal(lambda: check(losses.LossKind.AAMSUPCON, inputs, lam=lam))
+        assert (got is None) == (want is None), (check.__name__, want, got)
+        if got is not None:
+            assert got.partition(" must be in ")[2] == want.partition(" must be in ")[2]
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder", "both", "", "Encoder", None, 1,
+                                   np.array(["projection", "encoder"])])
+def test_embed_refuses_a_space_exactly_when_the_config_does(space):
+    params = init_params([2, 4], 4, 2, 2, 0)
+    want = _refusal(lambda: TrainConfig(classifier_space=space))
+    got = _refusal(lambda: embed(params, np.ones((1, 2)), space))
+    assert (got is None) == (want is None), (want, got)
+    if got is not None:
+        assert got.partition(" must be in ")[2] == want.partition(" must be in ")[2]
 
 
 def _boundary_cases():

@@ -156,7 +156,7 @@ def test_convention_given_by_its_value_is_that_convention(convention):
 
 @pytest.mark.parametrize("convention", ["strict", "ALL_NON_ANCHOR", None, 1])
 def test_supcon_masks_refuse_an_unknown_convention(convention):
-    msg = r"convention must be one of \['all_non_anchor', 'strict_negatives'\], got "
+    msg = r"convention must be in \{all_non_anchor, strict_negatives\}, got "
     with pytest.raises(ConfigError, match=msg + re.escape(repr(convention))):
         supcon_masks([0, 0, 1, 1], convention)
     inputs = random_batch(np.random.default_rng(29), 4, 4, 2)
@@ -178,7 +178,7 @@ def test_loss_kind_given_by_its_value_is_that_kind(kind):
 @pytest.mark.parametrize("kind", ["arc", "SUPCON", None, 1])
 def test_an_unknown_loss_kind_is_refused_naming_the_kinds(kind):
     inputs = random_batch(np.random.default_rng(31), 4, 4, 2)
-    msg = (r"loss kind must be one of \['softmax', 'arcface', 'supcon', 'aamsupcon'\], got "
+    msg = (r"loss kind must be in \{softmax, arcface, supcon, aamsupcon\}, got "
            + re.escape(repr(kind)))
     for check in (evaluate_loss, grad_check):
         with pytest.raises(ConfigError, match=msg):
@@ -539,12 +539,12 @@ def test_validation_rejects_bad_inputs():
         evaluate_loss(LossKind.SOFTMAX, bad_label)
 
     good.temperature = -1.0
-    with pytest.raises(ConfigError, match="temperature must be > 0"):
+    with pytest.raises(ConfigError, match=r"temperature must be in \(0, inf\), got -1.0"):
         evaluate_loss(LossKind.SUPCON, good, ALL)
     good.temperature = 0.07
 
     good.scale = 0.0
-    with pytest.raises(ConfigError, match="scale must be > 0"):
+    with pytest.raises(ConfigError, match=r"scale must be in \(0, inf\), got 0.0"):
         evaluate_loss(LossKind.ARCFACE, good)
     good.scale = 30.0
 

@@ -225,7 +225,7 @@ def test_embed_encoder_space_reads_no_projection():
 
 def test_embed_refuses_an_unknown_space():
     params = init_params([10, 8], 8, 4, 3, seed=0)
-    with pytest.raises(ValueError, match=r"space must be projection\|encoder, got 'both'"):
+    with pytest.raises(ValueError, match=r"space must be in \{projection, encoder\}, got 'both'"):
         embed(params, np.ones((2, 10)), "both")
 
 

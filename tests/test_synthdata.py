@@ -229,7 +229,7 @@ def test_split_holdout():
     assert len(same) == len(speaker_ids) and empty.size == 0
     with pytest.raises(ConfigError, match="cannot hold out 5"):
         split_holdout(speaker_ids, 5)
-    with pytest.raises(ConfigError, match="holdout_per_speaker must be >= 0"):
+    with pytest.raises(ConfigError, match=r"holdout_per_speaker must be in \[0, inf\)"):
         split_holdout(speaker_ids, -1)
 
 
