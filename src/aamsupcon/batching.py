@@ -7,14 +7,21 @@ feature space: additive Gaussian noise, then a contiguous run of
 coordinates zeroed (the desk-scale analog of time/frequency masking).
 
 A run draws its batches from one BatchSampler. It checks the request once
-and owns the batch array, which each draw overwrites (as each forward
-overwrites a model.Workspace). A draw takes its random numbers in a few
-whole-array calls on rng, any np.random.Generator.
+and owns a block of batches and their labels, which each draw overwrites
+(as each forward overwrites a model.Workspace). A draw takes its random
+numbers in a few whole-array calls on rng, any np.random.Generator; a
+trainer draws a block of consecutive batches at a time, which keeps the
+sampler's code and arrays warm between draws.
 """
 
 import numpy as np
 
 from .errors import ConfigError, check_in, check_integer, integer_array
+
+# A sampler's block holds up to BLOCK_BATCHES batches, fewer where their
+# features and labels would take more than BLOCK_BYTES, and at least one.
+BLOCK_BATCHES = 32
+BLOCK_BYTES = 1 << 20
 
 
 def _speaker_order(speaker_ids):
@@ -66,8 +73,14 @@ class BatchSampler:
     The request is checked once, here, as TrainConfig checks its keys:
     ConfigError when B or V is not an integer >= 1, noise_sigma not in
     [0, inf), mask_max not an integer in [0, d_in], features not one row
-    per speaker id, or the rows cannot satisfy it. batch_features is the
-    sampler's own array: the next draw overwrites it."""
+    per speaker id, or the rows cannot satisfy it.
+
+    The sampler owns batches (K, 2BV, d_in) and labels (K, 2BV), K being
+    block_size (BLOCK_BATCHES, or fewer as BLOCK_BYTES allows), allocated
+    once; batch is slot 0 of batches. draw writes slot 0 of both, and
+    draw_block(rng, count) slots 0 to count - 1, one draw after another;
+    what either returns is a view of those blocks, which the next draw
+    overwrites."""
 
     def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
                  noise_sigma: float, mask_max: int | None):
@@ -95,11 +108,29 @@ class BatchSampler:
         self.layout = batch_layout(batch_speakers, views_per_speaker)
         self.key_columns = np.arange(self.counts.max())
         self.columns = np.arange(d_in)
-        self.batch = np.empty((self.layout.size, d_in))
-        self.originals, self.views = np.split(self.batch, 2)
+        n = self.layout.size
+        self.block_size = max(1, min(BLOCK_BATCHES, BLOCK_BYTES // (8 * n * (d_in + 1))))
+        self.batches = np.empty((self.block_size, n, d_in))
+        self.labels = np.empty((self.block_size, n), dtype=np.intp)
+        self.originals, self.views = self.batches[:, :n // 2], self.batches[:, n // 2:]
+        self.batch = self.batches[0]
 
     def draw(self, rng: np.random.Generator):
-        """The next (batch_features, labels) from rng."""
+        """The next (batch_features, labels) from rng, in slot 0; the
+        features are the sampler's batch array."""
+        self._draw_into(0, rng)
+        return self.batch, self.labels[0]
+
+    def draw_block(self, rng: np.random.Generator, count: int):
+        """The next count (<= block_size) batches from rng, as count draws
+        one after another take them: (batches, labels), their first count
+        slots."""
+        for slot in range(count):
+            self._draw_into(slot, rng)
+        return self.batches[:count], self.labels[:count]
+
+    def _draw_into(self, slot: int, rng: np.random.Generator) -> None:
+        """Draw the next batch from rng into slot of batches and labels."""
         chosen = rng.choice(self.eligible, size=self.batch_speakers, replace=False)
         keys = rng.random((self.batch_speakers, self.key_columns.size))
         keys[self.key_columns >= self.counts[chosen][:, None]] = np.inf
@@ -107,14 +138,13 @@ class BatchSampler:
         picks += self.starts[chosen][:, None]
         # the rows are in range, features having a row per id; clip mode
         # gathers straight into the batch, the default raise mode into a copy
-        np.take(self.features, self.order[picks.ravel()], axis=0, out=self.originals,
-                mode="clip")
-        views, columns = self.views, self.columns
+        originals, views, columns = self.originals[slot], self.views[slot], self.columns
+        np.take(self.features, self.order[picks.ravel()], axis=0, out=originals, mode="clip")
         rng.standard_normal(out=views)
         k = rng.integers(0, self.mask_max, size=len(views), endpoint=True)
         start = rng.integers(0, columns.size - k, endpoint=True)
         views *= self.noise_sigma
-        views += self.originals
+        views += originals
         np.copyto(views, 0.0,
                   where=(columns >= start[:, None]) & (columns < (start + k)[:, None]))
-        return self.batch, chosen[self.layout]
+        np.take(chosen, self.layout, out=self.labels[slot])

@@ -66,7 +66,7 @@ def normalize_rows_backward(g, unit, norms, out) -> np.ndarray:
     gradient w.r.t. its unit rows, and the unit rows and norms it wrote:
     (g - (g.u) u) / ||row|| per row, written into out and returned."""
     np.multiply(g, unit, out=out)
-    np.multiply(out.sum(axis=1, keepdims=True), unit, out=out)
+    np.multiply(np.add.reduce(out, axis=1, keepdims=True), unit, out=out)
     np.subtract(g, out, out=out)
     out /= norms
     return out
@@ -80,9 +80,10 @@ def margin_logit(c, m: float):
     returned unchanged (clipped into [-1, 1]).
 
     Accepts scalars or arrays; raises ConfigError for m outside [0, pi/2).
+    The clips here are np.minimum of np.maximum, the bits of np.clip.
     """
     check_in(m, "[0, pi/2)", "margin")
-    c_arr = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
+    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0), 1.0)
     if m == 0.0:
         out = c_arr
     else:
@@ -100,8 +101,8 @@ def margin_logit_grad(c, m: float):
     derivative is 0 there.
     """
     check_in(m, "[0, pi/2)", "margin")
-    c_arr = np.clip(np.asarray(c, dtype=np.float64),
-                    -1.0 + _COS_INTERIOR, 1.0 - _COS_INTERIOR)
+    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0 + _COS_INTERIOR),
+                       1.0 - _COS_INTERIOR)
     if m == 0.0:
         out = np.ones_like(c_arr)
     else:

@@ -84,8 +84,10 @@ def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
     if z.shape[1] != w.shape[1]:
         raise ConfigError(
             f"embedding dim {z.shape[1]} != class-weight dim {w.shape[1]}")
-    if y.size and (y.min() < 0 or y.max() >= w.shape[0]):
-        raise ConfigError(f"labels must lie in [0, {w.shape[0]})")
+    outside = (y < 0) | (y >= w.shape[0])
+    if outside.any():
+        k = int(np.argmax(outside))
+        check_in(int(y[k]), f"[0, {w.shape[0]})", f"label {k}")
     for name, mat in (("embedding", z), ("class_weight", w)):
         norms = np.linalg.norm(mat, axis=1)
         drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
@@ -98,19 +100,22 @@ def validate_inputs(inputs: LossInputs, lam: float = 1.0) -> None:
 
 
 class SupconMasks(NamedTuple):
-    """The contrast masks in the form _supcon_raw reads: P(i) as a mask,
-    |P(i)| as float64, P(i) / |P(i)| and the complement of A(i). A batch
-    layout fixes all four, so a trainer builds them once per run."""
+    """The contrast masks in the form _supcon_raw reads: pos_flat, the flat
+    index i*N + j of every (i, j) with j in P(i); not_cand_flat, that of
+    every (i, j) with j not in A(i); pcount, |P(i)| as float64; and
+    pos_frac, 1 / |P(i)| at each index of pos_flat. A batch layout fixes
+    all four, so a trainer builds them once per run."""
 
-    pos: np.ndarray
+    pos_flat: np.ndarray
+    not_cand_flat: np.ndarray
     pcount: np.ndarray
     pos_frac: np.ndarray
-    not_cand: np.ndarray
 
 
 def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> SupconMasks:
-    """P(i) and the denominator set A(i) for every anchor as (N, N) masks,
-    with what the contrastive kernel derives from them.
+    """P(i) and the denominator set A(i) for every anchor, as the flat
+    indices of SupconMasks, with what the contrastive kernel derives from
+    them.
 
     pos[i, j] = (labels[i] == labels[j]) and i != j; A(i) is i != j, or
     labels[i] != labels[j] under strict negatives (the convention or its value).
@@ -137,18 +142,21 @@ def supcon_masks(labels, convention=DenominatorConvention.ALL_NON_ANCHOR) -> Sup
     if not cand.any(axis=1).all():
         raise ConfigError("no negatives in a single-class batch")
     pcount = pos.sum(axis=1).astype(np.float64)
-    return SupconMasks(pos, pcount, pos / pcount[:, None], ~cand)
+    pos_flat = np.flatnonzero(pos)
+    return SupconMasks(pos_flat, np.flatnonzero(~cand), pcount, 1.0 / pcount[pos_flat // n])
 
 
 class KernelBuffers:
     """The arrays one loss_terms call writes, built once for a batch shape
     and overwritten by every call: two (N, N) contrastive buffers, the
     (N, C) margin-softmax buffer, the margin term's d/dz (N, class_dim),
-    the contrastive term's d/dz (N, d) and d/dw (C, class_dim). A trainer
-    passes the class-weight view of its flat gradient vector as grad_w, so
-    the kernel writes that gradient in place."""
+    the contrastive term's d/dz (N, d) and d/dw (C, class_dim); and
+    row_starts, the flat index of each row's first logit, which the
+    labels offset to the target logits. A trainer passes the class-weight
+    view of its flat gradient vector as grad_w, so the kernel writes that
+    gradient in place."""
 
-    __slots__ = ("sims", "sims_t", "logits", "grad_z", "grad_sup", "grad_w")
+    __slots__ = ("sims", "sims_t", "logits", "grad_z", "grad_sup", "grad_w", "row_starts")
 
     def __init__(self, n: int, d: int, num_classes: int, class_dim: int,
                  grad_w: np.ndarray | None = None):
@@ -158,15 +166,17 @@ class KernelBuffers:
         self.grad_z = np.empty((n, class_dim))
         self.grad_sup = np.empty((n, d))
         self.grad_w = np.empty((num_classes, class_dim)) if grad_w is None else grad_w
+        self.row_starts = np.arange(0, n * num_classes, num_classes)
 
 
 def _softmax_rows(buf: np.ndarray) -> np.ndarray:
     """Overwrite the rows of buf with their softmax and return their
-    log-sum-exp: the row max plus the log of the shifted exponentials' sum."""
-    row_max = buf.max(axis=1)
+    log-sum-exp: the row max plus the log of the shifted exponentials' sum.
+    The reductions are the ufunc calls buf.max and buf.sum make."""
+    row_max = np.maximum.reduce(buf, axis=1)
     buf -= row_max[:, None]
     np.exp(buf, out=buf)
-    sums = buf.sum(axis=1)
+    sums = np.add.reduce(buf, axis=1)
     buf /= sums[:, None]
     return row_max + np.log(sums)
 
@@ -176,24 +186,24 @@ def _supcon_raw(z: np.ndarray, masks: SupconMasks, tau: float, bufs: KernelBuffe
     bufs.grad_sup.
 
     bufs.sims holds the similarities, then the shifted exponentials, then
-    the softmax and finally the gradient w.r.t. the similarities; bufs.sims_t
-    holds the positive similarities, then the transpose of that gradient."""
+    the softmax and finally G, the gradient w.r.t. the similarities;
+    bufs.sims_t holds the positive similarities, zero elsewhere, then
+    G + G^T. Each row's positive sum is the dense reduction over that row,
+    and G takes 1/|P(i)| off the positives alone, x - 0.0 being x."""
     buf = np.matmul(z, z.T, out=bufs.sims)
     buf /= tau
+    sims, pos_part = buf.reshape(-1), bufs.sims_t
     # summed before the candidate mask hides the positives strict negatives exclude
-    pos_part = bufs.sims_t
     pos_part.fill(0.0)
-    np.copyto(pos_part, buf, where=masks.pos)
-    pos_sums = pos_part.sum(axis=1)
-    np.copyto(buf, -np.inf, where=masks.not_cand)
-    value = float(np.sum(_softmax_rows(buf) - pos_sums / masks.pcount))
+    pos_part.reshape(-1)[masks.pos_flat] = sims[masks.pos_flat]
+    pos_sums = np.add.reduce(pos_part, axis=1)
+    sims[masks.not_cand_flat] = -np.inf
+    value = float(np.add.reduce(_softmax_rows(buf) - pos_sums / masks.pcount))
 
     # d(value)/d(sims): softmax weight on candidates minus 1/|P(i)| on positives.
-    buf -= masks.pos_frac
+    sims[masks.pos_flat] -= masks.pos_frac
     buf /= tau
-    np.copyto(bufs.sims_t, buf.T)
-    buf += bufs.sims_t
-    return value, np.matmul(buf, z, out=bufs.grad_sup)
+    return value, np.matmul(np.add(buf, buf.T, out=pos_part), z, out=bufs.grad_sup)
 
 
 def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
@@ -203,21 +213,23 @@ def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
     bufs.grad_w.
 
     bufs.logits holds the cosines, then the logits, the shifted
-    exponentials, the softmax and finally the gradient w.r.t. the logits."""
+    exponentials, the softmax and finally the gradient w.r.t. the logits.
+    The target logits are read and written through their flat indices,
+    bufs.row_starts + labels; the mean is np.mean's sum over n."""
     n = z.shape[0]
-    rows = np.arange(n)
     buf = np.matmul(z, w.T, out=bufs.logits)
-    target_cos = buf[rows, labels]
+    logits, targets = buf.reshape(-1), bufs.row_starts + labels
+    target_cos = logits[targets]
     if margin != 0.0:
-        buf[rows, labels] = geometry.margin_logit(target_cos, margin)
+        logits[targets] = geometry.margin_logit(target_cos, margin)
     buf *= scale
-    target_logits = buf[rows, labels]
-    value = float(np.mean(_softmax_rows(buf) - target_logits))
+    target_logits = logits[targets]
+    value = float(np.add.reduce(_softmax_rows(buf) - target_logits) / n)
 
-    buf[rows, labels] -= 1.0
+    logits[targets] -= 1.0
     buf *= scale / n
     if margin != 0.0:
-        buf[rows, labels] *= geometry.margin_logit_grad(target_cos, margin)
+        logits[targets] *= geometry.margin_logit_grad(target_cos, margin)
     return (value, np.matmul(buf, w, out=bufs.grad_z),
             np.matmul(buf.T, z, out=bufs.grad_w))
 

@@ -93,16 +93,16 @@ def param_layout(encoder_dims, proj_hidden: int, d_out: int, num_classes: int,
     being d_out or, to classify in that space, the encoder output width.
     The one check of the sizes, else ConfigError: each an integer (a bool
     or float is not); encoder_dims a list, tuple or array of >= 2 sizes
-    >= 1; proj_hidden >= 1; d_out, num_classes and class_dim >= 2."""
+    >= 1; proj_hidden >= 1; d_out, num_classes and class_dim >= 2, each of
+    these four refused by errors.check_integer under its own name."""
     dims = encoder_dims
     if not (isinstance(dims, (list, tuple, np.ndarray)) and len(dims) >= 2
             and all(is_integer(d) and d >= 1 for d in dims)):
         raise ConfigError(f"encoder dims must chain >= 2 positive integers, got {dims!r}")
     class_dim = d_out if class_dim is None else class_dim
-    sizes = (proj_hidden, d_out, num_classes, class_dim)
-    if not (all(map(is_integer, sizes)) and proj_hidden >= 1 and min(sizes[1:]) >= 2):
-        raise ConfigError(f"need proj_hidden >= 1, d_out >= 2, num_classes >= 2 and class_dim "
-                          f">= 2, each an integer; got {', '.join(map(repr, sizes))}")
+    for name, size, least in (("proj_hidden", proj_hidden, 1), ("d_out", d_out, 2),
+                              ("num_classes", num_classes, 2), ("class_dim", class_dim, 2)):
+        check_integer(size, name, least)
     layout = []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         layout += [(f"encoder.{i}.weight", (fan_out, fan_in)), (f"encoder.{i}.bias", (fan_out,))]
@@ -256,7 +256,7 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
         d_h *= np.greater(trace.encoder_act[li], 0.0, out=trace.encoder_gates[li])
         below = trace.encoder_act[li - 1] if li > 0 else trace.inputs
         np.matmul(d_h.T, below, out=grad_w)
-        np.sum(d_h, axis=0, out=grad_b)
+        np.add.reduce(d_h, axis=0, out=grad_b)  # np.sum's call
         if li > 0:  # the gradient w.r.t. the inputs is not needed
             d_h = np.matmul(d_h, params.encoder_layers[li][0], out=trace.d_h[li - 1])
     return out

@@ -6,6 +6,7 @@ sphere after every update. Fully deterministic given (config, seed): two
 runs produce identical loss sequences and identical parameters.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -98,8 +99,11 @@ class RunLog:
     draw to after its update. clock is the (steps, len(PHASES)) int64 array
     of the nanoseconds each phase of a step took, by time.perf_counter_ns; a
     step's draw starts where the step before it ended, and step 0's where
-    the loop starts. wall_time is the sum of a row's columns from forward
-    on, over 1e9."""
+    the loop starts. train draws its batches a block at a time, so the draw
+    column holds each block's draws at the step that draws the block and
+    the slot lookup at every other step; it still sums to the run's draw
+    time. wall_time is the sum of a row's columns from forward on, over
+    1e9."""
 
     records: np.recarray
     clock: np.ndarray
@@ -185,8 +189,11 @@ def train(config: TrainConfig, features, speaker_ids):
     forward, the loss kernels, backward, the update and the batch sampler
     write is allocated once per run, by its _Run, and reused by every step;
     so is the log, one row per step, which each step writes in place, its
-    clock read at each boundary of PHASES. The step calls forward and
-    backward by this module's names, which tracers and tests replace.
+    clock read at each boundary of PHASES. Steps k*K to k*K + K - 1 take
+    their batches from one sampler.draw_block, K being its block_size,
+    drawn at step k*K: the same draws, in the same order, as one draw per
+    step. The step calls forward and backward by this module's names,
+    which tracers and tests replace.
     """
     run = _Run(config, features, speaker_ids)
     log = RunLog(np.recarray(config.steps, formats="f8,f8,f8",
@@ -194,31 +201,34 @@ def train(config: TrainConfig, features, speaker_ids):
                  np.empty((config.steps, len(PHASES)), dtype=np.int64))
     losses, grad_norms = log.records["loss"], log.records["grad_norm"]
     rng = np.random.default_rng(config.seed)
+    sampler, block = run.sampler, run.sampler.block_size
     clock = time.perf_counter_ns
     ended = clock()
 
-    for step in range(config.steps):
-        started = ended
-        batch, labels = run.sampler.draw(rng)
-        drawn = clock()
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for step in range(config.steps):
+            started = ended
+            slot = step % block
+            if slot == 0:
+                batches, labels = sampler.draw_block(rng, min(block, config.steps - step))
+            drawn = clock()
             try:
-                forward(run.params, batch, run.ws)
+                forward(run.params, batches[slot], run.ws)
                 forwarded = clock()
-                value = run.loss(labels)
+                value = run.loss(labels[slot])
                 scored = clock()
                 backward(run.params, run.ws, run.grad_proj, run.grad_enc, run.grads)
             except ZeroVector as exc:
                 raise DivergenceDetected(
                     step, f"projection collapsed or overflowed at step {step}: {exc}") from exc
             backed = clock()
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DivergenceDetected(step)
             grad_norms[step] = run.update(step)
-        ended = clock()
-        losses[step] = value
-        log.clock[step] = (drawn - started, forwarded - drawn, scored - forwarded,
-                           backed - scored, ended - backed)
+            ended = clock()
+            losses[step] = value
+            log.clock[step] = (drawn - started, forwarded - drawn, scored - forwarded,
+                               backed - scored, ended - backed)
     log.records.wall_time = log.clock[:, 1:].sum(axis=1) / 1e9
     return run.params, log
 

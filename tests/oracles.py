@@ -21,7 +21,7 @@ import numpy as np
 from aamsupcon.errors import IoError, NumericalError, read_file, write_file
 from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials, trial_blocks
 from aamsupcon.geometry import margin_logit, margin_logit_grad
-from aamsupcon.losses import LossKind, supcon_masks
+from aamsupcon.losses import DenominatorConvention, LossKind
 from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
 from aamsupcon.training import train
 
@@ -279,11 +279,21 @@ def reference_margin_softmax_raw(z, labels, w, margin, scale):
     return value, grad_z, grad_w
 
 
+def contrast_masks(labels, convention):
+    """(pos, cand): P(i) and A(i) of every anchor i as dense (N, N) masks,
+    built from the labels. j is in P(i) when j != i and the labels match;
+    in A(i) when j != i, or, under strict negatives, when they differ."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    off_diag = ~np.eye(labels.size, dtype=bool)
+    strict = DenominatorConvention(convention) is DenominatorConvention.STRICT_NEGATIVES
+    return same & off_diag, ~same if strict else off_diag
+
+
 def reference_terms(kind, z, labels, w, tau, margin, scale, convention, lam):
     """loss_terms composed from the reference kernels."""
     if kind.contrastive:
-        pos, _, _, not_cand = supcon_masks(labels, convention)
-        masks = pos, ~not_cand
+        masks = contrast_masks(labels, convention)
     if kind is LossKind.SUPCON:
         value, grad_z = reference_supcon_raw(z, masks, tau)
         return value, grad_z, np.zeros_like(w)

@@ -105,13 +105,20 @@ def oracle_masks(labels, convention):
     return pos, cand
 
 
+def dense(flat, n):
+    """The (N, N) boolean mask that is True at the flat indices flat."""
+    mask = np.zeros(n * n, dtype=bool)
+    mask[flat] = True
+    return mask.reshape(n, n)
+
+
 def test_index_sets_conventions():
     masks = supcon_masks([0, 0, 1, 1], ALL)
-    assert list(np.flatnonzero(masks.pos[0])) == [1]
-    assert list(np.flatnonzero(~masks.not_cand[0])) == [1, 2, 3]
+    assert list(np.flatnonzero(dense(masks.pos_flat, 4)[0])) == [1]
+    assert list(np.flatnonzero(~dense(masks.not_cand_flat, 4)[0])) == [1, 2, 3]
     masks = supcon_masks([0, 0, 1, 1], STRICT)
-    assert list(np.flatnonzero(masks.pos[0])) == [1]
-    assert list(np.flatnonzero(~masks.not_cand[0])) == [2, 3]
+    assert list(np.flatnonzero(dense(masks.pos_flat, 4)[0])) == [1]
+    assert list(np.flatnonzero(~dense(masks.not_cand_flat, 4)[0])) == [2, 3]
 
 
 def test_index_sets_positives_subset_of_candidates_under_default():
@@ -119,7 +126,7 @@ def test_index_sets_positives_subset_of_candidates_under_default():
     for _ in range(10):
         labels = np.repeat(rng.integers(0, 3, size=4), 2)
         masks = supcon_masks(labels, ALL)
-        for p, c in zip(masks.pos, ~masks.not_cand):
+        for p, c in zip(dense(masks.pos_flat, 8), ~dense(masks.not_cand_flat, 8)):
             assert set(np.flatnonzero(p)) <= set(np.flatnonzero(c))
 
 
@@ -202,9 +209,9 @@ def test_supcon_masks_match_oracle_on_random_labels(convention):
                 supcon_masks(labels, convention)
         else:
             masks = supcon_masks(labels, convention)
-            assert masks.pos.dtype == bool and masks.not_cand.dtype == bool
-            assert np.array_equal(masks.pos, want_pos)
-            assert np.array_equal(~masks.not_cand, want_cand)
+            assert masks.pos_flat.dtype == np.intp and masks.not_cand_flat.dtype == np.intp
+            assert np.array_equal(masks.pos_flat, np.flatnonzero(want_pos))
+            assert np.array_equal(masks.not_cand_flat, np.flatnonzero(~want_cand))
             compared += 1
     assert compared >= 40
 
@@ -257,7 +264,8 @@ def test_supcon_appending_negatives_never_decreases_anchor_terms():
     rng = np.random.default_rng(12)
     inputs = random_batch(rng, 6, 4, 3)
     z, labels = inputs.embeddings, inputs.labels
-    base_candidates = [np.flatnonzero(~row) for row in supcon_masks(labels, ALL).not_cand]
+    base_candidates = [np.flatnonzero(~row)
+                       for row in dense(supcon_masks(labels, ALL).not_cand_flat, labels.size)]
     base_terms = per_anchor_supcon_terms(z, labels, 0.07, base_candidates)
     value = evaluate_loss(LossKind.SUPCON, inputs, ALL)[0]
     assert value == pytest.approx(sum(base_terms), abs=1e-10)
@@ -414,6 +422,28 @@ def test_loss_terms_bitwise_equal_to_reference_kernels(kind, convention):
                 assert got[2] is bufs.grad_w
 
 
+def test_reused_buffers_give_the_bits_of_fresh_ones():
+    """A contrastive call leaves G + G^T in bufs.sims_t, which the next call
+    gathers its positives into: through one KernelBuffers, every call gives
+    the bits of a call through fresh buffers, whatever masks the call
+    before it read (both conventions, two layouts of the same N)."""
+    rng = np.random.default_rng(34)
+    n, dim, classes = 12, 8, 7
+    cases = [(layout, convention) for layout in (batch_layout(3, 2), batch_layout(2, 3))
+             for convention in (ALL, STRICT)]
+    bufs = KernelBuffers(n, dim, classes, dim)
+    for kind in (LossKind.SUPCON, LossKind.AAMSUPCON):
+        for layout, convention in cases + cases[::-1] + cases:
+            z = normalize_rows(rng.standard_normal((n, dim)))
+            w = normalize_rows(rng.standard_normal((classes, dim)))
+            masks = supcon_masks(layout, convention)
+            want = loss_terms(kind, z, layout, w, 0.07, 0.2, 30.0, masks)
+            got = loss_terms(kind, z, layout, w, 0.07, 0.2, 30.0, masks, 1.0, bufs)
+            assert got[0] == want[0], (kind, convention)
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                       for a, b in zip(got[1:3], want[1:3])), (kind, convention)
+
+
 @pytest.mark.parametrize("convention", [ALL, STRICT])
 @pytest.mark.parametrize("views", [1, 2, 3])
 def test_run_masks_equal_supcon_masks_of_every_drawn_batch(views, convention):
@@ -426,11 +456,14 @@ def test_run_masks_equal_supcon_masks_of_every_drawn_batch(views, convention):
         masks = run.masks
         for _ in range(5):
             _, labels = run.sampler.draw(rng)
-            pos, _, _, not_cand = supcon_masks(labels, convention)
-            assert np.array_equal(masks.pos, pos)
-            assert np.array_equal(masks.not_cand, not_cand)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(masks, supcon_masks(labels, convention)))
+            pos, cand = oracle_masks(labels, convention)
+            assert np.array_equal(masks.pos_flat, np.flatnonzero(pos))
+            assert np.array_equal(masks.not_cand_flat, np.flatnonzero(~cand))
             assert np.array_equal(masks.pcount, pos.sum(axis=1))
-            assert np.array_equal(masks.pos_frac, pos / pos.sum(axis=1)[:, None])
+            assert np.array_equal(masks.pos_frac,
+                                  (pos / pos.sum(axis=1)[:, None]).ravel()[masks.pos_flat])
         assert _Run(replace(config, loss_kind=LossKind.ARCFACE), features,
                     speaker_ids).masks is None
 
@@ -535,7 +568,10 @@ def test_validation_rejects_bad_inputs():
         evaluate_loss(LossKind.SUPCON, off_sphere, ALL)
 
     bad_label = LossInputs(good.embeddings, [0, 0, 5, 5], good.class_weights)
-    with pytest.raises(ConfigError, match=r"labels must lie in \[0, 2\)"):
+    with pytest.raises(ConfigError, match=r"label 2 must be in \[0, 2\), got 5"):
+        evaluate_loss(LossKind.SOFTMAX, bad_label)
+    bad_label = LossInputs(good.embeddings, [0, -1, 1, 1], good.class_weights)
+    with pytest.raises(ConfigError, match=r"label 1 must be in \[0, 2\), got -1"):
         evaluate_loss(LossKind.SOFTMAX, bad_label)
 
     good.temperature = -1.0

@@ -60,15 +60,15 @@ def test_init_he_variance():
     assert abs(np.var(w) - 0.02) < 0.2 * 0.02
 
 
-@pytest.mark.parametrize("dims,proj_hidden,d_out,classes", [
-    ([10], 8, 6, 4),
-    ([10, 0], 8, 6, 4),
-    ([10, 8], 0, 6, 4),
-    ([10, 8], 8, 1, 4),
-    ([10, 8], 8, 6, 1),
+@pytest.mark.parametrize("dims,proj_hidden,d_out,classes,msg", [
+    ([10], 8, 6, 4, "encoder dims must chain"),
+    ([10, 0], 8, 6, 4, "encoder dims must chain"),
+    ([10, 8], 0, 6, 4, r"proj_hidden must be in \[1, inf\), got 0"),
+    ([10, 8], 8, 1, 4, r"d_out must be in \[2, inf\), got 1"),
+    ([10, 8], 8, 6, 1, r"num_classes must be in \[2, inf\), got 1"),
 ])
-def test_init_rejects_bad_dims(dims, proj_hidden, d_out, classes):
-    with pytest.raises(ConfigError, match=r"encoder dims must chain|need proj_hidden >= 1"):
+def test_init_rejects_bad_dims(dims, proj_hidden, d_out, classes, msg):
+    with pytest.raises(ConfigError, match=msg):
         init_params(dims, proj_hidden, d_out, classes, seed=0)
 
 
@@ -96,17 +96,17 @@ def test_param_layout_is_what_init_and_save_use(tmp_path, class_dim):
     assert all(np.array_equal(a, b) for a, b in zip(param_arrays(params), loaded))
 
 
-@pytest.mark.parametrize("args", [
-    ([10, True], 8, 6, 4),
-    ([10.0, 8], 8, 6, 4),
-    (10, 8, 6, 4),
-    ([10, 8], 8.0, 6, 4),
-    ([10, 8], 8, False, 4),
-    ([10, 8], 8, 6, 4, 1),
-    ([10, 8], 8, 6, 4, 2.5),
+@pytest.mark.parametrize("args,msg", [
+    (([10, True], 8, 6, 4), "encoder dims must chain"),
+    (([10.0, 8], 8, 6, 4), "encoder dims must chain"),
+    ((10, 8, 6, 4), "encoder dims must chain"),
+    (([10, 8], 8.0, 6, 4), "proj_hidden must be an integer, got 8.0"),
+    (([10, 8], 8, False, 4), "d_out must be an integer, got False"),
+    (([10, 8], 8, 6, 4, 1), r"class_dim must be in \[2, inf\), got 1"),
+    (([10, 8], 8, 6, 4, 2.5), "class_dim must be an integer, got 2.5"),
 ])
-def test_param_layout_refuses_sizes_that_are_not_integers_in_range(args):
-    with pytest.raises(ConfigError, match=r"encoder dims must chain|need proj_hidden >= 1"):
+def test_param_layout_refuses_sizes_that_are_not_integers_in_range(args, msg):
+    with pytest.raises(ConfigError, match=msg):
         param_layout(*args)
 
 
@@ -119,9 +119,9 @@ def test_param_layout_takes_numpy_integers():
     ("encoder_dims", 10, "encoder dims must chain"),
     ("encoder_dims", [10, 8.0], "encoder dims must chain"),
     ("encoder_dims", [10], "encoder dims must chain"),
-    ("proj_hidden", 8.0, "need proj_hidden >= 1"),
-    ("d_out", True, "need proj_hidden >= 1"),
-    ("num_classes", 1, "need proj_hidden >= 1"),
+    ("proj_hidden", 8.0, "proj_hidden must be an integer, got 8.0"),
+    ("d_out", True, "d_out must be an integer, got True"),
+    ("num_classes", 1, r"num_classes must be in \[2, inf\), got 1"),
     ("seed", -1, "seed must be an integer >= 0"),
     ("version", 2, "unsupported version"),
 ])

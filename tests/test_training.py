@@ -1,14 +1,15 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aamsupcon import losses, model, training
+from aamsupcon import batching, losses, model, training
 from aamsupcon.batching import BatchSampler, group_by_speaker
 from aamsupcon.errors import ConfigError, DivergenceDetected, ZeroVector
 from aamsupcon.geometry import normalize_rows
-from aamsupcon.losses import DenominatorConvention, LossKind, supcon_masks
+from aamsupcon.losses import DenominatorConvention, LossKind
 from aamsupcon.model import backward, forward, init_params, param_arrays, save_checkpoint
 from aamsupcon.synthdata import DatasetSpec, generate
 from aamsupcon.training import (
@@ -18,7 +19,12 @@ from aamsupcon.training import (
     save_runlog,
     train,
 )
-from oracles import reference_margin_softmax_raw, reference_supcon_raw, reference_terms
+from oracles import (
+    contrast_masks,
+    reference_margin_softmax_raw,
+    reference_supcon_raw,
+    reference_terms,
+)
 
 SMALL_NET = dict(encoder_hidden=(32, 32), proj_hidden=32, embedding_dim=16)
 
@@ -389,9 +395,8 @@ def reference_loss(config, params, trace, labels):
         return value, grad_z, None, grad_w
 
     if kind is LossKind.AAMSUPCON:
-        masks = supcon_masks(labels, config.convention)
         sup_value, sup_grad = reference_supcon_raw(
-            z, (masks.pos, ~masks.not_cand), config.temperature)
+            z, contrast_masks(labels, config.convention), config.temperature)
         sup_grad = config.lam * sup_grad
     margin = 0.0 if kind is LossKind.SOFTMAX else config.margin
     value, grad_enc, grad_w = reference_margin_softmax_raw(
@@ -469,8 +474,9 @@ def test_workspace_training_equals_allocating_loop(kind, convention, space):
 @pytest.mark.parametrize("space", ["projection", "encoder"])
 @pytest.mark.parametrize("kind", [LossKind.AAMSUPCON, LossKind.SUPCON])
 def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
-    seen = {"batch": [], "embeddings": [], "grad_z": [], "grad_w": [], "param_grads": [],
+    seen = {"embeddings": [], "grad_z": [], "grad_w": [], "param_grads": [],
             "encoder_rows": []}
+    slots = {"batch": [], "labels": []}  # (block, byte offset) of each step's batch and labels
 
     def spy(name, fn, record):
         def wrapped(*args, **kwargs):
@@ -479,8 +485,11 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
             return result
         monkeypatch.setattr(training, name, wrapped)
 
+    def slot(record, part):
+        record.append((part.base, part.ctypes.data - part.base.ctypes.data))
+
     def forward_record(trace, params, batch, ws):
-        seen["batch"].append(batch.ctypes.data)
+        slot(slots["batch"], batch)
         seen["embeddings"].append(trace.embeddings.ctypes.data)
 
     def backward_record(grads, params, trace, *rest):
@@ -491,17 +500,82 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
     spy("forward", training.forward, forward_record)
     spy("loss_terms", training.loss_terms,
         lambda out, *args: (seen["grad_z"].append(out[1].ctypes.data),
-                            seen["grad_w"].append(out[2].ctypes.data)))
+                            seen["grad_w"].append(out[2].ctypes.data),
+                            slot(slots["labels"], args[2])))
     spy("backward", training.backward, backward_record)
+    monkeypatch.setattr(batching, "BLOCK_BATCHES", 3)  # the 4 steps draw 2 blocks
     cfg = TrainConfig(loss_kind=kind, classifier_space=space, steps=4, batch_speakers=4,
                       seed=1, **SMALL_NET)
     train(cfg, *_dataset())
     for name, pointers in seen.items():
         assert len(pointers) == 4 and all(p == pointers[0] for p in pointers), name
+    # each step's batch and labels are its slot of the sampler's blocks, one
+    # pair of arrays per run, the second block drawn into the first one's
+    for name, record in slots.items():
+        block = record[0][0]
+        assert all(base is block for base, _ in record), name
+        assert [offset for _, offset in record] == [k * block[0].nbytes for k in (0, 1, 2, 0)]
     # the class-weight gradient is written into its slot of the gradient vector
     assert seen["grad_w"][0] == seen["param_grads"][0][-1]
     # only encoder space allocates the normalized encoder rows
     assert (seen["encoder_rows"][0] is None) == (space == "projection")
+
+
+@pytest.mark.parametrize("convention", list(DenominatorConvention))
+def test_block_draws_replay_one_draw_per_step(convention, monkeypatch):
+    """Step k of train takes the batch and labels of the (k+1)-th draw of a
+    new sampler from np.random.default_rng(seed), for runs of 0, 1, K - 1,
+    K, K + 1 and 2K + 3 steps, K being the sampler's block size; and a run
+    drawing one batch per block has the bits of one drawing K."""
+    features, speaker_ids = _dataset()
+    base = TrainConfig(convention=convention, batch_speakers=3, views_per_speaker=3, seed=5,
+                       **SMALL_NET)
+    sampler = BatchSampler(features, speaker_ids, 3, 3, base.noise_sigma, base.mask_max)
+    block = sampler.block_size
+    assert block == batching.BLOCK_BATCHES
+    taken = []  # [batch, labels] of each step, copied as the step reads them
+    original_forward, original_loss_terms = training.forward, training.loss_terms
+
+    def forward_kept(params, batch, ws):
+        taken.append([batch.copy()])
+        return original_forward(params, batch, ws)
+
+    def loss_terms_kept(kind, z, labels, *rest):
+        taken[-1].append(labels.copy())
+        return original_loss_terms(kind, z, labels, *rest)
+
+    monkeypatch.setattr(training, "forward", forward_kept)
+    monkeypatch.setattr(training, "loss_terms", loss_terms_kept)
+    for steps in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        taken.clear()
+        config = replace(base, steps=steps)
+        params, log = train(config, features, speaker_ids)
+        rng = np.random.default_rng(config.seed)
+        assert len(taken) == steps
+        for k, (batch, labels) in enumerate(taken):
+            want_batch, want_labels = sampler.draw(rng)
+            assert _bits_equal(batch, want_batch), (steps, k)
+            assert np.array_equal(labels, want_labels), (steps, k)
+    monkeypatch.setattr(batching, "BLOCK_BATCHES", 1)
+    one_params, one_log = train(config, features, speaker_ids)
+    assert _bits_equal(one_log.records.loss, log.records.loss)
+    assert _bits_equal(one_log.records.grad_norm, log.records.grad_norm)
+    assert all(_bits_equal(a, b) for a, b in zip(param_arrays(one_params), param_arrays(params)))
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+def test_a_run_diverging_mid_block_reports_its_step(block, monkeypatch):
+    """A learning rate of 1e36 with momentum 0.99 overflows the projection
+    at step 13, inside a block of 32 batches (or of 5: its third block), and
+    the error names step 13 and the row, as when each step drew one batch."""
+    if block is not None:
+        monkeypatch.setattr(batching, "BLOCK_BATCHES", block)
+    config = TrainConfig(steps=120, batch_speakers=4, views_per_speaker=3, learning_rate=1e36,
+                         momentum=0.99, seed=3, **SMALL_NET)
+    with pytest.raises(DivergenceDetected) as raised:
+        train(config, *_dataset())
+    assert raised.value.step == 13
+    assert str(raised.value) == "projection collapsed or overflowed at step 13: row 9 has norm inf"
 
 
 def test_encoder_space_step_normalizes_the_encoder_rows_once(monkeypatch):

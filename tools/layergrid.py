@@ -6,10 +6,14 @@ evaluation takes, per call.
 Training rows, at N = 32, 128 and 256 rows (8, 32 and 64 speakers, 2 views
 each, from a 64-speaker, 20-utterance, 40-dimensional generated dataset)
 with the quickstart model, augmentation and loss, in both classifier spaces,
-each from one training.train call: after its warm-up steps, the fastest
-block of consecutive steps in its clock (RunLog.clock) gives a row per
-phase of training.PHASES, "train.<phase>", per step; the row "train" is
-the whole call per step. All six get the call's minor page faults per step.
+each from one training.train call: after its warm-up steps, the mean over
+every timed step of its clock (RunLog.clock) gives a row per phase of
+training.PHASES, "train.<phase>", per step, and the mean timed step gives
+the row "train". train draws its batches a block at a time and charges a
+block's draws to the step that draws it, so the timed steps are whole
+blocks: 96 warm-up and 480 timed steps are whole blocks of 32, 24 and 12
+batches, the block sizes at N = 32, 128 and 256. All six rows get the
+call's minor page faults per step.
 
 Evaluation rows, at 102400 trials (128 speakers with 10 of their 20
 utterances held out, 400 target and 400 non-target trials per speaker) with
@@ -65,9 +69,9 @@ EVAL_LAYERS = ("trial_blocks", "score_trials", "roc_metrics", "score_and_save",
                "save_dataset", "load_dataset", "evaluate")
 DATASET_LAYERS = ("save_dataset", "load_dataset")  # sized in dataset rows, not trials
 EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
-# (warm-up, timed blocks, per block) steps of a training run and calls of an
-# evaluation row; a run this long keeps its setup near 1% of its time
-CALLS = {"full": ((20, 5, 100), (2, 5, 2)), "quick": ((5, 4, 10), (1, 2, 1))}
+# (warm-up, timed) steps of a training run, and (warm-up, timed blocks, per
+# block) calls of an evaluation row
+CALLS = {"full": ((96, 480), (2, 5, 2)), "quick": ((96, 96), (1, 2, 1))}
 
 
 def timed(fn, warmup: int, blocks: int, calls: int):
@@ -100,28 +104,27 @@ def traced_peak(fn) -> int:
 
 def train_rows(calls):
     """[(layer, N, space, seconds, faults)] of one train call per (N, space):
-    each phase's seconds per step in the fastest block of steps after the
-    warm-up, then the whole call's, all with the call's faults per step."""
+    each phase's mean seconds per step over the steps after the warm-up,
+    then the mean of those steps, all with the call's faults per step."""
     from aamsupcon import training
     from aamsupcon.batching import batch_layout
     from aamsupcon.synthdata import DatasetSpec, generate
 
-    warmup, blocks, steps = calls
+    warmup, steps = calls
     data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
     out = []
     for space in SPACES:
         for speakers in SPEAKERS:
-            config = training.TrainConfig(steps=warmup + blocks * steps, batch_speakers=speakers,
+            config = training.TrainConfig(steps=warmup + steps, batch_speakers=speakers,
                                           views_per_speaker=VIEWS, classifier_space=space)
             logs = []
-            seconds, faults = timed(
+            _, faults = timed(
                 lambda: logs.append(training.train(config, data, speaker_ids)[1]), 0, 1, 1)
-            timed_steps = logs[0].clock[warmup:].reshape(blocks, steps, len(training.PHASES))
-            fastest = timed_steps[timed_steps.sum(axis=(1, 2)).argmin()].sum(axis=0) / 1e9
+            timed_steps = logs[0].clock[warmup:] / 1e9
             n, faults = batch_layout(speakers, VIEWS).size, faults / config.steps
-            out += [(f"train.{phase}", n, space, s / steps, faults)
-                    for phase, s in zip(training.PHASES, fastest.tolist())]
-            out.append(("train", n, space, seconds / config.steps, faults))
+            out += [(f"train.{phase}", n, space, s, faults)
+                    for phase, s in zip(training.PHASES, timed_steps.mean(axis=0).tolist())]
+            out.append(("train", n, space, float(timed_steps.sum(axis=1).mean()), faults))
     return out
 
 
@@ -246,12 +249,14 @@ def main(argv) -> int:
         for side in sorted(sides, reverse=r % 2 == 1):
             times[side].append(run_round(sides[side], mode))
     record = {
-        "what": "microseconds per call or training step of each layer (the fastest block "
-                "of a round), fastest and median of the rounds, and minor page faults per call "
-                "(median of the rounds); for evaluation rows, the tracemalloc peak of one "
-                "untimed call in KiB (median of the rounds)",
+        "what": "microseconds per call or training step of each layer (a training row's mean "
+                "timed step, an evaluation row's fastest block of a round), fastest and median "
+                "of the rounds, and minor page faults per call (median of the rounds); for "
+                "evaluation rows, the tracemalloc peak of one untimed call in KiB (median of "
+                "the rounds)",
         "rounds": rounds, "mode": mode,
-        "warmup_blocks_calls": dict(zip(("training", "evaluation"), CALLS[mode])),
+        "calls": {"training_warmup_timed_steps": CALLS[mode][0],
+                  "evaluation_warmup_blocks_calls": CALLS[mode][1]},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine(), "nproc": os.cpu_count(),
                 "blas_threads": 1},
