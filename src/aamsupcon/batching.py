@@ -72,10 +72,13 @@ class BatchSampler:
 
     The request is checked once, here, as TrainConfig checks its keys:
     ConfigError when B or V is not an integer >= 1, noise_sigma not in
-    [0, inf), mask_max not an integer in [0, d_in], features not one row
-    per speaker id, or the rows cannot satisfy it.
+    [0, inf), features not one row per speaker id, fewer than B speakers
+    have V rows, or mask_max is not an integer in [0, d_in].
 
-    The sampler owns batches (K, 2BV, d_in) and labels (K, 2BV), K being
+    rows holds the features sorted by speaker, each speaker's in row order,
+    class k's counts[k] rows from starts[k]: features itself when its rows
+    are already grouped so, else a sorted copy. A draw gathers its picks
+    from it. The sampler owns batches (K, 2BV, d_in) and labels (K, 2BV), K being
     block_size (BLOCK_BATCHES, or fewer as BLOCK_BYTES allows), allocated
     once; batch is slot 0 of batches. draw writes slot 0 of both, and
     draw_block(rng, count) slots 0 to count - 1, one draw after another;
@@ -87,23 +90,22 @@ class BatchSampler:
         check_integer(batch_speakers, "batch_speakers", 1)
         check_integer(views_per_speaker, "views_per_speaker", 1)
         self.noise_sigma = check_in(noise_sigma, "[0, inf)", "noise_sigma")
-        _, self.order, self.counts = _speaker_order(speaker_ids)
-        self.features = np.asarray(features, dtype=np.float64)
-        if self.features.ndim != 2 or len(self.features) != self.order.size:
-            raise ConfigError(f"features of shape {self.features.shape} do not pair with "
-                              f"{self.order.size} speaker ids: need ({self.order.size}, d_in)")
+        _, order, self.counts = _speaker_order(speaker_ids)
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or len(features) != order.size:
+            raise ConfigError(f"features of shape {features.shape} do not pair with "
+                              f"{order.size} speaker ids: need ({order.size}, d_in)")
+        # features already grouped by speaker, as generate writes them, need no copy
+        self.rows = features if (np.diff(order) > 0).all() else features[order]
         self.starts = np.cumsum(self.counts) - self.counts
-        if self.counts.size < batch_speakers:
-            raise ConfigError(
-                f"need {batch_speakers} speakers, dataset has {self.counts.size}")
         self.eligible = np.flatnonzero(self.counts >= views_per_speaker)
         if self.eligible.size < batch_speakers:
             raise ConfigError(
                 f"only {self.eligible.size} speakers have >= {views_per_speaker} rows")
-        d_in = self.features.shape[1]
+        d_in = self.rows.shape[1]
         self.mask_max = d_in // 8 if mask_max is None else mask_max
-        check_in(self.mask_max, f"[0, {d_in}]", "mask_max")
         check_integer(self.mask_max, "mask_max", 0)
+        check_in(self.mask_max, f"[0, {d_in}]", "mask_max")
         self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
         self.layout = batch_layout(batch_speakers, views_per_speaker)
         self.key_columns = np.arange(self.counts.max())
@@ -136,10 +138,10 @@ class BatchSampler:
         keys[self.key_columns >= self.counts[chosen][:, None]] = np.inf
         picks = np.argsort(keys, axis=1)[:, :self.views_per_speaker]
         picks += self.starts[chosen][:, None]
-        # the rows are in range, features having a row per id; clip mode
-        # gathers straight into the batch, the default raise mode into a copy
+        # the picks are in range, each below its speaker's start plus count;
+        # clip mode gathers straight into the batch, raise mode into a copy
         originals, views, columns = self.originals[slot], self.views[slot], self.columns
-        np.take(self.features, self.order[picks.ravel()], axis=0, out=originals, mode="clip")
+        np.take(self.rows, picks.ravel(), axis=0, out=originals, mode="clip")
         rng.standard_normal(out=views)
         k = rng.integers(0, self.mask_max, size=len(views), endpoint=True)
         start = rng.integers(0, columns.size - k, endpoint=True)

@@ -1,9 +1,9 @@
 """Primitive operations on the unit hypersphere.
 
 Everything the losses need and nothing more: normalization, row norms, and
-the margin-shifted logit cos(theta + m) with its derivative. All functions
-operate on float64 arrays; the margin helpers broadcast elementwise so
-callers can pass scalars or arrays.
+the margin-shifted logit cos(theta + m) with its derivative, both from one
+margin_map. All functions operate on float64 arrays; the margin map
+broadcasts elementwise so callers can pass scalars or arrays.
 """
 
 import numpy as np
@@ -72,41 +72,35 @@ def normalize_rows_backward(g, unit, norms, out) -> np.ndarray:
     return out
 
 
-def margin_logit(c, m: float):
-    """cos(min(arccos(c) + m, pi)): the margin-penalized target logit.
+def margin_map(c, m: float):
+    """(logit, slope) at cosines c: the margin-penalized target logit
+    cos(min(arccos(c) + m, pi)) and its derivative with respect to c.
 
     The shifted angle is clamped at pi so the logit saturates at -1 rather
-    than wrapping, keeping the map monotone in c. With m = 0 the input is
-    returned unchanged (clipped into [-1, 1]).
+    than wrapping, keeping the map monotone in c; the slope is 0 there. The
+    logit reads c clipped into [-1, 1]. The slope, cos(m) + c sin(m) /
+    sqrt(1 - c^2), and its saturation test read c clipped into
+    [-1 + 1e-7, 1 - 1e-7], which keeps it bounded at the endpoints, so each
+    clip takes its own arccos. With m = 0 the logit is the clipped c and
+    the slope exactly 1.
 
-    Accepts scalars or arrays; raises ConfigError for m outside [0, pi/2).
-    The clips here are np.minimum of np.maximum, the bits of np.clip.
+    Accepts scalars or arrays, a scalar c giving floats; raises ConfigError
+    for m outside [0, pi/2). The clips are np.minimum of np.maximum, the
+    bits of np.clip.
     """
     check_in(m, "[0, pi/2)", "margin")
-    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0), 1.0)
+    c_arr = np.asarray(c, dtype=np.float64)
+    logit = np.minimum(np.maximum(c_arr, -1.0), 1.0)
     if m == 0.0:
-        out = c_arr
+        slope = np.ones_like(logit)
     else:
-        out = np.cos(np.minimum(np.arccos(c_arr) + m, np.pi))
-    return float(out) if np.isscalar(c) else out
+        inner = np.minimum(np.maximum(c_arr, -1.0 + _COS_INTERIOR), 1.0 - _COS_INTERIOR)
+        logit = np.cos(np.minimum(np.arccos(logit) + m, np.pi))
+        slope = np.where(np.arccos(inner) + m >= np.pi, 0.0,
+                         np.cos(m) + inner * np.sin(m) / np.sqrt(1.0 - inner * inner))
+    return (float(logit), float(slope)) if np.isscalar(c) else (logit, slope)
 
 
-def margin_logit_grad(c, m: float):
-    """Derivative of margin_logit with respect to c.
-
-    Uses d/dc cos(arccos(c) + m) = cos(m) + c sin(m) / sqrt(1 - c^2) with c
-    clamped into [-1 + 1e-7, 1 - 1e-7], so the value stays bounded at the
-    endpoints (and equals exactly 1 everywhere when m = 0). In the
-    saturation region arccos(c) + m >= pi the logit is constant, so the
-    derivative is 0 there.
-    """
-    check_in(m, "[0, pi/2)", "margin")
-    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0 + _COS_INTERIOR),
-                       1.0 - _COS_INTERIOR)
-    if m == 0.0:
-        out = np.ones_like(c_arr)
-    else:
-        grad = np.cos(m) + c_arr * np.sin(m) / np.sqrt(1.0 - c_arr * c_arr)
-        saturated = np.arccos(c_arr) + m >= np.pi
-        out = np.where(saturated, 0.0, grad)
-    return float(out) if np.isscalar(c) else out
+def margin_logit(c, m: float):
+    """The logit of margin_map(c, m)."""
+    return margin_map(c, m)[0]

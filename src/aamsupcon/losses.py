@@ -215,13 +215,14 @@ def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
     bufs.logits holds the cosines, then the logits, the shifted
     exponentials, the softmax and finally the gradient w.r.t. the logits.
     The target logits are read and written through their flat indices,
-    bufs.row_starts + labels; the mean is np.mean's sum over n."""
+    bufs.row_starts + labels; with a margin, one geometry.margin_map call
+    gives them and the slope the gradient takes. The mean is np.mean's sum
+    over n."""
     n = z.shape[0]
     buf = np.matmul(z, w.T, out=bufs.logits)
     logits, targets = buf.reshape(-1), bufs.row_starts + labels
-    target_cos = logits[targets]
     if margin != 0.0:
-        logits[targets] = geometry.margin_logit(target_cos, margin)
+        logits[targets], slope = geometry.margin_map(logits[targets], margin)
     buf *= scale
     target_logits = logits[targets]
     value = float(np.add.reduce(_softmax_rows(buf) - target_logits) / n)
@@ -229,7 +230,7 @@ def _margin_softmax_raw(z, labels, w, margin, scale, bufs: KernelBuffers):
     logits[targets] -= 1.0
     buf *= scale / n
     if margin != 0.0:
-        logits[targets] *= geometry.margin_logit_grad(target_cos, margin)
+        logits[targets] *= slope
     return (value, np.matmul(buf, w, out=bufs.grad_z),
             np.matmul(buf.T, z, out=bufs.grad_w))
 

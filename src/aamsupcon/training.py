@@ -124,7 +124,7 @@ class _Run:
         self.sampler = BatchSampler(features, speaker_ids, config.batch_speakers,
                                     config.views_per_speaker, config.noise_sigma,
                                     config.mask_max)
-        init = init_params([self.sampler.features.shape[1], *config.encoder_hidden],
+        init = init_params([self.sampler.rows.shape[1], *config.encoder_hidden],
                            config.proj_hidden, config.embedding_dim, self.sampler.counts.size,
                            config.seed, class_dim=config.class_dim())
         self.flat_params, self.params = flat_copy(init)

@@ -8,8 +8,11 @@ to pin its bits. load_trials and load_scored_trials read the trial and
 score files back and pin the grammar that README documents. The loss
 kernels below allocate every temporary, as the in-place kernels
 of aamsupcon.losses did before they reused buffers, and give the same bits.
-save_dataset is the whole-file dataset writer that the row-block one
-replaced, kept to pin its bytes. sweep_rows_sequential is the one-size-
+reference_margin_logit and reference_margin_logit_grad are the two
+functions that geometry.margin_map replaced, verbatim, kept to pin its
+bits; the reference margin kernel calls them. save_dataset is the
+whole-file dataset writer that the row-block one replaced, kept to pin its
+bytes. sweep_rows_sequential is the one-size-
 after-another loop that sweep-batch's worker pool replaced, kept to pin
 its rows.
 """
@@ -18,9 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from aamsupcon.errors import IoError, NumericalError, read_file, write_file
+from aamsupcon.errors import IoError, NumericalError, check_in, read_file, write_file
 from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials, trial_blocks
-from aamsupcon.geometry import margin_logit, margin_logit_grad
 from aamsupcon.losses import DenominatorConvention, LossKind
 from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
 from aamsupcon.training import train
@@ -250,6 +252,49 @@ def reference_supcon_raw(z: np.ndarray, masks, tau: float):
     return value, grad_z
 
 
+_COS_INTERIOR = 1e-7
+
+
+def reference_margin_logit(c, m: float):
+    """cos(min(arccos(c) + m, pi)): the margin-penalized target logit.
+
+    The shifted angle is clamped at pi so the logit saturates at -1 rather
+    than wrapping, keeping the map monotone in c. With m = 0 the input is
+    returned unchanged (clipped into [-1, 1]).
+
+    Accepts scalars or arrays; raises ConfigError for m outside [0, pi/2).
+    The clips here are np.minimum of np.maximum, the bits of np.clip.
+    """
+    check_in(m, "[0, pi/2)", "margin")
+    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0), 1.0)
+    if m == 0.0:
+        out = c_arr
+    else:
+        out = np.cos(np.minimum(np.arccos(c_arr) + m, np.pi))
+    return float(out) if np.isscalar(c) else out
+
+
+def reference_margin_logit_grad(c, m: float):
+    """Derivative of margin_logit with respect to c.
+
+    Uses d/dc cos(arccos(c) + m) = cos(m) + c sin(m) / sqrt(1 - c^2) with c
+    clamped into [-1 + 1e-7, 1 - 1e-7], so the value stays bounded at the
+    endpoints (and equals exactly 1 everywhere when m = 0). In the
+    saturation region arccos(c) + m >= pi the logit is constant, so the
+    derivative is 0 there.
+    """
+    check_in(m, "[0, pi/2)", "margin")
+    c_arr = np.minimum(np.maximum(np.asarray(c, dtype=np.float64), -1.0 + _COS_INTERIOR),
+                       1.0 - _COS_INTERIOR)
+    if m == 0.0:
+        out = np.ones_like(c_arr)
+    else:
+        grad = np.cos(m) + c_arr * np.sin(m) / np.sqrt(1.0 - c_arr * c_arr)
+        saturated = np.arccos(c_arr) + m >= np.pi
+        out = np.where(saturated, 0.0, grad)
+    return float(out) if np.isscalar(c) else out
+
+
 def reference_margin_softmax_raw(z, labels, w, margin, scale):
     """Cross-entropy over scaled cosine logits with the target column
     penalized by the angular margin; margin == 0 is the plain softmax path.
@@ -259,7 +304,7 @@ def reference_margin_softmax_raw(z, labels, w, margin, scale):
     cosines = z @ w.T
     logits = cosines.copy()
     if margin != 0.0:
-        logits[rows, labels] = margin_logit(cosines[rows, labels], margin)
+        logits[rows, labels] = reference_margin_logit(cosines[rows, labels], margin)
     logits *= scale
 
     row_max = logits.max(axis=1)
@@ -273,7 +318,7 @@ def reference_margin_softmax_raw(z, labels, w, margin, scale):
     d[rows, labels] -= 1.0
     d *= scale / n
     if margin != 0.0:
-        d[rows, labels] *= margin_logit_grad(cosines[rows, labels], margin)
+        d[rows, labels] *= reference_margin_logit_grad(cosines[rows, labels], margin)
     grad_z = d @ w
     grad_w = d.T @ z
     return value, grad_z, grad_w

@@ -88,7 +88,7 @@ def test_draw_counts_and_alignment():
 
 def test_sampler_checks_the_request_when_built():
     features, speaker_ids = _dataset(num_speakers=3, utterances=2)
-    with pytest.raises(ConfigError, match="need 4 speakers, dataset has 3"):
+    with pytest.raises(ConfigError, match="only 3 speakers have >= 2 rows"):
         BatchSampler(features, speaker_ids, 4, 2, 0.1, None)
     with pytest.raises(ConfigError, match="only 0 speakers have >= 3 rows"):
         BatchSampler(features, speaker_ids, 3, 3, 0.1, None)
@@ -96,6 +96,9 @@ def test_sampler_checks_the_request_when_built():
         BatchSampler(features, speaker_ids, 2, 0, 0.1, None)
     with pytest.raises(ValueError, match=r"mask_max must be in \[0, 16\], got 17"):
         BatchSampler(features, speaker_ids, 2, 2, 0.1, 17)
+    # the integer test first, as TrainConfig checks augment.mask_max
+    with pytest.raises(ConfigError, match="mask_max must be an integer, got 17.5"):
+        BatchSampler(features, speaker_ids, 2, 2, 0.1, 17.5)
 
 
 def test_sampler_refuses_features_that_do_not_pair_with_the_ids():
@@ -115,6 +118,19 @@ def test_train_refuses_features_that_do_not_pair_with_the_ids():
     features, speaker_ids = _dataset(num_speakers=5)
     with pytest.raises(ConfigError, match=r"shape \(3, 16\) do not pair with 20 speaker ids"):
         train(TrainConfig(steps=3, batch_speakers=2), features[:3], speaker_ids)
+
+
+def test_sampler_holds_the_rows_sorted_by_speaker():
+    """Rows out of speaker order are gathered into a sorted copy once; rows
+    already grouped by speaker are held as they are."""
+    features, speaker_ids = _unequal_speakers(3)
+    order = np.argsort(speaker_ids, kind="stable")
+    sampler = BatchSampler(features, speaker_ids, 2, 1, 0.0, 0)
+    assert np.array_equal(sampler.rows, features[order])
+    assert not np.shares_memory(sampler.rows, features)
+    grouped = features[order]
+    assert BatchSampler(grouped, speaker_ids[order], 2, 1, 0.0, 0).rows is grouped
+    assert np.array_equal(sampler.starts, [0, 12, 15, 16, 25, 27])
 
 
 def _draw_once(features, speaker_ids, seed):
@@ -285,7 +301,7 @@ def test_a_large_speaker_draws_like_the_reference():
     # large one, and the small one's keys mostly inf
     sizes = np.array([20000, 3])
     sampler = _row_sampler(sizes, 3)
-    features, speaker_ids = sampler.features, np.repeat(np.arange(2), sizes)
+    features, speaker_ids = sampler.rows, np.repeat(np.arange(2), sizes)
     big = BatchSampler(features, speaker_ids, 1, 401, 0.0, 0)
     for seed in range(3):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)

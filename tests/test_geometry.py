@@ -6,6 +6,8 @@ import pytest
 from aamsupcon import geometry
 from aamsupcon.errors import ConfigError, ZeroVector
 
+from oracles import reference_margin_logit, reference_margin_logit_grad
+
 
 def test_normalize_scaling_identity():
     assert np.allclose(geometry.normalize([3.0, 4.0]), [0.6, 0.8], atol=0, rtol=0)
@@ -96,7 +98,7 @@ def test_margin_logit_rejects_bad_margin():
         with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
             geometry.margin_logit(0.3, m)
         with pytest.raises(ConfigError, match=r"margin must be in \[0, pi/2\)"):
-            geometry.margin_logit_grad(0.3, m)
+            geometry.margin_map(0.3, m)
 
 
 def test_margin_logit_zero_margin_is_identity():
@@ -130,17 +132,17 @@ def test_margin_logit_grad_matches_finite_differences():
     for m in (0.1, 0.2, 0.4):
         for c in (-0.9, -0.5, 0.0, 0.5, 0.9):
             fd = (geometry.margin_logit(c + h, m) - geometry.margin_logit(c - h, m)) / (2 * h)
-            analytic = geometry.margin_logit_grad(c, m)
+            analytic = geometry.margin_map(c, m)[1]
             assert abs(analytic - fd) / abs(fd) < 1e-5
 
 
 def test_margin_logit_grad_edges():
     # saturated region is flat; m = 0 pins the subgradient to exactly 1
-    assert geometry.margin_logit_grad(-0.999, 0.2) == 0.0
-    assert geometry.margin_logit_grad(1.0, 0.0) == 1.0
-    assert geometry.margin_logit_grad(-1.0, 0.0) == 1.0
+    assert geometry.margin_map(-0.999, 0.2)[1] == 0.0
+    assert geometry.margin_map(1.0, 0.0)[1] == 1.0
+    assert geometry.margin_map(-1.0, 0.0)[1] == 1.0
     # bounded at the endpoints even with a margin
-    assert np.isfinite(geometry.margin_logit_grad(1.0, 0.2))
+    assert np.isfinite(geometry.margin_map(1.0, 0.2)[1])
 
 
 def test_margin_logit_vectorized():
@@ -149,3 +151,33 @@ def test_margin_logit_vectorized():
     assert vals.shape == cs.shape
     assert vals[0] == -1.0
     assert vals[3] == pytest.approx(math.cos(0.2), abs=1e-15)
+
+
+def _bits(x):
+    """x's float64 bits, and whether it is a Python float, so -0.0 and 0.0
+    differ and a float is told from a 0-d array."""
+    return type(x) is float, np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_margin_map_has_the_bits_of_the_two_functions_it_replaced():
+    """margin_map's logit and slope are reference_margin_logit and
+    reference_margin_logit_grad bit for bit, for scalars, 0-d and 1-d
+    arrays: at and one ulp beyond +-1, around +-(1 - 1e-7), where the slope's
+    clip starts, and at margins from 0 to the largest below pi/2."""
+    edges = [1.0, 1.0 - 1e-7, -1.0 + 1e-7]
+    cs = [np.nextafter(np.nextafter(e, 2.0), 2.0) for e in edges] \
+        + [np.nextafter(e, 2.0) for e in edges] + edges \
+        + [np.nextafter(e, -2.0) for e in edges]
+    cs = np.array(sorted({float(c) for c in cs + [-c for c in cs] + [0.0, 0.5, -0.999]}))
+    assert np.nextafter(1.0, 2.0) in cs and np.nextafter(-1.0, -2.0) in cs
+    for m in (0.0, 1e-5, 4e-4, 0.2, float(np.nextafter(math.pi / 2, 0.0))):
+        want = (reference_margin_logit(cs, m), reference_margin_logit_grad(cs, m))
+        assert [_bits(x) for x in geometry.margin_map(cs, m)] == [_bits(x) for x in want], m
+        for c in [*cs.tolist(), np.float64(-1.0), np.array(-1.0)]:
+            want = (reference_margin_logit(c, m), reference_margin_logit_grad(c, m))
+            assert [_bits(x) for x in geometry.margin_map(c, m)] == [_bits(x) for x in want], (c, m)
+            assert _bits(geometry.margin_logit(c, m)) == _bits(want[0]), (c, m)
+    # at c = -1 and a margin under about 4.5e-4 the slope's own clip is not
+    # saturated while arccos of the logit's clip, pi, would be
+    slope = geometry.margin_map(-1.0, 1e-5)[1]
+    assert slope == reference_margin_logit_grad(-1.0, 1e-5) and 0.97 < slope < 0.98

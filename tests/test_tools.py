@@ -5,6 +5,7 @@ benchmark's table of traced function names is held against the package the
 same way."""
 
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -89,6 +90,33 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
                                      "score_and_save", "save_dataset", "load_dataset",
                                      "evaluate")
     assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
+
+
+def test_layergrid_measures_each_part_in_its_own_interpreter(layergrid, monkeypatch):
+    """A round of any checkout runs this grid file once per part, training
+    then evaluation, against that checkout's src/, and joins their rows."""
+    commands = []
+
+    def run(argv, **kwargs):
+        commands.append(argv)
+        part = argv[argv.index("--part") + 1]
+        return types.SimpleNamespace(
+            stdout=json.dumps({"rows": [[part, 1, "projection", 1.0, 0.0]], "minflt": len(part)}))
+
+    monkeypatch.setattr(layergrid.subprocess, "run", run)
+    older = Path("/older")
+    got = layergrid.run_round(older, "quick")
+    assert got == {"rows": [["train", 1, "projection", 1.0, 0.0],
+                            ["eval", 1, "projection", 1.0, 0.0]],
+                   "minflt": {"train": 5, "eval": 4}}
+    assert [argv[1:] for argv in commands] == [
+        [str(TOOLS / "layergrid.py"), "--measure", str(older / "src"), "--part", part,
+         "--mode", "quick"] for part in ("train", "eval")]
+
+
+def test_layergrid_gives_a_package_without_a_clock_no_training_rows(layergrid, monkeypatch):
+    monkeypatch.delattr(training, "PHASES")
+    assert layergrid.train_rows((0, 1)) == []
 
 
 def test_runset_configs_load(runset, tmp_path):

@@ -29,17 +29,21 @@ fastest block and the minor page faults of its timed calls, and gets the
 tracemalloc peak of one more call, made after the timed ones, so that
 tracing slows no timed call.
 
-Each round runs a checkout's own tools/layergrid.py in a fresh interpreter
-with single-threaded BLAS and imports the package from that checkout's
-src/. Page faults are counted with resource.getrusage, this process only.
-With --before, the rounds alternate between that older checkout and the
-one this file sits in, which goes first in even rounds, and rows are paired
-by layer, size and space: a checkout whose train keeps no clock shares only
-the evaluation rows. OUT.json gets, per side and row, the fastest and the
-median round in microseconds per call, the median minor page faults per
-call and, for an evaluation row, the median tracemalloc peak in KiB, the
-minor page faults of each whole round, and the environment. --quick runs
-3 rounds of fewer calls, in under 30 s on a 2-core host with --before.
+A round of a checkout runs this file twice, each time in a fresh
+interpreter with single-threaded BLAS that imports the package from that
+checkout's src/: once for the training rows and once for the evaluation
+rows, so that neither part's heap decides the other's page faults, and both
+checkouts are measured by the same code. Page faults are counted with
+resource.getrusage, this process only. With --before, the rounds alternate
+between that older checkout and the one this file sits in, which goes
+first in even rounds, and rows are paired by layer, size and space; the
+older checkout needs the evaluation API measured here, and one whose
+training has no PHASES (no clock) gets the evaluation rows only. OUT.json
+gets, per side and row, the fastest and the median round in microseconds
+per call, the median minor page faults per call and, for an evaluation
+row, the median tracemalloc peak in KiB, the minor page faults of each
+round's training and evaluation part, and the environment. --quick runs 3
+rounds of fewer calls, in under 30 s on a 2-core host with --before.
 """
 
 import argparse
@@ -61,7 +65,9 @@ from pathlib import Path
 import numpy as np
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-ROOT = Path(__file__).resolve().parent.parent
+GRID = Path(__file__).resolve()
+ROOT = GRID.parent.parent
+PARTS = ("train", "eval")  # measured in this order, each in its own interpreter
 SPEAKERS = (8, 32, 64)
 VIEWS = 2
 SPACES = ("projection", "encoder")
@@ -105,11 +111,14 @@ def traced_peak(fn) -> int:
 def train_rows(calls):
     """[(layer, N, space, seconds, faults)] of one train call per (N, space):
     each phase's mean seconds per step over the steps after the warm-up,
-    then the mean of those steps, all with the call's faults per step."""
+    then the mean of those steps, all with the call's faults per step. A
+    package whose training has no PHASES keeps no clock and gives none."""
     from aamsupcon import training
     from aamsupcon.batching import batch_layout
     from aamsupcon.synthdata import DatasetSpec, generate
 
+    if not hasattr(training, "PHASES"):
+        return []
     warmup, steps = calls
     data, speaker_ids, _ = generate(DatasetSpec(64, 20, 40, 0.2, 7))
     out = []
@@ -178,23 +187,31 @@ def eval_rows(calls):
     return out
 
 
-def measure(src: str, mode: str) -> dict:
-    """One round: every row's (seconds, faults) per call, and the minor
-    page faults of the whole round, from the package in src."""
+def measure(src: str, mode: str, part: str) -> dict:
+    """One part of a round, from the package in src: the rows of train_rows
+    or eval_rows, and the minor page faults of the whole part."""
     sys.path.insert(0, src)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     train_calls, eval_calls = CALLS[mode]
-    rows = train_rows(train_calls) + eval_rows(eval_calls)
+    rows = train_rows(train_calls) if part == "train" else eval_rows(eval_calls)
     return {"rows": [list(row) for row in rows],
-            "round_minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
+            "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
 
 
 def run_round(checkout: Path, mode: str) -> dict:
+    """One round of checkout: each of PARTS measured by this file in a fresh
+    interpreter, with single-threaded BLAS, against checkout's src/. Its
+    rows, and the minor page faults of each part."""
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
-    grid = checkout / "tools" / "layergrid.py"
-    done = subprocess.run([sys.executable, str(grid), "--measure", str(checkout / "src"),
-                           "--mode", mode], env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    rows, faults = [], {}
+    for part in PARTS:
+        done = subprocess.run([sys.executable, str(GRID), "--measure", str(checkout / "src"),
+                               "--part", part, "--mode", mode],
+                              env=env, capture_output=True, text=True, check=True)
+        measured = json.loads(done.stdout)
+        rows += measured["rows"]
+        faults[part] = measured["minflt"]
+    return {"rows": rows, "minflt": faults}
 
 
 def summarize(times: dict) -> list:
@@ -234,9 +251,10 @@ def main(argv) -> int:
     parser.add_argument("--quick", action="store_true", help="3 rounds of fewer calls")
     parser.add_argument("--measure", help=argparse.SUPPRESS)
     parser.add_argument("--mode", choices=sorted(CALLS), default="full", help=argparse.SUPPRESS)
+    parser.add_argument("--part", choices=PARTS, default="train", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure, args.mode)))
+        print(json.dumps(measure(args.measure, args.mode, args.part)))
         return 0
     mode = "quick" if args.quick else "full"
     rounds = args.rounds if args.rounds is not None else 3 if args.quick else 7
@@ -260,7 +278,8 @@ def main(argv) -> int:
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine(), "nproc": os.cpu_count(),
                 "blas_threads": 1},
-        "round_minflt": {side: [r["round_minflt"] for r in rs] for side, rs in times.items()},
+        "round_minflt": {side: {part: [r["minflt"][part] for r in rs] for part in PARTS}
+                         for side, rs in times.items()},
         "rows": summarize(times),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
