@@ -16,7 +16,7 @@ sampler's code and arrays warm between draws.
 
 import numpy as np
 
-from .errors import ConfigError, check_in, check_integer, integer_array
+from .errors import ConfigError, check_in, check_integer, empty_aligned, integer_array
 
 # A sampler's block holds up to BLOCK_BATCHES batches, fewer where their
 # features and labels would take more than BLOCK_BYTES, and at least one.
@@ -80,10 +80,12 @@ class BatchSampler:
     are already grouped so, else a sorted copy. A draw gathers its picks
     from it. The sampler owns batches (K, 2BV, d_in) and labels (K, 2BV), K being
     block_size (BLOCK_BATCHES, or fewer as BLOCK_BYTES allows), allocated
-    once; batch is slot 0 of batches. draw writes slot 0 of both, and
-    draw_block(rng, count) slots 0 to count - 1, one draw after another;
-    what either returns is a view of those blocks, which the next draw
-    overwrites."""
+    once, each starting on a cache line (errors.empty_aligned); batch is
+    slot 0 of batches. draw writes slot 0 of both, and draw_block(rng,
+    count) slots 0 to count - 1, one draw after another; what either
+    returns is a view of those blocks, which the next draw overwrites.
+    below, a (d_in + 1, d_in) table whose row j marks the columns < j,
+    gives each view's mask as below[start + k] > below[start]."""
 
     def __init__(self, features, speaker_ids, batch_speakers: int, views_per_speaker: int,
                  noise_sigma: float, mask_max: int | None):
@@ -109,11 +111,12 @@ class BatchSampler:
         self.batch_speakers, self.views_per_speaker = batch_speakers, views_per_speaker
         self.layout = batch_layout(batch_speakers, views_per_speaker)
         self.key_columns = np.arange(self.counts.max())
-        self.columns = np.arange(d_in)
+        columns = np.arange(d_in)
+        self.below = columns < np.arange(d_in + 1)[:, None]
         n = self.layout.size
         self.block_size = max(1, min(BLOCK_BATCHES, BLOCK_BYTES // (8 * n * (d_in + 1))))
-        self.batches = np.empty((self.block_size, n, d_in))
-        self.labels = np.empty((self.block_size, n), dtype=np.intp)
+        self.batches = empty_aligned((self.block_size, n, d_in))
+        self.labels = empty_aligned((self.block_size, n), np.intp)
         self.originals, self.views = self.batches[:, :n // 2], self.batches[:, n // 2:]
         self.batch = self.batches[0]
 
@@ -140,13 +143,13 @@ class BatchSampler:
         picks += self.starts[chosen][:, None]
         # the picks are in range, each below its speaker's start plus count;
         # clip mode gathers straight into the batch, raise mode into a copy
-        originals, views, columns = self.originals[slot], self.views[slot], self.columns
+        originals, views, below = self.originals[slot], self.views[slot], self.below
         np.take(self.rows, picks.ravel(), axis=0, out=originals, mode="clip")
         rng.standard_normal(out=views)
         k = rng.integers(0, self.mask_max, size=len(views), endpoint=True)
-        start = rng.integers(0, columns.size - k, endpoint=True)
+        start = rng.integers(0, below.shape[1] - k, endpoint=True)
         views *= self.noise_sigma
         views += originals
-        np.copyto(views, 0.0,
-                  where=(columns >= start[:, None]) & (columns < (start + k)[:, None]))
+        # the columns in [start, start + k): below start + k, not below start
+        np.copyto(views, 0.0, where=below[start + k] > below[start])
         np.take(chosen, self.layout, out=self.labels[slot])

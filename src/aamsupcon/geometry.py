@@ -1,7 +1,7 @@
 """Primitive operations on the unit hypersphere.
 
-Everything the losses need and nothing more: normalization, row norms, and
-the margin-shifted logit cos(theta + m) with its derivative, both from one
+Everything the losses need and nothing more: row normalization, row norms,
+and the margin-shifted logit cos(theta + m) with its derivative, both from one
 margin_map. All functions operate on float64 arrays; the margin map
 broadcasts elementwise so callers can pass scalars or arrays.
 """
@@ -17,18 +17,6 @@ EPS_NORM = 1e-12
 # Cosines are pulled this far inside [-1, 1] before differentiating, which
 # bounds the otherwise-divergent d/dc arccos at the endpoints.
 _COS_INTERIOR = 1e-7
-
-
-def normalize(v) -> np.ndarray:
-    """Return v / ||v||_2.
-
-    Raises ZeroVector unless EPS_NORM < ||v||_2 < inf.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if not EPS_NORM < norm < np.inf:
-        raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
 
 
 def row_norms(mat, out=None, squares=None) -> np.ndarray:

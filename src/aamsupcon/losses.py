@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, check_in, integer_array
+from .errors import ConfigError, check_in, empty_aligned, integer_array
 
 # Embedding and class-weight rows must be unit length to within this.
 UNIT_NORM_TOL = 1e-9
@@ -152,7 +152,8 @@ class KernelBuffers:
     (N, C) margin-softmax buffer, the margin term's d/dz (N, class_dim),
     the contrastive term's d/dz (N, d) and d/dw (C, class_dim); and
     row_starts, the flat index of each row's first logit, which the
-    labels offset to the target logits. A trainer passes the class-weight
+    labels offset to the target logits. Each array it makes starts on a
+    cache line (errors.empty_aligned). A trainer passes the class-weight
     view of its flat gradient vector as grad_w, so the kernel writes that
     gradient in place."""
 
@@ -160,13 +161,13 @@ class KernelBuffers:
 
     def __init__(self, n: int, d: int, num_classes: int, class_dim: int,
                  grad_w: np.ndarray | None = None):
-        self.sims = np.empty((n, n))
-        self.sims_t = np.empty((n, n))
-        self.logits = np.empty((n, num_classes))
-        self.grad_z = np.empty((n, class_dim))
-        self.grad_sup = np.empty((n, d))
-        self.grad_w = np.empty((num_classes, class_dim)) if grad_w is None else grad_w
-        self.row_starts = np.arange(0, n * num_classes, num_classes)
+        self.sims = empty_aligned((n, n))
+        self.sims_t = empty_aligned((n, n))
+        self.logits = empty_aligned((n, num_classes))
+        self.grad_z = empty_aligned((n, class_dim))
+        self.grad_sup = empty_aligned((n, d))
+        self.grad_w = empty_aligned((num_classes, class_dim)) if grad_w is None else grad_w
+        self.row_starts = np.multiply(np.arange(n), num_classes, out=empty_aligned(n, np.intp))
 
 
 def _softmax_rows(buf: np.ndarray) -> np.ndarray:

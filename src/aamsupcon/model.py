@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, IoError, check_in, check_integer, is_integer, read_file,
-                     write_file)
+from .errors import (ConfigError, IoError, check_in, check_integer, empty_aligned, is_integer,
+                     read_file, write_file)
 from .geometry import normalize_rows, normalize_rows_backward
 
 CHECKPOINT_MAGIC = b"SPKEMB01"  # 8-byte magic, format version in the suffix
@@ -63,7 +63,10 @@ class Workspace:
     projection output, its row norms, the embeddings; the gradients
     w.r.t. the embeddings' pre-normalization rows and the projection
     pre-activation; and encoder_rows, the unit encoder output rows, their
-    norms and gradient, which the first encoder_embeddings call allocates."""
+    norms and gradient, which the first encoder_embeddings call allocates.
+    Every array starts on a cache line (errors.empty_aligned). A gate holds
+    float64 1.0 where its activation is positive and 0.0 elsewhere, as a
+    float times a float runs faster than a float times a bool."""
 
     __slots__ = ("inputs", "encoder_act", "encoder_gates", "d_h", "proj_act", "proj_gate",
                  "d_pre", "squares", "norms", "embeddings", "d_out", "encoder_rows")
@@ -71,17 +74,17 @@ class Workspace:
     def __init__(self, params: NetworkParams, n: int):
         self.inputs = None
         widths = [w.shape[0] for w, _ in params.encoder_layers]
-        self.encoder_act = [np.empty((n, k)) for k in widths]
-        self.encoder_gates = [np.empty((n, k), dtype=bool) for k in widths]
-        self.d_h = [np.empty((n, k)) for k in widths]
+        self.encoder_act = [empty_aligned((n, k)) for k in widths]
+        self.encoder_gates = [empty_aligned((n, k)) for k in widths]
+        self.d_h = [empty_aligned((n, k)) for k in widths]
         hidden = params.proj_w1.shape[0]
-        self.proj_act = np.empty((n, hidden))
-        self.proj_gate = np.empty((n, hidden), dtype=bool)
-        self.d_pre = np.empty((n, hidden))
-        self.squares = np.empty((n, params.d_out))
-        self.norms = np.empty((n, 1))
-        self.embeddings = np.empty((n, params.d_out))
-        self.d_out = np.empty((n, params.d_out))
+        self.proj_act = empty_aligned((n, hidden))
+        self.proj_gate = empty_aligned((n, hidden))
+        self.d_pre = empty_aligned((n, hidden))
+        self.squares = empty_aligned((n, params.d_out))
+        self.norms = empty_aligned((n, 1))
+        self.embeddings = empty_aligned((n, params.d_out))
+        self.d_out = empty_aligned((n, params.d_out))
         self.encoder_rows = None
 
 
@@ -166,7 +169,8 @@ def encoder_embeddings(trace: Workspace) -> np.ndarray:
     Raises ZeroVector when a sample's encoder activations are all dead."""
     h = trace.encoder_act[-1]
     if trace.encoder_rows is None:
-        trace.encoder_rows = (np.empty_like(h), np.empty((len(h), 1)), np.empty_like(h))
+        trace.encoder_rows = (empty_aligned(h.shape), empty_aligned((len(h), 1)),
+                              empty_aligned(h.shape))
     unit, norms, _ = trace.encoder_rows
     return normalize_rows(h, out=unit, norms=norms, squares=unit)
 
@@ -235,9 +239,9 @@ def backward(params: NetworkParams, trace: Workspace, grad_embeddings: np.ndarra
         out.class_weights.fill(0.0)
 
     d_out = normalize_rows_backward(g, trace.embeddings, trace.norms, trace.d_out)
-    # Relu gates multiply by the mask rather than zero-fill: a gated entry
+    # Relu gates multiply by a 0/1 mask rather than zero-fill: a gated entry
     # keeps the sign of its gradient (-0.0) and a NaN stays NaN, bit for bit
-    # as when each gate made a new array.
+    # as when each gate made a new boolean array.
     np.matmul(d_out.T, trace.proj_act, out=out.proj_w2)
     d_pre = np.matmul(d_out, params.proj_w2, out=trace.d_pre)
     d_pre *= np.greater(trace.proj_act, 0.0, out=trace.proj_gate)
@@ -276,12 +280,15 @@ def _assemble(arrays, seed: int = 0) -> NetworkParams:
 def flat_copy(params: NetworkParams):
     """(flat, copy) of a NetworkParams, which may hold parameters or their
     gradients: flat is one new float64 vector holding every array in
-    checkpoint order, and copy a NetworkParams with the seed of params whose
-    arrays are views of flat. An in-place operation on flat therefore
-    updates every array of copy at once; reassigning an attribute of copy
-    detaches it."""
+    checkpoint order, starting on a cache line (errors.empty_aligned), and
+    copy a NetworkParams with the seed of params whose arrays are views of
+    flat. An in-place operation on flat therefore updates every array of
+    copy at once; reassigning an attribute of copy detaches it. A view
+    starts on a cache line too where the arrays before it hold a multiple
+    of 8 entries each, as at the quickstart sizes."""
     arrays = param_arrays(params)
-    flat = np.concatenate([a.ravel() for a in arrays])
+    flat = np.concatenate([a.ravel() for a in arrays],
+                          out=empty_aligned(sum(a.size for a in arrays)))
     pieces = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
     return flat, _assemble([piece.reshape(a.shape) for piece, a in zip(pieces, arrays)],
                            params.seed)

@@ -15,7 +15,7 @@ import numpy as np
 from .batching import group_by_speaker
 from .errors import (ConfigError, IoError, ZeroVector, check_domains, check_integer, read_lines,
                      write_file)
-from .geometry import normalize
+from .geometry import EPS_NORM
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
 _ROW_BLOCK = 512  # rows save_dataset formats at a time
@@ -48,21 +48,37 @@ def generate(spec: DatasetSpec):
     ground-truth centroids. Deterministic per seed.
     """
     rng = np.random.default_rng(spec.seed)
-    # rows are normalized one by one: a batched norm sums in another order
-    # and would change the last bits of the stored features
-    centroids = np.stack([normalize(c) for c in
-                          rng.standard_normal((spec.num_speakers, spec.d_in))])
+    centroids = _normalize_each(rng.standard_normal((spec.num_speakers, spec.d_in)))
     speaker_ids = np.repeat(np.arange(spec.num_speakers), spec.utterances_per_speaker)
     noise = rng.standard_normal((speaker_ids.size, spec.d_in))
     if spec.spread == 0.0:
         return centroids[speaker_ids], speaker_ids, centroids
+    features = centroids[speaker_ids]
     try:
         with np.errstate(all="ignore"):
-            features = np.stack([normalize(c + spec.spread * n)
-                                 for c, n in zip(centroids[speaker_ids], noise)])
+            noise *= spec.spread
+            features += noise
+            _normalize_each(features)
     except ZeroVector as exc:
         raise ConfigError(f"dataset.spread = {spec.spread!r} is too large: {exc}") from exc
     return features, speaker_ids, centroids
+
+
+def _normalize_each(rows):
+    """Divide each row of rows (N, d) in place by its Euclidean norm and
+    return rows. Each norm is the square root of one BLAS dot product of
+    the row with itself, the sum np.linalg.norm takes of a vector: a
+    reduction over the rows sums in another order and would change the
+    last bits of the stored features. Raises ZeroVector "cannot normalize
+    vector with norm ..." for the first row whose norm is not in
+    (EPS_NORM, inf)."""
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    bad = ~((norms > EPS_NORM) & (norms < np.inf))
+    if bad.any():
+        norm = float(norms[np.argmax(bad), 0])
+        raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
+    rows /= norms
+    return rows
 
 
 def split_holdout(speaker_ids, holdout_per_speaker: int):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import BatchSampler
-from .errors import ConfigError, DivergenceDetected, ZeroVector, check_domains, write_file
+from .errors import (ConfigError, DivergenceDetected, ZeroVector, check_domains, empty_aligned,
+                     write_file)
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
     DenominatorConvention,
@@ -115,9 +116,11 @@ class _Run:
     smallest id), the Workspace and KernelBuffers for the batch size, and
     masks, the contrast masks of every batch (None without a contrastive
     term): the sampler's speakers are distinct and their rows follow its
-    layout. Parameters, gradients and scratch (the squared gradients, then
-    the step) each live in one flat vector viewed as a NetworkParams, so the
-    update is a few in-place operations whatever the network's depth."""
+    layout. Parameters, gradients and velocity each live in one flat
+    vector, the first two viewed as a NetworkParams, so the update is a few
+    in-place operations whatever the network's depth; update overwrites the
+    gradients, which the next step's loss and backward write afresh. Every
+    array the run reuses starts on a cache line (errors.empty_aligned)."""
 
     def __init__(self, config: TrainConfig, features, speaker_ids):
         self.config = config
@@ -129,8 +132,8 @@ class _Run:
                            config.seed, class_dim=config.class_dim())
         self.flat_params, self.params = flat_copy(init)
         self.flat_grads, self.grads = flat_copy(init)
-        self.scratch, self.squares = flat_copy(init)
-        self.velocity = np.zeros_like(self.flat_params)
+        self.velocity = empty_aligned(self.flat_params.size)
+        self.velocity.fill(0.0)
         n = self.sampler.layout.size
         self.ws = Workspace(init, n)
         self.bufs = KernelBuffers(n, init.d_out, *init.class_weights.shape,
@@ -158,18 +161,21 @@ class _Run:
     def update(self, step: int) -> float:
         """One SGD-with-momentum step from grads, the class-weight rows then
         renormalized, and the gradient norm returned. Class weights whose
-        norm leaves (EPS_NORM, inf) raise DivergenceDetected at step."""
-        config = self.config
-        np.multiply(self.flat_grads, self.flat_grads, out=self.scratch)
-        grad_norm = _global_norm(self.squares)
+        norm leaves (EPS_NORM, inf) raise DivergenceDetected at step.
+
+        The gradients are folded into the velocity first; the gradient
+        vector then holds their squares, for the norm, then the step
+        learning_rate * velocity, then the class weights' squares."""
+        config, grads = self.config, self.flat_grads
         self.velocity *= config.momentum
-        self.velocity += self.flat_grads
+        self.velocity += grads
+        np.multiply(grads, grads, out=grads)
+        grad_norm = _global_norm(self.grads)
         if config.learning_rate != 0.0:
-            self.flat_params -= np.multiply(self.velocity, config.learning_rate,
-                                            out=self.scratch)
+            self.flat_params -= np.multiply(self.velocity, config.learning_rate, out=grads)
             weights = self.params.class_weights
             try:
-                normalize_rows(weights, out=weights, squares=self.squares.class_weights)
+                normalize_rows(weights, out=weights, squares=self.grads.class_weights)
             except ZeroVector as exc:
                 raise DivergenceDetected(
                     step, f"class weights overflowed at step {step}: {exc}") from exc

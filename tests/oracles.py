@@ -12,7 +12,9 @@ reference_margin_logit and reference_margin_logit_grad are the two
 functions that geometry.margin_map replaced, verbatim, kept to pin its
 bits; the reference margin kernel calls them. save_dataset is the
 whole-file dataset writer that the row-block one replaced, kept to pin its
-bytes. sweep_rows_sequential is the one-size-
+bytes. normalize and generate are the per-row normalization and the
+per-row dataset draw that synthdata.generate's one in-place pass replaced,
+kept to pin its bits. sweep_rows_sequential is the one-size-
 after-another loop that sweep-batch's worker pool replaced, kept to pin
 its rows.
 """
@@ -21,8 +23,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from aamsupcon.errors import IoError, NumericalError, check_in, read_file, write_file
+from aamsupcon.errors import (ConfigError, IoError, NumericalError, ZeroVector, check_in,
+                              read_file, write_file)
 from aamsupcon.evaluate import DcfParams, ScoredTrials, roc_metrics, score_trials, trial_blocks
+from aamsupcon.geometry import EPS_NORM
 from aamsupcon.losses import DenominatorConvention, LossKind
 from aamsupcon.synthdata import _FLOAT_FMT, DatasetSpec
 from aamsupcon.training import train
@@ -158,6 +162,41 @@ def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     for sid, row in zip(speaker_ids.tolist(), features.tolist()):
         lines.append(row_fmt % (sid, *row))
     write_file(path, "\n".join(lines) + "\n", "dataset")
+
+
+# per-row dataset reference: geometry.normalize and the loop of
+# synthdata.generate that called it row by row, kept verbatim
+
+
+def normalize(v) -> np.ndarray:
+    """Return v / ||v||_2.
+
+    Raises ZeroVector unless EPS_NORM < ||v||_2 < inf.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    if not EPS_NORM < norm < np.inf:
+        raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
+    return v / norm
+
+
+def generate(spec: DatasetSpec):
+    """(features, speaker_ids, centroids) of spec, every row normalized by
+    its own normalize call."""
+    rng = np.random.default_rng(spec.seed)
+    centroids = np.stack([normalize(c) for c in
+                          rng.standard_normal((spec.num_speakers, spec.d_in))])
+    speaker_ids = np.repeat(np.arange(spec.num_speakers), spec.utterances_per_speaker)
+    noise = rng.standard_normal((speaker_ids.size, spec.d_in))
+    if spec.spread == 0.0:
+        return centroids[speaker_ids], speaker_ids, centroids
+    try:
+        with np.errstate(all="ignore"):
+            features = np.stack([normalize(c + spec.spread * n)
+                                 for c, n in zip(centroids[speaker_ids], noise)])
+    except ZeroVector as exc:
+        raise ConfigError(f"dataset.spread = {spec.spread!r} is too large: {exc}") from exc
+    return features, speaker_ids, centroids
 
 
 # sweep-batch reference: the sequential loop that the worker pool of

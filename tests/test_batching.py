@@ -368,6 +368,23 @@ def test_draws_are_uniform_over_speakers_rows_lengths_and_starts():
         assert not start_count[k, d_in - k + 1:].any()
 
 
+@pytest.mark.parametrize("d_in", [1, 2, 8, 40])
+def test_mask_table_equals_the_broadcast_comparison(d_in):
+    """For every mask_max from 0 to d_in and every (start, k) a draw can
+    make under it, k in [0, mask_max] and start in [0, d_in - k], the
+    table's mask below[start + k] > below[start] is the broadcast
+    comparison (columns >= start) & (columns < start + k)."""
+    features = np.random.default_rng(d_in).normal(size=(2, d_in))
+    columns = np.arange(d_in)
+    for mask_max in range(d_in + 1):
+        below = BatchSampler(features, [0, 1], 1, 1, 0.1, mask_max).below
+        assert below.shape == (d_in + 1, d_in) and below.dtype == bool
+        k, start = np.array([(k, start) for k in range(mask_max + 1)
+                             for start in range(d_in - k + 1)]).T
+        want = (columns >= start[:, None]) & (columns < (start + k)[:, None])
+        assert np.array_equal(below[start + k] > below[start], want), mask_max
+
+
 def test_group_by_speaker():
     ids, groups = group_by_speaker([7, 3, 7, 7, 5, 3])
     assert ids.tolist() == [3, 5, 7]

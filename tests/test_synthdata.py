@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from aamsupcon import errors, synthdata
@@ -39,6 +41,38 @@ def test_unit_norm_and_determinism():
         assert abs(np.linalg.norm(sa) - 1.0) < 1e-9
     c, _, _ = generate(DatasetSpec(6, 5, 12, 0.3, seed=6))
     assert any(not np.array_equal(sa, sc) for sa, sc in zip(a, c))
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(speakers=st.integers(2, 6), utterances=st.integers(2, 5),
+       d_in=st.sampled_from([2, 3, 4, 7, 10, 40, 64, 128]),
+       spread=st.sampled_from([0.0, 1e-9, 0.05, 0.2, 1.0, 3.0, 1e100, 1e160, 1e300]),
+       seed=st.integers(0, 2**32))
+@example(speakers=2, utterances=2, d_in=2, spread=0.0, seed=0)
+@example(speakers=4, utterances=3, d_in=3, spread=1e300, seed=1)
+def test_generate_equals_the_per_row_loop_bit_for_bit(speakers, utterances, d_in, spread, seed):
+    """generate's one pass, each norm one BLAS dot product, writes the bits
+    of normalizing row by row, and a spread whose rows overflow (1e160
+    overflows the squares, 1e300 the entries too) fails with the same
+    message."""
+    spec = DatasetSpec(speakers, utterances, d_in, spread, seed)
+    try:
+        want = oracles.generate(spec)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            generate(spec)
+        return
+    assert [_bits(a) for a in generate(spec)] == [_bits(a) for a in want]
+
+
+def test_spread_too_large_names_the_norm():
+    with pytest.raises(ConfigError, match=r"^dataset.spread = 1e\+300 is too large: "
+                                          r"cannot normalize vector with norm inf$"):
+        generate(DatasetSpec(4, 3, 3, 1e300, seed=1))
 
 
 def test_nearest_centroid_oracle_on_tight_clusters():

@@ -472,11 +472,42 @@ def test_workspace_training_equals_allocating_loop(kind, convention, space):
 
 
 @pytest.mark.parametrize("space", ["projection", "encoder"])
+@pytest.mark.parametrize("speakers", [8, 32, 64])
+def test_every_buffer_of_a_run_starts_on_a_cache_line(speakers, space):
+    """At the quickstart sizes, N = 32, 128 and 256 rows, after a step:
+    the run's three flat vectors (parameters, gradients, velocity) and
+    every view of the first two, every Workspace array (encoder_rows
+    included), every KernelBuffers array and the sampler's blocks and their
+    slots start on a 64-byte boundary."""
+    features, speaker_ids = _dataset(speakers=64, utterances=20, d_in=40)
+    run = training._Run(TrainConfig(classifier_space=space, batch_speakers=speakers),
+                        features, speaker_ids)
+    batch, labels = run.sampler.draw(np.random.default_rng(0))
+    forward(run.params, batch, run.ws)
+    run.loss(labels)
+    backward(run.params, run.ws, run.grad_proj, run.grad_enc, run.grads)
+    run.update(0)
+    flat = [a for a in vars(run).values()
+            if isinstance(a, np.ndarray) and a.shape == run.flat_params.shape]
+    assert len(flat) == 3
+    arrays = flat + param_arrays(run.params) + param_arrays(run.grads)
+    for part in (run.ws, run.bufs):
+        for name in type(part).__slots__:
+            value = getattr(part, name)
+            arrays += value if isinstance(value, (list, tuple)) else [value]
+    arrays += [run.sampler.batches, *run.sampler.batches, run.sampler.labels]
+    assert (run.ws.encoder_rows is None) == (space == "projection")
+    unaligned = [a.shape for a in arrays if a is not None and a.ctypes.data % 64]
+    assert not unaligned
+
+
+@pytest.mark.parametrize("space", ["projection", "encoder"])
 @pytest.mark.parametrize("kind", [LossKind.AAMSUPCON, LossKind.SUPCON])
 def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
     seen = {"embeddings": [], "grad_z": [], "grad_w": [], "param_grads": [],
             "encoder_rows": []}
-    slots = {"batch": [], "labels": []}  # (block, byte offset) of each step's batch and labels
+    # (buffer, data pointer) of each step's batch and labels, and the run's sampler
+    slots, samplers = {"batch": [], "labels": []}, []
 
     def spy(name, fn, record):
         def wrapped(*args, **kwargs):
@@ -486,7 +517,12 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
         monkeypatch.setattr(training, name, wrapped)
 
     def slot(record, part):
-        record.append((part.base, part.ctypes.data - part.base.ctypes.data))
+        record.append((part.base, part.ctypes.data))
+
+    class RecordedSampler(BatchSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            samplers.append(self)
 
     def forward_record(trace, params, batch, ws):
         slot(slots["batch"], batch)
@@ -503,6 +539,7 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
                             seen["grad_w"].append(out[2].ctypes.data),
                             slot(slots["labels"], args[2])))
     spy("backward", training.backward, backward_record)
+    monkeypatch.setattr(training, "BatchSampler", RecordedSampler)
     monkeypatch.setattr(batching, "BLOCK_BATCHES", 3)  # the 4 steps draw 2 blocks
     cfg = TrainConfig(loss_kind=kind, classifier_space=space, steps=4, batch_speakers=4,
                       seed=1, **SMALL_NET)
@@ -510,11 +547,15 @@ def test_consecutive_steps_reuse_the_workspace(kind, space, monkeypatch):
     for name, pointers in seen.items():
         assert len(pointers) == 4 and all(p == pointers[0] for p in pointers), name
     # each step's batch and labels are its slot of the sampler's blocks, one
-    # pair of arrays per run, the second block drawn into the first one's
-    for name, record in slots.items():
-        block = record[0][0]
-        assert all(base is block for base, _ in record), name
-        assert [offset for _, offset in record] == [k * block[0].nbytes for k in (0, 1, 2, 0)]
+    # pair of arrays per run, the second block drawn into the first one's;
+    # a slot's offset counts from its block's own data, which starts on a
+    # cache line inside a larger buffer
+    (sampler,) = samplers
+    for name, block in (("batch", sampler.batches), ("labels", sampler.labels)):
+        record = slots[name]
+        assert all(base is block.base for base, _ in record), name
+        assert [pointer - block.ctypes.data for _, pointer in record] == [
+            k * block[0].nbytes for k in (0, 1, 2, 0)], name
     # the class-weight gradient is written into its slot of the gradient vector
     assert seen["grad_w"][0] == seen["param_grads"][0][-1]
     # only encoder space allocates the normalized encoder rows
