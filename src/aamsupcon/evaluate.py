@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import (ConfigError, NumericalError, ZeroVector, check_domains, check_integer,
-                     write_files)
+from .errors import (TEXT_FLOATS, ConfigError, NumericalError, ZeroVector, check_domains,
+                     check_integer, int_planes, text_lines, write_files)
 from .model import NetworkParams, embed
 
 _SCORE_BLOCK = 512  # trials per scoring block; bounds the (block, D) temporaries
@@ -140,11 +140,19 @@ def score_and_save(params: NetworkParams, features, trials, space: str,
     trial) and the score file (the same line with the score appended as
     %.17g) before the next block is drawn, so no whole trial list exists."""
     scores, is_target, blocks = _scored_blocks(params, features, trials, space)
-    table = _index_table(len(features) - 1, 2 * len(scores))
-    write_files([(trials_path, "trials"), (scores_path, "scores")],
-                (texts for block in blocks
-                 for texts in zip(_line_blocks(block[:3], table), _line_blocks(block, table))))
+    write_files([(trials_path, "trials"), (scores_path, "scores")], _trial_texts(blocks))
     return ScoredTrials(scores, is_target)
+
+
+def _trial_texts(blocks):
+    """The (trial file, score file) text of the scored blocks of
+    _scored_blocks, TEXT_FLOATS trials at a time (errors.text_lines)."""
+    for enroll, test, flags, scores in blocks:
+        for start in range(0, len(enroll), TEXT_FLOATS):
+            rows = slice(start, start + TEXT_FLOATS)
+            trial = (int_planes(enroll[rows]), b" ", int_planes(test[rows]), b" ",
+                     int_planes(flags[rows]))
+            yield text_lines(*trial, b"\n"), text_lines(*trial, b" ", scores[rows], b"\n")
 
 
 def _scored_blocks(params, features, trials, space):
@@ -275,41 +283,3 @@ def _class_rates(own, uniq, at_or_above: bool) -> np.ndarray:
     rates[1:-1] = counts
     rates[1:-1] /= own.size
     return rates
-
-
-def _line_blocks(columns, table):
-    """The lines of the columns (enroll, test, flags[, scores]), one str
-    per _SCORE_BLOCK rows: per trial its enroll and test indices and its 0|1
-    flag, then, given scores, its score as %.17g. Each cell is one shared
-    string that ends in what follows it: "i " from _index_cells for an
-    index, "0\n" or "1\n" for a flag that ends the line, and "0 " or "1 "
-    for one that a score follows. Without scores a block is its cells
-    joined; with them it is one %-call over the cells and the scores as
-    Python floats. table is _index_table's."""
-    flag_text = np.array(["0\n", "1\n"] if len(columns) == 3 else ["0 ", "1 "],
-                         dtype=object)
-    for start in range(0, len(columns[0]), _SCORE_BLOCK):
-        enroll, test, flags, *scores = (c[start:start + _SCORE_BLOCK] for c in columns)
-        cells = [_index_cells(enroll, table), _index_cells(test, table),
-                 flag_text[flags.astype(np.intp)].tolist(), *(s.tolist() for s in scores)]
-        flat = [None] * (len(enroll) * len(cells))
-        for j, col in enumerate(cells):
-            flat[j::len(cells)] = col
-        yield "".join(flat) if not scores else "%s%s%s%.17g\n" * len(enroll) % tuple(flat)
-
-
-def _index_table(top: int, cells: int):
-    """The strings "i " (the index in decimal, then a space) of every index
-    up to top, for _index_cells to share; None where that table would hold
-    as many strings as the index columns have cells, or more."""
-    if top + 1 >= cells:
-        return None
-    return np.array([f"{i} " for i in range(top + 1)], dtype=object)
-
-
-def _index_cells(column, table):
-    """The index column as a list of "i " strings: shared ones from table,
-    or, where table is None, a string of its own per cell."""
-    if table is None:
-        return [f"{i} " for i in column.tolist()]
-    return table[column].tolist()

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .batching import group_by_speaker
-from .errors import (ConfigError, IoError, ZeroVector, check_domains, check_integer, read_lines,
-                     write_file)
+from .errors import (TEXT_FLOATS, ConfigError, IoError, ZeroVector, check_domains, check_integer,
+                     read_lines, text_lines, write_file)
 from .geometry import EPS_NORM
 
 _FLOAT_FMT = "%.17g"  # 17 significant digits: exact float64 round-trip
-_ROW_BLOCK = 512  # rows save_dataset formats at a time
 # Number forms that int and float read but that %d and %.17g never write,
 # named by the character _loose_number finds
 _LOOSE_FORMS = {"+": "plus sign", "E": "upper-case E", "_": "underscore",
@@ -101,22 +100,20 @@ def split_holdout(speaker_ids, holdout_per_speaker: int):
 def save_dataset(path, spec: DatasetSpec, features, speaker_ids) -> None:
     """Write the text dump: one header line of DatasetSpec's fields as
     name=value (%d or %.17g), then one line per row: speaker_id original
-    features... The rows go to write_file _ROW_BLOCK at a time, so no copy
-    of the whole file is made."""
+    features... The rows go to write_file as errors.text_lines writes them,
+    _row_block(d_in) rows at a time, so no copy of the whole file is made."""
     header = " ".join(f"{f.name}=" + ("%d" if f.type is int else _FLOAT_FMT)
                       % getattr(spec, f.name) for f in fields(DatasetSpec)) + "\n"
-    row_fmt = "%d original " + " ".join([_FLOAT_FMT] * features.shape[1]) + "\n"
+    rows = _row_block(features.shape[1])
+    write_file(path, itertools.chain([header], (
+        text_lines(speaker_ids[start:start + rows], b" original ",
+                   features[start:start + rows], b"\n")
+        for start in range(0, len(features), rows))), "dataset")
 
-    def blocks():
-        # one expression per block, so that its rows as Python lists are
-        # freed before the block's text goes out
-        yield header
-        for start in range(0, len(features), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            yield "".join([row_fmt % (sid, *row) for sid, row in
-                           zip(speaker_ids[block].tolist(), features[block].tolist())])
 
-    write_file(path, blocks(), "dataset")
+def _row_block(d_in: int) -> int:
+    """The rows save_dataset formats at a time: TEXT_FLOATS features, or one row."""
+    return max(1, TEXT_FLOATS // max(d_in, 1))
 
 
 def load_dataset(path):

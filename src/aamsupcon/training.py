@@ -6,6 +6,7 @@ sphere after every update. Fully deterministic given (config, seed): two
 runs produce identical loss sequences and identical parameters.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import BatchSampler
-from .errors import (ConfigError, DivergenceDetected, ZeroVector, check_domains, empty_aligned,
-                     write_file)
+from .errors import (TEXT_FLOATS, ConfigError, DivergenceDetected, ZeroVector, check_domains,
+                     empty_aligned, text_lines, write_file)
 from .geometry import normalize_rows, normalize_rows_backward
 from .losses import (
     DenominatorConvention,
@@ -257,12 +258,14 @@ def save_runlog(path, log: RunLog) -> None:
     """Delimited text, one record per step: step, loss, gradient norm.
 
     Wall times are deliberately not serialized so that reruns with the same
-    config and seed produce byte-identical log files."""
-    rec = log.records
-    lines = ["step loss grad_norm"]
-    lines += ["%d %.17g %.17g" % row
-              for row in zip(range(rec.size), rec.loss.tolist(), rec.grad_norm.tolist())]
-    write_file(path, "\n".join(lines) + "\n", "run log")
+    config and seed produce byte-identical log files. The records go to
+    write_file as errors.text_lines writes them, TEXT_FLOATS // 2 steps at
+    a time, so the log's text never exists whole."""
+    rec, rows = log.records, TEXT_FLOATS // 2
+    write_file(path, itertools.chain([b"step loss grad_norm\n"], (
+        text_lines(np.arange(start, min(start + rows, rec.size)), b" ",
+                   rec.loss[start:start + rows], b" ", rec.grad_norm[start:start + rows], b"\n")
+        for start in range(0, rec.size, rows))), "run log")
 
 
 def end_to_end_grad_check(config: TrainConfig, features, speaker_ids,

@@ -363,9 +363,9 @@ def test_score_and_save_equals_score_trials_and_reference_files(tmp_path, rows, 
                                                                 space):
     """Scoring and writing the trial blocks as they are drawn gives the
     scores and flags of score_trials, and the files hold the line-by-line
-    reference of the joined trial list: with the shared index table and
-    without it (400 rows a speaker, few trials), with several speakers a
-    block and with one."""
+    reference of the joined trial list: with few trials over many rows
+    (400 rows a speaker), with several speakers a block and with one, whose
+    block of 8200 trials the writers split."""
     features, speaker_ids, _ = generate(DatasetSpec(8, rows, 6, 0.5, seed=rows))
     params = init_params([6, 16], 16, 8, 8, seed=1)
     want = score_trials(params, features, trial_blocks(speaker_ids, per_speaker, seed=3), space)
@@ -488,22 +488,21 @@ def test_writers_match_line_by_line_reference(rows, digits, seed, index_dtype):
     _assert_writers_match_reference(rows, largest, rng, index_dtype)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
-def test_writers_match_reference_across_block_edges(rows, shared):
-    """Row counts on each side of the writers' _SCORE_BLOCK chunks, with
-    the index strings shared from one table (a dataset of rows // 2 + 1
-    rows, fewer than the cells) and made per cell (a million rows)."""
-    assert evaluate._SCORE_BLOCK == 512
-    largest = rows // 2 if shared else 999_999
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_writers_match_reference_across_block_edges(chunks, extra, wide):
+    """Row counts on each side of the writers' chunks of TEXT_FLOATS
+    trials, with indices of up to rows // 2 and up to 999999 (wide)."""
+    assert evaluate.TEXT_FLOATS == 4096 <= evaluate._TRIAL_BLOCK
+    rows = chunks * evaluate.TEXT_FLOATS + extra
+    largest = 999_999 if wide else rows // 2
     _assert_writers_match_reference(rows, largest, np.random.default_rng(rows), np.int64)
-    assert (evaluate._index_table(largest, 2 * rows) is not None) == (shared and rows > 0)
 
 
 def test_writers_table_no_more_strings_than_cells(tmp_path):
-    """Two trials over a dataset of a million rows: the writers give each
-    of the four index cells its own string instead of tabulating a million
-    of them."""
+    """Two trials over a dataset of a million rows: the index columns'
+    digits are worked out per trial, with no table sized by the largest
+    index."""
     trials = (np.array([0, 999_999]), np.array([999_999, 5]), np.array([True, False]))
     tracemalloc.start()
     try:
@@ -552,9 +551,9 @@ def test_block_scoring_peak_memory(quickstart_scale, space):
 
 
 def test_writers_peak_memory(quickstart_scale, tmp_path):
-    """The writers stream _SCORE_BLOCK lines at a time, so 102400 trials
-    need no whole-file list, text or encoded copy: writing both files adds
-    under 2 MiB to the peak of scoring alone."""
+    """The writers format TEXT_FLOATS lines at a time, so 102400 trials
+    need no whole-file text: writing both files adds under 2 MiB to the
+    peak of scoring alone."""
     params, features, trials, _ = quickstart_scale
     _, scoring = _traced_peak(lambda: score_trials(params, features, trials()))
     _, peak = _traced_peak(lambda: score_and_save(params, features, trials(), "projection",

@@ -129,11 +129,15 @@ def test_dump_header_carries_spec_fields(tmp_path):
     assert "num_speakers=3" in header and "spread=0.125" in header and "seed=2" in header
 
 
-@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
-def test_row_block_writer_matches_whole_file_writer(tmp_path, rows):
-    """Row counts on each side of save_dataset's _ROW_BLOCK blocks give the
-    bytes of the whole-file writer it replaced."""
-    assert synthdata._ROW_BLOCK == 512
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_row_block_writer_matches_whole_file_writer(tmp_path, chunks, extra):
+    """Row counts on each side of save_dataset's blocks of _row_block(d_in)
+    rows, TEXT_FLOATS features each, give the bytes of the whole-file
+    writer it replaced, over features of every decade from 1e-300 to
+    1e300."""
+    assert synthdata._row_block(5) == errors.TEXT_FLOATS // 5 == 819
+    assert synthdata._row_block(40) == 102 and synthdata._row_block(10**6) == 1
+    rows = chunks * synthdata._row_block(5) + extra
     rng = np.random.default_rng(rows)
     spec = DatasetSpec(7, 3, 5, 0.1, seed=rows)
     features = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-300, 300, (rows, 5))
@@ -144,7 +148,7 @@ def test_row_block_writer_matches_whole_file_writer(tmp_path, rows):
 
 
 def test_save_dataset_peak_memory(tmp_path):
-    """2560 rows of 40 features go out 512 rows at a time: about 1.1 MiB at
+    """2560 rows of 40 features go out 102 rows at a time: about 0.6 MiB at
     the peak, against 6.4 MiB for the whole-file writer."""
     spec = DatasetSpec(128, 20, 40, 0.2, seed=7)
     features, speaker_ids, _ = generate(spec)
@@ -156,6 +160,35 @@ def test_save_dataset_peak_memory(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "data.txt").read_bytes().count(b"\n") == 2561
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# every form of number the writer emits: a signed zero, the least
+# subnormal, the largest double, the exponential form just above its switch,
+# the fixed form at its lower end, the largest fixed-form integer's decade,
+# and the exponential form above it
+_WRITTEN_FORMS = ["-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                  "1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17"]
+
+
+def test_load_dataset_reads_every_written_form_bit_for_bit(tmp_path):
+    """A dataset whose features take every form save_dataset writes reads
+    back bit for bit, each form passing _loose_number's strict grammar,
+    and writes back the same bytes."""
+    values = np.array([float(form) for form in _WRITTEN_FORMS])
+    spec = DatasetSpec(2, 2, len(values), 0.0, seed=0)
+    features = np.stack([values, -values[::-1], values[::-1], -values])
+    speaker_ids = np.array([0, 0, 1, 1])
+    path = tmp_path / "forms.txt"
+    save_dataset(path, spec, features, speaker_ids)
+    lines = path.read_text().splitlines()
+    assert lines[1].split()[2:] == _WRITTEN_FORMS
+    for form in _WRITTEN_FORMS + ["-" + form for form in _WRITTEN_FORMS[1:]]:
+        assert synthdata._loose_number(form) is None, form
+    _, got, got_ids = load_dataset(path)
+    assert got.view(np.uint64).tolist() == features.view(np.uint64).tolist()
+    assert got_ids.tolist() == speaker_ids.tolist()
+    save_dataset(tmp_path / "again.txt", spec, got, got_ids)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_load_dataset_peak_memory(tmp_path):

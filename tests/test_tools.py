@@ -82,13 +82,15 @@ def test_layergrid_times_every_evaluation_row_once(layergrid):
     rows = layergrid.eval_rows((0, 1, 1))
     trials = 2 * layergrid.EVAL_SPEAKERS * layergrid.TRIALS_PER_SPEAKER
     dataset_rows = layergrid.EVAL_UTTERANCES * layergrid.EVAL_SPEAKERS
-    assert [row[:3] for row in rows] == [
-        (layer, dataset_rows if layer in layergrid.DATASET_LAYERS else trials, "projection")
-        for layer in layergrid.EVAL_LAYERS]
+    sizes = {**dict.fromkeys(layergrid.DATASET_LAYERS, dataset_rows),
+             "save_runlog": layergrid.RUNLOG_STEPS}
+    assert [row[:3] for row in rows] == [(layer, sizes.get(layer, trials), "projection")
+                                         for layer in layergrid.EVAL_LAYERS]
     assert layergrid.DATASET_LAYERS == ("save_dataset", "load_dataset")
+    assert layergrid.RUNLOG_STEPS == 1000
     assert layergrid.EVAL_LAYERS == ("trial_blocks", "score_trials", "roc_metrics",
-                                     "score_and_save", "save_dataset", "load_dataset",
-                                     "evaluate")
+                                     "score_and_save", "write_trial_files", "save_dataset",
+                                     "load_dataset", "save_runlog", "evaluate")
     assert all(seconds > 0 and faults >= 0 and peak > 0 for *_, seconds, faults, peak in rows)
 
 

@@ -378,6 +378,49 @@ def test_save_runlog_writes_exact_text(tmp_path):
     assert path.read_text(encoding="ascii") == "step loss grad_norm\n"
 
 
+def _reference_runlog_text(log) -> bytes:
+    """The run log written line by line with %-formatting."""
+    rec = log.records
+    return "".join(["step loss grad_norm\n"] + [
+        "%d %.17g %.17g\n" % row
+        for row in zip(range(rec.size), rec.loss.tolist(), rec.grad_norm.tolist())]).encode()
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_save_runlog_matches_line_by_line_writer(tmp_path, chunks, extra):
+    """Step counts on each side of save_runlog's chunks of TEXT_FLOATS // 2
+    steps give the bytes of the line-by-line writer, over losses and norms
+    of every decade, zeros and subnormals."""
+    assert training.TEXT_FLOATS // 2 == 2048
+    steps = chunks * (training.TEXT_FLOATS // 2) + extra
+    rng = np.random.default_rng(steps)
+    values = rng.standard_normal((2, steps)) * 10.0 ** rng.integers(-320, 300, (2, steps))
+    values[:, ::97] = 0.0
+    log = _runlog(values[0], np.abs(values[1]), np.zeros(steps))
+    save_runlog(tmp_path / "runlog.txt", log)
+    assert (tmp_path / "runlog.txt").read_bytes() == _reference_runlog_text(log)
+
+
+def test_save_runlog_peak_memory(tmp_path):
+    """A 200000-step log goes out TEXT_FLOATS // 2 steps at a time: about
+    0.4 MiB at the peak, where a list of its lines and its whole text took
+    36 MiB."""
+    steps = 200_000
+    rng = np.random.default_rng(0)
+    log = _runlog(rng.uniform(0.0, 10.0, steps), rng.uniform(0.0, 100.0, steps),
+                  np.zeros(steps))
+    tracemalloc.start()
+    try:
+        save_runlog(tmp_path / "runlog.txt", log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "runlog.txt").read_bytes()
+    assert text.count(b"\n") == steps + 1 and text.endswith(b"199999 %.17g %.17g\n" % (
+        log.records.loss[-1], log.records.grad_norm[-1]))
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def reference_loss(config, params, trace, labels):
     """The configured loss on a forward trace, composed branch by branch from
     the allocating reference kernels, as the trainer composed it before one

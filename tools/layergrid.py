@@ -20,8 +20,10 @@ utterances held out, 400 target and 400 non-target trials per speaker) with
 an untrained quickstart-shaped model: trial_blocks (drained, each block
 dropped once drawn), score_trials, roc_metrics, and score_and_save, which
 also writes the trial and score files (score_trials and score_and_save are
-given blocks drawn before the timed calls); save_dataset and load_dataset
-of the whole 2560-row dataset they are drawn from; and the whole evaluate
+given blocks drawn before the timed calls); write_trial_files, the writing
+of both files alone, from those blocks scored before the timed calls;
+save_dataset and load_dataset of the whole 2560-row dataset they are drawn
+from; save_runlog of a RUNLOG_STEPS-step run log; and the whole evaluate
 command on that dataset and model (cli.main, with the config, dataset and
 checkpoint files written before the timed calls). Each is timed with
 perf_counter in blocks of calls after untimed warm-up calls, keeping the
@@ -37,13 +39,15 @@ checkouts are measured by the same code. Page faults are counted with
 resource.getrusage, this process only. With --before, the rounds alternate
 between that older checkout and the one this file sits in, which goes
 first in even rounds, and rows are paired by layer, size and space; the
-older checkout needs the evaluation API measured here, and one whose
-training has no PHASES (no clock) gets the evaluation rows only. OUT.json
-gets, per side and row, the fastest and the median round in microseconds
-per call, the median minor page faults per call and, for an evaluation
-row, the median tracemalloc peak in KiB, the minor page faults of each
-round's training and evaluation part, and the environment. --quick runs 3
-rounds of fewer calls, in under 30 s on a 2-core host with --before.
+older checkout needs the evaluation API measured here, a row whose part
+it lacks (the writers of score_and_save alone) is measured on this side
+only, and one whose training has no PHASES (no clock) gets the evaluation
+rows only. OUT.json gets, per side and row, the fastest and the median
+round in microseconds per call, the median minor page faults per call
+and, for an evaluation row, the median tracemalloc peak in KiB, the
+minor page faults of each round's training and evaluation part, and the
+environment. --quick runs 3 rounds of fewer calls, in under 30 s on a
+2-core host with --before.
 """
 
 import argparse
@@ -60,6 +64,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +77,10 @@ SPEAKERS = (8, 32, 64)
 VIEWS = 2
 SPACES = ("projection", "encoder")
 EVAL_LAYERS = ("trial_blocks", "score_trials", "roc_metrics", "score_and_save",
-               "save_dataset", "load_dataset", "evaluate")
+               "write_trial_files", "save_dataset", "load_dataset", "save_runlog", "evaluate")
 DATASET_LAYERS = ("save_dataset", "load_dataset")  # sized in dataset rows, not trials
 EVAL_SPEAKERS, EVAL_UTTERANCES, EVAL_HELD_OUT, TRIALS_PER_SPEAKER = 128, 20, 10, 400
+RUNLOG_STEPS = 1000  # save_runlog's row is sized in steps
 # (warm-up, timed) steps of a training run, and (warm-up, timed blocks, per
 # block) calls of an evaluation row
 CALLS = {"full": ((96, 480), (2, 5, 2)), "quick": ((96, 96), (1, 2, 1))}
@@ -139,9 +145,12 @@ def train_rows(calls):
 
 def eval_rows(calls):
     """[(layer, size, space, seconds, faults, peak bytes)] of the
-    evaluation's parts; the size is the number of trials, or of dataset
-    rows for the DATASET_LAYERS."""
-    from aamsupcon import cli, evaluate
+    evaluation's parts; the size is the number of trials, of dataset rows
+    for the DATASET_LAYERS, or of steps for save_runlog. A package without
+    evaluate._trial_texts, the writers of score_and_save, gives no
+    write_trial_files row."""
+    from aamsupcon import cli, evaluate, training
+    from aamsupcon.errors import write_files
     from aamsupcon.model import init_params, save_checkpoint
     from aamsupcon.synthdata import (DatasetSpec, generate, load_dataset, save_dataset,
                                      split_holdout)
@@ -154,6 +163,14 @@ def eval_rows(calls):
     count, blocks = evaluate.trial_blocks(speaker_ids, TRIALS_PER_SPEAKER, seed=1)
     blocks = list(blocks)
     scored = evaluate.score_trials(params, features, (count, iter(blocks)))
+    ends = np.cumsum([len(block[0]) for block in blocks]).tolist()
+    scored_blocks = [(*block, scored.scores[end - len(block[0]):end])
+                     for block, end in zip(blocks, ends)]
+    rng = np.random.default_rng(0)
+    # save_runlog reads a log's records alone
+    log = types.SimpleNamespace(records=np.rec.fromarrays(
+        [rng.uniform(0.0, 10.0, RUNLOG_STEPS), rng.uniform(0.0, 100.0, RUNLOG_STEPS),
+         np.zeros(RUNLOG_STEPS)], names="loss,grad_norm,wall_time"))
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -178,11 +195,18 @@ def eval_rows(calls):
                  lambda: evaluate.score_and_save(params, features, (count, iter(blocks)),
                                                  "projection", tmp / "trials.txt",
                                                  tmp / "scores.txt"),
+                 lambda: write_files([(tmp / "trials.txt", "trials"),
+                                      (tmp / "scores.txt", "scores")],
+                                     evaluate._trial_texts(iter(scored_blocks))),
                  lambda: save_dataset(tmp / "dataset.txt", spec, data, ids),
                  lambda: load_dataset(tmp / "evaluated.txt"),
+                 lambda: training.save_runlog(tmp / "runlog.txt", log),
                  evaluate_command)
         for layer, fn in zip(EVAL_LAYERS, parts):
-            size = len(data) if layer in DATASET_LAYERS else count
+            if layer == "write_trial_files" and not hasattr(evaluate, "_trial_texts"):
+                continue
+            size = (len(data) if layer in DATASET_LAYERS
+                    else RUNLOG_STEPS if layer == "save_runlog" else count)
             out.append((layer, size, "projection", *timed(fn, *calls), traced_peak(fn)))
     return out
 
